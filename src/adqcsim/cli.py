@@ -77,9 +77,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = verify.default_config(
         args.campaign, samples=args.samples, seed=args.seed, tolerance=args.tolerance
     )
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = verify.run_campaign(config, threads=threads)
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    cores = os.cpu_count() or 1
+    if not 1 <= args.threads <= cores:
+        raise ValueError(f"--threads must be in [1, {cores}], got {args.threads}")
+    report = verify.run_campaign(config, threads=args.threads)
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+    text += "\n"
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status} {config.name}: checks={report.checks_run} "
@@ -221,7 +224,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if correction != 0.0:
         info["notes"].append(f"input renormalized by {correction:.3e}")
     if args.format == "json":
-        print(json.dumps(info, indent=2, sort_keys=True))
+        print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
     else:
         _print_demo_table(info)
     return 0
@@ -248,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tolerance", type=float, default=None)
-    p_verify.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    p_verify.add_argument(
+        "--threads", type=int, default=1, help="worker threads, at most the core count"
+    )
     p_verify.add_argument("--output", default=None, help="JSON report path")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -19,28 +19,61 @@ class BoundDomainError(ValueError):
     """Raised where an entropy lies below the region a bound constrains."""
 
 
-def validate_density(rho: np.ndarray, dims: tuple[int, ...] | None = None) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix."""
+@dataclass(frozen=True)
+class Density:
+    """A validated density matrix with the eigenpairs of its one solve:
+    eigenvalues ascending, eigenvectors as the columns of `eigenvectors`."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def _eigenpairs(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # A diagonal matrix (a dephased state) is read off its diagonal, with
+    # the same values and order the Jacobi kernel returns for it.
+    diag = rho.diagonal()
+    if np.count_nonzero(rho) == np.count_nonzero(diag):
+        w = diag.real
+        order = np.argsort(w, kind="stable")
+        return w[order], np.eye(len(w), dtype=complex)[:, order]
+    return linalg.jacobi_eigh(rho)
+
+
+def validate_density(
+    rho: np.ndarray | Density, dims: tuple[int, ...] | None = None
+) -> Density:
+    """Check Hermiticity, unit trace, and positivity of a density matrix.
+
+    Returns the matrix with the eigenpairs the positivity check solved
+    for, so that no caller has to solve it again.  A Density passes
+    through after the dimension check.
+    """
+    if isinstance(rho, Density):
+        if dims is not None and rho.matrix.shape[0] not in dims:
+            raise ValueError(f"density matrix dimension {rho.matrix.shape[0]} not in {dims}")
+        return rho
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     if dims is not None and rho.shape[0] not in dims:
         raise ValueError(f"density matrix dimension {rho.shape[0]} not in {dims}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if linalg.hermiticity_defect(rho) > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > DENSITY_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    evals = linalg.hermitian_eigenvalues(rho)
+    evals, evecs = _eigenpairs(rho)
     if evals[0] < -DENSITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
-    return rho
+    return Density(rho, evals, evecs)
 
 
-def _spectrum(rho: np.ndarray, dims: tuple[int, ...] | None = None) -> np.ndarray:
+def _spectrum(rho: np.ndarray | Density, dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Validated eigenvalues, clamped to [0, inf) and renormalized to sum 1."""
-    validate_density(rho, dims)
-    evals = np.maximum(linalg.hermitian_eigenvalues(rho), 0.0)
+    evals = np.maximum(validate_density(rho, dims).eigenvalues, 0.0)
     return evals / evals.sum()
 
 
@@ -50,13 +83,13 @@ def _plogp(p: np.ndarray) -> float:
     return float(np.sum(nz * np.log2(nz)))
 
 
-def purity_entanglement(rho: np.ndarray) -> float:
+def purity_entanglement(rho: np.ndarray | Density) -> float:
     """2 (1 - Tr rho^2) of a single-qubit state: 0 pure, 1 maximally mixed."""
     p = _spectrum(rho, dims=(2,))
     return max(2.0 * (1.0 - float(np.sum(p * p))), 0.0) + 0.0
 
 
-def von_neumann(rho: np.ndarray) -> float:
+def von_neumann(rho: np.ndarray | Density) -> float:
     """-Tr(rho log2 rho) for a one- or two-qubit density matrix."""
     p = _spectrum(rho, dims=(2, 4))
     return max(-_plogp(p), 0.0) + 0.0
@@ -163,23 +196,24 @@ class EntanglementReport:
     bloch_length_r: float | None
 
 
-def single_qubit_report(rho: np.ndarray) -> EntanglementReport:
+def single_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a single-qubit reduced state (correlator is <Z>)."""
+    rho = validate_density(rho, dims=(2,))
     return EntanglementReport(
         purity_S=purity_entanglement(rho),
         von_neumann=von_neumann(rho),
-        correlator=correlator(rho, qcore.gate("Z")),
-        bloch_length_r=bloch_length(rho),
+        correlator=correlator(rho.matrix, qcore.gate("Z")),
+        bloch_length_r=bloch_length(rho.matrix),
     )
 
 
-def two_qubit_report(rho: np.ndarray) -> EntanglementReport:
+def two_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a two-qubit reduced state (correlator is <Z(x)Z>)."""
     zz = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
-    validate_density(rho, dims=(4,))
+    rho = validate_density(rho, dims=(4,))
     return EntanglementReport(
         purity_S=None,
         von_neumann=von_neumann(rho),
-        correlator=correlator(rho, zz),
+        correlator=correlator(rho.matrix, zz),
         bloch_length_r=None,
     )

@@ -6,6 +6,7 @@ shape [2]*n exposes qubit k as axis k.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -80,13 +81,6 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries; subtracting the diagonal
-    # share from the total hits a cancellation floor near sqrt(eps)*|A|.
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
-
-
 def jacobi_eigh(
     m: np.ndarray,
     target: float = OFFDIAG_TARGET,
@@ -96,8 +90,14 @@ def jacobi_eigh(
 
     Each rotation zeroes one off-diagonal pivot: the pivot's phase is
     absorbed into the rotation so the remaining 2x2 problem is real, then
-    the smaller-angle root of the usual tangent equation is taken.  Sweeps
-    repeat until the off-diagonal Frobenius norm drops below `target`.
+    the smaller-angle root of the usual tangent equation is taken, so the
+    pivot block's diagonal becomes (a_pp - t|a_pq|, a_qq + t|a_pq|).
+    Sweeps repeat until the off-diagonal Frobenius norm drops below
+    `target`; input with non-finite entries is rejected.
+
+    The rotations run on nested lists of Python complex scalars: at these
+    sizes (at most MAX_EIG_DIM) numpy's per-call overhead on row and
+    column slices would cost more than the arithmetic.
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
     satisfying m @ v == v @ diag(w) up to roundoff.
@@ -108,50 +108,66 @@ def jacobi_eigh(
     n = a.shape[0]
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if hermiticity_defect(a) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.diagonal().real.copy(), v
+    a = (0.5 * (a + a.conj().T)).tolist()
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    # Row lists are updated in place, so each pivot's untouched rows can be
+    # listed once; the matrix stays Hermitian, so rows p and q are written
+    # as the conjugates of columns p and q.
+    pivots = [
+        (p, q, a[p], a[q], [(i, a[i]) for i in range(n) if i != p and i != q])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
     pivot_floor = target / (4.0 * n * n)
     for _ in range(max_sweeps):
-        if _off_norm(a) <= target:
+        # Summed directly over the entries above the diagonal (twice, for
+        # the Hermitian mirror); subtracting the diagonal share from the
+        # total hits a cancellation floor near sqrt(eps)*|A|.
+        off = 0.0
+        for p, q, ap, _, _ in pivots:
+            x = ap[q]
+            off += x.real * x.real + x.imag * x.imag
+        if math.sqrt(2.0 * off) <= target:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= pivot_floor:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                w00, w01 = c, s
-                w10, w11 = -s * np.conj(phase), c * np.conj(phase)
-                col_p = a[:, p] * w00 + a[:, q] * w10
-                col_q = a[:, p] * w01 + a[:, q] * w11
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = np.conj(w00) * a[p, :] + np.conj(w10) * a[q, :]
-                row_q = np.conj(w01) * a[p, :] + np.conj(w11) * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vc_p = v[:, p] * w00 + v[:, q] * w10
-                vc_q = v[:, p] * w01 + v[:, q] * w11
-                v[:, p], v[:, q] = vc_p, vc_q
+        for p, q, ap, aq, rest in pivots:
+            apq = ap[q]
+            r = abs(apq)
+            if r <= pivot_floor:
+                continue
+            phase = apq / r
+            app, aqq = ap[p].real, aq[q].real
+            tau = (aqq - app) / (2.0 * r)
+            if tau == 0.0:
+                t = 1.0
+            else:
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # W = [[c, s], [-s conj(phase), c conj(phase)]] on columns p, q
+            w10, w11 = -s * phase.conjugate(), c * phase.conjugate()
+            for i, row in rest:
+                x, y = row[p], row[q]
+                xp, yq = x * c + y * w10, x * s + y * w11
+                row[p], row[q] = xp, yq
+                ap[i], aq[i] = xp.conjugate(), yq.conjugate()
+            ap[p] = complex(app - t * r)
+            aq[q] = complex(aqq + t * r)
+            ap[q] = aq[p] = 0j
+            for row in v:
+                x, y = row[p], row[q]
+                row[p], row[q] = x * c + y * w10, x * s + y * w11
     else:
         raise ArithmeticError("plane-rotation eigensolver did not converge")
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w = [a[i][i].real for i in range(n)]
+    order = sorted(range(n), key=w.__getitem__)  # stable, like argsort
+    return (
+        np.array([w[i] for i in order]),
+        np.array([[row[i] for i in order] for row in v], dtype=complex),
+    )
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

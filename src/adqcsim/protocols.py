@@ -25,6 +25,7 @@ gate), up to a global phase per branch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,6 +74,10 @@ class ProtocolSpec:
 
     def __post_init__(self):
         self.targets = tuple(int(t) for t in self.targets)
+        for name in ("u", "epsilon", "delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}={value} is not finite")
         if self.kind in ROTATION_KINDS:
             if len(self.targets) != 1:
                 raise ValueError(f"{self.kind.value} takes exactly one target")

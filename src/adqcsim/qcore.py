@@ -67,7 +67,7 @@ class PureState:
         if self.amplitudes.shape[0] != 2**self.n_qubits:
             raise ValueError("amplitude vector length does not match qubit count")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN or inf amplitudes fail too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
 
     @classmethod

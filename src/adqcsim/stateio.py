@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .qcore import PureState
 
 NORM_FILE_TOL = 1e-9
@@ -43,7 +44,7 @@ def loads_state(text: str) -> tuple[PureState, float]:
                 n_qubits = int(line.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad qubit count") from None
-            if not 1 <= n_qubits <= 8:
+            if not 1 <= n_qubits <= linalg.MAX_QUBITS:
                 raise ValueError(f"line {lineno}: qubit count {n_qubits} out of range")
             continue
         if line.startswith("label:"):
@@ -70,7 +71,7 @@ def loads_state(text: str) -> tuple[PureState, float]:
     for idx, amp in entries.items():
         vec[idx] = amp
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > NORM_FILE_TOL:
+    if not abs(norm - 1.0) <= NORM_FILE_TOL:  # NaN or inf amplitudes fail too
         raise ValueError(f"amplitudes do not normalize: |psi| = {norm}")
     return PureState(n_qubits, vec / norm), norm - 1.0
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import entropy, linalg, protocols, qcore, stateio
-from .entropy import BoundDomainError
+from .entropy import BoundDomainError, Density
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState
 
@@ -27,40 +27,41 @@ _ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 _MAX_MIXED_2Q = np.eye(4, dtype=complex) / 4.0
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
     """Tr(rho log2 rho) - Tr(rho log2 sigma); +inf when sigma's support
-    misses part of rho's."""
+    misses part of rho's.  Either argument may be an entropy.Density."""
     rho = entropy.validate_density(rho)
     sigma = entropy.validate_density(sigma)
-    if rho.shape != sigma.shape:
+    if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("density matrices have different dimensions")
-    p = np.maximum(linalg.hermitian_eigenvalues(rho), 0.0)
+    p = np.maximum(rho.eigenvalues, 0.0)
     p = p / p.sum()
     nz = p[p > 0.0]
     tr_rho_log_rho = float(np.sum(nz * np.log2(nz)))
-    s_vals, s_vecs = linalg.jacobi_eigh(sigma)
     cross = 0.0
-    for k in range(sigma.shape[0]):
-        v = s_vecs[:, k]
-        w = float(np.vdot(v, rho @ v).real)
-        if s_vals[k] < _SUPPORT_TOL:
+    for k in range(sigma.matrix.shape[0]):
+        v = sigma.eigenvectors[:, k]
+        w = float(np.vdot(v, rho.matrix @ v).real)
+        if sigma.eigenvalues[k] < _SUPPORT_TOL:
             if w > _SUPPORT_TOL:
                 return math.inf
             continue
-        cross += w * math.log2(s_vals[k])
+        cross += w * math.log2(sigma.eigenvalues[k])
     return tr_rho_log_rho - cross
 
 
-def dephasing_map(rho: np.ndarray) -> np.ndarray:
+def dephasing_map(rho: np.ndarray | Density) -> np.ndarray:
     """Erase all off-diagonal elements of a two-qubit state in the
     computational basis; the diagonal (hence the trace) is copied verbatim."""
     rho = entropy.validate_density(rho, dims=(4,))
-    return np.diag(np.diag(rho))
+    return np.diag(np.diag(rho.matrix))
 
 
-def check_monotonicity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def check_monotonicity(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
     """Slack of relative-entropy monotonicity under dephasing:
     H(rho||sigma) - H(E(rho)||E(sigma)), which must be >= 0."""
+    rho = entropy.validate_density(rho)
+    sigma = entropy.validate_density(sigma)
     lhs = relative_entropy(rho, sigma)
     if math.isinf(lhs):
         return math.inf
@@ -70,20 +71,20 @@ def check_monotonicity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return lhs - rhs
 
 
-def check_interm(rho: np.ndarray) -> float:
+def check_interm(rho: np.ndarray | Density) -> float:
     """Slack of Tr(rho log2 rho) >= sum_ab rho_ab log2 rho_ab (diagonal)."""
     rho = entropy.validate_density(rho, dims=(4,))
-    p = np.maximum(linalg.hermitian_eigenvalues(rho), 0.0)
+    p = np.maximum(rho.eigenvalues, 0.0)
     lhs = float(np.sum(p[p > 0.0] * np.log2(p[p > 0.0])))
-    d = np.maximum(np.diag(rho).real, 0.0)
+    d = np.maximum(np.diag(rho.matrix).real, 0.0)
     rhs = float(np.sum(d[d > 0.0] * np.log2(d[d > 0.0])))
     return lhs - rhs
 
 
-def check_jonas(rho: np.ndarray) -> float:
+def check_jonas(rho: np.ndarray | Density) -> float:
     """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
     rho = entropy.validate_density(rho, dims=(4,))
-    czz = min(abs(entropy.correlator(rho, _ZZ)), 1.0)
+    czz = min(abs(entropy.correlator(rho.matrix, _ZZ)), 1.0)
     return entropy.g(czz) - entropy.von_neumann(rho)
 
 
@@ -179,8 +180,8 @@ class CampaignConfig:
         self.register_sizes = tuple(int(x) for x in self.register_sizes)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -201,7 +202,9 @@ class CampaignReport:
             "samples": self.config.samples,
             "tolerance": self.config.tolerance,
             "checks_run": self.checks_run,
-            "max_violation": self.max_violation,
+            # JSON has no NaN or infinity; a non-finite value goes by name
+            "max_violation": self.max_violation
+            if math.isfinite(self.max_violation) else repr(self.max_violation),
             "worst_case": self.worst_case,
             "passed": self.passed,
             "stats": self.stats,
@@ -322,6 +325,7 @@ def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
     # sigma fixed to the maximally mixed state (as in the proof of the
     # two-qubit bound), plus a random full-rank sigma as a bonus check.
     rho, pur = _random_density_with_purification(2, [cfg.seed, i])
+    rho = entropy.validate_density(rho)  # one solve serves both checks
     sigma = random_density_matrix(2, [cfg.seed, i, 7])
     violation = max(-check_monotonicity(rho, _MAX_MIXED_2Q), -check_monotonicity(rho, sigma))
     return _Sample(
@@ -491,17 +495,26 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     max_violation = -math.inf
     worst: dict | None = None
     stats: dict = {}
+    non_finite = False
     for s in samples:  # index order fixes the argmax tie-break
         _merge_stats(stats, s.stats)
         if s.violation is None:
             continue
         checks_run += 1
-        if s.violation > max_violation:
+        if non_finite:
+            continue
+        if not math.isfinite(s.violation):
+            # fails closed: NaN compares false against any running max, so
+            # the first non-finite check is the worst case and a failure
+            non_finite = True
+            max_violation = s.violation
+            worst = s.payload
+        elif s.violation > max_violation:
             max_violation = s.violation
             worst = s.payload
     if checks_run == 0:
         max_violation = 0.0
-    passed = max_violation <= config.tolerance
+    passed = not non_finite and max_violation <= config.tolerance
     if config.name == "counterexample":
         stats["note"] = (
             "pair correlator is 1 for the whole family while its entropy "

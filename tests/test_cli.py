@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from adqcsim import cli, qcore, stateio
+from adqcsim import cli, linalg, qcore, stateio, verify
 from adqcsim.qcore import PureState
 
 
@@ -43,10 +44,18 @@ def test_state_loader_comments():
     "qubits: 2\n0 0.5 0\n",               # badly unnormalized
     "qubits: 2\n0 one 0\n",               # malformed number
     "qubits: 0\n",                        # bad qubit count
+    "qubits: 1\n0 nan 0\n",               # NaN compares false to the norm check
+    "qubits: 1\n0 1 0\n1 inf 0\n",        # infinite amplitude
 ])
 def test_state_loader_rejects(text):
     with pytest.raises(ValueError):
         stateio.loads_state(text)
+
+
+def test_state_loader_register_limit_is_linalg_max_qubits(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_QUBITS", 2)
+    with pytest.raises(ValueError, match="out of range"):
+        stateio.loads_state("qubits: 3\n0 1 0\n")
 
 
 def test_state_file_io(tmp_path):
@@ -149,6 +158,43 @@ def test_verify_failure_exit_code(tmp_path):
     assert data["worst_case"] is not None
 
 
+def test_verify_threads_default_is_one():
+    args = cli.build_parser().parse_args(["verify", "jonas"])
+    assert args.threads == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "3"])
+def test_verify_threads_out_of_range_exits_2(monkeypatch, threads):
+    # rejected before any pool exists: no campaign (and no thread) is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    started = []
+    monkeypatch.setattr(verify, "run_campaign", lambda *a, **k: started.append(a))
+    assert cli.main(["verify", "jonas", "--threads", threads]) == 2
+    assert started == []
+
+
+def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, capsys):
+    def sample(cfg, i):
+        return verify._Sample(violation=math.nan if i == 2 else 0.0,
+                              payload={"sample_index": i})
+    campaigns = dict(verify._CAMPAIGNS)
+    campaigns["counterexample"] = verify._Campaign(verify._by_samples, sample, {})
+    monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "counterexample", "--samples", "5", "--tolerance", "1",
+                   "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL counterexample")
+    data = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert data["passed"] is False
+    assert data["max_violation"] == "nan"
+    assert data["worst_case"] == {"sample_index": 2}
+
+
+def test_verify_rejects_non_finite_tolerance():
+    assert cli.main(["verify", "jonas", "--tolerance", "nan"]) == 2
+
+
 def test_verify_unknown_campaign_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
@@ -172,6 +218,15 @@ def demo_json(args, capsys):
     rc = cli.main(args + ["--format", "json"])
     assert rc == 0
     return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--delta", "--u"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_demo_non_finite_angle_exits_2(flag, value, capsys):
+    rc = cli.main(["demo", "ADQC_ROTATION_CZ", "--preset", "bell", f"{flag}={value}",
+                   "--format", "json"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_demo_bell_saturation(capsys):

@@ -44,6 +44,38 @@ def test_purity_rejects_bad_inputs():
         entropy.purity_entanglement(np.eye(4) / 4)  # not single-qubit
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_density_rejects_non_finite(bad):
+    # NaN makes every Hermiticity, trace and positivity comparison false
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy.validate_density([[0.5, bad], [bad, 0.5]])
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy.von_neumann(np.diag([bad, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy.purity_entanglement(np.diag([bad, 1.0]))
+
+
+def test_validate_density_returns_its_eigenpairs():
+    rho = verify.random_density_matrix(2, [64, 0])
+    d = entropy.validate_density(rho)
+    w, v = linalg.jacobi_eigh(rho)
+    assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
+    assert np.array_equal(d.matrix, rho)
+    assert entropy.validate_density(d, dims=(4,)) is d
+    with pytest.raises(ValueError):
+        entropy.validate_density(d, dims=(2,))
+
+
+def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
+    mats = [np.diag([0.1, 0.4, 0.2, 0.3]), verify.rho_lambda(0.3), np.eye(4) / 4,
+            np.diag([0.5 + 1e-12j, 0.5])]
+    expected = [linalg.jacobi_eigh(m) for m in mats]
+    monkeypatch.setattr(linalg, "jacobi_eigh", None)  # any solve would raise
+    for m, (w, v) in zip(mats, expected):
+        d = entropy.validate_density(m)
+        assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
+
+
 # ----------------------------------------------------------- von Neumann
 
 def test_von_neumann_maximally_mixed_two_qubit():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adqcsim import linalg
 
@@ -224,6 +225,58 @@ def test_eigenvalues_errors():
         linalg.hermitian_eigenvalues(np.eye(32))
     with pytest.raises(ValueError):
         linalg.hermitian_eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_jacobi_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.jacobi_eigh(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.jacobi_eigh(np.diag([bad, 1.0]))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Random Hermitian matrices of every solvable size, and random bases
+    for exactly degenerate, rank-deficient spectra."""
+    n = draw(st.integers(1, linalg.MAX_EIG_DIM))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_hermitian(n, rng)
+    d = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+    u = random_unitary(n, rng)
+    return (u * d) @ u.conj().T
+
+
+def _diag(*values):
+    return np.diag(values).astype(complex)
+
+
+BELL_PAIR_REDUCTION = linalg.partial_trace(
+    np.kron(BELL, BELL).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1), [0, 1]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hermitian_matrices())
+@example(_diag(0.0, 0.0, 0.0, 1.0))                  # rho_lambda(0)
+@example(_diag(0.5, 0.0, 0.0, 0.5))                  # rho_lambda(1/2)
+@example(_diag(1.0, 0.0, 0.0, 0.0))                  # rho_lambda(1)
+@example(BELL_PAIR_REDUCTION)                        # I/4 from two Bell pairs
+@example(np.outer(BELL, BELL.conj()))                # pure Bell pair, rank 1
+@example(np.eye(4, dtype=complex) / 4.0)
+@example(_diag(0.25, 0.5, 0.25, 0.5, 0.25, 0.5))     # repeated diagonal
+@example(np.eye(16, dtype=complex))
+def test_jacobi_matches_lapack(m):
+    w, v = linalg.jacobi_eigh(m)
+    n = m.shape[0]
+    scale = max(1.0, np.linalg.norm(m, 2))
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 5e-14 * scale
+    assert np.max(np.abs(m @ v - v * w)) <= 5e-14 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 5e-14
 
 
 def test_n_qubits_of():

@@ -68,6 +68,18 @@ def test_spec_validation():
         ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), u=0.3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["u", "epsilon", "delta"])
+def test_spec_rejects_non_finite_angles(field, bad):
+    angles = {"u": 0.4, "epsilon": 0.3, "delta": 0.2, field: bad}
+    with pytest.raises(ValueError, match="not finite"):
+        ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (0,), **angles)
+    if field != "u":
+        angles.pop("u")
+        with pytest.raises(ValueError, match="not finite"):
+            ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), **angles)
+
+
 def test_run_protocol_register_limits():
     with pytest.raises(ValueError):
         protocols.run_protocol(

@@ -208,6 +208,9 @@ def test_config_invariants():
         verify.CampaignConfig("jonas", 10, 1, (0.1,), (0.0,), (2,), 0.0)
     with pytest.raises(ValueError):
         verify.CampaignConfig("jonas", 10, -1, (0.1,), (0.0,), (2,), 1e-9)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify.CampaignConfig("jonas", 10, 1, (0.1,), (0.0,), (2,), tolerance)
 
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
@@ -218,6 +221,57 @@ def test_campaigns_pass(name):
     assert report.checks_run >= 1
     assert report.worst_case is None
     assert report.max_violation <= config.tolerance
+
+
+def _campaign_with(monkeypatch, bad_index, bad_value):
+    """Swap in a campaign whose sample `bad_index` reports `bad_value`."""
+    def sample(cfg, i):
+        violation = bad_value if i == bad_index else -1.0 + 0.1 * i
+        return verify._Sample(violation=violation, payload={"sample_index": i})
+    campaigns = dict(verify._CAMPAIGNS)
+    campaigns["jonas"] = verify._Campaign(verify._by_samples, sample, {})
+    monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
+    return verify.default_config("jonas", samples=8, seed=1, tolerance=1e-9)
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad_index", [0, 3])
+def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, bad_value):
+    report = verify.run_campaign(_campaign_with(monkeypatch, bad_index, bad_value))
+    assert not report.passed
+    assert report.checks_run == 8
+    assert report.worst_case == {"sample_index": bad_index}
+    assert repr(report.max_violation) == repr(bad_value)
+    data = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+    assert data["max_violation"] == repr(bad_value)
+    assert data["passed"] is False
+
+
+# Jacobi solves per campaign item: one per density matrix that is not
+# already diagonal (dephased states, I/4, the rho_lambda family and the
+# saturating registers are read off their diagonals).
+SOLVES_PER_ITEM = {
+    "bound_main": 1, "bound_sv": 1, "bound_main2": 1, "equality_oracle": 1,
+    "interm": 1, "jonas": 1, "monotonicity": 2,
+    "circuit_equivalence": 0, "counterexample": 0, "saturation": 0,
+}
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_one_solve_per_density_matrix(monkeypatch, name):
+    original = linalg.jacobi_eigh
+    solves = []
+
+    def counted(m, *args, **kwargs):
+        solves.append(1)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    config = verify.default_config(name, samples=6, seed=13)
+    report = verify.run_campaign(config)
+    assert report.passed
+    items = verify._CAMPAIGNS[name].item_count(config)
+    assert len(solves) == SOLVES_PER_ITEM[name] * items
 
 
 def test_campaign_unknown_name():
