@@ -124,8 +124,8 @@ def preset_state(token: str) -> PureState:
     raise ValueError(f"unknown preset {token!r}; presets: {_PRESET_HELP}")
 
 
-def _demo_report_dict(spec: ProtocolSpec, result, report) -> dict:
-    ent = report.entanglement
+def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
+    ent, result = report.entanglement, report.result
     return {
         "protocol": spec.kind.value,
         "targets": list(spec.targets),
@@ -218,9 +218,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     elif args.u is not None:
         raise ValueError(f"{kind.value} does not take a rotation angle")
     spec = ProtocolSpec(kind, targets, u=u, epsilon=args.epsilon, delta=args.delta)
-    result = protocols.run_protocol(state, spec)
     report = protocols.analyze(state, spec)
-    info = _demo_report_dict(spec, result, report)
+    info = _demo_report_dict(spec, report)
     if correction != 0.0:
         info["notes"].append(f"input renormalized by {correction:.3e}")
     if args.format == "json":

@@ -1,8 +1,9 @@
 """Mixedness and correlation measures of reduced register states, and the
 monotone bounding functions that convert entropies back into correlator
-bounds (inverted numerically by bisection)."""
+bounds (inverted numerically by safeguarded Newton)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +11,9 @@ import numpy as np
 from . import linalg, qcore
 
 DENSITY_TOL = 1e-10
-_BISECT_RESIDUAL = 1e-12
-_BISECT_WIDTH = 1e-13
-_BISECT_MAX_ITER = 200
+_INVERSE_RESIDUAL = 1e-12
+_INVERSE_WIDTH = 1e-13
+_INVERSE_MAX_ITER = 200
 
 
 class BoundDomainError(ValueError):
@@ -126,8 +127,8 @@ def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
 def f(c: float) -> float:
     """Binary entropy of (1+c)/2; strictly decreasing from f(0)=1 to f(1)=0."""
     c = _check_unit_interval(c, 0.0, 1.0, "correlator")
-    p = np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0])
-    return -_plogp(p)
+    p, q = (1.0 + c) / 2.0, (1.0 - c) / 2.0
+    return -(p * math.log2(p) + (q * math.log2(q) if q > 0.0 else 0.0))
 
 
 def g(c: float) -> float:
@@ -135,51 +136,48 @@ def g(c: float) -> float:
 
     The weights are (1 +- c)/2 but the log arguments are (1 +- c)/4.
     """
-    c = _check_unit_interval(c, 0.0, 1.0, "correlator")
-    p = np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0])
-    terms = p[p > 0.0]
-    return -float(np.sum(terms * np.log2(terms / 2.0)))
+    return 1.0 + f(c)
 
 
-def _bisect_decreasing(fn, s: float, lo: float, hi: float) -> float:
-    # fn is strictly decreasing on [lo, hi] with fn(lo) >= s >= fn(hi)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = fn(mid)
-        if abs(val - s) <= _BISECT_RESIDUAL:
-            return mid
-        if val > s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_WIDTH:
-            return 0.5 * (lo + hi)
+def _solve_f(s: float) -> float:
+    # Safeguarded Newton (rtsafe) on the concave, decreasing f, keeping a
+    # bracket with f(lo) > s > f(hi); c0 inverts f ~ 1 - c^2 / (2 ln 2).  A
+    # step that leaves the bracket, or a zero or infinite slope, bisects.
+    if s == 0.0:
+        return 1.0
+    if s == 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    c = min(math.sqrt(2.0 * math.log(2.0) * (1.0 - s)), math.nextafter(1.0, 0.0))
+    for _ in range(_INVERSE_MAX_ITER):
+        val = f(c)
+        if abs(val - s) <= _INVERSE_RESIDUAL:
+            return c
+        lo, hi = (c, hi) if val > s else (lo, c)
+        if hi - lo <= _INVERSE_WIDTH:
+            break
+        slope = -0.5 * math.log2((1.0 + c) / (1.0 - c))
+        step = c - (val - s) / slope if -math.inf < slope < 0.0 else math.nan
+        c = step if lo < step < hi else 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
 def f_inverse(s: float) -> float:
     """The unique c in [0, 1] with f(c) = s."""
-    s = _check_unit_interval(s, 0.0, 1.0, "entropy")
-    if s == 0.0:
-        return 1.0
-    if s == 1.0:
-        return 0.0
-    return _bisect_decreasing(f, s, 0.0, 1.0)
+    return _solve_f(_check_unit_interval(s, 0.0, 1.0, "entropy"))
 
 
 def g_inverse(s: float) -> float:
-    """The unique c in [0, 1] with g(c) = s, defined for s in [1, 2]."""
+    """The unique c in [0, 1] with g(c) = s, defined for s in [1, 2].
+
+    Since g = 1 + f this is f_inverse(s - 1); s - 1 is exact on [1, 2].
+    """
     if s < 1.0 - 1e-12:
         raise BoundDomainError(
             f"g_inverse undefined for entropy {s} < 1: the correlator is "
             "unconstrained there"
         )
-    s = _check_unit_interval(s, 1.0, 2.0, "entropy")
-    if s == 1.0:
-        return 1.0
-    if s == 2.0:
-        return 0.0
-    return _bisect_decreasing(g, s, 0.0, 1.0)
+    return _solve_f(_check_unit_interval(s, 1.0, 2.0, "entropy") - 1.0)
 
 
 @dataclass

@@ -118,6 +118,7 @@ class FidelityReport:
     correlator_used: float
     entanglement: EntanglementReport
     bounds: dict[str, float]
+    result: ProtocolResult  # the protocol run the fidelities come from
     violations: list[Violation] = field(default_factory=list)
 
 
@@ -314,5 +315,6 @@ def analyze(input_state: PureState, spec: ProtocolSpec) -> FidelityReport:
         correlator_used=corr,
         entanglement=report,
         bounds=bounds,
+        result=result,
         violations=violations,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -214,7 +215,7 @@ class CampaignReport:
 @dataclass
 class _Sample:
     violation: float | None  # None means filtered out (not a check)
-    payload: dict | None = None
+    payload: Callable[[], dict] | None = None  # built for a failing worst case only
     stats: dict | None = None
 
 
@@ -262,7 +263,7 @@ def _sample_equality(cfg: CampaignConfig, i: int) -> _Sample:
     rep = protocols.analyze(psi, spec)
     return _Sample(
         violation=abs(rep.simulated_F - rep.closed_form_F),
-        payload=_protocol_payload(i, psi, spec),
+        payload=partial(_protocol_payload, i, psi, spec),
     )
 
 
@@ -278,7 +279,7 @@ def _sample_bound(cfg: CampaignConfig, i: int, bound_key: str, kinds) -> _Sample
         stats = {"min_sv2": rep.entanglement.von_neumann}
     return _Sample(
         violation=rep.simulated_F - rep.bounds[bound_key],
-        payload=_protocol_payload(i, psi, spec),
+        payload=partial(_protocol_payload, i, psi, spec),
         stats=stats,
     )
 
@@ -308,17 +309,17 @@ def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
                     ),
                 )
     spec = ProtocolSpec(_ROTATIONS[0], (t,), u=u, epsilon=eps, delta=delta)
-    return _Sample(violation=worst, payload=_protocol_payload(i, psi, spec))
+    return _Sample(violation=worst, payload=partial(_protocol_payload, i, psi, spec))
 
 
 def _sample_jonas(cfg: CampaignConfig, i: int) -> _Sample:
     rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    return _Sample(violation=-check_jonas(rho), payload=_density_payload(i, pur, 2))
+    return _Sample(violation=-check_jonas(rho), payload=partial(_density_payload, i, pur, 2))
 
 
 def _sample_interm(cfg: CampaignConfig, i: int) -> _Sample:
     rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    return _Sample(violation=-check_interm(rho), payload=_density_payload(i, pur, 2))
+    return _Sample(violation=-check_interm(rho), payload=partial(_density_payload, i, pur, 2))
 
 
 def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
@@ -330,7 +331,7 @@ def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
     violation = max(-check_monotonicity(rho, _MAX_MIXED_2Q), -check_monotonicity(rho, sigma))
     return _Sample(
         violation=violation,
-        payload=_density_payload(i, pur, 2),
+        payload=partial(_density_payload, i, pur, 2),
         stats={"random_sigma_checks": 1},
     )
 
@@ -365,7 +366,7 @@ def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
         )
         rep = protocols.analyze(psi, spec)
         violation = abs(rep.simulated_F - rep.bounds["sv2_bound"])
-    return _Sample(violation=violation, payload=_protocol_payload(i, psi, spec))
+    return _Sample(violation=violation, payload=partial(_protocol_payload, i, psi, spec))
 
 
 def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
@@ -384,7 +385,7 @@ def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
             violation = max(violation, 1.0)  # the domain restriction must hold
     return _Sample(
         violation=violation,
-        payload=_density_payload(i, purified_rho_lambda(lam), 2),
+        payload=lambda: _density_payload(i, purified_rho_lambda(lam), 2),
         stats={"min_sv2": sv2, "max_sv2": sv2},
     )
 
@@ -493,7 +494,7 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
         samples = [campaign.sample(config, i) for i in range(count)]
     checks_run = 0
     max_violation = -math.inf
-    worst: dict | None = None
+    worst: Callable[[], dict] | None = None
     stats: dict = {}
     non_finite = False
     for s in samples:  # index order fixes the argmax tie-break
@@ -524,7 +525,7 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
         config=config,
         checks_run=checks_run,
         max_violation=max_violation,
-        worst_case=worst if not passed else None,
+        worst_case=worst() if not passed else None,
         passed=passed,
         stats=stats,
     )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from adqcsim import cli, linalg, qcore, stateio, verify
+from adqcsim import cli, linalg, protocols, qcore, stateio, verify
 from adqcsim.qcore import PureState
 
 
@@ -176,7 +176,7 @@ def test_verify_threads_out_of_range_exits_2(monkeypatch, threads):
 def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, capsys):
     def sample(cfg, i):
         return verify._Sample(violation=math.nan if i == 2 else 0.0,
-                              payload={"sample_index": i})
+                              payload=lambda: {"sample_index": i})
     campaigns = dict(verify._CAMPAIGNS)
     campaigns["counterexample"] = verify._Campaign(verify._by_samples, sample, {})
     monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
@@ -266,6 +266,20 @@ def test_demo_saturate_preset(capsys):
     ], capsys)
     assert info["entanglement"]["purity_S"] == pytest.approx(0.36, abs=1e-12)
     assert "purity_bound" in info["saturated"]
+
+
+def test_demo_runs_the_protocol_once(monkeypatch, capsys):
+    calls = []
+    run = protocols.run_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "run_protocol", counted)
+    info = demo_json(["demo", "ADQC_CZ_GATE", "--preset", "ghz:3", "--epsilon", "0.4"], capsys)
+    assert len(calls) == 1
+    assert sum(info["branch_probabilities"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_demo_table_output(capsys):

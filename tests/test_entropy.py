@@ -230,6 +230,38 @@ def test_inverse_monotone_bound_factors():
     assert all(b - a >= -1e-12 for a, b in zip(gvals, gvals[1:]))
 
 
+def test_f_inverse_evaluates_f_at_most_8_times(monkeypatch):
+    calls = []
+    f = entropy.f
+
+    def counted(c):
+        calls.append(c)
+        return f(c)
+
+    monkeypatch.setattr(entropy, "f", counted)
+    for s in [*np.linspace(0.0, 1.0, 1001), 1e-300, 1e-16, 1e-12, 1.0 - 1e-12, 1.0 - 1e-16]:
+        calls.clear()
+        c = entropy.f_inverse(float(s))
+        assert len(calls) <= 8, (s, len(calls))
+        assert abs(f(c) - s) <= 1e-12
+
+
+@given(UNIT)
+def test_f_round_trip_residual_property(s):
+    assert abs(entropy.f(entropy.f_inverse(s)) - s) <= 1e-12
+
+
+@given(st.floats(min_value=1.0, max_value=2.0, allow_nan=False))
+def test_g_inverse_is_f_inverse_of_s_minus_one(s):
+    assert entropy.g_inverse(s) == entropy.f_inverse(s - 1.0)
+
+
+def test_f_inverse_non_increasing_on_fine_grid():
+    # the fig6 and fig7 curves are 1 - c^2 over these inverses
+    cs = [entropy.f_inverse(s) for s in np.linspace(0.0, 1.0, 10001)]
+    assert all(a >= b for a, b in zip(cs, cs[1:]))
+
+
 # --------------------------------------------------- inequality properties
 
 def test_single_qubit_bound_chain():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adqcsim import entropy, linalg, verify
+from adqcsim import entropy, linalg, stateio, verify
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 MAX_MIXED = np.eye(4, dtype=complex) / 4.0
@@ -223,11 +223,29 @@ def test_campaigns_pass(name):
     assert report.max_violation <= config.tolerance
 
 
+def test_only_a_failing_worst_case_is_serialized(monkeypatch):
+    dumped = []
+    dumps = stateio.dumps_state
+
+    def counted(*args, **kwargs):
+        dumped.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(stateio, "dumps_state", counted)
+    assert verify.run_campaign(verify.default_config("bound_main", samples=10, seed=3)).passed
+    assert dumped == []
+    config = verify.default_config("equality_oracle", samples=10, seed=3, tolerance=1e-300)
+    report = verify.run_campaign(config)
+    assert not report.passed
+    assert len(dumped) == 1
+    assert report.worst_case["input_state"] == dumps(*dumped[0])
+
+
 def _campaign_with(monkeypatch, bad_index, bad_value):
     """Swap in a campaign whose sample `bad_index` reports `bad_value`."""
     def sample(cfg, i):
         violation = bad_value if i == bad_index else -1.0 + 0.1 * i
-        return verify._Sample(violation=violation, payload={"sample_index": i})
+        return verify._Sample(violation=violation, payload=lambda: {"sample_index": i})
     campaigns = dict(verify._CAMPAIGNS)
     campaigns["jonas"] = verify._Campaign(verify._by_samples, sample, {})
     monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
