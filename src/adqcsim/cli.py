@@ -152,13 +152,13 @@ def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
             if abs(report.simulated_F - value) <= _SATURATION_FLAG_TOL
         ],
         "violations": [{"name": v.name, "excess": v.excess} for v in report.violations],
-        "notes": _demo_notes(spec, report),
+        "notes": _demo_notes(report),
     }
 
 
-def _demo_notes(spec: ProtocolSpec, report) -> list[str]:
+def _demo_notes(report) -> list[str]:
     notes = []
-    if spec.kind is ProtocolKind.ADQC_CZSWAP_GATE and "sv2_bound" not in report.bounds:
+    if not report.bounds:  # only the two-qubit bound has a restricted domain
         notes.append(
             f"S_v2 = {report.entanglement.von_neumann:.6g} is below the bound "
             "domain [1, 2]: no entropy bound applies"
@@ -208,15 +208,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     else:
         state, correction = stateio.load_state(args.state)
     kind = ProtocolKind(args.protocol)
+    rotation = kind in protocols.ROTATION_KINDS
     if args.targets:
         targets = tuple(int(tok) for tok in args.targets.split(","))
     else:
-        targets = (0,) if kind in protocols.ROTATION_KINDS else (0, 1)
-    u = None
-    if kind in protocols.ROTATION_KINDS:
-        u = args.u if args.u is not None else 0.0
-    elif args.u is not None:
-        raise ValueError(f"{kind.value} does not take a rotation angle")
+        targets = (0,) if rotation else (0, 1)
+    u = 0.0 if rotation and args.u is None else args.u
     spec = ProtocolSpec(kind, targets, u=u, epsilon=args.epsilon, delta=args.delta)
     report = protocols.analyze(state, spec)
     info = _demo_report_dict(spec, report)

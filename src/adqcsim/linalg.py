@@ -22,11 +22,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def n_qubits_of(dim: int) -> int:
     """Number of qubits for a dimension that must be a power of two."""
     n = int(dim).bit_length() - 1

@@ -3,21 +3,8 @@ the closed-form fidelity, outcome-dependent error operators, and the
 entanglement-based fidelity bounds.
 
 Every protocol couples a fresh |+> ancilla to one or two register qubits
-and measures a single qubit afterwards:
-
-  ONEWAY_ROTATION      CZ(target, ancilla), measure the *target* in the
-                       tilted equatorial basis; the ancilla then takes
-                       the measured qubit's logical slot.
-  ADQC_ROTATION_CZ     (H (x) H) . CZ on (target, ancilla), measure the
-                       ancilla in the tilted equatorial basis.
-  ADQC_ROTATION_CZSWAP CZSWAP(target, ancilla), measure the ancilla in
-                       the tilted equatorial basis.
-  ADQC_CZ_GATE         (H (x) H) . CZ on (target1, ancilla) then on
-                       (target2, ancilla), measure the ancilla in the
-                       tilted computational basis.
-  ADQC_CZSWAP_GATE     CZSWAP(ancilla, target1), (ancilla, target2),
-                       (ancilla, target1), measure the ancilla in the
-                       tilted computational basis.
+and measures a single qubit afterwards; `_PROTOCOLS` holds one row per
+protocol: its gate sequence, its measurement basis and its error operator.
 
 With an accurate measurement the branches realize X^j J(u) on the target
 (rotations), X1^j H1 H2 CZ12 (CZ gate) or (Z1 Z2)^j SWAP12 CZ12 (CZSWAP
@@ -46,20 +33,52 @@ class ProtocolKind(Enum):
     ADQC_CZSWAP_GATE = "ADQC_CZSWAP_GATE"
 
 
-ROTATION_KINDS = frozenset(
-    {
-        ProtocolKind.ONEWAY_ROTATION,
-        ProtocolKind.ADQC_ROTATION_CZ,
-        ProtocolKind.ADQC_ROTATION_CZSWAP,
-    }
-)
-# Protocols whose measurement error acts as a bit flip on the first target.
-X_ERROR_KINDS = ROTATION_KINDS | {ProtocolKind.ADQC_CZ_GATE}
-
-
 class ErrorKind(Enum):
     X_TYPE = "X_TYPE"
     ZZ_TYPE = "ZZ_TYPE"
+
+
+_ANCILLA = "ancilla"  # the ancilla's wire; wires 0 and 1 are targets[0], targets[1]
+
+
+@dataclass(frozen=True)
+class _Protocol:
+    gates: tuple[tuple[str, tuple[int | str, int | str]], ...]  # (qcore gate, wires)
+    rotation: bool  # one target, equatorial basis at u; else two targets, Z basis
+    error: ErrorKind  # X on the first target, or Z (x) Z on the target pair
+    measures_target: bool = False  # the ancilla then takes the target's slot
+
+
+_PROTOCOLS: dict[ProtocolKind, _Protocol] = {
+    # CZ(target, ancilla), measure the *target*.
+    ProtocolKind.ONEWAY_ROTATION: _Protocol(
+        (("CZ", (0, _ANCILLA)),), rotation=True, error=ErrorKind.X_TYPE,
+        measures_target=True,
+    ),
+    # (H (x) H) . CZ on (target, ancilla), measure the ancilla.
+    ProtocolKind.ADQC_ROTATION_CZ: _Protocol(
+        (("E_CZ", (0, _ANCILLA)),), rotation=True, error=ErrorKind.X_TYPE
+    ),
+    # CZSWAP(target, ancilla), measure the ancilla.
+    ProtocolKind.ADQC_ROTATION_CZSWAP: _Protocol(
+        (("CZSWAP", (0, _ANCILLA)),), rotation=True, error=ErrorKind.X_TYPE
+    ),
+    # (H (x) H) . CZ on (target1, ancilla) then on (target2, ancilla).
+    ProtocolKind.ADQC_CZ_GATE: _Protocol(
+        (("E_CZ", (0, _ANCILLA)), ("E_CZ", (1, _ANCILLA))),
+        rotation=False, error=ErrorKind.X_TYPE,
+    ),
+    # CZSWAP on (ancilla, target1), (ancilla, target2), (ancilla, target1).
+    ProtocolKind.ADQC_CZSWAP_GATE: _Protocol(
+        (("CZSWAP", (_ANCILLA, 0)), ("CZSWAP", (_ANCILLA, 1)), ("CZSWAP", (_ANCILLA, 0))),
+        rotation=False, error=ErrorKind.ZZ_TYPE,
+    ),
+}
+
+# Ordered as ProtocolKind: campaigns draw from these sequences by index.
+ROTATION_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.rotation)
+# Protocols whose measurement error acts as a bit flip on the first target.
+X_ERROR_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.error is ErrorKind.X_TYPE)
 
 
 @dataclass
@@ -78,7 +97,7 @@ class ProtocolSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name}={value} is not finite")
-        if self.kind in ROTATION_KINDS:
+        if _PROTOCOLS[self.kind].rotation:
             if len(self.targets) != 1:
                 raise ValueError(f"{self.kind.value} takes exactly one target")
             if self.u is None:
@@ -126,7 +145,7 @@ def _measurement_bases(spec: ProtocolSpec) -> tuple[MeasurementBasis, Measuremen
     # The ideal branch uses the epsilon=0 basis at the *same* delta, which
     # fixes the branch phases so that the error-operator factorization of
     # the inaccurate branches holds exactly, not just up to phase.
-    if spec.kind in ROTATION_KINDS:
+    if _PROTOCOLS[spec.kind].rotation:
         tilted = qcore.deviated_u_basis(spec.u, spec.epsilon, spec.delta)
         ideal = qcore.deviated_u_basis(spec.u, 0.0, spec.delta)
     else:
@@ -146,39 +165,22 @@ def pre_measurement_state(input_state: PureState, spec: ProtocolSpec) -> PureSta
     anc = n
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     vec = np.kron(input_state.amplitudes, plus)
-    kind = spec.kind
-    if kind is ProtocolKind.ONEWAY_ROTATION:
-        vec = qcore.apply_matrix(vec, qcore.gate("CZ"), (spec.targets[0], anc), n + 1)
-    elif kind is ProtocolKind.ADQC_ROTATION_CZ:
-        vec = qcore.apply_matrix(vec, qcore.gate("E_CZ"), (spec.targets[0], anc), n + 1)
-    elif kind is ProtocolKind.ADQC_ROTATION_CZSWAP:
-        vec = qcore.apply_matrix(vec, qcore.gate("CZSWAP"), (spec.targets[0], anc), n + 1)
-    elif kind is ProtocolKind.ADQC_CZ_GATE:
-        e = qcore.gate("E_CZ")
-        vec = qcore.apply_matrix(vec, e, (spec.targets[0], anc), n + 1)
-        vec = qcore.apply_matrix(vec, e, (spec.targets[1], anc), n + 1)
-    elif kind is ProtocolKind.ADQC_CZSWAP_GATE:
-        cs = qcore.gate("CZSWAP")
-        t1, t2 = spec.targets
-        vec = qcore.apply_matrix(vec, cs, (anc, t1), n + 1)
-        vec = qcore.apply_matrix(vec, cs, (anc, t2), n + 1)
-        vec = qcore.apply_matrix(vec, cs, (anc, t1), n + 1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown protocol kind {kind}")
+    for name, wires in _PROTOCOLS[spec.kind].gates:
+        qubits = tuple(anc if w == _ANCILLA else spec.targets[w] for w in wires)
+        vec = qcore.apply_matrix(vec, qcore.gate(name), qubits, n + 1)
     return PureState(n + 1, vec)
 
 
 def _branch_vectors(
-    pre: PureState, measured: int, basis: MeasurementBasis, relabel_from: int | None,
-    relabel_to: int | None,
+    pre: PureState, measured: int, basis: MeasurementBasis, slot: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    b0, b1 = qcore.measure_branch(pre, measured, basis)
-    out = []
+    # With a slot, the ancilla (the last qubit of each branch) moves into it.
     n = pre.n_qubits - 1
-    for b in (b0, b1):
+    out = []
+    for b in qcore.measure_branch(pre, measured, basis):
         vec = b.vector
-        if relabel_from is not None:
-            vec = np.moveaxis(vec.reshape([2] * n), relabel_from, relabel_to).reshape(-1)
+        if slot is not None:
+            vec = np.moveaxis(vec.reshape([2] * n), n - 1, slot).reshape(-1)
         out.append(vec)
     return out[0], out[1]
 
@@ -188,16 +190,10 @@ def run_protocol(input_state: PureState, spec: ProtocolSpec) -> ProtocolResult:
     n = input_state.n_qubits
     pre = pre_measurement_state(input_state, spec)
     tilted, ideal = _measurement_bases(spec)
-    if spec.kind is ProtocolKind.ONEWAY_ROTATION:
-        # Target is measured away; the ancilla (now the last qubit of the
-        # branch) is moved into the target's logical slot.
-        measured = spec.targets[0]
-        relabel = (n - 1, spec.targets[0])
-    else:
-        measured = n
-        relabel = (None, None)
-    xi0, xi1 = _branch_vectors(pre, measured, tilted, *relabel)
-    id0, id1 = _branch_vectors(pre, measured, ideal, *relabel)
+    slot = spec.targets[0] if _PROTOCOLS[spec.kind].measures_target else None
+    measured = n if slot is None else slot
+    xi0, xi1 = _branch_vectors(pre, measured, tilted, slot)
+    id0, id1 = _branch_vectors(pre, measured, ideal, slot)
     probs = []
     ideal_states = []
     for v in (id0, id1):
@@ -289,7 +285,7 @@ def analyze(input_state: PureState, spec: ProtocolSpec) -> FidelityReport:
     result = run_protocol(input_state, spec)
     simulated = mean_gate_fidelity(result)
     bounds: dict[str, float] = {}
-    if spec.kind in X_ERROR_KINDS:
+    if _PROTOCOLS[spec.kind].error is ErrorKind.X_TYPE:
         rho = linalg.partial_trace(input_state.amplitudes, [spec.targets[0]])
         report = entropy.single_qubit_report(rho)
         s = min(max(report.purity_S, 0.0), 1.0)

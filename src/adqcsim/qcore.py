@@ -158,12 +158,6 @@ class BranchState:
         self.vector = np.asarray(self.vector, dtype=complex).reshape(-1)
         self.probability = float(np.vdot(self.vector, self.vector).real)
 
-    def normalized(self) -> np.ndarray:
-        """Unit vector along the branch (keeps the branch's own phase)."""
-        if self.probability <= 1e-15:
-            raise ValueError("cannot normalize a zero-probability branch")
-        return self.vector / np.sqrt(self.probability)
-
 
 def _check_targets(targets: Sequence[int], n: int) -> list[int]:
     targets = [int(t) for t in targets]

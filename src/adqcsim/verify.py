@@ -35,10 +35,7 @@ def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> 
     sigma = entropy.validate_density(sigma)
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("density matrices have different dimensions")
-    p = np.maximum(rho.eigenvalues, 0.0)
-    p = p / p.sum()
-    nz = p[p > 0.0]
-    tr_rho_log_rho = float(np.sum(nz * np.log2(nz)))
+    tr_rho_log_rho = entropy._plogp(entropy._spectrum(rho))
     cross = 0.0
     for k in range(sigma.matrix.shape[0]):
         v = sigma.eigenvectors[:, k]
@@ -76,10 +73,8 @@ def check_interm(rho: np.ndarray | Density) -> float:
     """Slack of Tr(rho log2 rho) >= sum_ab rho_ab log2 rho_ab (diagonal)."""
     rho = entropy.validate_density(rho, dims=(4,))
     p = np.maximum(rho.eigenvalues, 0.0)
-    lhs = float(np.sum(p[p > 0.0] * np.log2(p[p > 0.0])))
     d = np.maximum(np.diag(rho.matrix).real, 0.0)
-    rhs = float(np.sum(d[d > 0.0] * np.log2(d[d > 0.0])))
-    return lhs - rhs
+    return entropy._plogp(p) - entropy._plogp(d)
 
 
 def check_jonas(rho: np.ndarray | Density) -> float:
@@ -159,10 +154,6 @@ _SATURATION_EPSILONS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, float(np.pi))
 _SATURATION_S = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 _ALL_KINDS = tuple(ProtocolKind)
-_X_KINDS = tuple(k for k in _ALL_KINDS if k in protocols.X_ERROR_KINDS)
-# a set iterated over enum members has no stable cross-process order;
-# campaigns must draw from a fixed sequence to stay reproducible
-_ROTATIONS = tuple(k for k in _ALL_KINDS if k in protocols.ROTATION_KINDS)
 
 
 @dataclass
@@ -242,12 +233,11 @@ def _density_payload(index: int, purification: PureState, n_keep: int) -> dict:
 def _draw_protocol(cfg: CampaignConfig, rng, kinds) -> tuple[int, ProtocolSpec]:
     kind = kinds[int(rng.integers(len(kinds)))]
     n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
-    if kind not in protocols.ROTATION_KINDS:
-        n = max(n, 2)
     if kind in protocols.ROTATION_KINDS:
         targets = (int(rng.integers(n)),)
         u = float(rng.uniform(0.0, 2.0 * np.pi))
     else:
+        n = max(n, 2)
         perm = rng.permutation(n)
         targets = (int(perm[0]), int(perm[1]))
         u = None
@@ -296,7 +286,7 @@ def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
         protocols.run_protocol(
             psi, ProtocolSpec(kind, (t,), u=u, epsilon=eps, delta=delta)
         )
-        for kind in _ROTATIONS
+        for kind in protocols.ROTATION_KINDS
     ]
     worst = 0.0
     for a in range(len(runs)):
@@ -308,7 +298,7 @@ def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
                         runs[a].inaccurate_branches[j], runs[b].inaccurate_branches[j]
                     ),
                 )
-    spec = ProtocolSpec(_ROTATIONS[0], (t,), u=u, epsilon=eps, delta=delta)
+    spec = ProtocolSpec(protocols.ROTATION_KINDS[0], (t,), u=u, epsilon=eps, delta=delta)
     return _Sample(violation=worst, payload=partial(_protocol_payload, i, psi, spec))
 
 
@@ -349,7 +339,7 @@ def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
     if j < len(_SATURATION_S) * n_eps:
         s_val = _SATURATION_S[j // n_eps]
         eps = cfg.epsilon_grid[j % n_eps]
-        kind = _ROTATIONS[i % len(_ROTATIONS)]
+        kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
         psi = saturating_single_qubit_register(s_val, 2)
         spec = ProtocolSpec(
             kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
@@ -407,12 +397,12 @@ _CAMPAIGNS: dict[str, _Campaign] = {
     ),
     "bound_main": _Campaign(
         _by_samples,
-        lambda cfg, i: _sample_bound(cfg, i, "purity_bound", _X_KINDS),
+        lambda cfg, i: _sample_bound(cfg, i, "purity_bound", protocols.X_ERROR_KINDS),
         dict(samples=1000, tolerance=1e-9),
     ),
     "bound_sv": _Campaign(
         _by_samples,
-        lambda cfg, i: _sample_bound(cfg, i, "sv_bound", _X_KINDS),
+        lambda cfg, i: _sample_bound(cfg, i, "sv_bound", protocols.X_ERROR_KINDS),
         dict(samples=1000, tolerance=1e-9),
     ),
     "bound_main2": _Campaign(

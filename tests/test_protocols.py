@@ -53,6 +53,28 @@ def byproduct_branch(psi: PureState, spec: ProtocolSpec, j: int) -> np.ndarray:
     return vec
 
 
+# ----------------------------------------------------------- protocol table
+
+def test_protocol_table_has_one_row_per_kind_in_enum_order():
+    assert tuple(protocols._PROTOCOLS) == ALL_KINDS
+    rotations = {
+        ProtocolKind.ONEWAY_ROTATION,
+        ProtocolKind.ADQC_ROTATION_CZ,
+        ProtocolKind.ADQC_ROTATION_CZSWAP,
+    }
+    assert set(protocols.ROTATION_KINDS) == rotations
+    assert set(protocols.X_ERROR_KINDS) == rotations | {ProtocolKind.ADQC_CZ_GATE}
+    # campaigns index into these sequences, so their order is part of a report
+    for kinds in (protocols.ROTATION_KINDS, protocols.X_ERROR_KINDS):
+        assert isinstance(kinds, tuple)
+        assert list(kinds) == sorted(kinds, key=ALL_KINDS.index)
+    for row in protocols._PROTOCOLS.values():
+        wires = {w for _, pair in row.gates for w in pair}
+        n_targets = 1 if row.rotation else 2
+        assert wires == set(range(n_targets)) | {protocols._ANCILLA}
+        assert not row.measures_target or row.rotation
+
+
 # ----------------------------------------------------------- ProtocolSpec
 
 def test_spec_validation():

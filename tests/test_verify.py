@@ -213,6 +213,27 @@ def test_config_invariants():
             verify.CampaignConfig("jonas", 10, 1, (0.1,), (0.0,), (2,), tolerance)
 
 
+# (checks_run, max_violation, stats) of every campaign at samples=25, seed=11,
+# so that a refactor which changes what a campaign draws or computes shows
+_REPORTS_25_11 = {
+    "bound_main": (25, -7.719272148876133e-05, {}),
+    "bound_main2": (25, -0.0010351576521147043, {"min_sv2": 1.0756114426154695}),
+    "bound_sv": (25, -7.719272148876133e-05, {}),
+    "circuit_equivalence": (25, 3.376611507232129e-16, {}),
+    "counterexample": (25, 0.0, {
+        "max_sv2": 1.0,
+        "min_sv2": 0.0,
+        "note": "pair correlator is 1 for the whole family while its entropy "
+        "sweeps [0, 1]: no entropy bound below 1 constrains the fidelity",
+    }),
+    "equality_oracle": (25, 1.2212453270876722e-15, {}),
+    "interm": (25, -0.2525430334258929, {}),
+    "jonas": (25, -0.3602568650636573, {}),
+    "monotonicity": (25, -0.2525430334258929, {"random_sigma_checks": 25}),
+    "saturation": (750, 1.1102230246251565e-15, {}),
+}
+
+
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_campaigns_pass(name):
     config = verify.default_config(name, samples=25, seed=11)
@@ -221,6 +242,10 @@ def test_campaigns_pass(name):
     assert report.checks_run >= 1
     assert report.worst_case is None
     assert report.max_violation <= config.tolerance
+    checks_run, max_violation, stats = _REPORTS_25_11[name]
+    assert report.checks_run == checks_run
+    assert report.stats == stats
+    assert report.max_violation == pytest.approx(max_violation, rel=0, abs=1e-12)
 
 
 def test_only_a_failing_worst_case_is_serialized(monkeypatch):
