@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -77,10 +76,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = verify.default_config(
         args.campaign, samples=args.samples, seed=args.seed, tolerance=args.tolerance
     )
-    cores = os.cpu_count() or 1
-    if not 1 <= args.threads <= cores:
-        raise ValueError(f"--threads must be in [1, {cores}], got {args.threads}")
-    report = verify.run_campaign(config, threads=args.threads)
+    report = verify.run_campaign(config)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
     text += "\n"
     status = "PASS" if report.passed else "FAIL"
@@ -247,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tolerance", type=float, default=None)
-    p_verify.add_argument(
-        "--threads", type=int, default=1, help="worker threads, at most the core count"
-    )
     p_verify.add_argument("--output", default=None, help="JSON report path")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -222,8 +222,8 @@ def mean_gate_fidelity(result: ProtocolResult) -> float:
 
 def closed_form_fidelity(correlator: float, epsilon: float) -> float:
     """cos^2(e/2) + correlator^2 sin^2(e/2)."""
-    if not -1.0 - 1e-12 <= correlator <= 1.0 + 1e-12:
-        raise ValueError(f"correlator {correlator} outside [-1, 1]")
+    # a range check only: F uses the correlator unclamped
+    entropy._check_unit_interval(correlator, -1.0, 1.0, "correlator")
     ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
     return float(ce * ce + correlator * correlator * se * se)
 
@@ -252,10 +252,9 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
 
 def bound_purity(S: float, epsilon: float) -> float:
     """Fidelity bound 1 - S sin^2(e/2) from the purity measure S."""
-    if not -1e-12 <= S <= 1.0 + 1e-12:
-        raise ValueError(f"S={S} outside [0, 1]")
+    S = entropy._check_unit_interval(S, 0.0, 1.0, "S")
     se = np.sin(epsilon / 2.0)
-    return float(1.0 - min(max(S, 0.0), 1.0) * se * se)
+    return float(1.0 - S * se * se)
 
 
 def bound_sv(Sv: float, epsilon: float) -> float:

@@ -4,13 +4,12 @@ engineered bound-saturating registers, and the diagonal counterexample
 family that defeats any entropy bound below 1.
 
 Campaign samples are independent: sample i derives its random stream
-from (campaign seed, i), so reports are reproducible and identical
-whether samples run sequentially or on a thread pool.
+from (campaign seed, i), so reports are reproducible and do not depend on
+the order in which samples are evaluated.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -90,11 +89,10 @@ def saturating_single_qubit_register(S: float, total_qubits: int) -> PureState:
 
     These registers meet the purity fidelity bound with equality.
     """
-    if not -1e-12 <= S <= 1.0 + 1e-12:
-        raise ValueError(f"S={S} outside [0, 1]")
+    S = entropy._check_unit_interval(S, 0.0, 1.0, "S")
     if not 2 <= total_qubits <= linalg.MAX_QUBITS:
         raise ValueError(f"total_qubits must be in [2, {linalg.MAX_QUBITS}]")
-    r = math.sqrt(max(1.0 - min(max(S, 0.0), 1.0), 0.0))
+    r = math.sqrt(1.0 - S)
     vec = np.zeros(2**total_qubits, dtype=complex)
     vec[0] = math.sqrt((1.0 + r) / 2.0)
     vec[3 * 2 ** (total_qubits - 2)] = math.sqrt((1.0 - r) / 2.0)  # |11> on (0, 1)
@@ -113,17 +111,13 @@ def bell_pair_register() -> PureState:
 
 def rho_lambda(lam: float) -> np.ndarray:
     """The diagonal family lam |00><00| + (1-lam) |11><11|."""
-    if not -1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
-    lam = min(max(float(lam), 0.0), 1.0)
+    lam = entropy._check_unit_interval(lam, 0.0, 1.0, "lambda")
     return np.diag([lam, 0.0, 0.0, 1.0 - lam]).astype(complex)
 
 
 def purified_rho_lambda(lam: float) -> PureState:
     """Four-qubit purification of rho_lambda on the pair (0, 1)."""
-    if not -1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
-    lam = min(max(float(lam), 0.0), 1.0)
+    lam = entropy._check_unit_interval(lam, 0.0, 1.0, "lambda")
     vec = np.zeros(16, dtype=complex)
     vec[0b0000] = math.sqrt(lam)
     vec[0b1111] = math.sqrt(1.0 - lam)
@@ -246,32 +240,22 @@ def _draw_protocol(cfg: CampaignConfig, rng, kinds) -> tuple[int, ProtocolSpec]:
     return n, ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta)
 
 
-def _sample_equality(cfg: CampaignConfig, i: int) -> _Sample:
-    rng = np.random.default_rng([cfg.seed, i])
-    n, spec = _draw_protocol(cfg, rng, _ALL_KINDS)
-    psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
-    rep = protocols.analyze(psi, spec)
-    return _Sample(
-        violation=abs(rep.simulated_F - rep.closed_form_F),
-        payload=partial(_protocol_payload, i, psi, spec),
-    )
-
-
-def _sample_bound(cfg: CampaignConfig, i: int, bound_key: str, kinds) -> _Sample:
+def _sample_protocol(
+    cfg: CampaignConfig, i: int, kinds=_ALL_KINDS, bound: str | None = None
+) -> _Sample:
+    # draw a protocol and a Haar-random register, simulate, then compare the
+    # simulated fidelity with the closed form (bound None) or with a bound
     rng = np.random.default_rng([cfg.seed, i])
     n, spec = _draw_protocol(cfg, rng, kinds)
     psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
     rep = protocols.analyze(psi, spec)
-    if bound_key not in rep.bounds:  # sv2 entropy below the bound's domain
+    payload = partial(_protocol_payload, i, psi, spec)
+    if bound is None:
+        return _Sample(abs(rep.simulated_F - rep.closed_form_F), payload)
+    if bound not in rep.bounds:  # sv2 entropy below the bound's domain
         return _Sample(violation=None, stats={"filtered_below_domain": 1})
-    stats = None
-    if bound_key == "sv2_bound":
-        stats = {"min_sv2": rep.entanglement.von_neumann}
-    return _Sample(
-        violation=rep.simulated_F - rep.bounds[bound_key],
-        payload=partial(_protocol_payload, i, psi, spec),
-        stats=stats,
-    )
+    stats = {"min_sv2": rep.entanglement.von_neumann} if bound == "sv2_bound" else None
+    return _Sample(rep.simulated_F - rep.bounds[bound], payload, stats)
 
 
 def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
@@ -302,14 +286,9 @@ def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
     return _Sample(violation=worst, payload=partial(_protocol_payload, i, psi, spec))
 
 
-def _sample_jonas(cfg: CampaignConfig, i: int) -> _Sample:
+def _sample_density(cfg: CampaignConfig, i: int, check: Callable) -> _Sample:
     rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    return _Sample(violation=-check_jonas(rho), payload=partial(_density_payload, i, pur, 2))
-
-
-def _sample_interm(cfg: CampaignConfig, i: int) -> _Sample:
-    rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    return _Sample(violation=-check_interm(rho), payload=partial(_density_payload, i, pur, 2))
+    return _Sample(violation=-check(rho), payload=partial(_density_payload, i, pur, 2))
 
 
 def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
@@ -326,16 +305,16 @@ def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
     )
 
 
-def _saturation_items(cfg: CampaignConfig) -> int:
-    per_rep = len(_SATURATION_S) * len(cfg.epsilon_grid) + len(cfg.epsilon_grid)
-    return cfg.samples * per_rep
+def _saturation_sweep(cfg: CampaignConfig) -> int:
+    # items per sample: every (S, epsilon) purity register, then every
+    # epsilon on the Bell-pair register
+    return (len(_SATURATION_S) + 1) * len(cfg.epsilon_grid)
 
 
 def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
     rng = np.random.default_rng([cfg.seed, i])
     n_eps = len(cfg.epsilon_grid)
-    per_rep = len(_SATURATION_S) * n_eps + n_eps
-    j = i % per_rep
+    j = i % _saturation_sweep(cfg)
     if j < len(_SATURATION_S) * n_eps:
         s_val = _SATURATION_S[j // n_eps]
         eps = cfg.epsilon_grid[j % n_eps]
@@ -380,59 +359,63 @@ def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Campaign:
-    item_count: Callable[[CampaignConfig], int]
+    """One campaign: its sampler, default sample count and tolerance, the
+    register sizes and epsilon grid it draws from, the items each sample
+    sweeps (one unless `sweep` says otherwise) and a note for its report."""
     sample: Callable[[CampaignConfig, int], _Sample]
-    defaults: dict
+    samples: int
+    tolerance: float
+    register_sizes: tuple[int, ...] = (2, 3, 4, 5)
+    epsilon_grid: tuple[float, ...] = _EPSILON_GRID
+    sweep: Callable[[CampaignConfig], int] | None = None
+    note: str | None = None
 
-
-def _by_samples(cfg: CampaignConfig) -> int:
-    return cfg.samples
+    def items(self, cfg: CampaignConfig) -> int:
+        return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
 
 
 _CAMPAIGNS: dict[str, _Campaign] = {
-    "equality_oracle": _Campaign(
-        _by_samples, _sample_equality, dict(samples=1000, tolerance=1e-10)
-    ),
+    "equality_oracle": _Campaign(_sample_protocol, 1000, 1e-10),
     "bound_main": _Campaign(
-        _by_samples,
-        lambda cfg, i: _sample_bound(cfg, i, "purity_bound", protocols.X_ERROR_KINDS),
-        dict(samples=1000, tolerance=1e-9),
+        partial(_sample_protocol, kinds=protocols.X_ERROR_KINDS, bound="purity_bound"),
+        1000, 1e-9,
     ),
     "bound_sv": _Campaign(
-        _by_samples,
-        lambda cfg, i: _sample_bound(cfg, i, "sv_bound", protocols.X_ERROR_KINDS),
-        dict(samples=1000, tolerance=1e-9),
+        partial(_sample_protocol, kinds=protocols.X_ERROR_KINDS, bound="sv_bound"),
+        1000, 1e-9,
     ),
     "bound_main2": _Campaign(
-        _by_samples,
-        lambda cfg, i: _sample_bound(
-            cfg, i, "sv2_bound", (ProtocolKind.ADQC_CZSWAP_GATE,)
+        partial(
+            _sample_protocol, kinds=(ProtocolKind.ADQC_CZSWAP_GATE,), bound="sv2_bound"
         ),
-        dict(samples=1000, tolerance=1e-9, register_sizes=(4, 5)),
+        1000, 1e-9, register_sizes=(4, 5),
     ),
     "circuit_equivalence": _Campaign(
-        _by_samples,
-        _sample_equivalence,
-        dict(samples=200, tolerance=1e-12, register_sizes=(1, 2, 3, 4, 5)),
+        _sample_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5)
     ),
-    "jonas": _Campaign(_by_samples, _sample_jonas, dict(samples=1000, tolerance=1e-9)),
-    "monotonicity": _Campaign(
-        _by_samples, _sample_monotonicity, dict(samples=1000, tolerance=1e-9)
-    ),
-    "interm": _Campaign(_by_samples, _sample_interm, dict(samples=1000, tolerance=1e-9)),
+    "jonas": _Campaign(partial(_sample_density, check=check_jonas), 1000, 1e-9),
+    "monotonicity": _Campaign(_sample_monotonicity, 1000, 1e-9),
+    "interm": _Campaign(partial(_sample_density, check=check_interm), 1000, 1e-9),
     "saturation": _Campaign(
-        _saturation_items,
-        _sample_saturation,
-        dict(samples=1, tolerance=1e-9, epsilon_grid=_SATURATION_EPSILONS),
+        _sample_saturation, 1, 1e-9,
+        epsilon_grid=_SATURATION_EPSILONS, sweep=_saturation_sweep,
     ),
     "counterexample": _Campaign(
-        _by_samples, _sample_counterexample, dict(samples=21, tolerance=1e-15)
+        _sample_counterexample, 21, 1e-15,
+        note="pair correlator is 1 for the whole family while its entropy "
+        "sweeps [0, 1]: no entropy bound below 1 constrains the fidelity",
     ),
 }
 
 CAMPAIGN_NAMES = tuple(sorted(_CAMPAIGNS))
+
+
+def _campaign(name: str) -> _Campaign:
+    if name not in _CAMPAIGNS:
+        raise ValueError(f"unknown campaign {name!r}; known: {', '.join(CAMPAIGN_NAMES)}")
+    return _CAMPAIGNS[name]
 
 
 def default_config(
@@ -442,17 +425,15 @@ def default_config(
     tolerance: float | None = None,
 ) -> CampaignConfig:
     """Campaign config with per-campaign defaults filled in."""
-    if name not in _CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}; known: {', '.join(CAMPAIGN_NAMES)}")
-    d = _CAMPAIGNS[name].defaults
+    row = _campaign(name)
     return CampaignConfig(
         name=name,
-        samples=d["samples"] if samples is None else int(samples),
+        samples=row.samples if samples is None else int(samples),
         seed=int(seed),
-        epsilon_grid=d.get("epsilon_grid", _EPSILON_GRID),
-        delta_grid=d.get("delta_grid", _DELTA_GRID),
-        register_sizes=d.get("register_sizes", (2, 3, 4, 5)),
-        tolerance=d["tolerance"] if tolerance is None else float(tolerance),
+        epsilon_grid=row.epsilon_grid,
+        delta_grid=_DELTA_GRID,
+        register_sizes=row.register_sizes,
+        tolerance=row.tolerance if tolerance is None else float(tolerance),
     )
 
 
@@ -468,26 +449,18 @@ def _merge_stats(total: dict, update: dict | None) -> None:
             total[key] = total.get(key, 0) + val
 
 
-def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
-    """Run one named campaign; the report is deterministic per config and
-    independent of the thread count."""
-    if config.name not in _CAMPAIGNS:
-        raise ValueError(
-            f"unknown campaign {config.name!r}; known: {', '.join(CAMPAIGN_NAMES)}"
-        )
-    campaign = _CAMPAIGNS[config.name]
-    count = campaign.item_count(config)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(lambda i: campaign.sample(config, i), range(count)))
-    else:
-        samples = [campaign.sample(config, i) for i in range(count)]
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Run one named campaign, drawing each sample and folding it into the
+    report in index order; the report is deterministic per config.  A
+    campaign that runs no check fails."""
+    campaign = _campaign(config.name)
     checks_run = 0
     max_violation = -math.inf
     worst: Callable[[], dict] | None = None
     stats: dict = {}
     non_finite = False
-    for s in samples:  # index order fixes the argmax tie-break
+    for i in range(campaign.items(config)):  # index order fixes the argmax tie-break
+        s = campaign.sample(config, i)
         _merge_stats(stats, s.stats)
         if s.violation is None:
             continue
@@ -505,17 +478,14 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
             worst = s.payload
     if checks_run == 0:
         max_violation = 0.0
-    passed = not non_finite and max_violation <= config.tolerance
-    if config.name == "counterexample":
-        stats["note"] = (
-            "pair correlator is 1 for the whole family while its entropy "
-            "sweeps [0, 1]: no entropy bound below 1 constrains the fidelity"
-        )
+    passed = checks_run > 0 and not non_finite and max_violation <= config.tolerance
+    if campaign.note:
+        stats["note"] = campaign.note
     return CampaignReport(
         config=config,
         checks_run=checks_run,
         max_violation=max_violation,
-        worst_case=worst() if not passed else None,
+        worst_case=worst() if worst is not None and not passed else None,
         passed=passed,
         stats=stats,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -130,7 +131,7 @@ def test_verify_writes_schema_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main([
         "verify", "equality_oracle", "--samples", "30", "--seed", "7",
-        "--threads", "1", "--output", str(out),
+        "--output", str(out),
     ])
     assert rc == 0
     summary = capsys.readouterr().out
@@ -150,7 +151,7 @@ def test_verify_failure_exit_code(tmp_path):
     out = tmp_path / "report.json"
     rc = cli.main([
         "verify", "equality_oracle", "--samples", "10", "--seed", "7",
-        "--threads", "1", "--tolerance", "1e-30", "--output", str(out),
+        "--tolerance", "1e-30", "--output", str(out),
     ])
     assert rc == 1
     data = json.loads(out.read_text())
@@ -158,27 +159,12 @@ def test_verify_failure_exit_code(tmp_path):
     assert data["worst_case"] is not None
 
 
-def test_verify_threads_default_is_one():
-    args = cli.build_parser().parse_args(["verify", "jonas"])
-    assert args.threads == 1
-
-
-@pytest.mark.parametrize("threads", ["0", "-1", "3"])
-def test_verify_threads_out_of_range_exits_2(monkeypatch, threads):
-    # rejected before any pool exists: no campaign (and no thread) is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    started = []
-    monkeypatch.setattr(verify, "run_campaign", lambda *a, **k: started.append(a))
-    assert cli.main(["verify", "jonas", "--threads", threads]) == 2
-    assert started == []
-
-
 def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, capsys):
     def sample(cfg, i):
         return verify._Sample(violation=math.nan if i == 2 else 0.0,
                               payload=lambda: {"sample_index": i})
     campaigns = dict(verify._CAMPAIGNS)
-    campaigns["counterexample"] = verify._Campaign(verify._by_samples, sample, {})
+    campaigns["counterexample"] = dataclasses.replace(campaigns["counterexample"], sample=sample)
     monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
     out = tmp_path / "report.json"
     rc = cli.main(["verify", "counterexample", "--samples", "5", "--tolerance", "1",
@@ -189,6 +175,12 @@ def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, caps
     assert data["passed"] is False
     assert data["max_violation"] == "nan"
     assert data["worst_case"] == {"sample_index": 2}
+
+
+def test_verify_without_checks_exits_1(capsys):
+    # bound_main2's one sample at seed 23 is below the S_v2 >= 1 domain
+    assert cli.main(["verify", "bound_main2", "--samples", "1", "--seed", "23"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL bound_main2: checks=0")
 
 
 def test_verify_rejects_non_finite_tolerance():
@@ -202,7 +194,7 @@ def test_verify_unknown_campaign_exits_2():
 
 
 def test_verify_without_output_prints_json(capsys):
-    rc = cli.main(["verify", "counterexample", "--threads", "1"])
+    rc = cli.main(["verify", "counterexample"])
     assert rc == 0
     out = capsys.readouterr().out
     summary, _, rest = out.partition("\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -201,6 +202,37 @@ def test_default_config_unknown_name():
         verify.default_config("nosuch")
 
 
+_DEFAULT_EPSILONS = tuple(float(x) for x in np.arange(0.0, np.pi, 0.1)) + (float(np.pi),)
+_SATURATION_EPSILONS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
+
+# (samples, tolerance, register_sizes, epsilon_grid) of every campaign's
+# default config; every campaign draws delta from (0.0, 0.7, 2.3)
+_DEFAULTS = {
+    "equality_oracle": (1000, 1e-10, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "bound_main": (1000, 1e-9, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "bound_sv": (1000, 1e-9, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "bound_main2": (1000, 1e-9, (4, 5), _DEFAULT_EPSILONS),
+    "circuit_equivalence": (200, 1e-12, (1, 2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "jonas": (1000, 1e-9, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "monotonicity": (1000, 1e-9, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "interm": (1000, 1e-9, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+    "saturation": (1, 1e-9, (2, 3, 4, 5), _SATURATION_EPSILONS),
+    "counterexample": (21, 1e-15, (2, 3, 4, 5), _DEFAULT_EPSILONS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULTS))
+def test_default_config_is_pinned(name):
+    config = verify.default_config(name)
+    samples, tolerance, register_sizes, epsilon_grid = _DEFAULTS[name]
+    assert config.name == name and config.seed == 42
+    assert config.samples == samples
+    assert config.tolerance == tolerance
+    assert config.register_sizes == register_sizes
+    assert config.epsilon_grid == epsilon_grid
+    assert config.delta_grid == (0.0, 0.7, 2.3)
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         verify.CampaignConfig("jonas", 0, 1, (0.1,), (0.0,), (2,), 1e-9)
@@ -272,7 +304,7 @@ def _campaign_with(monkeypatch, bad_index, bad_value):
         violation = bad_value if i == bad_index else -1.0 + 0.1 * i
         return verify._Sample(violation=violation, payload=lambda: {"sample_index": i})
     campaigns = dict(verify._CAMPAIGNS)
-    campaigns["jonas"] = verify._Campaign(verify._by_samples, sample, {})
+    campaigns["jonas"] = dataclasses.replace(campaigns["jonas"], sample=sample)
     monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
     return verify.default_config("jonas", samples=8, seed=1, tolerance=1e-9)
 
@@ -313,7 +345,7 @@ def test_one_solve_per_density_matrix(monkeypatch, name):
     config = verify.default_config(name, samples=6, seed=13)
     report = verify.run_campaign(config)
     assert report.passed
-    items = verify._CAMPAIGNS[name].item_count(config)
+    items = report.checks_run + report.stats.get("filtered_below_domain", 0)
     assert len(solves) == SOLVES_PER_ITEM[name] * items
 
 
@@ -324,13 +356,30 @@ def test_campaign_unknown_name():
         verify.run_campaign(config)
 
 
-def test_campaign_deterministic_and_thread_invariant():
+def test_campaign_deterministic():
     config = verify.default_config("equality_oracle", samples=40, seed=5)
-    a = verify.run_campaign(config, threads=1)
-    b = verify.run_campaign(config, threads=1)
-    c = verify.run_campaign(config, threads=4)
     dump = lambda r: json.dumps(r.to_json_dict(), sort_keys=True)
-    assert dump(a) == dump(b) == dump(c)
+    assert dump(verify.run_campaign(config)) == dump(verify.run_campaign(config))
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_samples_are_independent_of_evaluation_order(name):
+    # sample i depends on (seed, i) alone, so evaluating the items in reverse
+    # gives the same checks as evaluating them forward
+    config = verify.default_config(name, samples=6, seed=5)
+    campaign = verify._CAMPAIGNS[name]
+    count = campaign.items(config)
+
+    def evaluate(indices):
+        out = {}
+        for i in indices:
+            s = campaign.sample(config, i)
+            out[i] = (s.violation, s.stats, s.payload() if s.payload else None)
+        return [out[i] for i in range(count)]
+
+    forward = evaluate(range(count))
+    assert forward == evaluate(reversed(range(count)))
+    assert len(forward) == count >= 6
 
 
 def test_campaign_failure_reports_worst_case():
@@ -362,6 +411,23 @@ def test_bound_main2_filters_and_reports_min_sv2():
     assert report.passed
     assert report.stats["min_sv2"] >= 1.0
     assert report.checks_run + report.stats.get("filtered_below_domain", 0) == 60
+
+
+def test_campaign_without_checks_fails():
+    # the one sample falls below the S_v2 >= 1 domain and is filtered out
+    report = verify.run_campaign(verify.default_config("bound_main2", samples=1, seed=23))
+    assert report.stats == {"filtered_below_domain": 1}
+    assert report.checks_run == 0
+    assert not report.passed
+    assert report.worst_case is None
+
+
+def test_campaign_with_empty_grid_fails():
+    config = verify.CampaignConfig("saturation", 3, 1, (), (0.0,), (2,), 1e-9)
+    report = verify.run_campaign(config)
+    assert report.checks_run == 0
+    assert not report.passed
+    assert report.worst_case is None
 
 
 def test_counterexample_campaign_stats():
