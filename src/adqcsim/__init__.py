@@ -17,7 +17,7 @@ from .entropy import (
     purity_entanglement,
     von_neumann,
 )
-from .linalg import hermitian_eigenvalues, kron, partial_trace
+from .linalg import kron, partial_trace
 from .protocols import (
     ErrorKind,
     FidelityReport,
@@ -35,7 +35,6 @@ from .protocols import (
     run_protocol,
 )
 from .qcore import (
-    BranchState,
     MeasurementBasis,
     PureState,
     apply_gate,

@@ -11,11 +11,12 @@ import sys
 
 import numpy as np
 
-from . import entropy, protocols, stateio, verify
+from . import entropy, linalg, protocols, stateio, verify
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState, basis_state
 
 DEFAULT_FIG5_S = (0.2, 0.4, 0.6, 0.8, 1.0)
+MAX_CURVE_GRID = 100_000  # points per curve; checked before anything is allocated
 _SATURATION_FLAG_TOL = 1e-9
 
 
@@ -24,8 +25,8 @@ def _fmt(x: float) -> str:
 
 
 def _curve_rows(figure: str, grid: int, s_values: tuple[float, ...]) -> tuple[list[str], list[list[float]]]:
-    if grid < 2:
-        raise ValueError("grid resolution must be >= 2")
+    if not 2 <= grid <= MAX_CURVE_GRID:
+        raise ValueError(f"grid resolution must be in [2, {MAX_CURVE_GRID}]")
     if figure == "fig5":
         header = ["epsilon"] + [f"S={s:g}" for s in s_values]
         eps = np.linspace(0.0, np.pi, grid)
@@ -94,6 +95,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _PRESET_HELP = "bell, ghz:n, product:n, saturate:S, rho_lambda:L"
 
 
+def _preset_qubits(arg: str, default: int) -> int:
+    n = int(arg) if arg else default
+    if not 1 <= n <= linalg.MAX_QUBITS:
+        raise ValueError(f"preset register of {n} qubits outside [1, {linalg.MAX_QUBITS}]")
+    return n
+
+
 def preset_state(token: str) -> PureState:
     """Build a named preset register (see _PRESET_HELP for the names)."""
     name, _, arg = token.partition(":")
@@ -102,13 +110,12 @@ def preset_state(token: str) -> PureState:
         vec[0b00] = vec[0b11] = 1.0 / np.sqrt(2.0)
         return PureState(2, vec)
     if name == "ghz":
-        n = int(arg) if arg else 3
+        n = _preset_qubits(arg, 3)
         vec = np.zeros(2**n, dtype=complex)
         vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
         return PureState(n, vec)
     if name == "product":
-        n = int(arg) if arg else 2
-        return basis_state(n, 0)
+        return basis_state(_preset_qubits(arg, 2), 0)
     if name == "saturate":
         if not arg:
             raise ValueError("saturate preset needs a value: saturate:S")

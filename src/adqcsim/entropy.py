@@ -54,18 +54,36 @@ def validate_density(
         if dims is not None and rho.matrix.shape[0] not in dims:
             raise ValueError(f"density matrix dimension {rho.matrix.shape[0]} not in {dims}")
         return rho
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims))
+
+
+def validate_densities(
+    rhos: np.ndarray, dims: tuple[int, ...] | None = None
+) -> list[Density]:
+    """validate_density over a (B, d, d) stack: the finiteness, Hermiticity
+    and trace checks run once on the whole stack, then every matrix gets
+    its one eigensolve and positivity check."""
+    return [_solved(rho) for rho in _checked(np.asarray(rhos, dtype=complex), 3, dims)]
+
+
+def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarray:
+    # one matrix (ndim 2) or a stack of them (ndim 3), each check run once
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
-    if dims is not None and rho.shape[0] not in dims:
-        raise ValueError(f"density matrix dimension {rho.shape[0]} not in {dims}")
-    if not np.isfinite(rho).all():
+    if dims is not None and m.shape[-1] not in dims:
+        raise ValueError(f"density matrix dimension {m.shape[-1]} not in {dims}")
+    if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
-    if linalg.hermiticity_defect(rho) > DENSITY_TOL:
+    if linalg.hermiticity_defect(m) > DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if (off > DENSITY_TOL).any():
+        raise ValueError(f"density matrix trace {complex(np.ravel(tr)[np.argmax(off)])} is not 1")
+    return m
+
+
+def _solved(rho: np.ndarray) -> Density:
     evals, evecs = _eigenpairs(rho)
     if evals[0] < -DENSITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
@@ -78,10 +96,10 @@ def _spectrum(rho: np.ndarray | Density, dims: tuple[int, ...] | None = None) ->
     return evals / evals.sum()
 
 
-def _plogp(p: np.ndarray) -> float:
-    """sum p log2 p with the 0 log 0 = 0 convention."""
-    nz = p[p > 0.0]
-    return float(np.sum(nz * np.log2(nz)))
+def _plogp(p: np.ndarray) -> float | np.ndarray:
+    """sum p log2 p over the last axis, with the 0 log 0 = 0 convention."""
+    total = (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return float(total) if p.ndim == 1 else total
 
 
 def purity_entanglement(rho: np.ndarray | Density) -> float:
@@ -96,26 +114,30 @@ def von_neumann(rho: np.ndarray | Density) -> float:
     return max(-_plogp(p), 0.0) + 0.0
 
 
-def correlator(rho: np.ndarray, observable: np.ndarray) -> float:
-    """Tr(rho O) for a Hermitian observable; the value must come out real."""
+def correlator(rho: np.ndarray, observable: np.ndarray) -> float | np.ndarray:
+    """Tr(rho O) for a Hermitian observable, or one value per matrix of a
+    (B, d, d) stack; every value must come out real."""
     rho = np.asarray(rho, dtype=complex)
     observable = np.asarray(observable, dtype=complex)
-    if rho.shape != observable.shape or rho.ndim != 2:
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape or observable.ndim != 2:
         raise ValueError("state and observable dimensions do not match")
     if linalg.hermiticity_defect(observable) > DENSITY_TOL:
         raise ValueError("observable is not Hermitian within tolerance")
-    val = complex(np.trace(rho @ observable))
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"correlator has imaginary residue {val.imag}")
-    return val.real
+    val = (rho @ observable).trace(axis1=-2, axis2=-1)
+    residue = abs(val.imag) if rho.ndim == 2 else abs(val.imag).max()
+    if residue > 1e-12:
+        raise ValueError(f"correlator has imaginary residue {residue}")
+    return float(val.real) if rho.ndim == 2 else val.real
 
 
-def bloch_length(rho: np.ndarray) -> float:
-    """Length of the Bloch vector of a single-qubit state."""
+def bloch_length(rho: np.ndarray) -> float | np.ndarray:
+    """Length of the Bloch vector of a single-qubit state, or one length
+    per matrix of a (B, 2, 2) stack."""
     cx = correlator(rho, qcore.gate("X"))
     cy = correlator(rho, qcore.gate("Y"))
     cz = correlator(rho, qcore.gate("Z"))
-    return min(float(np.sqrt(cx * cx + cy * cy + cz * cz)), 1.0)
+    length = np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0)
+    return float(length) if np.ndim(length) == 0 else length
 
 
 def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
@@ -194,24 +216,39 @@ class EntanglementReport:
     bloch_length_r: float | None
 
 
+_ZZ = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
+
+
+def _reports(densities: list[Density], single: bool) -> list[EntanglementReport]:
+    # entropies from each matrix's own spectrum; correlators over the stack
+    matrices = np.array([d.matrix for d in densities])
+    p = np.maximum(np.array([d.eigenvalues for d in densities]), 0.0)
+    p = p / p.sum(axis=1, keepdims=True)
+    sv = (np.maximum(-_plogp(p), 0.0) + 0.0).tolist()
+    if single:
+        purity = (np.maximum(2.0 * (1.0 - np.sum(p * p, axis=1)), 0.0) + 0.0).tolist()
+        corr = correlator(matrices, qcore.gate("Z")).tolist()
+        r = bloch_length(matrices).tolist()
+        return [EntanglementReport(*row) for row in zip(purity, sv, corr, r)]
+    corr = correlator(matrices, _ZZ).tolist()
+    return [EntanglementReport(None, v, c, None) for v, c in zip(sv, corr)]
+
+
 def single_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a single-qubit reduced state (correlator is <Z>)."""
-    rho = validate_density(rho, dims=(2,))
-    return EntanglementReport(
-        purity_S=purity_entanglement(rho),
-        von_neumann=von_neumann(rho),
-        correlator=correlator(rho.matrix, qcore.gate("Z")),
-        bloch_length_r=bloch_length(rho.matrix),
-    )
+    return _reports([validate_density(rho, dims=(2,))], single=True)[0]
+
+
+def single_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
+    """single_qubit_report for every matrix of a (B, 2, 2) stack."""
+    return _reports(validate_densities(rhos, dims=(2,)), single=True)
 
 
 def two_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a two-qubit reduced state (correlator is <Z(x)Z>)."""
-    zz = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
-    rho = validate_density(rho, dims=(4,))
-    return EntanglementReport(
-        purity_S=None,
-        von_neumann=von_neumann(rho),
-        correlator=correlator(rho.matrix, zz),
-        bloch_length_r=None,
-    )
+    return _reports([validate_density(rho, dims=(4,))], single=False)[0]
+
+
+def two_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
+    """two_qubit_report for every matrix of a (B, 4, 4) stack."""
+    return _reports(validate_densities(rhos, dims=(4,)), single=False)

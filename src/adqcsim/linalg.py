@@ -7,6 +7,7 @@ shape [2]*n exposes qubit k as axis k.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +32,52 @@ def n_qubits_of(dim: int) -> int:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M[i,j] - conj(M[j,i])| over all entries."""
+    """max |M[i,j] - conj(M[j,i])| over all entries, of one matrix or of
+    every matrix of a (B, d, d) stack."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(abs(m - m.conj().swapaxes(-1, -2)).max())
+
+
+@lru_cache(maxsize=4096)
+def _index_table(n: int, order: tuple[int, ...]) -> np.ndarray:
+    # amplitude index of each entry of an n-qubit vector whose qubit axes
+    # are transposed into `order`; built once per (n, order), read-only
+    table = np.arange(2**n).reshape([2] * n).transpose(order).reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
+def permute_qubits(
+    states: np.ndarray, orders: Sequence[Sequence[int]], inverse: bool = False
+) -> np.ndarray:
+    """Rows of a (B, 2^n) stack with row b's qubit axes transposed into
+    `orders[b]`, one gather over index tables cached per (n, order).
+
+    Row b of the result is states[b].reshape([2]*n).transpose(orders[b])
+    flattened, so the qubits listed first become the most significant.
+    With `inverse`, the rows are transposed back instead (one scatter over
+    the same tables).
+    """
+    states = np.asarray(states)
+    rows, dim = states.shape
+    n = n_qubits_of(dim)
+    if len(orders) != rows:
+        raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
+    first = tuple(orders[0])
+    if rows == 1 or all(tuple(o) == first for o in orders):
+        tables = _index_table(n, first)
+        if not inverse:
+            return states[:, tables]
+        out = np.empty_like(states)
+        out[:, tables] = states
+        return out
+    tables = np.stack([_index_table(n, tuple(o)) for o in orders])
+    tables += np.arange(0, rows * dim, dim)[:, None]
+    if not inverse:
+        return states.reshape(-1)[tables]
+    out = np.empty_like(states)
+    out.reshape(-1)[tables] = states
+    return out
 
 
 def _check_keep(keep: Sequence[int], n: int) -> list[int]:
@@ -48,6 +92,13 @@ def _check_keep(keep: Sequence[int], n: int) -> list[int]:
     return keep
 
 
+@lru_cache(maxsize=4096)
+def _keep_first(n: int, keep: tuple[int, ...]) -> tuple[int, ...]:
+    # the kept qubits in the order given, then the rest ascending
+    keep = tuple(_check_keep(keep, n))
+    return keep + tuple(q for q in range(n) if q not in keep)
+
+
 def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix on the kept qubits, in the order given.
 
@@ -55,13 +106,8 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        n = n_qubits_of(state.shape[0])
-        keep = _check_keep(keep, n)
-        rest = [q for q in range(n) if q not in keep]
-        psi = state.reshape([2] * n).transpose(keep + rest)
-        m = psi.reshape(2 ** len(keep), -1)
-        rho = m @ m.conj().T
-    elif state.ndim == 2:
+        return partial_traces(state[None], [keep])[0]
+    if state.ndim == 2:
         if state.shape[0] != state.shape[1]:
             raise ValueError("density matrix must be square")
         n = n_qubits_of(state.shape[0])
@@ -71,9 +117,25 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
         dk, dr = 2 ** len(keep), 2 ** len(rest)
         t = state.reshape([2] * (2 * n)).transpose(perm).reshape(dk, dr, dk, dr)
         rho = np.einsum("ajbj->ab", t)
-    else:
-        raise ValueError("state must be a vector or a square matrix")
-    return 0.5 * (rho + rho.conj().T)
+        return 0.5 * (rho + rho.conj().T)
+    raise ValueError("state must be a vector or a square matrix")
+
+
+def partial_traces(states: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
+    """Reduced density matrices of the rows of a (B, 2^n) stack of pure
+    states, row b on the qubits `keeps[b]` in the order given; every row
+    keeps the same number of qubits."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2:
+        raise ValueError("states must be a (B, 2^n) stack")
+    n = n_qubits_of(states.shape[1])
+    orders = [_keep_first(n, tuple(keep)) for keep in keeps]
+    k = len(keeps[0]) if orders else 0
+    if any(len(keep) != k for keep in keeps):
+        raise ValueError("every row must keep the same number of qubits")
+    m = permute_qubits(states, orders).reshape(len(orders), 2**k, -1)
+    rho = m @ m.conj().swapaxes(1, 2)
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
 def jacobi_eigh(
@@ -163,9 +225,3 @@ def jacobi_eigh(
         np.array([w[i] for i in order]),
         np.array([[row[i] for i in order] for row in v], dtype=complex),
     )
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    w, _ = jacobi_eigh(m)
-    return w

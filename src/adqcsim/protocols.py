@@ -9,18 +9,25 @@ protocol: its gate sequence, its measurement basis and its error operator.
 With an accurate measurement the branches realize X^j J(u) on the target
 (rotations), X1^j H1 H2 CZ12 (CZ gate) or (Z1 Z2)^j SWAP12 CZ12 (CZSWAP
 gate), up to a global phase per branch.
+
+The simulation runs on (B, 2^n) stacks of registers of one size, one spec
+per row, and protocols of different kinds share a stack through per-row
+gate tables: `pre_measurement_states`, `run_protocols` and
+`analyze_stack`.  `pre_measurement_state`, `run_protocol` and `analyze`
+are batches of one over the same code.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import entropy, linalg, qcore
 from .entropy import BoundDomainError, EntanglementReport
-from .qcore import MeasurementBasis, PureState
+from .qcore import PureState
 
 BOUND_SLACK_TOL = 1e-9
 
@@ -141,71 +148,121 @@ class FidelityReport:
     violations: list[Violation] = field(default_factory=list)
 
 
-def _measurement_bases(spec: ProtocolSpec) -> tuple[MeasurementBasis, MeasurementBasis]:
-    # The ideal branch uses the epsilon=0 basis at the *same* delta, which
-    # fixes the branch phases so that the error-operator factorization of
-    # the inaccurate branches holds exactly, not just up to phase.
-    if _PROTOCOLS[spec.kind].rotation:
-        tilted = qcore.deviated_u_basis(spec.u, spec.epsilon, spec.delta)
-        ideal = qcore.deviated_u_basis(spec.u, 0.0, spec.delta)
-    else:
-        tilted = qcore.deviated_z_basis(spec.epsilon, spec.delta)
-        ideal = qcore.deviated_z_basis(0.0, spec.delta)
-    return tilted, ideal
+_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_GATES = {name: qcore.gate(name) for row in _PROTOCOLS.values() for name, _ in row.gates}
+
+
+def _register_size(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> int:
+    n = linalg.n_qubits_of(amplitudes.shape[1])
+    if n + 1 > linalg.MAX_QUBITS:
+        raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
+    if len(specs) != amplitudes.shape[0]:
+        raise ValueError(f"{len(specs)} specs for {amplitudes.shape[0]} registers")
+    for spec in specs:
+        for t in spec.targets:
+            if not 0 <= t < n:
+                raise ValueError(f"target {t} out of range for {n} qubits")
+    return n
+
+
+def pre_measurement_states(
+    amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]
+) -> np.ndarray:
+    """Register-plus-ancilla states right before the measurement, one row
+    per spec, from a (B, 2^n) stack of register states.
+
+    The ancilla is the last qubit.  Protocols of different kinds share the
+    stack: gate step k applies each row's own k-th gate to the rows whose
+    protocol has one.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = _register_size(amplitudes, specs)
+    vec = (amplitudes[:, :, None] * _PLUS).reshape(len(specs), -1)
+    steps = [_PROTOCOLS[spec.kind].gates for spec in specs]
+    for k in range(max(map(len, steps), default=0)):
+        rows = [b for b, gates in enumerate(steps) if len(gates) > k]
+        ops = np.stack([_GATES[steps[b][k][0]] for b in rows])
+        wires = [
+            tuple(n if w == _ANCILLA else specs[b].targets[w] for w in steps[b][k][1])
+            for b in rows
+        ]
+        if len(rows) == len(specs):
+            vec = qcore.apply_matrix(vec, ops, wires, n + 1)
+        else:
+            vec[rows] = qcore.apply_matrix(vec[rows], ops, wires, n + 1)
+    return vec
 
 
 def pre_measurement_state(input_state: PureState, spec: ProtocolSpec) -> PureState:
     """Register-plus-ancilla state right before the measurement."""
-    n = input_state.n_qubits
-    if n + 1 > linalg.MAX_QUBITS:
-        raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
-    for t in spec.targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target {t} out of range for {n} qubits")
-    anc = n
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    vec = np.kron(input_state.amplitudes, plus)
-    for name, wires in _PROTOCOLS[spec.kind].gates:
-        qubits = tuple(anc if w == _ANCILLA else spec.targets[w] for w in wires)
-        vec = qcore.apply_matrix(vec, qcore.gate(name), qubits, n + 1)
-    return PureState(n + 1, vec)
+    vec = pre_measurement_states(input_state.amplitudes[None], [spec])[0]
+    return PureState(input_state.n_qubits + 1, vec)
 
 
-def _branch_vectors(
-    pre: PureState, measured: int, basis: MeasurementBasis, slot: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    # With a slot, the ancilla (the last qubit of each branch) moves into it.
-    n = pre.n_qubits - 1
-    out = []
-    for b in qcore.measure_branch(pre, measured, basis):
-        vec = b.vector
-        if slot is not None:
-            vec = np.moveaxis(vec.reshape([2] * n), n - 1, slot).reshape(-1)
-        out.append(vec)
-    return out[0], out[1]
+def _measurements(specs: Sequence[ProtocolSpec], n: int):
+    # Per row: the tilted then the ideal basis vectors (4, 2), the measured
+    # qubit, and the order of the qubits left over.  The ideal basis is the
+    # epsilon=0 basis at the *same* delta, which fixes the branch phases so
+    # that the error-operator factorization of the inaccurate branches
+    # holds exactly, not just up to phase.  With measures_target the
+    # ancilla takes the measured target's slot.
+    rows = [_PROTOCOLS[spec.kind] for spec in specs]
+    rotation = np.array([row.rotation for row in rows])[:, None, None]
+    u = [spec.u if row.rotation else 0.0 for spec, row in zip(specs, rows)]
+    reference = np.where(rotation, qcore.equatorial_pair(u), qcore.Z_PAIR)
+    epsilon = [(spec.epsilon, 0.0) for spec in specs]
+    delta = [(spec.delta, spec.delta) for spec in specs]
+    vectors = qcore.tilted_vectors(reference[:, None], epsilon, delta)
+    measured, keep = [], []
+    for spec, row in zip(specs, rows):
+        t = spec.targets[0]
+        measured.append(t if row.measures_target else n)
+        keep.append((*range(t), n, *range(t + 1, n)) if row.measures_target else None)
+    return vectors.reshape(len(specs), 4, 2), measured, keep
+
+
+def run_protocols(
+    amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """run_protocol for every row of a (B, 2^n) stack of register states,
+    one spec per row.
+
+    Returns the normalized ideal branches (B, 2, 2^n), their outcome
+    probabilities (B, 2) and the unnormalized inaccurate branches
+    (B, 2, 2^n).
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    pre = pre_measurement_states(amplitudes, specs)
+    n = linalg.n_qubits_of(amplitudes.shape[1])
+    vectors, measured, keep = _measurements(specs, n)
+    branches = qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, vectors, keep)
+    inaccurate, ideal = branches[:, :2], branches[:, 2:]
+    probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
+    ideal /= np.sqrt(probs)[..., None]
+    return ideal, probs, inaccurate
+
+
+def _result(ideal: np.ndarray, probs: np.ndarray, inaccurate: np.ndarray) -> ProtocolResult:
+    n = linalg.n_qubits_of(ideal.shape[-1])
+    return ProtocolResult(
+        ideal_branches=(PureState(n, ideal[0]), PureState(n, ideal[1])),
+        ideal_probabilities=(float(probs[0]), float(probs[1])),
+        inaccurate_branches=(inaccurate[0], inaccurate[1]),
+        target_register_size=n,
+    )
 
 
 def run_protocol(input_state: PureState, spec: ProtocolSpec) -> ProtocolResult:
     """Run one protocol, returning ideal and inaccurate branches per outcome."""
-    n = input_state.n_qubits
-    pre = pre_measurement_state(input_state, spec)
-    tilted, ideal = _measurement_bases(spec)
-    slot = spec.targets[0] if _PROTOCOLS[spec.kind].measures_target else None
-    measured = n if slot is None else slot
-    xi0, xi1 = _branch_vectors(pre, measured, tilted, slot)
-    id0, id1 = _branch_vectors(pre, measured, ideal, slot)
-    probs = []
-    ideal_states = []
-    for v in (id0, id1):
-        p = float(np.vdot(v, v).real)
-        probs.append(p)
-        ideal_states.append(PureState(n, v / np.sqrt(p)))
-    return ProtocolResult(
-        ideal_branches=(ideal_states[0], ideal_states[1]),
-        ideal_probabilities=(probs[0], probs[1]),
-        inaccurate_branches=(xi0, xi1),
-        target_register_size=n,
-    )
+    ideal, probs, inaccurate = run_protocols(input_state.amplitudes[None], [spec])
+    return _result(ideal[0], probs[0], inaccurate[0])
+
+
+def mean_gate_fidelities(ideal: np.ndarray, inaccurate: np.ndarray) -> np.ndarray:
+    """mean_gate_fidelity for stacks of normalized ideal branches and
+    inaccurate branches, (..., 2, 2^n) each."""
+    overlap = np.einsum("...jm,...jm->...j", np.conj(ideal), inaccurate)
+    return (overlap.real**2 + overlap.imag**2).sum(axis=-1)
 
 
 def mean_gate_fidelity(result: ProtocolResult) -> float:
@@ -214,10 +271,8 @@ def mean_gate_fidelity(result: ProtocolResult) -> float:
     Computed as sum_j |<ideal_j | xi_j>|^2 with xi_j unnormalized, which
     carries the outcome probability weighting implicitly.
     """
-    total = 0.0
-    for phi, xi in zip(result.ideal_branches, result.inaccurate_branches):
-        total += abs(np.vdot(phi.amplitudes, xi)) ** 2
-    return float(total)
+    ideal = np.array([phi.amplitudes for phi in result.ideal_branches])
+    return float(mean_gate_fidelities(ideal, np.array(result.inaccurate_branches)))
 
 
 def closed_form_fidelity(correlator: float, epsilon: float) -> float:
@@ -275,41 +330,91 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
     return float(1.0 - (1.0 - c * c) * se * se)
 
 
+class FidelityStack(NamedTuple):
+    """analyze() over the rows of one stack: one register size and one
+    error kind, so one reduction shape."""
+
+    simulated_F: np.ndarray
+    closed_form_F: np.ndarray
+    correlator_used: np.ndarray
+    entanglement: list[EntanglementReport]
+    bounds: list[dict[str, float]]
+    ideal_branches: np.ndarray
+    ideal_probabilities: np.ndarray
+    inaccurate_branches: np.ndarray
+
+    def report(self, row: int) -> FidelityReport:
+        simulated = float(self.simulated_F[row])
+        bounds = self.bounds[row]
+        return FidelityReport(
+            simulated_F=simulated,
+            closed_form_F=float(self.closed_form_F[row]),
+            correlator_used=float(self.correlator_used[row]),
+            entanglement=self.entanglement[row],
+            bounds=bounds,
+            result=_result(
+                self.ideal_branches[row],
+                self.ideal_probabilities[row],
+                self.inaccurate_branches[row],
+            ),
+            violations=[
+                Violation(name=name, excess=simulated - value)
+                for name, value in bounds.items()
+                if simulated - value > BOUND_SLACK_TOL
+            ],
+        )
+
+
+def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> FidelityStack:
+    """analyze() for every row of a (B, 2^n) stack of register states, one
+    spec per row; every spec must have the same error kind.
+
+    The simulation, the fidelities and the reductions run once on the
+    whole stack; each reduced state then gets its own eigensolve and
+    entropy bounds.
+    """
+    specs = list(specs)
+    errors = {_PROTOCOLS[spec.kind].error for spec in specs}
+    if len(errors) != 1:
+        raise ValueError("a stack takes protocols of exactly one error kind")
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    ideal, probs, inaccurate = run_protocols(amplitudes, specs)
+    simulated = mean_gate_fidelities(ideal, inaccurate)
+    bounds: list[dict[str, float]] = []
+    if errors == {ErrorKind.X_TYPE}:
+        rho = linalg.partial_traces(amplitudes, [spec.targets[:1] for spec in specs])
+        reports = entropy.single_qubit_reports(rho)
+        for spec, report in zip(specs, reports):
+            s = min(max(report.purity_S, 0.0), 1.0)
+            sv = min(max(report.von_neumann, 0.0), 1.0)
+            bounds.append({
+                "purity_bound": bound_purity(s, spec.epsilon),
+                "sv_bound": bound_sv(sv, spec.epsilon),
+            })
+    else:
+        rho = linalg.partial_traces(amplitudes, [spec.targets for spec in specs])
+        reports = entropy.two_qubit_reports(rho)
+        for spec, report in zip(specs, reports):
+            sv2 = min(max(report.von_neumann, 0.0), 2.0)
+            bounds.append({"sv2_bound": bound_sv2(sv2, spec.epsilon)} if sv2 >= 1.0 else {})
+    corr = [min(max(report.correlator, -1.0), 1.0) for report in reports]
+    closed = [closed_form_fidelity(c, spec.epsilon) for c, spec in zip(corr, specs)]
+    return FidelityStack(
+        simulated_F=simulated,
+        closed_form_F=np.array(closed),
+        correlator_used=np.array(corr),
+        entanglement=reports,
+        bounds=bounds,
+        ideal_branches=ideal,
+        ideal_probabilities=probs,
+        inaccurate_branches=inaccurate,
+    )
+
+
 def analyze(input_state: PureState, spec: ProtocolSpec) -> FidelityReport:
     """Run a protocol and compare its fidelity against the applicable bounds.
 
     The reduced input state is taken on the first target (bit-flip-error
     protocols) or on the target pair (the CZSWAP two-qubit gate).
     """
-    result = run_protocol(input_state, spec)
-    simulated = mean_gate_fidelity(result)
-    bounds: dict[str, float] = {}
-    if _PROTOCOLS[spec.kind].error is ErrorKind.X_TYPE:
-        rho = linalg.partial_trace(input_state.amplitudes, [spec.targets[0]])
-        report = entropy.single_qubit_report(rho)
-        s = min(max(report.purity_S, 0.0), 1.0)
-        sv = min(max(report.von_neumann, 0.0), 1.0)
-        bounds["purity_bound"] = bound_purity(s, spec.epsilon)
-        bounds["sv_bound"] = bound_sv(sv, spec.epsilon)
-    else:
-        rho = linalg.partial_trace(input_state.amplitudes, list(spec.targets))
-        report = entropy.two_qubit_report(rho)
-        sv2 = min(max(report.von_neumann, 0.0), 2.0)
-        if sv2 >= 1.0:
-            bounds["sv2_bound"] = bound_sv2(sv2, spec.epsilon)
-    corr = min(max(report.correlator, -1.0), 1.0)
-    closed = closed_form_fidelity(corr, spec.epsilon)
-    violations = [
-        Violation(name=name, excess=simulated - value)
-        for name, value in bounds.items()
-        if simulated - value > BOUND_SLACK_TOL
-    ]
-    return FidelityReport(
-        simulated_F=simulated,
-        closed_form_F=closed,
-        correlator_used=corr,
-        entanglement=report,
-        bounds=bounds,
-        result=result,
-        violations=violations,
-    )
+    return analyze_stack(input_state.amplitudes[None], [spec]).report(0)

@@ -5,11 +5,18 @@ Measurements are represented by their two branches: applying the bra of
 a basis vector to the measured qubit removes that qubit from the
 register (indices above it shift down by one) and leaves an
 unnormalized vector whose squared norm is the outcome probability.
+
+`apply_matrix` and `measure_branch` take one vector or a (B, 2^n) stack
+of them, with per-row operators, targets and bases; each row's qubits
+are brought into place by one gather over index tables cached per
+(n, qubit order), so every row costs the same arithmetic as a lone
+vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +69,7 @@ class PureState:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not 1 <= self.n_qubits <= linalg.MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}]")
+        _check_qubit_count(self.n_qubits)
         if self.amplitudes.shape[0] != 2**self.n_qubits:
             raise ValueError("amplitude vector length does not match qubit count")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -76,11 +82,30 @@ class PureState:
         return cls(linalg.n_qubits_of(vec.shape[0]), vec)
 
 
+def _check_qubit_count(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= linalg.MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}]")
+
+
 def basis_state(n_qubits: int, index: int) -> PureState:
     """Computational basis state |index> on n qubits."""
+    _check_qubit_count(n_qubits)
+    if not 0 <= index < 2**n_qubits:
+        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     vec = np.zeros(2**n_qubits, dtype=complex)
     vec[index] = 1.0
     return PureState(n_qubits, vec)
+
+
+class StateStack(NamedTuple):
+    """n-qubit amplitude vectors as the rows of one (B, 2^n) array.
+
+    Stacks are built by the package from states it has already validated,
+    so their rows are not checked again.
+    """
+
+    n_qubits: int
+    amplitudes: np.ndarray
 
 
 @dataclass
@@ -110,23 +135,42 @@ class MeasurementBasis:
         return self.plus_vector if outcome == 0 else self.minus_vector
 
 
+Z_PAIR = np.eye(2, dtype=complex)  # rows |0>, |1>
+
+
+def equatorial_pair(u) -> np.ndarray:
+    """Rows |u+>, |u-> = (|0> +- e^{iu}|1>)/sqrt(2), one (2, 2) pair per u."""
+    e = np.exp(1j * np.asarray(u, dtype=float))[..., None]
+    return np.stack([np.concatenate([np.ones_like(e), e], -1),
+                     np.concatenate([np.ones_like(e), -e], -1)], -2) * _SQ2
+
+
+def tilted_vectors(reference: np.ndarray, epsilon, delta) -> np.ndarray:
+    """Rows (plus, minus) of a reference pair (|r0>, |r1>) tilted by
+    (epsilon, delta):
+
+        plus  = cos(e/2)|r0> + e^{-i delta} sin(e/2)|r1>
+        minus = sin(e/2)|r0> - e^{-i delta} cos(e/2)|r1>
+
+    `reference` is one (2, 2) pair or a stack of them; epsilon and delta
+    broadcast against its leading axes.
+    """
+    reference = np.asarray(reference, dtype=complex)
+    ce = np.cos(np.asarray(epsilon, dtype=float) / 2.0)[..., None]
+    se = np.sin(np.asarray(epsilon, dtype=float) / 2.0)[..., None]
+    ph = np.exp(-1j * np.asarray(delta, dtype=float))[..., None]
+    r0, r1 = reference[..., 0, :], reference[..., 1, :]
+    return np.stack([ce * r0 + ph * se * r1, se * r0 - ph * ce * r1], axis=-2)
+
+
 def deviated_u_basis(u: float, epsilon: float, delta: float) -> MeasurementBasis:
     """Equatorial basis (|0> +- e^{iu}|1>)/sqrt(2), tilted by (epsilon, delta):
 
         plus  = cos(e/2)|u+> + e^{-i delta} sin(e/2)|u->
         minus = sin(e/2)|u+> - e^{-i delta} cos(e/2)|u->
     """
-    u_plus = np.array([1.0, np.exp(1j * u)], dtype=complex) * _SQ2
-    u_minus = np.array([1.0, -np.exp(1j * u)], dtype=complex) * _SQ2
-    ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
-    ph = np.exp(-1j * delta)
-    return MeasurementBasis(
-        plus_vector=ce * u_plus + ph * se * u_minus,
-        minus_vector=se * u_plus - ph * ce * u_minus,
-        u=float(u),
-        epsilon=float(epsilon),
-        delta=float(delta),
-    )
+    plus, minus = tilted_vectors(equatorial_pair(u), epsilon, delta)
+    return MeasurementBasis(plus, minus, u=float(u), epsilon=float(epsilon), delta=float(delta))
 
 
 def deviated_z_basis(epsilon: float, delta: float) -> MeasurementBasis:
@@ -135,59 +179,68 @@ def deviated_z_basis(epsilon: float, delta: float) -> MeasurementBasis:
         |0~> = cos(e/2)|0> + sin(e/2) e^{-i delta}|1>
         |1~> = sin(e/2)|0> - cos(e/2) e^{-i delta}|1>
     """
-    ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
-    ph = np.exp(-1j * delta)
-    return MeasurementBasis(
-        plus_vector=np.array([ce, se * ph], dtype=complex),
-        minus_vector=np.array([se, -ce * ph], dtype=complex),
-        u=None,
-        epsilon=float(epsilon),
-        delta=float(delta),
-    )
+    plus, minus = tilted_vectors(Z_PAIR, epsilon, delta)
+    return MeasurementBasis(plus, minus, u=None, epsilon=float(epsilon), delta=float(delta))
 
 
-@dataclass
-class BranchState:
-    """Post-measurement branch for one outcome; vector may be unnormalized."""
-
-    outcome: int
-    vector: np.ndarray
-    probability: float = field(init=False)
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=complex).reshape(-1)
-        self.probability = float(np.vdot(self.vector, self.vector).real)
-
-
-def _check_targets(targets: Sequence[int], n: int) -> list[int]:
-    targets = [int(t) for t in targets]
+@lru_cache(maxsize=4096)
+def _gate_order(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
+    # the targets first, the rest ascending
     if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits {targets}")
+        raise ValueError(f"duplicate target qubits {list(targets)}")
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target qubit {t} out of range for {n} qubits")
-    return targets
+    return targets + tuple(q for q in range(n) if q not in targets)
+
+
+@lru_cache(maxsize=4096)
+def _measure_order(n: int, qubit: int, keep: tuple[int, ...] | None) -> tuple[int, ...]:
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    rest = tuple(q for q in range(n) if q != qubit)
+    if keep is None:
+        return (qubit,) + rest
+    if sorted(keep) != list(rest):
+        raise ValueError(f"keep={list(keep)} must order the qubits other than {qubit}")
+    return (qubit,) + keep
+
+
+def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
+    # a stack as it is, one vector as a stack of one; `per_row` must give
+    # one entry for every row
+    rows = vec if vec.ndim == 2 else vec.reshape(1, -1)
+    if len(per_row) != len(rows):
+        raise ValueError(f"{len(per_row)} {what} for {len(rows)} rows")
+    return rows
 
 
 def apply_matrix(
-    vec: np.ndarray, op: np.ndarray, targets: Sequence[int], n_qubits: int
+    vec: np.ndarray, op: np.ndarray, targets: Sequence, n_qubits: int
 ) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the listed qubits of a raw vector.
+    """Apply a 2^k x 2^k matrix to the listed qubits of a raw vector, or of
+    every row of a (B, 2^n) stack.
 
     The first listed qubit is the most significant index of `op`.  The
-    matrix need not be unitary (error operators use this path too).
+    matrix need not be unitary (error operators use this path too).  For a
+    stack, `targets` holds one qubit list per row and `op` one matrix for
+    all rows or one per row, (B, 2^k, 2^k).
     """
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = np.asarray(vec, dtype=complex)
+    target_rows = targets if vec.ndim == 2 else [targets]
+    rows = _rows(vec, target_rows, "target lists")
+    if linalg.n_qubits_of(rows.shape[1]) != n_qubits:
+        raise ValueError("vector length does not match qubit count")
+    k = len(target_rows[0])
+    if any(len(row) != k for row in target_rows):
+        raise ValueError("every row must list the same number of targets")
+    orders = [_gate_order(n_qubits, tuple(row)) for row in target_rows]
     op = np.asarray(op, dtype=complex)
-    targets = _check_targets(targets, n_qubits)
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not act on {k} qubits")
-    psi = vec.reshape([2] * n_qubits)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = (op @ psi.reshape(2**k, -1)).reshape([2] * n_qubits)
-    psi = np.moveaxis(psi, range(k), targets)
-    return psi.reshape(-1)
+    psi = op @ linalg.permute_qubits(rows, orders).reshape(len(rows), 2**k, -1)
+    out = linalg.permute_qubits(psi.reshape(len(rows), -1), orders, inverse=True)
+    return out if vec.ndim == 2 else out[0]
 
 
 def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> PureState:
@@ -197,40 +250,57 @@ def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> Pure
 
 
 def measure_branch(
-    state: PureState, qubit: int, basis: MeasurementBasis
-) -> tuple[BranchState, BranchState]:
-    """Both measurement branches of one qubit in the given basis.
+    state: PureState | StateStack,
+    qubit: int | Sequence[int],
+    basis: MeasurementBasis | np.ndarray,
+    keep: Sequence | None = None,
+) -> np.ndarray:
+    """Measurement branches of one qubit, for a state or every row of a stack.
 
     Branch j carries (<basis_j| on the measured qubit (x) identity
-    elsewhere) applied to the state; the measured qubit is removed and
-    the remaining qubits shift down to fill its place.
+    elsewhere) applied to the state; the measured qubit is removed and the
+    remaining qubits shift down to fill its place, or take the order
+    `keep`.  Its squared norm is the probability of outcome j.
+
+    `basis` is a MeasurementBasis or an array of J single-qubit vectors,
+    (J, 2), or one such array per row of a stack, (B, J, 2).  For a stack,
+    `qubit` and `keep` (unless None) give one entry per row.  Returns the
+    branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a stack.
     """
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    psi = state.amplitudes.reshape([2] * n)
-    branches = []
-    for j in range(2):
-        bra = basis.vector(j).conj()
-        v = np.tensordot(bra, psi, axes=([0], [qubit]))
-        branches.append(BranchState(outcome=j, vector=v.reshape(-1)))
-    return branches[0], branches[1]
+    amplitudes = np.asarray(state.amplitudes, dtype=complex)
+    stack = amplitudes.ndim == 2
+    qubits = qubit if stack else [qubit]
+    rows = _rows(amplitudes, qubits, "measured qubits")
+    keeps = keep if stack and keep is not None else [keep] * len(rows)
+    if len(keeps) != len(rows):
+        raise ValueError(f"{len(keeps)} qubit orders for {len(rows)} rows")
+    if isinstance(basis, MeasurementBasis):
+        basis = np.array([basis.plus_vector, basis.minus_vector])
+    orders = [
+        _measure_order(state.n_qubits, q, None if k is None else tuple(k))
+        for q, k in zip(qubits, keeps)
+    ]
+    psi = linalg.permute_qubits(rows, orders).reshape(len(rows), 2, -1)
+    branches = np.asarray(basis, dtype=complex).conj() @ psi
+    return branches if stack else branches[0]
 
 
-def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - e^{it} b| with the phase chosen to maximize the overlap.
+def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """max |a - e^{it} b| with the phase chosen to maximize the overlap,
+    for two vectors or row by row for two stacks of them.
 
     Zero when the vectors agree up to a global phase; stable down to
     roundoff (no cancellation through norms).
     """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
-    ov = np.vdot(b, a)
-    if abs(ov) < 1e-300:
-        return float(np.max(np.abs(a - b)))
-    return float(np.max(np.abs(a - (ov / abs(ov)) * b)))
+    ov = np.einsum("...i,...i->...", b.conj(), a)[..., None]
+    size = np.abs(ov)
+    phase = np.where(size < 1e-300, 1.0, ov / np.where(size < 1e-300, 1.0, size))
+    diff = np.max(np.abs(a - phase * b), axis=-1)
+    return float(diff) if a.ndim == 1 else diff
 
 
 def random_pure_state(n_qubits: int, seed) -> PureState:
@@ -238,8 +308,7 @@ def random_pure_state(n_qubits: int, seed) -> PureState:
 
     `seed` may be an int or a sequence of ints (a derived stream key).
     """
-    if not 1 <= n_qubits <= linalg.MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}]")
+    _check_qubit_count(n_qubits)
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     vec /= np.linalg.norm(vec)

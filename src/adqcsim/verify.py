@@ -5,14 +5,19 @@ family that defeats any entropy bound below 1.
 
 Campaign samples are independent: sample i derives its random stream
 from (campaign seed, i), so reports are reproducible and do not depend on
-the order in which samples are evaluated.
+the order in which samples are evaluated.  Protocol campaigns draw each
+sample on its own, then evaluate the draws in chunks of _CHUNK: one stack
+per register size and reduction shape, whatever the protocol kinds.  The
+samples are folded into the report in index order, so the report does not
+depend on the chunk size either.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,6 +154,10 @@ _SATURATION_S = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 _ALL_KINDS = tuple(ProtocolKind)
 
+# Items evaluated together on one stack: enough to amortize the per-call
+# numpy overhead, few enough to keep the stacks of 8-qubit registers small.
+_CHUNK = 32
+
 
 @dataclass
 class CampaignConfig:
@@ -224,7 +233,15 @@ def _density_payload(index: int, purification: PureState, n_keep: int) -> dict:
     }
 
 
-def _draw_protocol(cfg: CampaignConfig, rng, kinds) -> tuple[int, ProtocolSpec]:
+class _ProtocolDraw(NamedTuple):
+    index: int
+    state: PureState
+    spec: ProtocolSpec
+
+
+def _draw_protocol(cfg: CampaignConfig, i: int, kinds=_ALL_KINDS) -> _ProtocolDraw:
+    # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
+    rng = np.random.default_rng([cfg.seed, i])
     kind = kinds[int(rng.integers(len(kinds)))]
     n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
     if kind in protocols.ROTATION_KINDS:
@@ -237,28 +254,50 @@ def _draw_protocol(cfg: CampaignConfig, rng, kinds) -> tuple[int, ProtocolSpec]:
         u = None
     eps = float(cfg.epsilon_grid[int(rng.integers(len(cfg.epsilon_grid)))])
     delta = float(cfg.delta_grid[int(rng.integers(len(cfg.delta_grid)))])
-    return n, ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta)
-
-
-def _sample_protocol(
-    cfg: CampaignConfig, i: int, kinds=_ALL_KINDS, bound: str | None = None
-) -> _Sample:
-    # draw a protocol and a Haar-random register, simulate, then compare the
-    # simulated fidelity with the closed form (bound None) or with a bound
-    rng = np.random.default_rng([cfg.seed, i])
-    n, spec = _draw_protocol(cfg, rng, kinds)
     psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
-    rep = protocols.analyze(psi, spec)
-    payload = partial(_protocol_payload, i, psi, spec)
-    if bound is None:
-        return _Sample(abs(rep.simulated_F - rep.closed_form_F), payload)
-    if bound not in rep.bounds:  # sv2 entropy below the bound's domain
-        return _Sample(violation=None, stats={"filtered_below_domain": 1})
-    stats = {"min_sv2": rep.entanglement.von_neumann} if bound == "sv2_bound" else None
-    return _Sample(rep.simulated_F - rep.bounds[bound], payload, stats)
+    return _ProtocolDraw(i, psi, ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta))
 
 
-def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
+def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityStack, int]]:
+    # One stack per register size and reduction shape, whatever the kinds;
+    # returns each draw's (stack, row) in draw order.
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for pos, d in enumerate(draws):
+        key = (d.state.n_qubits, d.spec.kind in protocols.X_ERROR_KINDS)
+        groups.setdefault(key, []).append(pos)
+    out: list = [None] * len(draws)
+    for positions in groups.values():
+        stack = protocols.analyze_stack(
+            np.array([draws[p].state.amplitudes for p in positions]),
+            [draws[p].spec for p in positions],
+        )
+        for row, p in enumerate(positions):
+            out[p] = (stack, row)
+    return out
+
+
+def _evaluate_protocol(
+    cfg: CampaignConfig, draws: list[_ProtocolDraw], bound: str | None = None
+) -> list[_Sample]:
+    # compare the simulated fidelity with the closed form (bound None) or
+    # with a bound
+    out = []
+    for d, (stack, row) in zip(draws, _analyze_draws(draws)):
+        simulated = float(stack.simulated_F[row])
+        payload = partial(_protocol_payload, d.index, d.state, d.spec)
+        if bound is None:
+            out.append(_Sample(abs(simulated - float(stack.closed_form_F[row])), payload))
+        elif bound not in stack.bounds[row]:  # sv2 entropy below the bound's domain
+            out.append(_Sample(violation=None, stats={"filtered_below_domain": 1}))
+        else:
+            ent = stack.entanglement[row]
+            stats = {"min_sv2": ent.von_neumann} if bound == "sv2_bound" else None
+            out.append(_Sample(simulated - stack.bounds[row][bound], payload, stats))
+    return out
+
+
+def _draw_equivalence(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
+    # one register and one set of angles for every rotation protocol
     rng = np.random.default_rng([cfg.seed, i])
     n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
     psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
@@ -266,24 +305,35 @@ def _sample_equivalence(cfg: CampaignConfig, i: int) -> _Sample:
     u = float(rng.uniform(0.0, 2.0 * np.pi))
     eps = float(rng.uniform(0.0, np.pi))
     delta = float(rng.uniform(0.0, 2.0 * np.pi))
-    runs = [
-        protocols.run_protocol(
-            psi, ProtocolSpec(kind, (t,), u=u, epsilon=eps, delta=delta)
-        )
-        for kind in protocols.ROTATION_KINDS
-    ]
-    worst = 0.0
-    for a in range(len(runs)):
-        for b in range(a + 1, len(runs)):
-            for j in range(2):
-                worst = max(
-                    worst,
-                    qcore.phase_aligned_max_diff(
-                        runs[a].inaccurate_branches[j], runs[b].inaccurate_branches[j]
-                    ),
-                )
     spec = ProtocolSpec(protocols.ROTATION_KINDS[0], (t,), u=u, epsilon=eps, delta=delta)
-    return _Sample(violation=worst, payload=partial(_protocol_payload, i, psi, spec))
+    return _ProtocolDraw(i, psi, spec)
+
+
+def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> list[_Sample]:
+    # the largest phase-aligned distance between the inaccurate branches of
+    # any two rotation protocols, per outcome; one stack per register size
+    # and kind
+    worst = [0.0] * len(draws)
+    for n in sorted({d.state.n_qubits for d in draws}):
+        positions = [p for p, d in enumerate(draws) if d.state.n_qubits == n]
+        amplitudes = np.array([draws[p].state.amplitudes for p in positions])
+        runs = [
+            protocols.run_protocols(
+                amplitudes, [dataclasses.replace(draws[p].spec, kind=kind) for p in positions]
+            )[2]
+            for kind in protocols.ROTATION_KINDS
+        ]
+        diffs = np.max([
+            qcore.phase_aligned_max_diff(runs[a], runs[b])
+            for a in range(len(runs))
+            for b in range(a + 1, len(runs))
+        ], axis=(0, 2))
+        for p, diff in zip(positions, diffs.tolist()):
+            worst[p] = diff
+    return [
+        _Sample(violation=w, payload=partial(_protocol_payload, d.index, d.state, d.spec))
+        for d, w in zip(draws, worst)
+    ]
 
 
 def _sample_density(cfg: CampaignConfig, i: int, check: Callable) -> _Sample:
@@ -311,7 +361,7 @@ def _saturation_sweep(cfg: CampaignConfig) -> int:
     return (len(_SATURATION_S) + 1) * len(cfg.epsilon_grid)
 
 
-def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
+def _draw_saturation(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
     rng = np.random.default_rng([cfg.seed, i])
     n_eps = len(cfg.epsilon_grid)
     j = i % _saturation_sweep(cfg)
@@ -324,8 +374,6 @@ def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
             kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
             delta=float(rng.uniform(0.0, 2.0 * np.pi)),
         )
-        rep = protocols.analyze(psi, spec)
-        violation = abs(rep.simulated_F - rep.bounds["purity_bound"])
     else:
         eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
         psi = bell_pair_register()
@@ -333,14 +381,28 @@ def _sample_saturation(cfg: CampaignConfig, i: int) -> _Sample:
             ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
             delta=float(rng.uniform(0.0, 2.0 * np.pi)),
         )
-        rep = protocols.analyze(psi, spec)
-        violation = abs(rep.simulated_F - rep.bounds["sv2_bound"])
-    return _Sample(violation=violation, payload=partial(_protocol_payload, i, psi, spec))
+    return _ProtocolDraw(i, psi, spec)
+
+
+def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> list[_Sample]:
+    # the purity registers meet the purity bound, the Bell pairs the sv2 bound
+    out = []
+    for d, (stack, row) in zip(draws, _analyze_draws(draws)):
+        bound = "purity_bound" if d.spec.kind in protocols.ROTATION_KINDS else "sv2_bound"
+        violation = abs(float(stack.simulated_F[row]) - stack.bounds[row][bound])
+        out.append(_Sample(violation, partial(_protocol_payload, d.index, d.state, d.spec)))
+    return out
+
+
+@lru_cache(maxsize=4)
+def _lambda_grid(samples: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, max(samples, 2))
+    grid.flags.writeable = False
+    return grid
 
 
 def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
-    lam_grid = np.linspace(0.0, 1.0, max(cfg.samples, 2))
-    lam = float(lam_grid[i])
+    lam = float(_lambda_grid(cfg.samples)[i])
     rho = rho_lambda(lam)
     czz = entropy.correlator(rho, _ZZ)
     violation = abs(czz - 1.0)  # exactly 0: the correlator is blind to lam
@@ -363,44 +425,53 @@ def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
 class _Campaign:
     """One campaign: its sampler, default sample count and tolerance, the
     register sizes and epsilon grid it draws from, the items each sample
-    sweeps (one unless `sweep` says otherwise) and a note for its report."""
-    sample: Callable[[CampaignConfig, int], _Sample]
+    sweeps (one unless `sweep` says otherwise) and a note for its report.
+
+    `sample(cfg, i)` draws item i.  With `evaluate`, the draws of one chunk
+    of items are evaluated together into their samples; without, each
+    draw is already its sample.
+    """
+    sample: Callable[[CampaignConfig, int], object]
     samples: int
     tolerance: float
     register_sizes: tuple[int, ...] = (2, 3, 4, 5)
     epsilon_grid: tuple[float, ...] = _EPSILON_GRID
     sweep: Callable[[CampaignConfig], int] | None = None
     note: str | None = None
+    evaluate: Callable[[CampaignConfig, list], list[_Sample]] | None = None
 
     def items(self, cfg: CampaignConfig) -> int:
         return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
 
 
+def _protocol_campaign(samples, tolerance, kinds=_ALL_KINDS, bound=None, **row) -> _Campaign:
+    return _Campaign(
+        partial(_draw_protocol, kinds=kinds), samples, tolerance,
+        evaluate=partial(_evaluate_protocol, bound=bound), **row,
+    )
+
+
 _CAMPAIGNS: dict[str, _Campaign] = {
-    "equality_oracle": _Campaign(_sample_protocol, 1000, 1e-10),
-    "bound_main": _Campaign(
-        partial(_sample_protocol, kinds=protocols.X_ERROR_KINDS, bound="purity_bound"),
-        1000, 1e-9,
+    "equality_oracle": _protocol_campaign(1000, 1e-10),
+    "bound_main": _protocol_campaign(
+        1000, 1e-9, kinds=protocols.X_ERROR_KINDS, bound="purity_bound"
     ),
-    "bound_sv": _Campaign(
-        partial(_sample_protocol, kinds=protocols.X_ERROR_KINDS, bound="sv_bound"),
-        1000, 1e-9,
-    ),
-    "bound_main2": _Campaign(
-        partial(
-            _sample_protocol, kinds=(ProtocolKind.ADQC_CZSWAP_GATE,), bound="sv2_bound"
-        ),
-        1000, 1e-9, register_sizes=(4, 5),
+    "bound_sv": _protocol_campaign(1000, 1e-9, kinds=protocols.X_ERROR_KINDS, bound="sv_bound"),
+    "bound_main2": _protocol_campaign(
+        1000, 1e-9, kinds=(ProtocolKind.ADQC_CZSWAP_GATE,), bound="sv2_bound",
+        register_sizes=(4, 5),
     ),
     "circuit_equivalence": _Campaign(
-        _sample_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5)
+        _draw_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5),
+        evaluate=_evaluate_equivalence,
     ),
     "jonas": _Campaign(partial(_sample_density, check=check_jonas), 1000, 1e-9),
     "monotonicity": _Campaign(_sample_monotonicity, 1000, 1e-9),
     "interm": _Campaign(partial(_sample_density, check=check_interm), 1000, 1e-9),
     "saturation": _Campaign(
-        _sample_saturation, 1, 1e-9,
+        _draw_saturation, 1, 1e-9,
         epsilon_grid=_SATURATION_EPSILONS, sweep=_saturation_sweep,
+        evaluate=_evaluate_saturation,
     ),
     "counterexample": _Campaign(
         _sample_counterexample, 21, 1e-15,
@@ -449,18 +520,26 @@ def _merge_stats(total: dict, update: dict | None) -> None:
             total[key] = total.get(key, 0) + val
 
 
+def _evaluate(campaign: _Campaign, config: CampaignConfig, indices) -> list[_Sample]:
+    drawn = [campaign.sample(config, i) for i in indices]
+    return campaign.evaluate(config, drawn) if campaign.evaluate else drawn
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    """Run one named campaign, drawing each sample and folding it into the
-    report in index order; the report is deterministic per config.  A
-    campaign that runs no check fails."""
+    """Run one named campaign: draw each item, evaluate the items in chunks
+    of _CHUNK on stacks, and fold the samples into the report in index
+    order; the report is deterministic per config.  A campaign that runs
+    no check fails."""
     campaign = _campaign(config.name)
     checks_run = 0
     max_violation = -math.inf
     worst: Callable[[], dict] | None = None
     stats: dict = {}
     non_finite = False
-    for i in range(campaign.items(config)):  # index order fixes the argmax tie-break
-        s = campaign.sample(config, i)
+    count = campaign.items(config)
+    chunks = (range(a, min(a + _CHUNK, count)) for a in range(0, count, _CHUNK))
+    # index order fixes the argmax tie-break
+    for s in (s for chunk in chunks for s in _evaluate(campaign, config, chunk)):
         _merge_stats(stats, s.stats)
         if s.violation is None:
             continue

@@ -117,6 +117,16 @@ def test_curves_bad_grid_is_usage_error():
     assert cli.main(["curves", "fig5", "--grid", "1"]) == 2
 
 
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7"])
+def test_curves_grid_above_the_limit_is_usage_error(monkeypatch, figure):
+    # refused before any grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert cli.main(["curves", figure, "--grid", str(cli.MAX_CURVE_GRID + 1)]) == 2
+
+
 def test_curves_bad_s_value():
     assert cli.main(["curves", "fig5", "--s-values", "2.0"]) == 2
 
@@ -261,16 +271,17 @@ def test_demo_saturate_preset(capsys):
 
 
 def test_demo_runs_the_protocol_once(monkeypatch, capsys):
+    # every simulation goes through the stacked run_protocols
     calls = []
-    run = protocols.run_protocol
+    run = protocols.run_protocols
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run(*args, **kwargs)
+    def counted(amplitudes, specs):
+        calls.append(len(specs))
+        return run(amplitudes, specs)
 
-    monkeypatch.setattr(protocols, "run_protocol", counted)
+    monkeypatch.setattr(protocols, "run_protocols", counted)
     info = demo_json(["demo", "ADQC_CZ_GATE", "--preset", "ghz:3", "--epsilon", "0.4"], capsys)
-    assert len(calls) == 1
+    assert calls == [1]
     assert sum(info["branch_probabilities"]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -322,6 +333,14 @@ def test_preset_errors():
         cli.preset_state("nosuch")
     with pytest.raises(ValueError):
         cli.preset_state("saturate")
+
+
+@pytest.mark.parametrize("token", ["ghz:-1", "ghz:0", "ghz:9", "product:-2", "product:0", "product:9"])
+def test_preset_register_size_out_of_range(token, capsys):
+    with pytest.raises(ValueError, match="outside"):
+        cli.preset_state(token)
+    assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", token]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_preset_shapes():

@@ -166,23 +166,48 @@ def test_partial_trace_errors():
         linalg.partial_trace(np.ones(3, dtype=complex), [0])
 
 
-# ------------------------------------------------- hermitian_eigenvalues
+def test_partial_traces_match_each_row():
+    rng = np.random.default_rng(14)
+    n, rows = 5, 9
+    states = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    keeps = [[int(q) for q in rng.choice(n, size=2, replace=False)] for _ in range(rows)]
+    got = linalg.partial_traces(states, keeps)
+    for b in range(rows):
+        assert np.array_equal(got[b], linalg.partial_trace(states[b], keeps[b]))
+    with pytest.raises(ValueError):
+        linalg.partial_traces(states, [[0]] + keeps[1:])  # keeps of different sizes
+
+
+def test_permute_qubits_inverse_round_trip():
+    rng = np.random.default_rng(18)
+    n, rows = 4, 6
+    states = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    orders = [tuple(int(q) for q in rng.permutation(n)) for _ in range(rows)]
+    moved = linalg.permute_qubits(states, orders)
+    for b in range(rows):
+        want = states[b].reshape([2] * n).transpose(orders[b]).reshape(-1)
+        assert np.array_equal(moved[b], want)
+    assert np.array_equal(linalg.permute_qubits(moved, orders, inverse=True), states)
+
+
+# --------------------------------------------- eigenvalues of jacobi_eigh
 
 def test_eigenvalues_pauli_x():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(linalg.hermitian_eigenvalues(x), [-1, 1], atol=1e-14)
+    assert np.allclose(linalg.jacobi_eigh(x)[0], [-1, 1], atol=1e-14)
 
 
 def test_eigenvalues_diagonal():
     assert np.allclose(
-        linalg.hermitian_eigenvalues(np.diag([3.0, 1.0])), [1, 3], atol=1e-15
+        linalg.jacobi_eigh(np.diag([3.0, 1.0]))[0], [1, 3], atol=1e-15
     )
 
 
 def test_eigenvalues_ghz_reduction():
     rho = linalg.partial_trace(GHZ, [0, 1])
     assert np.allclose(
-        linalg.hermitian_eigenvalues(rho), [0, 0, 0.5, 0.5], atol=1e-12
+        linalg.jacobi_eigh(rho)[0], [0, 0, 0.5, 0.5], atol=1e-12
     )
 
 
@@ -191,7 +216,7 @@ def test_eigenvalues_match_reference():
     for _ in range(40):
         n = int(rng.integers(1, 17))
         h = random_hermitian(n, rng)
-        got = linalg.hermitian_eigenvalues(h)
+        got = linalg.jacobi_eigh(h)[0]
         ref = np.linalg.eigvalsh(h)
         assert np.max(np.abs(got - ref)) < 1e-10
         assert abs(got.sum() - np.trace(h).real) < 1e-10
@@ -204,7 +229,7 @@ def test_eigenvalues_unitary_conjugation():
         d = np.sort(rng.uniform(-1.0, 1.0, n))
         u = random_unitary(n, rng)
         h = (u * d) @ u.conj().T
-        got = linalg.hermitian_eigenvalues(h)
+        got = linalg.jacobi_eigh(h)[0]
         assert np.max(np.abs(got - d)) < 1e-10
 
 
@@ -220,11 +245,11 @@ def test_jacobi_returns_eigenvectors():
 
 def test_eigenvalues_errors():
     with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))[0]
     with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues(np.eye(32))
+        linalg.jacobi_eigh(np.eye(32))[0]
     with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues(np.ones((2, 3)))
+        linalg.jacobi_eigh(np.ones((2, 3)))[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

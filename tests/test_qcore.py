@@ -150,6 +150,18 @@ def test_pure_state_validation():
     assert st.n_qubits == 2
 
 
+@pytest.mark.parametrize("n, index", [(2, -1), (2, 4), (1, 2), (3, -8)])
+def test_basis_state_rejects_index_out_of_range(n, index):
+    with pytest.raises(ValueError, match="out of range"):
+        basis_state(n, index)
+
+
+@pytest.mark.parametrize("n", [-2, 0, 9])
+def test_basis_state_rejects_qubit_count_out_of_range(n):
+    with pytest.raises(ValueError, match="n_qubits"):
+        basis_state(n, 0)
+
+
 # ------------------------------------------------------------ apply_gate
 
 def test_apply_cz_phase():
@@ -195,21 +207,61 @@ def test_apply_gate_preserves_norm():
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-12
 
 
+def test_apply_matrix_on_a_stack_matches_each_row():
+    # per-row operators and targets; each row equals its lone-vector result
+    rng = np.random.default_rng(36)
+    n, rows = 4, 12
+    vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    ops = np.array([random_unitary(4, rng) for _ in range(rows)])
+    targets = [tuple(int(t) for t in rng.choice(n, size=2, replace=False)) for _ in range(rows)]
+    got = qcore.apply_matrix(vecs, ops, targets, n)
+    for b in range(rows):
+        assert np.array_equal(got[b], qcore.apply_matrix(vecs[b], ops[b], targets[b], n))
+    with pytest.raises(ValueError):
+        qcore.apply_matrix(vecs, ops, targets[:-1], n)
+
+
+def test_measure_branch_on_a_stack_matches_each_row():
+    rng = np.random.default_rng(37)
+    n, rows = 4, 10
+    vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    bases = [qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
+    vectors = np.array([[b.plus_vector, b.minus_vector] for b in bases])
+    qubits = [int(q) for q in rng.integers(n, size=rows)]
+    keeps = [tuple(int(x) for x in rng.permutation([x for x in range(n) if x != q])) for q in qubits]
+    got = qcore.measure_branch(qcore.StateStack(n, vecs), qubits, vectors, keeps)
+    for b in range(rows):
+        want = qcore.measure_branch(PureState(n, vecs[b]), qubits[b], bases[b])
+        # the kept qubits in the order `keep` (one transpose of each branch)
+        rest = [x for x in range(n) if x != qubits[b]]
+        perm = [rest.index(x) for x in keeps[b]]
+        for j in range(2):
+            moved = want[j].reshape([2] * (n - 1)).transpose(perm).reshape(-1)
+            assert np.max(np.abs(got[b, j] - moved)) < 1e-15
+    with pytest.raises(ValueError):
+        qcore.measure_branch(qcore.StateStack(n, vecs), qubits[:-1], vectors)
+
+
 # --------------------------------------------------------- measure_branch
+
+def probability(branch):
+    return float(np.vdot(branch, branch).real)
+
 
 def test_measure_plus_in_z():
     plus = PureState.from_vector(np.array([1, 1], dtype=complex) / np.sqrt(2))
     b0, b1 = qcore.measure_branch(plus, 0, qcore.deviated_z_basis(0.0, 0.0))
-    assert b0.probability == pytest.approx(0.5, abs=1e-12)
-    assert b1.probability == pytest.approx(0.5, abs=1e-12)
+    assert probability(b0) == pytest.approx(0.5, abs=1e-12)
+    assert probability(b1) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_eigenstate_in_u_basis():
     u = 1.3
     u_plus = PureState.from_vector(np.array([1, np.exp(1j * u)]) / np.sqrt(2))
     b0, b1 = qcore.measure_branch(u_plus, 0, qcore.deviated_u_basis(u, 0.0, 0.0))
-    assert b0.probability == pytest.approx(1.0, abs=1e-12)
-    assert b1.probability == pytest.approx(0.0, abs=1e-12)
+    assert probability(b0) == pytest.approx(1.0, abs=1e-12)
+    assert probability(b1) == pytest.approx(0.0, abs=1e-12)
 
 
 def _plain_z_basis():
@@ -223,8 +275,8 @@ def _plain_z_basis():
 def test_measure_bell_branches():
     bell = PureState.from_vector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
     b0, b1 = qcore.measure_branch(bell, 0, _plain_z_basis())
-    assert np.allclose(b0.vector, [1 / np.sqrt(2), 0])
-    assert np.allclose(b1.vector, [0, 1 / np.sqrt(2)])
+    assert np.allclose(b0, [1 / np.sqrt(2), 0])
+    assert np.allclose(b1, [0, 1 / np.sqrt(2)])
 
 
 def test_measure_removes_qubit_and_shifts():
@@ -233,8 +285,8 @@ def test_measure_removes_qubit_and_shifts():
     vec = np.kron(np.kron([1, 0], [0, 1]), plus).astype(complex)
     st = PureState.from_vector(vec)
     b0, b1 = qcore.measure_branch(st, 1, _plain_z_basis())
-    assert b0.probability == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(b1.vector, np.kron([1, 0], plus))
+    assert probability(b0) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(b1, np.kron([1, 0], plus))
 
 
 def test_measure_probabilities_sum_to_one():
@@ -244,8 +296,8 @@ def test_measure_probabilities_sum_to_one():
         st = qcore.random_pure_state(n, [33, trial])
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
-        assert b0.probability + b1.probability == pytest.approx(1.0, abs=1e-12)
-        assert b0.probability > -1e-12 and b1.probability > -1e-12
+        assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
+        assert probability(b0) > -1e-12 and probability(b1) > -1e-12
 
 
 def test_measure_reconstruction():
@@ -257,9 +309,9 @@ def test_measure_reconstruction():
         qubit = int(rng.integers(n))
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
-        for b in qcore.measure_branch(st, qubit, basis):
+        for j, b in enumerate(qcore.measure_branch(st, qubit, basis)):
             shape = [2] * (n - 1)
-            outer = np.tensordot(basis.vector(b.outcome), b.vector.reshape(shape), axes=0)
+            outer = np.tensordot(basis.vector(j), b.reshape(shape), axes=0)
             rebuilt += np.moveaxis(outer, 0, qubit)
         assert np.max(np.abs(rebuilt.reshape(-1) - st.amplitudes)) < 1e-12
 

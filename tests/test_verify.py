@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adqcsim import entropy, linalg, stateio, verify
+from adqcsim import entropy, linalg, protocols, stateio, verify
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 MAX_MIXED = np.eye(4, dtype=complex) / 4.0
@@ -364,22 +364,70 @@ def test_campaign_deterministic():
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_samples_are_independent_of_evaluation_order(name):
-    # sample i depends on (seed, i) alone, so evaluating the items in reverse
-    # gives the same checks as evaluating them forward
+    # sample i depends on (seed, i) alone, so drawing and evaluating the
+    # chunks in reverse index order, or each item alone in reverse, gives
+    # the same checks as evaluating the chunks forward
     config = verify.default_config(name, samples=6, seed=5)
     campaign = verify._CAMPAIGNS[name]
     count = campaign.items(config)
+    chunks = [range(a, min(a + 4, count)) for a in range(0, count, 4)]
 
-    def evaluate(indices):
+    def evaluate(chunk_order):
         out = {}
-        for i in indices:
-            s = campaign.sample(config, i)
-            out[i] = (s.violation, s.stats, s.payload() if s.payload else None)
+        for chunk in chunk_order:
+            for i, s in zip(chunk, verify._evaluate(campaign, config, chunk)):
+                out[i] = (s.violation, s.stats, s.payload() if s.payload else None)
         return [out[i] for i in range(count)]
 
-    forward = evaluate(range(count))
-    assert forward == evaluate(reversed(range(count)))
+    forward = evaluate(chunks)
+    assert forward == evaluate([chunk[::-1] for chunk in reversed(chunks)])
+    assert forward == evaluate([[i] for i in reversed(range(count))])
     assert len(forward) == count >= 6
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
+    # 40 samples cross the default chunk boundary; the tolerance fails
+    # every campaign that has a positive violation, so the worst-case
+    # payload is compared too
+    samples = 2 if name == "saturation" else 40
+    config = verify.default_config(name, samples=samples, seed=7, tolerance=1e-300)
+    reports = []
+    for chunk in (1, 7, 32, verify._CAMPAIGNS[name].items(config)):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        reports.append(json.dumps(verify.run_campaign(config).to_json_dict(), sort_keys=True))
+    assert reports == [reports[0]] * 4
+
+
+@pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
+def test_analyze_matches_the_chunked_evaluation(kind):
+    # analyze is a batch of one over the code that evaluates a chunk
+    config = verify.default_config("equality_oracle", samples=40, seed=3)
+    draws = [verify._draw_protocol(config, i, kinds=(kind,)) for i in range(40)]
+    for d, (stack, row) in zip(draws, verify._analyze_draws(draws)):
+        rep = protocols.analyze(d.state, d.spec)
+        assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
+        assert abs(rep.closed_form_F - stack.closed_form_F[row]) <= 1e-15
+        assert abs(rep.correlator_used - stack.correlator_used[row]) <= 1e-15
+        assert rep.bounds.keys() == stack.bounds[row].keys()
+        for name, value in rep.bounds.items():
+            assert abs(value - stack.bounds[row][name]) <= 1e-15
+        assert rep.entanglement == stack.entanglement[row]
+
+
+def test_counterexample_builds_its_lambda_grid_once(monkeypatch):
+    verify._lambda_grid.cache_clear()
+    calls = []
+    linspace = np.linspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    report = verify.run_campaign(verify.default_config("counterexample", samples=50, seed=1))
+    assert report.passed and report.checks_run == 50
+    assert calls == [(0.0, 1.0, 50)]
 
 
 def test_campaign_failure_reports_worst_case():
