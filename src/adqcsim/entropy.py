@@ -23,22 +23,19 @@ class BoundDomainError(ValueError):
 @dataclass(frozen=True)
 class Density:
     """A validated density matrix with the eigenpairs of its one solve:
-    eigenvalues ascending, eigenvectors as the columns of `eigenvectors`."""
+    eigenvalues ascending, eigenvectors as the columns of `eigenvectors`.
+
+    A (B, d, d) stack of them is one Density too, each field gaining the
+    leading axis; indexing selects along it (`stack[b]` is one matrix,
+    `one[None]` a stack of one).
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-
-def _eigenpairs(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # A diagonal matrix (a dephased state) is read off its diagonal, with
-    # the same values and order the Jacobi kernel returns for it.
-    diag = rho.diagonal()
-    if np.count_nonzero(rho) == np.count_nonzero(diag):
-        w = diag.real
-        order = np.argsort(w, kind="stable")
-        return w[order], np.eye(len(w), dtype=complex)[:, order]
-    return linalg.jacobi_eigh(rho)
+    def __getitem__(self, rows) -> "Density":
+        return Density(self.matrix[rows], self.eigenvalues[rows], self.eigenvectors[rows])
 
 
 def validate_density(
@@ -51,19 +48,18 @@ def validate_density(
     through after the dimension check.
     """
     if isinstance(rho, Density):
-        if dims is not None and rho.matrix.shape[0] not in dims:
-            raise ValueError(f"density matrix dimension {rho.matrix.shape[0]} not in {dims}")
+        if dims is not None and rho.matrix.shape[-1] not in dims:
+            raise ValueError(f"density matrix dimension {rho.matrix.shape[-1]} not in {dims}")
         return rho
-    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims))
+    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims)[None])[0]
 
 
-def validate_densities(
-    rhos: np.ndarray, dims: tuple[int, ...] | None = None
-) -> list[Density]:
-    """validate_density over a (B, d, d) stack: the finiteness, Hermiticity
-    and trace checks run once on the whole stack, then every matrix gets
-    its one eigensolve and positivity check."""
-    return [_solved(rho) for rho in _checked(np.asarray(rhos, dtype=complex), 3, dims)]
+def validate_densities(rhos: np.ndarray, dims: tuple[int, ...] | None = None) -> Density:
+    """validate_density over a (B, d, d) stack, returned as one Density:
+    the finiteness, Hermiticity and trace checks run once on the whole
+    stack, diagonal matrices are read off their diagonals, and every other
+    matrix gets its one eigensolve."""
+    return _solved(_checked(np.asarray(rhos, dtype=complex), 3, dims))
 
 
 def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarray:
@@ -83,17 +79,46 @@ def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarr
     return m
 
 
-def _solved(rho: np.ndarray) -> Density:
-    evals, evecs = _eigenpairs(rho)
-    if evals[0] < -DENSITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
-    return Density(rho, evals, evecs)
+def _diagonal_eigenpairs(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigenpairs of diagonal matrices from their (..., d) diagonals, with
+    # the same values and order the Jacobi kernel returns for them
+    w = diag.real
+    order = np.argsort(w, axis=-1, kind="stable")
+    eye = np.eye(w.shape[-1], dtype=complex)
+    return np.take_along_axis(w, order, axis=-1), eye[order].swapaxes(-1, -2)
+
+
+def _solved(m: np.ndarray) -> Density:
+    # Eigenpairs of a checked (B, d, d) stack and its positivity test.  A
+    # diagonal matrix (a dephased state) is read off its diagonal; every
+    # other matrix, made exactly Hermitian, gets one Jacobi solve.
+    diag = m.diagonal(axis1=1, axis2=2)
+    solve = np.count_nonzero(m, axis=(1, 2)) != np.count_nonzero(diag, axis=1)
+    if solve.all():
+        evals, evecs = _jacobi_eigenpairs(m)
+    else:
+        evals, evecs = _diagonal_eigenpairs(diag)
+        if solve.any():
+            evals[solve], evecs[solve] = _jacobi_eigenpairs(m[solve])
+    negative = evals[:, 0] < -DENSITY_TOL
+    if negative.any():
+        raise ValueError(f"density matrix has negative eigenvalue {evals[negative, 0][0]}")
+    return Density(m, evals, evecs)
+
+
+def _jacobi_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one run of the rotation kernel per matrix of a checked stack
+    if m.shape[-1] > linalg.MAX_EIG_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds eigensolver limit {linalg.MAX_EIG_DIM}")
+    pairs = [linalg._jacobi(a) for a in (0.5 * (m + m.conj().swapaxes(1, 2))).tolist()]
+    return np.array([w for w, _ in pairs]), np.array([v for _, v in pairs], dtype=complex)
 
 
 def _spectrum(rho: np.ndarray | Density, dims: tuple[int, ...] | None = None) -> np.ndarray:
-    """Validated eigenvalues, clamped to [0, inf) and renormalized to sum 1."""
+    """Validated eigenvalues, clamped to [0, inf) and renormalized to sum 1
+    (per matrix of a stack)."""
     evals = np.maximum(validate_density(rho, dims).eigenvalues, 0.0)
-    return evals / evals.sum()
+    return evals / evals.sum(axis=-1, keepdims=True)
 
 
 def _plogp(p: np.ndarray) -> float | np.ndarray:
@@ -219,11 +244,10 @@ class EntanglementReport:
 _ZZ = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
 
 
-def _reports(densities: list[Density], single: bool) -> list[EntanglementReport]:
+def _reports(densities: Density, single: bool) -> list[EntanglementReport]:
     # entropies from each matrix's own spectrum; correlators over the stack
-    matrices = np.array([d.matrix for d in densities])
-    p = np.maximum(np.array([d.eigenvalues for d in densities]), 0.0)
-    p = p / p.sum(axis=1, keepdims=True)
+    matrices = densities.matrix
+    p = _spectrum(densities)
     sv = (np.maximum(-_plogp(p), 0.0) + 0.0).tolist()
     if single:
         purity = (np.maximum(2.0 * (1.0 - np.sum(p * p, axis=1)), 0.0) + 0.0).tolist()
@@ -236,7 +260,7 @@ def _reports(densities: list[Density], single: bool) -> list[EntanglementReport]
 
 def single_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a single-qubit reduced state (correlator is <Z>)."""
-    return _reports([validate_density(rho, dims=(2,))], single=True)[0]
+    return _reports(validate_density(rho, dims=(2,))[None], single=True)[0]
 
 
 def single_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
@@ -246,7 +270,7 @@ def single_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
 
 def two_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
     """Measures of a two-qubit reduced state (correlator is <Z(x)Z>)."""
-    return _reports([validate_density(rho, dims=(4,))], single=False)[0]
+    return _reports(validate_density(rho, dims=(4,))[None], single=False)[0]
 
 
 def two_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:

@@ -162,14 +162,24 @@ def jacobi_eigh(
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
+    if a.shape[0] > MAX_EIG_DIM:
+        raise ValueError(f"dimension {a.shape[0]} exceeds eigensolver limit {MAX_EIG_DIM}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     if hermiticity_defect(a) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = (0.5 * (a + a.conj().T)).tolist()
+    w, v = _jacobi((0.5 * (a + a.conj().T)).tolist(), target, max_sweeps)
+    return np.array(w), np.array(v, dtype=complex)
+
+
+def _jacobi(
+    a: list[list[complex]], target: float = OFFDIAG_TARGET, max_sweeps: int = 60
+) -> tuple[list[float], list[list[complex]]]:
+    # The rotation loop of jacobi_eigh on a matrix its caller has already
+    # checked (square, at most MAX_EIG_DIM, finite) and made exactly
+    # Hermitian, given as nested lists, which it overwrites.  Returns the
+    # eigenvalues ascending and the eigenvector matrix as nested lists.
+    n = len(a)
     v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     # Row lists are updated in place, so each pivot's untouched rows can be
     # listed once; the matrix stays Hermitian, so rows p and q are written
@@ -221,7 +231,4 @@ def jacobi_eigh(
         raise ArithmeticError("plane-rotation eigensolver did not converge")
     w = [a[i][i].real for i in range(n)]
     order = sorted(range(n), key=w.__getitem__)  # stable, like argsort
-    return (
-        np.array([w[i] for i in order]),
-        np.array([[row[i] for i in order] for row in v], dtype=complex),
-    )
+    return [w[i] for i in order], [[row[i] for i in order] for row in v]

@@ -5,18 +5,23 @@ family that defeats any entropy bound below 1.
 
 Campaign samples are independent: sample i derives its random stream
 from (campaign seed, i), so reports are reproducible and do not depend on
-the order in which samples are evaluated.  Protocol campaigns draw each
-sample on its own, then evaluate the draws in chunks of _CHUNK: one stack
-per register size and reduction shape, whatever the protocol kinds.  The
-samples are folded into the report in index order, so the report does not
-depend on the chunk size either.
+the order in which samples are evaluated.  Every sampled campaign draws
+each sample on its own, then evaluates the draws in chunks of _CHUNK on
+stacks: the protocol campaigns one stack per register size and reduction
+shape, whatever the protocol kinds; the density campaigns one (B, 4, 4)
+stack, with one partial trace and one validation per chunk.  The samples
+are folded into the report in index order, so the report does not depend
+on the chunk size either.  The counterexample sweep draws nothing and
+checks one point of its grid at a time.  The public checks (check_jonas,
+check_interm, check_monotonicity, relative_entropy, dephasing_map) are
+batches of one over the stack code of the density campaigns.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +34,7 @@ from .qcore import PureState
 _SUPPORT_TOL = 1e-12
 
 _ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-_MAX_MIXED_2Q = np.eye(4, dtype=complex) / 4.0
+_MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0)
 
 
 def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
@@ -39,53 +44,76 @@ def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> 
     sigma = entropy.validate_density(sigma)
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("density matrices have different dimensions")
-    tr_rho_log_rho = entropy._plogp(entropy._spectrum(rho))
-    cross = 0.0
-    for k in range(sigma.matrix.shape[0]):
-        v = sigma.eigenvectors[:, k]
-        w = float(np.vdot(v, rho.matrix @ v).real)
-        if sigma.eigenvalues[k] < _SUPPORT_TOL:
-            if w > _SUPPORT_TOL:
-                return math.inf
-            continue
-        cross += w * math.log2(sigma.eigenvalues[k])
-    return tr_rho_log_rho - cross
+    return float(_relative_entropies(rho[None], sigma[None])[0])
 
 
 def dephasing_map(rho: np.ndarray | Density) -> np.ndarray:
     """Erase all off-diagonal elements of a two-qubit state in the
     computational basis; the diagonal (hence the trace) is copied verbatim."""
-    rho = entropy.validate_density(rho, dims=(4,))
-    return np.diag(np.diag(rho.matrix))
+    return _dephased(entropy.validate_density(rho, dims=(4,))[None]).matrix[0]
 
 
 def check_monotonicity(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
     """Slack of relative-entropy monotonicity under dephasing:
     H(rho||sigma) - H(E(rho)||E(sigma)), which must be >= 0."""
-    rho = entropy.validate_density(rho)
-    sigma = entropy.validate_density(sigma)
-    lhs = relative_entropy(rho, sigma)
-    if math.isinf(lhs):
-        return math.inf
-    rhs = relative_entropy(dephasing_map(rho), dephasing_map(sigma))
-    if math.isinf(rhs):
-        return -math.inf
-    return lhs - rhs
+    rho = entropy.validate_density(rho, dims=(4,))
+    sigma = entropy.validate_density(sigma, dims=(4,))
+    return float(_monotonicity_slacks(rho[None], sigma[None])[0])
 
 
 def check_interm(rho: np.ndarray | Density) -> float:
     """Slack of Tr(rho log2 rho) >= sum_ab rho_ab log2 rho_ab (diagonal)."""
-    rho = entropy.validate_density(rho, dims=(4,))
-    p = np.maximum(rho.eigenvalues, 0.0)
-    d = np.maximum(np.diag(rho.matrix).real, 0.0)
-    return entropy._plogp(p) - entropy._plogp(d)
+    return float(_interm_slacks(entropy.validate_density(rho, dims=(4,))[None])[0])
 
 
 def check_jonas(rho: np.ndarray | Density) -> float:
     """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
-    rho = entropy.validate_density(rho, dims=(4,))
-    czz = min(abs(entropy.correlator(rho.matrix, _ZZ)), 1.0)
-    return entropy.g(czz) - entropy.von_neumann(rho)
+    return _jonas_slacks(entropy.validate_density(rho, dims=(4,))[None])[0]
+
+
+# The checks above as batches of one over these, which take validated
+# (B, d, d) stacks and return one value per matrix; a single Density
+# (sigma = I/4) broadcasts against a stack.
+
+def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
+    # Tr(rho log2 sigma) = sum_k <v_k|rho|v_k> log2 s_k over sigma's
+    # eigenpairs (s_k, v_k); eigenvalues below the support tolerance are
+    # left out, and where rho has weight on them the result is +inf
+    v = sigma.eigenvectors
+    weight = (v.conj() * (rho.matrix @ v)).sum(axis=-2).real
+    support = sigma.eigenvalues >= _SUPPORT_TOL
+    log_s = np.log2(np.where(support, sigma.eigenvalues, 1.0))
+    cross = (np.where(support, weight, 0.0) * log_s).sum(axis=-1)
+    missed = (~support & (weight > _SUPPORT_TOL)).any(axis=-1)
+    return np.where(missed, math.inf, entropy._plogp(entropy._spectrum(rho)) - cross)
+
+
+def _dephased(rho: Density) -> Density:
+    # E(rho): the diagonal kept, read off as the eigenpairs with no solve
+    diag = rho.matrix.diagonal(axis1=-2, axis2=-1)
+    matrix = np.zeros_like(rho.matrix)
+    idx = np.arange(diag.shape[-1])
+    matrix[..., idx, idx] = diag
+    return Density(matrix, *entropy._diagonal_eigenpairs(diag))
+
+
+def _monotonicity_slacks(rho: Density, sigma: Density) -> np.ndarray:
+    lhs = _relative_entropies(rho, sigma)
+    rhs = _relative_entropies(_dephased(rho), _dephased(sigma))
+    return np.where(np.isinf(lhs), math.inf, np.where(np.isinf(rhs), -math.inf, lhs - rhs))
+
+
+def _interm_slacks(rho: Density) -> np.ndarray:
+    p = np.maximum(rho.eigenvalues, 0.0)
+    d = np.maximum(rho.matrix.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    return entropy._plogp(p) - entropy._plogp(d)
+
+
+def _jonas_slacks(rho: Density) -> list[float]:
+    return [
+        entropy.g(min(abs(rep.correlator), 1.0)) - rep.von_neumann
+        for rep in entropy._reports(rho, single=False)
+    ]
 
 
 def saturating_single_qubit_register(S: float, total_qubits: int) -> PureState:
@@ -129,19 +157,13 @@ def purified_rho_lambda(lam: float) -> PureState:
     return PureState(4, vec)
 
 
-def _random_density_with_purification(n_qubits: int, seed) -> tuple[np.ndarray, PureState]:
-    psi = qcore.random_pure_state(2 * n_qubits, seed)
-    rho = linalg.partial_trace(psi.amplitudes, list(range(n_qubits)))
-    return rho, psi
-
-
 def random_density_matrix(n_qubits: int, seed) -> np.ndarray:
     """Full-rank random density matrix: partial trace over an equal-size
     environment of a Haar-random pure state (deterministic per seed)."""
     if not 1 <= n_qubits <= 3:
         raise ValueError("n_qubits must be in [1, 3]")
-    rho, _ = _random_density_with_purification(n_qubits, seed)
-    return rho
+    psi = qcore.random_pure_state(2 * n_qubits, seed)
+    return linalg.partial_trace(psi.amplitudes, list(range(n_qubits)))
 
 
 # --------------------------------------------------------------------------
@@ -336,22 +358,47 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> li
     ]
 
 
-def _sample_density(cfg: CampaignConfig, i: int, check: Callable) -> _Sample:
-    rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    return _Sample(violation=-check(rho), payload=partial(_density_payload, i, pur, 2))
+class _DensityDraw(NamedTuple):
+    index: int
+    purification: PureState  # of rho on qubits (0, 1), from [seed, i]
+    sigma: PureState | None = None  # purifies the random sigma, from [seed, i, 7]
 
 
-def _sample_monotonicity(cfg: CampaignConfig, i: int) -> _Sample:
-    # sigma fixed to the maximally mixed state (as in the proof of the
-    # two-qubit bound), plus a random full-rank sigma as a bonus check.
-    rho, pur = _random_density_with_purification(2, [cfg.seed, i])
-    rho = entropy.validate_density(rho)  # one solve serves both checks
-    sigma = random_density_matrix(2, [cfg.seed, i, 7])
-    violation = max(-check_monotonicity(rho, _MAX_MIXED_2Q), -check_monotonicity(rho, sigma))
-    return _Sample(
-        violation=violation,
-        payload=partial(_density_payload, i, pur, 2),
-        stats={"random_sigma_checks": 1},
+def _draw_density(cfg: CampaignConfig, i: int, with_sigma: bool = False) -> _DensityDraw:
+    psi = qcore.random_pure_state(4, [cfg.seed, i])
+    sigma = qcore.random_pure_state(4, [cfg.seed, i, 7]) if with_sigma else None
+    return _DensityDraw(i, psi, sigma)
+
+
+def _evaluate_density(
+    cfg: CampaignConfig,
+    draws: list[_DensityDraw],
+    slacks: Callable[[Density], np.ndarray | list[float]],
+) -> list[_Sample]:
+    # one partial trace and one validation for the chunk's rho matrices,
+    # followed by its sigma matrices when the draws carry them
+    states = [d.purification for d in draws] + [d.sigma for d in draws if d.sigma is not None]
+    densities = entropy.validate_densities(
+        linalg.partial_traces(np.array([s.amplitudes for s in states]), [(0, 1)] * len(states)),
+        dims=(4,),
+    )
+    return [
+        _Sample(
+            violation=-slack,
+            payload=partial(_density_payload, d.index, d.purification, 2),
+            stats=None if d.sigma is None else {"random_sigma_checks": 1},
+        )
+        for d, slack in zip(draws, np.asarray(slacks(densities)).tolist())
+    ]
+
+
+def _monotonicity_pair_slacks(densities: Density) -> np.ndarray:
+    # rows [0, B) rho, [B, 2B) a random full-rank sigma: the smaller slack
+    # of sigma = I/4 (as in the proof of the two-qubit bound) and sigma
+    b = len(densities.matrix) // 2
+    rho = densities[:b]
+    return np.minimum(
+        _monotonicity_slacks(rho, _MAX_MIXED_2Q), _monotonicity_slacks(rho, densities[b:])
     )
 
 
@@ -394,15 +441,15 @@ def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> lis
     return out
 
 
-@lru_cache(maxsize=4)
-def _lambda_grid(samples: int) -> np.ndarray:
-    grid = np.linspace(0.0, 1.0, max(samples, 2))
-    grid.flags.writeable = False
-    return grid
+def _lambda(samples: int, i: int) -> float:
+    # point i of np.linspace(0, 1, max(samples, 2)), bit for bit, without
+    # building the grid: i * step + 0.0, with the last point exactly 1
+    last = max(samples, 2) - 1
+    return 1.0 if i == last else i * (1.0 / last) + 0.0
 
 
 def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
-    lam = float(_lambda_grid(cfg.samples)[i])
+    lam = _lambda(cfg.samples, i)
     rho = rho_lambda(lam)
     czz = entropy.correlator(rho, _ZZ)
     violation = abs(czz - 1.0)  # exactly 0: the correlator is blind to lam
@@ -465,9 +512,16 @@ _CAMPAIGNS: dict[str, _Campaign] = {
         _draw_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5),
         evaluate=_evaluate_equivalence,
     ),
-    "jonas": _Campaign(partial(_sample_density, check=check_jonas), 1000, 1e-9),
-    "monotonicity": _Campaign(_sample_monotonicity, 1000, 1e-9),
-    "interm": _Campaign(partial(_sample_density, check=check_interm), 1000, 1e-9),
+    "jonas": _Campaign(
+        _draw_density, 1000, 1e-9, evaluate=partial(_evaluate_density, slacks=_jonas_slacks)
+    ),
+    "monotonicity": _Campaign(
+        partial(_draw_density, with_sigma=True), 1000, 1e-9,
+        evaluate=partial(_evaluate_density, slacks=_monotonicity_pair_slacks),
+    ),
+    "interm": _Campaign(
+        _draw_density, 1000, 1e-9, evaluate=partial(_evaluate_density, slacks=_interm_slacks)
+    ),
     "saturation": _Campaign(
         _draw_saturation, 1, 1e-9,
         epsilon_grid=_SATURATION_EPSILONS, sweep=_saturation_sweep,

@@ -71,9 +71,27 @@ def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
             np.diag([0.5 + 1e-12j, 0.5])]
     expected = [linalg.jacobi_eigh(m) for m in mats]
     monkeypatch.setattr(linalg, "jacobi_eigh", None)  # any solve would raise
+    monkeypatch.setattr(linalg, "_jacobi", None)
     for m, (w, v) in zip(mats, expected):
         d = entropy.validate_density(m)
         assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
+
+
+def test_validated_stack_is_checked_once(monkeypatch):
+    # the finiteness, Hermiticity and trace checks run once per stack; the
+    # eigensolves that follow do not repeat them per matrix
+    rhos = np.array([verify.random_density_matrix(2, [65, i]) for i in range(5)])
+    calls = []
+    defect = linalg.hermiticity_defect
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return defect(m)
+
+    monkeypatch.setattr(linalg, "hermiticity_defect", counted)
+    stack = entropy.validate_densities(rhos, dims=(4,))
+    assert calls == [(5, 4, 4)]
+    assert stack.eigenvalues.shape == (5, 4) and stack.eigenvectors.shape == (5, 4, 4)
 
 
 # ----------------------------------------------------------- von Neumann

@@ -304,7 +304,7 @@ def _campaign_with(monkeypatch, bad_index, bad_value):
         violation = bad_value if i == bad_index else -1.0 + 0.1 * i
         return verify._Sample(violation=violation, payload=lambda: {"sample_index": i})
     campaigns = dict(verify._CAMPAIGNS)
-    campaigns["jonas"] = dataclasses.replace(campaigns["jonas"], sample=sample)
+    campaigns["jonas"] = dataclasses.replace(campaigns["jonas"], sample=sample, evaluate=None)
     monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
     return verify.default_config("jonas", samples=8, seed=1, tolerance=1e-9)
 
@@ -324,7 +324,8 @@ def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, b
 
 # Jacobi solves per campaign item: one per density matrix that is not
 # already diagonal (dephased states, I/4, the rho_lambda family and the
-# saturating registers are read off their diagonals).
+# saturating registers are read off their diagonals).  Every solve runs
+# the rotation kernel, whether through jacobi_eigh or validate_densities.
 SOLVES_PER_ITEM = {
     "bound_main": 1, "bound_sv": 1, "bound_main2": 1, "equality_oracle": 1,
     "interm": 1, "jonas": 1, "monotonicity": 2,
@@ -334,14 +335,14 @@ SOLVES_PER_ITEM = {
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_one_solve_per_density_matrix(monkeypatch, name):
-    original = linalg.jacobi_eigh
+    original = linalg._jacobi
     solves = []
 
-    def counted(m, *args, **kwargs):
+    def counted(a, *args, **kwargs):
         solves.append(1)
-        return original(m, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    monkeypatch.setattr(linalg, "_jacobi", counted)
     config = verify.default_config(name, samples=6, seed=13)
     report = verify.run_campaign(config)
     assert report.passed
@@ -415,19 +416,71 @@ def test_analyze_matches_the_chunked_evaluation(kind):
         assert rep.entanglement == stack.entanglement[row]
 
 
-def test_counterexample_builds_its_lambda_grid_once(monkeypatch):
-    verify._lambda_grid.cache_clear()
-    calls = []
-    linspace = np.linspace
+def test_density_checks_match_the_chunked_evaluation():
+    # the public checks are batches of one over the code that evaluates a
+    # chunk of the density campaigns
+    config = verify.default_config("monotonicity", samples=40, seed=3)
+    draws = [verify._draw_density(config, i, with_sigma=True) for i in range(40)]
+    states = [d.purification for d in draws] + [d.sigma for d in draws]
+    rhos = linalg.partial_traces(np.array([s.amplitudes for s in states]), [(0, 1)] * 80)
+    stack = entropy.validate_densities(rhos, dims=(4,))
+    for m, w, v in zip(rhos, stack.eigenvalues, stack.eigenvectors):
+        one = entropy.validate_density(m)
+        assert np.array_equal(one.eigenvalues, w) and np.array_equal(one.eigenvectors, v)
+    rho, sigma = stack[:40], stack[40:]
+    chunked = {
+        "interm": verify._interm_slacks(rho),
+        "jonas": verify._jonas_slacks(rho),
+        "mixed": verify._monotonicity_slacks(rho, verify._MAX_MIXED_2Q),
+        "sigma": verify._monotonicity_slacks(rho, sigma),
+        "relative": verify._relative_entropies(rho, sigma),
+    }
+    for b in range(40):
+        r, s = rhos[b], rhos[40 + b]
+        single = {
+            "interm": verify.check_interm(r),
+            "jonas": verify.check_jonas(r),
+            "mixed": verify.check_monotonicity(r, MAX_MIXED),
+            "sigma": verify.check_monotonicity(r, s),
+            "relative": verify.relative_entropy(r, s),
+        }
+        for name, value in single.items():
+            assert abs(value - chunked[name][b]) <= 1e-15, (name, b)
+    # a campaign's samples are its chunk's negated slacks
+    for name, slacks in (
+        ("interm", chunked["interm"]),
+        ("jonas", chunked["jonas"]),
+        ("monotonicity", np.minimum(chunked["mixed"], chunked["sigma"])),
+    ):
+        cfg = verify.default_config(name, samples=40, seed=3)
+        samples = verify._evaluate(verify._CAMPAIGNS[name], cfg, range(40))
+        assert [s.violation for s in samples] == (-np.asarray(slacks)).tolist()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return linspace(*args, **kwargs)
 
-    monkeypatch.setattr(np, "linspace", counted)
-    report = verify.run_campaign(verify.default_config("counterexample", samples=50, seed=1))
-    assert report.passed and report.checks_run == 50
-    assert calls == [(0.0, 1.0, 50)]
+def test_counterexample_draws_lambda_without_a_grid(monkeypatch):
+    # a huge sample count costs nothing before the first check; only
+    # three items are evaluated, never the campaign
+    def no_grid(*args, **kwargs):
+        raise AssertionError("np.linspace called")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    samples = 10**12
+    config = verify.default_config("counterexample", samples=samples, seed=1)
+    ends = [verify._sample_counterexample(config, i) for i in (0, samples - 1)]
+    assert [s.stats for s in ends] == [{"min_sv2": 0.0, "max_sv2": 0.0}] * 2
+    assert [s.payload()["sample_index"] for s in ends] == [0, samples - 1]
+    second = verify._sample_counterexample(config, 1)
+    assert second.violation == 0.0
+    assert 0.0 < second.stats["min_sv2"] == second.stats["max_sv2"] < 1e-10
+    assert verify._lambda(samples, 1) == 1.0 / (samples - 1)
+    assert verify._lambda(samples, samples - 1) == 1.0
+
+
+def test_counterexample_lambda_is_linspace_bit_for_bit():
+    for samples in (1, *range(2, 400), 1000, 4097, 65536):
+        grid = np.linspace(0.0, 1.0, max(samples, 2))
+        got = np.array([verify._lambda(samples, i) for i in range(len(grid))])
+        assert got.tobytes() == grid.tobytes(), samples
 
 
 def test_campaign_failure_reports_worst_case():
