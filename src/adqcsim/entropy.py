@@ -22,8 +22,9 @@ class BoundDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Density:
-    """A validated density matrix with the eigenpairs of its one solve:
-    eigenvalues ascending, eigenvectors as the columns of `eigenvectors`.
+    """A validated density matrix with the results of its one solve:
+    eigenvalues ascending and, where the caller asked for them, the
+    eigenvectors as the columns of `eigenvectors` (else None).
 
     A (B, d, d) stack of them is one Density too, each field gaining the
     leading axis; indexing selects along it (`stack[b]` is one matrix,
@@ -32,34 +33,44 @@ class Density:
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def __getitem__(self, rows) -> "Density":
-        return Density(self.matrix[rows], self.eigenvalues[rows], self.eigenvectors[rows])
+        vectors = None if self.eigenvectors is None else self.eigenvectors[rows]
+        return Density(self.matrix[rows], self.eigenvalues[rows], vectors)
 
 
 def validate_density(
-    rho: np.ndarray | Density, dims: tuple[int, ...] | None = None
+    rho: np.ndarray | Density, dims: tuple[int, ...] | None = None, vectors: bool = False
 ) -> Density:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 
-    Returns the matrix with the eigenpairs the positivity check solved
-    for, so that no caller has to solve it again.  A Density passes
-    through after the dimension check.
+    Returns the matrix with the eigenvalues the positivity check solved
+    for, so that no caller has to solve it again, and with `vectors` the
+    eigenvectors too.  A Density of one matrix passes through after the
+    dimension check; it is solved again, once, only where `vectors` asks
+    for eigenvectors it lacks.  A stacked Density is rejected.
     """
     if isinstance(rho, Density):
+        if rho.matrix.ndim != 2:
+            raise ValueError(f"expected one density matrix, got a stack of {len(rho.matrix)}")
         if dims is not None and rho.matrix.shape[-1] not in dims:
             raise ValueError(f"density matrix dimension {rho.matrix.shape[-1]} not in {dims}")
+        if vectors and rho.eigenvectors is None:
+            return _solved(rho.matrix[None], vectors=True)[0]
         return rho
-    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims)[None])[0]
+    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims)[None], vectors)[0]
 
 
-def validate_densities(rhos: np.ndarray, dims: tuple[int, ...] | None = None) -> Density:
+def validate_densities(
+    rhos: np.ndarray, dims: tuple[int, ...] | None = None, vectors: bool = False
+) -> Density:
     """validate_density over a (B, d, d) stack, returned as one Density:
     the finiteness, Hermiticity and trace checks run once on the whole
     stack, diagonal matrices are read off their diagonals, and every other
-    matrix gets its one eigensolve."""
-    return _solved(_checked(np.asarray(rhos, dtype=complex), 3, dims))
+    matrix gets its one eigensolve, which builds eigenvectors only with
+    `vectors`."""
+    return _solved(_checked(np.asarray(rhos, dtype=complex), 3, dims), vectors)
 
 
 def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarray:
@@ -79,45 +90,56 @@ def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarr
     return m
 
 
-def _diagonal_eigenpairs(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigenpairs of diagonal matrices from their (..., d) diagonals, with
-    # the same values and order the Jacobi kernel returns for them
+def _diagonal_eigenpairs(diag: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    # eigenvalues (and with `vectors` eigenvectors) of diagonal matrices
+    # from their (..., d) diagonals, in the values and order the Jacobi
+    # kernel returns for them
     w = diag.real
     order = np.argsort(w, axis=-1, kind="stable")
-    eye = np.eye(w.shape[-1], dtype=complex)
-    return np.take_along_axis(w, order, axis=-1), eye[order].swapaxes(-1, -2)
+    evals = np.take_along_axis(w, order, axis=-1)
+    if not vectors:
+        return evals, None
+    return evals, np.eye(w.shape[-1], dtype=complex)[order].swapaxes(-1, -2)
 
 
-def _solved(m: np.ndarray) -> Density:
-    # Eigenpairs of a checked (B, d, d) stack and its positivity test.  A
-    # diagonal matrix (a dephased state) is read off its diagonal; every
-    # other matrix, made exactly Hermitian, gets one Jacobi solve.
+def _solved(m: np.ndarray, vectors: bool) -> Density:
+    # Eigenvalues (and eigenvectors with `vectors`) of a checked (B, d, d)
+    # stack and its positivity test.  A diagonal matrix (a dephased state)
+    # is read off its diagonal; every other matrix, made exactly
+    # Hermitian, gets one Jacobi solve.
     diag = m.diagonal(axis1=1, axis2=2)
     solve = np.count_nonzero(m, axis=(1, 2)) != np.count_nonzero(diag, axis=1)
     if solve.all():
-        evals, evecs = _jacobi_eigenpairs(m)
+        evals, evecs = _jacobi_eigenpairs(m, vectors)
     else:
-        evals, evecs = _diagonal_eigenpairs(diag)
+        evals, evecs = _diagonal_eigenpairs(diag, vectors)
         if solve.any():
-            evals[solve], evecs[solve] = _jacobi_eigenpairs(m[solve])
+            w, v = _jacobi_eigenpairs(m[solve], vectors)
+            evals[solve] = w
+            if vectors:
+                evecs[solve] = v
     negative = evals[:, 0] < -DENSITY_TOL
     if negative.any():
         raise ValueError(f"density matrix has negative eigenvalue {evals[negative, 0][0]}")
     return Density(m, evals, evecs)
 
 
-def _jacobi_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_eigenpairs(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # one run of the rotation kernel per matrix of a checked stack
     if m.shape[-1] > linalg.MAX_EIG_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds eigensolver limit {linalg.MAX_EIG_DIM}")
-    pairs = [linalg._jacobi(a) for a in (0.5 * (m + m.conj().swapaxes(1, 2))).tolist()]
-    return np.array([w for w, _ in pairs]), np.array([v for _, v in pairs], dtype=complex)
+    pairs = [
+        linalg._jacobi(a, vectors=vectors)
+        for a in (0.5 * (m + m.conj().swapaxes(1, 2))).tolist()
+    ]
+    evals = np.array([w for w, _ in pairs])
+    return evals, np.array([v for _, v in pairs], dtype=complex) if vectors else None
 
 
-def _spectrum(rho: np.ndarray | Density, dims: tuple[int, ...] | None = None) -> np.ndarray:
-    """Validated eigenvalues, clamped to [0, inf) and renormalized to sum 1
-    (per matrix of a stack)."""
-    evals = np.maximum(validate_density(rho, dims).eigenvalues, 0.0)
+def _spectrum(density: Density) -> np.ndarray:
+    """A validated Density's eigenvalues, clamped to [0, inf) and
+    renormalized to sum 1 (per matrix of a stack)."""
+    evals = np.maximum(density.eigenvalues, 0.0)
     return evals / evals.sum(axis=-1, keepdims=True)
 
 
@@ -129,13 +151,13 @@ def _plogp(p: np.ndarray) -> float | np.ndarray:
 
 def purity_entanglement(rho: np.ndarray | Density) -> float:
     """2 (1 - Tr rho^2) of a single-qubit state: 0 pure, 1 maximally mixed."""
-    p = _spectrum(rho, dims=(2,))
+    p = _spectrum(validate_density(rho, dims=(2,)))
     return max(2.0 * (1.0 - float(np.sum(p * p))), 0.0) + 0.0
 
 
 def von_neumann(rho: np.ndarray | Density) -> float:
     """-Tr(rho log2 rho) for a one- or two-qubit density matrix."""
-    p = _spectrum(rho, dims=(2, 4))
+    p = _spectrum(validate_density(rho, dims=(2, 4)))
     return max(-_plogp(p), 0.0) + 0.0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -150,15 +151,22 @@ def jacobi_eigh(
     the smaller-angle root of the usual tangent equation is taken, so the
     pivot block's diagonal becomes (a_pp - t|a_pq|, a_qq + t|a_pq|).
     Sweeps repeat until the off-diagonal Frobenius norm drops below
-    `target`; input with non-finite entries is rejected.
+    `target`, which must be finite and positive, within `max_sweeps` (an
+    integer >= 1); input with non-finite entries is rejected.
 
     The rotations run on nested lists of Python complex scalars: at these
     sizes (at most MAX_EIG_DIM) numpy's per-call overhead on row and
     column slices would cost more than the arithmetic.
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
-    satisfying m @ v == v @ diag(w) up to roundoff.
+    satisfying m @ v == v @ diag(w) up to roundoff.  The eigenvectors are
+    always built here; the package's own values-only solves (see
+    entropy.validate_densities) run the same kernel without them.
     """
+    if not 0.0 < target < math.inf:  # NaN fails this too
+        raise ValueError(f"target must be finite and positive, got {target!r}")
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -168,19 +176,27 @@ def jacobi_eigh(
         raise ValueError("matrix has non-finite entries")
     if hermiticity_defect(a) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = _jacobi((0.5 * (a + a.conj().T)).tolist(), target, max_sweeps)
+    w, v = _jacobi((0.5 * (a + a.conj().T)).tolist(), target, max_sweeps, vectors=True)
     return np.array(w), np.array(v, dtype=complex)
 
 
 def _jacobi(
-    a: list[list[complex]], target: float = OFFDIAG_TARGET, max_sweeps: int = 60
-) -> tuple[list[float], list[list[complex]]]:
+    a: list[list[complex]],
+    target: float = OFFDIAG_TARGET,
+    max_sweeps: int = 60,
+    *,
+    vectors: bool,
+) -> tuple[list[float], list[list[complex]] | None]:
     # The rotation loop of jacobi_eigh on a matrix its caller has already
     # checked (square, at most MAX_EIG_DIM, finite) and made exactly
     # Hermitian, given as nested lists, which it overwrites.  Returns the
-    # eigenvalues ascending and the eigenvector matrix as nested lists.
+    # eigenvalues ascending and, with `vectors`, the eigenvector matrix as
+    # nested lists (else None: the rotations are not accumulated at all).
     n = len(a)
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else None
+    # The diagonal is real (the caller symmetrised the matrix), so it is
+    # kept as floats apart from the matrix, whose diagonal goes stale.
+    d = [a[i][i].real for i in range(n)]
     # Row lists are updated in place, so each pivot's untouched rows can be
     # listed once; the matrix stays Hermitian, so rows p and q are written
     # as the conjugates of columns p and q.
@@ -205,8 +221,8 @@ def _jacobi(
             r = abs(apq)
             if r <= pivot_floor:
                 continue
-            phase = apq / r
-            app, aqq = ap[p].real, aq[q].real
+            phase = (apq / r).conjugate()
+            app, aqq = d[p], d[q]
             tau = (aqq - app) / (2.0 * r)
             if tau == 0.0:
                 t = 1.0
@@ -214,21 +230,21 @@ def _jacobi(
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            # W = [[c, s], [-s conj(phase), c conj(phase)]] on columns p, q
-            w10, w11 = -s * phase.conjugate(), c * phase.conjugate()
+            # W = [[c, s], [-s conj(apq/r), c conj(apq/r)]] on columns p, q
+            w10, w11 = -s * phase, c * phase
             for i, row in rest:
                 x, y = row[p], row[q]
                 xp, yq = x * c + y * w10, x * s + y * w11
                 row[p], row[q] = xp, yq
                 ap[i], aq[i] = xp.conjugate(), yq.conjugate()
-            ap[p] = complex(app - t * r)
-            aq[q] = complex(aqq + t * r)
+            d[p] = app - t * r
+            d[q] = aqq + t * r
             ap[q] = aq[p] = 0j
-            for row in v:
-                x, y = row[p], row[q]
-                row[p], row[q] = x * c + y * w10, x * s + y * w11
+            if vectors:
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = x * c + y * w10, x * s + y * w11
     else:
         raise ArithmeticError("plane-rotation eigensolver did not converge")
-    w = [a[i][i].real for i in range(n)]
-    order = sorted(range(n), key=w.__getitem__)  # stable, like argsort
-    return [w[i] for i in order], [[row[i] for i in order] for row in v]
+    order = sorted(range(n), key=d.__getitem__)  # stable, like argsort
+    return [d[i] for i in order], [[row[i] for i in order] for row in v] if vectors else None

@@ -330,22 +330,41 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
     return float(1.0 - (1.0 - c * c) * se * se)
 
 
+_BOUNDS = {"purity_bound": bound_purity, "sv_bound": bound_sv, "sv2_bound": bound_sv2}
+
+
 class FidelityStack(NamedTuple):
     """analyze() over the rows of one stack: one register size and one
-    error kind, so one reduction shape."""
+    error kind, so one reduction shape.
+
+    A row's bounds are computed where they are read, from the clamped
+    entropies kept per row under the name of the bound they feed: the
+    purity and sv bounds for a one-qubit reduction, the sv2 bound for a
+    two-qubit one whose entropy lies in its domain.
+    """
 
     simulated_F: np.ndarray
     closed_form_F: np.ndarray
     correlator_used: np.ndarray
     entanglement: list[EntanglementReport]
-    bounds: list[dict[str, float]]
+    bound_entropies: list[dict[str, float]]
+    epsilons: list[float]
     ideal_branches: np.ndarray
     ideal_probabilities: np.ndarray
     inaccurate_branches: np.ndarray
 
+    def bound(self, row: int, name: str) -> float | None:
+        """The named bound of one row, or None where it does not apply."""
+        value = self.bound_entropies[row].get(name)
+        return None if value is None else _BOUNDS[name](value, self.epsilons[row])
+
+    def bounds(self, row: int) -> dict[str, float]:
+        """Every bound that applies to one row."""
+        return {name: self.bound(row, name) for name in self.bound_entropies[row]}
+
     def report(self, row: int) -> FidelityReport:
         simulated = float(self.simulated_F[row])
-        bounds = self.bounds[row]
+        bounds = self.bounds(row)
         return FidelityReport(
             simulated_F=simulated,
             closed_form_F=float(self.closed_form_F[row]),
@@ -369,9 +388,9 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
     """analyze() for every row of a (B, 2^n) stack of register states, one
     spec per row; every spec must have the same error kind.
 
-    The simulation, the fidelities and the reductions run once on the
-    whole stack; each reduced state then gets its own eigensolve and
-    entropy bounds.
+    The simulation, the fidelities, the reductions and their eigenvalues
+    run once on the whole stack; a row's entropy bounds are left until
+    they are read.
     """
     specs = list(specs)
     errors = {_PROTOCOLS[spec.kind].error for spec in specs}
@@ -380,23 +399,21 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
     amplitudes = np.asarray(amplitudes, dtype=complex)
     ideal, probs, inaccurate = run_protocols(amplitudes, specs)
     simulated = mean_gate_fidelities(ideal, inaccurate)
-    bounds: list[dict[str, float]] = []
     if errors == {ErrorKind.X_TYPE}:
         rho = linalg.partial_traces(amplitudes, [spec.targets[:1] for spec in specs])
         reports = entropy.single_qubit_reports(rho)
-        for spec, report in zip(specs, reports):
-            s = min(max(report.purity_S, 0.0), 1.0)
-            sv = min(max(report.von_neumann, 0.0), 1.0)
-            bounds.append({
-                "purity_bound": bound_purity(s, spec.epsilon),
-                "sv_bound": bound_sv(sv, spec.epsilon),
-            })
+        bound_entropies = [
+            {
+                "purity_bound": min(max(report.purity_S, 0.0), 1.0),
+                "sv_bound": min(max(report.von_neumann, 0.0), 1.0),
+            }
+            for report in reports
+        ]
     else:
         rho = linalg.partial_traces(amplitudes, [spec.targets for spec in specs])
         reports = entropy.two_qubit_reports(rho)
-        for spec, report in zip(specs, reports):
-            sv2 = min(max(report.von_neumann, 0.0), 2.0)
-            bounds.append({"sv2_bound": bound_sv2(sv2, spec.epsilon)} if sv2 >= 1.0 else {})
+        sv2 = [min(max(report.von_neumann, 0.0), 2.0) for report in reports]
+        bound_entropies = [{"sv2_bound": s} if s >= 1.0 else {} for s in sv2]
     corr = [min(max(report.correlator, -1.0), 1.0) for report in reports]
     closed = [closed_form_fidelity(c, spec.epsilon) for c, spec in zip(corr, specs)]
     return FidelityStack(
@@ -404,7 +421,8 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
         closed_form_F=np.array(closed),
         correlator_used=np.array(corr),
         entanglement=reports,
-        bounds=bounds,
+        bound_entropies=bound_entropies,
+        epsilons=[spec.epsilon for spec in specs],
         ideal_branches=ideal,
         ideal_probabilities=probs,
         inaccurate_branches=inaccurate,

@@ -9,12 +9,14 @@ the order in which samples are evaluated.  Every sampled campaign draws
 each sample on its own, then evaluates the draws in chunks of _CHUNK on
 stacks: the protocol campaigns one stack per register size and reduction
 shape, whatever the protocol kinds; the density campaigns one (B, 4, 4)
-stack, with one partial trace and one validation per chunk.  The samples
-are folded into the report in index order, so the report does not depend
-on the chunk size either.  The counterexample sweep draws nothing and
-checks one point of its grid at a time.  The public checks (check_jonas,
-check_interm, check_monotonicity, relative_entropy, dephasing_map) are
-batches of one over the stack code of the density campaigns.
+stack, with one partial trace per chunk and one validation of its rho
+rows, values only (plus one of monotonicity's random sigma rows, whose
+eigenvectors are read).  The samples are folded into the report in index
+order, so the report does not depend on the chunk size either.  The
+counterexample sweep draws nothing and checks one point of its grid at a
+time.  The public checks (check_jonas, check_interm, check_monotonicity,
+relative_entropy, dephasing_map) are batches of one over the stack code
+of the density campaigns.
 """
 from __future__ import annotations
 
@@ -34,14 +36,16 @@ from .qcore import PureState
 _SUPPORT_TOL = 1e-12
 
 _ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-_MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0)
+_MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0, vectors=True)
 
 
 def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
     """Tr(rho log2 rho) - Tr(rho log2 sigma); +inf when sigma's support
-    misses part of rho's.  Either argument may be an entropy.Density."""
+    misses part of rho's.  Either argument may be an entropy.Density;
+    sigma's eigenvectors are read, so a sigma without them is solved
+    again."""
     rho = entropy.validate_density(rho)
-    sigma = entropy.validate_density(sigma)
+    sigma = entropy.validate_density(sigma, vectors=True)
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("density matrices have different dimensions")
     return float(_relative_entropies(rho[None], sigma[None])[0])
@@ -57,7 +61,7 @@ def check_monotonicity(rho: np.ndarray | Density, sigma: np.ndarray | Density) -
     """Slack of relative-entropy monotonicity under dephasing:
     H(rho||sigma) - H(E(rho)||E(sigma)), which must be >= 0."""
     rho = entropy.validate_density(rho, dims=(4,))
-    sigma = entropy.validate_density(sigma, dims=(4,))
+    sigma = entropy.validate_density(sigma, dims=(4,), vectors=True)
     return float(_monotonicity_slacks(rho[None], sigma[None])[0])
 
 
@@ -73,7 +77,8 @@ def check_jonas(rho: np.ndarray | Density) -> float:
 
 # The checks above as batches of one over these, which take validated
 # (B, d, d) stacks and return one value per matrix; a single Density
-# (sigma = I/4) broadcasts against a stack.
+# (sigma = I/4) broadcasts against a stack.  Only sigma's eigenvectors
+# are read.
 
 def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
     # Tr(rho log2 sigma) = sum_k <v_k|rho|v_k> log2 s_k over sigma's
@@ -89,12 +94,13 @@ def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
 
 
 def _dephased(rho: Density) -> Density:
-    # E(rho): the diagonal kept, read off as the eigenpairs with no solve
+    # E(rho): the diagonal kept, read off as the eigenvalues with no solve,
+    # and as the eigenvectors where rho has them
     diag = rho.matrix.diagonal(axis1=-2, axis2=-1)
     matrix = np.zeros_like(rho.matrix)
     idx = np.arange(diag.shape[-1])
     matrix[..., idx, idx] = diag
-    return Density(matrix, *entropy._diagonal_eigenpairs(diag))
+    return Density(matrix, *entropy._diagonal_eigenpairs(diag, rho.eigenvectors is not None))
 
 
 def _monotonicity_slacks(rho: Density, sigma: Density) -> np.ndarray:
@@ -307,14 +313,15 @@ def _evaluate_protocol(
     for d, (stack, row) in zip(draws, _analyze_draws(draws)):
         simulated = float(stack.simulated_F[row])
         payload = partial(_protocol_payload, d.index, d.state, d.spec)
-        if bound is None:
-            out.append(_Sample(abs(simulated - float(stack.closed_form_F[row])), payload))
-        elif bound not in stack.bounds[row]:  # sv2 entropy below the bound's domain
+        value = float(stack.closed_form_F[row]) if bound is None else stack.bound(row, bound)
+        if value is None:  # sv2 entropy below the bound's domain
             out.append(_Sample(violation=None, stats={"filtered_below_domain": 1}))
+        elif bound is None:
+            out.append(_Sample(abs(simulated - value), payload))
         else:
             ent = stack.entanglement[row]
             stats = {"min_sv2": ent.von_neumann} if bound == "sv2_bound" else None
-            out.append(_Sample(simulated - stack.bounds[row][bound], payload, stats))
+            out.append(_Sample(simulated - value, payload, stats))
     return out
 
 
@@ -373,33 +380,31 @@ def _draw_density(cfg: CampaignConfig, i: int, with_sigma: bool = False) -> _Den
 def _evaluate_density(
     cfg: CampaignConfig,
     draws: list[_DensityDraw],
-    slacks: Callable[[Density], np.ndarray | list[float]],
+    slacks: Callable[..., np.ndarray | list[float]],
 ) -> list[_Sample]:
-    # one partial trace and one validation for the chunk's rho matrices,
-    # followed by its sigma matrices when the draws carry them
+    # one partial trace for the chunk's rho matrices, followed by its sigma
+    # matrices when the draws carry them; one validation for the rho rows,
+    # values only, and one for the sigma rows, whose eigenvectors are read
     states = [d.purification for d in draws] + [d.sigma for d in draws if d.sigma is not None]
-    densities = entropy.validate_densities(
-        linalg.partial_traces(np.array([s.amplitudes for s in states]), [(0, 1)] * len(states)),
-        dims=(4,),
-    )
+    amplitudes = np.array([s.amplitudes for s in states])
+    reduced = linalg.partial_traces(amplitudes, [(0, 1)] * len(states))
+    densities = [entropy.validate_densities(reduced[: len(draws)], dims=(4,))]
+    if len(states) > len(draws):
+        densities.append(entropy.validate_densities(reduced[len(draws):], dims=(4,), vectors=True))
     return [
         _Sample(
             violation=-slack,
             payload=partial(_density_payload, d.index, d.purification, 2),
             stats=None if d.sigma is None else {"random_sigma_checks": 1},
         )
-        for d, slack in zip(draws, np.asarray(slacks(densities)).tolist())
+        for d, slack in zip(draws, np.asarray(slacks(*densities)).tolist())
     ]
 
 
-def _monotonicity_pair_slacks(densities: Density) -> np.ndarray:
-    # rows [0, B) rho, [B, 2B) a random full-rank sigma: the smaller slack
-    # of sigma = I/4 (as in the proof of the two-qubit bound) and sigma
-    b = len(densities.matrix) // 2
-    rho = densities[:b]
-    return np.minimum(
-        _monotonicity_slacks(rho, _MAX_MIXED_2Q), _monotonicity_slacks(rho, densities[b:])
-    )
+def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
+    # row b: the smaller slack of sigma = I/4 (as in the proof of the
+    # two-qubit bound) and of the random full-rank sigma[b]
+    return np.minimum(_monotonicity_slacks(rho, _MAX_MIXED_2Q), _monotonicity_slacks(rho, sigma))
 
 
 def _saturation_sweep(cfg: CampaignConfig) -> int:
@@ -436,7 +441,7 @@ def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> lis
     out = []
     for d, (stack, row) in zip(draws, _analyze_draws(draws)):
         bound = "purity_bound" if d.spec.kind in protocols.ROTATION_KINDS else "sv2_bound"
-        violation = abs(float(stack.simulated_F[row]) - stack.bounds[row][bound])
+        violation = abs(float(stack.simulated_F[row]) - stack.bound(row, bound))
         out.append(_Sample(violation, partial(_protocol_payload, d.index, d.state, d.spec)))
     return out
 

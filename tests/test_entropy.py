@@ -57,13 +57,33 @@ def test_validate_density_rejects_non_finite(bad):
 
 def test_validate_density_returns_its_eigenpairs():
     rho = verify.random_density_matrix(2, [64, 0])
-    d = entropy.validate_density(rho)
     w, v = linalg.jacobi_eigh(rho)
-    assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
+    d = entropy.validate_density(rho)
+    assert np.array_equal(d.eigenvalues, w) and d.eigenvectors is None
     assert np.array_equal(d.matrix, rho)
     assert entropy.validate_density(d, dims=(4,)) is d
     with pytest.raises(ValueError):
         entropy.validate_density(d, dims=(2,))
+    for e in (entropy.validate_density(x, vectors=True) for x in (rho, d)):
+        assert np.array_equal(e.eigenvalues, w) and np.array_equal(e.eigenvectors, v)
+        assert np.array_equal(e.matrix, rho)
+
+
+def test_eigenvectors_requested_of_a_density_without_them_are_solved_once(monkeypatch):
+    d = entropy.validate_density(verify.random_density_matrix(2, [64, 1]))
+    solves = []
+    original = linalg._jacobi
+
+    def counted(a, *args, vectors, **kwargs):
+        solves.append(vectors)
+        return original(a, *args, vectors=vectors, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", counted)
+    e = entropy.validate_density(d, vectors=True)
+    assert solves == [True] and e.eigenvectors is not None
+    assert entropy.validate_density(e, vectors=True) is e
+    assert entropy.validate_density(e) is e
+    assert solves == [True]
 
 
 def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
@@ -74,6 +94,8 @@ def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
     monkeypatch.setattr(linalg, "_jacobi", None)
     for m, (w, v) in zip(mats, expected):
         d = entropy.validate_density(m)
+        assert np.array_equal(d.eigenvalues, w) and d.eigenvectors is None
+        d = entropy.validate_density(m, vectors=True)
         assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
 
 
@@ -91,7 +113,13 @@ def test_validated_stack_is_checked_once(monkeypatch):
     monkeypatch.setattr(linalg, "hermiticity_defect", counted)
     stack = entropy.validate_densities(rhos, dims=(4,))
     assert calls == [(5, 4, 4)]
-    assert stack.eigenvalues.shape == (5, 4) and stack.eigenvectors.shape == (5, 4, 4)
+    assert stack.eigenvalues.shape == (5, 4) and stack.eigenvectors is None
+    assert stack[1:3].eigenvectors is None
+    with_vectors = entropy.validate_densities(rhos, dims=(4,), vectors=True)
+    assert calls == [(5, 4, 4)] * 2
+    assert np.array_equal(with_vectors.eigenvalues, stack.eigenvalues)
+    assert with_vectors.eigenvectors.shape == (5, 4, 4)
+    assert with_vectors[1:3].eigenvectors.shape == (2, 4, 4)
 
 
 # ----------------------------------------------------------- von Neumann

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -302,6 +304,41 @@ def test_jacobi_matches_lapack(m):
     assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 5e-14 * scale
     assert np.max(np.abs(m @ v - v * w)) <= 5e-14 * scale
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 5e-14
+
+
+@pytest.mark.parametrize("n", range(1, linalg.MAX_EIG_DIM + 1))
+def test_values_only_solve_matches_the_eigenpair_solve(n):
+    # random, exactly degenerate and rank-deficient spectra: the kernel
+    # returns the same eigenvalues, bit for bit, with or without building
+    # the eigenvectors
+    rng = np.random.default_rng([18, n])
+    mats = [random_hermitian(n, rng) for _ in range(2)]
+    for spectrum in ([0.0, 0.25, 0.5, 1.0], [0.0, 0.0, 0.0, 1.0]):
+        u = random_unitary(n, rng)
+        mats.append((u * rng.choice(spectrum, size=n)) @ u.conj().T)
+    for m in mats:
+        a = 0.5 * (m + m.conj().T)
+        w, v = linalg._jacobi(a.tolist(), vectors=True)
+        values, none = linalg._jacobi(a.tolist(), vectors=False)
+        assert none is None and v is not None
+        assert np.array(values).tobytes() == np.array(w).tobytes()
+        assert np.array(w).tobytes() == linalg.jacobi_eigh(m)[0].tobytes()
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("target", -1.0), ("target", 0.0), ("target", math.nan), ("target", math.inf),
+    ("target", -math.inf), ("max_sweeps", 0), ("max_sweeps", -3), ("max_sweeps", 2.0),
+    ("max_sweeps", math.nan), ("max_sweeps", True), ("max_sweeps", "3"),
+])
+def test_jacobi_rejects_invalid_target_and_sweeps(monkeypatch, arg, value):
+    monkeypatch.setattr(linalg, "_jacobi", None)  # checked before the kernel runs
+    with pytest.raises(ValueError, match=arg):
+        linalg.jacobi_eigh(np.ones((2, 2)), **{arg: value})
+
+
+def test_jacobi_accepts_numpy_scalar_target_and_sweeps():
+    w, _ = linalg.jacobi_eigh(np.ones((2, 2)), target=np.float64(1e-12), max_sweeps=np.int64(5))
+    assert np.allclose(w, [0.0, 2.0], atol=1e-12)
 
 
 def test_n_qubits_of():

@@ -350,6 +350,76 @@ def test_one_solve_per_density_matrix(monkeypatch, name):
     assert len(solves) == SOLVES_PER_ITEM[name] * items
 
 
+# Kernel calls that build eigenvectors, per campaign item: only the random
+# sigma of monotonicity, whose eigenvectors its cross term Tr(rho log2
+# sigma) reads (I/4 and the dephased states are diagonal, so no solve).
+VECTOR_SOLVES_PER_ITEM = {"monotonicity": 1}
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_eigenvectors_are_solved_only_where_read(monkeypatch, name):
+    original = linalg._jacobi
+    vector_flags = []
+
+    def counted(a, *args, vectors, **kwargs):
+        vector_flags.append(vectors)
+        return original(a, *args, vectors=vectors, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", counted)
+    report = verify.run_campaign(verify.default_config(name, samples=6, seed=13))
+    assert report.passed
+    items = report.checks_run + report.stats.get("filtered_below_domain", 0)
+    assert sum(vector_flags) == VECTOR_SOLVES_PER_ITEM.get(name, 0) * items
+
+
+# f inversions per campaign: one per check of the bound that inverts f or
+# g, none where no check reads such a bound
+@pytest.mark.parametrize("name", ["bound_main", "equality_oracle", "bound_sv", "bound_main2"])
+def test_only_the_bounds_a_check_reads_are_computed(monkeypatch, name):
+    original = entropy._solve_f
+    inversions = []
+
+    def counted(s):
+        inversions.append(s)
+        return original(s)
+
+    monkeypatch.setattr(entropy, "_solve_f", counted)
+    report = verify.run_campaign(verify.default_config(name, samples=40, seed=13))
+    assert report.passed and report.checks_run > 0
+    want = report.checks_run if name in ("bound_sv", "bound_main2") else 0
+    assert len(inversions) == want
+    if name == "bound_main2":
+        assert report.stats["filtered_below_domain"] > 0
+
+
+SINGLE_MATRIX_FUNCTIONS = {
+    "validate_density": (entropy.validate_density, 2),
+    "purity_entanglement": (entropy.purity_entanglement, 2),
+    "von_neumann": (entropy.von_neumann, 2),
+    "single_qubit_report": (entropy.single_qubit_report, 2),
+    "two_qubit_report": (entropy.two_qubit_report, 4),
+    "relative_entropy rho": (lambda d: verify.relative_entropy(d, MAX_MIXED), 4),
+    "relative_entropy sigma": (lambda d: verify.relative_entropy(MAX_MIXED, d), 4),
+    "dephasing_map": (verify.dephasing_map, 4),
+    "check_monotonicity rho": (lambda d: verify.check_monotonicity(d, MAX_MIXED), 4),
+    "check_monotonicity sigma": (lambda d: verify.check_monotonicity(MAX_MIXED, d), 4),
+    "check_interm": (verify.check_interm, 4),
+    "check_jonas": (verify.check_jonas, 4),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", sorted(SINGLE_MATRIX_FUNCTIONS))
+def test_single_matrix_functions_reject_a_stacked_density(name, rows):
+    fn, dim = SINGLE_MATRIX_FUNCTIONS[name]
+    one = np.eye(dim, dtype=complex) / dim
+    fn(entropy.validate_density(one))  # one matrix is accepted
+    for vectors in (False, True):
+        stack = entropy.validate_densities(np.stack([one] * rows), vectors=vectors)
+        with pytest.raises(ValueError, match="stack"):
+            fn(stack)
+
+
 def test_campaign_unknown_name():
     config = verify.default_config("jonas")
     config.name = "bogus"
@@ -410,9 +480,9 @@ def test_analyze_matches_the_chunked_evaluation(kind):
         assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
         assert abs(rep.closed_form_F - stack.closed_form_F[row]) <= 1e-15
         assert abs(rep.correlator_used - stack.correlator_used[row]) <= 1e-15
-        assert rep.bounds.keys() == stack.bounds[row].keys()
+        assert rep.bounds.keys() == stack.bounds(row).keys()
         for name, value in rep.bounds.items():
-            assert abs(value - stack.bounds[row][name]) <= 1e-15
+            assert abs(value - stack.bound(row, name)) <= 1e-15
         assert rep.entanglement == stack.entanglement[row]
 
 
@@ -423,11 +493,17 @@ def test_density_checks_match_the_chunked_evaluation():
     draws = [verify._draw_density(config, i, with_sigma=True) for i in range(40)]
     states = [d.purification for d in draws] + [d.sigma for d in draws]
     rhos = linalg.partial_traces(np.array([s.amplitudes for s in states]), [(0, 1)] * 80)
-    stack = entropy.validate_densities(rhos, dims=(4,))
+    stack = entropy.validate_densities(rhos, dims=(4,), vectors=True)
+    values = entropy.validate_densities(rhos, dims=(4,))
+    assert values.eigenvectors is None
+    assert np.array_equal(values.eigenvalues, stack.eigenvalues)
     for m, w, v in zip(rhos, stack.eigenvalues, stack.eigenvectors):
-        one = entropy.validate_density(m)
+        one = entropy.validate_density(m, vectors=True)
         assert np.array_equal(one.eigenvalues, w) and np.array_equal(one.eigenvectors, v)
-    rho, sigma = stack[:40], stack[40:]
+        one = entropy.validate_density(m)
+        assert np.array_equal(one.eigenvalues, w) and one.eigenvectors is None
+    # as in a monotonicity chunk: rho values only, sigma with eigenvectors
+    rho, sigma = values[:40], stack[40:]
     chunked = {
         "interm": verify._interm_slacks(rho),
         "jonas": verify._jonas_slacks(rho),
