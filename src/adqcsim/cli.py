@@ -17,7 +17,6 @@ from .qcore import PureState, basis_state
 
 DEFAULT_FIG5_S = (0.2, 0.4, 0.6, 0.8, 1.0)
 MAX_CURVE_GRID = 100_000  # points per curve; checked before anything is allocated
-_SATURATION_FLAG_TOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -152,7 +151,7 @@ def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
         "saturated": [
             name
             for name, value in report.bounds.items()
-            if abs(report.simulated_F - value) <= _SATURATION_FLAG_TOL
+            if abs(report.simulated_F - value) <= protocols.BOUND_SLACK_TOL
         ],
         "violations": [{"name": v.name, "excess": v.excess} for v in report.violations],
         "notes": _demo_notes(report),

@@ -14,6 +14,7 @@ DENSITY_TOL = 1e-10
 _INVERSE_RESIDUAL = 1e-12
 _INVERSE_WIDTH = 1e-13
 _INVERSE_MAX_ITER = 200
+_DOMAIN_SLACK = 1e-12  # roundoff let past the ends of an f or g domain
 
 
 class BoundDomainError(ValueError):
@@ -45,11 +46,13 @@ def validate_density(
 ) -> Density:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 
-    Returns the matrix with the eigenvalues the positivity check solved
-    for, so that no caller has to solve it again, and with `vectors` the
-    eigenvectors too.  A Density of one matrix passes through after the
-    dimension check; it is solved again, once, only where `vectors` asks
-    for eigenvectors it lacks.  A stacked Density is rejected.
+    Returns the matrix with the eigenvalues of its one linalg.jacobi_eigh
+    solve, which checks finiteness and Hermiticity and whose eigenvalues
+    the positivity check reads, so that no caller has to solve it again,
+    and with `vectors` the eigenvectors too.  A Density of one matrix
+    passes through after the dimension check; it is solved again, once,
+    only where `vectors` asks for eigenvectors it lacks.  A stacked
+    Density is rejected.
     """
     if isinstance(rho, Density):
         if rho.matrix.ndim != 2:
@@ -66,74 +69,34 @@ def validate_densities(
     rhos: np.ndarray, dims: tuple[int, ...] | None = None, vectors: bool = False
 ) -> Density:
     """validate_density over a (B, d, d) stack, returned as one Density:
-    the finiteness, Hermiticity and trace checks run once on the whole
-    stack, diagonal matrices are read off their diagonals, and every other
-    matrix gets its one eigensolve, which builds eigenvectors only with
-    `vectors`."""
+    one linalg.jacobi_eigh call checks finiteness and Hermiticity once on
+    the whole stack and solves each matrix once, building eigenvectors
+    only with `vectors`; the trace and positivity tests then run once on
+    the whole stack too."""
     return _solved(_checked(np.asarray(rhos, dtype=complex), 3, dims), vectors)
 
 
 def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarray:
-    # one matrix (ndim 2) or a stack of them (ndim 3), each check run once
+    # one matrix (ndim 2) or a stack of them (ndim 3) of an allowed size
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
     if dims is not None and m.shape[-1] not in dims:
         raise ValueError(f"density matrix dimension {m.shape[-1]} not in {dims}")
-    if not np.isfinite(m).all():
-        raise ValueError("density matrix has non-finite entries")
-    if linalg.hermiticity_defect(m) > DENSITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = m.trace(axis1=-2, axis2=-1)
-    off = abs(tr - 1.0)
-    if (off > DENSITY_TOL).any():
-        raise ValueError(f"density matrix trace {complex(np.ravel(tr)[np.argmax(off)])} is not 1")
     return m
 
 
-def _diagonal_eigenpairs(diag: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # eigenvalues (and with `vectors` eigenvectors) of diagonal matrices
-    # from their (..., d) diagonals, in the values and order the Jacobi
-    # kernel returns for them
-    w = diag.real
-    order = np.argsort(w, axis=-1, kind="stable")
-    evals = np.take_along_axis(w, order, axis=-1)
-    if not vectors:
-        return evals, None
-    return evals, np.eye(w.shape[-1], dtype=complex)[order].swapaxes(-1, -2)
-
-
 def _solved(m: np.ndarray, vectors: bool) -> Density:
-    # Eigenvalues (and eigenvectors with `vectors`) of a checked (B, d, d)
-    # stack and its positivity test.  A diagonal matrix (a dephased state)
-    # is read off its diagonal; every other matrix, made exactly
-    # Hermitian, gets one Jacobi solve.
-    diag = m.diagonal(axis1=1, axis2=2)
-    solve = np.count_nonzero(m, axis=(1, 2)) != np.count_nonzero(diag, axis=1)
-    if solve.all():
-        evals, evecs = _jacobi_eigenpairs(m, vectors)
-    else:
-        evals, evecs = _diagonal_eigenpairs(diag, vectors)
-        if solve.any():
-            w, v = _jacobi_eigenpairs(m[solve], vectors)
-            evals[solve] = w
-            if vectors:
-                evecs[solve] = v
+    # The one eigensolve of a (B, d, d) stack, which checks finiteness and
+    # Hermiticity, then the trace and positivity tests.
+    evals, evecs = linalg.jacobi_eigh(m, vectors=vectors)
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if (off > DENSITY_TOL).any():
+        raise ValueError(f"density matrix trace {complex(tr[np.argmax(off)])} is not 1")
     negative = evals[:, 0] < -DENSITY_TOL
     if negative.any():
         raise ValueError(f"density matrix has negative eigenvalue {evals[negative, 0][0]}")
     return Density(m, evals, evecs)
-
-
-def _jacobi_eigenpairs(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # one run of the rotation kernel per matrix of a checked stack
-    if m.shape[-1] > linalg.MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[-1]} exceeds eigensolver limit {linalg.MAX_EIG_DIM}")
-    pairs = [
-        linalg._jacobi(a, vectors=vectors)
-        for a in (0.5 * (m + m.conj().swapaxes(1, 2))).tolist()
-    ]
-    evals = np.array([w for w, _ in pairs])
-    return evals, np.array([v for _, v in pairs], dtype=complex) if vectors else None
 
 
 def _spectrum(density: Density) -> np.ndarray:
@@ -161,14 +124,15 @@ def von_neumann(rho: np.ndarray | Density) -> float:
     return max(-_plogp(p), 0.0) + 0.0
 
 
-def correlator(rho: np.ndarray, observable: np.ndarray) -> float | np.ndarray:
+def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
     """Tr(rho O) for a Hermitian observable, or one value per matrix of a
-    (B, d, d) stack; every value must come out real."""
-    rho = np.asarray(rho, dtype=complex)
+    (B, d, d) stack; every value must come out real.  rho may be a
+    Density, of one matrix or of a stack."""
+    rho = np.asarray(rho.matrix if isinstance(rho, Density) else rho, dtype=complex)
     observable = np.asarray(observable, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape or observable.ndim != 2:
         raise ValueError("state and observable dimensions do not match")
-    if linalg.hermiticity_defect(observable) > DENSITY_TOL:
+    if linalg.hermiticity_defect(observable) > linalg.HERMITIAN_TOL:
         raise ValueError("observable is not Hermitian within tolerance")
     val = (rho @ observable).trace(axis1=-2, axis2=-1)
     residue = abs(val.imag) if rho.ndim == 2 else abs(val.imag).max()
@@ -177,9 +141,9 @@ def correlator(rho: np.ndarray, observable: np.ndarray) -> float | np.ndarray:
     return float(val.real) if rho.ndim == 2 else val.real
 
 
-def bloch_length(rho: np.ndarray) -> float | np.ndarray:
+def bloch_length(rho: np.ndarray | Density) -> float | np.ndarray:
     """Length of the Bloch vector of a single-qubit state, or one length
-    per matrix of a (B, 2, 2) stack."""
+    per matrix of a (B, 2, 2) stack; rho may be a Density of either."""
     cx = correlator(rho, qcore.gate("X"))
     cy = correlator(rho, qcore.gate("Y"))
     cz = correlator(rho, qcore.gate("Z"))
@@ -188,7 +152,7 @@ def bloch_length(rho: np.ndarray) -> float | np.ndarray:
 
 
 def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
-    if not lo - 1e-12 <= x <= hi + 1e-12:
+    if not lo - _DOMAIN_SLACK <= x <= hi + _DOMAIN_SLACK:
         raise ValueError(f"{what}={x} outside [{lo}, {hi}]")
     return min(max(float(x), lo), hi)
 
@@ -241,7 +205,7 @@ def g_inverse(s: float) -> float:
 
     Since g = 1 + f this is f_inverse(s - 1); s - 1 is exact on [1, 2].
     """
-    if s < 1.0 - 1e-12:
+    if s < 1.0 - _DOMAIN_SLACK:
         raise BoundDomainError(
             f"g_inverse undefined for entropy {s} < 1: the correlator is "
             "unconstrained there"

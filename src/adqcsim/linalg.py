@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ MAX_QUBITS = 8
 MAX_EIG_DIM = 16
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TARGET = 1e-14
+_MAX_SWEEPS = 60
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,59 +139,58 @@ def partial_traces(states: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.nda
     return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
-def jacobi_eigh(
-    m: np.ndarray,
-    target: float = OFFDIAG_TARGET,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic complex plane rotations.
+def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Diagonalize a Hermitian matrix, or every matrix of a (B, d, d)
+    stack, by cyclic complex plane rotations.
 
     Each rotation zeroes one off-diagonal pivot: the pivot's phase is
     absorbed into the rotation so the remaining 2x2 problem is real, then
     the smaller-angle root of the usual tangent equation is taken, so the
     pivot block's diagonal becomes (a_pp - t|a_pq|, a_qq + t|a_pq|).
     Sweeps repeat until the off-diagonal Frobenius norm drops below
-    `target`, which must be finite and positive, within `max_sweeps` (an
-    integer >= 1); input with non-finite entries is rejected.
+    OFFDIAG_TARGET; a matrix that has not converged within _MAX_SWEEPS
+    sweeps raises ArithmeticError.  A diagonal matrix stops before the
+    first sweep, with its diagonal as the eigenvalues.
 
-    The rotations run on nested lists of Python complex scalars: at these
-    sizes (at most MAX_EIG_DIM) numpy's per-call overhead on row and
-    column slices would cost more than the arithmetic.
+    The input is checked once, whole: square, at most MAX_EIG_DIM,
+    finite, and Hermitian within HERMITIAN_TOL; it is then made exactly
+    Hermitian and each matrix is solved on its own.  The rotations run on
+    nested lists of Python complex scalars: at these sizes numpy's
+    per-call overhead on row and column slices would cost more than the
+    arithmetic.
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
-    satisfying m @ v == v @ diag(w) up to roundoff.  The eigenvectors are
-    always built here; the package's own values-only solves (see
-    entropy.validate_densities) run the same kernel without them.
+    satisfying m @ v == v @ diag(w) up to roundoff, each with the input's
+    leading axis.  With `vectors` false the rotations are not accumulated
+    and the second item is None; the eigenvalues are the same bit for bit.
     """
-    if not 0.0 < target < math.inf:  # NaN fails this too
-        raise ValueError(f"target must be finite and positive, got {target!r}")
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if a.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds eigensolver limit {MAX_EIG_DIM}")
+    n = a.shape[-1]
+    if n > MAX_EIG_DIM:
+        raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     if hermiticity_defect(a) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = _jacobi((0.5 * (a + a.conj().T)).tolist(), target, max_sweeps, vectors=True)
-    return np.array(w), np.array(v, dtype=complex)
+    hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    pairs = [_jacobi(x, vectors=vectors) for x in hermitian.reshape(-1, n, n).tolist()]
+    w = np.array([values for values, _ in pairs]).reshape(a.shape[:-1])
+    if not vectors:
+        return w, None
+    return w, np.array([v for _, v in pairs], dtype=complex).reshape(a.shape)
 
 
 def _jacobi(
-    a: list[list[complex]],
-    target: float = OFFDIAG_TARGET,
-    max_sweeps: int = 60,
-    *,
-    vectors: bool,
+    a: list[list[complex]], *, vectors: bool
 ) -> tuple[list[float], list[list[complex]] | None]:
-    # The rotation loop of jacobi_eigh on a matrix its caller has already
-    # checked (square, at most MAX_EIG_DIM, finite) and made exactly
-    # Hermitian, given as nested lists, which it overwrites.  Returns the
-    # eigenvalues ascending and, with `vectors`, the eigenvector matrix as
-    # nested lists (else None: the rotations are not accumulated at all).
+    # The rotation loop of jacobi_eigh, its one caller, on a matrix it has
+    # already checked (square, at most MAX_EIG_DIM, finite) and made
+    # exactly Hermitian, given as nested lists, which it overwrites.
+    # Returns the eigenvalues ascending and, with `vectors`, the
+    # eigenvector matrix as nested lists (else None: the rotations are not
+    # accumulated at all).
     n = len(a)
     v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else None
     # The diagonal is real (the caller symmetrised the matrix), so it is
@@ -205,8 +204,8 @@ def _jacobi(
         for p in range(n - 1)
         for q in range(p + 1, n)
     ]
-    pivot_floor = target / (4.0 * n * n)
-    for _ in range(max_sweeps):
+    pivot_floor = OFFDIAG_TARGET / (4.0 * n * n)
+    for _ in range(_MAX_SWEEPS):
         # Summed directly over the entries above the diagonal (twice, for
         # the Hermitian mirror); subtracting the diagonal share from the
         # total hits a cancellation floor near sqrt(eps)*|A|.
@@ -214,7 +213,7 @@ def _jacobi(
         for p, q, ap, _, _ in pivots:
             x = ap[q]
             off += x.real * x.real + x.imag * x.imag
-        if math.sqrt(2.0 * off) <= target:
+        if math.sqrt(2.0 * off) <= OFFDIAG_TARGET:
             break
         for p, q, ap, aq, rest in pivots:
             apq = ap[q]

@@ -11,12 +11,14 @@ stacks: the protocol campaigns one stack per register size and reduction
 shape, whatever the protocol kinds; the density campaigns one (B, 4, 4)
 stack, with one partial trace per chunk and one validation of its rho
 rows, values only (plus one of monotonicity's random sigma rows, whose
-eigenvectors are read).  The samples are folded into the report in index
-order, so the report does not depend on the chunk size either.  The
-counterexample sweep draws nothing and checks one point of its grid at a
-time.  The public checks (check_jonas, check_interm, check_monotonicity,
-relative_entropy, dephasing_map) are batches of one over the stack code
-of the density campaigns.
+eigenvectors are read); each validation is one linalg.jacobi_eigh call on
+the stack.  The dephased states of monotonicity take no solve: their
+eigenpairs are read off their diagonals.  The samples are folded into
+the report in index order, so the report does not depend on the chunk
+size either.  The counterexample sweep draws nothing and checks one point
+of its grid at a time.  The public checks (check_jonas, check_interm,
+check_monotonicity, relative_entropy, dephasing_map) are batches of one
+over the stack code of the density campaigns.
 """
 from __future__ import annotations
 
@@ -94,13 +96,20 @@ def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
 
 
 def _dephased(rho: Density) -> Density:
-    # E(rho): the diagonal kept, read off as the eigenvalues with no solve,
-    # and as the eigenvectors where rho has them
+    # E(rho): the diagonal kept, with no solve: the eigenvalues are the
+    # diagonal sorted stably, and where rho has eigenvectors they are the
+    # unit vectors in that order, the values and order that jacobi_eigh
+    # returns for a diagonal matrix
     diag = rho.matrix.diagonal(axis1=-2, axis2=-1)
     matrix = np.zeros_like(rho.matrix)
     idx = np.arange(diag.shape[-1])
     matrix[..., idx, idx] = diag
-    return Density(matrix, *entropy._diagonal_eigenpairs(diag, rho.eigenvectors is not None))
+    w = diag.real
+    order = np.argsort(w, axis=-1, kind="stable")
+    evals = np.take_along_axis(w, order, axis=-1)
+    if rho.eigenvectors is None:
+        return Density(matrix, evals, None)
+    return Density(matrix, evals, np.eye(w.shape[-1], dtype=complex)[order].swapaxes(-1, -2))
 
 
 def _monotonicity_slacks(rho: Density, sigma: Density) -> np.ndarray:

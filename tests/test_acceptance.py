@@ -211,9 +211,11 @@ def test_criterion_08_appendix_suite():
         )
     chain_worst = 0.0
     chain_order = 0.0
+    # each matrix is validated, and solved, once for the three checks
+    sigma = entropy.validate_density(np.eye(4, dtype=complex) / 4, vectors=True)
     for i in range(1000):
-        rho = verify.random_density_matrix(2, [108, i])
-        s_mono = verify.check_monotonicity(rho, np.eye(4, dtype=complex) / 4)
+        rho = entropy.validate_density(verify.random_density_matrix(2, [108, i]))
+        s_mono = verify.check_monotonicity(rho, sigma)
         s_interm = verify.check_interm(rho)
         s_jonas = verify.check_jonas(rho)
         chain_worst = max(chain_worst, abs(s_mono - s_interm))

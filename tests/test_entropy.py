@@ -87,16 +87,33 @@ def test_eigenvectors_requested_of_a_density_without_them_are_solved_once(monkey
 
 
 def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
+    # a dephased state's eigenpairs are read off its diagonal, in the
+    # values and order the kernel returns for a diagonal matrix
     mats = [np.diag([0.1, 0.4, 0.2, 0.3]), verify.rho_lambda(0.3), np.eye(4) / 4,
-            np.diag([0.5 + 1e-12j, 0.5])]
-    expected = [linalg.jacobi_eigh(m) for m in mats]
+            np.diag([0.5 + 1e-12j, 0.5, 0.0, 0.0]), verify.random_density_matrix(2, [64, 2])]
+    rhos = [entropy.validate_densities(np.array(mats), vectors=v) for v in (False, True)]
+    w, v = linalg.jacobi_eigh(verify._dephased(rhos[0]).matrix)
     monkeypatch.setattr(linalg, "jacobi_eigh", None)  # any solve would raise
     monkeypatch.setattr(linalg, "_jacobi", None)
-    for m, (w, v) in zip(mats, expected):
-        d = entropy.validate_density(m)
-        assert np.array_equal(d.eigenvalues, w) and d.eigenvectors is None
-        d = entropy.validate_density(m, vectors=True)
-        assert np.array_equal(d.eigenvalues, w) and np.array_equal(d.eigenvectors, v)
+    values, pairs = verify._dephased(rhos[0]), verify._dephased(rhos[1])
+    assert values.eigenvalues.tobytes() == w.tobytes() and values.eigenvectors is None
+    assert pairs.eigenvalues.tobytes() == w.tobytes()
+    assert pairs.eigenvectors.tobytes() == v.tobytes()
+
+
+def test_non_convergence_fails_closed(monkeypatch):
+    # a dense matrix needs more than one sweep; with one allowed, the solve
+    # and the validation built on it raise instead of returning a spectrum
+    rho = verify.random_density_matrix(2, [64, 3])
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    for vectors in (True, False):
+        with pytest.raises(ArithmeticError):
+            linalg.jacobi_eigh(rho, vectors=vectors)
+        with pytest.raises(ArithmeticError):
+            entropy.validate_densities(rho[None], vectors=vectors)
+    # a diagonal matrix still stops before the first sweep
+    diagonal = entropy.validate_density(np.diag([0.75, 0.25]))
+    assert np.array_equal(diagonal.eigenvalues, [0.25, 0.75])
 
 
 def test_validated_stack_is_checked_once(monkeypatch):
@@ -183,6 +200,16 @@ def test_correlator_errors():
         entropy.correlator(np.eye(2) / 2, np.eye(4))
     with pytest.raises(ValueError):
         entropy.correlator(np.eye(2) / 2, np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_correlator_and_bloch_length_read_a_density():
+    rhos = np.array([random_single_qubit_rho([66, i]) for i in range(3)])
+    stack = entropy.validate_densities(rhos, dims=(2,))
+    z = qcore.gate("Z")
+    assert np.array_equal(entropy.correlator(stack, z), entropy.correlator(rhos, z))
+    assert np.array_equal(entropy.bloch_length(stack), entropy.bloch_length(rhos))
+    assert entropy.correlator(stack[1], z) == entropy.correlator(rhos[1], z)
+    assert entropy.bloch_length(stack[1]) == entropy.bloch_length(rhos[1])
 
 
 def test_bloch_length_pure_and_mixed():

@@ -322,14 +322,14 @@ def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, b
     assert data["passed"] is False
 
 
-# Jacobi solves per campaign item: one per density matrix that is not
-# already diagonal (dephased states, I/4, the rho_lambda family and the
-# saturating registers are read off their diagonals).  Every solve runs
-# the rotation kernel, whether through jacobi_eigh or validate_densities.
+# Jacobi solves per campaign item: one per validated density matrix,
+# diagonal ones (the rho_lambda family, the saturating registers) too;
+# only the dephased states are read off their diagonals, and I/4 is solved
+# once, at import.  Every solve runs the rotation kernel through jacobi_eigh.
 SOLVES_PER_ITEM = {
     "bound_main": 1, "bound_sv": 1, "bound_main2": 1, "equality_oracle": 1,
     "interm": 1, "jonas": 1, "monotonicity": 2,
-    "circuit_equivalence": 0, "counterexample": 0, "saturation": 0,
+    "circuit_equivalence": 0, "counterexample": 1, "saturation": 1,
 }
 
 
@@ -352,7 +352,7 @@ def test_one_solve_per_density_matrix(monkeypatch, name):
 
 # Kernel calls that build eigenvectors, per campaign item: only the random
 # sigma of monotonicity, whose eigenvectors its cross term Tr(rho log2
-# sigma) reads (I/4 and the dephased states are diagonal, so no solve).
+# sigma) reads (I/4 is solved at import, the dephased states not at all).
 VECTOR_SOLVES_PER_ITEM = {"monotonicity": 1}
 
 
