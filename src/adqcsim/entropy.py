@@ -128,14 +128,30 @@ def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.
     """Tr(rho O) for a Hermitian observable, or one value per matrix of a
     (B, d, d) stack; every value must come out real.  rho may be a
     Density, of one matrix or of a stack."""
-    rho = np.asarray(rho.matrix if isinstance(rho, Density) else rho, dtype=complex)
+    return _expectation(rho, _observable(observable))
+
+
+def _observable(observable: np.ndarray) -> np.ndarray:
     observable = np.asarray(observable, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape or observable.ndim != 2:
-        raise ValueError("state and observable dimensions do not match")
+    if observable.ndim != 2 or observable.shape[0] != observable.shape[1]:
+        raise ValueError("observable must be a square matrix")
     if linalg.hermiticity_defect(observable) > linalg.HERMITIAN_TOL:
         raise ValueError("observable is not Hermitian within tolerance")
+    return observable
+
+
+# The observables the reports read, checked once here, not per stack
+_X, _Y, _Z = (_observable(qcore.gate(name)) for name in "XYZ")
+_ZZ = _observable(linalg.kron(_Z, _Z))
+
+
+def _expectation(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
+    # correlator for an observable that _observable has already checked
+    rho = np.asarray(rho.matrix if isinstance(rho, Density) else rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape:
+        raise ValueError("state and observable dimensions do not match")
     val = (rho @ observable).trace(axis1=-2, axis2=-1)
-    residue = abs(val.imag) if rho.ndim == 2 else abs(val.imag).max()
+    residue = abs(val.imag) if rho.ndim == 2 else abs(val.imag).max(initial=0.0)
     if residue > 1e-12:
         raise ValueError(f"correlator has imaginary residue {residue}")
     return float(val.real) if rho.ndim == 2 else val.real
@@ -144,9 +160,7 @@ def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.
 def bloch_length(rho: np.ndarray | Density) -> float | np.ndarray:
     """Length of the Bloch vector of a single-qubit state, or one length
     per matrix of a (B, 2, 2) stack; rho may be a Density of either."""
-    cx = correlator(rho, qcore.gate("X"))
-    cy = correlator(rho, qcore.gate("Y"))
-    cz = correlator(rho, qcore.gate("Z"))
+    cx, cy, cz = (_expectation(rho, pauli) for pauli in (_X, _Y, _Z))
     length = np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0)
     return float(length) if np.ndim(length) == 0 else length
 
@@ -227,9 +241,6 @@ class EntanglementReport:
     bloch_length_r: float | None
 
 
-_ZZ = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
-
-
 def _reports(densities: Density, single: bool) -> list[EntanglementReport]:
     # entropies from each matrix's own spectrum; correlators over the stack
     matrices = densities.matrix
@@ -237,10 +248,10 @@ def _reports(densities: Density, single: bool) -> list[EntanglementReport]:
     sv = (np.maximum(-_plogp(p), 0.0) + 0.0).tolist()
     if single:
         purity = (np.maximum(2.0 * (1.0 - np.sum(p * p, axis=1)), 0.0) + 0.0).tolist()
-        corr = correlator(matrices, qcore.gate("Z")).tolist()
+        corr = _expectation(matrices, _Z).tolist()
         r = bloch_length(matrices).tolist()
         return [EntanglementReport(*row) for row in zip(purity, sv, corr, r)]
-    corr = correlator(matrices, _ZZ).tolist()
+    corr = _expectation(matrices, _ZZ).tolist()
     return [EntanglementReport(None, v, c, None) for v, c in zip(sv, corr)]
 
 

@@ -34,9 +34,9 @@ def n_qubits_of(dim: int) -> int:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M[i,j] - conj(M[j,i])| over all entries, of one matrix or of
-    every matrix of a (B, d, d) stack."""
+    every matrix of a (B, d, d) stack; 0 for a stack of no matrices."""
     m = np.asarray(m, dtype=complex)
-    return float(abs(m - m.conj().swapaxes(-1, -2)).max())
+    return float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 @lru_cache(maxsize=4096)
@@ -57,13 +57,15 @@ def permute_qubits(
     Row b of the result is states[b].reshape([2]*n).transpose(orders[b])
     flattened, so the qubits listed first become the most significant.
     With `inverse`, the rows are transposed back instead (one scatter over
-    the same tables).
+    the same tables).  A stack of no rows comes back as it is.
     """
     states = np.asarray(states)
     rows, dim = states.shape
     n = n_qubits_of(dim)
     if len(orders) != rows:
         raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
+    if rows == 0:
+        return states.copy()
     first = tuple(orders[0])
     if rows == 1 or all(tuple(o) == first for o in orders):
         tables = _index_table(n, first)
@@ -125,10 +127,13 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 def partial_traces(states: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
     """Reduced density matrices of the rows of a (B, 2^n) stack of pure
     states, row b on the qubits `keeps[b]` in the order given; every row
-    keeps the same number of qubits."""
+    keeps the same number of qubits.  A stack of no rows keeps no qubits to
+    size the result by, and is rejected."""
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
         raise ValueError("states must be a (B, 2^n) stack")
+    if len(states) == 0:
+        raise ValueError("the stack is empty: no rows to reduce")
     n = n_qubits_of(states.shape[1])
     orders = [_keep_first(n, tuple(keep)) for keep in keeps]
     k = len(keeps[0]) if orders else 0
@@ -161,13 +166,16 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
     satisfying m @ v == v @ diag(w) up to roundoff, each with the input's
-    leading axis.  With `vectors` false the rotations are not accumulated
-    and the second item is None; the eigenvalues are the same bit for bit.
+    leading axis; a stack of no matrices gives empty results.  With
+    `vectors` false the rotations are not accumulated and the second item
+    is None; the eigenvalues are the same bit for bit.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     n = a.shape[-1]
+    if n == 0:
+        raise ValueError("matrix is 0 x 0")
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
     if not np.isfinite(a).all():

@@ -13,15 +13,16 @@ gate), up to a global phase per branch.
 The simulation runs on (B, 2^n) stacks of registers of one size, one spec
 per row, and protocols of different kinds share a stack through per-row
 gate tables: `pre_measurement_states`, `run_protocols` and
-`analyze_stack`.  `pre_measurement_state`, `run_protocol` and `analyze`
-are batches of one over the same code.
+`analyze_stack`, which reduces the rows of each error kind on its own
+shape.  `pre_measurement_state`, `run_protocol` and `analyze` are
+batches of one over the same code.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,7 +150,15 @@ class FidelityReport:
 
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_GATES = {name: qcore.gate(name) for row in _PROTOCOLS.values() for name, _ in row.gates}
+# Every gate the protocols apply, stacked once; each protocol's steps as
+# (row of _GATE_TABLE, wires), so a gate step of a stack takes its
+# operators by indexing the table.
+_GATE_NAMES = tuple(dict.fromkeys(name for row in _PROTOCOLS.values() for name, _ in row.gates))
+_GATE_TABLE = np.stack([qcore.gate(name) for name in _GATE_NAMES])
+_STEPS = {
+    kind: tuple((_GATE_NAMES.index(name), wires) for name, wires in row.gates)
+    for kind, row in _PROTOCOLS.items()
+}
 
 
 def _register_size(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> int:
@@ -177,11 +186,11 @@ def pre_measurement_states(
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     n = _register_size(amplitudes, specs)
-    vec = (amplitudes[:, :, None] * _PLUS).reshape(len(specs), -1)
-    steps = [_PROTOCOLS[spec.kind].gates for spec in specs]
+    vec = (amplitudes[:, :, None] * _PLUS).reshape(len(specs), 2 * amplitudes.shape[1])
+    steps = [_STEPS[spec.kind] for spec in specs]
     for k in range(max(map(len, steps), default=0)):
         rows = [b for b, gates in enumerate(steps) if len(gates) > k]
-        ops = np.stack([_GATES[steps[b][k][0]] for b in rows])
+        ops = _GATE_TABLE[[steps[b][k][0] for b in rows]]
         wires = [
             tuple(n if w == _ANCILLA else specs[b].targets[w] for w in steps[b][k][1])
             for b in rows
@@ -279,8 +288,13 @@ def closed_form_fidelity(correlator: float, epsilon: float) -> float:
     """cos^2(e/2) + correlator^2 sin^2(e/2)."""
     # a range check only: F uses the correlator unclamped
     entropy._check_unit_interval(correlator, -1.0, 1.0, "correlator")
+    return float(_closed_form(correlator, epsilon))
+
+
+def _closed_form(correlator, epsilon):
+    # closed_form_fidelity unchecked, for one value or elementwise
     ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
-    return float(ce * ce + correlator * correlator * se * se)
+    return ce * ce + correlator * correlator * se * se
 
 
 def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.ndarray:
@@ -305,18 +319,36 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
     return ce * eye + sign * np.exp(sign * 1j * delta) * se * pauli
 
 
+# Each bound is 1 - measure sin^2(e/2), the measure taken from an entropy:
+# S itself, or 1 - c^2 for the correlator c that f or g maps onto it.
+
+def _purity_measure(S: float) -> float:
+    return entropy._check_unit_interval(S, 0.0, 1.0, "S")
+
+
+def _sv_measure(Sv: float) -> float:
+    c = entropy.f_inverse(Sv)
+    return 1.0 - c * c
+
+
+def _sv2_measure(Sv2: float) -> float:
+    c = entropy.g_inverse(Sv2)
+    return 1.0 - c * c
+
+
+def _bound(measure: float, se: float) -> float:
+    # from se = sin(e/2)
+    return float(1.0 - measure * se * se)
+
+
 def bound_purity(S: float, epsilon: float) -> float:
     """Fidelity bound 1 - S sin^2(e/2) from the purity measure S."""
-    S = entropy._check_unit_interval(S, 0.0, 1.0, "S")
-    se = np.sin(epsilon / 2.0)
-    return float(1.0 - S * se * se)
+    return _bound(_purity_measure(S), np.sin(epsilon / 2.0))
 
 
 def bound_sv(Sv: float, epsilon: float) -> float:
     """Fidelity bound 1 - (1 - f_inverse(Sv)^2) sin^2(e/2)."""
-    c = entropy.f_inverse(Sv)
-    se = np.sin(epsilon / 2.0)
-    return float(1.0 - (1.0 - c * c) * se * se)
+    return _bound(_sv_measure(Sv), np.sin(epsilon / 2.0))
 
 
 def bound_sv2(Sv2: float, epsilon: float) -> float:
@@ -325,22 +357,21 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
     Values below 1 raise BoundDomainError: no entropy of that size
     constrains the correlator, so no fidelity bound exists there.
     """
-    c = entropy.g_inverse(Sv2)
-    se = np.sin(epsilon / 2.0)
-    return float(1.0 - (1.0 - c * c) * se * se)
+    return _bound(_sv2_measure(Sv2), np.sin(epsilon / 2.0))
 
 
-_BOUNDS = {"purity_bound": bound_purity, "sv_bound": bound_sv, "sv2_bound": bound_sv2}
+_MEASURES = {"purity_bound": _purity_measure, "sv_bound": _sv_measure, "sv2_bound": _sv2_measure}
 
 
 class FidelityStack(NamedTuple):
-    """analyze() over the rows of one stack: one register size and one
-    error kind, so one reduction shape.
+    """analyze() over the rows of one stack of registers of one size.  Its
+    rows may mix the two error kinds; each kind's rows are reduced on its
+    own shape, the first target (X type) or the target pair (ZZ type).
 
-    A row's bounds are computed where they are read, from the clamped
-    entropies kept per row under the name of the bound they feed: the
-    purity and sv bounds for a one-qubit reduction, the sv2 bound for a
-    two-qubit one whose entropy lies in its domain.
+    A row's bounds are computed where they are read, from its sin(e/2) and
+    the clamped entropies kept per row under the name of the bound they
+    feed: the purity and sv bounds for a one-qubit reduction, the sv2
+    bound for a two-qubit one whose entropy lies in its domain.
     """
 
     simulated_F: np.ndarray
@@ -348,7 +379,7 @@ class FidelityStack(NamedTuple):
     correlator_used: np.ndarray
     entanglement: list[EntanglementReport]
     bound_entropies: list[dict[str, float]]
-    epsilons: list[float]
+    sin_half: np.ndarray  # sin(epsilon / 2) per row
     ideal_branches: np.ndarray
     ideal_probabilities: np.ndarray
     inaccurate_branches: np.ndarray
@@ -356,7 +387,7 @@ class FidelityStack(NamedTuple):
     def bound(self, row: int, name: str) -> float | None:
         """The named bound of one row, or None where it does not apply."""
         value = self.bound_entropies[row].get(name)
-        return None if value is None else _BOUNDS[name](value, self.epsilons[row])
+        return None if value is None else _bound(_MEASURES[name](value), self.sin_half[row])
 
     def bounds(self, row: int) -> dict[str, float]:
         """Every bound that applies to one row."""
@@ -384,45 +415,65 @@ class FidelityStack(NamedTuple):
         )
 
 
+def _one_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
+    return {
+        "purity_bound": min(max(report.purity_S, 0.0), 1.0),
+        "sv_bound": min(max(report.von_neumann, 0.0), 1.0),
+    }
+
+
+def _two_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
+    sv2 = min(max(report.von_neumann, 0.0), 2.0)
+    return {"sv2_bound": sv2} if sv2 >= 1.0 else {}
+
+
+class _Reduction(NamedTuple):
+    targets: int  # the leading targets the register is reduced to
+    reports: Callable[[np.ndarray], list[EntanglementReport]]
+    entropies: Callable[[EntanglementReport], dict[str, float]]
+
+
+# The reduction shape of each error kind
+_REDUCTIONS = {
+    ErrorKind.X_TYPE: _Reduction(1, entropy.single_qubit_reports, _one_qubit_entropies),
+    ErrorKind.ZZ_TYPE: _Reduction(2, entropy.two_qubit_reports, _two_qubit_entropies),
+}
+
+
 def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> FidelityStack:
     """analyze() for every row of a (B, 2^n) stack of register states, one
-    spec per row; every spec must have the same error kind.
+    spec per row, of either error kind.
 
-    The simulation, the fidelities, the reductions and their eigenvalues
-    run once on the whole stack; a row's entropy bounds are left until
-    they are read.
+    One simulation runs the whole stack.  Each reduction shape then runs
+    once, partial traces, eigenvalues and reports, over only the rows of
+    its error kind, and not at all where there are none.  The closed-form
+    fidelities and sin(e/2) are computed over the stack; a row's entropy
+    bounds are left until they are read.  A stack of no rows gives a
+    FidelityStack of no rows.
     """
     specs = list(specs)
-    errors = {_PROTOCOLS[spec.kind].error for spec in specs}
-    if len(errors) != 1:
-        raise ValueError("a stack takes protocols of exactly one error kind")
     amplitudes = np.asarray(amplitudes, dtype=complex)
     ideal, probs, inaccurate = run_protocols(amplitudes, specs)
-    simulated = mean_gate_fidelities(ideal, inaccurate)
-    if errors == {ErrorKind.X_TYPE}:
-        rho = linalg.partial_traces(amplitudes, [spec.targets[:1] for spec in specs])
-        reports = entropy.single_qubit_reports(rho)
-        bound_entropies = [
-            {
-                "purity_bound": min(max(report.purity_S, 0.0), 1.0),
-                "sv_bound": min(max(report.von_neumann, 0.0), 1.0),
-            }
-            for report in reports
-        ]
-    else:
-        rho = linalg.partial_traces(amplitudes, [spec.targets for spec in specs])
-        reports = entropy.two_qubit_reports(rho)
-        sv2 = [min(max(report.von_neumann, 0.0), 2.0) for report in reports]
-        bound_entropies = [{"sv2_bound": s} if s >= 1.0 else {} for s in sv2]
-    corr = [min(max(report.correlator, -1.0), 1.0) for report in reports]
-    closed = [closed_form_fidelity(c, spec.epsilon) for c, spec in zip(corr, specs)]
+    reports: list = [None] * len(specs)
+    bound_entropies: list = [None] * len(specs)
+    for error, reduction in _REDUCTIONS.items():
+        rows = [b for b, spec in enumerate(specs) if _PROTOCOLS[spec.kind].error is error]
+        if not rows:
+            continue
+        keeps = [specs[b].targets[: reduction.targets] for b in rows]
+        rho = linalg.partial_traces(amplitudes[rows], keeps)
+        for b, report in zip(rows, reduction.reports(rho)):
+            reports[b] = report
+            bound_entropies[b] = reduction.entropies(report)
+    corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
+    epsilon = np.array([spec.epsilon for spec in specs])
     return FidelityStack(
-        simulated_F=simulated,
-        closed_form_F=np.array(closed),
-        correlator_used=np.array(corr),
+        simulated_F=mean_gate_fidelities(ideal, inaccurate),
+        closed_form_F=_closed_form(corr, epsilon),
+        correlator_used=corr,
         entanglement=reports,
         bound_entropies=bound_entropies,
-        epsilons=[spec.epsilon for spec in specs],
+        sin_half=np.sin(epsilon / 2.0),
         ideal_branches=ideal,
         ideal_probabilities=probs,
         inaccurate_branches=inaccurate,

@@ -224,22 +224,24 @@ def apply_matrix(
     The first listed qubit is the most significant index of `op`.  The
     matrix need not be unitary (error operators use this path too).  For a
     stack, `targets` holds one qubit list per row and `op` one matrix for
-    all rows or one per row, (B, 2^k, 2^k).
+    all rows or one per row, (B, 2^k, 2^k).  A stack of no rows gives a
+    stack of no rows.
     """
     vec = np.asarray(vec, dtype=complex)
     target_rows = targets if vec.ndim == 2 else [targets]
     rows = _rows(vec, target_rows, "target lists")
     if linalg.n_qubits_of(rows.shape[1]) != n_qubits:
         raise ValueError("vector length does not match qubit count")
-    k = len(target_rows[0])
-    if any(len(row) != k for row in target_rows):
-        raise ValueError("every row must list the same number of targets")
-    orders = [_gate_order(n_qubits, tuple(row)) for row in target_rows]
     op = np.asarray(op, dtype=complex)
-    if op.ndim not in (2, 3) or op.shape[-2:] != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not act on {k} qubits")
-    psi = op @ linalg.permute_qubits(rows, orders).reshape(len(rows), 2**k, -1)
-    out = linalg.permute_qubits(psi.reshape(len(rows), -1), orders, inverse=True)
+    if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
+        raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
+    k = linalg.n_qubits_of(op.shape[-1])
+    if any(len(row) != k for row in target_rows):
+        raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
+    orders = [_gate_order(n_qubits, tuple(row)) for row in target_rows]
+    dim = rows.shape[1]
+    psi = op @ linalg.permute_qubits(rows, orders).reshape(len(rows), 2**k, dim >> k)
+    out = linalg.permute_qubits(psi.reshape(len(rows), dim), orders, inverse=True)
     return out if vec.ndim == 2 else out[0]
 
 
@@ -280,7 +282,7 @@ def measure_branch(
         _measure_order(state.n_qubits, q, None if k is None else tuple(k))
         for q, k in zip(qubits, keeps)
     ]
-    psi = linalg.permute_qubits(rows, orders).reshape(len(rows), 2, -1)
+    psi = linalg.permute_qubits(rows, orders).reshape(len(rows), 2, rows.shape[1] // 2)
     branches = np.asarray(basis, dtype=complex).conj() @ psi
     return branches if stack else branches[0]
 

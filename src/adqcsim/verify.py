@@ -7,15 +7,17 @@ Campaign samples are independent: sample i derives its random stream
 from (campaign seed, i), so reports are reproducible and do not depend on
 the order in which samples are evaluated.  Every sampled campaign draws
 each sample on its own, then evaluates the draws in chunks of _CHUNK on
-stacks: the protocol campaigns one stack per register size and reduction
-shape, whatever the protocol kinds; the density campaigns one (B, 4, 4)
-stack, with one partial trace per chunk and one validation of its rho
-rows, values only (plus one of monotonicity's random sigma rows, whose
-eigenvectors are read); each validation is one linalg.jacobi_eigh call on
-the stack.  The dephased states of monotonicity take no solve: their
-eigenpairs are read off their diagonals.  The samples are folded into
-the report in index order, so the report does not depend on the chunk
-size either.  The counterexample sweep draws nothing and checks one point
+stacks.  The protocol campaigns run one simulation per register size,
+whatever the protocol kinds and error kinds (circuit_equivalence puts
+all three rotation kinds of a register in it), cut into stacks of at
+most _STACK_AMPLITUDES amplitudes.  The density campaigns run one
+(B, 4, 4) stack, with one partial trace per chunk and one validation of
+its rho rows, values only (plus one of monotonicity's random sigma rows,
+whose eigenvectors are read); each validation is one linalg.jacobi_eigh
+call on the stack.  The dephased states of monotonicity take no solve:
+their eigenpairs are read off their diagonals.  The samples are folded
+into the report in index order, so the report does not depend on the
+chunk size or the stack cap either.  The counterexample sweep draws nothing and checks one point
 of its grid at a time.  The public checks (check_jonas, check_interm,
 check_monotonicity, relative_entropy, dephasing_map) are batches of one
 over the stack code of the density campaigns.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -191,9 +194,13 @@ _SATURATION_S = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 _ALL_KINDS = tuple(ProtocolKind)
 
-# Items evaluated together on one stack: enough to amortize the per-call
-# numpy overhead, few enough to keep the stacks of 8-qubit registers small.
-_CHUNK = 32
+# Items drawn and evaluated together: enough to amortize the per-call
+# numpy overhead of a stack.
+_CHUNK = 128
+# The most amplitudes one protocol stack holds, rows x 2^(n+1): a chunk's
+# registers of one size are cut into stacks of at most this many, as many
+# as 32 registers of 7 qubits plus the ancilla.
+_STACK_AMPLITUDES = 2**13
 
 
 @dataclass
@@ -207,15 +214,43 @@ class CampaignConfig:
     tolerance: float
 
     def __post_init__(self):
-        self.epsilon_grid = tuple(float(x) for x in self.epsilon_grid)
-        self.delta_grid = tuple(float(x) for x in self.delta_grid)
-        self.register_sizes = tuple(int(x) for x in self.register_sizes)
+        # Each field is checked here, so that a bad value fails now rather
+        # than mid-run; an empty epsilon_grid is let through (saturation
+        # then runs no check and fails).
+        self.samples = _integer(self.samples, "samples")
+        self.seed = _integer(self.seed, "seed")
+        self.epsilon_grid = _finite_grid(self.epsilon_grid, "epsilon_grid")
+        self.delta_grid = _finite_grid(self.delta_grid, "delta_grid")
+        self.register_sizes = tuple(
+            _integer(n, "register_sizes entry") for n in self.register_sizes
+        )
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if not self.delta_grid:
+            raise ValueError("delta_grid must not be empty")
+        if not self.register_sizes:
+            raise ValueError("register_sizes must not be empty")
+        largest = linalg.MAX_QUBITS - 1  # the ancilla takes the last qubit
+        if not all(1 <= n <= largest for n in self.register_sizes):
+            raise ValueError(f"register_sizes {self.register_sizes} must lie in [1, {largest}]")
+
+
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, but True is no sample count or seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_grid(grid, name: str) -> tuple[float, ...]:
+    grid = tuple(float(x) for x in grid)
+    if not all(math.isfinite(x) for x in grid):
+        raise ValueError(f"{name} {grid} has a non-finite value")
+    return grid
 
 
 @dataclass
@@ -295,15 +330,25 @@ def _draw_protocol(cfg: CampaignConfig, i: int, kinds=_ALL_KINDS) -> _ProtocolDr
     return _ProtocolDraw(i, psi, ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta))
 
 
-def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityStack, int]]:
-    # One stack per register size and reduction shape, whatever the kinds;
-    # returns each draw's (stack, row) in draw order.
-    groups: dict[tuple[int, bool], list[int]] = {}
+def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
+    # The draws' positions, grouped by register size and cut into slices
+    # whose stacks, `rows_per_draw` rows per draw, hold at most
+    # _STACK_AMPLITUDES amplitudes (one draw at the least).
+    groups: dict[int, list[int]] = {}
     for pos, d in enumerate(draws):
-        key = (d.state.n_qubits, d.spec.kind in protocols.X_ERROR_KINDS)
-        groups.setdefault(key, []).append(pos)
+        groups.setdefault(d.state.n_qubits, []).append(pos)
+    out = []
+    for n, positions in groups.items():
+        size = max(1, _STACK_AMPLITUDES // (rows_per_draw << (n + 1)))
+        out += [positions[a:a + size] for a in range(0, len(positions), size)]
+    return out
+
+
+def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityStack, int]]:
+    # One stack per register size and slice, whatever the kinds; returns
+    # each draw's (stack, row) in draw order.
     out: list = [None] * len(draws)
-    for positions in groups.values():
+    for positions in _stacks(draws):
         stack = protocols.analyze_stack(
             np.array([draws[p].state.amplitudes for p in positions]),
             [draws[p].spec for p in positions],
@@ -350,21 +395,20 @@ def _draw_equivalence(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> list[_Sample]:
     # the largest phase-aligned distance between the inaccurate branches of
     # any two rotation protocols, per outcome; one stack per register size
-    # and kind
+    # and slice, holding every rotation kind's rows, kind after kind
+    kinds = protocols.ROTATION_KINDS
     worst = [0.0] * len(draws)
-    for n in sorted({d.state.n_qubits for d in draws}):
-        positions = [p for p, d in enumerate(draws) if d.state.n_qubits == n]
+    for positions in _stacks(draws, rows_per_draw=len(kinds)):
         amplitudes = np.array([draws[p].state.amplitudes for p in positions])
-        runs = [
-            protocols.run_protocols(
-                amplitudes, [dataclasses.replace(draws[p].spec, kind=kind) for p in positions]
-            )[2]
-            for kind in protocols.ROTATION_KINDS
+        specs = [
+            dataclasses.replace(draws[p].spec, kind=kind) for kind in kinds for p in positions
         ]
+        inaccurate = protocols.run_protocols(np.tile(amplitudes, (len(kinds), 1)), specs)[2]
+        runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
         diffs = np.max([
             qcore.phase_aligned_max_diff(runs[a], runs[b])
-            for a in range(len(runs))
-            for b in range(a + 1, len(runs))
+            for a in range(len(kinds))
+            for b in range(a + 1, len(kinds))
         ], axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
             worst[p] = diff

@@ -191,6 +191,21 @@ def test_permute_qubits_inverse_round_trip():
     assert np.array_equal(linalg.permute_qubits(moved, orders, inverse=True), states)
 
 
+def test_stacks_of_no_rows():
+    empty = np.zeros((0, 8), dtype=complex)
+    for inverse in (False, True):
+        assert linalg.permute_qubits(empty, [], inverse=inverse).shape == (0, 8)
+    with pytest.raises(ValueError, match="empty"):
+        linalg.partial_traces(empty, [])
+    w, v = linalg.jacobi_eigh(np.zeros((0, 4, 4), dtype=complex))
+    assert (w.shape, v.shape) == ((0, 4), (0, 4, 4))
+    w, v = linalg.jacobi_eigh(np.zeros((0, 2, 2)), vectors=False)
+    assert w.shape == (0, 2) and v is None
+    assert linalg.hermiticity_defect(np.zeros((0, 4, 4))) == 0.0
+    with pytest.raises(ValueError, match="0 x 0"):
+        linalg.jacobi_eigh(np.zeros((0, 0)))
+
+
 # --------------------------------------------- eigenvalues of jacobi_eigh
 
 def test_eigenvalues_pauli_x():

@@ -393,6 +393,93 @@ def test_analyze_czswap_below_domain_has_no_sv2_bound():
     assert rep.simulated_F == pytest.approx(1.0, abs=1e-12)
 
 
+# ------------------------------------------------------------ stacks
+
+def _assert_stacks_equal(got: protocols.FidelityStack, want: protocols.FidelityStack):
+    for name, value in want._asdict().items():
+        if isinstance(value, np.ndarray):
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+def test_analyze_stack_mixes_error_kinds_bit_for_bit():
+    # one simulation of both error kinds equals the two single-kind stacks
+    rng = np.random.default_rng(83)
+    n, rows = 4, 40
+    states = [qcore.random_pure_state(n, [83, b]) for b in range(rows)]
+    specs = [random_spec(rng, n) for _ in range(rows)]
+    mixed = protocols.analyze_stack(np.array([s.amplitudes for s in states]), specs)
+    x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
+    zz_type = [b for b in range(rows) if b not in x_type]
+    assert len(x_type) >= 10 and len(zz_type) >= 5
+    for part in (x_type, zz_type):
+        alone = protocols.analyze_stack(
+            np.array([states[b].amplitudes for b in part]), [specs[b] for b in part]
+        )
+        picked = protocols.FidelityStack(*(
+            value[part] if isinstance(value, np.ndarray) else [value[b] for b in part]
+            for value in mixed
+        ))
+        _assert_stacks_equal(picked, alone)
+        for row, b in enumerate(part):
+            assert mixed.bounds(b) == alone.bounds(row)
+
+
+def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
+    # closed-form F and sin(e/2) are computed over the stack; each row
+    # must equal the scalar formulas evaluated in the same order
+    rng = np.random.default_rng(85)
+    rows = 200
+    states = np.array([qcore.random_pure_state(3, [85, b]).amplitudes for b in range(rows)])
+    specs = [random_spec(rng, 3) for _ in range(rows)]
+    stack = protocols.analyze_stack(states, specs)
+    for row, spec in enumerate(specs):
+        ce, se = np.cos(spec.epsilon / 2.0), np.sin(spec.epsilon / 2.0)
+        c = float(stack.correlator_used[row])
+        assert stack.closed_form_F[row] == float(ce * ce + c * c * se * se)
+        entropies = stack.bound_entropies[row]
+        want = {}
+        if "purity_bound" in entropies:
+            want["purity_bound"] = float(1.0 - entropies["purity_bound"] * se * se)
+            f = entropy.f_inverse(entropies["sv_bound"])
+            want["sv_bound"] = float(1.0 - (1.0 - f * f) * se * se)
+        if "sv2_bound" in entropies:
+            g = entropy.g_inverse(entropies["sv2_bound"])
+            want["sv2_bound"] = float(1.0 - (1.0 - g * g) * se * se)
+        assert stack.bounds(row) == want
+
+
+def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
+    # an all-X-type stack never hands a stack of no rows to the two-qubit
+    # reduction, nor an all-ZZ-type one to the one-qubit reduction
+    traces = linalg.partial_traces
+    reduced = []
+
+    def counted(states, keeps):
+        reduced.append((len(states), len(keeps[0])))
+        return traces(states, keeps)
+
+    monkeypatch.setattr(linalg, "partial_traces", counted)
+    rng = np.random.default_rng(84)
+    states = np.array([qcore.random_pure_state(3, [84, b]).amplitudes for b in range(6)])
+    for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
+        reduced.clear()
+        protocols.analyze_stack(states, [random_spec(rng, 3, kinds) for _ in range(6)])
+        assert reduced == [(6, shape)]
+
+
+def test_stacks_of_no_rows_give_no_rows():
+    empty = np.zeros((0, 8), dtype=complex)
+    assert protocols.pre_measurement_states(empty, []).shape == (0, 16)
+    ideal, probs, inaccurate = protocols.run_protocols(empty, [])
+    assert (ideal.shape, probs.shape, inaccurate.shape) == ((0, 2, 8), (0, 2), (0, 2, 8))
+    stack = protocols.analyze_stack(empty, [])
+    assert stack.simulated_F.shape == stack.closed_form_F.shape == stack.sin_half.shape == (0,)
+    assert stack.entanglement == stack.bound_entropies == []
+    assert stack.inaccurate_branches.shape == (0, 2, 8)
+
+
 # --------------------------------------------- pre-measurement expansions
 
 def expected_cz_gate_pre_measurement(spect_vecs, t1, t2, n):

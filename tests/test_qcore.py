@@ -243,6 +243,16 @@ def test_measure_branch_on_a_stack_matches_each_row():
         qcore.measure_branch(qcore.StateStack(n, vecs), qubits[:-1], vectors)
 
 
+def test_stacks_of_no_rows():
+    empty = np.zeros((0, 8), dtype=complex)
+    assert qcore.apply_matrix(empty, qcore.gate("CZ"), [], 3).shape == (0, 8)
+    assert qcore.apply_matrix(empty, np.zeros((0, 2, 2)), [], 3).shape == (0, 8)
+    branches = qcore.measure_branch(qcore.StateStack(3, empty), [], np.zeros((0, 2, 2)))
+    assert branches.shape == (0, 2, 4)
+    with pytest.raises(ValueError, match="power of two"):
+        qcore.apply_matrix(empty, np.eye(3), [], 3)
+
+
 # --------------------------------------------------------- measure_branch
 
 def probability(branch):

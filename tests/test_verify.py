@@ -245,6 +245,43 @@ def test_config_invariants():
             verify.CampaignConfig("jonas", 10, 1, (0.1,), (0.0,), (2,), tolerance)
 
 
+_VALID_CONFIG = dict(
+    name="bound_main", samples=10, seed=1, epsilon_grid=(0.1,), delta_grid=(0.0,),
+    register_sizes=(2,), tolerance=1e-9,
+)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", True),
+    ("samples", True),
+    ("samples", 2.5),
+    ("register_sizes", ()),
+    ("register_sizes", (2.5,)),
+    ("register_sizes", (0,)),
+    ("register_sizes", (linalg.MAX_QUBITS,)),
+    ("delta_grid", ()),
+    ("delta_grid", (0.0, math.nan)),
+    ("epsilon_grid", (math.inf,)),
+    ("epsilon_grid", (0.1, -math.inf)),
+])
+def test_config_that_cannot_run_is_rejected_at_construction(field, value):
+    # each of these used to be accepted and fail mid-run, some after
+    # samples were drawn
+    with pytest.raises(ValueError, match=field):
+        verify.CampaignConfig(**{**_VALID_CONFIG, field: value})
+
+
+def test_accepted_config_is_normalized():
+    config = verify.CampaignConfig(**{
+        **_VALID_CONFIG, "samples": np.int64(3), "seed": np.uint32(4),
+        "register_sizes": [np.int8(1), 7], "epsilon_grid": [0], "delta_grid": np.array([0.5]),
+    })
+    assert (config.samples, config.seed, config.register_sizes) == (3, 4, (1, 7))
+    assert type(config.samples) is int and type(config.seed) is int
+    assert (config.epsilon_grid, config.delta_grid) == ((0.0,), (0.5,))
+    assert verify.run_campaign(config).passed
+
+
 # (checks_run, max_violation, stats) of every campaign at samples=25, seed=11,
 # so that a refactor which changes what a campaign draws or computes shows
 _REPORTS_25_11 = {
@@ -456,18 +493,74 @@ def test_samples_are_independent_of_evaluation_order(name):
     assert len(forward) == count >= 6
 
 
+# (samples, runs of (chunk size, stack amplitudes)) whose reports must
+# agree; None stands for every item in one chunk
+_CHUNK_RUNS = [
+    (40, [(1, 2**13), (7, 2**13), (32, 2**13), (None, 2**13)]),
+    # crosses the default chunk boundary; the last run cuts every protocol
+    # stack down to one draw
+    (130, [(32, 2**13), (128, 2**13), (None, 2**13), (128, 1)]),
+]
+
+
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
-    # 40 samples cross the default chunk boundary; the tolerance fails
-    # every campaign that has a positive violation, so the worst-case
-    # payload is compared too
-    samples = 2 if name == "saturation" else 40
-    config = verify.default_config(name, samples=samples, seed=7, tolerance=1e-300)
-    reports = []
-    for chunk in (1, 7, 32, verify._CAMPAIGNS[name].items(config)):
-        monkeypatch.setattr(verify, "_CHUNK", chunk)
-        reports.append(json.dumps(verify.run_campaign(config).to_json_dict(), sort_keys=True))
-    assert reports == [reports[0]] * 4
+    # the tolerance fails every campaign that has a positive violation, so
+    # the worst-case payload is compared too
+    assert (verify._CHUNK, verify._STACK_AMPLITUDES) == (128, 2**13)
+    for samples, runs in _CHUNK_RUNS:
+        if name == "saturation":
+            samples = -(-samples // 30)  # items are whole sweeps of 30
+        config = verify.default_config(name, samples=samples, seed=7, tolerance=1e-300)
+        items = verify._CAMPAIGNS[name].items(config)
+        reports = []
+        for chunk, amplitudes in runs:
+            monkeypatch.setattr(verify, "_CHUNK", chunk or items)
+            monkeypatch.setattr(verify, "_STACK_AMPLITUDES", amplitudes)
+            report = verify.run_campaign(config).to_json_dict()
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports == [reports[0]] * len(runs), samples
+
+
+# run_protocols calls of a campaign run, per register size: one per chunk
+# and slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x
+# 2^(n+1); circuit_equivalence's stacks hold three rows per draw, one per
+# rotation kind.  Chunks hold 128 items.
+@pytest.mark.parametrize("name, sizes, samples, calls", [
+    # each chunk of 128 + 128 + 44 items holds every default size
+    ("bound_main", None, 300, {2: 3, 3: 3, 4: 3, 5: 3}),
+    # every kind, both error kinds, in one stack per chunk: 128 + 72 items
+    ("equality_oracle", (5,), 200, {5: 2}),
+    # up to 32 registers of 7 qubits per stack: 32 + 32 + 32 + 4 draws
+    ("equality_oracle", (7,), 100, {7: 4}),
+    # 64 registers of 6 qubits per stack: 64 + 36 draws
+    ("bound_main2", (6,), 100, {6: 2}),
+    # 2^13 / (3 x 2^6) = 42 draws per stack: 42 + 18
+    ("circuit_equivalence", (5,), 60, {5: 2}),
+    # 10 draws per stack at 7 qubits
+    ("circuit_equivalence", (7,), 25, {7: 3}),
+    # the purity registers hold 2 qubits, the Bell pairs 4: one chunk of 30 items
+    ("saturation", None, 1, {2: 1, 4: 1}),
+])
+def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, samples, calls):
+    original = protocols.run_protocols
+    stacks = []
+
+    def counted(amplitudes, specs):
+        stacks.append(amplitudes.shape)
+        return original(amplitudes, specs)
+
+    monkeypatch.setattr(protocols, "run_protocols", counted)
+    config = verify.default_config(name, samples=samples, seed=13)
+    if sizes is not None:
+        config = dataclasses.replace(config, register_sizes=sizes)
+    assert verify.run_campaign(config).checks_run > 0
+    per_size = {}
+    for rows, dim in stacks:
+        assert rows * 2 * dim <= verify._STACK_AMPLITUDES
+        n = linalg.n_qubits_of(dim)
+        per_size[n] = per_size.get(n, 0) + 1
+    assert per_size == calls
 
 
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
