@@ -35,7 +35,6 @@ from .protocols import (
     run_protocol,
 )
 from .qcore import (
-    MeasurementBasis,
     PureState,
     apply_gate,
     apply_matrix,

@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from . import entropy, linalg, protocols, stateio, verify
+from . import entropy, protocols, stateio, verify
 from .protocols import ProtocolKind, ProtocolSpec
-from .qcore import PureState, basis_state
+from .qcore import PureState, basis_state, check_qubit_count
 
 DEFAULT_FIG5_S = (0.2, 0.4, 0.6, 0.8, 1.0)
 MAX_CURVE_GRID = 100_000  # points per curve; checked before anything is allocated
@@ -96,8 +96,7 @@ _PRESET_HELP = "bell, ghz:n, product:n, saturate:S, rho_lambda:L"
 
 def _preset_qubits(arg: str, default: int) -> int:
     n = int(arg) if arg else default
-    if not 1 <= n <= linalg.MAX_QUBITS:
-        raise ValueError(f"preset register of {n} qubits outside [1, {linalg.MAX_QUBITS}]")
+    check_qubit_count(n)
     return n
 
 

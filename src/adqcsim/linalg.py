@@ -7,6 +7,7 @@ shape [2]*n exposes qubit k as axis k.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -83,23 +84,20 @@ def permute_qubits(
     return out
 
 
-def _check_keep(keep: Sequence[int], n: int) -> list[int]:
-    keep = [int(k) for k in keep]
-    if not keep:
-        raise ValueError("keep must name at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate qubit indices in keep={keep}")
-    for k in keep:
-        if not 0 <= k < n:
-            raise ValueError(f"qubit index {k} out of range for {n} qubits")
-    return keep
-
-
 @lru_cache(maxsize=4096)
-def _keep_first(n: int, keep: tuple[int, ...]) -> tuple[int, ...]:
-    # the kept qubits in the order given, then the rest ascending
-    keep = tuple(_check_keep(keep, n))
-    return keep + tuple(q for q in range(n) if q not in keep)
+def qubit_order(n: int, first: tuple[int, ...]) -> tuple[int, ...]:
+    """The listed qubits in the order given, then the rest of the n ascending.
+    The list must be non-empty, without repeats, in range and of integers
+    (a float raises TypeError, so it is never cached under the equal int)."""
+    first = tuple(operator.index(q) for q in first)
+    if not first:
+        raise ValueError("at least one qubit must be listed")
+    if len(set(first)) != len(first):
+        raise ValueError(f"duplicate qubit indices {list(first)}")
+    for q in first:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    return first + tuple(q for q in range(n) if q not in first)
 
 
 def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -114,12 +112,10 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
         if state.shape[0] != state.shape[1]:
             raise ValueError("density matrix must be square")
         n = n_qubits_of(state.shape[0])
-        keep = _check_keep(keep, n)
-        rest = [q for q in range(n) if q not in keep]
-        perm = keep + rest + [n + q for q in keep] + [n + q for q in rest]
-        dk, dr = 2 ** len(keep), 2 ** len(rest)
-        t = state.reshape([2] * (2 * n)).transpose(perm).reshape(dk, dr, dk, dr)
-        rho = np.einsum("ajbj->ab", t)
+        keep = tuple(keep)
+        table = _index_table(n, qubit_order(n, keep))  # rows and columns, kept qubits first
+        dk, dr = 2 ** len(keep), 2 ** (n - len(keep))
+        rho = np.einsum("ajbj->ab", state[np.ix_(table, table)].reshape(dk, dr, dk, dr))
         return 0.5 * (rho + rho.conj().T)
     raise ValueError("state must be a vector or a square matrix")
 
@@ -135,7 +131,7 @@ def partial_traces(states: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.nda
     if len(states) == 0:
         raise ValueError("the stack is empty: no rows to reduce")
     n = n_qubits_of(states.shape[1])
-    orders = [_keep_first(n, tuple(keep)) for keep in keeps]
+    orders = [qubit_order(n, tuple(keep)) for keep in keeps]
     k = len(keeps[0]) if orders else 0
     if any(len(keep) != k for keep in keeps):
         raise ValueError("every row must keep the same number of qubits")

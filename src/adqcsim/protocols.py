@@ -89,7 +89,7 @@ ROTATION_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.rotation)
 X_ERROR_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.error is ErrorKind.X_TYPE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol invocation: kind, register target(s), and angles."""
 
@@ -100,7 +100,7 @@ class ProtocolSpec:
     delta: float = 0.0
 
     def __post_init__(self):
-        self.targets = tuple(int(t) for t in self.targets)
+        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         for name in ("u", "epsilon", "delta"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

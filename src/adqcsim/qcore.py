@@ -1,21 +1,22 @@
 """Qubit states, the fixed gate set, tilted measurement bases, and
 single-qubit measurement branch extraction.
 
-Measurements are represented by their two branches: applying the bra of
-a basis vector to the measured qubit removes that qubit from the
-register (indices above it shift down by one) and leaves an
-unnormalized vector whose squared norm is the outcome probability.
+A basis is a plain (2, 2) array, rows (outcome 0, outcome 1), or a stack
+of them, all built by `tilted_vectors`.  Measurements are represented by
+their two branches: applying the bra of a basis vector to the measured
+qubit removes that qubit from the register (indices above it shift down
+by one) and leaves an unnormalized vector whose squared norm is the
+outcome probability.
 
-`apply_matrix` and `measure_branch` take one vector or a (B, 2^n) stack
-of them, with per-row operators, targets and bases; each row's qubits
-are brought into place by one gather over index tables cached per
-(n, qubit order), so every row costs the same arithmetic as a lone
-vector.
+`apply_matrix` takes one vector or a (B, 2^n) stack, `measure_branch` a
+PureState or a StateStack, with per-row operators, targets and bases;
+each row's qubits are brought into place by one gather over index tables
+cached per (n, linalg.qubit_order), so every row costs the same
+arithmetic as a lone vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class PureState:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         if self.amplitudes.shape[0] != 2**self.n_qubits:
             raise ValueError("amplitude vector length does not match qubit count")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -82,14 +83,16 @@ class PureState:
         return cls(linalg.n_qubits_of(vec.shape[0]), vec)
 
 
-def _check_qubit_count(n_qubits: int) -> None:
+def check_qubit_count(n_qubits: int) -> None:
+    """Reject a register size outside [1, linalg.MAX_QUBITS]; callers check
+    before they allocate 2^n amplitudes."""
     if not 1 <= n_qubits <= linalg.MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}]")
+        raise ValueError(f"n_qubits={n_qubits} out of range, outside [1, {linalg.MAX_QUBITS}]")
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:
     """Computational basis state |index> on n qubits."""
-    _check_qubit_count(n_qubits)
+    check_qubit_count(n_qubits)
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     vec = np.zeros(2**n_qubits, dtype=complex)
@@ -98,41 +101,11 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 
 
 class StateStack(NamedTuple):
-    """n-qubit amplitude vectors as the rows of one (B, 2^n) array.
-
-    Stacks are built by the package from states it has already validated,
-    so their rows are not checked again.
-    """
+    """n-qubit amplitude vectors as the rows of one (B, 2^n) array; built
+    by the package from states it has already validated, so not checked."""
 
     n_qubits: int
     amplitudes: np.ndarray
-
-
-@dataclass
-class MeasurementBasis:
-    """Ordered orthonormal single-qubit pair (outcome 0, outcome 1)."""
-
-    plus_vector: np.ndarray
-    minus_vector: np.ndarray
-    u: float | None
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        self.plus_vector = np.asarray(self.plus_vector, dtype=complex).reshape(2)
-        self.minus_vector = np.asarray(self.minus_vector, dtype=complex).reshape(2)
-        for v in (self.plus_vector, self.minus_vector):
-            if abs(float(np.vdot(v, v).real) - 1.0) > NORM_TOL:
-                raise ValueError("basis vector is not normalized")
-        if abs(np.vdot(self.plus_vector, self.minus_vector)) > NORM_TOL:
-            raise ValueError("basis vectors are not orthogonal")
-
-    @property
-    def params(self) -> tuple[float | None, float, float]:
-        return (self.u, self.epsilon, self.delta)
-
-    def vector(self, outcome: int) -> np.ndarray:
-        return self.plus_vector if outcome == 0 else self.minus_vector
 
 
 Z_PAIR = np.eye(2, dtype=complex)  # rows |0>, |1>
@@ -163,47 +136,24 @@ def tilted_vectors(reference: np.ndarray, epsilon, delta) -> np.ndarray:
     return np.stack([ce * r0 + ph * se * r1, se * r0 - ph * ce * r1], axis=-2)
 
 
-def deviated_u_basis(u: float, epsilon: float, delta: float) -> MeasurementBasis:
-    """Equatorial basis (|0> +- e^{iu}|1>)/sqrt(2), tilted by (epsilon, delta):
+def deviated_u_basis(u: float, epsilon: float, delta: float) -> np.ndarray:
+    """Equatorial basis (|0> +- e^{iu}|1>)/sqrt(2), tilted by (epsilon, delta),
+    as the rows (outcome 0, outcome 1) of a (2, 2) array:
 
         plus  = cos(e/2)|u+> + e^{-i delta} sin(e/2)|u->
         minus = sin(e/2)|u+> - e^{-i delta} cos(e/2)|u->
     """
-    plus, minus = tilted_vectors(equatorial_pair(u), epsilon, delta)
-    return MeasurementBasis(plus, minus, u=float(u), epsilon=float(epsilon), delta=float(delta))
+    return tilted_vectors(equatorial_pair(u), epsilon, delta)
 
 
-def deviated_z_basis(epsilon: float, delta: float) -> MeasurementBasis:
-    """Computational basis tilted by (epsilon, delta):
+def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
+    """Computational basis tilted by (epsilon, delta), as the rows
+    (outcome 0, outcome 1) of a (2, 2) array:
 
         |0~> = cos(e/2)|0> + sin(e/2) e^{-i delta}|1>
         |1~> = sin(e/2)|0> - cos(e/2) e^{-i delta}|1>
     """
-    plus, minus = tilted_vectors(Z_PAIR, epsilon, delta)
-    return MeasurementBasis(plus, minus, u=None, epsilon=float(epsilon), delta=float(delta))
-
-
-@lru_cache(maxsize=4096)
-def _gate_order(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
-    # the targets first, the rest ascending
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits {list(targets)}")
-    for t in targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target qubit {t} out of range for {n} qubits")
-    return targets + tuple(q for q in range(n) if q not in targets)
-
-
-@lru_cache(maxsize=4096)
-def _measure_order(n: int, qubit: int, keep: tuple[int, ...] | None) -> tuple[int, ...]:
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    rest = tuple(q for q in range(n) if q != qubit)
-    if keep is None:
-        return (qubit,) + rest
-    if sorted(keep) != list(rest):
-        raise ValueError(f"keep={list(keep)} must order the qubits other than {qubit}")
-    return (qubit,) + keep
+    return tilted_vectors(Z_PAIR, epsilon, delta)
 
 
 def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
@@ -238,7 +188,7 @@ def apply_matrix(
     k = linalg.n_qubits_of(op.shape[-1])
     if any(len(row) != k for row in target_rows):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    orders = [_gate_order(n_qubits, tuple(row)) for row in target_rows]
+    orders = [linalg.qubit_order(n_qubits, tuple(row)) for row in target_rows]
     dim = rows.shape[1]
     psi = op @ linalg.permute_qubits(rows, orders).reshape(len(rows), 2**k, dim >> k)
     out = linalg.permute_qubits(psi.reshape(len(rows), dim), orders, inverse=True)
@@ -254,7 +204,7 @@ def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> Pure
 def measure_branch(
     state: PureState | StateStack,
     qubit: int | Sequence[int],
-    basis: MeasurementBasis | np.ndarray,
+    basis: np.ndarray,
     keep: Sequence | None = None,
 ) -> np.ndarray:
     """Measurement branches of one qubit, for a state or every row of a stack.
@@ -264,24 +214,24 @@ def measure_branch(
     remaining qubits shift down to fill its place, or take the order
     `keep`.  Its squared norm is the probability of outcome j.
 
-    `basis` is a MeasurementBasis or an array of J single-qubit vectors,
-    (J, 2), or one such array per row of a stack, (B, J, 2).  For a stack,
-    `qubit` and `keep` (unless None) give one entry per row.  Returns the
-    branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a stack.
+    `basis` is an array of J single-qubit vectors, (J, 2), such as a
+    deviated basis, or one such array per row of a stack, (B, J, 2).  For
+    a stack, `qubit` and `keep` (unless None) give one entry per row.
+    Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
+    stack.
     """
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
     stack = amplitudes.ndim == 2
     qubits = qubit if stack else [qubit]
     rows = _rows(amplitudes, qubits, "measured qubits")
     keeps = keep if stack and keep is not None else [keep] * len(rows)
-    if len(keeps) != len(rows):
-        raise ValueError(f"{len(keeps)} qubit orders for {len(rows)} rows")
-    if isinstance(basis, MeasurementBasis):
-        basis = np.array([basis.plus_vector, basis.minus_vector])
-    orders = [
-        _measure_order(state.n_qubits, q, None if k is None else tuple(k))
-        for q, k in zip(qubits, keeps)
-    ]
+    _rows(amplitudes, keeps, "qubit orders")
+    orders = []
+    for q, k in zip(qubits, keeps):
+        # the measured qubit first, then `keep`, which must order all the others
+        if k is not None and len(k) != state.n_qubits - 1:
+            raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
+        orders.append(linalg.qubit_order(state.n_qubits, (q,) if k is None else (q, *k)))
     psi = linalg.permute_qubits(rows, orders).reshape(len(rows), 2, rows.shape[1] // 2)
     branches = np.asarray(basis, dtype=complex).conj() @ psi
     return branches if stack else branches[0]
@@ -310,7 +260,7 @@ def random_pure_state(n_qubits: int, seed) -> PureState:
 
     `seed` may be an int or a sequence of ints (a derived stream key).
     """
-    _check_qubit_count(n_qubits)
+    check_qubit_count(n_qubits)
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     vec /= np.linalg.norm(vec)

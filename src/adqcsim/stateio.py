@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .qcore import PureState
+from .qcore import PureState, check_qubit_count
 
 NORM_FILE_TOL = 1e-9
 
@@ -44,8 +43,7 @@ def loads_state(text: str) -> tuple[PureState, float]:
                 n_qubits = int(line.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad qubit count") from None
-            if not 1 <= n_qubits <= linalg.MAX_QUBITS:
-                raise ValueError(f"line {lineno}: qubit count {n_qubits} out of range")
+            check_qubit_count(n_qubits)
             continue
         if line.startswith("label:"):
             if label_seen or entries:

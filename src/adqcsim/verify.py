@@ -203,7 +203,7 @@ _CHUNK = 128
 _STACK_AMPLITUDES = 2**13
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
     name: str
     samples: int
@@ -215,15 +215,17 @@ class CampaignConfig:
 
     def __post_init__(self):
         # Each field is checked here, so that a bad value fails now rather
-        # than mid-run; an empty epsilon_grid is let through (saturation
-        # then runs no check and fails).
-        self.samples = _integer(self.samples, "samples")
-        self.seed = _integer(self.seed, "seed")
-        self.epsilon_grid = _finite_grid(self.epsilon_grid, "epsilon_grid")
-        self.delta_grid = _finite_grid(self.delta_grid, "delta_grid")
-        self.register_sizes = tuple(
-            _integer(n, "register_sizes entry") for n in self.register_sizes
-        )
+        # than mid-run, and the config is frozen, so that it stays checked.
+        # An empty epsilon_grid is let through: a campaign that draws from
+        # it runs no check and fails.
+        for name, value in dict(
+            samples=_integer(self.samples, "samples"),
+            seed=_integer(self.seed, "seed"),
+            epsilon_grid=_finite_grid(self.epsilon_grid, "epsilon_grid"),
+            delta_grid=_finite_grid(self.delta_grid, "delta_grid"),
+            register_sizes=tuple(_integer(n, "register_sizes entry") for n in self.register_sizes),
+        ).items():
+            object.__setattr__(self, name, value)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.tolerance < math.inf:
@@ -549,9 +551,14 @@ class _Campaign:
         return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
 
 
+def _epsilon_draws(cfg: CampaignConfig) -> int:
+    # one item per sample, or none from an empty grid: no check runs, so the campaign fails
+    return 1 if cfg.epsilon_grid else 0
+
+
 def _protocol_campaign(samples, tolerance, kinds=_ALL_KINDS, bound=None, **row) -> _Campaign:
     return _Campaign(
-        partial(_draw_protocol, kinds=kinds), samples, tolerance,
+        partial(_draw_protocol, kinds=kinds), samples, tolerance, sweep=_epsilon_draws,
         evaluate=partial(_evaluate_protocol, bound=bound), **row,
     )
 

@@ -166,6 +166,30 @@ def test_partial_trace_errors():
         linalg.partial_trace(np.ones(3, dtype=complex), [0])
 
 
+def test_qubit_order_lists_the_given_qubits_first_then_the_rest_ascending():
+    assert linalg.qubit_order(4, (2,)) == (2, 0, 1, 3)
+    assert linalg.qubit_order(4, (3, 0)) == (3, 0, 1, 2)
+    assert linalg.qubit_order(3, (1, 2, 0)) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("first", [(), (1, 1), (0, 2, 0), (3,), (-1,), (0, 4)])
+def test_qubit_order_rejects_an_empty_duplicate_or_out_of_range_list(first):
+    with pytest.raises(ValueError):
+        linalg.qubit_order(3, first)
+
+
+def test_qubit_order_takes_integer_indices_only():
+    # cache keys compare equal across 1.0, True and np.int64(1): a float
+    # must fail without leaving its order in the cache for a later int
+    linalg.qubit_order.cache_clear()
+    with pytest.raises(TypeError):
+        linalg.qubit_order(3, (1.0,))
+    with pytest.raises(TypeError):
+        linalg.partial_trace(BELL, [0.5])
+    order = linalg.qubit_order(3, (np.int64(1),))
+    assert order == (1, 0, 2) and all(type(q) is int for q in order)
+
+
 def test_partial_traces_match_each_row():
     rng = np.random.default_rng(14)
     n, rows = 5, 9

@@ -88,53 +88,48 @@ def test_u_basis_ideal_reduction():
     b = qcore.deviated_u_basis(u, 0.0, 0.0)
     u_plus = np.array([1, np.exp(1j * u)]) / np.sqrt(2)
     u_minus = np.array([1, -np.exp(1j * u)]) / np.sqrt(2)
-    assert np.allclose(b.plus_vector, u_plus, atol=1e-15)
-    assert np.allclose(b.minus_vector, -u_minus, atol=1e-15)
+    assert np.allclose(b[0], u_plus, atol=1e-15)
+    assert np.allclose(b[1], -u_minus, atol=1e-15)
 
 
 def test_u_basis_epsilon_pi():
     u, delta = 0.4, 1.2
     b = qcore.deviated_u_basis(u, np.pi, delta)
     u_minus = np.array([1, -np.exp(1j * u)]) / np.sqrt(2)
-    assert np.max(np.abs(b.plus_vector - np.exp(-1j * delta) * u_minus)) < 1e-12
+    assert np.max(np.abs(b[0] - np.exp(-1j * delta) * u_minus)) < 1e-12
 
 
 def test_z_basis_ideal_and_flipped():
     b = qcore.deviated_z_basis(0.0, 0.0)
-    assert np.allclose(b.plus_vector, [1, 0])
-    assert np.allclose(b.minus_vector, [0, -1])
+    assert np.allclose(b[0], [1, 0])
+    assert np.allclose(b[1], [0, -1])
     b = qcore.deviated_z_basis(np.pi, 0.0)
-    assert np.max(np.abs(b.plus_vector - np.array([0, 1]))) < 1e-12
-
-
-def test_basis_params_recorded():
-    b = qcore.deviated_u_basis(0.7, 0.3, 1.1)
-    assert b.params == (0.7, 0.3, 1.1)
-    b = qcore.deviated_z_basis(0.4, 0.9)
-    assert b.params == (None, 0.4, 0.9)
+    assert np.max(np.abs(b[0] - np.array([0, 1]))) < 1e-12
 
 
 @given(u=ANGLES, epsilon=ANGLES, delta=ANGLES)
 def test_u_basis_orthonormal(u, epsilon, delta):
     b = qcore.deviated_u_basis(u, epsilon, delta)
-    assert abs(np.vdot(b.plus_vector, b.plus_vector) - 1) < 1e-12
-    assert abs(np.vdot(b.minus_vector, b.minus_vector) - 1) < 1e-12
-    assert abs(np.vdot(b.plus_vector, b.minus_vector)) < 1e-12
+    assert abs(np.vdot(b[0], b[0]) - 1) < 1e-12
+    assert abs(np.vdot(b[1], b[1]) - 1) < 1e-12
+    assert abs(np.vdot(b[0], b[1])) < 1e-12
 
 
 @given(epsilon=ANGLES, delta=ANGLES)
 def test_z_basis_orthonormal(epsilon, delta):
     b = qcore.deviated_z_basis(epsilon, delta)
-    assert abs(np.vdot(b.plus_vector, b.minus_vector)) < 1e-12
+    assert abs(np.vdot(b[0], b[1])) < 1e-12
 
 
 def test_bases_orthonormal_on_dense_grid():
     angles = np.linspace(-2 * np.pi, 2 * np.pi, 17)
     for eps in angles:
         for delta in angles:
-            qcore.deviated_z_basis(eps, delta)  # constructor checks the pair
-            for u in (0.0, 1.1, 4.4):
-                qcore.deviated_u_basis(u, eps, delta)
+            bases = [qcore.deviated_z_basis(eps, delta)]
+            bases += [qcore.deviated_u_basis(u, eps, delta) for u in (0.0, 1.1, 4.4)]
+            for b in bases:
+                assert b.shape == (2, 2)
+                assert np.max(np.abs(b @ b.conj().T - np.eye(2))) < 1e-12
 
 
 # ------------------------------------------------------------- PureState
@@ -227,7 +222,7 @@ def test_measure_branch_on_a_stack_matches_each_row():
     vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     bases = [qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
-    vectors = np.array([[b.plus_vector, b.minus_vector] for b in bases])
+    vectors = np.array(bases)
     qubits = [int(q) for q in rng.integers(n, size=rows)]
     keeps = [tuple(int(x) for x in rng.permutation([x for x in range(n) if x != q])) for q in qubits]
     got = qcore.measure_branch(qcore.StateStack(n, vecs), qubits, vectors, keeps)
@@ -274,17 +269,9 @@ def test_measure_eigenstate_in_u_basis():
     assert probability(b1) == pytest.approx(0.0, abs=1e-12)
 
 
-def _plain_z_basis():
-    return qcore.MeasurementBasis(
-        plus_vector=np.array([1, 0], dtype=complex),
-        minus_vector=np.array([0, 1], dtype=complex),
-        u=None, epsilon=0.0, delta=0.0,
-    )
-
-
 def test_measure_bell_branches():
     bell = PureState.from_vector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    b0, b1 = qcore.measure_branch(bell, 0, _plain_z_basis())
+    b0, b1 = qcore.measure_branch(bell, 0, qcore.Z_PAIR)
     assert np.allclose(b0, [1 / np.sqrt(2), 0])
     assert np.allclose(b1, [0, 1 / np.sqrt(2)])
 
@@ -294,7 +281,7 @@ def test_measure_removes_qubit_and_shifts():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vec = np.kron(np.kron([1, 0], [0, 1]), plus).astype(complex)
     st = PureState.from_vector(vec)
-    b0, b1 = qcore.measure_branch(st, 1, _plain_z_basis())
+    b0, b1 = qcore.measure_branch(st, 1, qcore.Z_PAIR)
     assert probability(b0) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(b1, np.kron([1, 0], plus))
 
@@ -321,7 +308,7 @@ def test_measure_reconstruction():
         rebuilt = np.zeros([2] * n, dtype=complex)
         for j, b in enumerate(qcore.measure_branch(st, qubit, basis)):
             shape = [2] * (n - 1)
-            outer = np.tensordot(basis.vector(j), b.reshape(shape), axes=0)
+            outer = np.tensordot(basis[j], b.reshape(shape), axes=0)
             rebuilt += np.moveaxis(outer, 0, qubit)
         assert np.max(np.abs(rebuilt.reshape(-1) - st.amplitudes)) < 1e-12
 
@@ -329,6 +316,24 @@ def test_measure_reconstruction():
 def test_measure_branch_index_error():
     with pytest.raises(ValueError):
         qcore.measure_branch(basis_state(2, 0), 2, qcore.deviated_z_basis(0, 0))
+
+
+@pytest.mark.parametrize("keep", [
+    (1, 1, 3),  # repeats a qubit
+    (1, 3),  # omits one
+    (0, 2, 3),  # names the measured qubit
+    (1, 3, 2, 0),  # names every qubit
+    (1, 3, 4),  # out of range
+])
+def test_measure_branch_rejects_keep_that_does_not_order_the_other_qubits(keep):
+    state = qcore.random_pure_state(4, 38)
+    basis = qcore.deviated_z_basis(0.3, 0.2)
+    assert qcore.measure_branch(state, 2, basis, keep=(3, 0, 1)).shape == (2, 8)
+    with pytest.raises(ValueError):
+        qcore.measure_branch(state, 2, basis, keep=keep)
+    stack = qcore.StateStack(4, np.stack([state.amplitudes] * 2))
+    with pytest.raises(ValueError):
+        qcore.measure_branch(stack, [2, 2], np.stack([basis] * 2), [(3, 0, 1), keep])
 
 
 # ------------------------------------------------------ random_pure_state

@@ -458,10 +458,27 @@ def test_single_matrix_functions_reject_a_stacked_density(name, rows):
 
 
 def test_campaign_unknown_name():
-    config = verify.default_config("jonas")
-    config.name = "bogus"
+    config = dataclasses.replace(verify.default_config("jonas"), name="bogus")
     with pytest.raises(ValueError):
         verify.run_campaign(config)
+
+
+_FROZEN = {
+    "CampaignConfig": verify.default_config("jonas"),
+    "ProtocolSpec": protocols.ProtocolSpec(
+        protocols.ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.4, epsilon=0.3
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    (name, f.name) for name, obj in _FROZEN.items() for f in dataclasses.fields(obj)
+])
+def test_checked_config_and_spec_are_frozen(cls, field):
+    # a field set after construction would skip the checks of __post_init__
+    obj = _FROZEN[cls]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
 
 
 def test_campaign_deterministic():
@@ -692,8 +709,12 @@ def test_campaign_without_checks_fails():
     assert report.worst_case is None
 
 
-def test_campaign_with_empty_grid_fails():
-    config = verify.CampaignConfig("saturation", 3, 1, (), (0.0,), (2,), 1e-9)
+@pytest.mark.parametrize(
+    "name", ["saturation", "equality_oracle", "bound_main", "bound_sv", "bound_main2"]
+)
+def test_campaign_with_empty_grid_fails(name):
+    # every campaign that draws epsilon from the grid runs no check and fails
+    config = verify.CampaignConfig(name, 3, 1, (), (0.0,), (2, 4), 1e-9)
     report = verify.run_campaign(config)
     assert report.checks_run == 0
     assert not report.passed
