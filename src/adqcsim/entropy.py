@@ -15,6 +15,8 @@ _INVERSE_RESIDUAL = 1e-12
 _INVERSE_WIDTH = 1e-13
 _INVERSE_MAX_ITER = 200
 _DOMAIN_SLACK = 1e-12  # roundoff let past the ends of an f or g domain
+# The least S_v2 that g_inverse takes, and where every sv2 bound check cuts
+SV2_DOMAIN_EDGE = 1.0 - _DOMAIN_SLACK
 
 
 class BoundDomainError(ValueError):
@@ -219,7 +221,7 @@ def g_inverse(s: float) -> float:
 
     Since g = 1 + f this is f_inverse(s - 1); s - 1 is exact on [1, 2].
     """
-    if s < 1.0 - _DOMAIN_SLACK:
+    if s < SV2_DOMAIN_EDGE:
         raise BoundDomainError(
             f"g_inverse undefined for entropy {s} < 1: the correlator is "
             "unconstrained there"

@@ -424,7 +424,7 @@ def _one_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
 
 def _two_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
     sv2 = min(max(report.von_neumann, 0.0), 2.0)
-    return {"sv2_bound": sv2} if sv2 >= 1.0 else {}
+    return {"sv2_bound": sv2} if sv2 >= entropy.SV2_DOMAIN_EDGE else {}
 
 
 class _Reduction(NamedTuple):

@@ -3,28 +3,28 @@ inequalities, the relative-entropy machinery behind the two-qubit bound,
 engineered bound-saturating registers, and the diagonal counterexample
 family that defeats any entropy bound below 1.
 
-Campaign samples are independent: sample i derives its random stream
-from (campaign seed, i), so reports are reproducible and do not depend on
-the order in which samples are evaluated.  Every sampled campaign draws
-each sample on its own, then evaluates the draws in chunks of _CHUNK on
-stacks.  The protocol campaigns run one simulation per register size,
-whatever the protocol kinds and error kinds (circuit_equivalence puts
-all three rotation kinds of a register in it), cut into stacks of at
-most _STACK_AMPLITUDES amplitudes.  The density campaigns run one
-(B, 4, 4) stack, with one partial trace per chunk and one validation of
-its rho rows, values only (plus one of monotonicity's random sigma rows,
-whose eigenvectors are read); each validation is one linalg.jacobi_eigh
-call on the stack.  The dephased states of monotonicity take no solve:
-their eigenpairs are read off their diagonals.  The samples are folded
-into the report in index order, so the report does not depend on the
-chunk size or the stack cap either.  The counterexample sweep draws nothing and checks one point
-of its grid at a time.  The public checks (check_jonas, check_interm,
-check_monotonicity, relative_entropy, dephasing_map) are batches of one
-over the stack code of the density campaigns.
+Every campaign has one shape: draw(cfg, i) builds item i from its own
+random stream (campaign seed, i) alone, and evaluate(cfg, draws) turns a
+chunk of _CHUNK draws, on stacks, into each item's violation (None for a
+filtered item) and one stats dict.  run_campaign folds the chunks in
+index order and keeps only the worst index; a failing report draws that
+item again for its payload.  Reports are thus reproducible and do not
+depend on the order of evaluation, the chunk size or the stack cap.
+
+The protocol campaigns run one simulation per register size, whatever
+the protocol and error kinds (circuit_equivalence puts all three
+rotation kinds of a register in it), cut into stacks of at most
+_STACK_AMPLITUDES amplitudes.  The density campaigns take one partial
+trace per chunk and validate its rho rows, values only, in one
+linalg.jacobi_eigh call (monotonicity's random sigma rows, whose
+eigenvectors are read, in another); the dephased states take no solve,
+their eigenpairs read off their diagonals.  The counterexample draws
+lambda_i without building its grid.  The public checks (check_jonas,
+check_interm, check_monotonicity, relative_entropy, dephasing_map) are
+batches of one over the stack code of the density campaigns.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -40,7 +40,6 @@ from .qcore import PureState
 
 _SUPPORT_TOL = 1e-12
 
-_ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 _MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0, vectors=True)
 
 
@@ -280,37 +279,25 @@ class CampaignReport:
         }
 
 
-@dataclass
-class _Sample:
-    violation: float | None  # None means filtered out (not a check)
-    payload: Callable[[], dict] | None = None  # built for a failing worst case only
-    stats: dict | None = None
-
-
-def _protocol_payload(index: int, state: PureState, spec: ProtocolSpec) -> dict:
-    return {
-        "sample_index": index,
-        "input_state": stateio.dumps_state(state),
-        "protocol": spec.kind.value,
-        "targets": list(spec.targets),
-        "u": spec.u,
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
-    }
-
-
-def _density_payload(index: int, purification: PureState, n_keep: int) -> dict:
-    return {
-        "sample_index": index,
-        "purification": stateio.dumps_state(purification),
-        "keep_qubits": list(range(n_keep)),
-    }
+# A chunk's violations in item order (None: filtered, no check) and stats
+_Evaluation = tuple[list[float | None], dict]
 
 
 class _ProtocolDraw(NamedTuple):
     index: int
     state: PureState
     spec: ProtocolSpec
+
+    def payload(self) -> dict:
+        return {
+            "sample_index": self.index,
+            "input_state": stateio.dumps_state(self.state),
+            "protocol": self.spec.kind.value,
+            "targets": list(self.spec.targets),
+            "u": self.spec.u,
+            "epsilon": self.spec.epsilon,
+            "delta": self.spec.delta,
+        }
 
 
 def _draw_protocol(cfg: CampaignConfig, i: int, kinds=_ALL_KINDS) -> _ProtocolDraw:
@@ -362,23 +349,24 @@ def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityS
 
 def _evaluate_protocol(
     cfg: CampaignConfig, draws: list[_ProtocolDraw], bound: str | None = None
-) -> list[_Sample]:
+) -> _Evaluation:
     # compare the simulated fidelity with the closed form (bound None) or
-    # with a bound
-    out = []
-    for d, (stack, row) in zip(draws, _analyze_draws(draws)):
+    # with a bound; a row below the bound's domain (sv2 < 1) is filtered
+    violations, sv2 = [], []
+    for stack, row in _analyze_draws(draws):
         simulated = float(stack.simulated_F[row])
-        payload = partial(_protocol_payload, d.index, d.state, d.spec)
-        value = float(stack.closed_form_F[row]) if bound is None else stack.bound(row, bound)
-        if value is None:  # sv2 entropy below the bound's domain
-            out.append(_Sample(violation=None, stats={"filtered_below_domain": 1}))
-        elif bound is None:
-            out.append(_Sample(abs(simulated - value), payload))
-        else:
-            ent = stack.entanglement[row]
-            stats = {"min_sv2": ent.von_neumann} if bound == "sv2_bound" else None
-            out.append(_Sample(simulated - value, payload, stats))
-    return out
+        if bound is None:
+            violations.append(abs(simulated - float(stack.closed_form_F[row])))
+            continue
+        value = stack.bound(row, bound)
+        violations.append(None if value is None else simulated - value)
+        if value is not None and bound == "sv2_bound":
+            sv2.append(stack.entanglement[row].von_neumann)
+    filtered = violations.count(None)
+    stats = {"filtered_below_domain": filtered} if filtered else {}
+    if sv2:
+        stats["min_sv2"] = min(sv2)
+    return violations, stats
 
 
 def _draw_equivalence(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
@@ -394,16 +382,19 @@ def _draw_equivalence(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
     return _ProtocolDraw(i, psi, spec)
 
 
-def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> list[_Sample]:
+def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
     # the largest phase-aligned distance between the inaccurate branches of
     # any two rotation protocols, per outcome; one stack per register size
-    # and slice, holding every rotation kind's rows, kind after kind
+    # and slice, holding every rotation kind's rows, kind after kind: the
+    # drawn specs (the first kind), then one spec per other kind and draw
     kinds = protocols.ROTATION_KINDS
     worst = [0.0] * len(draws)
     for positions in _stacks(draws, rows_per_draw=len(kinds)):
         amplitudes = np.array([draws[p].state.amplitudes for p in positions])
-        specs = [
-            dataclasses.replace(draws[p].spec, kind=kind) for kind in kinds for p in positions
+        drawn = [draws[p].spec for p in positions]
+        specs = drawn + [
+            ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
+            for kind in kinds[1:] for s in drawn
         ]
         inaccurate = protocols.run_protocols(np.tile(amplitudes, (len(kinds), 1)), specs)[2]
         runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
@@ -414,16 +405,20 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> li
         ], axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
             worst[p] = diff
-    return [
-        _Sample(violation=w, payload=partial(_protocol_payload, d.index, d.state, d.spec))
-        for d, w in zip(draws, worst)
-    ]
+    return worst, {}
 
 
 class _DensityDraw(NamedTuple):
     index: int
     purification: PureState  # of rho on qubits (0, 1), from [seed, i]
     sigma: PureState | None = None  # purifies the random sigma, from [seed, i, 7]
+
+    def payload(self) -> dict:
+        return {
+            "sample_index": self.index,
+            "purification": stateio.dumps_state(self.purification),
+            "keep_qubits": [0, 1],
+        }
 
 
 def _draw_density(cfg: CampaignConfig, i: int, with_sigma: bool = False) -> _DensityDraw:
@@ -436,24 +431,19 @@ def _evaluate_density(
     cfg: CampaignConfig,
     draws: list[_DensityDraw],
     slacks: Callable[..., np.ndarray | list[float]],
-) -> list[_Sample]:
+) -> _Evaluation:
     # one partial trace for the chunk's rho matrices, followed by its sigma
     # matrices when the draws carry them; one validation for the rho rows,
     # values only, and one for the sigma rows, whose eigenvectors are read
-    states = [d.purification for d in draws] + [d.sigma for d in draws if d.sigma is not None]
+    sigmas = [d.sigma for d in draws if d.sigma is not None]
+    states = [d.purification for d in draws] + sigmas
     amplitudes = np.array([s.amplitudes for s in states])
     reduced = linalg.partial_traces(amplitudes, [(0, 1)] * len(states))
     densities = [entropy.validate_densities(reduced[: len(draws)], dims=(4,))]
-    if len(states) > len(draws):
+    if sigmas:
         densities.append(entropy.validate_densities(reduced[len(draws):], dims=(4,), vectors=True))
-    return [
-        _Sample(
-            violation=-slack,
-            payload=partial(_density_payload, d.index, d.purification, 2),
-            stats=None if d.sigma is None else {"random_sigma_checks": 1},
-        )
-        for d, slack in zip(draws, np.asarray(slacks(*densities)).tolist())
-    ]
+    violations = [-slack for slack in np.asarray(slacks(*densities)).tolist()]
+    return violations, {"random_sigma_checks": len(sigmas)} if sigmas else {}
 
 
 def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
@@ -491,14 +481,13 @@ def _draw_saturation(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
     return _ProtocolDraw(i, psi, spec)
 
 
-def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> list[_Sample]:
+def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
     # the purity registers meet the purity bound, the Bell pairs the sv2 bound
-    out = []
+    violations = []
     for d, (stack, row) in zip(draws, _analyze_draws(draws)):
         bound = "purity_bound" if d.spec.kind in protocols.ROTATION_KINDS else "sv2_bound"
-        violation = abs(float(stack.simulated_F[row]) - stack.bound(row, bound))
-        out.append(_Sample(violation, partial(_protocol_payload, d.index, d.state, d.spec)))
-    return out
+        violations.append(abs(float(stack.simulated_F[row]) - stack.bound(row, bound)))
+    return violations, {}
 
 
 def _lambda(samples: int, i: int) -> float:
@@ -508,44 +497,56 @@ def _lambda(samples: int, i: int) -> float:
     return 1.0 if i == last else i * (1.0 / last) + 0.0
 
 
-def _sample_counterexample(cfg: CampaignConfig, i: int) -> _Sample:
-    lam = _lambda(cfg.samples, i)
-    rho = rho_lambda(lam)
-    czz = entropy.correlator(rho, _ZZ)
-    violation = abs(czz - 1.0)  # exactly 0: the correlator is blind to lam
-    sv2 = entropy.von_neumann(rho)
-    if sv2 < 1.0 - 1e-9:
-        try:
-            protocols.bound_sv2(sv2, np.pi / 2)
-        except BoundDomainError:
-            pass
-        else:
-            violation = max(violation, 1.0)  # the domain restriction must hold
-    return _Sample(
-        violation=violation,
-        payload=lambda: _density_payload(i, purified_rho_lambda(lam), 2),
-        stats={"min_sv2": sv2, "max_sv2": sv2},
-    )
+class _LambdaDraw(NamedTuple):
+    index: int
+    lam: float  # point i of the lambda grid, blind to the seed
+
+    def payload(self) -> dict:
+        return _DensityDraw(self.index, purified_rho_lambda(self.lam)).payload()
+
+
+def _draw_lambda(cfg: CampaignConfig, i: int) -> _LambdaDraw:
+    return _LambdaDraw(i, _lambda(cfg.samples, i))
+
+
+def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
+    violations, sv2s = [], []
+    for d in draws:
+        rho = rho_lambda(d.lam)
+        violation = abs(entropy._expectation(rho, entropy._ZZ) - 1.0)  # exactly 0
+        sv2 = entropy.von_neumann(rho)
+        if sv2 < entropy.SV2_DOMAIN_EDGE:
+            try:
+                protocols.bound_sv2(sv2, np.pi / 2)
+            except BoundDomainError:
+                pass
+            else:
+                violation = max(violation, 1.0)  # the domain restriction must hold
+        violations.append(violation)
+        sv2s.append(sv2)
+    return violations, {"min_sv2": min(sv2s), "max_sv2": max(sv2s)}
 
 
 @dataclass(frozen=True)
 class _Campaign:
-    """One campaign: its sampler, default sample count and tolerance, the
-    register sizes and epsilon grid it draws from, the items each sample
-    sweeps (one unless `sweep` says otherwise) and a note for its report.
+    """One campaign: how it draws and evaluates its items, its default
+    sample count and tolerance, the register sizes and epsilon grid it
+    draws from, the items each sample sweeps (one unless `sweep` says
+    otherwise) and a note for its report.
 
-    `sample(cfg, i)` draws item i.  With `evaluate`, the draws of one chunk
-    of items are evaluated together into their samples; without, each
-    draw is already its sample.
+    `draw(cfg, i)` builds item i from (cfg.seed, i) alone, so drawing it
+    again gives the same item; its `payload()` is the worst case of a
+    failing report.  `evaluate(cfg, draws)` turns one chunk of draws into
+    an _Evaluation.
     """
-    sample: Callable[[CampaignConfig, int], object]
+    draw: Callable[[CampaignConfig, int], _ProtocolDraw | _DensityDraw | _LambdaDraw]
+    evaluate: Callable[[CampaignConfig, list], _Evaluation]
     samples: int
     tolerance: float
     register_sizes: tuple[int, ...] = (2, 3, 4, 5)
     epsilon_grid: tuple[float, ...] = _EPSILON_GRID
     sweep: Callable[[CampaignConfig], int] | None = None
     note: str | None = None
-    evaluate: Callable[[CampaignConfig, list], list[_Sample]] | None = None
 
     def items(self, cfg: CampaignConfig) -> int:
         return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
@@ -558,8 +559,8 @@ def _epsilon_draws(cfg: CampaignConfig) -> int:
 
 def _protocol_campaign(samples, tolerance, kinds=_ALL_KINDS, bound=None, **row) -> _Campaign:
     return _Campaign(
-        partial(_draw_protocol, kinds=kinds), samples, tolerance, sweep=_epsilon_draws,
-        evaluate=partial(_evaluate_protocol, bound=bound), **row,
+        partial(_draw_protocol, kinds=kinds), partial(_evaluate_protocol, bound=bound),
+        samples, tolerance, sweep=_epsilon_draws, **row,
     )
 
 
@@ -574,26 +575,24 @@ _CAMPAIGNS: dict[str, _Campaign] = {
         register_sizes=(4, 5),
     ),
     "circuit_equivalence": _Campaign(
-        _draw_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5),
-        evaluate=_evaluate_equivalence,
+        _draw_equivalence, _evaluate_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5),
     ),
     "jonas": _Campaign(
-        _draw_density, 1000, 1e-9, evaluate=partial(_evaluate_density, slacks=_jonas_slacks)
+        _draw_density, partial(_evaluate_density, slacks=_jonas_slacks), 1000, 1e-9
     ),
     "monotonicity": _Campaign(
-        partial(_draw_density, with_sigma=True), 1000, 1e-9,
-        evaluate=partial(_evaluate_density, slacks=_monotonicity_pair_slacks),
+        partial(_draw_density, with_sigma=True),
+        partial(_evaluate_density, slacks=_monotonicity_pair_slacks), 1000, 1e-9,
     ),
     "interm": _Campaign(
-        _draw_density, 1000, 1e-9, evaluate=partial(_evaluate_density, slacks=_interm_slacks)
+        _draw_density, partial(_evaluate_density, slacks=_interm_slacks), 1000, 1e-9
     ),
     "saturation": _Campaign(
-        _draw_saturation, 1, 1e-9,
+        _draw_saturation, _evaluate_saturation, 1, 1e-9,
         epsilon_grid=_SATURATION_EPSILONS, sweep=_saturation_sweep,
-        evaluate=_evaluate_saturation,
     ),
     "counterexample": _Campaign(
-        _sample_counterexample, 21, 1e-15,
+        _draw_lambda, _evaluate_counterexample, 21, 1e-15,
         note="pair correlator is 1 for the whole family while its entropy "
         "sweeps [0, 1]: no entropy bound below 1 constrains the fidelity",
     ),
@@ -627,9 +626,7 @@ def default_config(
     )
 
 
-def _merge_stats(total: dict, update: dict | None) -> None:
-    if not update:
-        return
+def _merge_stats(total: dict, update: dict) -> None:
     for key, val in update.items():
         if key.startswith("min_"):
             total[key] = min(total.get(key, math.inf), val)
@@ -639,41 +636,35 @@ def _merge_stats(total: dict, update: dict | None) -> None:
             total[key] = total.get(key, 0) + val
 
 
-def _evaluate(campaign: _Campaign, config: CampaignConfig, indices) -> list[_Sample]:
-    drawn = [campaign.sample(config, i) for i in indices]
-    return campaign.evaluate(config, drawn) if campaign.evaluate else drawn
-
-
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one named campaign: draw each item, evaluate the items in chunks
-    of _CHUNK on stacks, and fold the samples into the report in index
-    order; the report is deterministic per config.  A campaign that runs
-    no check fails."""
+    of _CHUNK on stacks, and fold each chunk's violations into the report
+    in index order, keeping only the worst index; a failing report draws
+    that item again for its payload.  The report is deterministic per
+    config.  A campaign that runs no check fails."""
     campaign = _campaign(config.name)
     checks_run = 0
     max_violation = -math.inf
-    worst: Callable[[], dict] | None = None
+    worst: int | None = None
     stats: dict = {}
     non_finite = False
     count = campaign.items(config)
-    chunks = (range(a, min(a + _CHUNK, count)) for a in range(0, count, _CHUNK))
-    # index order fixes the argmax tie-break
-    for s in (s for chunk in chunks for s in _evaluate(campaign, config, chunk)):
-        _merge_stats(stats, s.stats)
-        if s.violation is None:
-            continue
-        checks_run += 1
-        if non_finite:
-            continue
-        if not math.isfinite(s.violation):
+    for a in range(0, count, _CHUNK):
+        draws = [campaign.draw(config, i) for i in range(a, min(a + _CHUNK, count))]
+        violations, chunk_stats = campaign.evaluate(config, draws)
+        _merge_stats(stats, chunk_stats)
+        # index order fixes the argmax tie-break
+        for i, violation in enumerate(violations, a):
+            if violation is None:
+                continue
+            checks_run += 1
+            if non_finite:
+                continue
             # fails closed: NaN compares false against any running max, so
             # the first non-finite check is the worst case and a failure
-            non_finite = True
-            max_violation = s.violation
-            worst = s.payload
-        elif s.violation > max_violation:
-            max_violation = s.violation
-            worst = s.payload
+            non_finite = not math.isfinite(violation)
+            if non_finite or violation > max_violation:
+                max_violation, worst = violation, i
     if checks_run == 0:
         max_violation = 0.0
     passed = checks_run > 0 and not non_finite and max_violation <= config.tolerance
@@ -683,7 +674,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         config=config,
         checks_run=checks_run,
         max_violation=max_violation,
-        worst_case=worst() if worst is not None and not passed else None,
+        worst_case=None if passed or worst is None else campaign.draw(config, worst).payload(),
         passed=passed,
         stats=stats,
     )

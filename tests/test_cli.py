@@ -170,12 +170,10 @@ def test_verify_failure_exit_code(tmp_path):
 
 
 def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, capsys):
-    def sample(cfg, i):
-        return verify._Sample(violation=math.nan if i == 2 else 0.0,
-                              payload=lambda: {"sample_index": i})
-    campaigns = dict(verify._CAMPAIGNS)
-    campaigns["counterexample"] = dataclasses.replace(campaigns["counterexample"], sample=sample)
-    monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
+    def evaluate(cfg, draws):
+        return [math.nan if d.index == 2 else 0.0 for d in draws], {}
+    campaign = dataclasses.replace(verify._CAMPAIGNS["counterexample"], evaluate=evaluate)
+    monkeypatch.setitem(verify._CAMPAIGNS, "counterexample", campaign)
     out = tmp_path / "report.json"
     rc = cli.main(["verify", "counterexample", "--samples", "5", "--tolerance", "1",
                    "--output", str(out)])
@@ -184,7 +182,9 @@ def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, caps
     data = json.loads(out.read_text(), parse_constant=pytest.fail)
     assert data["passed"] is False
     assert data["max_violation"] == "nan"
-    assert data["worst_case"] == {"sample_index": 2}
+    config = verify.default_config("counterexample", samples=5, tolerance=1)
+    assert data["worst_case"] == campaign.draw(config, 2).payload()
+    assert data["worst_case"]["sample_index"] == 2
 
 
 def test_verify_without_checks_exits_1(capsys):

@@ -336,23 +336,23 @@ def test_only_a_failing_worst_case_is_serialized(monkeypatch):
 
 
 def _campaign_with(monkeypatch, bad_index, bad_value):
-    """Swap in a campaign whose sample `bad_index` reports `bad_value`."""
-    def sample(cfg, i):
-        violation = bad_value if i == bad_index else -1.0 + 0.1 * i
-        return verify._Sample(violation=violation, payload=lambda: {"sample_index": i})
-    campaigns = dict(verify._CAMPAIGNS)
-    campaigns["jonas"] = dataclasses.replace(campaigns["jonas"], sample=sample, evaluate=None)
-    monkeypatch.setattr(verify, "_CAMPAIGNS", campaigns)
+    """Swap in a jonas campaign whose item `bad_index` evaluates to `bad_value`."""
+    def evaluate(cfg, draws):
+        return [bad_value if d.index == bad_index else -1.0 + 0.1 * d.index for d in draws], {}
+    campaign = dataclasses.replace(verify._CAMPAIGNS["jonas"], evaluate=evaluate)
+    monkeypatch.setitem(verify._CAMPAIGNS, "jonas", campaign)
     return verify.default_config("jonas", samples=8, seed=1, tolerance=1e-9)
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("bad_index", [0, 3])
 def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, bad_value):
-    report = verify.run_campaign(_campaign_with(monkeypatch, bad_index, bad_value))
+    config = _campaign_with(monkeypatch, bad_index, bad_value)
+    report = verify.run_campaign(config)
     assert not report.passed
     assert report.checks_run == 8
-    assert report.worst_case == {"sample_index": bad_index}
+    assert report.worst_case == verify._CAMPAIGNS["jonas"].draw(config, bad_index).payload()
+    assert report.worst_case["sample_index"] == bad_index
     assert repr(report.max_violation) == repr(bad_value)
     data = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
     assert data["max_violation"] == repr(bad_value)
@@ -489,25 +489,60 @@ def test_campaign_deterministic():
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_samples_are_independent_of_evaluation_order(name):
-    # sample i depends on (seed, i) alone, so drawing and evaluating the
+    # item i depends on (seed, i) alone, so drawing and evaluating the
     # chunks in reverse index order, or each item alone in reverse, gives
-    # the same checks as evaluating the chunks forward
+    # the same violations, payloads and merged stats as evaluating the
+    # chunks forward
     config = verify.default_config(name, samples=6, seed=5)
     campaign = verify._CAMPAIGNS[name]
     count = campaign.items(config)
     chunks = [range(a, min(a + 4, count)) for a in range(0, count, 4)]
 
     def evaluate(chunk_order):
-        out = {}
+        out, stats = {}, {}
         for chunk in chunk_order:
-            for i, s in zip(chunk, verify._evaluate(campaign, config, chunk)):
-                out[i] = (s.violation, s.stats, s.payload() if s.payload else None)
-        return [out[i] for i in range(count)]
+            draws = [campaign.draw(config, i) for i in chunk]
+            violations, chunk_stats = campaign.evaluate(config, draws)
+            assert len(violations) == len(draws)
+            verify._merge_stats(stats, chunk_stats)
+            for i, d, violation in zip(chunk, draws, violations):
+                assert d.index == i
+                out[i] = (violation, d.payload())
+        return [out[i] for i in range(count)], stats
 
     forward = evaluate(chunks)
     assert forward == evaluate([chunk[::-1] for chunk in reversed(chunks)])
     assert forward == evaluate([[i] for i in reversed(range(count))])
-    assert len(forward) == count >= 6
+    assert len(forward[0]) == count >= 6
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_each_item_is_drawn_once_and_a_failing_worst_case_once_more(monkeypatch, name):
+    # the report keeps only the worst index and draws that item again for
+    # the payload of a failing report; a passing report draws nothing more
+    campaign = verify._CAMPAIGNS[name]
+    drawn = []
+
+    def draw(cfg, i):
+        drawn.append(i)
+        return campaign.draw(cfg, i)
+
+    monkeypatch.setitem(verify._CAMPAIGNS, name, dataclasses.replace(campaign, draw=draw))
+    # at a tolerance of 1e-300 the campaigns whose violation is an
+    # absolute difference fail on roundoff; the others stay at or below 0
+    failing = {"equality_oracle", "circuit_equivalence", "saturation"}
+    for tolerance, passes in ((None, True), (1e-300, name not in failing)):
+        config = verify.default_config(name, samples=6, seed=13, tolerance=tolerance)
+        drawn.clear()
+        report = verify.run_campaign(config)
+        assert report.passed == passes
+        items = list(range(campaign.items(config)))
+        if passes:
+            assert drawn == items and report.worst_case is None
+        else:
+            worst = report.worst_case["sample_index"]
+            assert drawn == items + [worst]
+            assert report.worst_case == campaign.draw(config, worst).payload()
 
 
 # (samples, runs of (chunk size, stack amplitudes)) whose reports must
@@ -639,8 +674,9 @@ def test_density_checks_match_the_chunked_evaluation():
         ("monotonicity", np.minimum(chunked["mixed"], chunked["sigma"])),
     ):
         cfg = verify.default_config(name, samples=40, seed=3)
-        samples = verify._evaluate(verify._CAMPAIGNS[name], cfg, range(40))
-        assert [s.violation for s in samples] == (-np.asarray(slacks)).tolist()
+        campaign = verify._CAMPAIGNS[name]
+        violations, _ = campaign.evaluate(cfg, [campaign.draw(cfg, i) for i in range(40)])
+        assert violations == (-np.asarray(slacks)).tolist()
 
 
 def test_counterexample_draws_lambda_without_a_grid(monkeypatch):
@@ -652,12 +688,15 @@ def test_counterexample_draws_lambda_without_a_grid(monkeypatch):
     monkeypatch.setattr(np, "linspace", no_grid)
     samples = 10**12
     config = verify.default_config("counterexample", samples=samples, seed=1)
-    ends = [verify._sample_counterexample(config, i) for i in (0, samples - 1)]
-    assert [s.stats for s in ends] == [{"min_sv2": 0.0, "max_sv2": 0.0}] * 2
-    assert [s.payload()["sample_index"] for s in ends] == [0, samples - 1]
-    second = verify._sample_counterexample(config, 1)
-    assert second.violation == 0.0
-    assert 0.0 < second.stats["min_sv2"] == second.stats["max_sv2"] < 1e-10
+    campaign = verify._CAMPAIGNS["counterexample"]
+    ends = [campaign.draw(config, i) for i in (0, samples - 1)]
+    assert [campaign.evaluate(config, [d])[1] for d in ends] == [
+        {"min_sv2": 0.0, "max_sv2": 0.0}
+    ] * 2
+    assert [d.payload()["sample_index"] for d in ends] == [0, samples - 1]
+    violations, stats = campaign.evaluate(config, [campaign.draw(config, 1)])
+    assert violations == [0.0]
+    assert 0.0 < stats["min_sv2"] == stats["max_sv2"] < 1e-10
     assert verify._lambda(samples, 1) == 1.0 / (samples - 1)
     assert verify._lambda(samples, samples - 1) == 1.0
 
