@@ -175,7 +175,11 @@ def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
 
 def f(c: float) -> float:
     """Binary entropy of (1+c)/2; strictly decreasing from f(0)=1 to f(1)=0."""
-    c = _check_unit_interval(c, 0.0, 1.0, "correlator")
+    return _f(_check_unit_interval(c, 0.0, 1.0, "correlator"))
+
+
+def _f(c: float) -> float:
+    # f on a c the caller keeps in [0, 1], where the check would be the identity
     p, q = (1.0 + c) / 2.0, (1.0 - c) / 2.0
     return -(p * math.log2(p) + (q * math.log2(q) if q > 0.0 else 0.0))
 
@@ -199,7 +203,7 @@ def _solve_f(s: float) -> float:
     lo, hi = 0.0, 1.0
     c = min(math.sqrt(2.0 * math.log(2.0) * (1.0 - s)), math.nextafter(1.0, 0.0))
     for _ in range(_INVERSE_MAX_ITER):
-        val = f(c)
+        val = _f(c)  # every iterate lies in [lo, hi], inside [0, 1]
         if abs(val - s) <= _INVERSE_RESIDUAL:
             return c
         lo, hi = (c, hi) if val > s else (lo, c)

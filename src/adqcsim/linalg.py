@@ -155,10 +155,14 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
 
     The input is checked once, whole: square, at most MAX_EIG_DIM,
     finite, and Hermitian within HERMITIAN_TOL; it is then made exactly
-    Hermitian and each matrix is solved on its own.  The rotations run on
-    nested lists of Python complex scalars: at these sizes numpy's
-    per-call overhead on row and column slices would cost more than the
-    arithmetic.
+    Hermitian and each matrix is solved on its own, as Python complex
+    scalars: at these sizes numpy's per-call overhead would cost more than
+    the arithmetic.  The solve for each (d, vectors) is one generated
+    straight-line function, every pivot of a sweep written out with the
+    entries as local variables, so no loop over rows and no list index is
+    left in it.  It is compiled on the first solve of its (d, vectors)
+    and kept for the process: a few milliseconds for d <= 4, about a tenth
+    of a second for d = 16.
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
     satisfying m @ v == v @ diag(w) up to roundoff, each with the input's
@@ -189,65 +193,95 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
 def _jacobi(
     a: list[list[complex]], *, vectors: bool
 ) -> tuple[list[float], list[list[complex]] | None]:
-    # The rotation loop of jacobi_eigh, its one caller, on a matrix it has
+    # The rotation kernel of jacobi_eigh, its one caller, on a matrix it has
     # already checked (square, at most MAX_EIG_DIM, finite) and made
-    # exactly Hermitian, given as nested lists, which it overwrites.
-    # Returns the eigenvalues ascending and, with `vectors`, the
-    # eigenvector matrix as nested lists (else None: the rotations are not
-    # accumulated at all).
-    n = len(a)
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else None
-    # The diagonal is real (the caller symmetrised the matrix), so it is
-    # kept as floats apart from the matrix, whose diagonal goes stale.
-    d = [a[i][i].real for i in range(n)]
-    # Row lists are updated in place, so each pivot's untouched rows can be
-    # listed once; the matrix stays Hermitian, so rows p and q are written
-    # as the conjugates of columns p and q.
-    pivots = [
-        (p, q, a[p], a[q], [(i, a[i]) for i in range(n) if i != p and i != q])
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    ]
-    pivot_floor = OFFDIAG_TARGET / (4.0 * n * n)
-    for _ in range(_MAX_SWEEPS):
+    # exactly Hermitian, given as nested lists.  Returns the eigenvalues
+    # ascending and, with `vectors`, the eigenvector matrix as nested lists
+    # (else None: the rotations are not accumulated at all).  The limits
+    # are read per call, so a patched _MAX_SWEEPS takes effect at once.
+    return _jacobi_kernel(len(a), vectors)(a, OFFDIAG_TARGET, _MAX_SWEEPS)
+
+
+@lru_cache(maxsize=None)
+def _jacobi_kernel(n: int, vectors: bool):
+    # The kernel for one (n, vectors), compiled on its first use and kept
+    # for the life of the process: at most 2 * MAX_EIG_DIM of them.
+    namespace = {"sqrt": math.sqrt, "copysign": math.copysign, "hypot": math.hypot}
+    exec(compile(_jacobi_source(n, vectors), f"<jacobi kernel {n}x{n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _jacobi_source(n: int, vectors: bool) -> str:
+    # Source of the kernel for one (n, vectors): a loop over sweeps whose
+    # body is every pivot (p, q), p < q, in cyclic row order, written out
+    # in full.  The matrix entries, the diagonal (real, so kept as floats
+    # apart from the matrix) and the eigenvector entries are local
+    # variables: the solve indexes no list and loops over no row.  Each
+    # operation is the one a loop over nested lists does, in its order, so
+    # the results are those of that loop bit for bit (the tests keep the
+    # loop as the reference).
+    a = [[f"d{i}" if i == j else f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    v = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]
+    pivots = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+
+    def nested(rows):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+    def rotated(x, y):
+        # columns p and q of one row times W = [[c, s], [-s conj(apq/r), c conj(apq/r)]]
+        return f"            {x}, {y} = {x} * c + {y} * w10, {x} * s + {y} * w11"
+
+    out = [
+        "def kernel(a, target, max_sweeps):",
+        f"    {nested(a)} = a",
+        *(f"    d{i} = d{i}.real" for i in range(n)),
+        *(f"    {v[i][j]} = {'1.0 + 0j' if i == j else '0j'}"
+          for i in range(n) for j in range(n) if vectors),
+        f"    floor = target / (4.0 * {n} * {n})",
+        "    for _ in range(max_sweeps):",
         # Summed directly over the entries above the diagonal (twice, for
         # the Hermitian mirror); subtracting the diagonal share from the
         # total hits a cancellation floor near sqrt(eps)*|A|.
-        off = 0.0
-        for p, q, ap, _, _ in pivots:
-            x = ap[q]
-            off += x.real * x.real + x.imag * x.imag
-        if math.sqrt(2.0 * off) <= OFFDIAG_TARGET:
-            break
-        for p, q, ap, aq, rest in pivots:
-            apq = ap[q]
-            r = abs(apq)
-            if r <= pivot_floor:
-                continue
-            phase = (apq / r).conjugate()
-            app, aqq = d[p], d[q]
-            tau = (aqq - app) / (2.0 * r)
-            if tau == 0.0:
-                t = 1.0
-            else:
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # W = [[c, s], [-s conj(apq/r), c conj(apq/r)]] on columns p, q
-            w10, w11 = -s * phase, c * phase
-            for i, row in rest:
-                x, y = row[p], row[q]
-                xp, yq = x * c + y * w10, x * s + y * w11
-                row[p], row[q] = xp, yq
-                ap[i], aq[i] = xp.conjugate(), yq.conjugate()
-            d[p] = app - t * r
-            d[q] = aqq + t * r
-            ap[q] = aq[p] = 0j
-            if vectors:
-                for row in v:
-                    x, y = row[p], row[q]
-                    row[p], row[q] = x * c + y * w10, x * s + y * w11
-    else:
-        raise ArithmeticError("plane-rotation eigensolver did not converge")
-    order = sorted(range(n), key=d.__getitem__)  # stable, like argsort
-    return [d[i] for i in order], [[row[i] for i in order] for row in v] if vectors else None
+        "        off = 0.0",
+        *(f"        off += {x}.real * {x}.real + {x}.imag * {x}.imag"
+          for x in (a[p][q] for p, q in pivots)),
+        "        if sqrt(2.0 * off) <= target:",
+        "            break",
+    ]
+    for p, q in pivots:
+        apq, dp, dq = a[p][q], a[p][p], a[q][q]
+        out += [
+            f"        r = abs({apq})",
+            "        if not r <= floor:",  # so that a NaN pivot rotates, and never converges
+            f"            phase = ({apq} / r).conjugate()",
+            f"            tau = ({dq} - {dp}) / (2.0 * r)",
+            "            t = 1.0 if tau == 0.0 else copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))",
+            "            c = 1.0 / sqrt(1.0 + t * t)",
+            "            s = t * c",
+            "            w10 = -s * phase",
+            "            w11 = c * phase",
+        ]
+        for i in range(n):
+            if i != p and i != q:
+                # the matrix stays Hermitian: rows p and q are the
+                # conjugates of columns p and q
+                out += [
+                    rotated(a[i][p], a[i][q]),
+                    f"            {a[p][i]} = {a[i][p]}.conjugate()",
+                    f"            {a[q][i]} = {a[i][q]}.conjugate()",
+                ]
+        out += [
+            f"            {dp} = {dp} - t * r",
+            f"            {dq} = {dq} + t * r",
+            f"            {apq} = {a[q][p]} = 0j",
+            *(rotated(v[i][p], v[i][q]) for i in range(n) if vectors),
+        ]
+    out += [
+        "    else:",
+        "        raise ArithmeticError('plane-rotation eigensolver did not converge')",
+        f"    d = [{', '.join(a[i][i] for i in range(n))}]",
+        f"    order = sorted(range({n}), key=d.__getitem__)  # stable, like argsort",
+        "    return [d[i] for i in order], "
+        + (f"[[row[i] for i in order] for row in {nested(v)}]" if vectors else "None"),
+    ]
+    return "\n".join(out) + "\n"

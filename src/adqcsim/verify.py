@@ -19,9 +19,10 @@ trace per chunk and validate its rho rows, values only, in one
 linalg.jacobi_eigh call (monotonicity's random sigma rows, whose
 eigenvectors are read, in another); the dephased states take no solve,
 their eigenpairs read off their diagonals.  The counterexample draws
-lambda_i without building its grid.  The public checks (check_jonas,
-check_interm, check_monotonicity, relative_entropy, dephasing_map) are
-batches of one over the stack code of the density campaigns.
+lambda_i without building its grid and validates a chunk's rho_lambda
+rows in one call too.  The public checks (check_jonas, check_interm,
+check_monotonicity, relative_entropy, dephasing_map) are batches of one
+over the stack code of the density campaigns.
 """
 from __future__ import annotations
 
@@ -510,20 +511,21 @@ def _draw_lambda(cfg: CampaignConfig, i: int) -> _LambdaDraw:
 
 
 def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
-    violations, sv2s = [], []
-    for d in draws:
-        rho = rho_lambda(d.lam)
-        violation = abs(entropy._expectation(rho, entropy._ZZ) - 1.0)  # exactly 0
-        sv2 = entropy.von_neumann(rho)
-        if sv2 < entropy.SV2_DOMAIN_EDGE:
+    # one validation of the chunk's rho_lambda stack, whose rows' S_v2 are
+    # von_neumann's, bit for bit
+    reports = entropy.two_qubit_reports(np.array([rho_lambda(d.lam) for d in draws]))
+    violations = []
+    for rep in reports:
+        violation = abs(rep.correlator - 1.0)  # exactly 0
+        if rep.von_neumann < entropy.SV2_DOMAIN_EDGE:
             try:
-                protocols.bound_sv2(sv2, np.pi / 2)
+                protocols.bound_sv2(rep.von_neumann, np.pi / 2)
             except BoundDomainError:
                 pass
             else:
                 violation = max(violation, 1.0)  # the domain restriction must hold
         violations.append(violation)
-        sv2s.append(sv2)
+    sv2s = [rep.von_neumann for rep in reports]
     return violations, {"min_sv2": min(sv2s), "max_sv2": max(sv2s)}
 
 

@@ -304,19 +304,24 @@ def test_inverse_monotone_bound_factors():
 
 
 def test_f_inverse_evaluates_f_at_most_8_times(monkeypatch):
-    calls = []
-    f = entropy.f
+    # the inversion evaluates the unchecked _f on iterates in [0, 1], where
+    # it is the checked f bit for bit
+    calls, iterates = [], []
+    f = entropy._f
 
     def counted(c):
         calls.append(c)
         return f(c)
 
-    monkeypatch.setattr(entropy, "f", counted)
+    monkeypatch.setattr(entropy, "_f", counted)
     for s in [*np.linspace(0.0, 1.0, 1001), 1e-300, 1e-16, 1e-12, 1.0 - 1e-12, 1.0 - 1e-16]:
         calls.clear()
         c = entropy.f_inverse(float(s))
-        assert len(calls) <= 8, (s, len(calls))
+        assert (1 if 0.0 < s < 1.0 else 0) <= len(calls) <= 8, (s, len(calls))
         assert abs(f(c) - s) <= 1e-12
+        iterates += calls
+    monkeypatch.undo()
+    assert all(0.0 <= c <= 1.0 and repr(f(c)) == repr(entropy.f(c)) for c in iterates)
 
 
 @given(UNIT)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -378,6 +380,107 @@ def test_stack_solve_matches_the_per_matrix_solves(n):
     for b, m in enumerate(mats):
         wb, vb = linalg.jacobi_eigh(m)
         assert w[b].tobytes() == wb.tobytes() and v[b].tobytes() == vb.tobytes()
+
+
+def _loop_jacobi(a, *, vectors):
+    # The rotation loop over nested lists that the generated kernel writes
+    # out pivot by pivot: the reference it must match bit for bit.
+    n = len(a)
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else None
+    d = [a[i][i].real for i in range(n)]
+    pivots = [
+        (p, q, a[p], a[q], [(i, a[i]) for i in range(n) if i != p and i != q])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
+    pivot_floor = linalg.OFFDIAG_TARGET / (4.0 * n * n)
+    for _ in range(linalg._MAX_SWEEPS):
+        off = 0.0
+        for p, q, ap, _, _ in pivots:
+            x = ap[q]
+            off += x.real * x.real + x.imag * x.imag
+        if math.sqrt(2.0 * off) <= linalg.OFFDIAG_TARGET:
+            break
+        for p, q, ap, aq, rest in pivots:
+            apq = ap[q]
+            r = abs(apq)
+            if r <= pivot_floor:
+                continue
+            phase = (apq / r).conjugate()
+            app, aqq = d[p], d[q]
+            tau = (aqq - app) / (2.0 * r)
+            if tau == 0.0:
+                t = 1.0
+            else:
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            w10, w11 = -s * phase, c * phase
+            for i, row in rest:
+                x, y = row[p], row[q]
+                xp, yq = x * c + y * w10, x * s + y * w11
+                row[p], row[q] = xp, yq
+                ap[i], aq[i] = xp.conjugate(), yq.conjugate()
+            d[p] = app - t * r
+            d[q] = aqq + t * r
+            ap[q] = aq[p] = 0j
+            if vectors:
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = x * c + y * w10, x * s + y * w11
+    else:
+        raise ArithmeticError("plane-rotation eigensolver did not converge")
+    order = sorted(range(n), key=d.__getitem__)
+    return [d[i] for i in order], [[row[i] for i in order] for row in v] if vectors else None
+
+
+def _kernel_cases(n):
+    # random, exactly degenerate, rank-one, diagonal and zero matrices, a
+    # real one (signed zeros) and, up to 4x4, an infinite one, as the
+    # symmetrisation of a finite matrix near the float limit gives: its
+    # rotations turn to NaN, which at 2x2 converges, to NaN eigenvalues
+    rng = np.random.default_rng([19, n])
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    real = rng.standard_normal((n, n))
+    infinite = [np.full((n, n), np.inf)] if n <= 4 else []
+    return [
+        *_spectra(n),
+        np.outer(x, x.conj()),
+        np.diag(rng.standard_normal(n)),
+        np.zeros((n, n)),
+        real + real.T,
+        *infinite,
+    ]
+
+
+def _solve_or_raise(kernel, a, vectors):
+    try:
+        return repr(kernel(a, vectors=vectors))
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("n", range(1, linalg.MAX_EIG_DIM + 1))
+def test_generated_kernel_matches_the_loop_kernel(n):
+    # eigenvalues and eigenvectors, signed zeros and non-convergence included
+    for m in _kernel_cases(n):
+        m = m.astype(complex)
+        with np.errstate(invalid="ignore"):  # 0.5 * (inf + 0j) has a NaN part
+            a = 0.5 * (m + m.conj().T)  # as jacobi_eigh symmetrises
+        for vectors in (True, False):
+            want = _solve_or_raise(_loop_jacobi, a.tolist(), vectors)
+            assert _solve_or_raise(linalg._jacobi, a.tolist(), vectors) == want
+
+
+def test_each_kernel_is_built_once_per_process():
+    kernels = {(n, v): linalg._jacobi_kernel(n, v) for n in (1, 2, 3, 4) for v in (True, False)}
+    built = linalg._jacobi_kernel.cache_info().misses
+    for n, vectors in kernels:
+        m = random_hermitian(n, RNG)
+        linalg.jacobi_eigh(np.array([m, m]), vectors=vectors)
+        linalg.jacobi_eigh(m, vectors=vectors)
+        assert linalg._jacobi_kernel(n, vectors) is kernels[n, vectors]
+    assert linalg._jacobi_kernel.cache_info().misses == built
 
 
 def test_n_qubits_of():

@@ -769,3 +769,28 @@ def test_counterexample_campaign_stats():
     assert report.stats["min_sv2"] == pytest.approx(0.0, abs=1e-12)
     assert report.stats["max_sv2"] == pytest.approx(1.0, abs=1e-12)
     assert "note" in report.stats
+
+
+def test_counterexample_validates_each_chunk_in_one_call(monkeypatch):
+    # one jacobi_eigh call per chunk of rho_lambda rows, whose S_v2 are
+    # von_neumann's, bit for bit
+    samples = 2 * verify._CHUNK + 3
+    config = verify.default_config("counterexample", samples=samples, seed=1)
+    campaign = verify._CAMPAIGNS["counterexample"]
+    draws = [campaign.draw(config, i) for i in range(samples)]
+    sv2s = [entropy.von_neumann(verify.rho_lambda(d.lam)) for d in draws]
+    original = linalg.jacobi_eigh
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(len(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    report = verify.run_campaign(config)
+    assert report.passed and report.checks_run == samples
+    assert calls == [verify._CHUNK, verify._CHUNK, 3]
+    for a in range(0, samples, verify._CHUNK):
+        chunk = sv2s[a:a + verify._CHUNK]
+        stats = campaign.evaluate(config, draws[a:a + verify._CHUNK])[1]
+        assert repr(stats) == repr({"min_sv2": min(chunk), "max_sv2": max(chunk)})
