@@ -155,7 +155,8 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
 
     The input is checked once, whole: square, at most MAX_EIG_DIM,
     finite, and Hermitian within HERMITIAN_TOL; it is then made exactly
-    Hermitian and each matrix is solved on its own, as Python complex
+    Hermitian, which must stay finite (entries near the float limit
+    overflow), and each matrix is solved on its own, as Python complex
     scalars: at these sizes numpy's per-call overhead would cost more than
     the arithmetic.  The solve for each (d, vectors) is one generated
     straight-line function, every pivot of a sweep written out with the
@@ -180,9 +181,14 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
         raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if hermiticity_defect(a) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    # entries near the float limit overflow to inf (and inf * 0 to nan)
+    # below, which then fail a check instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hermiticity_defect(a) > HERMITIAN_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    if not np.isfinite(hermitian).all():
+        raise ValueError("matrix has non-finite entries")
     pairs = [_jacobi(x, vectors=vectors) for x in hermitian.reshape(-1, n, n).tolist()]
     w = np.array([values for values, _ in pairs]).reshape(a.shape[:-1])
     if not vectors:

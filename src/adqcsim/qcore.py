@@ -1,5 +1,6 @@
-"""Qubit states, the fixed gate set, tilted measurement bases, and
-single-qubit measurement branch extraction.
+"""Qubit states, the fixed gate set, tilted measurement bases,
+single-qubit measurement branch extraction, and Haar-random states from
+seeded streams.
 
 A basis is a plain (2, 2) array, rows (outcome 0, outcome 1), or a stack
 of them, all built by `tilted_vectors`.  Measurements are represented by
@@ -13,13 +14,19 @@ PureState or a StateStack, with per-row operators, targets and bases;
 each row's qubits are brought into place by one gather over index tables
 cached per (n, linalg.qubit_order), so every row costs the same
 arithmetic as a lone vector.
+
+`generators` seeds the streams of many keys in one call, each generator
+in exactly the state numpy's default generator would start in for its
+key; `random_pure_state` is a batch of one over it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg
 
@@ -255,13 +262,152 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(diff) if a.ndim == 1 else diff
 
 
-def random_pure_state(n_qubits: int, seed) -> PureState:
-    """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes.
+# --------------------------------------------------------------------------
+# seeding: numpy's seed-sequence hash, run for many keys at once
+#
+# A key's 32-bit words are hashed into a pool of 4 words (the key
+# zero-padded to 4): each word is hash-mixed, then every pool word is mixed
+# into every other, then each word past the 4th into all four; 8 words of
+# state are hashed out of the pool and handed to PCG64 as 4 64-bit words.
+# Hash-mix step k xors with _A[k] and multiplies by _A[k + 1]; output word
+# k xors with _B[k] and multiplies by _B[k + 1].
 
-    `seed` may be an int or a sequence of ints (a derived stream key).
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # init * mult^k mod 2^32 for k < count, as a (count, 1) column
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
+_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+# the steps of cross-mix round s, by destination word: step 4 + 3s + j for
+# the j-th word other than s; word s itself is not mixed (its entry is a
+# placeholder whose result is discarded)
+_CROSS_STEPS = [
+    np.array([_POOL + 3 * s + d - (d > s) if d != s else 0 for d in range(_POOL)])
+    for s in range(_POOL)
+]
+_CROSS = [(_A[steps], _A[steps + 1]) for steps in _CROSS_STEPS]
+_OUTPUT_WORDS = np.arange(2 * _POOL) % _POOL
+
+
+def _key_words(key) -> list[int]:
+    # numpy's split of a key into 32-bit words, least significant first
+    # per integer; a key is one nonnegative integer or a sequence of them
+    parts = [key] if isinstance(key, (int, np.integer)) else key
+    if not isinstance(parts, (list, tuple, range, np.ndarray)):
+        raise TypeError(f"a key is an integer or a sequence of integers, got {key!r}")
+    words = []
+    for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
+            raise TypeError(f"key {key!r} has a non-integer entry {part!r}")
+        part = int(part)
+        if part < 0:
+            raise ValueError(f"key {key!r} has a negative entry {part}")
+        while True:  # 0 is one word
+            words.append(part & _MASK32)
+            part >>= 32
+            if not part:
+                break
+    return words
+
+
+def _hash_mix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = words ^ xor
+    out *= mul
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x
+    out -= _MIX_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    # the (B, 4) uint64 PCG64 seeds of B keys, given as the columns of an
+    # (L, B) uint32 array of their words, zero-padded to L >= 4
+    pool = _hash_mix(entropy[:_POOL], _A[:_POOL], _A[1:_POOL + 1])
+    for s, (xor, mul) in enumerate(_CROSS):
+        mixed = _mix(pool, _hash_mix(pool[s], xor, mul))
+        mixed[s] = pool[s]
+        pool = mixed
+    if len(entropy) > _POOL:
+        a = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
+        for w in range(_POOL, len(entropy)):
+            k = _POOL * w  # word w takes steps k, ..., k + 3, one per pool word
+            pool = _mix(pool, _hash_mix(entropy[w], a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+    out = _hash_mix(pool[_OUTPUT_WORDS], _B[:-1], _B[1:]).astype(np.uint64)
+    # word pairs (low, high) as one 64-bit word, whatever the byte order
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
+
+
+class _SeedState(ISeedSequence):
+    """The four 64-bit seed words of one key, which PCG64 asks for once to
+    seed itself.  Any other request raises, so a numpy that seeds PCG64
+    differently fails here instead of starting other streams."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a key's seed is 4 uint64 words, not {n_words} of {dtype}")
+        # PCG64 reads the words as raw memory
+        return np.ascontiguousarray(self._words, dtype=np.uint64)
+
+
+def generators(keys: Sequence) -> list[np.random.Generator]:
+    """One PCG64 generator per key, in key order, each starting in exactly
+    the state of numpy's default generator seeded with that key.
+
+    A key is a nonnegative int or numpy integer, or a list, tuple, range or
+    1-d array of them, such as a stream key [seed, i]; a bool, a negative
+    entry, a float and None raise.  The seed-sequence hash runs once over
+    all keys, as uint32 array arithmetic: keys of up to 4 words together,
+    longer keys grouped by length.  No keys give [].
     """
+    words = [_key_words(key) for key in keys]
+    groups: dict[int, list[int]] = {}
+    for pos, w in enumerate(words):
+        groups.setdefault(max(len(w), _POOL), []).append(pos)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    for length, positions in groups.items():
+        entropy = [words[pos] + [0] * (length - len(words[pos])) for pos in positions]
+        states[positions] = _seed_states(np.array(entropy, dtype=np.uint32).T)
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+
+
+def haar_state(n_qubits: int, rng: np.random.Generator) -> PureState:
+    """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes
+    drawn from `rng`, the real parts first."""
     check_qubit_count(n_qubits)
-    rng = np.random.default_rng(seed)
     vec = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     vec /= np.linalg.norm(vec)
     return PureState(n_qubits, vec)
+
+
+def random_pure_state(n_qubits: int, seed) -> PureState:
+    """Haar-random pure state from the generator of `seed`, a batch of one
+    over `generators` and `haar_state`.
+
+    `seed` is a key as `generators` takes it: a nonnegative int, or a list,
+    tuple, range or 1-d array of them (a derived stream key such as
+    [seed, i]); a bool, a negative entry, a float and None raise.
+    """
+    return haar_state(n_qubits, generators([seed])[0])

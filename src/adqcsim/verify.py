@@ -3,13 +3,17 @@ inequalities, the relative-entropy machinery behind the two-qubit bound,
 engineered bound-saturating registers, and the diagonal counterexample
 family that defeats any entropy bound below 1.
 
-Every campaign has one shape: draw(cfg, i) builds item i from its own
-random stream (campaign seed, i) alone, and evaluate(cfg, draws) turns a
-chunk of _CHUNK draws, on stacks, into each item's violation (None for a
-filtered item) and one stats dict.  run_campaign folds the chunks in
-index order and keeps only the worst index; a failing report draws that
-item again for its payload.  Reports are thus reproducible and do not
-depend on the order of evaluation, the chunk size or the stack cap.
+Every campaign has one shape: draw(cfg, indices) builds a chunk of
+items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
+item's violation (None for a filtered item) and one stats dict.  A draw
+seeds all of its chunk's generators in one qcore.generators call, but
+item i still comes from its own streams alone: [seed, i], and
+[seed, i, 1] for a protocol campaign's register or [seed, i, 7] for
+monotonicity's random sigma.  run_campaign draws and evaluates chunks of
+_CHUNK items in index order and keeps only the worst index; a failing
+report draws that item again, alone, for its payload.  Reports are thus
+reproducible and do not depend on the order of evaluation, the chunk
+size or the stack cap.
 
 The protocol campaigns run one simulation per register size, whatever
 the protocol and error kinds (circuit_equivalence puts all three
@@ -30,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,23 +305,37 @@ class _ProtocolDraw(NamedTuple):
         }
 
 
-def _draw_protocol(cfg: CampaignConfig, i: int, kinds=_ALL_KINDS) -> _ProtocolDraw:
+def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[list]:
+    # each item's generators, seeded in one call: its stream [seed, i],
+    # then [seed, i, tag] for each tag
+    rngs = qcore.generators(
+        [[cfg.seed, i] for i in indices]
+        + [[cfg.seed, i, tag] for tag in tags for i in indices]
+    )
+    return [rngs[k::len(indices)] for k in range(len(indices))]
+
+
+def _draw_protocol(
+    cfg: CampaignConfig, indices: Sequence[int], kinds=_ALL_KINDS
+) -> list[_ProtocolDraw]:
     # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
-    rng = np.random.default_rng([cfg.seed, i])
-    kind = kinds[int(rng.integers(len(kinds)))]
-    n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
-    if kind in protocols.ROTATION_KINDS:
-        targets = (int(rng.integers(n)),)
-        u = float(rng.uniform(0.0, 2.0 * np.pi))
-    else:
-        n = max(n, 2)
-        perm = rng.permutation(n)
-        targets = (int(perm[0]), int(perm[1]))
-        u = None
-    eps = float(cfg.epsilon_grid[int(rng.integers(len(cfg.epsilon_grid)))])
-    delta = float(cfg.delta_grid[int(rng.integers(len(cfg.delta_grid)))])
-    psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
-    return _ProtocolDraw(i, psi, ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta))
+    draws = []
+    for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
+        if kind in protocols.ROTATION_KINDS:
+            targets = (int(rng.integers(n)),)
+            u = float(rng.uniform(0.0, 2.0 * np.pi))
+        else:
+            n = max(n, 2)
+            perm = rng.permutation(n)
+            targets = (int(perm[0]), int(perm[1]))
+            u = None
+        eps = float(cfg.epsilon_grid[int(rng.integers(len(cfg.epsilon_grid)))])
+        delta = float(cfg.delta_grid[int(rng.integers(len(cfg.delta_grid)))])
+        spec = ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta)
+        draws.append(_ProtocolDraw(i, qcore.haar_state(n, state_rng), spec))
+    return draws
 
 
 def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
@@ -370,17 +388,20 @@ def _evaluate_protocol(
     return violations, stats
 
 
-def _draw_equivalence(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
-    # one register and one set of angles for every rotation protocol
-    rng = np.random.default_rng([cfg.seed, i])
-    n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
-    psi = qcore.random_pure_state(n, [cfg.seed, i, 1])
-    t = int(rng.integers(n))
-    u = float(rng.uniform(0.0, 2.0 * np.pi))
-    eps = float(rng.uniform(0.0, np.pi))
-    delta = float(rng.uniform(0.0, 2.0 * np.pi))
-    spec = ProtocolSpec(protocols.ROTATION_KINDS[0], (t,), u=u, epsilon=eps, delta=delta)
-    return _ProtocolDraw(i, psi, spec)
+def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
+    # one register (from [seed, i, 1]) and one set of angles (from
+    # [seed, i]) for every rotation protocol
+    draws = []
+    for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
+        n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
+        psi = qcore.haar_state(n, state_rng)
+        t = int(rng.integers(n))
+        u = float(rng.uniform(0.0, 2.0 * np.pi))
+        eps = float(rng.uniform(0.0, np.pi))
+        delta = float(rng.uniform(0.0, 2.0 * np.pi))
+        spec = ProtocolSpec(protocols.ROTATION_KINDS[0], (t,), u=u, epsilon=eps, delta=delta)
+        draws.append(_ProtocolDraw(i, psi, spec))
+    return draws
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
@@ -422,10 +443,14 @@ class _DensityDraw(NamedTuple):
         }
 
 
-def _draw_density(cfg: CampaignConfig, i: int, with_sigma: bool = False) -> _DensityDraw:
-    psi = qcore.random_pure_state(4, [cfg.seed, i])
-    sigma = qcore.random_pure_state(4, [cfg.seed, i, 7]) if with_sigma else None
-    return _DensityDraw(i, psi, sigma)
+def _draw_density(
+    cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
+) -> list[_DensityDraw]:
+    streams = _streams(cfg, indices, *((7,) if with_sigma else ()))
+    return [
+        _DensityDraw(i, *(qcore.haar_state(4, rng) for rng in rngs))
+        for i, rngs in zip(indices, streams)
+    ]
 
 
 def _evaluate_density(
@@ -459,27 +484,31 @@ def _saturation_sweep(cfg: CampaignConfig) -> int:
     return (len(_SATURATION_S) + 1) * len(cfg.epsilon_grid)
 
 
-def _draw_saturation(cfg: CampaignConfig, i: int) -> _ProtocolDraw:
-    rng = np.random.default_rng([cfg.seed, i])
+def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
+    # the register and epsilon from the item's place in the sweep, the
+    # angles from [seed, i]
     n_eps = len(cfg.epsilon_grid)
-    j = i % _saturation_sweep(cfg)
-    if j < len(_SATURATION_S) * n_eps:
-        s_val = _SATURATION_S[j // n_eps]
-        eps = cfg.epsilon_grid[j % n_eps]
-        kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
-        psi = saturating_single_qubit_register(s_val, 2)
-        spec = ProtocolSpec(
-            kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
-            delta=float(rng.uniform(0.0, 2.0 * np.pi)),
-        )
-    else:
-        eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
-        psi = bell_pair_register()
-        spec = ProtocolSpec(
-            ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
-            delta=float(rng.uniform(0.0, 2.0 * np.pi)),
-        )
-    return _ProtocolDraw(i, psi, spec)
+    draws = []
+    for i, (rng,) in zip(indices, _streams(cfg, indices)):
+        j = i % _saturation_sweep(cfg)
+        if j < len(_SATURATION_S) * n_eps:
+            s_val = _SATURATION_S[j // n_eps]
+            eps = cfg.epsilon_grid[j % n_eps]
+            kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
+            psi = saturating_single_qubit_register(s_val, 2)
+            spec = ProtocolSpec(
+                kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
+                delta=float(rng.uniform(0.0, 2.0 * np.pi)),
+            )
+        else:
+            eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
+            psi = bell_pair_register()
+            spec = ProtocolSpec(
+                ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
+                delta=float(rng.uniform(0.0, 2.0 * np.pi)),
+            )
+        draws.append(_ProtocolDraw(i, psi, spec))
+    return draws
 
 
 def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
@@ -506,8 +535,8 @@ class _LambdaDraw(NamedTuple):
         return _DensityDraw(self.index, purified_rho_lambda(self.lam)).payload()
 
 
-def _draw_lambda(cfg: CampaignConfig, i: int) -> _LambdaDraw:
-    return _LambdaDraw(i, _lambda(cfg.samples, i))
+def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> list[_LambdaDraw]:
+    return [_LambdaDraw(i, _lambda(cfg.samples, i)) for i in indices]
 
 
 def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
@@ -536,12 +565,13 @@ class _Campaign:
     draws from, the items each sample sweeps (one unless `sweep` says
     otherwise) and a note for its report.
 
-    `draw(cfg, i)` builds item i from (cfg.seed, i) alone, so drawing it
-    again gives the same item; its `payload()` is the worst case of a
-    failing report.  `evaluate(cfg, draws)` turns one chunk of draws into
-    an _Evaluation.
+    `draw(cfg, indices)` builds the listed items, in the order given,
+    each from (cfg.seed, i) alone, so drawing an item again, alone or in
+    any other chunk, gives the same item; its `payload()` is the worst
+    case of a failing report.  `evaluate(cfg, draws)` turns one chunk of
+    draws into an _Evaluation.
     """
-    draw: Callable[[CampaignConfig, int], _ProtocolDraw | _DensityDraw | _LambdaDraw]
+    draw: Callable[[CampaignConfig, Sequence[int]], list]
     evaluate: Callable[[CampaignConfig, list], _Evaluation]
     samples: int
     tolerance: float
@@ -652,7 +682,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     non_finite = False
     count = campaign.items(config)
     for a in range(0, count, _CHUNK):
-        draws = [campaign.draw(config, i) for i in range(a, min(a + _CHUNK, count))]
+        draws = campaign.draw(config, range(a, min(a + _CHUNK, count)))
         violations, chunk_stats = campaign.evaluate(config, draws)
         _merge_stats(stats, chunk_stats)
         # index order fixes the argmax tie-break
@@ -676,7 +706,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         config=config,
         checks_run=checks_run,
         max_violation=max_violation,
-        worst_case=None if passed or worst is None else campaign.draw(config, worst).payload(),
+        worst_case=None if passed or worst is None else campaign.draw(config, [worst])[0].payload(),
         passed=passed,
         stats=stats,
     )

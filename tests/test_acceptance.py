@@ -213,8 +213,10 @@ def test_criterion_08_appendix_suite():
     chain_order = 0.0
     # each matrix is validated, and solved, once for the three checks
     sigma = entropy.validate_density(np.eye(4, dtype=complex) / 4, vectors=True)
-    for i in range(1000):
-        rho = entropy.validate_density(verify.random_density_matrix(2, [108, i]))
+    # random_density_matrix(2, [108, i]), its streams seeded in one call
+    for rng in qcore.generators([[108, i] for i in range(1000)]):
+        psi = qcore.haar_state(4, rng).amplitudes
+        rho = entropy.validate_density(linalg.partial_trace(psi, [0, 1]))
         s_mono = verify.check_monotonicity(rho, sigma)
         s_interm = verify.check_interm(rho)
         s_jonas = verify.check_jonas(rho)

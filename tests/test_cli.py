@@ -183,7 +183,7 @@ def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, caps
     assert data["passed"] is False
     assert data["max_violation"] == "nan"
     config = verify.default_config("counterexample", samples=5, tolerance=1)
-    assert data["worst_case"] == campaign.draw(config, 2).payload()
+    assert data["worst_case"] == campaign.draw(config, [2])[0].payload()
     assert data["worst_case"]["sample_index"] == 2
 
 

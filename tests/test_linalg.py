@@ -303,6 +303,28 @@ def test_jacobi_rejects_non_finite(bad):
         linalg.jacobi_eigh(np.diag([bad, 1.0]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_jacobi_rejects_overflow_when_symmetrised(d):
+    # finite entries whose Hermitian part overflows fail as non-finite
+    # input, with no RuntimeWarning (warnings are errors here)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.jacobi_eigh(np.full((d, d), 1e308))
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.jacobi_eigh(np.full((d, d), 1e308), vectors=False)
+    # one overflowing matrix in a stack fails the whole call
+    stack = np.array([np.eye(d), np.full((d, d), -1e308), np.eye(d)], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.jacobi_eigh(stack)
+    # a defect that overflows is not Hermitian
+    skew = np.zeros((d, d))
+    skew[0, 1], skew[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.jacobi_eigh(skew)
+    # just below the limit stays solvable
+    w, _ = linalg.jacobi_eigh(np.full((d, d), 1e300) / d)
+    assert np.isfinite(w).all() and w[-1] == pytest.approx(1e300)
+
+
 @st.composite
 def hermitian_matrices(draw):
     """Random Hermitian matrices of every solvable size, and random bases

@@ -353,12 +353,84 @@ def test_random_state_normalized():
 
 
 def test_random_state_z_expectation_unbiased():
+    # the 10 000 streams [777, i] seeded in one call
     total = 0.0
     z = qcore.gate("Z")
-    for i in range(10_000):
-        st = qcore.random_pure_state(1, [777, i])
+    for rng in qcore.generators([[777, i] for i in range(10_000)]):
+        st = qcore.haar_state(1, rng)
         total += float(np.vdot(st.amplitudes, z @ st.amplitudes).real)
     assert abs(total / 10_000) < 0.05
+
+
+def test_random_state_is_a_batch_of_one():
+    for key in (99, [3, 1], [3, 1, 7]):
+        want = qcore.haar_state(3, np.random.default_rng(key))
+        assert qcore.random_pure_state(3, key).amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+# ------------------------------------------------------------- generators
+
+_SEED_KEYS = [
+    0, [0], [], 1, 42, 2**32 - 1, 2**32, 2**33, 2**40, 2**63, 2**64, 2**70, 2**200,
+    [42, 0], [42, 5], [42, 5, 1], [42, 5, 7], [2**32 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1],
+    [2**33, 5], [2**33, 5, 1], [2**40, 7, 7], [2**64, 3], [2**70, 2, 1], [2**200, 9, 7],
+    [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2**64 + 1, 5, 2**33],
+    np.uint32(7), np.int64(2**40), np.uint64(2**64 - 1), [np.int64(42), np.uint8(3)],
+    [np.uint64(2**63), 2, np.int32(7)], (11, 4), range(5), np.array([42, 3, 1]),
+]
+
+
+def _first_draws(rng):
+    return (
+        rng.integers(1 << 62, size=3).tolist(),
+        rng.uniform(size=2).tolist(),
+        rng.standard_normal(2).tolist(),
+        rng.permutation(6).tolist(),
+    )
+
+
+def test_generators_match_numpy_seeding():
+    # every width of key in one call: ints, 0 and [0], stream keys,
+    # seeds of 2^32 and more (keys over 4 words), numpy integers
+    rngs = qcore.generators(_SEED_KEYS)
+    assert len(rngs) == len(_SEED_KEYS)
+    for key, rng in zip(_SEED_KEYS, rngs):
+        want = np.random.default_rng(key)
+        assert rng.bit_generator.state == want.bit_generator.state, key
+        assert _first_draws(rng) == _first_draws(want), key
+
+
+def test_generators_do_not_depend_on_the_other_keys():
+    for k, key in enumerate(_SEED_KEYS):
+        (alone,) = qcore.generators([key])
+        together = qcore.generators(_SEED_KEYS[k:] + _SEED_KEYS[:k])[0]
+        assert alone.bit_generator.state == together.bit_generator.state
+
+
+def test_generators_of_no_keys():
+    assert qcore.generators([]) == []
+
+
+@pytest.mark.parametrize("key", [-1, [42, -1], 1.0, [42, 1.5], None, [42, None], True,
+                                 [42, False], "42", [[42, 1]], np.float64(3.0)])
+def test_generators_reject_a_bad_key(key):
+    with pytest.raises((TypeError, ValueError)):
+        qcore.generators([[42, 1], key])
+    with pytest.raises((TypeError, ValueError)):
+        qcore.random_pure_state(2, key)
+
+
+def test_a_seed_state_is_only_four_64_bit_words():
+    # a numpy that asked for another seed size or type would fail here
+    # instead of drawing other streams
+    rng = qcore.generators([[42, 1]])[0]
+    seed = rng.bit_generator.seed_seq
+    assert seed.generate_state(4, np.uint64).tolist() == (
+        np.random.SeedSequence([42, 1]).generate_state(4, np.uint64).tolist()
+    )
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
 
 
 def test_random_state_range_errors():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adqcsim import entropy, linalg, protocols, stateio, verify
+from adqcsim import entropy, linalg, protocols, qcore, stateio, verify
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 MAX_MIXED = np.eye(4, dtype=complex) / 4.0
@@ -187,10 +187,13 @@ def test_random_density_matrix_range():
 
 def test_random_density_matrix_mean_purity():
     # induced ensemble with equal environment: E[Tr rho^2] = (d+K)/(dK+1) = 0.8
+    # random_density_matrix(1, [96, i]), its streams seeded in one call
     total = 0.0
     n_samples = 5000
-    for i in range(n_samples):
-        rho = verify.random_density_matrix(1, [96, i])
+    for i, rng in enumerate(qcore.generators([[96, i] for i in range(n_samples)])):
+        rho = linalg.partial_trace(qcore.haar_state(2, rng).amplitudes, [0])
+        if i < 10:
+            assert np.array_equal(rho, verify.random_density_matrix(1, [96, i]))
         total += float(np.trace(rho @ rho).real)
     assert abs(total / n_samples - 0.8) < 0.02
 
@@ -351,7 +354,7 @@ def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, b
     report = verify.run_campaign(config)
     assert not report.passed
     assert report.checks_run == 8
-    assert report.worst_case == verify._CAMPAIGNS["jonas"].draw(config, bad_index).payload()
+    assert report.worst_case == verify._CAMPAIGNS["jonas"].draw(config, [bad_index])[0].payload()
     assert report.worst_case["sample_index"] == bad_index
     assert repr(report.max_violation) == repr(bad_value)
     data = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
@@ -490,9 +493,9 @@ def test_campaign_deterministic():
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_samples_are_independent_of_evaluation_order(name):
     # item i depends on (seed, i) alone, so drawing and evaluating the
-    # chunks in reverse index order, or each item alone in reverse, gives
-    # the same violations, payloads and merged stats as evaluating the
-    # chunks forward
+    # chunks in reverse index order (each chunk drawn in reverse), or each
+    # item alone in reverse, gives the same violations, payloads and merged
+    # stats as evaluating the chunks forward
     config = verify.default_config(name, samples=6, seed=5)
     campaign = verify._CAMPAIGNS[name]
     count = campaign.items(config)
@@ -501,7 +504,7 @@ def test_samples_are_independent_of_evaluation_order(name):
     def evaluate(chunk_order):
         out, stats = {}, {}
         for chunk in chunk_order:
-            draws = [campaign.draw(config, i) for i in chunk]
+            draws = campaign.draw(config, chunk)
             violations, chunk_stats = campaign.evaluate(config, draws)
             assert len(violations) == len(draws)
             verify._merge_stats(stats, chunk_stats)
@@ -516,16 +519,42 @@ def test_samples_are_independent_of_evaluation_order(name):
     assert len(forward[0]) == count >= 6
 
 
+def _draw_fields(draw) -> list:
+    # a draw's fields, each state as its raw amplitude bytes
+    return [
+        (v.n_qubits, v.amplitudes.tobytes()) if isinstance(v, qcore.PureState) else v
+        for v in draw
+    ]
+
+
+@pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
+def test_a_chunk_draw_is_each_item_drawn_alone(name):
+    # a chunk's generators are seeded in one call, and item i is still
+    # built from its own streams: the same states, bit for bit, and the
+    # same specs and payloads as drawing [i] alone
+    config = verify.default_config(name, samples=12, seed=9)
+    campaign = verify._CAMPAIGNS[name]
+    a, b = 3, min(campaign.items(config), 40)  # saturation's first 40 of 360
+    chunk = campaign.draw(config, range(a, b))
+    assert [d.index for d in chunk] == list(range(a, b))
+    for i, d in zip(range(a, b), chunk):
+        (alone,) = campaign.draw(config, [i])
+        assert _draw_fields(d) == _draw_fields(alone)
+        assert d.payload() == alone.payload()
+    assert campaign.draw(config, []) == []
+
+
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_each_item_is_drawn_once_and_a_failing_worst_case_once_more(monkeypatch, name):
-    # the report keeps only the worst index and draws that item again for
-    # the payload of a failing report; a passing report draws nothing more
+    # each chunk is drawn in one call; the report keeps only the worst
+    # index and draws that item again, alone, for the payload of a failing
+    # report; a passing report draws nothing more
     campaign = verify._CAMPAIGNS[name]
     drawn = []
 
-    def draw(cfg, i):
-        drawn.append(i)
-        return campaign.draw(cfg, i)
+    def draw(cfg, indices):
+        drawn.append(list(indices))
+        return campaign.draw(cfg, indices)
 
     monkeypatch.setitem(verify._CAMPAIGNS, name, dataclasses.replace(campaign, draw=draw))
     # at a tolerance of 1e-300 the campaigns whose violation is an
@@ -536,13 +565,16 @@ def test_each_item_is_drawn_once_and_a_failing_worst_case_once_more(monkeypatch,
         drawn.clear()
         report = verify.run_campaign(config)
         assert report.passed == passes
-        items = list(range(campaign.items(config)))
+        count = campaign.items(config)
+        chunks = [
+            list(range(a, min(a + verify._CHUNK, count))) for a in range(0, count, verify._CHUNK)
+        ]
         if passes:
-            assert drawn == items and report.worst_case is None
+            assert drawn == chunks and report.worst_case is None
         else:
             worst = report.worst_case["sample_index"]
-            assert drawn == items + [worst]
-            assert report.worst_case == campaign.draw(config, worst).payload()
+            assert drawn == chunks + [[worst]]
+            assert report.worst_case == campaign.draw(config, [worst])[0].payload()
 
 
 # (samples, runs of (chunk size, stack amplitudes)) whose reports must
@@ -619,7 +651,7 @@ def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, sa
 def test_analyze_matches_the_chunked_evaluation(kind):
     # analyze is a batch of one over the code that evaluates a chunk
     config = verify.default_config("equality_oracle", samples=40, seed=3)
-    draws = [verify._draw_protocol(config, i, kinds=(kind,)) for i in range(40)]
+    draws = verify._draw_protocol(config, range(40), kinds=(kind,))
     for d, (stack, row) in zip(draws, verify._analyze_draws(draws)):
         rep = protocols.analyze(d.state, d.spec)
         assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
@@ -635,7 +667,7 @@ def test_density_checks_match_the_chunked_evaluation():
     # the public checks are batches of one over the code that evaluates a
     # chunk of the density campaigns
     config = verify.default_config("monotonicity", samples=40, seed=3)
-    draws = [verify._draw_density(config, i, with_sigma=True) for i in range(40)]
+    draws = verify._draw_density(config, range(40), with_sigma=True)
     states = [d.purification for d in draws] + [d.sigma for d in draws]
     rhos = linalg.partial_traces(np.array([s.amplitudes for s in states]), [(0, 1)] * 80)
     stack = entropy.validate_densities(rhos, dims=(4,), vectors=True)
@@ -675,7 +707,7 @@ def test_density_checks_match_the_chunked_evaluation():
     ):
         cfg = verify.default_config(name, samples=40, seed=3)
         campaign = verify._CAMPAIGNS[name]
-        violations, _ = campaign.evaluate(cfg, [campaign.draw(cfg, i) for i in range(40)])
+        violations, _ = campaign.evaluate(cfg, campaign.draw(cfg, range(40)))
         assert violations == (-np.asarray(slacks)).tolist()
 
 
@@ -689,12 +721,12 @@ def test_counterexample_draws_lambda_without_a_grid(monkeypatch):
     samples = 10**12
     config = verify.default_config("counterexample", samples=samples, seed=1)
     campaign = verify._CAMPAIGNS["counterexample"]
-    ends = [campaign.draw(config, i) for i in (0, samples - 1)]
+    ends = campaign.draw(config, [0, samples - 1])
     assert [campaign.evaluate(config, [d])[1] for d in ends] == [
         {"min_sv2": 0.0, "max_sv2": 0.0}
     ] * 2
     assert [d.payload()["sample_index"] for d in ends] == [0, samples - 1]
-    violations, stats = campaign.evaluate(config, [campaign.draw(config, 1)])
+    violations, stats = campaign.evaluate(config, campaign.draw(config, [1]))
     assert violations == [0.0]
     assert 0.0 < stats["min_sv2"] == stats["max_sv2"] < 1e-10
     assert verify._lambda(samples, 1) == 1.0 / (samples - 1)
@@ -777,7 +809,7 @@ def test_counterexample_validates_each_chunk_in_one_call(monkeypatch):
     samples = 2 * verify._CHUNK + 3
     config = verify.default_config("counterexample", samples=samples, seed=1)
     campaign = verify._CAMPAIGNS["counterexample"]
-    draws = [campaign.draw(config, i) for i in range(samples)]
+    draws = campaign.draw(config, range(samples))
     sv2s = [entropy.von_neumann(verify.rho_lambda(d.lam)) for d in draws]
     original = linalg.jacobi_eigh
     calls = []
