@@ -133,7 +133,7 @@ def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
         "u": spec.u,
         "epsilon": spec.epsilon,
         "delta": spec.delta,
-        "ideal_probabilities": list(result.ideal_probabilities),
+        "ideal_probabilities": result.ideal_probabilities.tolist(),
         "branch_probabilities": [
             float(np.vdot(x, x).real) for x in result.inaccurate_branches
         ],
@@ -152,7 +152,9 @@ def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
             for name, value in report.bounds.items()
             if abs(report.simulated_F - value) <= protocols.BOUND_SLACK_TOL
         ],
-        "violations": [{"name": v.name, "excess": v.excess} for v in report.violations],
+        "violations": [
+            {"name": name, "excess": excess} for name, excess in report.violations.items()
+        ],
         "notes": _demo_notes(report),
     }
 

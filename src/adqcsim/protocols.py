@@ -15,12 +15,15 @@ per row, and protocols of different kinds share a stack through per-row
 gate tables: `pre_measurement_states`, `run_protocols` and
 `analyze_stack`, which reduces the rows of each error kind on its own
 shape.  `pre_measurement_state`, `run_protocol` and `analyze` are
-batches of one over the same code.
+batches of one over the same code.  A run's branches are one
+`ProtocolResult` of arrays: (2, 2^n) branches for one run, (B, 2, 2^n)
+for a stack.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -100,6 +103,10 @@ class ProtocolSpec:
     delta: float = 0.0
 
     def __post_init__(self):
+        for t in self.targets:
+            # bool is an int subclass, but True names no qubit
+            if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+                raise ValueError(f"target {t!r} is not an integer")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         for name in ("u", "epsilon", "delta"):
             value = getattr(self, name)
@@ -117,25 +124,19 @@ class ProtocolSpec:
                 raise ValueError(f"{self.kind.value} does not take a rotation angle")
 
 
-@dataclass
-class ProtocolResult:
-    """Per-outcome branches of one protocol run.
+class ProtocolResult(NamedTuple):
+    """Per-outcome branches of one protocol run, (2, 2^n) arrays, or of a
+    stack of runs, with a leading axis: (B, 2, 2^n).
 
     ideal_branches hold the normalized outputs of the accurate-measurement
-    circuit; inaccurate_branches are the unnormalized tilted-measurement
+    circuit, ideal_probabilities their outcome probabilities ((2,) or
+    (B, 2)); inaccurate_branches are the unnormalized tilted-measurement
     branches, whose squared norms are the outcome probabilities.
     """
 
-    ideal_branches: tuple[PureState, PureState]
-    ideal_probabilities: tuple[float, float]
-    inaccurate_branches: tuple[np.ndarray, np.ndarray]
-    target_register_size: int
-
-
-@dataclass
-class Violation:
-    name: str
-    excess: float
+    ideal_branches: np.ndarray
+    ideal_probabilities: np.ndarray
+    inaccurate_branches: np.ndarray
 
 
 @dataclass
@@ -146,7 +147,7 @@ class FidelityReport:
     entanglement: EntanglementReport
     bounds: dict[str, float]
     result: ProtocolResult  # the protocol run the fidelities come from
-    violations: list[Violation] = field(default_factory=list)
+    violations: dict[str, float]  # bound name -> excess, for each bound exceeded
 
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -230,15 +231,10 @@ def _measurements(specs: Sequence[ProtocolSpec], n: int):
     return vectors.reshape(len(specs), 4, 2), measured, keep
 
 
-def run_protocols(
-    amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_protocols(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> ProtocolResult:
     """run_protocol for every row of a (B, 2^n) stack of register states,
-    one spec per row.
-
-    Returns the normalized ideal branches (B, 2, 2^n), their outcome
-    probabilities (B, 2) and the unnormalized inaccurate branches
-    (B, 2, 2^n).
+    one spec per row: the ProtocolResult of the stack, with branches
+    (B, 2, 2^n) and probabilities (B, 2).
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     pre = pre_measurement_states(amplitudes, specs)
@@ -248,23 +244,12 @@ def run_protocols(
     inaccurate, ideal = branches[:, :2], branches[:, 2:]
     probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
     ideal /= np.sqrt(probs)[..., None]
-    return ideal, probs, inaccurate
-
-
-def _result(ideal: np.ndarray, probs: np.ndarray, inaccurate: np.ndarray) -> ProtocolResult:
-    n = linalg.n_qubits_of(ideal.shape[-1])
-    return ProtocolResult(
-        ideal_branches=(PureState(n, ideal[0]), PureState(n, ideal[1])),
-        ideal_probabilities=(float(probs[0]), float(probs[1])),
-        inaccurate_branches=(inaccurate[0], inaccurate[1]),
-        target_register_size=n,
-    )
+    return ProtocolResult(ideal, probs, inaccurate)
 
 
 def run_protocol(input_state: PureState, spec: ProtocolSpec) -> ProtocolResult:
     """Run one protocol, returning ideal and inaccurate branches per outcome."""
-    ideal, probs, inaccurate = run_protocols(input_state.amplitudes[None], [spec])
-    return _result(ideal[0], probs[0], inaccurate[0])
+    return ProtocolResult(*(a[0] for a in run_protocols(input_state.amplitudes[None], [spec])))
 
 
 def mean_gate_fidelities(ideal: np.ndarray, inaccurate: np.ndarray) -> np.ndarray:
@@ -280,8 +265,7 @@ def mean_gate_fidelity(result: ProtocolResult) -> float:
     Computed as sum_j |<ideal_j | xi_j>|^2 with xi_j unnormalized, which
     carries the outcome probability weighting implicitly.
     """
-    ideal = np.array([phi.amplitudes for phi in result.ideal_branches])
-    return float(mean_gate_fidelities(ideal, np.array(result.inaccurate_branches)))
+    return float(mean_gate_fidelities(result.ideal_branches, result.inaccurate_branches))
 
 
 def closed_form_fidelity(correlator: float, epsilon: float) -> float:
@@ -306,17 +290,12 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
     """
     if j not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {j}")
-    sign = (-1.0) ** j
-    if kind is ErrorKind.X_TYPE:
-        pauli = qcore.gate("X")
-        eye = np.eye(2, dtype=complex)
-    elif kind is ErrorKind.ZZ_TYPE:
-        pauli = linalg.kron(qcore.gate("Z"), qcore.gate("Z"))
-        eye = np.eye(4, dtype=complex)
-    else:
+    if kind not in _REDUCTIONS:
         raise ValueError(f"unknown error kind {kind}")
+    pauli = _REDUCTIONS[kind].pauli
+    sign = (-1.0) ** j
     ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
-    return ce * eye + sign * np.exp(sign * 1j * delta) * se * pauli
+    return ce * np.eye(len(pauli), dtype=complex) + sign * np.exp(sign * 1j * delta) * se * pauli
 
 
 # Each bound is 1 - measure sin^2(e/2), the measure taken from an entropy:
@@ -380,9 +359,7 @@ class FidelityStack(NamedTuple):
     entanglement: list[EntanglementReport]
     bound_entropies: list[dict[str, float]]
     sin_half: np.ndarray  # sin(epsilon / 2) per row
-    ideal_branches: np.ndarray
-    ideal_probabilities: np.ndarray
-    inaccurate_branches: np.ndarray
+    branches: ProtocolResult  # of the stack
 
     def bound(self, row: int, name: str) -> float | None:
         """The named bound of one row, or None where it does not apply."""
@@ -402,16 +379,12 @@ class FidelityStack(NamedTuple):
             correlator_used=float(self.correlator_used[row]),
             entanglement=self.entanglement[row],
             bounds=bounds,
-            result=_result(
-                self.ideal_branches[row],
-                self.ideal_probabilities[row],
-                self.inaccurate_branches[row],
-            ),
-            violations=[
-                Violation(name=name, excess=simulated - value)
+            result=ProtocolResult(*(a[row] for a in self.branches)),
+            violations={
+                name: simulated - value
                 for name, value in bounds.items()
                 if simulated - value > BOUND_SLACK_TOL
-            ],
+            },
         )
 
 
@@ -428,15 +401,22 @@ def _two_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
 
 
 class _Reduction(NamedTuple):
-    targets: int  # the leading targets the register is reduced to
+    # the error operator's Pauli, on as many leading targets as the
+    # register is reduced to
+    pauli: np.ndarray
     reports: Callable[[np.ndarray], list[EntanglementReport]]
     entropies: Callable[[EntanglementReport], dict[str, float]]
 
 
-# The reduction shape of each error kind
+# Each error kind: its Pauli and its reduction shape
 _REDUCTIONS = {
-    ErrorKind.X_TYPE: _Reduction(1, entropy.single_qubit_reports, _one_qubit_entropies),
-    ErrorKind.ZZ_TYPE: _Reduction(2, entropy.two_qubit_reports, _two_qubit_entropies),
+    ErrorKind.X_TYPE: _Reduction(
+        qcore.gate("X"), entropy.single_qubit_reports, _one_qubit_entropies
+    ),
+    ErrorKind.ZZ_TYPE: _Reduction(
+        linalg.kron(qcore.gate("Z"), qcore.gate("Z")),
+        entropy.two_qubit_reports, _two_qubit_entropies,
+    ),
 }
 
 
@@ -453,14 +433,15 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
     """
     specs = list(specs)
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    ideal, probs, inaccurate = run_protocols(amplitudes, specs)
+    branches = run_protocols(amplitudes, specs)
     reports: list = [None] * len(specs)
     bound_entropies: list = [None] * len(specs)
     for error, reduction in _REDUCTIONS.items():
         rows = [b for b, spec in enumerate(specs) if _PROTOCOLS[spec.kind].error is error]
         if not rows:
             continue
-        keeps = [specs[b].targets[: reduction.targets] for b in rows]
+        width = linalg.n_qubits_of(len(reduction.pauli))
+        keeps = [specs[b].targets[:width] for b in rows]
         rho = linalg.partial_traces(amplitudes[rows], keeps)
         for b, report in zip(rows, reduction.reports(rho)):
             reports[b] = report
@@ -468,15 +449,13 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
     corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
     epsilon = np.array([spec.epsilon for spec in specs])
     return FidelityStack(
-        simulated_F=mean_gate_fidelities(ideal, inaccurate),
+        simulated_F=mean_gate_fidelities(branches.ideal_branches, branches.inaccurate_branches),
         closed_form_F=_closed_form(corr, epsilon),
         correlator_used=corr,
         entanglement=reports,
         bound_entropies=bound_entropies,
         sin_half=np.sin(epsilon / 2.0),
-        ideal_branches=ideal,
-        ideal_probabilities=probs,
-        inaccurate_branches=inaccurate,
+        branches=branches,
     )
 
 

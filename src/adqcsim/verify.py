@@ -225,6 +225,7 @@ class CampaignConfig:
         for name, value in dict(
             samples=_integer(self.samples, "samples"),
             seed=_integer(self.seed, "seed"),
+            tolerance=_real(self.tolerance, "tolerance"),
             epsilon_grid=_finite_grid(self.epsilon_grid, "epsilon_grid"),
             delta_grid=_finite_grid(self.delta_grid, "delta_grid"),
             register_sizes=tuple(_integer(n, "register_sizes entry") for n in self.register_sizes),
@@ -250,6 +251,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    # bool is an int, so a Real, but True is no tolerance
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _finite_grid(grid, name: str) -> tuple[float, ...]:
@@ -418,7 +426,9 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
             ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
             for kind in kinds[1:] for s in drawn
         ]
-        inaccurate = protocols.run_protocols(np.tile(amplitudes, (len(kinds), 1)), specs)[2]
+        inaccurate = protocols.run_protocols(
+            np.tile(amplitudes, (len(kinds), 1)), specs
+        ).inaccurate_branches
         runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
         diffs = np.max([
             qcore.phase_aligned_max_diff(runs[a], runs[b])
@@ -645,16 +655,17 @@ def default_config(
     seed: int = 42,
     tolerance: float | None = None,
 ) -> CampaignConfig:
-    """Campaign config with per-campaign defaults filled in."""
+    """Campaign config with per-campaign defaults filled in; the values
+    given are checked by CampaignConfig as they are, not converted."""
     row = _campaign(name)
     return CampaignConfig(
         name=name,
-        samples=row.samples if samples is None else int(samples),
-        seed=int(seed),
+        samples=row.samples if samples is None else samples,
+        seed=seed,
         epsilon_grid=row.epsilon_grid,
         delta_grid=_DELTA_GRID,
         register_sizes=row.register_sizes,
-        tolerance=row.tolerance if tolerance is None else float(tolerance),
+        tolerance=row.tolerance if tolerance is None else tolerance,
     )
 
 

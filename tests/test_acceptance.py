@@ -55,9 +55,10 @@ def test_criterion_02_delta_independence():
     worst = 0.0
     count = 0
     rng = np.random.default_rng(102)
+    streams = qcore.generators([[102, trial] for trial in range(40)])
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [102, trial])
+        psi = qcore.haar_state(n, streams[trial])
         base = _random_spec(rng, n, kinds=(ALL_KINDS[trial % 5],))
         vals = []
         for delta in deltas:
@@ -76,9 +77,10 @@ def test_criterion_03_error_operator_factorization():
     rng = np.random.default_rng(103)
     worst = 0.0
     samples = 250
+    streams = qcore.generators([[103, trial] for trial in range(samples)])
     for trial in range(samples):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [103, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = _random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -88,7 +90,7 @@ def test_criterion_03_error_operator_factorization():
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
             pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
-                res.ideal_branches[j].amplitudes, a, takes, n
+                res.ideal_branches[j], a, takes, n
             )
             worst = max(worst, float(np.max(np.abs(pred - res.inaccurate_branches[j]))))
     _criterion(3, "error-operator factorization", worst <= 1e-12,

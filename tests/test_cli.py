@@ -270,6 +270,24 @@ def test_demo_saturate_preset(capsys):
     assert "purity_bound" in info["saturated"]
 
 
+def test_demo_reports_each_exceeded_bound_with_its_excess():
+    # no correct run exceeds a bound, so raise a stack's simulated fidelity
+    spec = protocols.ProtocolSpec(
+        protocols.ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.4, epsilon=1.0, delta=0.2
+    )
+    stack = protocols.analyze_stack(cli.preset_state("bell").amplitudes[None], [spec])
+    report = stack._replace(simulated_F=stack.simulated_F + 0.1).report(0)
+    assert report.violations == {
+        name: report.simulated_F - value for name, value in report.bounds.items()
+    }
+    assert list(report.violations) == ["purity_bound", "sv_bound"]
+    info = cli._demo_report_dict(spec, report)
+    assert info["violations"] == [
+        {"name": name, "excess": excess} for name, excess in report.violations.items()
+    ]
+    assert all(v["excess"] > protocols.BOUND_SLACK_TOL for v in info["violations"])
+
+
 def test_demo_runs_the_protocol_once(monkeypatch, capsys):
     # every simulation goes through the stacked run_protocols
     calls = []

@@ -8,8 +8,13 @@ ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def random_single_qubit_rho(seed):
-    return verify.random_density_matrix(1, seed)
+def random_densities(n_qubits, keys):
+    """verify.random_density_matrix(n_qubits, key) for each key, the keys
+    seeded in one qcore.generators call."""
+    return [
+        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng).amplitudes, list(range(n_qubits)))
+        for rng in qcore.generators(keys)
+    ]
 
 
 # ---------------------------------------------------------------- purity
@@ -27,8 +32,7 @@ def test_purity_example():
 
 
 def test_purity_matches_direct_recomputation():
-    for i in range(30):
-        rho = random_single_qubit_rho([60, i])
+    for rho in random_densities(1, [[60, i] for i in range(30)]):
         direct = 2.0 * (1.0 - float(np.trace(rho @ rho).real))
         assert entropy.purity_entanglement(rho) == pytest.approx(direct, abs=1e-12)
 
@@ -119,7 +123,7 @@ def test_non_convergence_fails_closed(monkeypatch):
 def test_validated_stack_is_checked_once(monkeypatch):
     # the finiteness, Hermiticity and trace checks run once per stack; the
     # eigensolves that follow do not repeat them per matrix
-    rhos = np.array([verify.random_density_matrix(2, [65, i]) for i in range(5)])
+    rhos = np.array(random_densities(2, [[65, i] for i in range(5)]))
     calls = []
     defect = linalg.hermiticity_defect
 
@@ -164,8 +168,7 @@ def test_von_neumann_pure_is_zero():
 
 
 def test_von_neumann_range():
-    for i in range(20):
-        rho = verify.random_density_matrix(2, [61, i])
+    for rho in random_densities(2, [[61, i] for i in range(20)]):
         val = entropy.von_neumann(rho)
         assert -1e-12 <= val <= 2.0 + 1e-10
 
@@ -203,7 +206,7 @@ def test_correlator_errors():
 
 
 def test_correlator_and_bloch_length_read_a_density():
-    rhos = np.array([random_single_qubit_rho([66, i]) for i in range(3)])
+    rhos = np.array(random_densities(1, [[66, i] for i in range(3)]))
     stack = entropy.validate_densities(rhos, dims=(2,))
     z = qcore.gate("Z")
     assert np.array_equal(entropy.correlator(stack, z), entropy.correlator(rhos, z))
@@ -344,8 +347,7 @@ def test_f_inverse_non_increasing_on_fine_grid():
 
 def test_single_qubit_bound_chain():
     z = qcore.gate("Z")
-    for i in range(200):
-        rho = random_single_qubit_rho([62, i])
+    for rho in random_densities(1, [[62, i] for i in range(200)]):
         s = entropy.purity_entanglement(rho)
         cz = entropy.correlator(rho, z)
         r = entropy.bloch_length(rho)
@@ -356,8 +358,7 @@ def test_single_qubit_bound_chain():
 
 
 def test_two_qubit_entropy_bound():
-    for i in range(200):
-        rho = verify.random_density_matrix(2, [63, i])
+    for rho in random_densities(2, [[63, i] for i in range(200)]):
         czz = min(abs(entropy.correlator(rho, ZZ)), 1.0)
         assert entropy.von_neumann(rho) <= entropy.g(czz) + 1e-10
 

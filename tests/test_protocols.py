@@ -102,6 +102,27 @@ def test_spec_rejects_non_finite_angles(field, bad):
             ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), **angles)
 
 
+@pytest.mark.parametrize("kind, targets", [
+    (ProtocolKind.ADQC_ROTATION_CZ, (1.7,)),
+    (ProtocolKind.ADQC_ROTATION_CZ, (1.0,)),
+    (ProtocolKind.ONEWAY_ROTATION, (True,)),
+    (ProtocolKind.ADQC_CZ_GATE, (True, 0.2)),
+    (ProtocolKind.ADQC_CZSWAP_GATE, (0, np.float64(1.0))),
+])
+def test_spec_rejects_targets_that_are_not_integers(kind, targets):
+    # a float or a bool names no qubit; int() used to turn 1.7 into 1, and
+    # (True, 0.2) into (1, 0)
+    u = 0.3 if kind in protocols.ROTATION_KINDS else None
+    with pytest.raises(ValueError, match="not an integer"):
+        ProtocolSpec(kind, targets, u=u)
+
+
+def test_spec_accepts_numpy_integer_targets():
+    spec = ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (np.int64(2), np.uint8(0)))
+    assert spec.targets == (2, 0)
+    assert all(type(t) is int for t in spec.targets)
+
+
 def test_run_protocol_register_limits():
     with pytest.raises(ValueError):
         protocols.run_protocol(
@@ -119,55 +140,58 @@ def test_run_protocol_register_limits():
 def test_rotation_on_zero_input():
     spec = ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.0, epsilon=0.0)
     res = protocols.run_protocol(basis_state(1, 0), spec)
-    assert qcore.phase_aligned_max_diff(res.ideal_branches[0].amplitudes, PLUS) < 1e-12
+    assert qcore.phase_aligned_max_diff(res.ideal_branches[0], PLUS) < 1e-12
 
 
 def test_cz_gate_on_00():
     spec = ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (0, 1), epsilon=0.0)
     res = protocols.run_protocol(basis_state(2, 0), spec)
     expected = np.kron(PLUS, PLUS)  # H1 H2 CZ |00>
-    assert qcore.phase_aligned_max_diff(res.ideal_branches[0].amplitudes, expected) < 1e-12
+    assert qcore.phase_aligned_max_diff(res.ideal_branches[0], expected) < 1e-12
 
 
 def test_czswap_gate_on_10():
     spec = ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=0.0)
     res = protocols.run_protocol(basis_state(2, 0b10), spec)
     assert qcore.phase_aligned_max_diff(
-        res.ideal_branches[0].amplitudes, basis_state(2, 0b01).amplitudes
+        res.ideal_branches[0], basis_state(2, 0b01).amplitudes
     ) < 1e-12
 
 
 def test_ideal_branches_match_byproduct_gates():
     rng = np.random.default_rng(70)
+    streams = qcore.generators([[70, trial] for trial in range(60)])
     for trial in range(60):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [70, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         for j in range(2):
             want = byproduct_branch(psi, spec, j)
             assert qcore.phase_aligned_max_diff(
-                res.ideal_branches[j].amplitudes, want
+                res.ideal_branches[j], want
             ) < 1e-12
 
 
 def test_branch_probability_sums():
     rng = np.random.default_rng(71)
+    streams = qcore.generators([[71, trial] for trial in range(40)])
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [71, trial])
+        psi = qcore.haar_state(n, streams[trial])
         res = protocols.run_protocol(psi, random_spec(rng, n))
         assert sum(res.ideal_probabilities) == pytest.approx(1.0, abs=1e-12)
         total = sum(float(np.vdot(x, x).real) for x in res.inaccurate_branches)
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert res.target_register_size == n
+        assert res.ideal_branches.shape == res.inaccurate_branches.shape == (2, 2**n)
 
 
 def test_ideal_branch_equals_inaccurate_at_zero_tilt():
     rng = np.random.default_rng(72)
+    streams = qcore.generators([[72, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 5))
-        psi = qcore.random_pure_state(n, [72, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0, delta=0.0)
         res = protocols.run_protocol(psi, spec)
@@ -176,7 +200,7 @@ def test_ideal_branch_equals_inaccurate_at_zero_tilt():
                 res.inaccurate_branches[j]
             )
             assert qcore.phase_aligned_max_diff(
-                res.ideal_branches[j].amplitudes, xi_norm
+                res.ideal_branches[j], xi_norm
             ) < 1e-12
 
 
@@ -184,9 +208,10 @@ def test_ideal_branch_equals_inaccurate_at_zero_tilt():
 
 def test_fidelity_is_one_without_tilt():
     rng = np.random.default_rng(73)
+    streams = qcore.generators([[73, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [73, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0,
                             delta=spec.delta)
@@ -223,9 +248,10 @@ def test_closed_form_examples():
 
 def test_oracle_equality_randomized():
     rng = np.random.default_rng(74)
+    streams = qcore.generators([[74, trial] for trial in range(150)])
     for trial in range(150):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [74, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         assert abs(rep.simulated_F - rep.closed_form_F) <= 1e-10
@@ -233,9 +259,10 @@ def test_oracle_equality_randomized():
 
 def test_delta_independence():
     rng = np.random.default_rng(75)
+    streams = qcore.generators([[75, trial] for trial in range(10)])
     for trial in range(10):
         n = int(rng.integers(2, 5))
-        psi = qcore.random_pure_state(n, [75, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         vals = []
         for delta in (0.0, 0.7, 1.4, 2.3, np.pi, 4.4, 5.9):
@@ -247,9 +274,10 @@ def test_delta_independence():
 
 def test_rotation_circuits_equivalent():
     rng = np.random.default_rng(76)
+    streams = qcore.generators([[76, trial] for trial in range(100)])
     for trial in range(100):
         n = int(rng.integers(1, 6))
-        psi = qcore.random_pure_state(n, [76, trial])
+        psi = qcore.haar_state(n, streams[trial])
         t = int(rng.integers(n))
         u, eps, delta = (float(x) for x in rng.uniform(0, np.pi, size=3))
         runs = [
@@ -287,12 +315,18 @@ def test_error_operator_outcome_error():
         protocols.error_operator(ErrorKind.X_TYPE, 2, 0.1, 0.1)
 
 
+def test_error_operator_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown error kind"):
+        protocols.error_operator("X_TYPE", 0, 0.1, 0.1)
+
+
 def test_error_factorization_exact():
     # xi_j = sqrt(p_j) * A_j * ideal_j, as an exact vector identity
     rng = np.random.default_rng(77)
+    streams = qcore.generators([[77, trial] for trial in range(80)])
     for trial in range(80):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [77, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -302,7 +336,7 @@ def test_error_factorization_exact():
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
             pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
-                res.ideal_branches[j].amplitudes, a, takes, n
+                res.ideal_branches[j], a, takes, n
             )
             assert np.max(np.abs(pred - res.inaccurate_branches[j])) < 1e-12
 
@@ -336,9 +370,10 @@ def test_bound_sv2_examples():
 
 def test_bounds_hold_randomized():
     rng = np.random.default_rng(78)
+    streams = qcore.generators([[78, trial] for trial in range(120)])
     for trial in range(120):
         n = int(rng.integers(2, 6))
-        psi = qcore.random_pure_state(n, [78, trial])
+        psi = qcore.haar_state(n, streams[trial])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         for value in rep.bounds.values():
@@ -397,7 +432,9 @@ def test_analyze_czswap_below_domain_has_no_sv2_bound():
 
 def _assert_stacks_equal(got: protocols.FidelityStack, want: protocols.FidelityStack):
     for name, value in want._asdict().items():
-        if isinstance(value, np.ndarray):
+        if isinstance(value, protocols.ProtocolResult):
+            _assert_stacks_equal(getattr(got, name), value)
+        elif isinstance(value, np.ndarray):
             assert getattr(got, name).tobytes() == value.tobytes(), name
         else:
             assert getattr(got, name) == value, name
@@ -407,7 +444,7 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
     # one simulation of both error kinds equals the two single-kind stacks
     rng = np.random.default_rng(83)
     n, rows = 4, 40
-    states = [qcore.random_pure_state(n, [83, b]) for b in range(rows)]
+    states = [qcore.haar_state(n, g) for g in qcore.generators([[83, b] for b in range(rows)])]
     specs = [random_spec(rng, n) for _ in range(rows)]
     mixed = protocols.analyze_stack(np.array([s.amplitudes for s in states]), specs)
     x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
@@ -418,7 +455,10 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
             np.array([states[b].amplitudes for b in part]), [specs[b] for b in part]
         )
         picked = protocols.FidelityStack(*(
-            value[part] if isinstance(value, np.ndarray) else [value[b] for b in part]
+            protocols.ProtocolResult(*(a[part] for a in value))
+            if isinstance(value, protocols.ProtocolResult)
+            else value[part] if isinstance(value, np.ndarray)
+            else [value[b] for b in part]
             for value in mixed
         ))
         _assert_stacks_equal(picked, alone)
@@ -431,7 +471,8 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
     # must equal the scalar formulas evaluated in the same order
     rng = np.random.default_rng(85)
     rows = 200
-    states = np.array([qcore.random_pure_state(3, [85, b]).amplitudes for b in range(rows)])
+    streams = qcore.generators([[85, b] for b in range(rows)])
+    states = np.array([qcore.haar_state(3, g).amplitudes for g in streams])
     specs = [random_spec(rng, 3) for _ in range(rows)]
     stack = protocols.analyze_stack(states, specs)
     for row, spec in enumerate(specs):
@@ -462,7 +503,8 @@ def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
 
     monkeypatch.setattr(linalg, "partial_traces", counted)
     rng = np.random.default_rng(84)
-    states = np.array([qcore.random_pure_state(3, [84, b]).amplitudes for b in range(6)])
+    streams = qcore.generators([[84, b] for b in range(6)])
+    states = np.array([qcore.haar_state(3, g).amplitudes for g in streams])
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
         reduced.clear()
         protocols.analyze_stack(states, [random_spec(rng, 3, kinds) for _ in range(6)])
@@ -472,12 +514,14 @@ def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
 def test_stacks_of_no_rows_give_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
     assert protocols.pre_measurement_states(empty, []).shape == (0, 16)
-    ideal, probs, inaccurate = protocols.run_protocols(empty, [])
+    result = protocols.run_protocols(empty, [])
+    assert isinstance(result, protocols.ProtocolResult)
+    ideal, probs, inaccurate = result
     assert (ideal.shape, probs.shape, inaccurate.shape) == ((0, 2, 8), (0, 2), (0, 2, 8))
     stack = protocols.analyze_stack(empty, [])
     assert stack.simulated_F.shape == stack.closed_form_F.shape == stack.sin_half.shape == (0,)
     assert stack.entanglement == stack.bound_entropies == []
-    assert stack.inaccurate_branches.shape == (0, 2, 8)
+    assert stack.branches.inaccurate_branches.shape == (0, 2, 8)
 
 
 # --------------------------------------------- pre-measurement expansions

@@ -288,9 +288,10 @@ def test_measure_removes_qubit_and_shifts():
 
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(33)
+    streams = qcore.generators([[33, trial] for trial in range(25)])
     for trial in range(25):
         n = int(rng.integers(1, 6))
-        st = qcore.random_pure_state(n, [33, trial])
+        st = qcore.haar_state(n, streams[trial])
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
@@ -300,9 +301,10 @@ def test_measure_probabilities_sum_to_one():
 def test_measure_reconstruction():
     # sum_j |basis_j> (x) branch_j rebuilds the pre-measurement state
     rng = np.random.default_rng(34)
+    streams = qcore.generators([[34, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        st = qcore.random_pure_state(n, [34, trial])
+        st = qcore.haar_state(n, streams[trial])
         qubit = int(rng.integers(n))
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)

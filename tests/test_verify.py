@@ -12,20 +12,27 @@ MAX_MIXED = np.eye(4, dtype=complex) / 4.0
 
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1 / np.sqrt(2)
+
+
+def random_densities(n_qubits, keys):
+    """verify.random_density_matrix(n_qubits, key) for each key, the keys
+    seeded in one qcore.generators call."""
+    return [
+        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng).amplitudes, list(range(n_qubits)))
+        for rng in qcore.generators(keys)
+    ]
 BELL_RHO = np.outer(BELL, BELL.conj())
 
 
 # -------------------------------------------------------- relative entropy
 
 def test_relative_entropy_self_is_zero():
-    for i in range(10):
-        rho = verify.random_density_matrix(2, [90, i])
+    for rho in random_densities(2, [[90, i] for i in range(10)]):
         assert abs(verify.relative_entropy(rho, rho)) < 1e-10
 
 
 def test_relative_entropy_vs_maximally_mixed():
-    for i in range(20):
-        rho = verify.random_density_matrix(2, [91, i])
+    for rho in random_densities(2, [[91, i] for i in range(20)]):
         want = 2.0 - entropy.von_neumann(rho)
         assert verify.relative_entropy(rho, MAX_MIXED) == pytest.approx(want, abs=1e-10)
 
@@ -37,9 +44,8 @@ def test_relative_entropy_disjoint_support():
 
 
 def test_relative_entropy_nonnegative():
-    for i in range(30):
-        rho = verify.random_density_matrix(2, [92, i])
-        sigma = verify.random_density_matrix(2, [93, i])
+    rhos = random_densities(2, [[92, i] for i in range(30)] + [[93, i] for i in range(30)])
+    for rho, sigma in zip(rhos[:30], rhos[30:]):
         assert verify.relative_entropy(rho, sigma) >= -1e-10
 
 
@@ -91,8 +97,7 @@ def test_jonas_examples():
 
 
 def test_slacks_nonnegative_randomized():
-    for i in range(150):
-        rho = verify.random_density_matrix(2, [94, i])
+    for rho in random_densities(2, [[94, i] for i in range(150)]):
         assert verify.check_jonas(rho) >= -1e-9
         assert verify.check_interm(rho) >= -1e-9
         assert verify.check_monotonicity(rho, MAX_MIXED) >= -1e-9
@@ -100,8 +105,7 @@ def test_slacks_nonnegative_randomized():
 
 def test_reduction_chain():
     # against sigma = 1/4: monotonicity slack == interm slack <= jonas slack
-    for i in range(100):
-        rho = verify.random_density_matrix(2, [95, i])
+    for rho in random_densities(2, [[95, i] for i in range(100)]):
         s_mono = verify.check_monotonicity(rho, MAX_MIXED)
         s_interm = verify.check_interm(rho)
         s_jonas = verify.check_jonas(rho)
@@ -187,11 +191,9 @@ def test_random_density_matrix_range():
 
 def test_random_density_matrix_mean_purity():
     # induced ensemble with equal environment: E[Tr rho^2] = (d+K)/(dK+1) = 0.8
-    # random_density_matrix(1, [96, i]), its streams seeded in one call
     total = 0.0
     n_samples = 5000
-    for i, rng in enumerate(qcore.generators([[96, i] for i in range(n_samples)])):
-        rho = linalg.partial_trace(qcore.haar_state(2, rng).amplitudes, [0])
+    for i, rho in enumerate(random_densities(1, [[96, i] for i in range(n_samples)])):
         if i < 10:
             assert np.array_equal(rho, verify.random_density_matrix(1, [96, i]))
         total += float(np.trace(rho @ rho).real)
@@ -266,12 +268,20 @@ _VALID_CONFIG = dict(
     ("delta_grid", (0.0, math.nan)),
     ("epsilon_grid", (math.inf,)),
     ("epsilon_grid", (0.1, -math.inf)),
+    ("seed", 1.9),
+    ("tolerance", True),
+    ("tolerance", "1e-9"),
 ])
 def test_config_that_cannot_run_is_rejected_at_construction(field, value):
     # each of these used to be accepted and fail mid-run, some after
     # samples were drawn
     with pytest.raises(ValueError, match=field):
         verify.CampaignConfig(**{**_VALID_CONFIG, field: value})
+    if field in ("samples", "seed", "tolerance"):
+        # default_config passes them on as given: it used to turn 2.5
+        # samples into 2, and a seed of 1.9 or True into 1
+        with pytest.raises(ValueError, match=field):
+            verify.default_config("jonas", **{field: value})
 
 
 def test_accepted_config_is_normalized():
