@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 MAX_QUBITS = 8
-MAX_EIG_DIM = 16
+MAX_EIG_DIM = 4
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TARGET = 1e-14
 _MAX_SWEEPS = 60
@@ -162,8 +162,8 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
     straight-line function, every pivot of a sweep written out with the
     entries as local variables, so no loop over rows and no list index is
     left in it.  It is compiled on the first solve of its (d, vectors)
-    and kept for the process: a few milliseconds for d <= 4, about a tenth
-    of a second for d = 16.
+    and kept for the process, in a few milliseconds.  MAX_EIG_DIM is 4:
+    every quantity of the paper reads a one- or two-qubit reduction.
 
     Returns (eigenvalues ascending, unitary with eigenvectors as columns),
     satisfying m @ v == v @ diag(w) up to roundoff, each with the input's
@@ -211,7 +211,7 @@ def _jacobi(
 @lru_cache(maxsize=None)
 def _jacobi_kernel(n: int, vectors: bool):
     # The kernel for one (n, vectors), compiled on its first use and kept
-    # for the life of the process: at most 2 * MAX_EIG_DIM of them.
+    # for the life of the process: at most 8 of them, as n <= MAX_EIG_DIM.
     namespace = {"sqrt": math.sqrt, "copysign": math.copysign, "hypot": math.hypot}
     exec(compile(_jacobi_source(n, vectors), f"<jacobi kernel {n}x{n}>", "exec"), namespace)
     return namespace["kernel"]

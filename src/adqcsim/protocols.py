@@ -22,7 +22,6 @@ for a stack.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -30,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import entropy, linalg, qcore
-from .entropy import BoundDomainError, EntanglementReport
+from .entropy import BoundDomainError, EntanglementReport, _integer, _real
 from .qcore import PureState
 
 BOUND_SLACK_TOL = 1e-9
@@ -103,15 +102,14 @@ class ProtocolSpec:
     delta: float = 0.0
 
     def __post_init__(self):
-        for t in self.targets:
-            # bool is an int subclass, but True names no qubit
-            if isinstance(t, bool) or not isinstance(t, numbers.Integral):
-                raise ValueError(f"target {t!r} is not an integer")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(_integer(t, "target") for t in self.targets))
         for name in ("u", "epsilon", "delta"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name}={value} is not finite")
+            if value is not None:
+                value = _real(value, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name}={value} is not finite")
+                object.__setattr__(self, name, value)
         if _PROTOCOLS[self.kind].rotation:
             if len(self.targets) != 1:
                 raise ValueError(f"{self.kind.value} takes exactly one target")

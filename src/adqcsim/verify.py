@@ -31,7 +31,6 @@ over the stack code of the density campaigns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -39,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import entropy, linalg, protocols, qcore, stateio
-from .entropy import BoundDomainError, Density
+from .entropy import BoundDomainError, Density, _integer, _real
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState
 
@@ -246,22 +245,8 @@ class CampaignConfig:
             raise ValueError(f"register_sizes {self.register_sizes} must lie in [1, {largest}]")
 
 
-def _integer(value, name: str) -> int:
-    # bool is an int subclass, but True is no sample count or seed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    # bool is an int, so a Real, but True is no tolerance
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _finite_grid(grid, name: str) -> tuple[float, ...]:
-    grid = tuple(float(x) for x in grid)
+    grid = tuple(_real(x, f"{name} entry") for x in grid)
     if not all(math.isfinite(x) for x in grid):
         raise ValueError(f"{name} {grid} has a non-finite value")
     return grid

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adqcsim import linalg
+from adqcsim import linalg, verify
 
 RNG = np.random.default_rng(2024)
 
@@ -255,7 +255,7 @@ def test_eigenvalues_ghz_reduction():
 def test_eigenvalues_match_reference():
     rng = np.random.default_rng(15)
     for _ in range(40):
-        n = int(rng.integers(1, 17))
+        n = int(rng.integers(1, linalg.MAX_EIG_DIM + 1))
         h = random_hermitian(n, rng)
         got = linalg.jacobi_eigh(h)[0]
         ref = np.linalg.eigvalsh(h)
@@ -266,7 +266,7 @@ def test_eigenvalues_match_reference():
 def test_eigenvalues_unitary_conjugation():
     rng = np.random.default_rng(16)
     for _ in range(25):
-        n = int(rng.integers(2, 17))
+        n = int(rng.integers(2, linalg.MAX_EIG_DIM + 1))
         d = np.sort(rng.uniform(-1.0, 1.0, n))
         u = random_unitary(n, rng)
         h = (u * d) @ u.conj().T
@@ -277,7 +277,7 @@ def test_eigenvalues_unitary_conjugation():
 def test_jacobi_returns_eigenvectors():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        n = int(rng.integers(2, 17))
+        n = int(rng.integers(2, linalg.MAX_EIG_DIM + 1))
         h = random_hermitian(n, rng)
         w, v = linalg.jacobi_eigh(h)
         assert np.max(np.abs(h @ v - v @ np.diag(w))) < 1e-12 * max(1.0, np.linalg.norm(h))
@@ -288,9 +288,18 @@ def test_eigenvalues_errors():
     with pytest.raises(ValueError):
         linalg.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))[0]
     with pytest.raises(ValueError):
-        linalg.jacobi_eigh(np.eye(32))[0]
-    with pytest.raises(ValueError):
         linalg.jacobi_eigh(np.ones((2, 3)))[0]
+    # one past the limit is rejected before any kernel is built, and so is
+    # the relative entropy of two three-qubit states, which solves 8x8
+    built = linalg._jacobi_kernel.cache_info().misses
+    limit = f"limit {linalg.MAX_EIG_DIM}"
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match=limit):
+            linalg.jacobi_eigh(np.eye(linalg.MAX_EIG_DIM + 1), vectors=vectors)
+    rho, sigma = (verify.random_density_matrix(3, seed) for seed in (1, 2))
+    with pytest.raises(ValueError, match=limit):
+        verify.relative_entropy(rho, sigma)
+    assert linalg._jacobi_kernel.cache_info().misses == built
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -355,8 +364,7 @@ BELL_PAIR_REDUCTION = linalg.partial_trace(
 @example(BELL_PAIR_REDUCTION)                        # I/4 from two Bell pairs
 @example(np.outer(BELL, BELL.conj()))                # pure Bell pair, rank 1
 @example(np.eye(4, dtype=complex) / 4.0)
-@example(_diag(0.25, 0.5, 0.25, 0.5, 0.25, 0.5))     # repeated diagonal
-@example(np.eye(16, dtype=complex))
+@example(_diag(0.25, 0.5, 0.25, 0.5))               # repeated diagonal
 def test_jacobi_matches_lapack(m):
     w, v = linalg.jacobi_eigh(m)
     n = m.shape[0]
@@ -458,20 +466,19 @@ def _loop_jacobi(a, *, vectors):
 
 def _kernel_cases(n):
     # random, exactly degenerate, rank-one, diagonal and zero matrices, a
-    # real one (signed zeros) and, up to 4x4, an infinite one, as the
-    # symmetrisation of a finite matrix near the float limit gives: its
-    # rotations turn to NaN, which at 2x2 converges, to NaN eigenvalues
+    # real one (signed zeros) and an infinite one, as the symmetrisation
+    # of a finite matrix near the float limit gives: its rotations turn to
+    # NaN, which at 2x2 converges, to NaN eigenvalues
     rng = np.random.default_rng([19, n])
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     real = rng.standard_normal((n, n))
-    infinite = [np.full((n, n), np.inf)] if n <= 4 else []
     return [
         *_spectra(n),
         np.outer(x, x.conj()),
         np.diag(rng.standard_normal(n)),
         np.zeros((n, n)),
         real + real.T,
-        *infinite,
+        np.full((n, n), np.inf),
     ]
 
 
@@ -495,7 +502,11 @@ def test_generated_kernel_matches_the_loop_kernel(n):
 
 
 def test_each_kernel_is_built_once_per_process():
-    kernels = {(n, v): linalg._jacobi_kernel(n, v) for n in (1, 2, 3, 4) for v in (True, False)}
+    kernels = {
+        (n, v): linalg._jacobi_kernel(n, v)
+        for n in range(1, linalg.MAX_EIG_DIM + 1)
+        for v in (True, False)
+    }
     built = linalg._jacobi_kernel.cache_info().misses
     for n, vectors in kernels:
         m = random_hermitian(n, RNG)

@@ -90,16 +90,28 @@ def test_spec_validation():
         ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), u=0.3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, False, "0.3", 1j])
 @pytest.mark.parametrize("field", ["u", "epsilon", "delta"])
 def test_spec_rejects_non_finite_angles(field, bad):
+    # a bool used to run as 1 or 0 rad; a string or a complex raised
+    # TypeError from the finiteness check
+    message = f"{field}=.* is not finite" if isinstance(bad, float) else f"{field} .* is not a real"
     angles = {"u": 0.4, "epsilon": 0.3, "delta": 0.2, field: bad}
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match=message):
         ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (0,), **angles)
     if field != "u":
         angles.pop("u")
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=message):
             ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), **angles)
+
+
+def test_spec_stores_angles_as_floats():
+    spec = ProtocolSpec(
+        ProtocolKind.ADQC_ROTATION_CZ, (0,), u=np.float32(0.5), epsilon=1, delta=np.float64(0.25)
+    )
+    assert (spec.u, spec.epsilon, spec.delta) == (0.5, 1.0, 0.25)
+    assert all(type(x) is float for x in (spec.u, spec.epsilon, spec.delta))
+    assert ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (0, 1)).u is None
 
 
 @pytest.mark.parametrize("kind, targets", [

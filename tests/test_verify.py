@@ -271,10 +271,15 @@ _VALID_CONFIG = dict(
     ("seed", 1.9),
     ("tolerance", True),
     ("tolerance", "1e-9"),
+    ("epsilon_grid", (True, "0.5")),
+    ("epsilon_grid", ("0.5",)),
+    ("delta_grid", (False,)),
+    ("delta_grid", (0.0, 1j)),
 ])
 def test_config_that_cannot_run_is_rejected_at_construction(field, value):
     # each of these used to be accepted and fail mid-run, some after
-    # samples were drawn
+    # samples were drawn; a bool or string grid entry used to run as a
+    # number
     with pytest.raises(ValueError, match=field):
         verify.CampaignConfig(**{**_VALID_CONFIG, field: value})
     if field in ("samples", "seed", "tolerance"):
