@@ -4,7 +4,6 @@ bounds (inverted numerically by safeguarded Newton)."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,21 +171,6 @@ def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
     if not lo - _DOMAIN_SLACK <= x <= hi + _DOMAIN_SLACK:
         raise ValueError(f"{what}={x} outside [{lo}, {hi}]")
     return min(max(float(x), lo), hi)
-
-
-def _integer(value, name: str) -> int:
-    # bool is an int subclass, but True is no sample count, seed or qubit
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    # bool is an int, so a Real, but True is no tolerance or angle; checked
-    # before float(), which would turn True into 1.0 and "0.5" into 0.5
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} {value!r} is not a real number")
-    return float(value)
 
 
 def f(c: float) -> float:

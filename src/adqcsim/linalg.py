@@ -1,12 +1,16 @@
-"""Dense complex linear algebra kernel for small qubit registers.
+"""Dense complex linear algebra kernel for small qubit registers, and the
+checks every module applies to its integer and real inputs.
 
 Convention used throughout the package: qubit 0 is the most significant
 bit of an amplitude (or matrix) index, so an n-qubit vector reshaped to
-shape [2]*n exposes qubit k as axis k.
+shape [2]*n exposes qubit k as axis k.  Pure states are plain amplitude
+vectors here, or the rows of one (B, 2^n) stack, which `partial_trace`,
+the one partial trace, reduces in one gather.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import lru_cache
 from typing import Sequence
@@ -18,6 +22,29 @@ MAX_EIG_DIM = 4
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TARGET = 1e-14
 _MAX_SWEEPS = 60
+
+
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, but True is no sample count, seed or qubit
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    # bool is an int, so a Real, but True is no tolerance or angle; checked
+    # before float(), which would turn True into 1.0 and "0.5" into 0.5
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    return float(value)
+
+
+def _finite(value, name: str) -> float:
+    # an angle or a grid value: a real number (see _real), and finite
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name}={value} is not finite")
+    return value
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,44 +127,40 @@ def qubit_order(n: int, first: tuple[int, ...]) -> tuple[int, ...]:
     return first + tuple(q for q in range(n) if q not in first)
 
 
-def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, in the order given.
-
-    Accepts a pure-state amplitude vector (1-d) or a density matrix (2-d).
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return partial_traces(state[None], [keep])[0]
-    if state.ndim == 2:
-        if state.shape[0] != state.shape[1]:
-            raise ValueError("density matrix must be square")
-        n = n_qubits_of(state.shape[0])
-        keep = tuple(keep)
-        table = _index_table(n, qubit_order(n, keep))  # rows and columns, kept qubits first
-        dk, dr = 2 ** len(keep), 2 ** (n - len(keep))
-        rho = np.einsum("ajbj->ab", state[np.ix_(table, table)].reshape(dk, dr, dk, dr))
-        return 0.5 * (rho + rho.conj().T)
-    raise ValueError("state must be a vector or a square matrix")
+def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
+    # a (B, 2^n) stack as it is, one vector as a stack of one; `per_row`
+    # must give one entry for every row
+    if vec.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a (B, 2^n) stack, got shape {vec.shape}")
+    rows = vec if vec.ndim == 2 else vec[None]
+    if len(per_row) != len(rows):
+        raise ValueError(f"{len(per_row)} {what} for {len(rows)} rows")
+    return rows
 
 
-def partial_traces(states: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """Reduced density matrices of the rows of a (B, 2^n) stack of pure
-    states, row b on the qubits `keeps[b]` in the order given; every row
-    keeps the same number of qubits.  A stack of no rows keeps no qubits to
-    size the result by, and is rejected."""
+def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
+    """Reduced density matrix of a pure state on the qubits `keep`, in the
+    order given.  For a (B, 2^n) stack of states `keep` holds one list per
+    row, all of one length (as qcore.apply_matrix takes targets), and the
+    result is a (B, 2^k, 2^k) stack.  A 2-d array is a stack of states,
+    never a density matrix; a stack of no rows, which has no keep list to
+    size the result by, is rejected."""
     states = np.asarray(states, dtype=complex)
-    if states.ndim != 2:
-        raise ValueError("states must be a (B, 2^n) stack")
-    if len(states) == 0:
+    keeps = keep if states.ndim == 2 else [keep]
+    rows = _rows(states, keeps, "keep lists")
+    if len(rows) == 0:
         raise ValueError("the stack is empty: no rows to reduce")
-    n = n_qubits_of(states.shape[1])
-    orders = [qubit_order(n, tuple(keep)) for keep in keeps]
-    k = len(keeps[0]) if orders else 0
-    if any(len(keep) != k for keep in keeps):
+    if any(isinstance(k, numbers.Integral) for k in keeps):
+        raise ValueError("a stack takes one keep list per row, not one flat list")
+    n = n_qubits_of(rows.shape[1])
+    k = len(keeps[0])
+    if any(len(other) != k for other in keeps):
         raise ValueError("every row must keep the same number of qubits")
-    m = permute_qubits(states, orders).reshape(len(orders), 2**k, -1)
+    orders = [qubit_order(n, tuple(other)) for other in keeps]
+    m = permute_qubits(rows, orders).reshape(len(rows), 2**k, -1)
     rho = m @ m.conj().swapaxes(1, 2)
-    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    return rho if states.ndim == 2 else rho[0]
 
 
 def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

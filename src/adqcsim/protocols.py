@@ -21,7 +21,6 @@ for a stack.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -29,7 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import entropy, linalg, qcore
-from .entropy import BoundDomainError, EntanglementReport, _integer, _real
+from .entropy import BoundDomainError, EntanglementReport
+from .linalg import _finite, _integer
 from .qcore import PureState
 
 BOUND_SLACK_TOL = 1e-9
@@ -106,10 +106,7 @@ class ProtocolSpec:
         for name in ("u", "epsilon", "delta"):
             value = getattr(self, name)
             if value is not None:
-                value = _real(value, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name}={value} is not finite")
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, _finite(value, name))
         if _PROTOCOLS[self.kind].rotation:
             if len(self.targets) != 1:
                 raise ValueError(f"{self.kind.value} takes exactly one target")
@@ -270,7 +267,7 @@ def closed_form_fidelity(correlator: float, epsilon: float) -> float:
     """cos^2(e/2) + correlator^2 sin^2(e/2)."""
     # a range check only: F uses the correlator unclamped
     entropy._check_unit_interval(correlator, -1.0, 1.0, "correlator")
-    return float(_closed_form(correlator, epsilon))
+    return float(_closed_form(correlator, _finite(epsilon, "epsilon")))
 
 
 def _closed_form(correlator, epsilon):
@@ -291,6 +288,7 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
     if kind not in _REDUCTIONS:
         raise ValueError(f"unknown error kind {kind}")
     pauli = _REDUCTIONS[kind].pauli
+    epsilon, delta = _finite(epsilon, "epsilon"), _finite(delta, "delta")
     sign = (-1.0) ** j
     ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
     return ce * np.eye(len(pauli), dtype=complex) + sign * np.exp(sign * 1j * delta) * se * pauli
@@ -320,12 +318,12 @@ def _bound(measure: float, se: float) -> float:
 
 def bound_purity(S: float, epsilon: float) -> float:
     """Fidelity bound 1 - S sin^2(e/2) from the purity measure S."""
-    return _bound(_purity_measure(S), np.sin(epsilon / 2.0))
+    return _bound(_purity_measure(S), np.sin(_finite(epsilon, "epsilon") / 2.0))
 
 
 def bound_sv(Sv: float, epsilon: float) -> float:
     """Fidelity bound 1 - (1 - f_inverse(Sv)^2) sin^2(e/2)."""
-    return _bound(_sv_measure(Sv), np.sin(epsilon / 2.0))
+    return _bound(_sv_measure(Sv), np.sin(_finite(epsilon, "epsilon") / 2.0))
 
 
 def bound_sv2(Sv2: float, epsilon: float) -> float:
@@ -334,7 +332,7 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
     Values below 1 raise BoundDomainError: no entropy of that size
     constrains the correlator, so no fidelity bound exists there.
     """
-    return _bound(_sv2_measure(Sv2), np.sin(epsilon / 2.0))
+    return _bound(_sv2_measure(Sv2), np.sin(_finite(epsilon, "epsilon") / 2.0))
 
 
 _MEASURES = {"purity_bound": _purity_measure, "sv_bound": _sv_measure, "sv2_bound": _sv2_measure}
@@ -440,7 +438,7 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
             continue
         width = linalg.n_qubits_of(len(reduction.pauli))
         keeps = [specs[b].targets[:width] for b in rows]
-        rho = linalg.partial_traces(amplitudes[rows], keeps)
+        rho = linalg.partial_trace(amplitudes[rows], keeps)
         for b, report in zip(rows, reduction.reports(rho)):
             reports[b] = report
             bound_entropies[b] = reduction.entropies(report)

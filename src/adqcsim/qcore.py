@@ -17,7 +17,9 @@ arithmetic as a lone vector.
 
 `generators` seeds the streams of many keys in one call, each generator
 in exactly the state numpy's default generator would start in for its
-key; `random_pure_state` is a batch of one over it.
+key.  `haar_state` draws a plain (2^n,) vector from one of them, which
+the campaigns stack unwrapped; `random_pure_state`, a batch of one over
+both, wraps its draw in a validated PureState.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ class PureState:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        check_qubit_count(self.n_qubits)
+        self.n_qubits = check_qubit_count(self.n_qubits)
         if self.amplitudes.shape[0] != 2**self.n_qubits:
             raise ValueError("amplitude vector length does not match qubit count")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -90,16 +92,19 @@ class PureState:
         return cls(linalg.n_qubits_of(vec.shape[0]), vec)
 
 
-def check_qubit_count(n_qubits: int) -> None:
-    """Reject a register size outside [1, linalg.MAX_QUBITS]; callers check
-    before they allocate 2^n amplitudes."""
+def check_qubit_count(n_qubits: int) -> int:
+    """The register size as an int; a non-integer (a float or a bool
+    included) or a size outside [1, linalg.MAX_QUBITS] raises ValueError.
+    Callers check before they allocate 2^n amplitudes."""
+    n_qubits = linalg._integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= linalg.MAX_QUBITS:
         raise ValueError(f"n_qubits={n_qubits} out of range, outside [1, {linalg.MAX_QUBITS}]")
+    return n_qubits
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:
     """Computational basis state |index> on n qubits."""
-    check_qubit_count(n_qubits)
+    n_qubits = check_qubit_count(n_qubits)
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     vec = np.zeros(2**n_qubits, dtype=complex)
@@ -109,7 +114,9 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 
 class StateStack(NamedTuple):
     """n-qubit amplitude vectors as the rows of one (B, 2^n) array; built
-    by the package from states it has already validated, so not checked."""
+    by the package from states it has already validated, so not checked.
+    Kept, where a plain array would do, because bench/tracer.py reads
+    `.amplitudes` of measure_branch's first argument."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -163,15 +170,6 @@ def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
     return tilted_vectors(Z_PAIR, epsilon, delta)
 
 
-def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
-    # a stack as it is, one vector as a stack of one; `per_row` must give
-    # one entry for every row
-    rows = vec if vec.ndim == 2 else vec.reshape(1, -1)
-    if len(per_row) != len(rows):
-        raise ValueError(f"{len(per_row)} {what} for {len(rows)} rows")
-    return rows
-
-
 def apply_matrix(
     vec: np.ndarray, op: np.ndarray, targets: Sequence, n_qubits: int
 ) -> np.ndarray:
@@ -186,7 +184,7 @@ def apply_matrix(
     """
     vec = np.asarray(vec, dtype=complex)
     target_rows = targets if vec.ndim == 2 else [targets]
-    rows = _rows(vec, target_rows, "target lists")
+    rows = linalg._rows(vec, target_rows, "target lists")
     if linalg.n_qubits_of(rows.shape[1]) != n_qubits:
         raise ValueError("vector length does not match qubit count")
     op = np.asarray(op, dtype=complex)
@@ -230,9 +228,9 @@ def measure_branch(
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
     stack = amplitudes.ndim == 2
     qubits = qubit if stack else [qubit]
-    rows = _rows(amplitudes, qubits, "measured qubits")
+    rows = linalg._rows(amplitudes, qubits, "measured qubits")
     keeps = keep if stack and keep is not None else [keep] * len(rows)
-    _rows(amplitudes, keeps, "qubit orders")
+    linalg._rows(amplitudes, keeps, "qubit orders")
     orders = []
     for q, k in zip(qubits, keeps):
         # the measured qubit first, then `keep`, which must order all the others
@@ -393,13 +391,13 @@ def generators(keys: Sequence) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
 
 
-def haar_state(n_qubits: int, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes
-    drawn from `rng`, the real parts first."""
+def haar_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state as a plain (2^n,) vector: normalized i.i.d.
+    complex Gaussian amplitudes drawn from `rng`, the real parts first."""
     check_qubit_count(n_qubits)
     vec = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     vec /= np.linalg.norm(vec)
-    return PureState(n_qubits, vec)
+    return vec
 
 
 def random_pure_state(n_qubits: int, seed) -> PureState:
@@ -410,4 +408,4 @@ def random_pure_state(n_qubits: int, seed) -> PureState:
     tuple, range or 1-d array of them (a derived stream key such as
     [seed, i]); a bool, a negative entry, a float and None raise.
     """
-    return haar_state(n_qubits, generators([seed])[0])
+    return PureState(n_qubits, haar_state(n_qubits, generators([seed])[0]))

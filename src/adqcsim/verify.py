@@ -13,20 +13,22 @@ monotonicity's random sigma.  run_campaign draws and evaluates chunks of
 _CHUNK items in index order and keeps only the worst index; a failing
 report draws that item again, alone, for its payload.  Reports are thus
 reproducible and do not depend on the order of evaluation, the chunk
-size or the stack cap.
+size or the stack cap.  A draw carries its registers as plain amplitude
+vectors, wrapped in a PureState only for a failing report's worst case.
 
 The protocol campaigns run one simulation per register size, whatever
 the protocol and error kinds (circuit_equivalence puts all three
 rotation kinds of a register in it), cut into stacks of at most
-_STACK_AMPLITUDES amplitudes.  The density campaigns take one partial
-trace per chunk and validate its rho rows, values only, in one
-linalg.jacobi_eigh call (monotonicity's random sigma rows, whose
-eigenvectors are read, in another); the dephased states take no solve,
-their eigenpairs read off their diagonals.  The counterexample draws
-lambda_i without building its grid and validates a chunk's rho_lambda
-rows in one call too.  The public checks (check_jonas, check_interm,
-check_monotonicity, relative_entropy, dephasing_map) are batches of one
-over the stack code of the density campaigns.
+_STACK_AMPLITUDES amplitudes.  The density campaigns take one
+linalg.partial_trace over the chunk's (B, 16) stack and validate its
+rho rows, values only, in one linalg.jacobi_eigh call (monotonicity's
+random sigma rows, whose eigenvectors are read, in another); the
+dephased states take no solve, their eigenpairs read off their
+diagonals.  The counterexample draws lambda_i without building its grid
+and validates a chunk's rho_lambda rows in one call too.  The public
+checks (check_jonas, check_interm, check_monotonicity, relative_entropy,
+dephasing_map) are batches of one over the stack code of the density
+campaigns.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import entropy, linalg, protocols, qcore, stateio
-from .entropy import BoundDomainError, Density, _integer, _real
+from .entropy import BoundDomainError, Density
+from .linalg import _finite, _integer, _real
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState
 
@@ -144,6 +147,7 @@ def saturating_single_qubit_register(S: float, total_qubits: int) -> PureState:
     These registers meet the purity fidelity bound with equality.
     """
     S = entropy._check_unit_interval(S, 0.0, 1.0, "S")
+    total_qubits = _integer(total_qubits, "total_qubits")
     if not 2 <= total_qubits <= linalg.MAX_QUBITS:
         raise ValueError(f"total_qubits must be in [2, {linalg.MAX_QUBITS}]")
     r = math.sqrt(1.0 - S)
@@ -181,7 +185,7 @@ def purified_rho_lambda(lam: float) -> PureState:
 def random_density_matrix(n_qubits: int, seed) -> np.ndarray:
     """Full-rank random density matrix: partial trace over an equal-size
     environment of a Haar-random pure state (deterministic per seed)."""
-    if not 1 <= n_qubits <= 3:
+    if not 1 <= _integer(n_qubits, "n_qubits") <= 3:
         raise ValueError("n_qubits must be in [1, 3]")
     psi = qcore.random_pure_state(2 * n_qubits, seed)
     return linalg.partial_trace(psi.amplitudes, list(range(n_qubits)))
@@ -219,8 +223,6 @@ class CampaignConfig:
     def __post_init__(self):
         # Each field is checked here, so that a bad value fails now rather
         # than mid-run, and the config is frozen, so that it stays checked.
-        # An empty epsilon_grid is let through: a campaign that draws from
-        # it runs no check and fails.
         for name, value in dict(
             samples=_integer(self.samples, "samples"),
             seed=_integer(self.seed, "seed"),
@@ -236,8 +238,6 @@ class CampaignConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not self.delta_grid:
-            raise ValueError("delta_grid must not be empty")
         if not self.register_sizes:
             raise ValueError("register_sizes must not be empty")
         largest = linalg.MAX_QUBITS - 1  # the ancilla takes the last qubit
@@ -246,9 +246,9 @@ class CampaignConfig:
 
 
 def _finite_grid(grid, name: str) -> tuple[float, ...]:
-    grid = tuple(_real(x, f"{name} entry") for x in grid)
-    if not all(math.isfinite(x) for x in grid):
-        raise ValueError(f"{name} {grid} has a non-finite value")
+    grid = tuple(_finite(x, f"{name} entry") for x in grid)
+    if not grid:
+        raise ValueError(f"{name} must not be empty")
     return grid
 
 
@@ -283,13 +283,13 @@ _Evaluation = tuple[list[float | None], dict]
 
 class _ProtocolDraw(NamedTuple):
     index: int
-    state: PureState
+    state: np.ndarray  # the register's amplitude vector
     spec: ProtocolSpec
 
     def payload(self) -> dict:
         return {
             "sample_index": self.index,
-            "input_state": stateio.dumps_state(self.state),
+            "input_state": stateio.dumps_state(PureState.from_vector(self.state)),
             "protocol": self.spec.kind.value,
             "targets": list(self.spec.targets),
             "u": self.spec.u,
@@ -332,15 +332,15 @@ def _draw_protocol(
 
 
 def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
-    # The draws' positions, grouped by register size and cut into slices
-    # whose stacks, `rows_per_draw` rows per draw, hold at most
-    # _STACK_AMPLITUDES amplitudes (one draw at the least).
+    # The draws' positions, grouped by register size (vector length) and
+    # cut into slices whose stacks, `rows_per_draw` rows per draw, hold at
+    # most _STACK_AMPLITUDES amplitudes (one draw at the least).
     groups: dict[int, list[int]] = {}
     for pos, d in enumerate(draws):
-        groups.setdefault(d.state.n_qubits, []).append(pos)
+        groups.setdefault(len(d.state), []).append(pos)
     out = []
-    for n, positions in groups.items():
-        size = max(1, _STACK_AMPLITUDES // (rows_per_draw << (n + 1)))
+    for dim, positions in groups.items():
+        size = max(1, _STACK_AMPLITUDES // (rows_per_draw * 2 * dim))
         out += [positions[a:a + size] for a in range(0, len(positions), size)]
     return out
 
@@ -351,7 +351,7 @@ def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityS
     out: list = [None] * len(draws)
     for positions in _stacks(draws):
         stack = protocols.analyze_stack(
-            np.array([draws[p].state.amplitudes for p in positions]),
+            np.array([draws[p].state for p in positions]),
             [draws[p].spec for p in positions],
         )
         for row, p in enumerate(positions):
@@ -405,7 +405,7 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
     kinds = protocols.ROTATION_KINDS
     worst = [0.0] * len(draws)
     for positions in _stacks(draws, rows_per_draw=len(kinds)):
-        amplitudes = np.array([draws[p].state.amplitudes for p in positions])
+        amplitudes = np.array([draws[p].state for p in positions])
         drawn = [draws[p].spec for p in positions]
         specs = drawn + [
             ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
@@ -427,13 +427,13 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
 
 class _DensityDraw(NamedTuple):
     index: int
-    purification: PureState  # of rho on qubits (0, 1), from [seed, i]
-    sigma: PureState | None = None  # purifies the random sigma, from [seed, i, 7]
+    purification: np.ndarray  # 4 qubits, of rho on qubits (0, 1), from [seed, i]
+    sigma: np.ndarray | None = None  # purifies the random sigma, from [seed, i, 7]
 
     def payload(self) -> dict:
         return {
             "sample_index": self.index,
-            "purification": stateio.dumps_state(self.purification),
+            "purification": stateio.dumps_state(PureState.from_vector(self.purification)),
             "keep_qubits": [0, 1],
         }
 
@@ -458,8 +458,7 @@ def _evaluate_density(
     # values only, and one for the sigma rows, whose eigenvectors are read
     sigmas = [d.sigma for d in draws if d.sigma is not None]
     states = [d.purification for d in draws] + sigmas
-    amplitudes = np.array([s.amplitudes for s in states])
-    reduced = linalg.partial_traces(amplitudes, [(0, 1)] * len(states))
+    reduced = linalg.partial_trace(np.array(states), [(0, 1)] * len(states))
     densities = [entropy.validate_densities(reduced[: len(draws)], dims=(4,))]
     if sigmas:
         densities.append(entropy.validate_densities(reduced[len(draws):], dims=(4,), vectors=True))
@@ -490,14 +489,14 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
             s_val = _SATURATION_S[j // n_eps]
             eps = cfg.epsilon_grid[j % n_eps]
             kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
-            psi = saturating_single_qubit_register(s_val, 2)
+            psi = saturating_single_qubit_register(s_val, 2).amplitudes
             spec = ProtocolSpec(
                 kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
                 delta=float(rng.uniform(0.0, 2.0 * np.pi)),
             )
         else:
             eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
-            psi = bell_pair_register()
+            psi = bell_pair_register().amplitudes
             spec = ProtocolSpec(
                 ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
                 delta=float(rng.uniform(0.0, 2.0 * np.pi)),
@@ -527,7 +526,7 @@ class _LambdaDraw(NamedTuple):
     lam: float  # point i of the lambda grid, blind to the seed
 
     def payload(self) -> dict:
-        return _DensityDraw(self.index, purified_rho_lambda(self.lam)).payload()
+        return _DensityDraw(self.index, purified_rho_lambda(self.lam).amplitudes).payload()
 
 
 def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> list[_LambdaDraw]:
@@ -579,15 +578,10 @@ class _Campaign:
         return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
 
 
-def _epsilon_draws(cfg: CampaignConfig) -> int:
-    # one item per sample, or none from an empty grid: no check runs, so the campaign fails
-    return 1 if cfg.epsilon_grid else 0
-
-
 def _protocol_campaign(samples, tolerance, kinds=_ALL_KINDS, bound=None, **row) -> _Campaign:
     return _Campaign(
         partial(_draw_protocol, kinds=kinds), partial(_evaluate_protocol, bound=bound),
-        samples, tolerance, sweep=_epsilon_draws, **row,
+        samples, tolerance, **row,
     )
 
 

@@ -58,7 +58,7 @@ def test_criterion_02_delta_independence():
     streams = qcore.generators([[102, trial] for trial in range(40)])
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         base = _random_spec(rng, n, kinds=(ALL_KINDS[trial % 5],))
         vals = []
         for delta in deltas:
@@ -80,7 +80,7 @@ def test_criterion_03_error_operator_factorization():
     streams = qcore.generators([[103, trial] for trial in range(samples)])
     for trial in range(samples):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = _random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -217,7 +217,7 @@ def test_criterion_08_appendix_suite():
     sigma = entropy.validate_density(np.eye(4, dtype=complex) / 4, vectors=True)
     # random_density_matrix(2, [108, i]), its streams seeded in one call
     for rng in qcore.generators([[108, i] for i in range(1000)]):
-        psi = qcore.haar_state(4, rng).amplitudes
+        psi = qcore.haar_state(4, rng)
         rho = entropy.validate_density(linalg.partial_trace(psi, [0, 1]))
         s_mono = verify.check_monotonicity(rho, sigma)
         s_interm = verify.check_interm(rho)

@@ -12,7 +12,7 @@ def random_densities(n_qubits, keys):
     """verify.random_density_matrix(n_qubits, key) for each key, the keys
     seeded in one qcore.generators call."""
     return [
-        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng).amplitudes, list(range(n_qubits)))
+        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng), list(range(n_qubits)))
         for rng in qcore.generators(keys)
     ]
 

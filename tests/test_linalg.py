@@ -67,6 +67,18 @@ GHZ = np.zeros(8, dtype=complex)
 GHZ[0] = GHZ[7] = 1 / np.sqrt(2)
 
 
+def _reference_partial_trace(rho, keep):
+    # the partial trace of a density matrix, written apart from the one in
+    # linalg: rows and columns gathered with the kept qubits first, then
+    # the traced-out index summed by einsum
+    n = len(rho).bit_length() - 1
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    table = np.arange(2**n).reshape([2] * n).transpose(order).reshape(-1)
+    dk, dr = 2 ** len(keep), 2 ** (n - len(keep))
+    traced = np.einsum("ajbj->ab", rho[np.ix_(table, table)].reshape(dk, dr, dk, dr))
+    return 0.5 * (traced + traced.conj().T)
+
+
 def test_partial_trace_bell():
     rho = linalg.partial_trace(BELL, [0])
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
@@ -100,22 +112,32 @@ def test_partial_trace_keep_all_is_projector():
     assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-14)
 
 
-def test_partial_trace_matrix_input_keep_all():
+@pytest.mark.parametrize("keep", [[0], [0, 1], [1, 0]])
+def test_partial_trace_rejects_a_density_matrix(keep):
+    # a 2-d array is a stack of state vectors; a density matrix with one
+    # flat keep list is not taken for one
     rng = np.random.default_rng(10)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     rho = np.outer(psi, psi.conj())
-    assert np.allclose(linalg.partial_trace(rho, [0, 1]), rho, atol=1e-14)
+    assert np.allclose(_reference_partial_trace(rho, [0, 1]), rho, atol=1e-14)
+    with pytest.raises(ValueError):
+        linalg.partial_trace(rho, keep)
+    with pytest.raises(ValueError):
+        linalg.partial_trace(rho[:2, :2], [0, 0])  # as many entries as rows
 
 
 def test_partial_trace_matrix_matches_vector_path():
+    # the trace of the density matrix, by the reference, against the
+    # vector path, alone and as rows of a stack
     rng = np.random.default_rng(11)
-    for n, keep in [(3, [0]), (3, [2, 0]), (4, [1, 3])]:
+    for n, keep in [(3, [0]), (3, [2, 0]), (4, [1, 3]), (5, [4, 0]), (2, [1, 0])]:
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         psi /= np.linalg.norm(psi)
-        via_vec = linalg.partial_trace(psi, keep)
-        via_mat = linalg.partial_trace(np.outer(psi, psi.conj()), keep)
-        assert np.allclose(via_vec, via_mat, atol=1e-13)
+        via_mat = _reference_partial_trace(np.outer(psi, psi.conj()), keep)
+        assert np.allclose(linalg.partial_trace(psi, keep), via_mat, atol=1e-13)
+        stack = np.stack([psi[::-1], psi])
+        assert np.allclose(linalg.partial_trace(stack, [keep[::-1], keep])[1], via_mat, atol=1e-13)
 
 
 def test_partial_trace_keep_order():
@@ -192,17 +214,22 @@ def test_qubit_order_takes_integer_indices_only():
     assert order == (1, 0, 2) and all(type(q) is int for q in order)
 
 
-def test_partial_traces_match_each_row():
+def test_partial_trace_of_a_stack_matches_each_row():
     rng = np.random.default_rng(14)
     n, rows = 5, 9
     states = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     keeps = [[int(q) for q in rng.choice(n, size=2, replace=False)] for _ in range(rows)]
-    got = linalg.partial_traces(states, keeps)
+    got = linalg.partial_trace(states, keeps)
+    assert got.shape == (rows, 4, 4)
     for b in range(rows):
         assert np.array_equal(got[b], linalg.partial_trace(states[b], keeps[b]))
     with pytest.raises(ValueError):
-        linalg.partial_traces(states, [[0]] + keeps[1:])  # keeps of different sizes
+        linalg.partial_trace(states, [[0]] + keeps[1:])  # keeps of different sizes
+    with pytest.raises(ValueError):
+        linalg.partial_trace(states, keeps[1:])  # one keep list short
+    with pytest.raises(ValueError):
+        linalg.partial_trace(states[None], [keeps])  # not a vector or a stack
 
 
 def test_permute_qubits_inverse_round_trip():
@@ -222,7 +249,7 @@ def test_stacks_of_no_rows():
     for inverse in (False, True):
         assert linalg.permute_qubits(empty, [], inverse=inverse).shape == (0, 8)
     with pytest.raises(ValueError, match="empty"):
-        linalg.partial_traces(empty, [])
+        linalg.partial_trace(empty, [])
     w, v = linalg.jacobi_eigh(np.zeros((0, 4, 4), dtype=complex))
     assert (w.shape, v.shape) == ((0, 4), (0, 4, 4))
     w, v = linalg.jacobi_eigh(np.zeros((0, 2, 2)), vectors=False)

@@ -105,6 +105,30 @@ def test_spec_rejects_non_finite_angles(field, bad):
             ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), **angles)
 
 
+_PUBLIC_FORMULAS = {
+    "closed_form_fidelity": lambda a: protocols.closed_form_fidelity(0.5, a),
+    "bound_purity": lambda a: protocols.bound_purity(0.5, a),
+    "bound_sv": lambda a: protocols.bound_sv(0.5, a),
+    "bound_sv2": lambda a: protocols.bound_sv2(1.5, a),
+    "error_operator_epsilon": lambda a: protocols.error_operator(ErrorKind.X_TYPE, 0, a, 0.0),
+    "error_operator_delta": lambda a: protocols.error_operator(ErrorKind.ZZ_TYPE, 1, 0.3, a),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.3", 1j])
+@pytest.mark.parametrize("formula", list(_PUBLIC_FORMULAS))
+def test_public_formulas_reject_angles_that_are_not_finite_reals(formula, bad):
+    # the check ProtocolSpec applies to its angles: a NaN or an infinity
+    # used to come back as a NaN value or matrix, a bool ran as 1 rad and a
+    # string raised TypeError
+    call = _PUBLIC_FORMULAS[formula]
+    name = "delta" if formula.endswith("delta") else "epsilon"
+    message = f"{name}=.* is not finite" if isinstance(bad, float) else f"{name} .* is not a real"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+    assert np.all(np.isfinite(call(np.float64(0.3))))
+
+
 def test_spec_stores_angles_as_floats():
     spec = ProtocolSpec(
         ProtocolKind.ADQC_ROTATION_CZ, (0,), u=np.float32(0.5), epsilon=1, delta=np.float64(0.25)
@@ -175,7 +199,7 @@ def test_ideal_branches_match_byproduct_gates():
     streams = qcore.generators([[70, trial] for trial in range(60)])
     for trial in range(60):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         for j in range(2):
@@ -190,7 +214,7 @@ def test_branch_probability_sums():
     streams = qcore.generators([[71, trial] for trial in range(40)])
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         res = protocols.run_protocol(psi, random_spec(rng, n))
         assert sum(res.ideal_probabilities) == pytest.approx(1.0, abs=1e-12)
         total = sum(float(np.vdot(x, x).real) for x in res.inaccurate_branches)
@@ -203,7 +227,7 @@ def test_ideal_branch_equals_inaccurate_at_zero_tilt():
     streams = qcore.generators([[72, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 5))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0, delta=0.0)
         res = protocols.run_protocol(psi, spec)
@@ -223,7 +247,7 @@ def test_fidelity_is_one_without_tilt():
     streams = qcore.generators([[73, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0,
                             delta=spec.delta)
@@ -263,7 +287,7 @@ def test_oracle_equality_randomized():
     streams = qcore.generators([[74, trial] for trial in range(150)])
     for trial in range(150):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         assert abs(rep.simulated_F - rep.closed_form_F) <= 1e-10
@@ -274,7 +298,7 @@ def test_delta_independence():
     streams = qcore.generators([[75, trial] for trial in range(10)])
     for trial in range(10):
         n = int(rng.integers(2, 5))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         vals = []
         for delta in (0.0, 0.7, 1.4, 2.3, np.pi, 4.4, 5.9):
@@ -289,7 +313,7 @@ def test_rotation_circuits_equivalent():
     streams = qcore.generators([[76, trial] for trial in range(100)])
     for trial in range(100):
         n = int(rng.integers(1, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         t = int(rng.integers(n))
         u, eps, delta = (float(x) for x in rng.uniform(0, np.pi, size=3))
         runs = [
@@ -338,7 +362,7 @@ def test_error_factorization_exact():
     streams = qcore.generators([[77, trial] for trial in range(80)])
     for trial in range(80):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -385,7 +409,7 @@ def test_bounds_hold_randomized():
     streams = qcore.generators([[78, trial] for trial in range(120)])
     for trial in range(120):
         n = int(rng.integers(2, 6))
-        psi = qcore.haar_state(n, streams[trial])
+        psi = PureState(n, qcore.haar_state(n, streams[trial]))
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         for value in rep.bounds.values():
@@ -458,13 +482,13 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
     n, rows = 4, 40
     states = [qcore.haar_state(n, g) for g in qcore.generators([[83, b] for b in range(rows)])]
     specs = [random_spec(rng, n) for _ in range(rows)]
-    mixed = protocols.analyze_stack(np.array([s.amplitudes for s in states]), specs)
+    mixed = protocols.analyze_stack(np.array(states), specs)
     x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
     zz_type = [b for b in range(rows) if b not in x_type]
     assert len(x_type) >= 10 and len(zz_type) >= 5
     for part in (x_type, zz_type):
         alone = protocols.analyze_stack(
-            np.array([states[b].amplitudes for b in part]), [specs[b] for b in part]
+            np.array([states[b] for b in part]), [specs[b] for b in part]
         )
         picked = protocols.FidelityStack(*(
             protocols.ProtocolResult(*(a[part] for a in value))
@@ -484,7 +508,7 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
     rng = np.random.default_rng(85)
     rows = 200
     streams = qcore.generators([[85, b] for b in range(rows)])
-    states = np.array([qcore.haar_state(3, g).amplitudes for g in streams])
+    states = np.array([qcore.haar_state(3, g) for g in streams])
     specs = [random_spec(rng, 3) for _ in range(rows)]
     stack = protocols.analyze_stack(states, specs)
     for row, spec in enumerate(specs):
@@ -506,17 +530,17 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
 def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
     # an all-X-type stack never hands a stack of no rows to the two-qubit
     # reduction, nor an all-ZZ-type one to the one-qubit reduction
-    traces = linalg.partial_traces
+    traces = linalg.partial_trace
     reduced = []
 
     def counted(states, keeps):
         reduced.append((len(states), len(keeps[0])))
         return traces(states, keeps)
 
-    monkeypatch.setattr(linalg, "partial_traces", counted)
+    monkeypatch.setattr(linalg, "partial_trace", counted)
     rng = np.random.default_rng(84)
     streams = qcore.generators([[84, b] for b in range(6)])
-    states = np.array([qcore.haar_state(3, g).amplitudes for g in streams])
+    states = np.array([qcore.haar_state(3, g) for g in streams])
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
         reduced.clear()
         protocols.analyze_stack(states, [random_spec(rng, 3, kinds) for _ in range(6)])

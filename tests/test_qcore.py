@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adqcsim import linalg, qcore
+from adqcsim import linalg, qcore, verify
 from adqcsim.qcore import PureState, basis_state
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -157,6 +157,26 @@ def test_basis_state_rejects_qubit_count_out_of_range(n):
         basis_state(n, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: qcore.check_qubit_count(3.5),
+    lambda: qcore.check_qubit_count(True),
+    lambda: PureState(True, [1, 0]),
+    lambda: PureState(2.0, [1, 0, 0, 0]),
+    lambda: basis_state(True, 0),
+    lambda: qcore.haar_state(2.0, np.random.default_rng(0)),
+    lambda: verify.random_density_matrix(True, 0),
+    lambda: verify.saturating_single_qubit_register(0.5, 2.0),
+])
+def test_qubit_counts_must_be_integers(build):
+    # each of these used to pass, build a state whose n_qubits was True or
+    # 2.0, or raise TypeError
+    with pytest.raises(ValueError, match="qubits .* is not an integer"):
+        build()
+    state = PureState(np.int64(2), [1, 0, 0, 0])
+    assert state.n_qubits == 2 and type(state.n_qubits) is int
+    assert qcore.check_qubit_count(np.uint8(3)) == 3
+
+
 # ------------------------------------------------------------ apply_gate
 
 def test_apply_cz_phase():
@@ -291,7 +311,7 @@ def test_measure_probabilities_sum_to_one():
     streams = qcore.generators([[33, trial] for trial in range(25)])
     for trial in range(25):
         n = int(rng.integers(1, 6))
-        st = qcore.haar_state(n, streams[trial])
+        st = PureState(n, qcore.haar_state(n, streams[trial]))
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
@@ -304,7 +324,7 @@ def test_measure_reconstruction():
     streams = qcore.generators([[34, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        st = qcore.haar_state(n, streams[trial])
+        st = PureState(n, qcore.haar_state(n, streams[trial]))
         qubit = int(rng.integers(n))
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
@@ -360,14 +380,14 @@ def test_random_state_z_expectation_unbiased():
     z = qcore.gate("Z")
     for rng in qcore.generators([[777, i] for i in range(10_000)]):
         st = qcore.haar_state(1, rng)
-        total += float(np.vdot(st.amplitudes, z @ st.amplitudes).real)
+        total += float(np.vdot(st, z @ st).real)
     assert abs(total / 10_000) < 0.05
 
 
 def test_random_state_is_a_batch_of_one():
     for key in (99, [3, 1], [3, 1, 7]):
         want = qcore.haar_state(3, np.random.default_rng(key))
-        assert qcore.random_pure_state(3, key).amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert qcore.random_pure_state(3, key).amplitudes.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- generators
