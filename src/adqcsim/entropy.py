@@ -1,6 +1,12 @@
 """Mixedness and correlation measures of reduced register states, and the
 monotone bounding functions that convert entropies back into correlator
-bounds (inverted numerically by safeguarded Newton)."""
+bounds (inverted numerically by safeguarded Newton).
+
+A density matrix has one form: `validate_density` takes one (d, d)
+matrix or a (B, d, d) stack and returns a `Density` of the input's rank,
+solved once.  Each measure takes the same input, as an array or a
+Density, and returns a float for one matrix or a (B,) array for a
+stack; `entanglement_reports` builds a stack's reports from them."""
 from __future__ import annotations
 
 import math
@@ -25,13 +31,11 @@ class BoundDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Density:
-    """A validated density matrix with the results of its one solve:
-    eigenvalues ascending and, where the caller asked for them, the
-    eigenvectors as the columns of `eigenvectors` (else None).
-
-    A (B, d, d) stack of them is one Density too, each field gaining the
-    leading axis; indexing selects along it (`stack[b]` is one matrix,
-    `one[None]` a stack of one).
+    """A validated density matrix, or a (B, d, d) stack of them, with the
+    results of its one solve: eigenvalues ascending and, where the caller
+    asked for them, the eigenvectors as the columns of `eigenvectors`
+    (else None).  Indexing selects along a stack's leading axis
+    (`stack[b]` is one matrix, `one[None]` a stack of one).
     """
 
     matrix: np.ndarray
@@ -46,59 +50,40 @@ class Density:
 def validate_density(
     rho: np.ndarray | Density, dims: tuple[int, ...] | None = None, vectors: bool = False
 ) -> Density:
-    """Check Hermiticity, unit trace, and positivity of a density matrix.
+    """Check Hermiticity, unit trace, and positivity of one (d, d) density
+    matrix or of every matrix of a (B, d, d) stack, returned as a Density
+    of the input's rank.
 
-    Returns the matrix with the eigenvalues of its one linalg.jacobi_eigh
-    solve, which checks finiteness and Hermiticity and whose eigenvalues
-    the positivity check reads, so that no caller has to solve it again,
-    and with `vectors` the eigenvectors too.  A Density of one matrix
-    passes through after the dimension check; it is solved again, once,
-    only where `vectors` asks for eigenvectors it lacks.  A stacked
-    Density is rejected.
+    One linalg.jacobi_eigh call checks finiteness and Hermiticity once on
+    the whole input and solves each matrix once, building eigenvectors
+    only with `vectors`; the trace and positivity tests then read the
+    input and its eigenvalues once too, so that no caller has to solve it
+    again.  A Density passes through after the dimension check; it is
+    solved again, once, only where `vectors` asks for eigenvectors it
+    lacks.
     """
-    if isinstance(rho, Density):
-        if rho.matrix.ndim != 2:
-            raise ValueError(f"expected one density matrix, got a stack of {len(rho.matrix)}")
-        if dims is not None and rho.matrix.shape[-1] not in dims:
-            raise ValueError(f"density matrix dimension {rho.matrix.shape[-1]} not in {dims}")
-        if vectors and rho.eigenvectors is None:
-            return _solved(rho.matrix[None], vectors=True)[0]
-        return rho
-    return _solved(_checked(np.asarray(rho, dtype=complex), 2, dims)[None], vectors)[0]
-
-
-def validate_densities(
-    rhos: np.ndarray, dims: tuple[int, ...] | None = None, vectors: bool = False
-) -> Density:
-    """validate_density over a (B, d, d) stack, returned as one Density:
-    one linalg.jacobi_eigh call checks finiteness and Hermiticity once on
-    the whole stack and solves each matrix once, building eigenvectors
-    only with `vectors`; the trace and positivity tests then run once on
-    the whole stack too."""
-    return _solved(_checked(np.asarray(rhos, dtype=complex), 3, dims), vectors)
-
-
-def _checked(m: np.ndarray, ndim: int, dims: tuple[int, ...] | None) -> np.ndarray:
-    # one matrix (ndim 2) or a stack of them (ndim 3) of an allowed size
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+    m = rho.matrix if isinstance(rho, Density) else np.asarray(rho, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
     if dims is not None and m.shape[-1] not in dims:
         raise ValueError(f"density matrix dimension {m.shape[-1]} not in {dims}")
-    return m
-
-
-def _solved(m: np.ndarray, vectors: bool) -> Density:
-    # The one eigensolve of a (B, d, d) stack, which checks finiteness and
-    # Hermiticity, then the trace and positivity tests.
+    if isinstance(rho, Density) and not (vectors and rho.eigenvectors is None):
+        return rho
     evals, evecs = linalg.jacobi_eigh(m, vectors=vectors)
-    tr = m.trace(axis1=-2, axis2=-1)
+    tr = np.ravel(m.trace(axis1=-2, axis2=-1))
     off = abs(tr - 1.0)
     if (off > DENSITY_TOL).any():
         raise ValueError(f"density matrix trace {complex(tr[np.argmax(off)])} is not 1")
-    negative = evals[:, 0] < -DENSITY_TOL
+    lowest = np.ravel(evals[..., 0])
+    negative = lowest < -DENSITY_TOL
     if negative.any():
-        raise ValueError(f"density matrix has negative eigenvalue {evals[negative, 0][0]}")
+        raise ValueError(f"density matrix has negative eigenvalue {lowest[negative][0]}")
     return Density(m, evals, evecs)
+
+
+def _value(values: np.ndarray) -> float | np.ndarray:
+    # one matrix's measure as a float, a stack's as its (B,) array
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _spectrum(density: Density) -> np.ndarray:
@@ -110,20 +95,21 @@ def _spectrum(density: Density) -> np.ndarray:
 
 def _plogp(p: np.ndarray) -> float | np.ndarray:
     """sum p log2 p over the last axis, with the 0 log 0 = 0 convention."""
-    total = (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-    return float(total) if p.ndim == 1 else total
+    return _value((p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1))
 
 
-def purity_entanglement(rho: np.ndarray | Density) -> float:
-    """2 (1 - Tr rho^2) of a single-qubit state: 0 pure, 1 maximally mixed."""
+def purity_entanglement(rho: np.ndarray | Density) -> float | np.ndarray:
+    """2 (1 - Tr rho^2) of a single-qubit state: 0 pure, 1 maximally
+    mixed; one value per matrix of a (B, 2, 2) stack."""
     p = _spectrum(validate_density(rho, dims=(2,)))
-    return max(2.0 * (1.0 - float(np.sum(p * p))), 0.0) + 0.0
+    return _value(np.maximum(2.0 * (1.0 - np.sum(p * p, axis=-1)), 0.0) + 0.0)
 
 
-def von_neumann(rho: np.ndarray | Density) -> float:
-    """-Tr(rho log2 rho) for a one- or two-qubit density matrix."""
+def von_neumann(rho: np.ndarray | Density) -> float | np.ndarray:
+    """-Tr(rho log2 rho) for a one- or two-qubit density matrix, or one
+    value per matrix of a stack."""
     p = _spectrum(validate_density(rho, dims=(2, 4)))
-    return max(-_plogp(p), 0.0) + 0.0
+    return _value(np.maximum(-_plogp(p), 0.0) + 0.0)
 
 
 def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
@@ -148,23 +134,28 @@ _ZZ = _observable(linalg.kron(_Z, _Z))
 
 
 def _expectation(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
-    # correlator for an observable that _observable has already checked
-    rho = np.asarray(rho.matrix if isinstance(rho, Density) else rho, dtype=complex)
+    # correlator for an observable that _observable has already checked; a
+    # Density is known to be finite, an array is checked here
+    if isinstance(rho, Density):
+        rho = rho.matrix
+    else:
+        rho = np.asarray(rho, dtype=complex)
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
     if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape:
         raise ValueError("state and observable dimensions do not match")
     val = (rho @ observable).trace(axis1=-2, axis2=-1)
-    residue = abs(val.imag) if rho.ndim == 2 else abs(val.imag).max(initial=0.0)
+    residue = abs(val.imag).max(initial=0.0)
     if residue > 1e-12:
         raise ValueError(f"correlator has imaginary residue {residue}")
-    return float(val.real) if rho.ndim == 2 else val.real
+    return _value(val.real)
 
 
 def bloch_length(rho: np.ndarray | Density) -> float | np.ndarray:
     """Length of the Bloch vector of a single-qubit state, or one length
     per matrix of a (B, 2, 2) stack; rho may be a Density of either."""
     cx, cy, cz = (_expectation(rho, pauli) for pauli in (_X, _Y, _Z))
-    length = np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0)
-    return float(length) if np.ndim(length) == 0 else length
+    return _value(np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0))
 
 
 def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
@@ -247,35 +238,17 @@ class EntanglementReport:
     bloch_length_r: float | None
 
 
-def _reports(densities: Density, single: bool) -> list[EntanglementReport]:
-    # entropies from each matrix's own spectrum; correlators over the stack
-    matrices = densities.matrix
-    p = _spectrum(densities)
-    sv = (np.maximum(-_plogp(p), 0.0) + 0.0).tolist()
-    if single:
-        purity = (np.maximum(2.0 * (1.0 - np.sum(p * p, axis=1)), 0.0) + 0.0).tolist()
-        corr = _expectation(matrices, _Z).tolist()
-        r = bloch_length(matrices).tolist()
-        return [EntanglementReport(*row) for row in zip(purity, sv, corr, r)]
-    corr = _expectation(matrices, _ZZ).tolist()
-    return [EntanglementReport(None, v, c, None) for v, c in zip(sv, corr)]
-
-
-def single_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
-    """Measures of a single-qubit reduced state (correlator is <Z>)."""
-    return _reports(validate_density(rho, dims=(2,))[None], single=True)[0]
-
-
-def single_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
-    """single_qubit_report for every matrix of a (B, 2, 2) stack."""
-    return _reports(validate_densities(rhos, dims=(2,)), single=True)
-
-
-def two_qubit_report(rho: np.ndarray | Density) -> EntanglementReport:
-    """Measures of a two-qubit reduced state (correlator is <Z(x)Z>)."""
-    return _reports(validate_density(rho, dims=(4,))[None], single=False)[0]
-
-
-def two_qubit_reports(rhos: np.ndarray) -> list[EntanglementReport]:
-    """two_qubit_report for every matrix of a (B, 4, 4) stack."""
-    return _reports(validate_densities(rhos, dims=(4,)), single=False)
+def entanglement_reports(rhos: np.ndarray | Density) -> list[EntanglementReport]:
+    """The measures of each matrix of a (B, d, d) stack of reduced states,
+    validated once: for d = 2 the purity, S, <Z> and the Bloch length; for
+    d = 4, S_v2 and <Z(x)Z>."""
+    rhos = validate_density(rhos, dims=(2, 4))
+    if rhos.matrix.ndim != 3:
+        raise ValueError("expected a (B, d, d) stack of density matrices")
+    sv = von_neumann(rhos).tolist()
+    if rhos.matrix.shape[-1] == 4:
+        zz = _expectation(rhos, _ZZ).tolist()
+        return [EntanglementReport(None, v, c, None) for v, c in zip(sv, zz)]
+    purity = purity_entanglement(rhos).tolist()
+    z, r = _expectation(rhos, _Z).tolist(), bloch_length(rhos).tolist()
+    return [EntanglementReport(*row) for row in zip(purity, sv, z, r)]

@@ -400,18 +400,14 @@ class _Reduction(NamedTuple):
     # the error operator's Pauli, on as many leading targets as the
     # register is reduced to
     pauli: np.ndarray
-    reports: Callable[[np.ndarray], list[EntanglementReport]]
     entropies: Callable[[EntanglementReport], dict[str, float]]
 
 
 # Each error kind: its Pauli and its reduction shape
 _REDUCTIONS = {
-    ErrorKind.X_TYPE: _Reduction(
-        qcore.gate("X"), entropy.single_qubit_reports, _one_qubit_entropies
-    ),
+    ErrorKind.X_TYPE: _Reduction(qcore.gate("X"), _one_qubit_entropies),
     ErrorKind.ZZ_TYPE: _Reduction(
-        linalg.kron(qcore.gate("Z"), qcore.gate("Z")),
-        entropy.two_qubit_reports, _two_qubit_entropies,
+        linalg.kron(qcore.gate("Z"), qcore.gate("Z")), _two_qubit_entropies
     ),
 }
 
@@ -439,7 +435,7 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
         width = linalg.n_qubits_of(len(reduction.pauli))
         keeps = [specs[b].targets[:width] for b in rows]
         rho = linalg.partial_trace(amplitudes[rows], keeps)
-        for b, report in zip(rows, reduction.reports(rho)):
+        for b, report in zip(rows, entropy.entanglement_reports(rho)):
             reports[b] = report
             bound_entropies[b] = reduction.entropies(report)
     corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])

@@ -67,6 +67,7 @@ def gate(name: str) -> np.ndarray:
 
 def j_gate(u: float) -> np.ndarray:
     """The rotation H . diag(e^{iu/2}, e^{-iu/2})."""
+    u = linalg._finite(u, "u")
     return _GATES["H"] @ np.diag([np.exp(0.5j * u), np.exp(-0.5j * u)])
 
 
@@ -105,6 +106,7 @@ def check_qubit_count(n_qubits: int) -> int:
 def basis_state(n_qubits: int, index: int) -> PureState:
     """Computational basis state |index> on n qubits."""
     n_qubits = check_qubit_count(n_qubits)
+    index = linalg._integer(index, "index")
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     vec = np.zeros(2**n_qubits, dtype=complex)
@@ -157,7 +159,10 @@ def deviated_u_basis(u: float, epsilon: float, delta: float) -> np.ndarray:
         plus  = cos(e/2)|u+> + e^{-i delta} sin(e/2)|u->
         minus = sin(e/2)|u+> - e^{-i delta} cos(e/2)|u->
     """
-    return tilted_vectors(equatorial_pair(u), epsilon, delta)
+    return tilted_vectors(
+        equatorial_pair(linalg._finite(u, "u")),
+        linalg._finite(epsilon, "epsilon"), linalg._finite(delta, "delta"),
+    )
 
 
 def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
@@ -167,7 +172,9 @@ def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
         |0~> = cos(e/2)|0> + sin(e/2) e^{-i delta}|1>
         |1~> = sin(e/2)|0> - cos(e/2) e^{-i delta}|1>
     """
-    return tilted_vectors(Z_PAIR, epsilon, delta)
+    return tilted_vectors(
+        Z_PAIR, linalg._finite(epsilon, "epsilon"), linalg._finite(delta, "delta")
+    )
 
 
 def apply_matrix(

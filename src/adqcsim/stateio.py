@@ -1,6 +1,6 @@
 """Plain-text serialization of pure register states.
 
-Format: a `qubits: n` line, an optional `label: ...` line, then one
+Format: a `qubits: n` line, an optional one-line `label: ...`, then one
 `index real imag` line per nonzero amplitude (whitespace-separated,
 index in [0, 2^n)).  Missing indices are zero; `#` starts a comment.
 """
@@ -17,6 +17,8 @@ def dumps_state(state: PureState, label: str | None = None) -> str:
     lines = [f"qubits: {state.n_qubits}"]
     if label is not None:
         lines.append(f"label: {label}")
+        if lines[-1].splitlines() != lines[-1:]:  # loads_state would read two lines
+            raise ValueError(f"label {label!r} is not one line")
     for idx, amp in enumerate(state.amplitudes):
         if amp != 0:
             lines.append(f"{idx} {amp.real:.17g} {amp.imag:.17g}")

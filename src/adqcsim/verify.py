@@ -21,14 +21,14 @@ the protocol and error kinds (circuit_equivalence puts all three
 rotation kinds of a register in it), cut into stacks of at most
 _STACK_AMPLITUDES amplitudes.  The density campaigns take one
 linalg.partial_trace over the chunk's (B, 16) stack and validate its
-rho rows, values only, in one linalg.jacobi_eigh call (monotonicity's
-random sigma rows, whose eigenvectors are read, in another); the
-dephased states take no solve, their eigenpairs read off their
-diagonals.  The counterexample draws lambda_i without building its grid
-and validates a chunk's rho_lambda rows in one call too.  The public
-checks (check_jonas, check_interm, check_monotonicity, relative_entropy,
-dephasing_map) are batches of one over the stack code of the density
-campaigns.
+rho rows, values only, in one entropy.validate_density call
+(monotonicity's random sigma rows, whose eigenvectors are read, in
+another), then call the public check once on the stack: check_jonas,
+check_interm and check_monotonicity, like relative_entropy and
+dephasing_map, take one matrix or a stack.  The dephased states take no
+solve, their eigenpairs read off their diagonals.  The counterexample
+draws lambda_i without building its grid and validates a chunk's
+rho_lambda rows in one call too.
 """
 from __future__ import annotations
 
@@ -50,48 +50,23 @@ _SUPPORT_TOL = 1e-12
 _MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0, vectors=True)
 
 
-def relative_entropy(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
+# Each check takes one (4, 4) density matrix or a (B, 4, 4) stack (any
+# dimension for relative_entropy), as an array or an entropy.Density, and
+# returns a float or one value per matrix; a single matrix (sigma = I/4)
+# pairs with every matrix of a stack.  Only sigma's eigenvectors are read,
+# so a sigma without them is solved again.
+
+def relative_entropy(
+    rho: np.ndarray | Density, sigma: np.ndarray | Density
+) -> float | np.ndarray:
     """Tr(rho log2 rho) - Tr(rho log2 sigma); +inf when sigma's support
-    misses part of rho's.  Either argument may be an entropy.Density;
-    sigma's eigenvectors are read, so a sigma without them is solved
-    again."""
+    misses part of rho's."""
     rho = entropy.validate_density(rho)
     sigma = entropy.validate_density(sigma, vectors=True)
-    if rho.matrix.shape != sigma.matrix.shape:
+    if rho.matrix.shape[-1] != sigma.matrix.shape[-1]:
         raise ValueError("density matrices have different dimensions")
-    return float(_relative_entropies(rho[None], sigma[None])[0])
-
-
-def dephasing_map(rho: np.ndarray | Density) -> np.ndarray:
-    """Erase all off-diagonal elements of a two-qubit state in the
-    computational basis; the diagonal (hence the trace) is copied verbatim."""
-    return _dephased(entropy.validate_density(rho, dims=(4,))[None]).matrix[0]
-
-
-def check_monotonicity(rho: np.ndarray | Density, sigma: np.ndarray | Density) -> float:
-    """Slack of relative-entropy monotonicity under dephasing:
-    H(rho||sigma) - H(E(rho)||E(sigma)), which must be >= 0."""
-    rho = entropy.validate_density(rho, dims=(4,))
-    sigma = entropy.validate_density(sigma, dims=(4,), vectors=True)
-    return float(_monotonicity_slacks(rho[None], sigma[None])[0])
-
-
-def check_interm(rho: np.ndarray | Density) -> float:
-    """Slack of Tr(rho log2 rho) >= sum_ab rho_ab log2 rho_ab (diagonal)."""
-    return float(_interm_slacks(entropy.validate_density(rho, dims=(4,))[None])[0])
-
-
-def check_jonas(rho: np.ndarray | Density) -> float:
-    """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
-    return _jonas_slacks(entropy.validate_density(rho, dims=(4,))[None])[0]
-
-
-# The checks above as batches of one over these, which take validated
-# (B, d, d) stacks and return one value per matrix; a single Density
-# (sigma = I/4) broadcasts against a stack.  Only sigma's eigenvectors
-# are read.
-
-def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
+    if rho.matrix.ndim == sigma.matrix.ndim == 3 and len(rho.matrix) != len(sigma.matrix):
+        raise ValueError("stacks of density matrices have different lengths")
     # Tr(rho log2 sigma) = sum_k <v_k|rho|v_k> log2 s_k over sigma's
     # eigenpairs (s_k, v_k); eigenvalues below the support tolerance are
     # left out, and where rho has weight on them the result is +inf
@@ -101,7 +76,9 @@ def _relative_entropies(rho: Density, sigma: Density) -> np.ndarray:
     log_s = np.log2(np.where(support, sigma.eigenvalues, 1.0))
     cross = (np.where(support, weight, 0.0) * log_s).sum(axis=-1)
     missed = (~support & (weight > _SUPPORT_TOL)).any(axis=-1)
-    return np.where(missed, math.inf, entropy._plogp(entropy._spectrum(rho)) - cross)
+    return entropy._value(
+        np.where(missed, math.inf, entropy._plogp(entropy._spectrum(rho)) - cross)
+    )
 
 
 def _dephased(rho: Density) -> Density:
@@ -121,23 +98,40 @@ def _dephased(rho: Density) -> Density:
     return Density(matrix, evals, np.eye(w.shape[-1], dtype=complex)[order].swapaxes(-1, -2))
 
 
-def _monotonicity_slacks(rho: Density, sigma: Density) -> np.ndarray:
-    lhs = _relative_entropies(rho, sigma)
-    rhs = _relative_entropies(_dephased(rho), _dephased(sigma))
-    return np.where(np.isinf(lhs), math.inf, np.where(np.isinf(rhs), -math.inf, lhs - rhs))
+def dephasing_map(rho: np.ndarray | Density) -> np.ndarray:
+    """Erase all off-diagonal elements of a two-qubit state in the
+    computational basis; the diagonal (hence the trace) is copied verbatim."""
+    return _dephased(entropy.validate_density(rho, dims=(4,))).matrix
 
 
-def _interm_slacks(rho: Density) -> np.ndarray:
+def check_monotonicity(
+    rho: np.ndarray | Density, sigma: np.ndarray | Density
+) -> float | np.ndarray:
+    """Slack of relative-entropy monotonicity under dephasing:
+    H(rho||sigma) - H(E(rho)||E(sigma)), which must be >= 0."""
+    rho = entropy.validate_density(rho, dims=(4,))
+    sigma = entropy.validate_density(sigma, dims=(4,), vectors=True)
+    lhs = relative_entropy(rho, sigma)
+    rhs = relative_entropy(_dephased(rho), _dephased(sigma))
+    return entropy._value(
+        np.where(np.isinf(lhs), math.inf, np.where(np.isinf(rhs), -math.inf, lhs - rhs))
+    )
+
+
+def check_interm(rho: np.ndarray | Density) -> float | np.ndarray:
+    """Slack of Tr(rho log2 rho) >= sum_ab rho_ab log2 rho_ab (diagonal)."""
+    rho = entropy.validate_density(rho, dims=(4,))
     p = np.maximum(rho.eigenvalues, 0.0)
     d = np.maximum(rho.matrix.diagonal(axis1=-2, axis2=-1).real, 0.0)
     return entropy._plogp(p) - entropy._plogp(d)
 
 
-def _jonas_slacks(rho: Density) -> list[float]:
-    return [
-        entropy.g(min(abs(rep.correlator), 1.0)) - rep.von_neumann
-        for rep in entropy._reports(rho, single=False)
-    ]
+def check_jonas(rho: np.ndarray | Density) -> float | np.ndarray:
+    """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
+    rho = entropy.validate_density(rho, dims=(4,))
+    czz = np.minimum(abs(entropy._expectation(rho, entropy._ZZ)), 1.0)
+    g = np.reshape([entropy.g(c) for c in np.ravel(czz).tolist()], czz.shape)
+    return entropy._value(g - entropy.von_neumann(rho))
 
 
 def saturating_single_qubit_register(S: float, total_qubits: int) -> PureState:
@@ -451,7 +445,7 @@ def _draw_density(
 def _evaluate_density(
     cfg: CampaignConfig,
     draws: list[_DensityDraw],
-    slacks: Callable[..., np.ndarray | list[float]],
+    slacks: Callable[..., np.ndarray],
 ) -> _Evaluation:
     # one partial trace for the chunk's rho matrices, followed by its sigma
     # matrices when the draws carry them; one validation for the rho rows,
@@ -459,17 +453,17 @@ def _evaluate_density(
     sigmas = [d.sigma for d in draws if d.sigma is not None]
     states = [d.purification for d in draws] + sigmas
     reduced = linalg.partial_trace(np.array(states), [(0, 1)] * len(states))
-    densities = [entropy.validate_densities(reduced[: len(draws)], dims=(4,))]
+    densities = [entropy.validate_density(reduced[: len(draws)], dims=(4,))]
     if sigmas:
-        densities.append(entropy.validate_densities(reduced[len(draws):], dims=(4,), vectors=True))
-    violations = [-slack for slack in np.asarray(slacks(*densities)).tolist()]
+        densities.append(entropy.validate_density(reduced[len(draws):], dims=(4,), vectors=True))
+    violations = [-slack for slack in slacks(*densities).tolist()]
     return violations, {"random_sigma_checks": len(sigmas)} if sigmas else {}
 
 
 def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
     # row b: the smaller slack of sigma = I/4 (as in the proof of the
     # two-qubit bound) and of the random full-rank sigma[b]
-    return np.minimum(_monotonicity_slacks(rho, _MAX_MIXED_2Q), _monotonicity_slacks(rho, sigma))
+    return np.minimum(check_monotonicity(rho, _MAX_MIXED_2Q), check_monotonicity(rho, sigma))
 
 
 def _saturation_sweep(cfg: CampaignConfig) -> int:
@@ -536,7 +530,7 @@ def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> list[_LambdaDra
 def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
     # one validation of the chunk's rho_lambda stack, whose rows' S_v2 are
     # von_neumann's, bit for bit
-    reports = entropy.two_qubit_reports(np.array([rho_lambda(d.lam) for d in draws]))
+    reports = entropy.entanglement_reports(np.array([rho_lambda(d.lam) for d in draws]))
     violations = []
     for rep in reports:
         violation = abs(rep.correlator - 1.0)  # exactly 0
@@ -599,14 +593,14 @@ _CAMPAIGNS: dict[str, _Campaign] = {
         _draw_equivalence, _evaluate_equivalence, 200, 1e-12, register_sizes=(1, 2, 3, 4, 5),
     ),
     "jonas": _Campaign(
-        _draw_density, partial(_evaluate_density, slacks=_jonas_slacks), 1000, 1e-9
+        _draw_density, partial(_evaluate_density, slacks=check_jonas), 1000, 1e-9
     ),
     "monotonicity": _Campaign(
         partial(_draw_density, with_sigma=True),
         partial(_evaluate_density, slacks=_monotonicity_pair_slacks), 1000, 1e-9,
     ),
     "interm": _Campaign(
-        _draw_density, partial(_evaluate_density, slacks=_interm_slacks), 1000, 1e-9
+        _draw_density, partial(_evaluate_density, slacks=check_interm), 1000, 1e-9
     ),
     "saturation": _Campaign(
         _draw_saturation, _evaluate_saturation, 1, 1e-9,

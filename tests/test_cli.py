@@ -23,6 +23,24 @@ def test_state_round_trip():
     assert abs(correction) < 1e-15
 
 
+@pytest.mark.parametrize("label", ["x\n3 1 0", "a\rb", "a\r\nb", "x\n", "a\x0bb", "a\x0cb",
+                                   "a\x1cb", "a\x85b", "a\u2028b", "\u2029"])
+def test_a_label_that_would_split_into_lines_is_rejected(label):
+    # such a label used to give a document that loads_state could not read
+    st = qcore.random_pure_state(2, 408)
+    with pytest.raises(ValueError, match="not one line"):
+        stateio.dumps_state(st, label=label)
+
+
+@pytest.mark.parametrize("label", ["", "plain", "tab\there", "a # b", "label: nested", "qubits: 3"])
+def test_a_one_line_label_round_trips(label):
+    st = qcore.random_pure_state(2, 409)
+    text = stateio.dumps_state(st, label=label)
+    assert len(text.splitlines()) == 2 + np.count_nonzero(st.amplitudes)
+    loaded, _ = stateio.loads_state(text)
+    assert np.max(np.abs(loaded.amplitudes - st.amplitudes)) < 1e-15
+
+
 def test_state_loader_fills_missing_and_renormalizes():
     text = "qubits: 2\n0 0.7071067809 0.0\n3 0.7071067809 0.0\n"
     st, correction = stateio.loads_state(text)

@@ -95,7 +95,7 @@ def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
     # values and order the kernel returns for a diagonal matrix
     mats = [np.diag([0.1, 0.4, 0.2, 0.3]), verify.rho_lambda(0.3), np.eye(4) / 4,
             np.diag([0.5 + 1e-12j, 0.5, 0.0, 0.0]), verify.random_density_matrix(2, [64, 2])]
-    rhos = [entropy.validate_densities(np.array(mats), vectors=v) for v in (False, True)]
+    rhos = [entropy.validate_density(np.array(mats), vectors=v) for v in (False, True)]
     w, v = linalg.jacobi_eigh(verify._dephased(rhos[0]).matrix)
     monkeypatch.setattr(linalg, "jacobi_eigh", None)  # any solve would raise
     monkeypatch.setattr(linalg, "_jacobi", None)
@@ -113,8 +113,9 @@ def test_non_convergence_fails_closed(monkeypatch):
     for vectors in (True, False):
         with pytest.raises(ArithmeticError):
             linalg.jacobi_eigh(rho, vectors=vectors)
-        with pytest.raises(ArithmeticError):
-            entropy.validate_densities(rho[None], vectors=vectors)
+        for m in (rho, rho[None]):
+            with pytest.raises(ArithmeticError):
+                entropy.validate_density(m, vectors=vectors)
     # a diagonal matrix still stops before the first sweep
     diagonal = entropy.validate_density(np.diag([0.75, 0.25]))
     assert np.array_equal(diagonal.eigenvalues, [0.25, 0.75])
@@ -132,11 +133,11 @@ def test_validated_stack_is_checked_once(monkeypatch):
         return defect(m)
 
     monkeypatch.setattr(linalg, "hermiticity_defect", counted)
-    stack = entropy.validate_densities(rhos, dims=(4,))
+    stack = entropy.validate_density(rhos, dims=(4,))
     assert calls == [(5, 4, 4)]
     assert stack.eigenvalues.shape == (5, 4) and stack.eigenvectors is None
     assert stack[1:3].eigenvectors is None
-    with_vectors = entropy.validate_densities(rhos, dims=(4,), vectors=True)
+    with_vectors = entropy.validate_density(rhos, dims=(4,), vectors=True)
     assert calls == [(5, 4, 4)] * 2
     assert np.array_equal(with_vectors.eigenvalues, stack.eigenvalues)
     assert with_vectors.eigenvectors.shape == (5, 4, 4)
@@ -207,7 +208,7 @@ def test_correlator_errors():
 
 def test_correlator_and_bloch_length_read_a_density():
     rhos = np.array(random_densities(1, [[66, i] for i in range(3)]))
-    stack = entropy.validate_densities(rhos, dims=(2,))
+    stack = entropy.validate_density(rhos, dims=(2,))
     z = qcore.gate("Z")
     assert np.array_equal(entropy.correlator(stack, z), entropy.correlator(rhos, z))
     assert np.array_equal(entropy.bloch_length(stack), entropy.bloch_length(rhos))
@@ -364,16 +365,25 @@ def test_two_qubit_entropy_bound():
 
 
 def test_reports():
-    rho = linalg.partial_trace(
-        np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), [0]
-    )
-    rep = entropy.single_qubit_report(rho)
+    # one report per matrix of a stack, validated once; the measures of a
+    # one-qubit stack and of a two-qubit stack
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    rhos = np.stack([linalg.partial_trace(bell, [0]), np.diag([0.9, 0.1])])
+    rep, other = entropy.entanglement_reports(rhos)
     assert rep.purity_S == pytest.approx(1.0, abs=1e-12)
     assert rep.von_neumann == pytest.approx(1.0, abs=1e-12)
     assert rep.correlator == pytest.approx(0.0, abs=1e-12)
     assert rep.bloch_length_r == pytest.approx(0.0, abs=1e-12)
-    rep2 = entropy.two_qubit_report(np.eye(4) / 4)
+    assert other == entropy.EntanglementReport(
+        entropy.purity_entanglement(rhos[1]), entropy.von_neumann(rhos[1]),
+        entropy.correlator(rhos[1], qcore.gate("Z")), entropy.bloch_length(rhos[1]),
+    )
+    (rep2,) = entropy.entanglement_reports(entropy.validate_density(np.eye(4)[None] / 4))
     assert rep2.purity_S is None
     assert rep2.bloch_length_r is None
     assert rep2.von_neumann == pytest.approx(2.0, abs=1e-12)
     assert rep2.correlator == pytest.approx(0.0, abs=1e-14)
+    assert entropy.entanglement_reports(np.zeros((0, 4, 4))) == []
+    for bad in (np.eye(2) / 2, np.eye(8)[None] / 8):  # one matrix; too large
+        with pytest.raises(ValueError):
+            entropy.entanglement_reports(bad)

@@ -151,6 +151,37 @@ def test_basis_state_rejects_index_out_of_range(n, index):
         basis_state(n, index)
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1", None])
+def test_basis_state_index_must_be_an_integer(index):
+    # True used to fail the norm check as an amplitude of 2, 1.0 raised
+    # IndexError
+    with pytest.raises(ValueError, match="index .* is not an integer"):
+        basis_state(2, index)
+    assert basis_state(2, np.int64(1)).amplitudes[1] == 1.0
+
+
+_PUBLIC_ANGLES = {
+    "j_gate u": lambda a: qcore.j_gate(a),
+    "deviated_u_basis u": lambda a: qcore.deviated_u_basis(a, 0.1, 0.1),
+    "deviated_u_basis epsilon": lambda a: qcore.deviated_u_basis(0.3, a, 0.1),
+    "deviated_u_basis delta": lambda a: qcore.deviated_u_basis(0.3, 0.1, a),
+    "deviated_z_basis epsilon": lambda a: qcore.deviated_z_basis(a, 0.0),
+    "deviated_z_basis delta": lambda a: qcore.deviated_z_basis(0.2, a),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.3", 1j])
+@pytest.mark.parametrize("call", sorted(_PUBLIC_ANGLES))
+def test_public_gates_and_bases_reject_angles_that_are_not_finite_reals(call, bad):
+    # the check of every other public angle: a string used to build a
+    # basis, True ran as 1 rad, and NaN or inf gave a NaN matrix
+    name = call.split()[1]
+    message = f"{name}=.* is not finite" if isinstance(bad, float) else f"{name} .* is not a real"
+    with pytest.raises(ValueError, match=message):
+        _PUBLIC_ANGLES[call](bad)
+    assert np.isfinite(_PUBLIC_ANGLES[call](np.float64(0.3))).all()
+
+
 @pytest.mark.parametrize("n", [-2, 0, 9])
 def test_basis_state_rejects_qubit_count_out_of_range(n):
     with pytest.raises(ValueError, match="n_qubits"):

@@ -50,8 +50,11 @@ def test_relative_entropy_nonnegative():
 
 
 def test_relative_entropy_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different dimensions"):
         verify.relative_entropy(np.eye(2) / 2, MAX_MIXED)
+    # one matrix pairs with a whole stack, two stacks row by row
+    with pytest.raises(ValueError, match="different lengths"):
+        verify.relative_entropy(np.stack([MAX_MIXED] * 2), np.stack([MAX_MIXED] * 3))
 
 
 # ------------------------------------------------------------- dephasing
@@ -447,14 +450,14 @@ def test_only_the_bounds_a_check_reads_are_computed(monkeypatch, name):
         assert report.stats["filtered_below_domain"] > 0
 
 
-SINGLE_MATRIX_FUNCTIONS = {
-    "validate_density": (entropy.validate_density, 2),
+DENSITY_FUNCTIONS = {
+    "validate_density": (lambda d: entropy.validate_density(d).eigenvalues, 2),
     "purity_entanglement": (entropy.purity_entanglement, 2),
-    "von_neumann": (entropy.von_neumann, 2),
-    "single_qubit_report": (entropy.single_qubit_report, 2),
-    "two_qubit_report": (entropy.two_qubit_report, 4),
+    "von_neumann": (entropy.von_neumann, 4),
+    "bloch_length": (entropy.bloch_length, 2),
     "relative_entropy rho": (lambda d: verify.relative_entropy(d, MAX_MIXED), 4),
     "relative_entropy sigma": (lambda d: verify.relative_entropy(MAX_MIXED, d), 4),
+    "relative_entropy both": (lambda d: verify.relative_entropy(d, d), 2),
     "dephasing_map": (verify.dephasing_map, 4),
     "check_monotonicity rho": (lambda d: verify.check_monotonicity(d, MAX_MIXED), 4),
     "check_monotonicity sigma": (lambda d: verify.check_monotonicity(MAX_MIXED, d), 4),
@@ -463,16 +466,43 @@ SINGLE_MATRIX_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-@pytest.mark.parametrize("name", sorted(SINGLE_MATRIX_FUNCTIONS))
-def test_single_matrix_functions_reject_a_stacked_density(name, rows):
-    fn, dim = SINGLE_MATRIX_FUNCTIONS[name]
-    one = np.eye(dim, dtype=complex) / dim
-    fn(entropy.validate_density(one))  # one matrix is accepted
-    for vectors in (False, True):
-        stack = entropy.validate_densities(np.stack([one] * rows), vectors=vectors)
-        with pytest.raises(ValueError, match="stack"):
-            fn(stack)
+@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("name", sorted(DENSITY_FUNCTIONS))
+def test_a_stack_gives_each_matrix_its_own_value(name, rows):
+    # every measure and check takes one matrix or a stack, as an array or
+    # a Density with or without eigenvectors, and gives a stack's rows the
+    # values of its matrices taken one at a time
+    fn, dim = DENSITY_FUNCTIONS[name]
+    mats = random_densities(dim.bit_length() - 1, [[94, dim, i] for i in range(rows)])
+    one = [fn(m) for m in mats]
+    assert all(isinstance(v, float) for v in one) or name in ("validate_density", "dephasing_map")
+    stack = np.array(mats).reshape(rows, dim, dim)
+    for given in (stack, *(entropy.validate_density(stack, vectors=v) for v in (False, True))):
+        values = fn(given)
+        assert isinstance(values, np.ndarray) and len(values) == rows
+        for b, m in enumerate(mats):
+            assert np.array_equal(values[b], one[b]), (name, b)
+            assert np.array_equal(fn(entropy.validate_density(m)), one[b])
+            assert np.array_equal(fn(given[b]), one[b])
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_FUNCTIONS))
+def test_density_functions_reject_bad_shapes_and_non_finite_entries(name):
+    fn, dim = DENSITY_FUNCTIONS[name]
+    good = np.eye(dim, dtype=complex) / dim
+    non_finite = good.copy()
+    non_finite[0, 0] = np.nan
+    fn(good)
+    for bad in (
+        good[None, None],  # 4-d
+        good[0],  # 1-d
+        np.ones((dim, dim + 1)) / dim,  # not square
+        np.eye(8) / 8,  # too large for every function
+        non_finite,
+        np.stack([good, non_finite]),
+    ):
+        with pytest.raises(ValueError):
+            fn(bad)
 
 
 def test_campaign_unknown_name():
@@ -676,14 +706,13 @@ def test_analyze_matches_the_chunked_evaluation(kind):
 
 
 def test_density_checks_match_the_chunked_evaluation():
-    # the public checks are batches of one over the code that evaluates a
-    # chunk of the density campaigns
+    # a density campaign's chunk calls the public checks on its stacks
     config = verify.default_config("monotonicity", samples=40, seed=3)
     draws = verify._draw_density(config, range(40), with_sigma=True)
     states = [d.purification for d in draws] + [d.sigma for d in draws]
     rhos = linalg.partial_trace(np.array(states), [(0, 1)] * 80)
-    stack = entropy.validate_densities(rhos, dims=(4,), vectors=True)
-    values = entropy.validate_densities(rhos, dims=(4,))
+    stack = entropy.validate_density(rhos, dims=(4,), vectors=True)
+    values = entropy.validate_density(rhos, dims=(4,))
     assert values.eigenvectors is None
     assert np.array_equal(values.eigenvalues, stack.eigenvalues)
     for m, w, v in zip(rhos, stack.eigenvalues, stack.eigenvectors):
@@ -694,11 +723,11 @@ def test_density_checks_match_the_chunked_evaluation():
     # as in a monotonicity chunk: rho values only, sigma with eigenvectors
     rho, sigma = values[:40], stack[40:]
     chunked = {
-        "interm": verify._interm_slacks(rho),
-        "jonas": verify._jonas_slacks(rho),
-        "mixed": verify._monotonicity_slacks(rho, verify._MAX_MIXED_2Q),
-        "sigma": verify._monotonicity_slacks(rho, sigma),
-        "relative": verify._relative_entropies(rho, sigma),
+        "interm": verify.check_interm(rho),
+        "jonas": verify.check_jonas(rho),
+        "mixed": verify.check_monotonicity(rho, verify._MAX_MIXED_2Q),
+        "sigma": verify.check_monotonicity(rho, sigma),
+        "relative": verify.relative_entropy(rho, sigma),
     }
     for b in range(40):
         r, s = rhos[b], rhos[40 + b]
@@ -876,6 +905,28 @@ def test_bound_minus_closed_form_is_sin_squared_times_kappa():
             assert abs(identity) <= 1e-15
         kappa = 1.0 - c * c - stack.bound_entropies[row]["purity_bound"]
         assert abs(kappa - (stack.entanglement[row].bloch_length_r ** 2 - c * c)) <= 1e-14
+
+
+def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
+    # for a one-qubit reduction with Bloch length r, S = 1 - r^2 and
+    # f^-1(S_v) = r, so kappa_sv - kappa_purity = f^-1(S_v)^2 - r^2.  The
+    # inversion stops within _INVERSE_RESIDUAL of S_v, and |df/d(c^2)| =
+    # artanh(c) / (2 c ln 2) >= 1 / (2 ln 2) on [0, 1), so c^2 is off by at
+    # most 2 ln 2 times the residual; 1e-14 covers the float error of S
+    # and S_v
+    bound = 2.0 * math.log(2.0) * entropy._INVERSE_RESIDUAL + 1e-14
+    purity, sv = protocols._MEASURES["purity_bound"], protocols._MEASURES["sv_bound"]
+    config = verify.default_config("bound_main", samples=300, seed=42)
+    draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
+    for stack, row in verify._analyze_draws(draws):
+        entropies = stack.bound_entropies[row]
+        assert abs(sv(entropies["sv_bound"]) - purity(entropies["purity_bound"])) <= bound
+    r = np.linspace(0.0, 1.0, 2001)
+    rhos = np.zeros((len(r), 2, 2), dtype=complex)
+    rhos[:, 0, 0], rhos[:, 1, 1] = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    rhos = entropy.validate_density(rhos)
+    pairs = zip(entropy.purity_entanglement(rhos).tolist(), entropy.von_neumann(rhos).tolist())
+    assert max(abs(sv(v) - purity(s)) for s, v in pairs) <= bound
 
 
 def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
