@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from . import entropy, protocols, stateio, verify
+from . import entropy, linalg, protocols, stateio, verify
 from .protocols import ProtocolKind, ProtocolSpec
-from .qcore import PureState, basis_state, check_qubit_count
+from .qcore import PureState, basis_state
 
 DEFAULT_FIG5_S = (0.2, 0.4, 0.6, 0.8, 1.0)
 MAX_CURVE_GRID = 100_000  # points per curve; checked before anything is allocated
@@ -63,6 +63,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     s_values = DEFAULT_FIG5_S
+    if args.s_values is not None and args.figure != "fig5":
+        raise ValueError(f"--s-values applies to fig5 only, not {args.figure}")
     if args.s_values:
         s_values = tuple(float(tok) for tok in args.s_values.split(","))
         for s in s_values:
@@ -96,14 +98,18 @@ _PRESET_HELP = "bell, ghz:n, product:n, saturate:S, rho_lambda:L"
 
 def _preset_qubits(arg: str, default: int) -> int:
     n = int(arg) if arg else default
-    check_qubit_count(n)
+    largest = linalg.MAX_QUBITS - 1  # every protocol adds an ancilla
+    if not 1 <= n <= largest:
+        raise ValueError(f"preset register of {n} qubits outside [1, {largest}]")
     return n
 
 
 def preset_state(token: str) -> PureState:
     """Build a named preset register (see _PRESET_HELP for the names)."""
-    name, _, arg = token.partition(":")
+    name, sep, arg = token.partition(":")
     if name == "bell":
+        if sep:
+            raise ValueError(f"bell preset takes no value, got {token!r}")
         vec = np.zeros(4, dtype=complex)
         vec[0b00] = vec[0b11] = 1.0 / np.sqrt(2.0)
         return PureState(2, vec)

@@ -159,9 +159,10 @@ def bloch_length(rho: np.ndarray | Density) -> float | np.ndarray:
 
 
 def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
+    x = linalg._real(x, what)
     if not lo - _DOMAIN_SLACK <= x <= hi + _DOMAIN_SLACK:
         raise ValueError(f"{what}={x} outside [{lo}, {hi}]")
-    return min(max(float(x), lo), hi)
+    return min(max(x, lo), hi)
 
 
 def f(c: float) -> float:
@@ -216,7 +217,7 @@ def g_inverse(s: float) -> float:
 
     Since g = 1 + f this is f_inverse(s - 1); s - 1 is exact on [1, 2].
     """
-    if s < SV2_DOMAIN_EDGE:
+    if linalg._real(s, "entropy") < SV2_DOMAIN_EDGE:
         raise BoundDomainError(
             f"g_inverse undefined for entropy {s} < 1: the correlator is "
             "unconstrained there"

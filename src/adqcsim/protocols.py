@@ -10,14 +10,14 @@ With an accurate measurement the branches realize X^j J(u) on the target
 (rotations), X1^j H1 H2 CZ12 (CZ gate) or (Z1 Z2)^j SWAP12 CZ12 (CZSWAP
 gate), up to a global phase per branch.
 
-The simulation runs on (B, 2^n) stacks of registers of one size, one spec
-per row, and protocols of different kinds share a stack through per-row
-gate tables: `pre_measurement_states`, `run_protocols` and
-`analyze_stack`, which reduces the rows of each error kind on its own
-shape.  `pre_measurement_state`, `run_protocol` and `analyze` are
-batches of one over the same code.  A run's branches are one
-`ProtocolResult` of arrays: (2, 2^n) branches for one run, (B, 2, 2^n)
-for a stack.
+Each public function takes one register, a PureState or a (2^n,)
+vector, with one ProtocolSpec, or a (B, 2^n) stack of registers of one
+size with one spec per row, and returns a result of the input's rank.
+Protocols of different kinds share a stack through per-row gate tables,
+and `analyze` reduces the rows of each error kind on its own shape.  A
+run's branches are one `ProtocolResult` of arrays: (2, 2^n) branches for
+one run, (B, 2, 2^n) for a stack; its `FidelityReport` carries the same
+leading axis on every field.
 """
 from __future__ import annotations
 
@@ -134,17 +134,6 @@ class ProtocolResult(NamedTuple):
     inaccurate_branches: np.ndarray
 
 
-@dataclass
-class FidelityReport:
-    simulated_F: float
-    closed_form_F: float
-    correlator_used: float
-    entanglement: EntanglementReport
-    bounds: dict[str, float]
-    result: ProtocolResult  # the protocol run the fidelities come from
-    violations: dict[str, float]  # bound name -> excess, for each bound exceeded
-
-
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 # Every gate the protocols apply, stacked once; each protocol's steps as
 # (row of _GATE_TABLE, wires), so a gate step of a stack takes its
@@ -157,31 +146,51 @@ _STEPS = {
 }
 
 
-def _register_size(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> int:
-    n = linalg.n_qubits_of(amplitudes.shape[1])
+def _runs(
+    states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
+) -> tuple[np.ndarray, list[ProtocolSpec], int, bool]:
+    # The one reader of the input forms: one register (a PureState or a
+    # (2^n,) vector) with one spec, or a (B, 2^n) stack with one spec per
+    # row.  Returns the (B, 2^n) stack, its specs, n, and whether the
+    # input was one register.
+    amplitudes = np.asarray(
+        states.amplitudes if isinstance(states, PureState) else states, dtype=complex
+    )
+    one = amplitudes.ndim == 1
+    if one != isinstance(specs, ProtocolSpec):
+        raise ValueError("one register takes one ProtocolSpec, a (B, 2^n) stack one per row")
+    specs = [specs] if one else list(specs)
+    rows = linalg._rows(amplitudes, specs, "specs")
+    n = linalg.n_qubits_of(rows.shape[1])
     if n + 1 > linalg.MAX_QUBITS:
         raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
-    if len(specs) != amplitudes.shape[0]:
-        raise ValueError(f"{len(specs)} specs for {amplitudes.shape[0]} registers")
     for spec in specs:
         for t in spec.targets:
             if not 0 <= t < n:
                 raise ValueError(f"target {t} out of range for {n} qubits")
-    return n
+    return rows, specs, n, one
 
 
-def pre_measurement_states(
-    amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]
+def _first(value):
+    # row 0 of a one-row stack's result, in the form of one run's: a
+    # row of a 1-d array is a float, a result tuple is taken field by field
+    if isinstance(value, tuple):
+        return type(value)(*map(_first, value))
+    return float(value[0]) if isinstance(value, np.ndarray) and value.ndim == 1 else value[0]
+
+
+def pre_measurement_state(
+    states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
 ) -> np.ndarray:
-    """Register-plus-ancilla states right before the measurement, one row
-    per spec, from a (B, 2^n) stack of register states.
+    """Register-plus-ancilla amplitudes right before the measurement: a
+    (2^(n+1),) vector for one register, or one row per spec of a (B, 2^n)
+    stack.
 
     The ancilla is the last qubit.  Protocols of different kinds share the
     stack: gate step k applies each row's own k-th gate to the rows whose
     protocol has one.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = _register_size(amplitudes, specs)
+    amplitudes, specs, n, one = _runs(states, specs)
     vec = (amplitudes[:, :, None] * _PLUS).reshape(len(specs), 2 * amplitudes.shape[1])
     steps = [_STEPS[spec.kind] for spec in specs]
     for k in range(max(map(len, steps), default=0)):
@@ -195,13 +204,7 @@ def pre_measurement_states(
             vec = qcore.apply_matrix(vec, ops, wires, n + 1)
         else:
             vec[rows] = qcore.apply_matrix(vec[rows], ops, wires, n + 1)
-    return vec
-
-
-def pre_measurement_state(input_state: PureState, spec: ProtocolSpec) -> PureState:
-    """Register-plus-ancilla state right before the measurement."""
-    vec = pre_measurement_states(input_state.amplitudes[None], [spec])[0]
-    return PureState(input_state.n_qubits + 1, vec)
+    return _first(vec) if one else vec
 
 
 def _measurements(specs: Sequence[ProtocolSpec], n: int):
@@ -226,41 +229,33 @@ def _measurements(specs: Sequence[ProtocolSpec], n: int):
     return vectors.reshape(len(specs), 4, 2), measured, keep
 
 
-def run_protocols(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> ProtocolResult:
-    """run_protocol for every row of a (B, 2^n) stack of register states,
-    one spec per row: the ProtocolResult of the stack, with branches
-    (B, 2, 2^n) and probabilities (B, 2).
-    """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    pre = pre_measurement_states(amplitudes, specs)
-    n = linalg.n_qubits_of(amplitudes.shape[1])
+def run_protocol(
+    states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
+) -> ProtocolResult:
+    """Run one protocol on one register, or each row's protocol on a
+    (B, 2^n) stack: the ProtocolResult of the run or of the stack."""
+    amplitudes, specs, n, one = _runs(states, specs)
+    pre = pre_measurement_state(amplitudes, specs)
     vectors, measured, keep = _measurements(specs, n)
     branches = qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, vectors, keep)
     inaccurate, ideal = branches[:, :2], branches[:, 2:]
     probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
     ideal /= np.sqrt(probs)[..., None]
-    return ProtocolResult(ideal, probs, inaccurate)
+    result = ProtocolResult(ideal, probs, inaccurate)
+    return _first(result) if one else result
 
 
-def run_protocol(input_state: PureState, spec: ProtocolSpec) -> ProtocolResult:
-    """Run one protocol, returning ideal and inaccurate branches per outcome."""
-    return ProtocolResult(*(a[0] for a in run_protocols(input_state.amplitudes[None], [spec])))
-
-
-def mean_gate_fidelities(ideal: np.ndarray, inaccurate: np.ndarray) -> np.ndarray:
-    """mean_gate_fidelity for stacks of normalized ideal branches and
-    inaccurate branches, (..., 2, 2^n) each."""
-    overlap = np.einsum("...jm,...jm->...j", np.conj(ideal), inaccurate)
-    return (overlap.real**2 + overlap.imag**2).sum(axis=-1)
-
-
-def mean_gate_fidelity(result: ProtocolResult) -> float:
-    """Outcome-weighted squared overlap of ideal and inaccurate branches.
+def mean_gate_fidelity(result: ProtocolResult) -> float | np.ndarray:
+    """Outcome-weighted squared overlap of ideal and inaccurate branches,
+    a float for one run or one value per row of a stack's result.
 
     Computed as sum_j |<ideal_j | xi_j>|^2 with xi_j unnormalized, which
     carries the outcome probability weighting implicitly.
     """
-    return float(mean_gate_fidelities(result.ideal_branches, result.inaccurate_branches))
+    ideal, inaccurate = result.ideal_branches, result.inaccurate_branches
+    overlap = np.einsum("...jm,...jm->...j", np.conj(ideal), inaccurate)
+    fidelity = (overlap.real**2 + overlap.imag**2).sum(axis=-1)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def closed_form_fidelity(correlator: float, epsilon: float) -> float:
@@ -338,50 +333,50 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
 _MEASURES = {"purity_bound": _purity_measure, "sv_bound": _sv_measure, "sv2_bound": _sv2_measure}
 
 
-class FidelityStack(NamedTuple):
-    """analyze() over the rows of one stack of registers of one size.  Its
-    rows may mix the two error kinds; each kind's rows are reduced on its
-    own shape, the first target (X type) or the target pair (ZZ type).
+def _bound_of(entropies: dict[str, float], se: float, name: str) -> float | None:
+    value = entropies.get(name)
+    return None if value is None else _bound(_MEASURES[name](value), se)
 
-    A row's bounds are computed where they are read, from its sin(e/2) and
-    the clamped entropies kept per row under the name of the bound they
-    feed: the purity and sv bounds for a one-qubit reduction, the sv2
-    bound for a two-qubit one whose entropy lies in its domain.
+
+class FidelityReport(NamedTuple):
+    """analyze() of one run, or of a stack of runs with a leading axis on
+    every field: arrays of B values, lists of B reports and dicts, and the
+    stack's ProtocolResult.
+
+    A run's bounds are computed where they are read, from its sin(e/2) and
+    the clamped entropies kept under the name of the bound they feed: the
+    purity and sv bounds for a one-qubit reduction, the sv2 bound for a
+    two-qubit one whose entropy lies in its domain.
     """
 
-    simulated_F: np.ndarray
-    closed_form_F: np.ndarray
-    correlator_used: np.ndarray
-    entanglement: list[EntanglementReport]
-    bound_entropies: list[dict[str, float]]
-    sin_half: np.ndarray  # sin(epsilon / 2) per row
-    branches: ProtocolResult  # of the stack
+    simulated_F: float | np.ndarray
+    closed_form_F: float | np.ndarray
+    correlator_used: float | np.ndarray
+    entanglement: EntanglementReport | list[EntanglementReport]
+    bound_entropies: dict[str, float] | list[dict[str, float]]
+    sin_half: float | np.ndarray  # sin(epsilon / 2)
+    result: ProtocolResult  # the protocol run the fidelities come from
 
-    def bound(self, row: int, name: str) -> float | None:
-        """The named bound of one row, or None where it does not apply."""
-        value = self.bound_entropies[row].get(name)
-        return None if value is None else _bound(_MEASURES[name](value), self.sin_half[row])
+    def bound(self, name: str) -> float | None | list[float | None]:
+        """The named bound, or None where it does not apply; one value per
+        row of a stack."""
+        if isinstance(self.bound_entropies, dict):
+            return _bound_of(self.bound_entropies, self.sin_half, name)
+        sin_half = self.sin_half.tolist()
+        return [_bound_of(e, se, name) for e, se in zip(self.bound_entropies, sin_half)]
 
-    def bounds(self, row: int) -> dict[str, float]:
-        """Every bound that applies to one row."""
-        return {name: self.bound(row, name) for name in self.bound_entropies[row]}
+    @property
+    def bounds(self) -> dict[str, float]:
+        """Every bound that applies to one run."""
+        if not isinstance(self.bound_entropies, dict):
+            raise ValueError("bounds describe one run; read a stack's with bound(name)")
+        return {name: self.bound(name) for name in self.bound_entropies}
 
-    def report(self, row: int) -> FidelityReport:
-        simulated = float(self.simulated_F[row])
-        bounds = self.bounds(row)
-        return FidelityReport(
-            simulated_F=simulated,
-            closed_form_F=float(self.closed_form_F[row]),
-            correlator_used=float(self.correlator_used[row]),
-            entanglement=self.entanglement[row],
-            bounds=bounds,
-            result=ProtocolResult(*(a[row] for a in self.branches)),
-            violations={
-                name: simulated - value
-                for name, value in bounds.items()
-                if simulated - value > BOUND_SLACK_TOL
-            },
-        )
+    @property
+    def violations(self) -> dict[str, float]:
+        """Bound name -> excess, for each bound one run exceeds."""
+        excess = {name: self.simulated_F - value for name, value in self.bounds.items()}
+        return {name: value for name, value in excess.items() if value > BOUND_SLACK_TOL}
 
 
 def _one_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
@@ -412,20 +407,20 @@ _REDUCTIONS = {
 }
 
 
-def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> FidelityStack:
-    """analyze() for every row of a (B, 2^n) stack of register states, one
-    spec per row, of either error kind.
+def analyze(
+    states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
+) -> FidelityReport:
+    """Run a protocol and compare its fidelity against the applicable
+    bounds, for one register or for each row of a (B, 2^n) stack.
 
-    One simulation runs the whole stack.  Each reduction shape then runs
-    once, partial traces, eigenvalues and reports, over only the rows of
-    its error kind, and not at all where there are none.  The closed-form
-    fidelities and sin(e/2) are computed over the stack; a row's entropy
-    bounds are left until they are read.  A stack of no rows gives a
-    FidelityStack of no rows.
+    The reduced input state is taken on the first target (bit-flip-error
+    protocols) or on the target pair (the CZSWAP two-qubit gate).  One
+    simulation runs the whole stack; each reduction shape then runs once,
+    over only the rows of its error kind, and not at all where there are
+    none.  A stack of no rows gives a report of no rows.
     """
-    specs = list(specs)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    branches = run_protocols(amplitudes, specs)
+    amplitudes, specs, _, one = _runs(states, specs)
+    result = run_protocol(amplitudes, specs)
     reports: list = [None] * len(specs)
     bound_entropies: list = [None] * len(specs)
     for error, reduction in _REDUCTIONS.items():
@@ -440,21 +435,13 @@ def analyze_stack(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> Fide
             bound_entropies[b] = reduction.entropies(report)
     corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
     epsilon = np.array([spec.epsilon for spec in specs])
-    return FidelityStack(
-        simulated_F=mean_gate_fidelities(branches.ideal_branches, branches.inaccurate_branches),
+    report = FidelityReport(
+        simulated_F=mean_gate_fidelity(result),
         closed_form_F=_closed_form(corr, epsilon),
         correlator_used=corr,
         entanglement=reports,
         bound_entropies=bound_entropies,
         sin_half=np.sin(epsilon / 2.0),
-        branches=branches,
+        result=result,
     )
-
-
-def analyze(input_state: PureState, spec: ProtocolSpec) -> FidelityReport:
-    """Run a protocol and compare its fidelity against the applicable bounds.
-
-    The reduced input state is taken on the first target (bit-flip-error
-    protocols) or on the target pair (the CZSWAP two-qubit gate).
-    """
-    return analyze_stack(input_state.amplitudes[None], [spec]).report(0)
+    return _first(report) if one else report

@@ -217,13 +217,14 @@ class CampaignConfig:
     def __post_init__(self):
         # Each field is checked here, so that a bad value fails now rather
         # than mid-run, and the config is frozen, so that it stays checked.
+        _campaign(self.name)
         for name, value in dict(
             samples=_integer(self.samples, "samples"),
             seed=_integer(self.seed, "seed"),
             tolerance=_real(self.tolerance, "tolerance"),
-            epsilon_grid=_finite_grid(self.epsilon_grid, "epsilon_grid"),
-            delta_grid=_finite_grid(self.delta_grid, "delta_grid"),
-            register_sizes=tuple(_integer(n, "register_sizes entry") for n in self.register_sizes),
+            epsilon_grid=_entries(self.epsilon_grid, _finite, "epsilon_grid"),
+            delta_grid=_entries(self.delta_grid, _finite, "delta_grid"),
+            register_sizes=_entries(self.register_sizes, _integer, "register_sizes"),
         ).items():
             object.__setattr__(self, name, value)
         if self.samples < 1:
@@ -232,18 +233,21 @@ class CampaignConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not self.register_sizes:
-            raise ValueError("register_sizes must not be empty")
         largest = linalg.MAX_QUBITS - 1  # the ancilla takes the last qubit
         if not all(1 <= n <= largest for n in self.register_sizes):
             raise ValueError(f"register_sizes {self.register_sizes} must lie in [1, {largest}]")
 
 
-def _finite_grid(grid, name: str) -> tuple[float, ...]:
-    grid = tuple(_finite(x, f"{name} entry") for x in grid)
-    if not grid:
+def _entries(values, check: Callable, name: str) -> tuple:
+    # a sequence field (a grid or the register sizes): not empty, and
+    # each entry through its check
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} {values!r} is not a sequence") from None
+    if not values:
         raise ValueError(f"{name} must not be empty")
-    return grid
+    return tuple(check(x, f"{name} entry") for x in values)
 
 
 @dataclass
@@ -339,18 +343,15 @@ def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int
     return out
 
 
-def _analyze_draws(draws: list[_ProtocolDraw]) -> list[tuple[protocols.FidelityStack, int]]:
+def _analyze_draws(draws: list) -> list[tuple[list[int], protocols.FidelityReport]]:
     # One stack per register size and slice, whatever the kinds; returns
-    # each draw's (stack, row) in draw order.
-    out: list = [None] * len(draws)
-    for positions in _stacks(draws):
-        stack = protocols.analyze_stack(
-            np.array([draws[p].state for p in positions]),
-            [draws[p].spec for p in positions],
-        )
-        for row, p in enumerate(positions):
-            out[p] = (stack, row)
-    return out
+    # each slice's draw positions and the report of its stack.
+    return [
+        (positions, protocols.analyze(
+            np.array([draws[p].state for p in positions]), [draws[p].spec for p in positions]
+        ))
+        for positions in _stacks(draws)
+    ]
 
 
 def _evaluate_protocol(
@@ -358,16 +359,17 @@ def _evaluate_protocol(
 ) -> _Evaluation:
     # compare the simulated fidelity with the closed form (bound None) or
     # with a bound; a row below the bound's domain (sv2 < 1) is filtered
-    violations, sv2 = [], []
-    for stack, row in _analyze_draws(draws):
-        simulated = float(stack.simulated_F[row])
-        if bound is None:
-            violations.append(abs(simulated - float(stack.closed_form_F[row])))
-            continue
-        value = stack.bound(row, bound)
-        violations.append(None if value is None else simulated - value)
-        if value is not None and bound == "sv2_bound":
-            sv2.append(stack.entanglement[row].von_neumann)
+    violations: list = [None] * len(draws)
+    sv2 = []
+    for positions, report in _analyze_draws(draws):
+        simulated = report.simulated_F.tolist()
+        compared = report.closed_form_F.tolist() if bound is None else report.bound(bound)
+        for p, f, ref, ent in zip(positions, simulated, compared, report.entanglement):
+            if ref is None:
+                continue
+            violations[p] = abs(f - ref) if bound is None else f - ref
+            if bound == "sv2_bound":
+                sv2.append(ent.von_neumann)
     filtered = violations.count(None)
     stats = {"filtered_below_domain": filtered} if filtered else {}
     if sv2:
@@ -405,7 +407,7 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
             ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
             for kind in kinds[1:] for s in drawn
         ]
-        inaccurate = protocols.run_protocols(
+        inaccurate = protocols.run_protocol(
             np.tile(amplitudes, (len(kinds), 1)), specs
         ).inaccurate_branches
         runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
@@ -501,10 +503,12 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
 
 def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
     # the purity registers meet the purity bound, the Bell pairs the sv2 bound
-    violations = []
-    for d, (stack, row) in zip(draws, _analyze_draws(draws)):
-        bound = "purity_bound" if d.spec.kind in protocols.ROTATION_KINDS else "sv2_bound"
-        violations.append(abs(float(stack.simulated_F[row]) - stack.bound(row, bound)))
+    violations: list = [None] * len(draws)
+    for positions, report in _analyze_draws(draws):
+        purity, sv2 = report.bound("purity_bound"), report.bound("sv2_bound")
+        for row, p in enumerate(positions):
+            bound = purity[row] if draws[p].spec.kind in protocols.ROTATION_KINDS else sv2[row]
+            violations[p] = abs(float(report.simulated_F[row]) - bound)
     return violations, {}
 
 
@@ -617,8 +621,8 @@ CAMPAIGN_NAMES = tuple(sorted(_CAMPAIGNS))
 
 
 def _campaign(name: str) -> _Campaign:
-    if name not in _CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}; known: {', '.join(CAMPAIGN_NAMES)}")
+    if not isinstance(name, str) or name not in _CAMPAIGNS:
+        raise ValueError(f"name {name!r} is no known campaign; known: {', '.join(CAMPAIGN_NAMES)}")
     return _CAMPAIGNS[name]
 
 

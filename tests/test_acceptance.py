@@ -164,7 +164,7 @@ def test_criterion_05_pre_measurement_expansions():
                             vec = np.kron(vec, fac)
                         psi = PureState(n, vec / np.linalg.norm(vec))
                         spec = ProtocolSpec(kind, (t1, t2), epsilon=1.2, delta=0.8)
-                        got = protocols.pre_measurement_state(psi, spec).amplitudes
+                        got = protocols.pre_measurement_state(psi, spec)
                         want = builder(comps, z1, z2, t1, t2, n)
                         worst = max(worst, float(np.max(np.abs(got - want))))
                         cases += 1

@@ -149,6 +149,12 @@ def test_curves_bad_s_value():
     assert cli.main(["curves", "fig5", "--s-values", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("figure", ["fig6", "fig7"])
+def test_curves_s_values_is_for_fig5_only(figure, capsys):
+    assert cli.main(["curves", figure, "--s-values", "0.3"]) == 2
+    assert "fig5 only" in capsys.readouterr().err
+
+
 def test_curves_unwritable_output():
     assert cli.main(["curves", "fig5", "--output", "/nonexistent/dir/x.csv"]) == 2
 
@@ -289,12 +295,12 @@ def test_demo_saturate_preset(capsys):
 
 
 def test_demo_reports_each_exceeded_bound_with_its_excess():
-    # no correct run exceeds a bound, so raise a stack's simulated fidelity
+    # no correct run exceeds a bound, so raise a report's simulated fidelity
     spec = protocols.ProtocolSpec(
         protocols.ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.4, epsilon=1.0, delta=0.2
     )
-    stack = protocols.analyze_stack(cli.preset_state("bell").amplitudes[None], [spec])
-    report = stack._replace(simulated_F=stack.simulated_F + 0.1).report(0)
+    report = protocols.analyze(cli.preset_state("bell"), spec)
+    report = report._replace(simulated_F=report.simulated_F + 0.1)
     assert report.violations == {
         name: report.simulated_F - value for name, value in report.bounds.items()
     }
@@ -307,15 +313,15 @@ def test_demo_reports_each_exceeded_bound_with_its_excess():
 
 
 def test_demo_runs_the_protocol_once(monkeypatch, capsys):
-    # every simulation goes through the stacked run_protocols
+    # every simulation goes through run_protocol, on a stack of one row
     calls = []
-    run = protocols.run_protocols
+    run = protocols.run_protocol
 
     def counted(amplitudes, specs):
         calls.append(len(specs))
         return run(amplitudes, specs)
 
-    monkeypatch.setattr(protocols, "run_protocols", counted)
+    monkeypatch.setattr(protocols, "run_protocol", counted)
     info = demo_json(["demo", "ADQC_CZ_GATE", "--preset", "ghz:3", "--epsilon", "0.4"], capsys)
     assert calls == [1]
     assert sum(info["branch_probabilities"]) == pytest.approx(1.0, abs=1e-12)
@@ -371,11 +377,22 @@ def test_preset_errors():
         cli.preset_state("saturate")
 
 
-@pytest.mark.parametrize("token", ["ghz:-1", "ghz:0", "ghz:9", "product:-2", "product:0", "product:9"])
+# every protocol adds an ancilla, so a preset register holds at most 7 qubits
+@pytest.mark.parametrize("token", [
+    "ghz:-1", "ghz:0", "ghz:8", "ghz:9", "product:-2", "product:0", "product:8", "product:9",
+])
 def test_preset_register_size_out_of_range(token, capsys):
     with pytest.raises(ValueError, match="outside"):
         cli.preset_state(token)
     assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", token]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bell_preset_takes_no_value(capsys):
+    for token in ("bell:5", "bell:"):
+        with pytest.raises(ValueError, match="no value"):
+            cli.preset_state(token)
+    assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", "bell:5"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

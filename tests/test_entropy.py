@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adqcsim import entropy, linalg, qcore, verify
+from adqcsim import entropy, linalg, protocols, qcore, verify
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -387,3 +387,25 @@ def test_reports():
     for bad in (np.eye(2) / 2, np.eye(8)[None] / 8):  # one matrix; too large
         with pytest.raises(ValueError):
             entropy.entanglement_reports(bad)
+
+
+# every check of a value in a unit interval (or [1, 2]) takes a real number
+_UNIT_INTERVAL_INPUTS = {
+    "f": entropy.f,
+    "f_inverse": entropy.f_inverse,
+    "g": entropy.g,
+    "g_inverse": entropy.g_inverse,
+    "rho_lambda": verify.rho_lambda,
+    "purified_rho_lambda": verify.purified_rho_lambda,
+    "saturating_single_qubit_register": lambda s: verify.saturating_single_qubit_register(s, 2),
+    "bound_purity": lambda s: protocols.bound_purity(s, 0.5),
+    "closed_form_fidelity": lambda c: protocols.closed_form_fidelity(c, 0.3),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "0.3"])
+@pytest.mark.parametrize("name", list(_UNIT_INTERVAL_INPUTS))
+def test_unit_interval_inputs_reject_a_bool_or_a_string(name, value):
+    # True used to run as 1 (f(True) gave -0.0) and "0.3" raised TypeError
+    with pytest.raises(ValueError, match="not a real number"):
+        _UNIT_INTERVAL_INPUTS[name](value)

@@ -466,10 +466,11 @@ def test_analyze_czswap_below_domain_has_no_sv2_bound():
 
 # ------------------------------------------------------------ stacks
 
-def _assert_stacks_equal(got: protocols.FidelityStack, want: protocols.FidelityStack):
+def _assert_reports_equal(got, want):
+    # field by field, arrays bit for bit
     for name, value in want._asdict().items():
         if isinstance(value, protocols.ProtocolResult):
-            _assert_stacks_equal(getattr(got, name), value)
+            _assert_reports_equal(getattr(got, name), value)
         elif isinstance(value, np.ndarray):
             assert getattr(got, name).tobytes() == value.tobytes(), name
         else:
@@ -482,24 +483,22 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
     n, rows = 4, 40
     states = [qcore.haar_state(n, g) for g in qcore.generators([[83, b] for b in range(rows)])]
     specs = [random_spec(rng, n) for _ in range(rows)]
-    mixed = protocols.analyze_stack(np.array(states), specs)
+    mixed = protocols.analyze(np.array(states), specs)
     x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
     zz_type = [b for b in range(rows) if b not in x_type]
     assert len(x_type) >= 10 and len(zz_type) >= 5
     for part in (x_type, zz_type):
-        alone = protocols.analyze_stack(
-            np.array([states[b] for b in part]), [specs[b] for b in part]
-        )
-        picked = protocols.FidelityStack(*(
+        alone = protocols.analyze(np.array([states[b] for b in part]), [specs[b] for b in part])
+        picked = protocols.FidelityReport(*(
             protocols.ProtocolResult(*(a[part] for a in value))
             if isinstance(value, protocols.ProtocolResult)
             else value[part] if isinstance(value, np.ndarray)
             else [value[b] for b in part]
             for value in mixed
         ))
-        _assert_stacks_equal(picked, alone)
-        for row, b in enumerate(part):
-            assert mixed.bounds(b) == alone.bounds(row)
+        _assert_reports_equal(picked, alone)
+        for name in ("purity_bound", "sv_bound", "sv2_bound"):
+            assert [mixed.bound(name)[b] for b in part] == alone.bound(name)
 
 
 def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
@@ -510,13 +509,14 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
     streams = qcore.generators([[85, b] for b in range(rows)])
     states = np.array([qcore.haar_state(3, g) for g in streams])
     specs = [random_spec(rng, 3) for _ in range(rows)]
-    stack = protocols.analyze_stack(states, specs)
+    stack = protocols.analyze(states, specs)
+    bounds = {name: stack.bound(name) for name in ("purity_bound", "sv_bound", "sv2_bound")}
     for row, spec in enumerate(specs):
         ce, se = np.cos(spec.epsilon / 2.0), np.sin(spec.epsilon / 2.0)
         c = float(stack.correlator_used[row])
         assert stack.closed_form_F[row] == float(ce * ce + c * c * se * se)
         entropies = stack.bound_entropies[row]
-        want = {}
+        want = dict.fromkeys(bounds)
         if "purity_bound" in entropies:
             want["purity_bound"] = float(1.0 - entropies["purity_bound"] * se * se)
             f = entropy.f_inverse(entropies["sv_bound"])
@@ -524,7 +524,7 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
         if "sv2_bound" in entropies:
             g = entropy.g_inverse(entropies["sv2_bound"])
             want["sv2_bound"] = float(1.0 - (1.0 - g * g) * se * se)
-        assert stack.bounds(row) == want
+        assert {name: values[row] for name, values in bounds.items()} == want
 
 
 def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
@@ -543,21 +543,94 @@ def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
     states = np.array([qcore.haar_state(3, g) for g in streams])
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
         reduced.clear()
-        protocols.analyze_stack(states, [random_spec(rng, 3, kinds) for _ in range(6)])
+        protocols.analyze(states, [random_spec(rng, 3, kinds) for _ in range(6)])
         assert reduced == [(6, shape)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_register_is_row_0_of_a_one_row_stack_bit_for_bit(kind):
+    # a PureState and its raw vector give what a stack of that one row
+    # gives in row 0, for each of the four functions
+    rng = np.random.default_rng([86, ALL_KINDS.index(kind)])
+    psi = PureState(3, qcore.haar_state(3, qcore.generators([[86, ALL_KINDS.index(kind)]])[0]))
+    spec = random_spec(rng, 3, (kind,))
+    stack = psi.amplitudes[None]
+    rows = protocols.analyze(stack, [spec])
+    want = protocols.FidelityReport(*(
+        protocols.ProtocolResult(*(a[0] for a in value))
+        if isinstance(value, protocols.ProtocolResult)
+        else float(value[0]) if isinstance(value, np.ndarray)
+        else value[0]
+        for value in rows
+    ))
+    for one in (psi, psi.amplitudes):
+        pre = protocols.pre_measurement_state(one, spec)
+        assert pre.shape == (16,)
+        assert pre.tobytes() == protocols.pre_measurement_state(stack, [spec])[0].tobytes()
+        result = protocols.run_protocol(one, spec)
+        stacked = protocols.run_protocol(stack, [spec])
+        for got, rows_of in zip(result, stacked):
+            assert got.shape == rows_of.shape[1:] and got.tobytes() == rows_of[0].tobytes()
+        fidelity = protocols.mean_gate_fidelity(result)
+        assert type(fidelity) is float
+        assert fidelity == protocols.mean_gate_fidelity(stacked)[0]
+        report = protocols.analyze(one, spec)
+        _assert_reports_equal(report, want)
+        assert type(report.simulated_F) is float and isinstance(report.bound_entropies, dict)
+        for name in ("purity_bound", "sv_bound", "sv2_bound"):
+            assert report.bound(name) == rows.bound(name)[0]
+
+
+@pytest.mark.parametrize("fn", ["pre_measurement_state", "run_protocol", "analyze"])
+def test_a_register_takes_one_spec_and_a_stack_one_spec_per_row(fn):
+    run = getattr(protocols, fn)
+    psi = basis_state(2, 0)
+    spec = ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (1,), u=0.2, epsilon=0.3)
+    for one in (psi, psi.amplitudes):
+        with pytest.raises(ValueError, match="one ProtocolSpec"):
+            run(one, [spec])
+    with pytest.raises(ValueError, match="one ProtocolSpec"):
+        run(psi.amplitudes[None], spec)
+    with pytest.raises(ValueError, match="2 specs for 1 rows"):
+        run(psi.amplitudes[None], [spec, spec])
+    with pytest.raises(ValueError, match="stack"):
+        run(psi.amplitudes[None, None], [spec])
+    with pytest.raises(ValueError, match="target 2 out of range"):
+        run(psi, ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (0, 2)))
+
+
+def test_bounds_and_violations_describe_one_run():
+    # a stack's bounds are read by name, one value per row
+    states = np.array([basis_state(4, 0).amplitudes, verify.bell_pair_register().amplitudes])
+    specs = [
+        ProtocolSpec(ProtocolKind.ONEWAY_ROTATION, (0,), u=1.0, epsilon=2.0),
+        ProtocolSpec(ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=1.0),
+    ]
+    stack = protocols.analyze(states, specs)
+    for name in ("bounds", "violations"):
+        with pytest.raises(ValueError, match="one run"):
+            getattr(stack, name)
+    for name in ("purity_bound", "sv_bound", "sv2_bound"):
+        assert stack.bound(name) == [
+            protocols.analyze(state, spec).bound(name) for state, spec in zip(states, specs)
+        ]
+    assert stack.bound("purity_bound")[0] == 1.0 and stack.bound("purity_bound")[1] is None
+    assert stack.bound("sv2_bound")[0] is None and stack.bound("sv2_bound")[1] is not None
 
 
 def test_stacks_of_no_rows_give_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
-    assert protocols.pre_measurement_states(empty, []).shape == (0, 16)
-    result = protocols.run_protocols(empty, [])
+    assert protocols.pre_measurement_state(empty, []).shape == (0, 16)
+    result = protocols.run_protocol(empty, [])
     assert isinstance(result, protocols.ProtocolResult)
     ideal, probs, inaccurate = result
     assert (ideal.shape, probs.shape, inaccurate.shape) == ((0, 2, 8), (0, 2), (0, 2, 8))
-    stack = protocols.analyze_stack(empty, [])
-    assert stack.simulated_F.shape == stack.closed_form_F.shape == stack.sin_half.shape == (0,)
-    assert stack.entanglement == stack.bound_entropies == []
-    assert stack.branches.inaccurate_branches.shape == (0, 2, 8)
+    assert protocols.mean_gate_fidelity(result).shape == (0,)
+    report = protocols.analyze(empty, [])
+    assert report.simulated_F.shape == report.closed_form_F.shape == report.sin_half.shape == (0,)
+    assert report.entanglement == report.bound_entropies == []
+    assert report.result.inaccurate_branches.shape == (0, 2, 8)
+    assert report.bound("purity_bound") == []
 
 
 # --------------------------------------------- pre-measurement expansions
@@ -630,7 +703,7 @@ def test_pre_measurement_expansions(kind, builder, n, t1, t2):
             normed = [c / np.linalg.norm(c) for c in comps]
             psi = PureState(n, vec)
             spec = ProtocolSpec(kind, (t1, t2), epsilon=0.9, delta=2.1)
-            got = protocols.pre_measurement_state(psi, spec).amplitudes
+            got = protocols.pre_measurement_state(psi, spec)
             want = builder({(z2, z1): normed}, t1, t2, n)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -663,6 +736,6 @@ def test_pre_measurement_superposition():
         (ProtocolKind.ADQC_CZSWAP_GATE, expected_czswap_gate_pre_measurement),
     ):
         spec = ProtocolSpec(kind, (t1, t2), epsilon=0.3, delta=0.7)
-        got = protocols.pre_measurement_state(psi, spec).amplitudes
+        got = protocols.pre_measurement_state(psi, spec)
         want = builder(spect_vecs, t1, t2, n)
         assert np.max(np.abs(got - want)) < 1e-12

@@ -260,6 +260,11 @@ _VALID_CONFIG = dict(
 
 
 @pytest.mark.parametrize("field, value", [
+    ("name", "nosuch"),
+    ("name", None),
+    ("epsilon_grid", 0.5),
+    ("delta_grid", None),
+    ("register_sizes", 2),
     ("seed", True),
     ("samples", True),
     ("samples", 2.5),
@@ -506,9 +511,9 @@ def test_density_functions_reject_bad_shapes_and_non_finite_entries(name):
 
 
 def test_campaign_unknown_name():
-    config = dataclasses.replace(verify.default_config("jonas"), name="bogus")
-    with pytest.raises(ValueError):
-        verify.run_campaign(config)
+    # rejected when the config is built, before any run
+    with pytest.raises(ValueError, match="name"):
+        dataclasses.replace(verify.default_config("jonas"), name="bogus")
 
 
 _FROZEN = {
@@ -648,7 +653,7 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
         assert reports == [reports[0]] * len(runs), samples
 
 
-# run_protocols calls of a campaign run, per register size: one per chunk
+# run_protocol calls of a campaign run, per register size: one per chunk
 # and slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x
 # 2^(n+1); circuit_equivalence's stacks hold three rows per draw, one per
 # rotation kind.  Chunks hold 128 items.
@@ -669,14 +674,14 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
     ("saturation", None, 1, {2: 1, 4: 1}),
 ])
 def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, samples, calls):
-    original = protocols.run_protocols
+    original = protocols.run_protocol
     stacks = []
 
     def counted(amplitudes, specs):
         stacks.append(amplitudes.shape)
         return original(amplitudes, specs)
 
-    monkeypatch.setattr(protocols, "run_protocols", counted)
+    monkeypatch.setattr(protocols, "run_protocol", counted)
     config = verify.default_config(name, samples=samples, seed=13)
     if sizes is not None:
         config = dataclasses.replace(config, register_sizes=sizes)
@@ -691,18 +696,22 @@ def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, sa
 
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
 def test_analyze_matches_the_chunked_evaluation(kind):
-    # analyze is a batch of one over the code that evaluates a chunk
+    # analyze of one register is row 0 of the code that evaluates a chunk
     config = verify.default_config("equality_oracle", samples=40, seed=3)
     draws = verify._draw_protocol(config, range(40), kinds=(kind,))
-    for d, (stack, row) in zip(draws, verify._analyze_draws(draws)):
-        rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec)
-        assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
-        assert abs(rep.closed_form_F - stack.closed_form_F[row]) <= 1e-15
-        assert abs(rep.correlator_used - stack.correlator_used[row]) <= 1e-15
-        assert rep.bounds.keys() == stack.bounds(row).keys()
-        for name, value in rep.bounds.items():
-            assert abs(value - stack.bound(row, name)) <= 1e-15
-        assert rep.entanglement == stack.entanglement[row]
+    names = ("purity_bound", "sv_bound", "sv2_bound")
+    for positions, stack in verify._analyze_draws(draws):
+        bounds = {name: stack.bound(name) for name in names}
+        for row, p in enumerate(positions):
+            d = draws[p]
+            rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec)
+            assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
+            assert abs(rep.closed_form_F - stack.closed_form_F[row]) <= 1e-15
+            assert abs(rep.correlator_used - stack.correlator_used[row]) <= 1e-15
+            assert rep.bounds.keys() == {n for n in names if bounds[n][row] is not None}
+            for name, value in rep.bounds.items():
+                assert abs(value - bounds[name][row]) <= 1e-15
+            assert rep.entanglement == stack.entanglement[row]
 
 
 def test_density_checks_match_the_chunked_evaluation():
@@ -897,14 +906,19 @@ def test_bound_minus_closed_form_is_sin_squared_times_kappa():
     config = verify.default_config("bound_main", samples=300, seed=42)
     draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
     assert {len(d.state) for d in draws} == {4, 8, 16, 32}  # n = 2..5
-    for stack, row in verify._analyze_draws(draws):
-        se, c = stack.sin_half[row], stack.correlator_used[row]
-        for name in ("purity_bound", "sv_bound"):
-            kappa = 1.0 - c * c - protocols._MEASURES[name](stack.bound_entropies[row][name])
-            identity = stack.bound(row, name) - stack.closed_form_F[row] - se * se * kappa
-            assert abs(identity) <= 1e-15
-        kappa = 1.0 - c * c - stack.bound_entropies[row]["purity_bound"]
-        assert abs(kappa - (stack.entanglement[row].bloch_length_r ** 2 - c * c)) <= 1e-14
+    rows = 0
+    for positions, stack in verify._analyze_draws(draws):
+        bounds = {name: stack.bound(name) for name in ("purity_bound", "sv_bound")}
+        for row in range(len(positions)):
+            se, c = stack.sin_half[row], stack.correlator_used[row]
+            for name, values in bounds.items():
+                kappa = 1.0 - c * c - protocols._MEASURES[name](stack.bound_entropies[row][name])
+                identity = values[row] - stack.closed_form_F[row] - se * se * kappa
+                assert abs(identity) <= 1e-15
+            kappa = 1.0 - c * c - stack.bound_entropies[row]["purity_bound"]
+            assert abs(kappa - (stack.entanglement[row].bloch_length_r ** 2 - c * c)) <= 1e-14
+            rows += 1
+    assert rows == 300
 
 
 def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
@@ -918,9 +932,10 @@ def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
     purity, sv = protocols._MEASURES["purity_bound"], protocols._MEASURES["sv_bound"]
     config = verify.default_config("bound_main", samples=300, seed=42)
     draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
-    for stack, row in verify._analyze_draws(draws):
-        entropies = stack.bound_entropies[row]
-        assert abs(sv(entropies["sv_bound"]) - purity(entropies["purity_bound"])) <= bound
+    entropies = [e for _, stack in verify._analyze_draws(draws) for e in stack.bound_entropies]
+    assert len(entropies) == 300
+    for e in entropies:
+        assert abs(sv(e["sv_bound"]) - purity(e["purity_bound"])) <= bound
     r = np.linspace(0.0, 1.0, 2001)
     rhos = np.zeros((len(r), 2, 2), dtype=complex)
     rhos[:, 0, 0], rhos[:, 1, 1] = (1.0 + r) / 2.0, (1.0 - r) / 2.0
