@@ -65,7 +65,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     s_values = DEFAULT_FIG5_S
     if args.s_values is not None and args.figure != "fig5":
         raise ValueError(f"--s-values applies to fig5 only, not {args.figure}")
-    if args.s_values:
+    if args.s_values is not None:  # "" lists no value, and is an error
         s_values = tuple(float(tok) for tok in args.s_values.split(","))
         for s in s_values:
             if not 0.0 <= s <= 1.0:

@@ -25,7 +25,10 @@ _MAX_SWEEPS = 60
 
 
 def _integer(value, name: str) -> int:
-    # bool is an int subclass, but True is no sample count, seed or qubit
+    # bool is an int subclass, but True is no sample count, seed or qubit;
+    # an exact int, the common case, skips the slower ABC test
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
@@ -33,7 +36,10 @@ def _integer(value, name: str) -> int:
 
 def _real(value, name: str) -> float:
     # bool is an int, so a Real, but True is no tolerance or angle; checked
-    # before float(), which would turn True into 1.0 and "0.5" into 0.5
+    # before float(), which would turn True into 1.0 and "0.5" into 0.5;
+    # an exact float, the common case, skips the slower ABC test
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} is not a real number")
     return float(value)
@@ -92,22 +98,34 @@ def permute_qubits(
     n = n_qubits_of(dim)
     if len(orders) != rows:
         raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
-    if rows == 0:
-        return states.copy()
+    return _permute(states, _qubit_tables(n, orders), inverse)
+
+
+def _qubit_tables(n: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    # permute_qubits' gather tables for one order per row: the order's
+    # (2^n,) table when every row has the same one, else a (B, 2^n) table
+    # of indices into the flattened stack
+    if not orders:
+        return np.empty((0, 2**n), dtype=np.intp)
     first = tuple(orders[0])
-    if rows == 1 or all(tuple(o) == first for o in orders):
-        tables = _index_table(n, first)
-        if not inverse:
-            return states[:, tables]
-        out = np.empty_like(states)
-        out[:, tables] = states
-        return out
+    if len(orders) == 1 or all(tuple(o) == first for o in orders):
+        return _index_table(n, first)
     tables = np.stack([_index_table(n, tuple(o)) for o in orders])
-    tables += np.arange(0, rows * dim, dim)[:, None]
+    tables += np.arange(0, len(orders) << n, 1 << n)[:, None]
+    return tables
+
+
+def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
+    # the gather (or, with `inverse`, the scatter) of permute_qubits over
+    # tables from _qubit_tables
+    flat = tables.ndim == 2
     if not inverse:
-        return states.reshape(-1)[tables]
+        return states.reshape(-1)[tables] if flat else states[:, tables]
     out = np.empty_like(states)
-    out.reshape(-1)[tables] = states
+    if flat:
+        out.reshape(-1)[tables] = states
+    else:
+        out[:, tables] = states
     return out
 
 

@@ -18,6 +18,12 @@ and `analyze` reduces the rows of each error kind on its own shape.  A
 run's branches are one `ProtocolResult` of arrays: (2, 2^n) branches for
 one run, (B, 2, 2^n) for a stack; its `FidelityReport` carries the same
 leading axis on every field.
+
+Every simulation is one call of the private `_branches`: each row's gate
+steps, then its measurement in the bases asked for.  `run_protocol` asks
+for the tilted and the ideal bases and normalizes the ideal branches; a
+caller that reads only the tilted branches, as verify's
+circuit_equivalence does, asks for those alone, bit for bit the same.
 """
 from __future__ import annotations
 
@@ -102,6 +108,8 @@ class ProtocolSpec:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProtocolKind):
+            raise ValueError(f"kind {self.kind!r} is not a ProtocolKind")
         object.__setattr__(self, "targets", tuple(_integer(t, "target") for t in self.targets))
         for name in ("u", "epsilon", "delta"):
             value = getattr(self, name)
@@ -165,6 +173,8 @@ def _runs(
     if n + 1 > linalg.MAX_QUBITS:
         raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
     for spec in specs:
+        if not isinstance(spec, ProtocolSpec):
+            raise ValueError(f"spec {spec!r} is not a ProtocolSpec")
         for t in spec.targets:
             if not 0 <= t < n:
                 raise ValueError(f"target {t} out of range for {n} qubits")
@@ -191,7 +201,8 @@ def pre_measurement_state(
     protocol has one.
     """
     amplitudes, specs, n, one = _runs(states, specs)
-    vec = (amplitudes[:, :, None] * _PLUS).reshape(len(specs), 2 * amplitudes.shape[1])
+    # psi (x) |+>: both entries of _PLUS are equal
+    vec = np.repeat(amplitudes * _PLUS[0], 2, axis=1)
     steps = [_STEPS[spec.kind] for spec in specs]
     for k in range(max(map(len, steps), default=0)):
         rows = [b for b, gates in enumerate(steps) if len(gates) > k]
@@ -207,26 +218,39 @@ def pre_measurement_state(
     return _first(vec) if one else vec
 
 
-def _measurements(specs: Sequence[ProtocolSpec], n: int):
-    # Per row: the tilted then the ideal basis vectors (4, 2), the measured
-    # qubit, and the order of the qubits left over.  The ideal basis is the
-    # epsilon=0 basis at the *same* delta, which fixes the branch phases so
-    # that the error-operator factorization of the inaccurate branches
-    # holds exactly, not just up to phase.  With measures_target the
-    # ancilla takes the measured target's slot.
+def _measurements(specs: Sequence[ProtocolSpec], n: int, ideal: bool):
+    # Per row: the tilted basis vectors, followed with `ideal` by the ideal
+    # ones ((4, 2) or (2, 2)), the measured qubit, and the order of the
+    # qubits left over.  The ideal basis is the epsilon=0 basis at the
+    # *same* delta, which fixes the branch phases so that the
+    # error-operator factorization of the inaccurate branches holds
+    # exactly, not just up to phase.  With measures_target the ancilla
+    # takes the measured target's slot.
     rows = [_PROTOCOLS[spec.kind] for spec in specs]
     rotation = np.array([row.rotation for row in rows])[:, None, None]
     u = [spec.u if row.rotation else 0.0 for spec, row in zip(specs, rows)]
     reference = np.where(rotation, qcore.equatorial_pair(u), qcore.Z_PAIR)
-    epsilon = [(spec.epsilon, 0.0) for spec in specs]
-    delta = [(spec.delta, spec.delta) for spec in specs]
+    bases = 2 if ideal else 1
+    epsilon = [(spec.epsilon, 0.0)[:bases] for spec in specs]
+    delta = [(spec.delta,) * bases for spec in specs]
     vectors = qcore.tilted_vectors(reference[:, None], epsilon, delta)
     measured, keep = [], []
     for spec, row in zip(specs, rows):
         t = spec.targets[0]
         measured.append(t if row.measures_target else n)
         keep.append((*range(t), n, *range(t + 1, n)) if row.measures_target else None)
-    return vectors.reshape(len(specs), 4, 2), measured, keep
+    return vectors.reshape(len(specs), 2 * bases, 2), measured, keep
+
+
+def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], ideal: bool) -> np.ndarray:
+    # Each row of a (B, 2^n) stack through its gate steps, then measured:
+    # the (B, 2, 2^n) unnormalized tilted branches, followed with `ideal`
+    # by the two ideal ones, (B, 4, 2^n).  A caller that reads only the
+    # tilted branches asks for those alone and pays for no ideal ones.
+    pre = pre_measurement_state(states, specs)  # checks the stack and its specs
+    n = linalg.n_qubits_of(pre.shape[1]) - 1
+    vectors, measured, keep = _measurements(specs, n, ideal)
+    return qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, vectors, keep)
 
 
 def run_protocol(
@@ -234,10 +258,8 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run one protocol on one register, or each row's protocol on a
     (B, 2^n) stack: the ProtocolResult of the run or of the stack."""
-    amplitudes, specs, n, one = _runs(states, specs)
-    pre = pre_measurement_state(amplitudes, specs)
-    vectors, measured, keep = _measurements(specs, n)
-    branches = qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, vectors, keep)
+    amplitudes, specs, _, one = _runs(states, specs)
+    branches = _branches(amplitudes, specs, ideal=True)
     inaccurate, ideal = branches[:, :2], branches[:, 2:]
     probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
     ideal /= np.sqrt(probs)[..., None]
@@ -278,7 +300,7 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
 
     with P = X (X_TYPE, 2x2) or P = Z (x) Z (ZZ_TYPE, 4x4).
     """
-    if j not in (0, 1):
+    if _integer(j, "outcome") not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {j}")
     if kind not in _REDUCTIONS:
         raise ValueError(f"unknown error kind {kind}")

@@ -13,11 +13,13 @@ outcome probability.
 PureState or a StateStack, with per-row operators, targets and bases;
 each row's qubits are brought into place by one gather over index tables
 cached per (n, linalg.qubit_order), so every row costs the same
-arithmetic as a lone vector.
+arithmetic as a lone vector; `apply_matrix` scatters its rows back over
+the same tables.
 
 `generators` seeds the streams of many keys in one call, each generator
 in exactly the state numpy's default generator would start in for its
-key.  `haar_state` draws a plain (2^n,) vector from one of them, which
+key.  `haar_state` draws a plain (2^n,) vector from one of them, in one
+standard_normal call for the real and the imaginary parts, which
 the campaigns stack unwrapped; `random_pure_state`, a batch of one over
 both, wraps its draw in a validated PureState.
 """
@@ -200,10 +202,14 @@ def apply_matrix(
     k = linalg.n_qubits_of(op.shape[-1])
     if any(len(row) != k for row in target_rows):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    orders = [linalg.qubit_order(n_qubits, tuple(row)) for row in target_rows]
+    # the gather tables of the rows' qubit orders, built once for the
+    # gather and the scatter back
+    tables = linalg._qubit_tables(
+        n_qubits, [linalg.qubit_order(n_qubits, tuple(row)) for row in target_rows]
+    )
     dim = rows.shape[1]
-    psi = op @ linalg.permute_qubits(rows, orders).reshape(len(rows), 2**k, dim >> k)
-    out = linalg.permute_qubits(psi.reshape(len(rows), dim), orders, inverse=True)
+    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
+    out = linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
     return out if vec.ndim == 2 else out[0]
 
 
@@ -240,6 +246,7 @@ def measure_branch(
     linalg._rows(amplitudes, keeps, "qubit orders")
     orders = []
     for q, k in zip(qubits, keeps):
+        q = linalg._integer(q, "qubit")  # operator.index would take True
         # the measured qubit first, then `keep`, which must order all the others
         if k is not None and len(k) != state.n_qubits - 1:
             raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
@@ -317,6 +324,9 @@ def _key_words(key) -> list[int]:
         raise TypeError(f"a key is an integer or a sequence of integers, got {key!r}")
     words = []
     for part in parts:
+        if type(part) is int and 0 <= part <= _MASK32:  # one word, the common case
+            words.append(part)
+            continue
         if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
             raise TypeError(f"key {key!r} has a non-integer entry {part!r}")
         part = int(part)
@@ -401,8 +411,11 @@ def generators(keys: Sequence) -> list[np.random.Generator]:
 def haar_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state as a plain (2^n,) vector: normalized i.i.d.
     complex Gaussian amplitudes drawn from `rng`, the real parts first."""
-    check_qubit_count(n_qubits)
-    vec = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
+    dim = 2 ** check_qubit_count(n_qubits)
+    # one draw of 2 dim values, the stream the two draws of dim would take
+    parts = rng.standard_normal(2 * dim)
+    vec = np.empty(dim, dtype=complex)
+    vec.real, vec.imag = parts[:dim], parts[dim:]
     vec /= np.linalg.norm(vec)
     return vec
 

@@ -17,9 +17,11 @@ size or the stack cap.  A draw carries its registers as plain amplitude
 vectors, wrapped in a PureState only for a failing report's worst case.
 
 The protocol campaigns run one simulation per register size, whatever
-the protocol and error kinds (circuit_equivalence puts all three
-rotation kinds of a register in it), cut into stacks of at most
-_STACK_AMPLITUDES amplitudes.  The density campaigns take one
+the protocol and error kinds, cut into stacks of at most
+_STACK_AMPLITUDES amplitudes.  circuit_equivalence puts all three
+rotation kinds of a register in it, measures only the tilted branches
+it compares (protocols._branches without the ideal bases) and compares
+every pair of kinds in one call.  The density campaigns take one
 linalg.partial_trace over the chunk's (B, 16) stack and validate its
 rho rows, values only, in one entropy.validate_density call
 (monotonicity's random sigma rows, whose eigenvectors are read, in
@@ -399,6 +401,7 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
     # and slice, holding every rotation kind's rows, kind after kind: the
     # drawn specs (the first kind), then one spec per other kind and draw
     kinds = protocols.ROTATION_KINDS
+    first, second = np.triu_indices(len(kinds), 1)  # every pair of kinds
     worst = [0.0] * len(draws)
     for positions in _stacks(draws, rows_per_draw=len(kinds)):
         amplitudes = np.array([draws[p].state for p in positions])
@@ -407,15 +410,9 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
             ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
             for kind in kinds[1:] for s in drawn
         ]
-        inaccurate = protocols.run_protocol(
-            np.tile(amplitudes, (len(kinds), 1)), specs
-        ).inaccurate_branches
+        inaccurate = protocols._branches(np.tile(amplitudes, (len(kinds), 1)), specs, ideal=False)
         runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
-        diffs = np.max([
-            qcore.phase_aligned_max_diff(runs[a], runs[b])
-            for a in range(len(kinds))
-            for b in range(a + 1, len(kinds))
-        ], axis=(0, 2))
+        diffs = qcore.phase_aligned_max_diff(runs[first], runs[second]).max(axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
             worst[p] = diff
     return worst, {}

@@ -149,6 +149,13 @@ def test_curves_bad_s_value():
     assert cli.main(["curves", "fig5", "--s-values", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("s_values", ["", ",", "0.3,", " "])
+def test_curves_empty_s_value_is_usage_error(s_values, capsys):
+    # "" used to fall back on the default S values and exit 0
+    assert cli.main(["curves", "fig5", "--s-values", s_values]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("figure", ["fig6", "fig7"])
 def test_curves_s_values_is_for_fig5_only(figure, capsys):
     assert cli.main(["curves", figure, "--s-values", "0.3"]) == 2

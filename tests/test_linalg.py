@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +259,45 @@ def test_stacks_of_no_rows():
     assert linalg.hermiticity_defect(np.zeros((0, 4, 4))) == 0.0
     with pytest.raises(ValueError, match="0 x 0"):
         linalg.jacobi_eigh(np.zeros((0, 0)))
+
+
+# (value, what _integer returns or None for rejected, what _real returns
+# or None): an exact int or float takes a fast path, which must accept
+# and reject what the numbers ABC test does
+_NUMBER_CHECKS = [
+    (3, 3, 3.0),
+    (-2**70, -2**70, -1.1805916207174113e+21),
+    (np.int64(3), 3, 3.0),
+    (np.uint8(7), 7, 7.0),
+    (True, None, None),
+    (False, None, None),
+    (np.bool_(True), None, None),
+    (2.5, None, 2.5),
+    (3.0, None, 3.0),
+    (math.nan, None, math.nan),
+    (np.float64(2.5), None, 2.5),
+    (np.float32(0.5), None, 0.5),
+    (Fraction(1, 2), None, 0.5),
+    ("3", None, None),
+    (None, None, None),
+    (1j, None, None),
+    (np.complex128(1.0), None, None),
+]
+
+
+@pytest.mark.parametrize("value, integer, real", _NUMBER_CHECKS)
+def test_integer_and_real_checks_accept_and_reject_by_type(value, integer, real):
+    for check, want, kind, message in (
+        (linalg._integer, integer, int, "is not an integer"),
+        (linalg._real, real, float, "is not a real number"),
+    ):
+        if want is None:
+            with pytest.raises(ValueError, match=f"^x {re.escape(repr(value))} {message}$"):
+                check(value, "x")
+            continue
+        got = check(value, "x")
+        assert type(got) is kind
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # --------------------------------------------- eigenvalues of jacobi_eigh

@@ -129,6 +129,34 @@ def test_public_formulas_reject_angles_that_are_not_finite_reals(formula, bad):
     assert np.all(np.isfinite(call(np.float64(0.3))))
 
 
+@pytest.mark.parametrize("kind", ["ONEWAY_ROTATION", None, 0, ErrorKind.X_TYPE])
+def test_spec_kind_must_be_a_protocol_kind(kind):
+    # a kind's name or None used to raise KeyError from the table lookup
+    with pytest.raises(ValueError, match="kind .* is not a ProtocolKind"):
+        ProtocolSpec(kind, (0,), u=0.1)
+
+
+@pytest.mark.parametrize("fn", ["pre_measurement_state", "run_protocol", "analyze"])
+@pytest.mark.parametrize("entry", [None, "ONEWAY_ROTATION", (ProtocolKind.ADQC_ROTATION_CZ, (0,))])
+def test_a_stack_takes_only_protocol_specs(fn, entry):
+    # None used to raise AttributeError from the target check
+    spec = ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.1)
+    states = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="is not a ProtocolSpec"):
+        getattr(protocols, fn)(states, [spec, entry])
+    with pytest.raises(ValueError, match="is not a ProtocolSpec"):
+        getattr(protocols, fn)(states[:1], [entry])
+
+
+@pytest.mark.parametrize("j", [True, False, np.True_, 1.0, 0.0, "1", None])
+def test_error_operator_outcome_must_be_an_integer(j):
+    # True and 1.0 used to give the outcome-1 matrix
+    with pytest.raises(ValueError, match="outcome"):
+        protocols.error_operator(ErrorKind.X_TYPE, j, 0.3, 0.1)
+    want = protocols.error_operator(ErrorKind.ZZ_TYPE, 1, 0.3, 0.1)
+    assert np.array_equal(protocols.error_operator(ErrorKind.ZZ_TYPE, np.int64(1), 0.3, 0.1), want)
+
+
 def test_spec_stores_angles_as_floats():
     spec = ProtocolSpec(
         ProtocolKind.ADQC_ROTATION_CZ, (0,), u=np.float32(0.5), epsilon=1, delta=np.float64(0.25)
@@ -499,6 +527,40 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
         _assert_reports_equal(picked, alone)
         for name in ("purity_bound", "sv_bound", "sv2_bound"):
             assert [mixed.bound(name)[b] for b in part] == alone.bound(name)
+
+
+def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
+    # a caller that reads only the tilted branches (circuit_equivalence)
+    # asks for them alone: they are run_protocol's inaccurate branches,
+    # bit for bit, whatever the mix of kinds, targets and register size
+    rng = np.random.default_rng(86)
+    for trial in range(60):
+        n = trial % 7 + 1
+        rows = int(rng.integers(1, 41))
+        kinds = ALL_KINDS if n >= 2 else ROTATIONS
+        specs = [random_spec(rng, n, kinds) for _ in range(rows)]
+        streams = qcore.generators([[86, trial, b] for b in range(rows)])
+        states = np.array([qcore.haar_state(n, g) for g in streams])
+        tilted = protocols._branches(states, specs, ideal=False)
+        result = protocols.run_protocol(states, specs)
+        assert tilted.shape == result.inaccurate_branches.shape == (rows, 2, 2**n)
+        assert tilted.tobytes() == result.inaccurate_branches.tobytes()
+
+
+def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():
+    # psi (x) |+> is built by repeating each amplitude times 1/sqrt(2),
+    # which equals the product with |+> bit for bit as both entries of
+    # _PLUS are equal; the gate step then follows as apply_matrix does it
+    assert protocols._PLUS[0] == protocols._PLUS[1]
+    rng = np.random.default_rng(87)
+    n, rows = 4, 12
+    amplitudes = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    specs = [random_spec(rng, n, (ProtocolKind.ADQC_ROTATION_CZ,)) for _ in range(rows)]
+    plus = (amplitudes[:, :, None] * protocols._PLUS).reshape(rows, 2 ** (n + 1))
+    ops = np.stack([qcore.gate("E_CZ")] * rows)
+    want = qcore.apply_matrix(plus, ops, [(s.targets[0], n) for s in specs], n + 1)
+    got = protocols.pre_measurement_state(amplitudes, specs)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():

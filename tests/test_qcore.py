@@ -289,6 +289,24 @@ def test_measure_branch_on_a_stack_matches_each_row():
         qcore.measure_branch(qcore.StateStack(n, vecs), qubits[:-1], vectors)
 
 
+def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
+    # the gather tables are built once and serve the scatter back too: the
+    # result is permute_qubits, the matmul, and the inverse permutation
+    rng = np.random.default_rng(38)
+    for n, rows, same in ((3, 1, True), (5, 12, True), (5, 12, False), (7, 30, False)):
+        vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+        ops = np.array([random_unitary(4, rng) for _ in range(rows)])
+        first = tuple(int(t) for t in rng.choice(n, size=2, replace=False))
+        targets = [
+            first if same else tuple(int(t) for t in rng.choice(n, size=2, replace=False))
+            for _ in range(rows)
+        ]
+        orders = [linalg.qubit_order(n, t) for t in targets]
+        psi = ops @ linalg.permute_qubits(vecs, orders).reshape(rows, 4, -1)
+        want = linalg.permute_qubits(psi.reshape(rows, -1), orders, inverse=True)
+        assert qcore.apply_matrix(vecs, ops, targets, n).tobytes() == want.tobytes()
+
+
 def test_stacks_of_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
     assert qcore.apply_matrix(empty, qcore.gate("CZ"), [], 3).shape == (0, 8)
@@ -366,6 +384,19 @@ def test_measure_reconstruction():
         assert np.max(np.abs(rebuilt.reshape(-1) - st.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("qubit", [True, False, np.True_, 1.0, np.float64(0.0)])
+def test_measure_branch_qubit_must_be_an_integer(qubit):
+    # True used to measure qubit 1
+    state = PureState(2, [1, 0, 0, 0])
+    basis = qcore.deviated_z_basis(0.1, 0.2)
+    with pytest.raises(ValueError, match="qubit .* is not an integer"):
+        qcore.measure_branch(state, qubit, basis)
+    with pytest.raises(ValueError, match="qubit .* is not an integer"):
+        qcore.measure_branch(qcore.StateStack(2, np.eye(4, dtype=complex)[:2]),
+                             [0, qubit], np.stack([basis] * 2))
+    assert qcore.measure_branch(state, np.int64(1), basis).shape == (2, 2)
+
+
 def test_measure_branch_index_error():
     with pytest.raises(ValueError):
         qcore.measure_branch(basis_state(2, 0), 2, qcore.deviated_z_basis(0, 0))
@@ -413,6 +444,21 @@ def test_random_state_z_expectation_unbiased():
         st = qcore.haar_state(1, rng)
         total += float(np.vdot(st, z @ st).real)
     assert abs(total / 10_000) < 0.05
+
+
+@pytest.mark.parametrize("key", [0, 42, [42, 5], [42, 5, 1], [2**33, 7, 7]])
+def test_haar_state_is_the_two_draws_bit_for_bit(key):
+    # one draw of 2^(n+1) values fills the real then the imaginary parts:
+    # the stream and the floats of two draws of 2^n and a complex sum
+    for n in range(1, linalg.MAX_QUBITS + 1):
+        rng = np.random.default_rng(key)
+        d = 2**n
+        vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        want = vec / np.linalg.norm(vec)
+        (gen,) = qcore.generators([key])
+        assert qcore.haar_state(n, gen).tobytes() == want.tobytes()
+        # and the generator is left where the two draws leave it
+        assert gen.bit_generator.state == rng.bit_generator.state
 
 
 def test_random_state_is_a_batch_of_one():

@@ -653,10 +653,11 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
         assert reports == [reports[0]] * len(runs), samples
 
 
-# run_protocol calls of a campaign run, per register size: one per chunk
-# and slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x
-# 2^(n+1); circuit_equivalence's stacks hold three rows per draw, one per
-# rotation kind.  Chunks hold 128 items.
+# simulations of a campaign run, per register size: one per chunk and
+# slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x 2^(n+1);
+# circuit_equivalence's stacks hold three rows per draw, one per rotation
+# kind.  Chunks hold 128 items.  Every simulation, run_protocol's and
+# circuit_equivalence's tilted-only one, is one call of protocols._branches.
 @pytest.mark.parametrize("name, sizes, samples, calls", [
     # each chunk of 128 + 128 + 44 items holds every default size
     ("bound_main", None, 300, {2: 3, 3: 3, 4: 3, 5: 3}),
@@ -674,14 +675,14 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
     ("saturation", None, 1, {2: 1, 4: 1}),
 ])
 def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, samples, calls):
-    original = protocols.run_protocol
+    original = protocols._branches
     stacks = []
 
-    def counted(amplitudes, specs):
+    def counted(amplitudes, specs, ideal):
         stacks.append(amplitudes.shape)
-        return original(amplitudes, specs)
+        return original(amplitudes, specs, ideal)
 
-    monkeypatch.setattr(protocols, "run_protocol", counted)
+    monkeypatch.setattr(protocols, "_branches", counted)
     config = verify.default_config(name, samples=samples, seed=13)
     if sizes is not None:
         config = dataclasses.replace(config, register_sizes=sizes)
