@@ -218,28 +218,26 @@ def pre_measurement_state(
     return _first(vec) if one else vec
 
 
-def _measurements(specs: Sequence[ProtocolSpec], n: int, ideal: bool):
-    # Per row: the tilted basis vectors, followed with `ideal` by the ideal
-    # ones ((4, 2) or (2, 2)), the measured qubit, and the order of the
-    # qubits left over.  The ideal basis is the epsilon=0 basis at the
-    # *same* delta, which fixes the branch phases so that the
-    # error-operator factorization of the inaccurate branches holds
-    # exactly, not just up to phase.  With measures_target the ancilla
-    # takes the measured target's slot.
+def _measurements(specs: Sequence[ProtocolSpec], n: int):
+    # Per row: the tilted then the ideal basis vectors (4, 2), the measured
+    # qubit, and the order of the qubits left over.  The ideal basis is the
+    # epsilon=0 basis at the *same* delta, which fixes the branch phases so
+    # that the error-operator factorization of the inaccurate branches
+    # holds exactly, not just up to phase.  With measures_target the
+    # ancilla takes the measured target's slot.
     rows = [_PROTOCOLS[spec.kind] for spec in specs]
     rotation = np.array([row.rotation for row in rows])[:, None, None]
     u = [spec.u if row.rotation else 0.0 for spec, row in zip(specs, rows)]
     reference = np.where(rotation, qcore.equatorial_pair(u), qcore.Z_PAIR)
-    bases = 2 if ideal else 1
-    epsilon = [(spec.epsilon, 0.0)[:bases] for spec in specs]
-    delta = [(spec.delta,) * bases for spec in specs]
+    epsilon = [(spec.epsilon, 0.0) for spec in specs]
+    delta = [(spec.delta, spec.delta) for spec in specs]
     vectors = qcore.tilted_vectors(reference[:, None], epsilon, delta)
     measured, keep = [], []
     for spec, row in zip(specs, rows):
         t = spec.targets[0]
         measured.append(t if row.measures_target else n)
         keep.append((*range(t), n, *range(t + 1, n)) if row.measures_target else None)
-    return vectors.reshape(len(specs), 2 * bases, 2), measured, keep
+    return vectors.reshape(len(specs), 4, 2), measured, keep
 
 
 def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], ideal: bool) -> np.ndarray:
@@ -249,8 +247,9 @@ def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], ideal: bool) ->
     # tilted branches asks for those alone and pays for no ideal ones.
     pre = pre_measurement_state(states, specs)  # checks the stack and its specs
     n = linalg.n_qubits_of(pre.shape[1]) - 1
-    vectors, measured, keep = _measurements(specs, n, ideal)
-    return qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, vectors, keep)
+    vectors, measured, keep = _measurements(specs, n)
+    basis = vectors if ideal else vectors[:, :2]
+    return qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, basis, keep)
 
 
 def run_protocol(

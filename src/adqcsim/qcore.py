@@ -25,6 +25,7 @@ both, wraps its draw in a validated PureState.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -246,7 +247,12 @@ def measure_branch(
     linalg._rows(amplitudes, keeps, "qubit orders")
     orders = []
     for q, k in zip(qubits, keeps):
-        q = linalg._integer(q, "qubit")  # operator.index would take True
+        # operator.index would take True as qubit 1; a float raises
+        # TypeError, as for every qubit index, here and not in the cached
+        # qubit_order, which finds a float under its equal int
+        if isinstance(q, (bool, np.bool_)):
+            raise ValueError(f"qubit {q!r} is not an integer")
+        q = operator.index(q)
         # the measured qubit first, then `keep`, which must order all the others
         if k is not None and len(k) != state.n_qubits - 1:
             raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
