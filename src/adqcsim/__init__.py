@@ -17,7 +17,7 @@ from .entropy import (
     purity_entanglement,
     von_neumann,
 )
-from .linalg import kron, partial_trace
+from .linalg import partial_trace
 from .protocols import (
     ErrorKind,
     FidelityReport,

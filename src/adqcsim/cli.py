@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import entropy, linalg, protocols, stateio, verify
+from . import protocols, stateio, verify
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState, basis_state
 
@@ -35,11 +35,11 @@ def _curve_rows(figure: str, grid: int, s_values: tuple[float, ...]) -> tuple[li
     elif figure == "fig6":
         header = ["s_v", "value"]
         svals = np.linspace(0.0, 1.0, grid)
-        rows = [[s, 1.0 - entropy.f_inverse(s) ** 2] for s in map(float, svals)]
+        rows = [[s, protocols._MEASURES["sv_bound"](s)] for s in map(float, svals)]
     elif figure == "fig7":
         header = ["s_v2", "value"]
         svals = np.linspace(1.0, 2.0, grid)
-        rows = [[s, 1.0 - entropy.g_inverse(s) ** 2] for s in map(float, svals)]
+        rows = [[s, protocols._MEASURES["sv2_bound"](s)] for s in map(float, svals)]
     else:
         raise ValueError(f"unknown figure {figure!r}")
     return header, rows
@@ -98,7 +98,7 @@ _PRESET_HELP = "bell, ghz:n, product:n, saturate:S, rho_lambda:L"
 
 def _preset_qubits(arg: str, default: int) -> int:
     n = int(arg) if arg else default
-    largest = linalg.MAX_QUBITS - 1  # every protocol adds an ancilla
+    largest = protocols._MAX_REGISTER
     if not 1 <= n <= largest:
         raise ValueError(f"preset register of {n} qubits outside [1, {largest}]")
     return n

@@ -130,7 +130,7 @@ def _observable(observable: np.ndarray) -> np.ndarray:
 
 # The observables the reports read, checked once here, not per stack
 _X, _Y, _Z = (_observable(qcore.gate(name)) for name in "XYZ")
-_ZZ = _observable(linalg.kron(_Z, _Z))
+_ZZ = _observable(np.kron(_Z, _Z))
 
 
 def _expectation(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:

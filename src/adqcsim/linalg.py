@@ -5,14 +5,16 @@ Convention used throughout the package: qubit 0 is the most significant
 bit of an amplitude (or matrix) index, so an n-qubit vector reshaped to
 shape [2]*n exposes qubit k as axis k.  Pure states are plain amplitude
 vectors here, or the rows of one (B, 2^n) stack, which `partial_trace`,
-the one partial trace, reduces in one gather.
+the one partial trace, reduces in one gather.  Every qubit list reaches
+its gather table through `_tables`, the one check of qubit indices, and
+the tables are cached per (n, qubit list).
 """
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -53,11 +55,6 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two complex matrices (or vectors)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def n_qubits_of(dim: int) -> int:
     """Number of qubits for a dimension that must be a power of two."""
     n = int(dim).bit_length() - 1
@@ -74,50 +71,58 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _index_table(n: int, order: tuple[int, ...]) -> np.ndarray:
+def _index_table(n: int, first: tuple[int, ...]) -> np.ndarray:
     # amplitude index of each entry of an n-qubit vector whose qubit axes
-    # are transposed into `order`; built once per (n, order), read-only
+    # are transposed into qubit_order(n, first); built once per (n, first),
+    # read-only.  Only _tables calls it, with exact ints: 1.0 and True
+    # would find the table of the equal int 1.
+    order = qubit_order(n, first)
     table = np.arange(2**n).reshape([2] * n).transpose(order).reshape(-1)
     table.flags.writeable = False
     return table
 
 
+def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
+    # the gather tables for one list per row of qubits to move to the
+    # front: the list's (2^n,) table when every row has the same one, else
+    # a (B, 2^n) table of indices into the flattened stack
+    keys = [tuple(first) for first in firsts]
+    # the cache takes exact ints only: one pass over the entries' types,
+    # and _integer only where it finds another type
+    if set(map(type, chain.from_iterable(keys))) - {int}:
+        keys = [tuple(_integer(q, "qubit index") for q in key) for key in keys]
+    if not keys:
+        return np.empty((0, 2**n), dtype=np.intp)
+    if keys.count(keys[0]) == len(keys):
+        return _index_table(n, keys[0])
+    tables = np.stack([_index_table(n, key) for key in keys])
+    tables += np.arange(0, len(keys) << n, 1 << n)[:, None]
+    return tables
+
+
 def permute_qubits(
     states: np.ndarray, orders: Sequence[Sequence[int]], inverse: bool = False
 ) -> np.ndarray:
-    """Rows of a (B, 2^n) stack with row b's qubit axes transposed into
-    `orders[b]`, one gather over index tables cached per (n, order).
+    """Rows of a (B, 2^n) stack with row b's qubits `orders[b]` moved to
+    the front, in the order listed, the rest after them ascending; one
+    gather over index tables cached per (n, qubit list).
 
-    Row b of the result is states[b].reshape([2]*n).transpose(orders[b])
-    flattened, so the qubits listed first become the most significant.
-    With `inverse`, the rows are transposed back instead (one scatter over
-    the same tables).  A stack of no rows comes back as it is.
+    Row b of the result is states[b].reshape([2]*n).transpose(order)
+    flattened, for order = qubit_order(n, orders[b]); a full order is one
+    such list.  With `inverse`, the rows are transposed back instead (one
+    scatter over the same tables).  A stack of no rows comes back as it is.
     """
     states = np.asarray(states)
     rows, dim = states.shape
     n = n_qubits_of(dim)
     if len(orders) != rows:
         raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
-    return _permute(states, _qubit_tables(n, orders), inverse)
-
-
-def _qubit_tables(n: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    # permute_qubits' gather tables for one order per row: the order's
-    # (2^n,) table when every row has the same one, else a (B, 2^n) table
-    # of indices into the flattened stack
-    if not orders:
-        return np.empty((0, 2**n), dtype=np.intp)
-    first = tuple(orders[0])
-    if len(orders) == 1 or all(tuple(o) == first for o in orders):
-        return _index_table(n, first)
-    tables = np.stack([_index_table(n, tuple(o)) for o in orders])
-    tables += np.arange(0, len(orders) << n, 1 << n)[:, None]
-    return tables
+    return _permute(states, _tables(n, orders), inverse)
 
 
 def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
     # the gather (or, with `inverse`, the scatter) of permute_qubits over
-    # tables from _qubit_tables
+    # tables from _tables
     flat = tables.ndim == 2
     if not inverse:
         return states.reshape(-1)[tables] if flat else states[:, tables]
@@ -129,12 +134,11 @@ def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> n
     return out
 
 
-@lru_cache(maxsize=4096)
-def qubit_order(n: int, first: tuple[int, ...]) -> tuple[int, ...]:
+def qubit_order(n: int, first: Sequence[int]) -> tuple[int, ...]:
     """The listed qubits in the order given, then the rest of the n ascending.
     The list must be non-empty, without repeats, in range and of integers
-    (a float raises TypeError, so it is never cached under the equal int)."""
-    first = tuple(operator.index(q) for q in first)
+    (a bool or a float raises ValueError)."""
+    first = tuple(_integer(q, "qubit index") for q in first)
     if not first:
         raise ValueError("at least one qubit must be listed")
     if len(set(first)) != len(first):
@@ -174,8 +178,7 @@ def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     k = len(keeps[0])
     if any(len(other) != k for other in keeps):
         raise ValueError("every row must keep the same number of qubits")
-    orders = [qubit_order(n, tuple(other)) for other in keeps]
-    m = permute_qubits(rows, orders).reshape(len(rows), 2**k, -1)
+    m = permute_qubits(rows, keeps).reshape(len(rows), 2**k, -1)
     rho = m @ m.conj().swapaxes(1, 2)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
     return rho if states.ndim == 2 else rho[0]
@@ -230,29 +233,24 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
         hermitian = 0.5 * (a + a.conj().swapaxes(-1, -2))
     if not np.isfinite(hermitian).all():
         raise ValueError("matrix has non-finite entries")
-    pairs = [_jacobi(x, vectors=vectors) for x in hermitian.reshape(-1, n, n).tolist()]
+    # the limits are read per call, so a patched _MAX_SWEEPS takes effect
+    kernel = _jacobi_kernel(n, vectors)
+    pairs = [kernel(x, OFFDIAG_TARGET, _MAX_SWEEPS) for x in hermitian.reshape(-1, n, n).tolist()]
     w = np.array([values for values, _ in pairs]).reshape(a.shape[:-1])
     if not vectors:
         return w, None
     return w, np.array([v for _, v in pairs], dtype=complex).reshape(a.shape)
 
 
-def _jacobi(
-    a: list[list[complex]], *, vectors: bool
-) -> tuple[list[float], list[list[complex]] | None]:
-    # The rotation kernel of jacobi_eigh, its one caller, on a matrix it has
-    # already checked (square, at most MAX_EIG_DIM, finite) and made
-    # exactly Hermitian, given as nested lists.  Returns the eigenvalues
-    # ascending and, with `vectors`, the eigenvector matrix as nested lists
-    # (else None: the rotations are not accumulated at all).  The limits
-    # are read per call, so a patched _MAX_SWEEPS takes effect at once.
-    return _jacobi_kernel(len(a), vectors)(a, OFFDIAG_TARGET, _MAX_SWEEPS)
-
-
 @lru_cache(maxsize=None)
 def _jacobi_kernel(n: int, vectors: bool):
-    # The kernel for one (n, vectors), compiled on its first use and kept
-    # for the life of the process: at most 8 of them, as n <= MAX_EIG_DIM.
+    # The rotation kernel of jacobi_eigh, its one caller, for one
+    # (n, vectors), compiled on its first use and kept for the life of the
+    # process: at most 8 of them, as n <= MAX_EIG_DIM.  kernel(a, target,
+    # max_sweeps) takes a matrix jacobi_eigh has already checked and made
+    # exactly Hermitian, as nested lists, and returns the eigenvalues
+    # ascending and, with `vectors`, the eigenvector matrix as nested lists
+    # (else None: the rotations are not accumulated at all).
     namespace = {"sqrt": math.sqrt, "copysign": math.copysign, "hypot": math.hypot}
     exec(compile(_jacobi_source(n, vectors), f"<jacobi kernel {n}x{n}>", "exec"), namespace)
     return namespace["kernel"]

@@ -39,6 +39,8 @@ from .linalg import _finite, _integer
 from .qcore import PureState
 
 BOUND_SLACK_TOL = 1e-9
+# the largest register a protocol runs on: every protocol adds an ancilla
+_MAX_REGISTER = linalg.MAX_QUBITS - 1
 
 
 class ProtocolKind(Enum):
@@ -170,7 +172,7 @@ def _runs(
     specs = [specs] if one else list(specs)
     rows = linalg._rows(amplitudes, specs, "specs")
     n = linalg.n_qubits_of(rows.shape[1])
-    if n + 1 > linalg.MAX_QUBITS:
+    if n > _MAX_REGISTER:
         raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
     for spec in specs:
         if not isinstance(spec, ProtocolSpec):
@@ -212,9 +214,9 @@ def pre_measurement_state(
             for b in rows
         ]
         if len(rows) == len(specs):
-            vec = qcore.apply_matrix(vec, ops, wires, n + 1)
+            vec = qcore.apply_matrix(vec, ops, wires)
         else:
-            vec[rows] = qcore.apply_matrix(vec[rows], ops, wires, n + 1)
+            vec[rows] = qcore.apply_matrix(vec[rows], ops, wires)
     return _first(vec) if one else vec
 
 
@@ -249,7 +251,7 @@ def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], ideal: bool) ->
     n = linalg.n_qubits_of(pre.shape[1]) - 1
     vectors, measured, keep = _measurements(specs, n)
     basis = vectors if ideal else vectors[:, :2]
-    return qcore.measure_branch(qcore.StateStack(n + 1, pre), measured, basis, keep)
+    return qcore.measure_branch(qcore.StateStack(pre), measured, basis, keep)
 
 
 def run_protocol(
@@ -423,7 +425,7 @@ class _Reduction(NamedTuple):
 _REDUCTIONS = {
     ErrorKind.X_TYPE: _Reduction(qcore.gate("X"), _one_qubit_entropies),
     ErrorKind.ZZ_TYPE: _Reduction(
-        linalg.kron(qcore.gate("Z"), qcore.gate("Z")), _two_qubit_entropies
+        np.kron(qcore.gate("Z"), qcore.gate("Z")), _two_qubit_entropies
     ),
 }
 

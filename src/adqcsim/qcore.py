@@ -11,10 +11,10 @@ outcome probability.
 
 `apply_matrix` takes one vector or a (B, 2^n) stack, `measure_branch` a
 PureState or a StateStack, with per-row operators, targets and bases;
-each row's qubits are brought into place by one gather over index tables
-cached per (n, linalg.qubit_order), so every row costs the same
-arithmetic as a lone vector; `apply_matrix` scatters its rows back over
-the same tables.
+both read n from the amplitudes.  Each row's qubits are brought into
+place by one gather over index tables cached per (n, qubit list), so
+every row costs the same arithmetic as a lone vector; `apply_matrix`
+scatters its rows back over the same tables.
 
 `generators` seeds the streams of many keys in one call, each generator
 in exactly the state numpy's default generator would start in for its
@@ -25,7 +25,6 @@ both, wraps its draw in a validated PureState.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -123,7 +122,6 @@ class StateStack(NamedTuple):
     Kept, where a plain array would do, because bench/tracer.py reads
     `.amplitudes` of measure_branch's first argument."""
 
-    n_qubits: int
     amplitudes: np.ndarray
 
 
@@ -180,9 +178,7 @@ def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
     )
 
 
-def apply_matrix(
-    vec: np.ndarray, op: np.ndarray, targets: Sequence, n_qubits: int
-) -> np.ndarray:
+def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the listed qubits of a raw vector, or of
     every row of a (B, 2^n) stack.
 
@@ -195,19 +191,16 @@ def apply_matrix(
     vec = np.asarray(vec, dtype=complex)
     target_rows = targets if vec.ndim == 2 else [targets]
     rows = linalg._rows(vec, target_rows, "target lists")
-    if linalg.n_qubits_of(rows.shape[1]) != n_qubits:
-        raise ValueError("vector length does not match qubit count")
+    n = linalg.n_qubits_of(rows.shape[1])
     op = np.asarray(op, dtype=complex)
     if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
     k = linalg.n_qubits_of(op.shape[-1])
     if any(len(row) != k for row in target_rows):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    # the gather tables of the rows' qubit orders, built once for the
-    # gather and the scatter back
-    tables = linalg._qubit_tables(
-        n_qubits, [linalg.qubit_order(n_qubits, tuple(row)) for row in target_rows]
-    )
+    # the gather tables of the rows' targets, built once for the gather
+    # and the scatter back
+    tables = linalg._tables(n, target_rows)
     dim = rows.shape[1]
     psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
     out = linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
@@ -216,7 +209,7 @@ def apply_matrix(
 
 def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> PureState:
     """Apply a unitary on the listed qubits of a normalized state."""
-    out = apply_matrix(state.amplitudes, op, targets, state.n_qubits)
+    out = apply_matrix(state.amplitudes, op, targets)
     return PureState(state.n_qubits, out)
 
 
@@ -245,19 +238,14 @@ def measure_branch(
     rows = linalg._rows(amplitudes, qubits, "measured qubits")
     keeps = keep if stack and keep is not None else [keep] * len(rows)
     linalg._rows(amplitudes, keeps, "qubit orders")
-    orders = []
+    n = linalg.n_qubits_of(rows.shape[1])
+    firsts = []
     for q, k in zip(qubits, keeps):
-        # operator.index would take True as qubit 1; a float raises
-        # TypeError, as for every qubit index, here and not in the cached
-        # qubit_order, which finds a float under its equal int
-        if isinstance(q, (bool, np.bool_)):
-            raise ValueError(f"qubit {q!r} is not an integer")
-        q = operator.index(q)
         # the measured qubit first, then `keep`, which must order all the others
-        if k is not None and len(k) != state.n_qubits - 1:
+        if k is not None and len(k) != n - 1:
             raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
-        orders.append(linalg.qubit_order(state.n_qubits, (q,) if k is None else (q, *k)))
-    psi = linalg.permute_qubits(rows, orders).reshape(len(rows), 2, rows.shape[1] // 2)
+        firsts.append((q,) if k is None else (q, *k))
+    psi = linalg.permute_qubits(rows, firsts).reshape(len(rows), 2, rows.shape[1] // 2)
     branches = np.asarray(basis, dtype=complex).conj() @ psi
     return branches if stack else branches[0]
 

@@ -235,7 +235,7 @@ class CampaignConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        largest = linalg.MAX_QUBITS - 1  # the ancilla takes the last qubit
+        largest = protocols._MAX_REGISTER
         if not all(1 <= n <= largest for n in self.register_sizes):
             raise ValueError(f"register_sizes {self.register_sizes} must lie in [1, {largest}]")
 

@@ -90,7 +90,7 @@ def test_criterion_03_error_operator_factorization():
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
             pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
-                res.ideal_branches[j], a, takes, n
+                res.ideal_branches[j], a, takes
             )
             worst = max(worst, float(np.max(np.abs(pred - res.inaccurate_branches[j]))))
     _criterion(3, "error-operator factorization", worst <= 1e-12,

@@ -124,6 +124,15 @@ def test_fig67_monotone_and_endpoints(figure, lo, hi):
     assert all(b - a >= -1e-12 for a, b in zip(ys, ys[1:]))
 
 
+@pytest.mark.parametrize("figure,bound", [("fig6", "sv_bound"), ("fig7", "sv2_bound")])
+def test_fig67_rows_are_the_bounds_measure_bit_for_bit(figure, bound):
+    # 1 - c^2 as the bound computes it; c ** 2 differs from c * c at
+    # s = 0.18 on the default grid
+    measure = protocols._MEASURES[bound]
+    for s, value in cli._curve_rows(figure, 201, cli.DEFAULT_FIG5_S)[1]:
+        assert value.hex() == measure(s).hex()
+
+
 def test_curves_custom_s_values(tmp_path):
     out = tmp_path / "c.csv"
     assert cli.main(["curves", "fig5", "--grid", "3", "--s-values", "0.1,0.9",

@@ -76,13 +76,18 @@ def test_validate_density_returns_its_eigenpairs():
 def test_eigenvectors_requested_of_a_density_without_them_are_solved_once(monkeypatch):
     d = entropy.validate_density(verify.random_density_matrix(2, [64, 1]))
     solves = []
-    original = linalg._jacobi
+    original = linalg._jacobi_kernel
 
-    def counted(a, *args, vectors, **kwargs):
-        solves.append(vectors)
-        return original(a, *args, vectors=vectors, **kwargs)
+    def counted(n, vectors):
+        kernel = original(n, vectors)
 
-    monkeypatch.setattr(linalg, "_jacobi", counted)
+        def solve(*args):
+            solves.append(vectors)
+            return kernel(*args)
+
+        return solve
+
+    monkeypatch.setattr(linalg, "_jacobi_kernel", counted)
     e = entropy.validate_density(d, vectors=True)
     assert solves == [True] and e.eigenvectors is not None
     assert entropy.validate_density(e, vectors=True) is e
@@ -98,7 +103,7 @@ def test_diagonal_spectrum_is_the_kernels_without_a_solve(monkeypatch):
     rhos = [entropy.validate_density(np.array(mats), vectors=v) for v in (False, True)]
     w, v = linalg.jacobi_eigh(verify._dephased(rhos[0]).matrix)
     monkeypatch.setattr(linalg, "jacobi_eigh", None)  # any solve would raise
-    monkeypatch.setattr(linalg, "_jacobi", None)
+    monkeypatch.setattr(linalg, "_jacobi_kernel", None)
     values, pairs = verify._dephased(rhos[0]), verify._dephased(rhos[1])
     assert values.eigenvalues.tobytes() == w.tobytes() and values.eigenvectors is None
     assert pairs.eigenvalues.tobytes() == w.tobytes()

@@ -35,21 +35,20 @@ def random_spec(rng, n, kinds=ALL_KINDS):
 
 def byproduct_branch(psi: PureState, spec: ProtocolSpec, j: int) -> np.ndarray:
     """Advertised output X^j J(u), X1^j H1 H2 CZ, or (Z1 Z2)^j SWAP CZ."""
-    n = psi.n_qubits
     vec = psi.amplitudes
     if spec.kind in protocols.ROTATION_KINDS:
         op = np.linalg.matrix_power(qcore.gate("X"), j) @ qcore.j_gate(spec.u)
-        return qcore.apply_matrix(vec, op, spec.targets, n)
-    vec = qcore.apply_matrix(vec, qcore.gate("CZ"), spec.targets, n)
+        return qcore.apply_matrix(vec, op, spec.targets)
+    vec = qcore.apply_matrix(vec, qcore.gate("CZ"), spec.targets)
     if spec.kind is ProtocolKind.ADQC_CZ_GATE:
-        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[0],), n)
-        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[1],), n)
+        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[0],))
+        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[1],))
         if j:
-            vec = qcore.apply_matrix(vec, qcore.gate("X"), (spec.targets[0],), n)
+            vec = qcore.apply_matrix(vec, qcore.gate("X"), (spec.targets[0],))
     else:
-        vec = qcore.apply_matrix(vec, qcore.gate("SWAP"), spec.targets, n)
+        vec = qcore.apply_matrix(vec, qcore.gate("SWAP"), spec.targets)
         if j:
-            vec = qcore.apply_matrix(vec, ZZ, spec.targets, n)
+            vec = qcore.apply_matrix(vec, ZZ, spec.targets)
     return vec
 
 
@@ -400,7 +399,7 @@ def test_error_factorization_exact():
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
             pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
-                res.ideal_branches[j], a, takes, n
+                res.ideal_branches[j], a, takes
             )
             assert np.max(np.abs(pred - res.inaccurate_branches[j])) < 1e-12
 
@@ -558,7 +557,7 @@ def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():
     specs = [random_spec(rng, n, (ProtocolKind.ADQC_ROTATION_CZ,)) for _ in range(rows)]
     plus = (amplitudes[:, :, None] * protocols._PLUS).reshape(rows, 2 ** (n + 1))
     ops = np.stack([qcore.gate("E_CZ")] * rows)
-    want = qcore.apply_matrix(plus, ops, [(s.targets[0], n) for s in specs], n + 1)
+    want = qcore.apply_matrix(plus, ops, [(s.targets[0], n) for s in specs])
     got = protocols.pre_measurement_state(amplitudes, specs)
     assert got.tobytes() == want.tobytes()
 

@@ -396,16 +396,27 @@ SOLVES_PER_ITEM = {
 }
 
 
+def _count_solves(monkeypatch) -> list[bool]:
+    # the `vectors` flag of every kernel solve from here on
+    original = linalg._jacobi_kernel
+    flags = []
+
+    def counted(n, vectors):
+        kernel = original(n, vectors)
+
+        def solve(*args):
+            flags.append(vectors)
+            return kernel(*args)
+
+        return solve
+
+    monkeypatch.setattr(linalg, "_jacobi_kernel", counted)
+    return flags
+
+
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_one_solve_per_density_matrix(monkeypatch, name):
-    original = linalg._jacobi
-    solves = []
-
-    def counted(a, *args, **kwargs):
-        solves.append(1)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_jacobi", counted)
+    solves = _count_solves(monkeypatch)
     config = verify.default_config(name, samples=6, seed=13)
     report = verify.run_campaign(config)
     assert report.passed
@@ -421,14 +432,7 @@ VECTOR_SOLVES_PER_ITEM = {"monotonicity": 1}
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_eigenvectors_are_solved_only_where_read(monkeypatch, name):
-    original = linalg._jacobi
-    vector_flags = []
-
-    def counted(a, *args, vectors, **kwargs):
-        vector_flags.append(vectors)
-        return original(a, *args, vectors=vectors, **kwargs)
-
-    monkeypatch.setattr(linalg, "_jacobi", counted)
+    vector_flags = _count_solves(monkeypatch)
     report = verify.run_campaign(verify.default_config(name, samples=6, seed=13))
     assert report.passed
     items = report.checks_run + report.stats.get("filtered_below_domain", 0)
