@@ -6,7 +6,10 @@ A density matrix has one form: `validate_density` takes one (d, d)
 matrix or a (B, d, d) stack and returns a `Density` of the input's rank,
 solved once.  Each measure takes the same input, as an array or a
 Density, and returns a float for one matrix or a (B,) array for a
-stack; `entanglement_reports` builds a stack's reports from them."""
+stack.  `entanglement_reports` builds a stack's reports from the same
+parts, each taken once: one clamped spectrum for S and the purity, and
+one pass over the entries for <X>, <Y> and <Z> (or <Z (x) Z>), each
+equal bit for bit to the trace `correlator` takes."""
 from __future__ import annotations
 
 import math
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, qcore
+from . import linalg
 
 DENSITY_TOL = 1e-10
 _INVERSE_RESIDUAL = 1e-12
@@ -98,64 +101,92 @@ def _plogp(p: np.ndarray) -> float | np.ndarray:
     return _value((p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1))
 
 
+def _purity_of(p: np.ndarray) -> float | np.ndarray:
+    # 2 (1 - sum p^2) of a clamped spectrum (_spectrum)
+    return _value(np.maximum(2.0 * (1.0 - np.sum(p * p, axis=-1)), 0.0) + 0.0)
+
+
+def _entropy_of(p: np.ndarray) -> float | np.ndarray:
+    # -sum p log2 p of a clamped spectrum (_spectrum)
+    return _value(np.maximum(-_plogp(p), 0.0) + 0.0)
+
+
 def purity_entanglement(rho: np.ndarray | Density) -> float | np.ndarray:
     """2 (1 - Tr rho^2) of a single-qubit state: 0 pure, 1 maximally
     mixed; one value per matrix of a (B, 2, 2) stack."""
-    p = _spectrum(validate_density(rho, dims=(2,)))
-    return _value(np.maximum(2.0 * (1.0 - np.sum(p * p, axis=-1)), 0.0) + 0.0)
+    return _purity_of(_spectrum(validate_density(rho, dims=(2,))))
 
 
 def von_neumann(rho: np.ndarray | Density) -> float | np.ndarray:
     """-Tr(rho log2 rho) for a one- or two-qubit density matrix, or one
     value per matrix of a stack."""
-    p = _spectrum(validate_density(rho, dims=(2, 4)))
-    return _value(np.maximum(-_plogp(p), 0.0) + 0.0)
+    return _entropy_of(_spectrum(validate_density(rho, dims=(2, 4))))
 
 
 def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
     """Tr(rho O) for a Hermitian observable, or one value per matrix of a
     (B, d, d) stack; every value must come out real.  rho may be a
     Density, of one matrix or of a stack."""
-    return _expectation(rho, _observable(observable))
-
-
-def _observable(observable: np.ndarray) -> np.ndarray:
     observable = np.asarray(observable, dtype=complex)
     if observable.ndim != 2 or observable.shape[0] != observable.shape[1]:
         raise ValueError("observable must be a square matrix")
     if linalg.hermiticity_defect(observable) > linalg.HERMITIAN_TOL:
         raise ValueError("observable is not Hermitian within tolerance")
-    return observable
+    return _real_values((_matrices(rho, len(observable)) @ observable).trace(axis1=-2, axis2=-1))
 
 
-# The observables the reports read, checked once here, not per stack
-_X, _Y, _Z = (_observable(qcore.gate(name)) for name in "XYZ")
-_ZZ = _observable(np.kron(_Z, _Z))
-
-
-def _expectation(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.ndarray:
-    # correlator for an observable that _observable has already checked; a
-    # Density is known to be finite, an array is checked here
+def _matrices(rho: np.ndarray | Density, d: int) -> np.ndarray:
+    # the (d, d) matrix or (B, d, d) stack an expectation reads: a Density
+    # is known to be finite, an array is checked here
     if isinstance(rho, Density):
         rho = rho.matrix
     else:
         rho = np.asarray(rho, dtype=complex)
         if not np.isfinite(rho).all():
             raise ValueError("density matrix has non-finite entries")
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != observable.shape:
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ValueError("state and observable dimensions do not match")
-    val = (rho @ observable).trace(axis1=-2, axis2=-1)
-    residue = abs(val.imag).max(initial=0.0)
+    return rho
+
+
+def _real_values(values: np.ndarray) -> float | np.ndarray:
+    # expectation values, which must come out real
+    residue = abs(values.imag).max(initial=0.0)
     if residue > 1e-12:
         raise ValueError(f"correlator has imaginary residue {residue}")
-    return _value(val.real)
+    return _value(values.real)
+
+
+# The Pauli expectations the reports read, from the entries of rho.  Each
+# is Tr(rho P), as correlator takes it, bit for bit: every product with an
+# entry of P (0 or +-1) is exact, so the trace adds the same terms; two
+# for a one-qubit Pauli, and for Z (x) Z the four diagonal terms in the
+# pairs that numpy's sum of four complex numbers adds first.
+
+def _bloch(rho: np.ndarray | Density) -> np.ndarray:
+    # (<X>, <Y>, <Z>) of one (2, 2) matrix, or the (3, B) values of a stack
+    m = _matrices(rho, 2)
+    upper, lower = m[..., 0, 1], m[..., 1, 0]
+    z = m[..., 0, 0] - m[..., 1, 1]
+    return _real_values(np.stack([upper + lower, (upper - lower) * 1j, z]))
+
+
+def _zz(rho: np.ndarray | Density) -> float | np.ndarray:
+    # <Z (x) Z> of one (4, 4) matrix or of each matrix of a stack
+    d = _matrices(rho, 4).diagonal(axis1=-2, axis2=-1)
+    return _real_values((d[..., 0] - d[..., 1]) + (d[..., 3] - d[..., 2]))
+
+
+def _length(bloch: np.ndarray) -> float | np.ndarray:
+    # the Bloch length of _bloch's values
+    cx, cy, cz = bloch
+    return _value(np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0))
 
 
 def bloch_length(rho: np.ndarray | Density) -> float | np.ndarray:
     """Length of the Bloch vector of a single-qubit state, or one length
     per matrix of a (B, 2, 2) stack; rho may be a Density of either."""
-    cx, cy, cz = (_expectation(rho, pauli) for pauli in (_X, _Y, _Z))
-    return _value(np.minimum(np.sqrt(cx * cx + cy * cy + cz * cz), 1.0))
+    return _length(_bloch(rho))
 
 
 def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
@@ -241,15 +272,17 @@ class EntanglementReport:
 
 def entanglement_reports(rhos: np.ndarray | Density) -> list[EntanglementReport]:
     """The measures of each matrix of a (B, d, d) stack of reduced states,
-    validated once: for d = 2 the purity, S, <Z> and the Bloch length; for
-    d = 4, S_v2 and <Z(x)Z>."""
+    validated once and its spectrum clamped once: for d = 2 the purity,
+    S, <Z> and the Bloch length, <Z> read from the one pass that gives
+    <X>, <Y> and <Z>; for d = 4, S_v2 and <Z(x)Z>."""
     rhos = validate_density(rhos, dims=(2, 4))
     if rhos.matrix.ndim != 3:
         raise ValueError("expected a (B, d, d) stack of density matrices")
-    sv = von_neumann(rhos).tolist()
+    p = _spectrum(rhos)
+    sv = _entropy_of(p).tolist()
     if rhos.matrix.shape[-1] == 4:
-        zz = _expectation(rhos, _ZZ).tolist()
+        zz = _zz(rhos).tolist()
         return [EntanglementReport(None, v, c, None) for v, c in zip(sv, zz)]
-    purity = purity_entanglement(rhos).tolist()
-    z, r = _expectation(rhos, _Z).tolist(), bloch_length(rhos).tolist()
+    bloch = _bloch(rhos)
+    purity, z, r = _purity_of(p).tolist(), bloch[2].tolist(), _length(bloch).tolist()
     return [EntanglementReport(*row) for row in zip(purity, sv, z, r)]

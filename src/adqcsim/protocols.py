@@ -13,22 +13,30 @@ gate), up to a global phase per branch.
 Each public function takes one register, a PureState or a (2^n,)
 vector, with one ProtocolSpec, or a (B, 2^n) stack of registers of one
 size with one spec per row, and returns a result of the input's rank.
-Protocols of different kinds share a stack through per-row gate tables,
-and `analyze` reduces the rows of each error kind on its own shape.  A
-run's branches are one `ProtocolResult` of arrays: (2, 2^n) branches for
-one run, (B, 2, 2^n) for a stack; its `FidelityReport` carries the same
-leading axis on every field.
+It reads its input once, through `_runs`: every row must be finite and
+normalized.  Protocols of different kinds share a stack through per-row
+gate tables.  A run's branches are one `ProtocolResult` of arrays:
+(2, 2^n) branches for one run, (B, 2, 2^n) for a stack; its
+`FidelityReport` carries the same leading axis on every field.
 
 Every simulation is one call of the private `_branches`: each row's gate
 steps, then its measurement in the bases asked for.  `run_protocol` asks
 for the tilted and the ideal bases and normalizes the ideal branches; a
 caller that reads only the tilted branches, as verify's
 circuit_equivalence does, asks for those alone, bit for bit the same.
+
+`analyze` is the private analysis pass `_analyses` over one stack.  The
+pass takes several stacks, such as a campaign chunk's registers of
+several sizes: each is simulated alone and reduced per error kind on its
+own shape, and what does not depend on the register size (the bases,
+one entanglement report call per error kind, the closed forms and
+sin(e/2)) runs once over all their rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,11 +166,11 @@ _STEPS = {
 
 def _runs(
     states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
-) -> tuple[np.ndarray, list[ProtocolSpec], int, bool]:
+) -> tuple[np.ndarray, list[ProtocolSpec], bool]:
     # The one reader of the input forms: one register (a PureState or a
     # (2^n,) vector) with one spec, or a (B, 2^n) stack with one spec per
-    # row.  Returns the (B, 2^n) stack, its specs, n, and whether the
-    # input was one register.
+    # row.  Every row must be finite and normalized.  Returns the (B, 2^n)
+    # stack, its specs, and whether the input was one register.
     amplitudes = np.asarray(
         states.amplitudes if isinstance(states, PureState) else states, dtype=complex
     )
@@ -174,13 +182,19 @@ def _runs(
     n = linalg.n_qubits_of(rows.shape[1])
     if n > _MAX_REGISTER:
         raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
+    if not np.isfinite(rows).all():
+        raise ValueError("register amplitudes are not finite")
+    norm2 = np.einsum("bi,bi->b", rows.conj(), rows).real
+    off = abs(norm2 - 1.0)
+    if (off > qcore.NORM_TOL).any():
+        raise ValueError(f"register is not normalized: |psi|^2 = {norm2[np.argmax(off)]}")
     for spec in specs:
         if not isinstance(spec, ProtocolSpec):
             raise ValueError(f"spec {spec!r} is not a ProtocolSpec")
         for t in spec.targets:
             if not 0 <= t < n:
                 raise ValueError(f"target {t} out of range for {n} qubits")
-    return rows, specs, n, one
+    return rows, specs, one
 
 
 def _first(value):
@@ -202,7 +216,15 @@ def pre_measurement_state(
     stack: gate step k applies each row's own k-th gate to the rows whose
     protocol has one.
     """
-    amplitudes, specs, n, one = _runs(states, specs)
+    amplitudes, specs, one = _runs(states, specs)
+    vec = _gate_steps(amplitudes, specs)
+    return _first(vec) if one else vec
+
+
+def _gate_steps(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> np.ndarray:
+    # pre_measurement_state of a stack that _runs has read, or that the
+    # package built from drawn registers and validated specs
+    n = linalg.n_qubits_of(amplitudes.shape[1])
     # psi (x) |+>: both entries of _PLUS are equal
     vec = np.repeat(amplitudes * _PLUS[0], 2, axis=1)
     steps = [_STEPS[spec.kind] for spec in specs]
@@ -217,41 +239,50 @@ def pre_measurement_state(
             vec = qcore.apply_matrix(vec, ops, wires)
         else:
             vec[rows] = qcore.apply_matrix(vec[rows], ops, wires)
-    return _first(vec) if one else vec
+    return vec
 
 
-def _measurements(specs: Sequence[ProtocolSpec], n: int):
-    # Per row: the tilted then the ideal basis vectors (4, 2), the measured
-    # qubit, and the order of the qubits left over.  The ideal basis is the
-    # epsilon=0 basis at the *same* delta, which fixes the branch phases so
-    # that the error-operator factorization of the inaccurate branches
-    # holds exactly, not just up to phase.  With measures_target the
-    # ancilla takes the measured target's slot.
+def _bases(specs: Sequence[ProtocolSpec]) -> np.ndarray:
+    # Per row, (4, 2): the tilted then the ideal basis vectors.  The ideal
+    # basis is the epsilon=0 basis at the *same* delta, which fixes the
+    # branch phases so that the error-operator factorization of the
+    # inaccurate branches holds exactly, not just up to phase.  Each row's
+    # vectors depend on its spec alone, so a chunk's are built in one call.
     rows = [_PROTOCOLS[spec.kind] for spec in specs]
     rotation = np.array([row.rotation for row in rows])[:, None, None]
     u = [spec.u if row.rotation else 0.0 for spec, row in zip(specs, rows)]
     reference = np.where(rotation, qcore.equatorial_pair(u), qcore.Z_PAIR)
     epsilon = [(spec.epsilon, 0.0) for spec in specs]
     delta = [(spec.delta, spec.delta) for spec in specs]
-    vectors = qcore.tilted_vectors(reference[:, None], epsilon, delta)
+    return qcore.tilted_vectors(reference[:, None], epsilon, delta).reshape(len(specs), 4, 2)
+
+
+def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], bases: np.ndarray) -> np.ndarray:
+    # Each row of a (B, 2^n) stack through its gate steps, then measured in
+    # the J basis vectors of its row of `bases`, (B, J, 2): the rows of
+    # _bases for the (B, 4, 2^n) tilted then ideal branches, or their
+    # first two for the (B, 2, 2^n) tilted branches alone, which a caller
+    # that reads only those asks for, paying for no ideal ones.  With
+    # measures_target the ancilla takes the measured target's slot.
+    pre = _gate_steps(states, specs)
+    n = linalg.n_qubits_of(states.shape[1])
     measured, keep = [], []
-    for spec, row in zip(specs, rows):
+    for spec in specs:
         t = spec.targets[0]
-        measured.append(t if row.measures_target else n)
-        keep.append((*range(t), n, *range(t + 1, n)) if row.measures_target else None)
-    return vectors.reshape(len(specs), 4, 2), measured, keep
+        target = _PROTOCOLS[spec.kind].measures_target
+        measured.append(t if target else n)
+        keep.append((*range(t), n, *range(t + 1, n)) if target else None)
+    return qcore.measure_branch(qcore.StateStack(pre), measured, bases, keep)
 
 
-def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], ideal: bool) -> np.ndarray:
-    # Each row of a (B, 2^n) stack through its gate steps, then measured:
-    # the (B, 2, 2^n) unnormalized tilted branches, followed with `ideal`
-    # by the two ideal ones, (B, 4, 2^n).  A caller that reads only the
-    # tilted branches asks for those alone and pays for no ideal ones.
-    pre = pre_measurement_state(states, specs)  # checks the stack and its specs
-    n = linalg.n_qubits_of(pre.shape[1]) - 1
-    vectors, measured, keep = _measurements(specs, n)
-    basis = vectors if ideal else vectors[:, :2]
-    return qcore.measure_branch(qcore.StateStack(pre), measured, basis, keep)
+def _run(states: np.ndarray, specs: Sequence[ProtocolSpec], bases: np.ndarray) -> ProtocolResult:
+    # run_protocol of a stack that _runs has read, or that the package
+    # built, in its rows of _bases
+    branches = _branches(states, specs, bases)
+    inaccurate, ideal = branches[:, :2], branches[:, 2:]
+    probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
+    ideal /= np.sqrt(probs)[..., None]
+    return ProtocolResult(ideal, probs, inaccurate)
 
 
 def run_protocol(
@@ -259,12 +290,8 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run one protocol on one register, or each row's protocol on a
     (B, 2^n) stack: the ProtocolResult of the run or of the stack."""
-    amplitudes, specs, _, one = _runs(states, specs)
-    branches = _branches(amplitudes, specs, ideal=True)
-    inaccurate, ideal = branches[:, :2], branches[:, 2:]
-    probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
-    ideal /= np.sqrt(probs)[..., None]
-    result = ProtocolResult(ideal, probs, inaccurate)
+    amplitudes, specs, one = _runs(states, specs)
+    result = _run(amplitudes, specs, _bases(specs))
     return _first(result) if one else result
 
 
@@ -275,6 +302,8 @@ def mean_gate_fidelity(result: ProtocolResult) -> float | np.ndarray:
     Computed as sum_j |<ideal_j | xi_j>|^2 with xi_j unnormalized, which
     carries the outcome probability weighting implicitly.
     """
+    if not isinstance(result, ProtocolResult):
+        raise ValueError(f"result must be a ProtocolResult, not {type(result).__name__}")
     ideal, inaccurate = result.ideal_branches, result.inaccurate_branches
     overlap = np.einsum("...jm,...jm->...j", np.conj(ideal), inaccurate)
     fidelity = (overlap.real**2 + overlap.imag**2).sum(axis=-1)
@@ -442,29 +471,53 @@ def analyze(
     over only the rows of its error kind, and not at all where there are
     none.  A stack of no rows gives a report of no rows.
     """
-    amplitudes, specs, _, one = _runs(states, specs)
-    result = run_protocol(amplitudes, specs)
+    amplitudes, specs, one = _runs(states, specs)
+    (report,) = _analyses([(amplitudes, specs)])
+    return _first(report) if one else report
+
+
+def _analyses(
+    stacks: Sequence[tuple[np.ndarray, Sequence[ProtocolSpec]]]
+) -> list[FidelityReport]:
+    # analyze of each (B, 2^n) stack, its registers of any one size, that
+    # _runs has read or that the package built from drawn registers and
+    # validated specs.  Each stack is simulated alone: its run, its F, and
+    # one partial trace per error kind.  What does not depend on the
+    # register size runs once over the rows of all stacks: the bases, one
+    # entanglement_reports call per error kind, the closed forms and
+    # sin(e/2).
+    specs = [spec for _, rows in stacks for spec in rows]
+    ends = accumulate(len(rows) for _, rows in stacks)
+    parts = [slice(end - len(rows), end) for end, (_, rows) in zip(ends, stacks)]
+    bases = _bases(specs)
+    results = [_run(states, rows, bases[part]) for (states, rows), part in zip(stacks, parts)]
     reports: list = [None] * len(specs)
     bound_entropies: list = [None] * len(specs)
     for error, reduction in _REDUCTIONS.items():
-        rows = [b for b, spec in enumerate(specs) if _PROTOCOLS[spec.kind].error is error]
-        if not rows:
-            continue
         width = linalg.n_qubits_of(len(reduction.pauli))
-        keeps = [specs[b].targets[:width] for b in rows]
-        rho = linalg.partial_trace(amplitudes[rows], keeps)
-        for b, report in zip(rows, entropy.entanglement_reports(rho)):
-            reports[b] = report
-            bound_entropies[b] = reduction.entropies(report)
+        positions, rhos = [], []
+        for (amplitudes, rows), part in zip(stacks, parts):
+            local = [b for b, spec in enumerate(rows) if _PROTOCOLS[spec.kind].error is error]
+            if local:
+                keeps = [rows[b].targets[:width] for b in local]
+                rhos.append(linalg.partial_trace(amplitudes[local], keeps))
+                positions += [part.start + b for b in local]
+        if positions:
+            for b, report in zip(positions, entropy.entanglement_reports(np.concatenate(rhos))):
+                reports[b] = report
+                bound_entropies[b] = reduction.entropies(report)
     corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
     epsilon = np.array([spec.epsilon for spec in specs])
-    report = FidelityReport(
-        simulated_F=mean_gate_fidelity(result),
-        closed_form_F=_closed_form(corr, epsilon),
-        correlator_used=corr,
-        entanglement=reports,
-        bound_entropies=bound_entropies,
-        sin_half=np.sin(epsilon / 2.0),
-        result=result,
-    )
-    return _first(report) if one else report
+    closed, sin_half = _closed_form(corr, epsilon), np.sin(epsilon / 2.0)
+    return [
+        FidelityReport(
+            simulated_F=mean_gate_fidelity(result),
+            closed_form_F=closed[part],
+            correlator_used=corr[part],
+            entanglement=reports[part],
+            bound_entropies=bound_entropies[part],
+            sin_half=sin_half[part],
+            result=result,
+        )
+        for result, part in zip(results, parts)
+    ]

@@ -25,6 +25,7 @@ both, wraps its draw in a validated PureState.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -209,6 +210,8 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
 
 def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> PureState:
     """Apply a unitary on the listed qubits of a normalized state."""
+    if not isinstance(state, PureState):
+        raise ValueError(f"state must be a PureState, not {type(state).__name__}")
     out = apply_matrix(state.amplitudes, op, targets)
     return PureState(state.n_qubits, out)
 
@@ -232,6 +235,8 @@ def measure_branch(
     Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
     stack.
     """
+    if not isinstance(state, (PureState, StateStack)):
+        raise ValueError(f"state must be a PureState or a StateStack, not {type(state).__name__}")
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
     stack = amplitudes.ndim == 2
     qubits = qubit if stack else [qubit]
@@ -261,6 +266,8 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("vectors have non-finite entries")
     ov = np.einsum("...i,...i->...", b.conj(), a)[..., None]
     size = np.abs(ov)
     phase = np.where(size < 1e-300, 1.0, ov / np.where(size < 1e-300, 1.0, size))
@@ -410,7 +417,10 @@ def haar_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     parts = rng.standard_normal(2 * dim)
     vec = np.empty(dim, dtype=complex)
     vec.real, vec.imag = parts[:dim], parts[dim:]
-    vec /= np.linalg.norm(vec)
+    # np.linalg.norm(vec) without its wrapper: the same sums of squares
+    # over the same strided views
+    re, im = vec.real, vec.imag
+    vec /= math.sqrt(re.dot(re) + im.dot(im))
     return vec
 
 

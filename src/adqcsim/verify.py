@@ -18,19 +18,23 @@ vectors, wrapped in a PureState only for a failing report's worst case.
 
 The protocol campaigns run one simulation per register size, whatever
 the protocol and error kinds, cut into stacks of at most
-_STACK_AMPLITUDES amplitudes.  circuit_equivalence puts all three
-rotation kinds of a register in it, measures only the tilted branches
-it compares (protocols._branches without the ideal bases) and compares
-every pair of kinds in one call.  The density campaigns take one
-linalg.partial_trace over the chunk's (B, 16) stack and validate its
-rho rows, values only, in one entropy.validate_density call
-(monotonicity's random sigma rows, whose eigenvectors are read, in
+_STACK_AMPLITUDES amplitudes, and analyze a chunk's stacks in one
+protocols._analyses pass: what does not depend on the register size,
+the entanglement reports included, runs once per chunk.  saturation
+draws from six registers built once per process.  circuit_equivalence
+puts all three rotation kinds of a register in one stack, measures only
+the tilted branches it compares (protocols._branches without the ideal
+bases) and compares every pair of kinds in one call.  The density
+campaigns take one linalg.partial_trace over the chunk's (B, 16) stack
+and validate its rho rows, values only, in one entropy.validate_density
+call (monotonicity's random sigma rows, whose eigenvectors are read, in
 another), then call the public check once on the stack: check_jonas,
 check_interm and check_monotonicity, like relative_entropy and
-dephasing_map, take one matrix or a stack.  The dephased states take no
-solve, their eigenpairs read off their diagonals.  The counterexample
-draws lambda_i without building its grid and validates a chunk's
-rho_lambda rows in one call too.
+dephasing_map, take one matrix or a stack; monotonicity checks sigma =
+I/4 and its random sigma in that one call, over twice the rows.  The
+dephased states take no solve, their eigenpairs read off their
+diagonals.  The counterexample draws lambda_i without building its grid
+and validates a chunk's rho_lambda rows in one call too.
 """
 from __future__ import annotations
 
@@ -131,7 +135,7 @@ def check_interm(rho: np.ndarray | Density) -> float | np.ndarray:
 def check_jonas(rho: np.ndarray | Density) -> float | np.ndarray:
     """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
     rho = entropy.validate_density(rho, dims=(4,))
-    czz = np.minimum(abs(entropy._expectation(rho, entropy._ZZ)), 1.0)
+    czz = np.minimum(abs(entropy._zz(rho)), 1.0)
     g = np.reshape([entropy.g(c) for c in np.ravel(czz).tolist()], czz.shape)
     return entropy._value(g - entropy.von_neumann(rho))
 
@@ -194,6 +198,18 @@ _EPSILON_GRID = tuple(float(x) for x in np.arange(0.0, np.pi, 0.1)) + (float(np.
 _DELTA_GRID = (0.0, 0.7, 2.3)
 _SATURATION_EPSILONS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, float(np.pi))
 _SATURATION_S = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _read_only(vec: np.ndarray) -> np.ndarray:
+    vec.flags.writeable = False
+    return vec
+
+
+# saturation's registers, built once per process: the purity register of
+# each S, then the Bell pair
+_SATURATION_REGISTERS = tuple(
+    _read_only(saturating_single_qubit_register(s, 2).amplitudes) for s in _SATURATION_S
+) + (_read_only(bell_pair_register().amplitudes),)
 
 _ALL_KINDS = tuple(ProtocolKind)
 
@@ -346,14 +362,14 @@ def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int
 
 
 def _analyze_draws(draws: list) -> list[tuple[list[int], protocols.FidelityReport]]:
-    # One stack per register size and slice, whatever the kinds; returns
-    # each slice's draw positions and the report of its stack.
-    return [
-        (positions, protocols.analyze(
-            np.array([draws[p].state for p in positions]), [draws[p].spec for p in positions]
-        ))
-        for positions in _stacks(draws)
-    ]
+    # One stack per register size and slice, whatever the kinds, analyzed
+    # in one pass over the chunk; returns each slice's draw positions and
+    # the report of its stack.
+    stacks = _stacks(draws)
+    return list(zip(stacks, protocols._analyses([
+        (np.array([draws[p].state for p in positions]), [draws[p].spec for p in positions])
+        for positions in stacks
+    ])))
 
 
 def _evaluate_protocol(
@@ -410,7 +426,8 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
             ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
             for kind in kinds[1:] for s in drawn
         ]
-        inaccurate = protocols._branches(np.tile(amplitudes, (len(kinds), 1)), specs, ideal=False)
+        tilted = protocols._bases(specs)[:, :2]
+        inaccurate = protocols._branches(np.tile(amplitudes, (len(kinds), 1)), specs, tilted)
         runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
         diffs = qcore.phase_aligned_max_diff(runs[first], runs[second]).max(axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
@@ -461,8 +478,18 @@ def _evaluate_density(
 
 def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
     # row b: the smaller slack of sigma = I/4 (as in the proof of the
-    # two-qubit bound) and of the random full-rank sigma[b]
-    return np.minimum(check_monotonicity(rho, _MAX_MIXED_2Q), check_monotonicity(rho, sigma))
+    # two-qubit bound) and of the random full-rank sigma[b], both in one
+    # check over a 2B stack: rho twice, against I/4 per row, then sigma
+    n = len(rho.matrix)
+    mixed = _MAX_MIXED_2Q
+    sigmas = Density(
+        np.concatenate([np.broadcast_to(mixed.matrix, (n, 4, 4)), sigma.matrix]),
+        np.concatenate([np.broadcast_to(mixed.eigenvalues, (n, 4)), sigma.eigenvalues]),
+        np.concatenate([np.broadcast_to(mixed.eigenvectors, (n, 4, 4)), sigma.eigenvectors]),
+    )
+    rhos = Density(np.tile(rho.matrix, (2, 1, 1)), np.tile(rho.eigenvalues, (2, 1)), None)
+    slack = check_monotonicity(rhos, sigmas)
+    return np.minimum(slack[:n], slack[n:])
 
 
 def _saturation_sweep(cfg: CampaignConfig) -> int:
@@ -479,17 +506,16 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
     for i, (rng,) in zip(indices, _streams(cfg, indices)):
         j = i % _saturation_sweep(cfg)
         if j < len(_SATURATION_S) * n_eps:
-            s_val = _SATURATION_S[j // n_eps]
             eps = cfg.epsilon_grid[j % n_eps]
             kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
-            psi = saturating_single_qubit_register(s_val, 2).amplitudes
+            psi = _SATURATION_REGISTERS[j // n_eps]
             spec = ProtocolSpec(
                 kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
                 delta=float(rng.uniform(0.0, 2.0 * np.pi)),
             )
         else:
             eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
-            psi = bell_pair_register().amplitudes
+            psi = _SATURATION_REGISTERS[-1]
             spec = ProtocolSpec(
                 ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
                 delta=float(rng.uniform(0.0, 2.0 * np.pi)),

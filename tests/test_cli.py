@@ -329,15 +329,16 @@ def test_demo_reports_each_exceeded_bound_with_its_excess():
 
 
 def test_demo_runs_the_protocol_once(monkeypatch, capsys):
-    # every simulation goes through run_protocol, on a stack of one row
+    # every simulation is one call of protocols._branches, here on a
+    # stack of one row
     calls = []
-    run = protocols.run_protocol
+    run = protocols._branches
 
-    def counted(amplitudes, specs):
+    def counted(amplitudes, specs, bases):
         calls.append(len(specs))
-        return run(amplitudes, specs)
+        return run(amplitudes, specs, bases)
 
-    monkeypatch.setattr(protocols, "run_protocol", counted)
+    monkeypatch.setattr(protocols, "_branches", counted)
     info = demo_json(["demo", "ADQC_CZ_GATE", "--preset", "ghz:3", "--epsilon", "0.4"], capsys)
     assert calls == [1]
     assert sum(info["branch_probabilities"]) == pytest.approx(1.0, abs=1e-12)

@@ -540,7 +540,7 @@ def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
         specs = [random_spec(rng, n, kinds) for _ in range(rows)]
         streams = qcore.generators([[86, trial, b] for b in range(rows)])
         states = np.array([qcore.haar_state(n, g) for g in streams])
-        tilted = protocols._branches(states, specs, ideal=False)
+        tilted = protocols._branches(states, specs, protocols._bases(specs)[:, :2])
         result = protocols.run_protocol(states, specs)
         assert tilted.shape == result.inaccurate_branches.shape == (rows, 2, 2**n)
         assert tilted.tobytes() == result.inaccurate_branches.tobytes()
@@ -554,6 +554,7 @@ def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():
     rng = np.random.default_rng(87)
     n, rows = 4, 12
     amplitudes = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
     specs = [random_spec(rng, n, (ProtocolKind.ADQC_ROTATION_CZ,)) for _ in range(rows)]
     plus = (amplitudes[:, :, None] * protocols._PLUS).reshape(rows, 2 ** (n + 1))
     ops = np.stack([qcore.gate("E_CZ")] * rows)
@@ -658,6 +659,28 @@ def test_a_register_takes_one_spec_and_a_stack_one_spec_per_row(fn):
         run(psi.amplitudes[None, None], [spec])
     with pytest.raises(ValueError, match="target 2 out of range"):
         run(psi, ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (0, 2)))
+
+
+@pytest.mark.parametrize("fn", ["pre_measurement_state", "run_protocol", "analyze"])
+@pytest.mark.parametrize("register, message", [
+    (np.zeros(2), "not normalized"),
+    (np.array([1.0, 1.0]), "not normalized"),
+    (np.array([1e300, 1e300j]), "not normalized"),  # |psi|^2 overflows to inf
+    (np.array([np.nan, 0.0]), "not finite"),
+    (np.array([np.nan, 1.0]), "not finite"),
+    (np.array([np.inf, 0.0]), "not finite"),
+])
+def test_a_register_must_be_finite_and_normalized(fn, register, message):
+    # a zero or NaN register used to emit a RuntimeWarning, and
+    # pre_measurement_state returned NaN; a bad row of a stack fails it
+    run = getattr(protocols, fn)
+    spec = ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.2, epsilon=0.3)
+    with pytest.raises(ValueError, match=message):
+        run(register, spec)
+    stack = np.array([basis_state(1, 1).amplitudes, register])
+    with pytest.raises(ValueError, match=message):
+        run(stack, [spec, spec])
+    run(stack[:1], [spec])  # the good row alone runs
 
 
 def test_bounds_and_violations_describe_one_run():

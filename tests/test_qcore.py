@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adqcsim import linalg, qcore, verify
+from adqcsim import linalg, protocols, qcore, verify
 from adqcsim.qcore import PureState, basis_state
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -240,6 +240,22 @@ def test_apply_gate_errors():
         qcore.apply_gate(st, qcore.gate("H"), (2,))
     with pytest.raises(ValueError):
         qcore.apply_gate(st, qcore.gate("CZ"), (0, 0))
+
+
+_WRONG_TYPES = {
+    "apply_gate": lambda x: qcore.apply_gate(x, qcore.gate("X"), (0,)),
+    "measure_branch": lambda x: qcore.measure_branch(x, 0, qcore.Z_PAIR),
+    "mean_gate_fidelity": protocols.mean_gate_fidelity,
+}
+
+
+@pytest.mark.parametrize("value", [np.array([1.0, 0.0], dtype=complex), None])
+@pytest.mark.parametrize("name", list(_WRONG_TYPES))
+def test_a_call_given_the_wrong_type_names_its_argument(name, value):
+    # an array or None used to raise AttributeError from an attribute read
+    argument = "result" if name == "mean_gate_fidelity" else "state"
+    with pytest.raises(ValueError, match=f"{argument} must be a"):
+        _WRONG_TYPES[name](value)
 
 
 def test_apply_gate_preserves_norm():
@@ -571,3 +587,13 @@ def test_phase_aligned_max_diff():
     w[0] += 0.1
     assert qcore.phase_aligned_max_diff(v, w) > 0.01
     assert qcore.phase_aligned_max_diff(np.zeros(4), np.zeros(4)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_phase_aligned_max_diff_rejects_non_finite_entries(bad):
+    # [nan, 1] against [1, 0] used to emit a RuntimeWarning
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.phase_aligned_max_diff([bad, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.phase_aligned_max_diff(np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]))
+

@@ -682,9 +682,9 @@ def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, sa
     original = protocols._branches
     stacks = []
 
-    def counted(amplitudes, specs, ideal):
+    def counted(amplitudes, specs, bases):
         stacks.append(amplitudes.shape)
-        return original(amplitudes, specs, ideal)
+        return original(amplitudes, specs, bases)
 
     monkeypatch.setattr(protocols, "_branches", counted)
     config = verify.default_config(name, samples=samples, seed=13)
@@ -701,7 +701,7 @@ def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, sa
 
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
 def test_analyze_matches_the_chunked_evaluation(kind):
-    # analyze of one register is row 0 of the code that evaluates a chunk
+    # analyze of one register is its row of the chunk pass, bit for bit
     config = verify.default_config("equality_oracle", samples=40, seed=3)
     draws = verify._draw_protocol(config, range(40), kinds=(kind,))
     names = ("purity_bound", "sv_bound", "sv2_bound")
@@ -710,13 +710,76 @@ def test_analyze_matches_the_chunked_evaluation(kind):
         for row, p in enumerate(positions):
             d = draws[p]
             rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec)
-            assert abs(rep.simulated_F - stack.simulated_F[row]) <= 1e-15
-            assert abs(rep.closed_form_F - stack.closed_form_F[row]) <= 1e-15
-            assert abs(rep.correlator_used - stack.correlator_used[row]) <= 1e-15
+            assert rep.simulated_F == stack.simulated_F[row]
+            assert rep.closed_form_F == stack.closed_form_F[row]
+            assert rep.correlator_used == stack.correlator_used[row]
             assert rep.bounds.keys() == {n for n in names if bounds[n][row] is not None}
             for name, value in rep.bounds.items():
-                assert abs(value - bounds[name][row]) <= 1e-15
+                assert value == bounds[name][row]
             assert rep.entanglement == stack.entanglement[row]
+
+
+@pytest.mark.parametrize("name, samples, calls", [
+    # three chunks of every default size (2-5), each holding both error kinds
+    ("equality_oracle", 300, 6),
+    # bit-flip kinds only: one call per chunk
+    ("bound_sv", 300, 3),
+    # the purity registers (2 qubits) and the Bell pairs (4): one chunk
+    ("saturation", 1, 2),
+])
+def test_a_chunk_makes_one_report_call_per_error_kind(monkeypatch, name, samples, calls):
+    # the reductions of every register size of a chunk are reported in one
+    # entanglement_reports call per error kind, whatever its stacks
+    original = entropy.entanglement_reports
+    shapes = []
+
+    def counted(rhos):
+        shapes.append(rhos.shape)
+        return original(rhos)
+
+    monkeypatch.setattr(entropy, "entanglement_reports", counted)
+    report = verify.run_campaign(verify.default_config(name, samples=samples, seed=21))
+    assert len(shapes) == calls
+    assert sum(rows for rows, _, _ in shapes) == report.checks_run
+
+
+def test_monotonicity_checks_both_sigmas_in_one_call(monkeypatch):
+    # sigma = I/4 and the random sigma of a chunk's rows share one
+    # check_monotonicity call over a stack of twice the rows
+    original = verify.check_monotonicity
+    rows = []
+
+    def counted(rho, sigma):
+        rows.append((len(rho.matrix), len(sigma.matrix)))
+        return original(rho, sigma)
+
+    monkeypatch.setattr(verify, "check_monotonicity", counted)
+    config = verify.default_config("monotonicity", samples=40, seed=3)
+    verify.run_campaign(config)
+    assert rows == [(80, 80)]
+
+
+def test_saturation_builds_its_registers_once_per_process(monkeypatch):
+    # the six fixed registers are read-only arrays built at import; no
+    # item builds one
+    want = [verify.saturating_single_qubit_register(s, 2).amplitudes for s in verify._SATURATION_S]
+    want.append(verify.bell_pair_register().amplitudes)
+
+    def built(*args):
+        raise AssertionError("a register was built for an item")
+
+    monkeypatch.setattr(verify, "saturating_single_qubit_register", built)
+    monkeypatch.setattr(verify, "bell_pair_register", built)
+    registers = verify._SATURATION_REGISTERS
+    assert [r.tobytes() for r in registers] == [w.tobytes() for w in want]
+    assert not any(r.flags.writeable for r in registers)
+    config = verify.default_config("saturation", samples=2, seed=3)
+    assert verify.run_campaign(config).passed
+    draws = verify._draw_saturation(config, range(verify._saturation_sweep(config)))
+    assert {id(d.state) for d in draws} == {id(r) for r in registers}
+    # a failing report serializes its worst item from the shared register
+    failing = verify.run_campaign(dataclasses.replace(config, tolerance=1e-300))
+    assert not failing.passed and failing.worst_case["input_state"]
 
 
 def test_density_checks_match_the_chunked_evaluation():
