@@ -134,11 +134,7 @@ def preset_state(token: str) -> PureState:
 def _demo_report_dict(spec: ProtocolSpec, report) -> dict:
     ent, result = report.entanglement, report.result
     return {
-        "protocol": spec.kind.value,
-        "targets": list(spec.targets),
-        "u": spec.u,
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
+        **protocols._fields(spec),
         "ideal_probabilities": result.ideal_probabilities.tolist(),
         "branch_probabilities": [
             float(np.vdot(x, x).real) for x in result.inaccurate_branches

@@ -15,7 +15,7 @@ import math
 import numbers
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,18 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name}={value} is not finite")
     return value
+
+
+def _entries(values, check: Callable, name: str) -> tuple:
+    # a sequence argument, such as a grid or a target list: not empty, and
+    # each entry through its check
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} {values!r} is not a sequence") from None
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    return tuple(check(x, f"{name} entry") for x in values)
 
 
 def n_qubits_of(dim: int) -> int:
@@ -160,6 +172,15 @@ def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
     return rows
 
 
+def _lengths(lists: Sequence, name: str) -> list[int]:
+    # the length of each row's qubit list: a list that is no sequence, or
+    # a flat list where one list per row is asked for, raises ValueError
+    try:
+        return [len(qubits) for qubits in lists]
+    except TypeError:
+        raise ValueError(f"{name} must be a list of qubits, or one list per row") from None
+
+
 def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     """Reduced density matrix of a pure state on the qubits `keep`, in the
     order given.  For a (B, 2^n) stack of states `keep` holds one list per
@@ -169,14 +190,13 @@ def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     size the result by, is rejected."""
     states = np.asarray(states, dtype=complex)
     keeps = keep if states.ndim == 2 else [keep]
+    sizes = _lengths(keeps, "keep")
     rows = _rows(states, keeps, "keep lists")
     if len(rows) == 0:
         raise ValueError("the stack is empty: no rows to reduce")
-    if any(isinstance(k, numbers.Integral) for k in keeps):
-        raise ValueError("a stack takes one keep list per row, not one flat list")
     n = n_qubits_of(rows.shape[1])
-    k = len(keeps[0])
-    if any(len(other) != k for other in keeps):
+    k = sizes[0]
+    if sizes.count(k) != len(sizes):
         raise ValueError("every row must keep the same number of qubits")
     m = permute_qubits(rows, keeps).reshape(len(rows), 2**k, -1)
     rho = m @ m.conj().swapaxes(1, 2)

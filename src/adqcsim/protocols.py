@@ -5,32 +5,27 @@ entanglement-based fidelity bounds.
 Every protocol couples a fresh |+> ancilla to one or two register qubits
 and measures a single qubit afterwards; `_PROTOCOLS` holds one row per
 protocol: its gate sequence, its measurement basis and its error operator.
-
 With an accurate measurement the branches realize X^j J(u) on the target
 (rotations), X1^j H1 H2 CZ12 (CZ gate) or (Z1 Z2)^j SWAP12 CZ12 (CZSWAP
 gate), up to a global phase per branch.
 
-Each public function takes one register, a PureState or a (2^n,)
-vector, with one ProtocolSpec, or a (B, 2^n) stack of registers of one
-size with one spec per row, and returns a result of the input's rank.
-It reads its input once, through `_runs`: every row must be finite and
-normalized.  Protocols of different kinds share a stack through per-row
-gate tables.  A run's branches are one `ProtocolResult` of arrays:
-(2, 2^n) branches for one run, (B, 2, 2^n) for a stack; its
-`FidelityReport` carries the same leading axis on every field.
+Each public function takes one register, a PureState or a (2^n,) vector,
+with one ProtocolSpec, or a (B, 2^n) stack of registers of one size with
+one spec per row, and returns a result of the input's rank: a run's
+branches are one `ProtocolResult` of arrays, (2, 2^n) for one run or
+(B, 2, 2^n) for a stack, and its `FidelityReport` has the same leading
+axis.  It reads its input once, through `_runs`: every row must be finite
+and normalized, and the specs become `_Specs` columns, the one form of a
+stack's invocations inside the package.  A kind is a code there, which
+indexes arrays of its row's facts, so kinds share a stack.
 
-Every simulation is one call of the private `_branches`: each row's gate
-steps, then its measurement in the bases asked for.  `run_protocol` asks
-for the tilted and the ideal bases and normalizes the ideal branches; a
-caller that reads only the tilted branches, as verify's
-circuit_equivalence does, asks for those alone, bit for bit the same.
-
-`analyze` is the private analysis pass `_analyses` over one stack.  The
-pass takes several stacks, such as a campaign chunk's registers of
-several sizes: each is simulated alone and reduced per error kind on its
-own shape, and what does not depend on the register size (the bases,
-one entanglement report call per error kind, the closed forms and
-sin(e/2)) runs once over all their rows.
+Every simulation is one `_branches` call, in the bases asked for: the
+tilted and the ideal ones for `run_protocol`, the tilted ones alone for a
+caller that reads only those.  `analyze` is the analysis pass `_analyses`
+over one stack.  The pass takes several, such as a campaign chunk's
+registers of several sizes, simulates each alone, and runs what does not
+depend on the size (the bases, one entanglement report call per error
+kind, the closed forms) once over all their rows.
 """
 from __future__ import annotations
 
@@ -43,7 +38,7 @@ import numpy as np
 
 from . import entropy, linalg, qcore
 from .entropy import BoundDomainError, EntanglementReport
-from .linalg import _finite, _integer
+from .linalg import _entries, _finite, _integer
 from .qcore import PureState
 
 BOUND_SLACK_TOL = 1e-9
@@ -64,12 +59,12 @@ class ErrorKind(Enum):
     ZZ_TYPE = "ZZ_TYPE"
 
 
-_ANCILLA = "ancilla"  # the ancilla's wire; wires 0 and 1 are targets[0], targets[1]
+_ANCILLA = 2  # the ancilla's wire; wires 0 and 1 are targets[0], targets[1]
 
 
 @dataclass(frozen=True)
 class _Protocol:
-    gates: tuple[tuple[str, tuple[int | str, int | str]], ...]  # (qcore gate, wires)
+    gates: tuple[tuple[str, tuple[int, int]], ...]  # (qcore gate, wires)
     rotation: bool  # one target, equatorial basis at u; else two targets, Z basis
     error: ErrorKind  # X on the first target, or Z (x) Z on the target pair
     measures_target: bool = False  # the ancilla then takes the target's slot
@@ -106,6 +101,13 @@ ROTATION_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.rotation)
 # Protocols whose measurement error acts as a bit flip on the first target.
 X_ERROR_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.error is ErrorKind.X_TYPE)
 
+# Inside the package a kind is its code, its index in _KINDS, and each fact
+# of its _PROTOCOLS row is an array indexed by the code.
+_KINDS = tuple(_PROTOCOLS)
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_ROTATION = np.array([row.rotation for row in _PROTOCOLS.values()])
+_MEASURES_TARGET = np.array([row.measures_target for row in _PROTOCOLS.values()])
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -120,11 +122,10 @@ class ProtocolSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ProtocolKind):
             raise ValueError(f"kind {self.kind!r} is not a ProtocolKind")
-        object.__setattr__(self, "targets", tuple(_integer(t, "target") for t in self.targets))
-        for name in ("u", "epsilon", "delta"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _finite(value, name))
+        object.__setattr__(self, "targets", _entries(self.targets, _integer, "targets"))
+        # only u may be None, for a gate kind (checked below)
+        for name in ("u", "epsilon", "delta") if self.u is not None else ("epsilon", "delta"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if _PROTOCOLS[self.kind].rotation:
             if len(self.targets) != 1:
                 raise ValueError(f"{self.kind.value} takes exactly one target")
@@ -135,6 +136,12 @@ class ProtocolSpec:
                 raise ValueError(f"{self.kind.value} takes two distinct targets")
             if self.u is not None:
                 raise ValueError(f"{self.kind.value} does not take a rotation angle")
+
+
+def _fields(spec: ProtocolSpec) -> dict:
+    # a spec as the reports print it
+    return {"protocol": spec.kind.value, "targets": list(spec.targets), "u": spec.u,
+            "epsilon": spec.epsilon, "delta": spec.delta}
 
 
 class ProtocolResult(NamedTuple):
@@ -153,24 +160,47 @@ class ProtocolResult(NamedTuple):
 
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-# Every gate the protocols apply, stacked once; each protocol's steps as
-# (row of _GATE_TABLE, wires), so a gate step of a stack takes its
-# operators by indexing the table.
+# Every gate the protocols apply, stacked once, and gate step k of each
+# kind, (steps, kinds, 3): its row of _GATE_TABLE (-1 where the kind has
+# no k-th gate), then its two wires; a step of a stack indexes both.
 _GATE_NAMES = tuple(dict.fromkeys(name for row in _PROTOCOLS.values() for name, _ in row.gates))
 _GATE_TABLE = np.stack([qcore.gate(name) for name in _GATE_NAMES])
-_STEPS = {
-    kind: tuple((_GATE_NAMES.index(name), wires) for name, wires in row.gates)
-    for kind, row in _PROTOCOLS.items()
-}
+_DEPTH = max(len(row.gates) for row in _PROTOCOLS.values())
+_STEP_TABLE = np.array([
+    [(_GATE_NAMES.index(name), *wires) for name, wires in row.gates]
+    + [(-1, 0, 0)] * (_DEPTH - len(row.gates)) for row in _PROTOCOLS.values()
+]).swapaxes(0, 1)
+
+
+class _Specs(NamedTuple):
+    # A stack's protocol invocations as columns, the one form in which they
+    # travel inside the package: per row the kind's code, two targets (a
+    # rotation's one twice), u (0.0 for a gate kind), epsilon and delta.
+    kind: np.ndarray
+    targets: np.ndarray
+    u: np.ndarray
+    epsilon: np.ndarray
+    delta: np.ndarray
+
+    def take(self, rows) -> "_Specs":
+        return _Specs(*(column[rows] for column in self))
+
+
+def _columns(rows: Sequence[tuple]) -> _Specs:
+    # the columns of checked (kind code, targets, u or None, epsilon, delta) rows
+    kind, targets, u, epsilon, delta = zip(*rows) if rows else ((),) * 5
+    pairs = np.array([(t[0], t[-1]) for t in targets], dtype=np.intp).reshape(-1, 2)
+    u = np.array([0.0 if x is None else x for x in u])
+    return _Specs(np.array(kind, dtype=np.intp), pairs, u, np.array(epsilon), np.array(delta))
 
 
 def _runs(
     states: PureState | np.ndarray, specs: ProtocolSpec | Sequence[ProtocolSpec]
-) -> tuple[np.ndarray, list[ProtocolSpec], bool]:
+) -> tuple[np.ndarray, _Specs, bool]:
     # The one reader of the input forms: one register (a PureState or a
     # (2^n,) vector) with one spec, or a (B, 2^n) stack with one spec per
     # row.  Every row must be finite and normalized.  Returns the (B, 2^n)
-    # stack, its specs, and whether the input was one register.
+    # stack, its specs as columns, and whether the input was one register.
     amplitudes = np.asarray(
         states.amplitudes if isinstance(states, PureState) else states, dtype=complex
     )
@@ -191,10 +221,11 @@ def _runs(
     for spec in specs:
         if not isinstance(spec, ProtocolSpec):
             raise ValueError(f"spec {spec!r} is not a ProtocolSpec")
-        for t in spec.targets:
-            if not 0 <= t < n:
-                raise ValueError(f"target {t} out of range for {n} qubits")
-    return rows, specs, one
+    columns = _columns([(_CODES[s.kind], s.targets, s.u, s.epsilon, s.delta) for s in specs])
+    outside = (columns.targets < 0) | (columns.targets >= n)
+    if outside.any():
+        raise ValueError(f"target {columns.targets[outside][0]} out of range for {n} qubits")
+    return rows, columns, one
 
 
 def _first(value):
@@ -221,43 +252,42 @@ def pre_measurement_state(
     return _first(vec) if one else vec
 
 
-def _gate_steps(amplitudes: np.ndarray, specs: Sequence[ProtocolSpec]) -> np.ndarray:
+def _gate_steps(amplitudes: np.ndarray, specs: _Specs) -> np.ndarray:
     # pre_measurement_state of a stack that _runs has read, or that the
-    # package built from drawn registers and validated specs
+    # package built from drawn registers and checked values
     n = linalg.n_qubits_of(amplitudes.shape[1])
     # psi (x) |+>: both entries of _PLUS are equal
     vec = np.repeat(amplitudes * _PLUS[0], 2, axis=1)
-    steps = [_STEPS[spec.kind] for spec in specs]
-    for k in range(max(map(len, steps), default=0)):
-        rows = [b for b, gates in enumerate(steps) if len(gates) > k]
-        ops = _GATE_TABLE[[steps[b][k][0] for b in rows]]
-        wires = [
-            tuple(n if w == _ANCILLA else specs[b].targets[w] for w in steps[b][k][1])
-            for b in rows
-        ]
-        if len(rows) == len(specs):
-            vec = qcore.apply_matrix(vec, ops, wires)
+    # each row's qubit on each wire: its two targets, then the ancilla
+    qubits = np.concatenate((specs.targets, np.full((len(vec), 1), n)), axis=1)
+    for step in _STEP_TABLE[:, specs.kind]:
+        rows = (step[:, 0] >= 0).nonzero()[0]
+        if not len(rows):  # no row has this step, nor any later one
+            break
+        ops = _GATE_TABLE[step[rows, 0]]
+        targets = qubits[rows[:, None], step[rows, 1:]].tolist()
+        if len(rows) == len(vec):
+            vec = qcore.apply_matrix(vec, ops, targets)
         else:
-            vec[rows] = qcore.apply_matrix(vec[rows], ops, wires)
+            vec[rows] = qcore.apply_matrix(vec[rows], ops, targets)
     return vec
 
 
-def _bases(specs: Sequence[ProtocolSpec]) -> np.ndarray:
+def _bases(specs: _Specs) -> np.ndarray:
     # Per row, (4, 2): the tilted then the ideal basis vectors.  The ideal
     # basis is the epsilon=0 basis at the *same* delta, which fixes the
     # branch phases so that the error-operator factorization of the
     # inaccurate branches holds exactly, not just up to phase.  Each row's
-    # vectors depend on its spec alone, so a chunk's are built in one call.
-    rows = [_PROTOCOLS[spec.kind] for spec in specs]
-    rotation = np.array([row.rotation for row in rows])[:, None, None]
-    u = [spec.u if row.rotation else 0.0 for spec, row in zip(specs, rows)]
-    reference = np.where(rotation, qcore.equatorial_pair(u), qcore.Z_PAIR)
-    epsilon = [(spec.epsilon, 0.0) for spec in specs]
-    delta = [(spec.delta, spec.delta) for spec in specs]
-    return qcore.tilted_vectors(reference[:, None], epsilon, delta).reshape(len(specs), 4, 2)
+    # vectors depend on its angles and its kind's reference pair alone.
+    rotation = _ROTATION[specs.kind][:, None, None]
+    reference = np.where(rotation, qcore.equatorial_pair(specs.u), qcore.Z_PAIR)
+    epsilon = np.zeros((len(rotation), 2))
+    epsilon[:, 0] = specs.epsilon
+    delta = specs.delta.repeat(2).reshape(-1, 2)
+    return qcore.tilted_vectors(reference[:, None], epsilon, delta).reshape(len(rotation), 4, 2)
 
 
-def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], bases: np.ndarray) -> np.ndarray:
+def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarray:
     # Each row of a (B, 2^n) stack through its gate steps, then measured in
     # the J basis vectors of its row of `bases`, (B, J, 2): the rows of
     # _bases for the (B, 4, 2^n) tilted then ideal branches, or their
@@ -266,16 +296,14 @@ def _branches(states: np.ndarray, specs: Sequence[ProtocolSpec], bases: np.ndarr
     # measures_target the ancilla takes the measured target's slot.
     pre = _gate_steps(states, specs)
     n = linalg.n_qubits_of(states.shape[1])
-    measured, keep = [], []
-    for spec in specs:
-        t = spec.targets[0]
-        target = _PROTOCOLS[spec.kind].measures_target
-        measured.append(t if target else n)
-        keep.append((*range(t), n, *range(t + 1, n)) if target else None)
+    first = specs.targets[:, 0].tolist()
+    target = _MEASURES_TARGET[specs.kind].tolist()
+    measured = [t if m else n for t, m in zip(first, target)]
+    keep = [(*range(t), n, *range(t + 1, n)) if m else None for t, m in zip(first, target)]
     return qcore.measure_branch(qcore.StateStack(pre), measured, bases, keep)
 
 
-def _run(states: np.ndarray, specs: Sequence[ProtocolSpec], bases: np.ndarray) -> ProtocolResult:
+def _run(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> ProtocolResult:
     # run_protocol of a stack that _runs has read, or that the package
     # built, in its rows of _bases
     branches = _branches(states, specs, bases)
@@ -332,8 +360,8 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
     """
     if _integer(j, "outcome") not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {j}")
-    if kind not in _REDUCTIONS:
-        raise ValueError(f"unknown error kind {kind}")
+    if not isinstance(kind, ErrorKind):
+        raise ValueError(f"unknown error kind {kind!r}")
     pauli = _REDUCTIONS[kind].pauli
     epsilon, delta = _finite(epsilon, "epsilon"), _finite(delta, "delta")
     sign = (-1.0) ** j
@@ -457,6 +485,8 @@ _REDUCTIONS = {
         np.kron(qcore.gate("Z"), qcore.gate("Z")), _two_qubit_entropies
     ),
 }
+# each kind's error as its code, its index in _REDUCTIONS
+_ERROR = np.array([list(_REDUCTIONS).index(row.error) for row in _PROTOCOLS.values()])
 
 
 def analyze(
@@ -472,43 +502,44 @@ def analyze(
     none.  A stack of no rows gives a report of no rows.
     """
     amplitudes, specs, one = _runs(states, specs)
-    (report,) = _analyses([(amplitudes, specs)])
+    (report,) = _analyses([amplitudes], specs)
     return _first(report) if one else report
 
 
-def _analyses(
-    stacks: Sequence[tuple[np.ndarray, Sequence[ProtocolSpec]]]
-) -> list[FidelityReport]:
+def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityReport]:
     # analyze of each (B, 2^n) stack, its registers of any one size, that
     # _runs has read or that the package built from drawn registers and
-    # validated specs.  Each stack is simulated alone: its run, its F, and
-    # one partial trace per error kind.  What does not depend on the
-    # register size runs once over the rows of all stacks: the bases, one
+    # checked values; `specs` holds the rows of every stack, stack after
+    # stack.  Each stack is simulated alone: its run, its F, and one
+    # partial trace per error kind.  What does not depend on the register
+    # size runs once over the rows of all stacks: the bases, one
     # entanglement_reports call per error kind, the closed forms and
     # sin(e/2).
-    specs = [spec for _, rows in stacks for spec in rows]
-    ends = accumulate(len(rows) for _, rows in stacks)
-    parts = [slice(end - len(rows), end) for end, (_, rows) in zip(ends, stacks)]
+    ends = list(accumulate(len(states) for states in stacks))
+    starts = [end - len(states) for end, states in zip(ends, stacks)]
+    parts = [slice(start, end) for start, end in zip(starts, ends)]
     bases = _bases(specs)
-    results = [_run(states, rows, bases[part]) for (states, rows), part in zip(stacks, parts)]
-    reports: list = [None] * len(specs)
-    bound_entropies: list = [None] * len(specs)
-    for error, reduction in _REDUCTIONS.items():
-        width = linalg.n_qubits_of(len(reduction.pauli))
-        positions, rhos = [], []
-        for (amplitudes, rows), part in zip(stacks, parts):
-            local = [b for b, spec in enumerate(rows) if _PROTOCOLS[spec.kind].error is error]
-            if local:
-                keeps = [rows[b].targets[:width] for b in local]
-                rhos.append(linalg.partial_trace(amplitudes[local], keeps))
-                positions += [part.start + b for b in local]
-        if positions:
-            for b, report in zip(positions, entropy.entanglement_reports(np.concatenate(rhos))):
-                reports[b] = report
-                bound_entropies[b] = reduction.entropies(report)
+    results = [_run(states, specs.take(part), bases[part]) for states, part in zip(stacks, parts)]
+    reports: list = [None] * len(specs.kind)
+    bound_entropies: list = [None] * len(specs.kind)
+    errors = _ERROR[specs.kind]
+    for code, reduction in enumerate(_REDUCTIONS.values()):
+        # the rows of this error kind, stack after stack: stack k holds
+        # rows[cuts[k]:cuts[k + 1]]
+        rows = (errors == code).nonzero()[0]
+        if not len(rows):
+            continue
+        cuts = np.searchsorted(rows, [0, *ends]).tolist()
+        keeps = specs.targets[rows, :linalg.n_qubits_of(len(reduction.pauli))].tolist()
+        rhos = [
+            linalg.partial_trace(states[rows[a:b] - start], keeps[a:b])
+            for states, start, a, b in zip(stacks, starts, cuts, cuts[1:]) if a < b
+        ]
+        for b, report in zip(rows.tolist(), entropy.entanglement_reports(np.concatenate(rhos))):
+            reports[b] = report
+            bound_entropies[b] = reduction.entropies(report)
     corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
-    epsilon = np.array([spec.epsilon for spec in specs])
-    closed, sin_half = _closed_form(corr, epsilon), np.sin(epsilon / 2.0)
+    closed, sin_half = _closed_form(corr, specs.epsilon), np.sin(specs.epsilon / 2.0)
     return [
         FidelityReport(
             simulated_F=mean_gate_fidelity(result),

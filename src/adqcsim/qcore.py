@@ -62,10 +62,9 @@ def gate(name: str) -> np.ndarray:
 
     E_CZ is (H (x) H) . CZ on (register qubit, ancilla) ordering.
     """
-    try:
-        return _GATES[name].copy()
-    except KeyError:
-        raise ValueError(f"unknown gate name {name!r}") from None
+    if not isinstance(name, str) or name not in _GATES:
+        raise ValueError(f"unknown gate name {name!r}")
+    return _GATES[name].copy()
 
 
 def j_gate(u: float) -> np.ndarray:
@@ -191,13 +190,14 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     """
     vec = np.asarray(vec, dtype=complex)
     target_rows = targets if vec.ndim == 2 else [targets]
+    sizes = linalg._lengths(target_rows, "targets")
     rows = linalg._rows(vec, target_rows, "target lists")
     n = linalg.n_qubits_of(rows.shape[1])
     op = np.asarray(op, dtype=complex)
     if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
     k = linalg.n_qubits_of(op.shape[-1])
-    if any(len(row) != k for row in target_rows):
+    if any(size != k for size in sizes):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
     # the gather tables of the rows' targets, built once for the gather
     # and the scatter back

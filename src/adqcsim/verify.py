@@ -6,35 +6,25 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-seeds all of its chunk's generators in one qcore.generators call, but
-item i still comes from its own streams alone: [seed, i], and
-[seed, i, 1] for a protocol campaign's register or [seed, i, 7] for
-monotonicity's random sigma.  run_campaign draws and evaluates chunks of
-_CHUNK items in index order and keeps only the worst index; a failing
-report draws that item again, alone, for its payload.  Reports are thus
-reproducible and do not depend on the order of evaluation, the chunk
-size or the stack cap.  A draw carries its registers as plain amplitude
-vectors, wrapped in a PureState only for a failing report's worst case.
+seeds its chunk's generators in one qcore.generators call, but item i
+still comes from its own streams alone: [seed, i], and [seed, i, 1] for a
+protocol campaign's register or [seed, i, 7] for monotonicity's random
+sigma.  run_campaign evaluates chunks of _CHUNK items in index order and
+keeps only the worst index, which a failing report draws again, alone,
+for its payload.  Reports thus do not depend on the order of evaluation,
+the chunk size or the stack cap.
 
-The protocol campaigns run one simulation per register size, whatever
-the protocol and error kinds, cut into stacks of at most
-_STACK_AMPLITUDES amplitudes, and analyze a chunk's stacks in one
-protocols._analyses pass: what does not depend on the register size,
-the entanglement reports included, runs once per chunk.  saturation
-draws from six registers built once per process.  circuit_equivalence
-puts all three rotation kinds of a register in one stack, measures only
-the tilted branches it compares (protocols._branches without the ideal
-bases) and compares every pair of kinds in one call.  The density
-campaigns take one linalg.partial_trace over the chunk's (B, 16) stack
-and validate its rho rows, values only, in one entropy.validate_density
-call (monotonicity's random sigma rows, whose eigenvectors are read, in
-another), then call the public check once on the stack: check_jonas,
-check_interm and check_monotonicity, like relative_entropy and
-dephasing_map, take one matrix or a stack; monotonicity checks sigma =
-I/4 and its random sigma in that one call, over twice the rows.  The
-dephased states take no solve, their eigenpairs read off their
-diagonals.  The counterexample draws lambda_i without building its grid
-and validates a chunk's rho_lambda rows in one call too.
+A protocol draw holds plain values, its register's amplitudes and its
+invocation's fields, and takes an item's uniform angles from one random()
+call; a PureState and a ProtocolSpec are built only for a failing
+report's worst case.  The protocol campaigns hand a chunk's invocations
+to protocols._analyses as columns, with one simulation per register size
+cut into stacks of at most _STACK_AMPLITUDES amplitudes.
+circuit_equivalence repeats each drawn row under every rotation kind,
+which share its tilted bases, and measures only those.  The density
+campaigns take one partial trace and one validation per chunk
+(monotonicity's sigma rows, whose eigenvectors are read, in another),
+then call the public check once on the stack.
 """
 from __future__ import annotations
 
@@ -47,7 +37,7 @@ import numpy as np
 
 from . import entropy, linalg, protocols, qcore, stateio
 from .entropy import BoundDomainError, Density
-from .linalg import _finite, _integer, _real
+from .linalg import _entries, _finite, _integer, _real
 from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState
 
@@ -211,7 +201,8 @@ _SATURATION_REGISTERS = tuple(
     _read_only(saturating_single_qubit_register(s, 2).amplitudes) for s in _SATURATION_S
 ) + (_read_only(bell_pair_register().amplitudes),)
 
-_ALL_KINDS = tuple(ProtocolKind)
+_ROTATION_CODES = tuple(protocols._CODES[kind] for kind in protocols.ROTATION_KINDS)
+_CZSWAP_GATE = protocols._CODES[ProtocolKind.ADQC_CZSWAP_GATE]
 
 # Items drawn and evaluated together: enough to amortize the per-call
 # numpy overhead of a stack.
@@ -256,18 +247,6 @@ class CampaignConfig:
             raise ValueError(f"register_sizes {self.register_sizes} must lie in [1, {largest}]")
 
 
-def _entries(values, check: Callable, name: str) -> tuple:
-    # a sequence field (a grid or the register sizes): not empty, and
-    # each entry through its check
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} {values!r} is not a sequence") from None
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    return tuple(check(x, f"{name} entry") for x in values)
-
-
 @dataclass
 class CampaignReport:
     config: CampaignConfig
@@ -300,18 +279,30 @@ _Evaluation = tuple[list[float | None], dict]
 class _ProtocolDraw(NamedTuple):
     index: int
     state: np.ndarray  # the register's amplitude vector
-    spec: ProtocolSpec
+    # (kind code, targets, u or None, epsilon, delta), as protocols._columns reads it
+    protocol: tuple
+
+    def spec(self) -> ProtocolSpec:
+        kind, *fields = self.protocol
+        return ProtocolSpec(protocols._KINDS[kind], *fields)
 
     def payload(self) -> dict:
         return {
             "sample_index": self.index,
             "input_state": stateio.dumps_state(PureState.from_vector(self.state)),
-            "protocol": self.spec.kind.value,
-            "targets": list(self.spec.targets),
-            "u": self.spec.u,
-            "epsilon": self.spec.epsilon,
-            "delta": self.spec.delta,
+            **protocols._fields(self.spec()),
         }
+
+
+_TURN = 2.0 * np.pi
+
+
+def _angles(rng: np.random.Generator, *highs: float) -> list[float]:
+    # an item's consecutive angles, each uniform on [0, high), from one
+    # rng.random(k) call: Generator.uniform scales its draw d to
+    # low + (high - low) * d, which is high * d for low 0, so these are the
+    # values (and the stream after them) of k such calls, bit for bit
+    return [high * d for high, d in zip(highs, rng.random(len(highs)).tolist())]
 
 
 def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[list]:
@@ -325,16 +316,17 @@ def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[li
 
 
 def _draw_protocol(
-    cfg: CampaignConfig, indices: Sequence[int], kinds=_ALL_KINDS
+    cfg: CampaignConfig, indices: Sequence[int], kinds=protocols._KINDS
 ) -> list[_ProtocolDraw]:
     # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
+    codes = [protocols._CODES[kind] for kind in kinds]
     draws = []
     for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
-        kind = kinds[int(rng.integers(len(kinds)))]
+        code = codes[int(rng.integers(len(codes)))]
         n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
-        if kind in protocols.ROTATION_KINDS:
+        if protocols._ROTATION[code]:
             targets = (int(rng.integers(n)),)
-            u = float(rng.uniform(0.0, 2.0 * np.pi))
+            (u,) = _angles(rng, _TURN)
         else:
             n = max(n, 2)
             perm = rng.permutation(n)
@@ -342,8 +334,8 @@ def _draw_protocol(
             u = None
         eps = float(cfg.epsilon_grid[int(rng.integers(len(cfg.epsilon_grid)))])
         delta = float(cfg.delta_grid[int(rng.integers(len(cfg.delta_grid)))])
-        spec = ProtocolSpec(kind, targets, u=u, epsilon=eps, delta=delta)
-        draws.append(_ProtocolDraw(i, qcore.haar_state(n, state_rng), spec))
+        protocol = (code, targets, u, eps, delta)
+        draws.append(_ProtocolDraw(i, qcore.haar_state(n, state_rng), protocol))
     return draws
 
 
@@ -366,10 +358,10 @@ def _analyze_draws(draws: list) -> list[tuple[list[int], protocols.FidelityRepor
     # in one pass over the chunk; returns each slice's draw positions and
     # the report of its stack.
     stacks = _stacks(draws)
-    return list(zip(stacks, protocols._analyses([
-        (np.array([draws[p].state for p in positions]), [draws[p].spec for p in positions])
-        for positions in stacks
-    ])))
+    return list(zip(stacks, protocols._analyses(
+        [np.array([draws[p].state for p in positions]) for positions in stacks],
+        protocols._columns([draws[p].protocol for positions in stacks for p in positions]),
+    )))
 
 
 def _evaluate_protocol(
@@ -397,38 +389,33 @@ def _evaluate_protocol(
 
 def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
     # one register (from [seed, i, 1]) and one set of angles (from
-    # [seed, i]) for every rotation protocol
+    # [seed, i]) for every rotation protocol, drawn as the first one's
     draws = []
     for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
         n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
         psi = qcore.haar_state(n, state_rng)
         t = int(rng.integers(n))
-        u = float(rng.uniform(0.0, 2.0 * np.pi))
-        eps = float(rng.uniform(0.0, np.pi))
-        delta = float(rng.uniform(0.0, 2.0 * np.pi))
-        spec = ProtocolSpec(protocols.ROTATION_KINDS[0], (t,), u=u, epsilon=eps, delta=delta)
-        draws.append(_ProtocolDraw(i, psi, spec))
+        u, eps, delta = _angles(rng, _TURN, np.pi, _TURN)
+        draws.append(_ProtocolDraw(i, psi, (_ROTATION_CODES[0], (t,), u, eps, delta)))
     return draws
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
     # the largest phase-aligned distance between the inaccurate branches of
     # any two rotation protocols, per outcome; one stack per register size
-    # and slice, holding every rotation kind's rows, kind after kind: the
-    # drawn specs (the first kind), then one spec per other kind and draw
-    kinds = protocols.ROTATION_KINDS
-    first, second = np.triu_indices(len(kinds), 1)  # every pair of kinds
+    # and slice, holding every rotation kind's rows, kind after kind, each
+    # the drawn rows under that kind.  The kinds share their tilted
+    # equatorial bases, built once per drawn row.
+    codes = np.array(_ROTATION_CODES)
+    first, second = np.triu_indices(len(codes), 1)  # every pair of kinds
     worst = [0.0] * len(draws)
-    for positions in _stacks(draws, rows_per_draw=len(kinds)):
-        amplitudes = np.array([draws[p].state for p in positions])
-        drawn = [draws[p].spec for p in positions]
-        specs = drawn + [
-            ProtocolSpec(kind, s.targets, u=s.u, epsilon=s.epsilon, delta=s.delta)
-            for kind in kinds[1:] for s in drawn
-        ]
-        tilted = protocols._bases(specs)[:, :2]
-        inaccurate = protocols._branches(np.tile(amplitudes, (len(kinds), 1)), specs, tilted)
-        runs = inaccurate.reshape(len(kinds), len(positions), *inaccurate.shape[1:])
+    for positions in _stacks(draws, rows_per_draw=len(codes)):
+        drawn = protocols._columns([draws[p].protocol for p in positions])
+        rows = np.tile(np.arange(len(positions)), len(codes))
+        specs = drawn.take(rows)._replace(kind=np.repeat(codes, len(positions)))
+        amplitudes = np.array([draws[p].state for p in positions])[rows]
+        inaccurate = protocols._branches(amplitudes, specs, protocols._bases(drawn)[rows, :2])
+        runs = inaccurate.reshape(len(codes), len(positions), *inaccurate.shape[1:])
         diffs = qcore.phase_aligned_max_diff(runs[first], runs[second]).max(axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
             worst[p] = diff
@@ -506,21 +493,16 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
     for i, (rng,) in zip(indices, _streams(cfg, indices)):
         j = i % _saturation_sweep(cfg)
         if j < len(_SATURATION_S) * n_eps:
-            eps = cfg.epsilon_grid[j % n_eps]
-            kind = protocols.ROTATION_KINDS[i % len(protocols.ROTATION_KINDS)]
+            u, delta = _angles(rng, _TURN, _TURN)
+            code = _ROTATION_CODES[i % len(_ROTATION_CODES)]
+            protocol = (code, (0,), u, cfg.epsilon_grid[j % n_eps], delta)
             psi = _SATURATION_REGISTERS[j // n_eps]
-            spec = ProtocolSpec(
-                kind, (0,), u=float(rng.uniform(0.0, 2.0 * np.pi)), epsilon=eps,
-                delta=float(rng.uniform(0.0, 2.0 * np.pi)),
-            )
         else:
+            (delta,) = _angles(rng, _TURN)
             eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
+            protocol = (_CZSWAP_GATE, (0, 1), None, eps, delta)
             psi = _SATURATION_REGISTERS[-1]
-            spec = ProtocolSpec(
-                ProtocolKind.ADQC_CZSWAP_GATE, (0, 1), epsilon=eps,
-                delta=float(rng.uniform(0.0, 2.0 * np.pi)),
-            )
-        draws.append(_ProtocolDraw(i, psi, spec))
+        draws.append(_ProtocolDraw(i, psi, protocol))
     return draws
 
 
@@ -530,7 +512,7 @@ def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Ev
     for positions, report in _analyze_draws(draws):
         purity, sv2 = report.bound("purity_bound"), report.bound("sv2_bound")
         for row, p in enumerate(positions):
-            bound = purity[row] if draws[p].spec.kind in protocols.ROTATION_KINDS else sv2[row]
+            bound = purity[row] if protocols._ROTATION[draws[p].protocol[0]] else sv2[row]
             violations[p] = abs(float(report.simulated_F[row]) - bound)
     return violations, {}
 
@@ -599,7 +581,7 @@ class _Campaign:
         return cfg.samples * (self.sweep(cfg) if self.sweep else 1)
 
 
-def _protocol_campaign(samples, tolerance, kinds=_ALL_KINDS, bound=None, **row) -> _Campaign:
+def _protocol_campaign(samples, tolerance, kinds=protocols._KINDS, bound=None, **row) -> _Campaign:
     return _Campaign(
         partial(_draw_protocol, kinds=kinds), partial(_evaluate_protocol, bound=bound),
         samples, tolerance, **row,

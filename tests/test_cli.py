@@ -335,7 +335,7 @@ def test_demo_runs_the_protocol_once(monkeypatch, capsys):
     run = protocols._branches
 
     def counted(amplitudes, specs, bases):
-        calls.append(len(specs))
+        calls.append(len(specs.kind))
         return run(amplitudes, specs, bases)
 
     monkeypatch.setattr(protocols, "_branches", counted)

@@ -552,3 +552,15 @@ def test_n_qubits_of():
         linalg.n_qubits_of(6)
     with pytest.raises(ValueError):
         linalg.n_qubits_of(0)
+
+
+@pytest.mark.parametrize("keep", [None, 0.5, object()])
+def test_partial_trace_takes_qubit_lists_only(keep):
+    # each of these used to raise TypeError: ... has no len()
+    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="keep"):
+        linalg.partial_trace(psi, keep)
+    with pytest.raises(ValueError, match="keep"):
+        linalg.partial_trace(psi[None], keep)
+    with pytest.raises(ValueError, match="keep"):
+        linalg.partial_trace(psi[None], [keep])

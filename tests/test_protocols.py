@@ -540,7 +540,8 @@ def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
         specs = [random_spec(rng, n, kinds) for _ in range(rows)]
         streams = qcore.generators([[86, trial, b] for b in range(rows)])
         states = np.array([qcore.haar_state(n, g) for g in streams])
-        tilted = protocols._branches(states, specs, protocols._bases(specs)[:, :2])
+        _, columns, _ = protocols._runs(states, specs)
+        tilted = protocols._branches(states, columns, protocols._bases(columns)[:, :2])
         result = protocols.run_protocol(states, specs)
         assert tilted.shape == result.inaccurate_branches.shape == (rows, 2, 2**n)
         assert tilted.tobytes() == result.inaccurate_branches.tobytes()
@@ -823,3 +824,63 @@ def test_pre_measurement_superposition():
         got = protocols.pre_measurement_state(psi, spec)
         want = builder(spect_vecs, t1, t2, n)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("field", ["epsilon", "delta"])
+@pytest.mark.parametrize("kind", [ProtocolKind.ADQC_ROTATION_CZ, ProtocolKind.ADQC_CZSWAP_GATE])
+def test_spec_takes_none_for_u_only(kind, field):
+    # delta=None used to give analyze's simulated_F = nan with a
+    # RuntimeWarning, and epsilon=None a TypeError from the bases
+    rotation = kind in protocols.ROTATION_KINDS
+    angles = {"u": 0.3 if rotation else None, field: None}
+    with pytest.raises(ValueError, match=f"{field} None is not a real"):
+        ProtocolSpec(kind, (0,) if rotation else (0, 1), **angles)
+
+
+@pytest.mark.parametrize("targets", [True, None, 0.5, 1j, object()])
+def test_spec_targets_must_be_a_sequence(targets):
+    # each of these used to raise TypeError: '...' object is not iterable
+    with pytest.raises(ValueError, match="targets .* is not a sequence"):
+        ProtocolSpec(ProtocolKind.ADQC_ROTATION_CZ, targets, u=0.1)
+
+
+def test_error_operator_rejects_an_unhashable_kind():
+    # [] used to raise TypeError: unhashable type
+    with pytest.raises(ValueError, match="unknown error kind"):
+        protocols.error_operator([], 0, 0.3, 0.2)
+
+
+def _column_rows(rng, n, count):
+    # (kind code, targets, u or None, epsilon, delta) rows, drawn as a
+    # campaign draws them, with no ProtocolSpec
+    rows = []
+    for _ in range(count):
+        spec = random_spec(rng, n, ALL_KINDS if n >= 2 else ROTATIONS)
+        code = protocols._KINDS.index(spec.kind)
+        rows.append((code, tuple(spec.targets), spec.u, spec.epsilon, spec.delta))
+    return rows
+
+
+def test_public_calls_equal_the_column_path_bit_for_bit():
+    # analyze, run_protocol and pre_measurement_state on spec lists are
+    # the column path on columns built from plain rows, for mixed kinds and
+    # register sizes in one analysis pass, and for a stack of no rows
+    rng = np.random.default_rng(89)
+    stacks, rows = [], []
+    for n in (1, 2, 3, 5, 7):
+        count = int(rng.integers(1, 16))
+        streams = qcore.generators([[89, n, b] for b in range(count)])
+        stacks.append(np.array([qcore.haar_state(n, g) for g in streams]))
+        rows.append(_column_rows(rng, n, count))
+    stacks.append(np.zeros((0, 8), dtype=complex))
+    rows.append([])
+    reports = protocols._analyses(stacks, protocols._columns([r for part in rows for r in part]))
+    for states, part, report in zip(stacks, rows, reports):
+        specs = [ProtocolSpec(protocols._KINDS[code], *fields) for code, *fields in part]
+        columns = protocols._columns(part)
+        _assert_reports_equal(report, protocols.analyze(states, specs))
+        want = protocols._run(states, columns, protocols._bases(columns))
+        _assert_reports_equal(protocols.run_protocol(states, specs), want)
+        pre = protocols.pre_measurement_state(states, specs)
+        assert pre.tobytes() == protocols._gate_steps(states, columns).tobytes()
+        assert len(report.simulated_F) == len(part)

@@ -597,3 +597,24 @@ def test_phase_aligned_max_diff_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         qcore.phase_aligned_max_diff(np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]))
 
+
+
+@pytest.mark.parametrize("name", [[], None, object(), 1])
+def test_gate_name_must_be_a_known_string(name):
+    # [] used to raise TypeError: unhashable type
+    with pytest.raises(ValueError, match="unknown gate name"):
+        qcore.gate(name)
+
+
+@pytest.mark.parametrize("targets", [None, 0.5, object()])
+def test_apply_matrix_and_apply_gate_take_qubit_lists_only(targets):
+    # each of these used to raise TypeError: ... has no len()
+    psi = qcore.basis_state(2, 0)
+    with pytest.raises(ValueError, match="targets"):
+        qcore.apply_matrix(psi.amplitudes, qcore.gate("X"), targets)
+    with pytest.raises(ValueError, match="targets"):
+        qcore.apply_gate(psi, qcore.gate("X"), targets)
+    with pytest.raises(ValueError, match="targets"):
+        qcore.apply_matrix(psi.amplitudes[None], qcore.gate("X"), targets)
+    with pytest.raises(ValueError, match="targets"):
+        qcore.apply_matrix(psi.amplitudes[None], qcore.gate("X"), [targets])

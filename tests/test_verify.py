@@ -709,7 +709,7 @@ def test_analyze_matches_the_chunked_evaluation(kind):
         bounds = {name: stack.bound(name) for name in names}
         for row, p in enumerate(positions):
             d = draws[p]
-            rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec)
+            rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec())
             assert rep.simulated_F == stack.simulated_F[row]
             assert rep.closed_form_F == stack.closed_form_F[row]
             assert rep.correlator_used == stack.correlator_used[row]
@@ -1027,3 +1027,43 @@ def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
         assert min(grouping) >= 0.0
         identity = verify.check_jonas(rho) - verify.check_interm(rho) - sum(grouping)
         assert abs(identity) <= 1e-14
+
+
+def test_one_random_call_gives_the_uniform_angles_bit_for_bit():
+    # an item's angles come from one rng.random(k) call; they are the
+    # values of k Generator.uniform(0, high) calls, bit for bit, and leave
+    # the stream where those would, between a draw's integers and
+    # permutation calls
+    keys = [[5, i] for i in range(1200)]
+    highs = (verify._TURN, np.pi, verify._TURN)
+    for i, (ours, theirs) in enumerate(zip(qcore.generators(keys), qcore.generators(keys))):
+        k = i % 3 + 1
+        got = [ours.integers(5), *verify._angles(ours, *highs[:k]), *ours.permutation(4)]
+        got += [*verify._angles(ours, verify._TURN), ours.integers(7)]
+        want = [theirs.integers(5), *(theirs.uniform(0.0, h) for h in highs[:k])]
+        want += [*theirs.permutation(4), theirs.uniform(0.0, verify._TURN), theirs.integers(7)]
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("name", [
+    "equality_oracle", "bound_main", "bound_sv", "bound_main2", "circuit_equivalence", "saturation",
+])
+def test_a_passing_protocol_campaign_builds_no_protocol_spec(monkeypatch, name):
+    # a draw holds plain values and a chunk travels as columns; only a
+    # failing report builds a ProtocolSpec, for its one worst case
+    built = []
+    original = protocols.ProtocolSpec.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        original(self)
+
+    monkeypatch.setattr(protocols.ProtocolSpec, "__post_init__", counted)
+    config = verify.default_config(name, samples=1 if name == "saturation" else 40, seed=17)
+    report = verify.run_campaign(config)
+    assert report.passed and report.checks_run > 0
+    assert built == []
+    failing = verify.run_campaign(dataclasses.replace(config, tolerance=1e-300))
+    if not failing.passed:
+        assert len(built) == 1 and failing.worst_case["protocol"] == built[0].value
