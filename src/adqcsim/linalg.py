@@ -55,13 +55,18 @@ def _finite(value, name: str) -> float:
     return value
 
 
+def _sequence(values, name: str) -> tuple:
+    # a sequence argument as a tuple; one that is no sequence raises
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} {values!r} is not a sequence") from None
+
+
 def _entries(values, check: Callable, name: str) -> tuple:
     # a sequence argument, such as a grid or a target list: not empty, and
     # each entry through its check
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} {values!r} is not a sequence") from None
+    values = _sequence(values, name)
     if not values:
         raise ValueError(f"{name} must not be empty")
     return tuple(check(x, f"{name} entry") for x in values)

@@ -207,7 +207,7 @@ def _runs(
     one = amplitudes.ndim == 1
     if one != isinstance(specs, ProtocolSpec):
         raise ValueError("one register takes one ProtocolSpec, a (B, 2^n) stack one per row")
-    specs = [specs] if one else list(specs)
+    specs = [specs] if one else linalg._sequence(specs, "specs")
     rows = linalg._rows(amplitudes, specs, "specs")
     n = linalg.n_qubits_of(rows.shape[1])
     if n > _MAX_REGISTER:

@@ -16,16 +16,19 @@ place by one gather over index tables cached per (n, qubit list), so
 every row costs the same arithmetic as a lone vector; `apply_matrix`
 scatters its rows back over the same tables.
 
-`generators` seeds the streams of many keys in one call, each generator
-in exactly the state numpy's default generator would start in for its
-key.  `haar_state` draws a plain (2^n,) vector from one of them, in one
-standard_normal call for the real and the imaginary parts, which
-the campaigns stack unwrapped; `random_pure_state`, a batch of one over
-both, wraps its draw in a validated PureState.
+`streams` seeds the PCG64 streams of many keys in one call, each in
+exactly the state numpy's default generator would start in for its key;
+a `Stream` draws integers, uniform angles and permutations in Python
+integers, bit for bit as numpy's Generator would.  `haar_states` draws
+the registers of many streams of one size as the rows of one array,
+through one numpy Generator per thread set to each stream's state in
+turn; `random_pure_state`, a batch of one, wraps its row in a validated
+PureState.  This module is the package's one user of numpy.random.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -239,15 +242,16 @@ def measure_branch(
         raise ValueError(f"state must be a PureState or a StateStack, not {type(state).__name__}")
     amplitudes = np.asarray(state.amplitudes, dtype=complex)
     stack = amplitudes.ndim == 2
-    qubits = qubit if stack else [qubit]
+    qubits = linalg._sequence(qubit, "qubit") if stack else [qubit]
     rows = linalg._rows(amplitudes, qubits, "measured qubits")
-    keeps = keep if stack and keep is not None else [keep] * len(rows)
+    keeps = linalg._sequence(keep, "keep") if stack and keep is not None else [keep] * len(rows)
     linalg._rows(amplitudes, keeps, "qubit orders")
     n = linalg.n_qubits_of(rows.shape[1])
+    sizes = linalg._lengths([() if k is None else k for k in keeps], "keep")
     firsts = []
-    for q, k in zip(qubits, keeps):
+    for q, k, size in zip(qubits, keeps, sizes):
         # the measured qubit first, then `keep`, which must order all the others
-        if k is not None and len(k) != n - 1:
+        if k is not None and size != n - 1:
             raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
         firsts.append((q,) if k is None else (q, *k))
     psi = linalg.permute_qubits(rows, firsts).reshape(len(rows), 2, rows.shape[1] // 2)
@@ -322,14 +326,14 @@ def _key_words(key) -> list[int]:
     # per integer; a key is one nonnegative integer or a sequence of them
     parts = [key] if isinstance(key, (int, np.integer)) else key
     if not isinstance(parts, (list, tuple, range, np.ndarray)):
-        raise TypeError(f"a key is an integer or a sequence of integers, got {key!r}")
+        raise ValueError(f"key {key!r} is not an integer or a sequence of integers")
     words = []
     for part in parts:
         if type(part) is int and 0 <= part <= _MASK32:  # one word, the common case
             words.append(part)
             continue
         if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
-            raise TypeError(f"key {key!r} has a non-integer entry {part!r}")
+            raise ValueError(f"key {key!r} has a non-integer entry {part!r}")
         part = int(part)
         if part < 0:
             raise ValueError(f"key {key!r} has a negative entry {part}")
@@ -374,62 +378,170 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 
 
 class _SeedState(ISeedSequence):
-    """The four 64-bit seed words of one key, which PCG64 asks for once to
-    seed itself.  Any other request raises, so a numpy that seeds PCG64
-    differently fails here instead of starting other streams."""
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    """Four zero 64-bit words, which PCG64 asks for once to seed itself:
+    the Generator of `haar_states` is built through it, then set to each
+    stream's state, so numpy's own seed hash never runs.  Any other
+    request raises, so a numpy that seeds PCG64 differently fails here."""
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a key's seed is 4 uint64 words, not {n_words} of {dtype}")
-        # PCG64 reads the words as raw memory
-        return np.ascontiguousarray(self._words, dtype=np.uint64)
+            raise ValueError(f"a PCG64 seed is 4 uint64 words, not {n_words} of {dtype}")
+        return np.zeros(4, dtype=np.uint64)
 
 
-def generators(keys: Sequence) -> list[np.random.Generator]:
-    """One PCG64 generator per key, in key order, each starting in exactly
-    the state of numpy's default generator seeded with that key.
+# PCG64: a 128-bit LCG, state' = state * _PCG_MULT + inc, whose 64-bit
+# output is the xor of the new state's halves rotated right by its top 6
+# bits; a 32-bit draw takes the low half of a fresh word and keeps the
+# high half for the next 32-bit draw
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
+
+
+class Stream:
+    """One key's PCG64 stream, in Python integers: the 128-bit state, the
+    increment and the buffered high half of the last 64-bit word (None if
+    there is none).  Each method returns exactly what numpy's Generator
+    returns from the same state, and leaves the stream where it would."""
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, state: int, inc: int, half: int | None = None):
+        self.state, self.inc, self.half = state, inc, half
+
+    def _next64(self) -> int:
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = self._next64()
+        self.half = word >> 32
+        return word & _MASK32
+
+    def integers(self, k: int) -> int:
+        """Uniform on [0, k) for 1 <= k <= 2^32, as Generator.integers(k):
+        Lemire's multiply-shift on 32-bit draws, with its rejection; k = 1
+        draws nothing."""
+        if type(k) is not int:
+            k = linalg._integer(k, "k")
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"k={k} is outside [1, 2^32]")
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & _MASK32 < k:
+            threshold = (1 << 32) % k
+            while m & _MASK32 < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def random(self, *highs: float) -> list[float]:
+        """One uniform value on [0, high) per high, a finite float, in
+        order: the 53-bit double d of Generator.random() scaled to
+        high * d, the value Generator's uniform draw on [0, high) returns."""
+        return [high * ((self._next64() >> 11) * _DOUBLE_UNIT) for high in highs]
+
+    def permutation(self, n: int) -> list[int]:
+        """A permutation of range(n), as Generator.permutation(n) draws it:
+        Fisher-Yates from the last place down, each swap index drawn by
+        masked rejection on 32-bit draws."""
+        n = linalg._integer(n, "n")
+        if not 0 <= n <= 1 << 32:
+            raise ValueError(f"n={n} is outside [0, 2^32]")
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
+def streams(keys: Sequence) -> list[Stream]:
+    """One Stream per key, in key order, each in exactly the state of
+    numpy's default generator seeded with that key.
 
     A key is a nonnegative int or numpy integer, or a list, tuple, range or
     1-d array of them, such as a stream key [seed, i]; a bool, a negative
-    entry, a float and None raise.  The seed-sequence hash runs once over
-    all keys, as uint32 array arithmetic: keys of up to 4 words together,
-    longer keys grouped by length.  No keys give [].
+    entry, a float and None raise ValueError.  The seed-sequence hash runs
+    once over all keys, as uint32 array arithmetic: keys of up to 4 words
+    together, longer keys grouped by length.  PCG64's own seeding, two LCG
+    steps, then runs per key.  No keys give [].
     """
-    words = [_key_words(key) for key in keys]
+    words = [_key_words(key) for key in linalg._sequence(keys, "keys")]
     groups: dict[int, list[int]] = {}
     for pos, w in enumerate(words):
         groups.setdefault(max(len(w), _POOL), []).append(pos)
-    states = np.empty((len(words), 4), dtype=np.uint64)
+    seeds = np.empty((len(words), 4), dtype=np.uint64)
     for length, positions in groups.items():
         entropy = [words[pos] + [0] * (length - len(words[pos])) for pos in positions]
-        states[positions] = _seed_states(np.array(entropy, dtype=np.uint32).T)
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+        seeds[positions] = _seed_states(np.array(entropy, dtype=np.uint32).T)
+    out = []
+    for state_high, state_low, seq_high, seq_low in seeds.tolist():
+        # from state 0: one step, the seed state added, one more step
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        state = (inc + (state_high << 64 | state_low)) * _PCG_MULT + inc
+        out.append(Stream(state & _MASK128, inc))
+    return out
 
 
-def haar_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state as a plain (2^n,) vector: normalized i.i.d.
-    complex Gaussian amplitudes drawn from `rng`, the real parts first."""
+_LOCAL = threading.local()
+
+
+def _generator() -> np.random.Generator:
+    # the Generator haar_states draws through: one per thread, set to each
+    # stream's state before its draw
+    gen = getattr(_LOCAL, "generator", None)
+    if gen is None:
+        gen = _LOCAL.generator = np.random.Generator(np.random.PCG64(_SeedState()))
+    return gen
+
+
+def haar_states(n_qubits: int, streams: Sequence[Stream]) -> np.ndarray:
+    """Haar-random pure states, one per stream, as the rows of a
+    (B, 2^n) array: normalized i.i.d. complex Gaussian amplitudes, the real
+    parts first, drawn as Generator.standard_normal(2^(n+1)) draws them
+    from the stream's state.  The streams themselves do not move: a
+    register stream gives one register."""
     dim = 2 ** check_qubit_count(n_qubits)
-    # one draw of 2 dim values, the stream the two draws of dim would take
-    parts = rng.standard_normal(2 * dim)
-    vec = np.empty(dim, dtype=complex)
-    vec.real, vec.imag = parts[:dim], parts[dim:]
-    # np.linalg.norm(vec) without its wrapper: the same sums of squares
-    # over the same strided views
-    re, im = vec.real, vec.imag
-    vec /= math.sqrt(re.dot(re) + im.dot(im))
+    streams = linalg._sequence(streams, "streams")
+    if not all(type(stream) is Stream for stream in streams):
+        raise ValueError("streams must hold Stream objects only")
+    gen = _generator()
+    bit_generator = gen.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    parts = np.empty((len(streams), 2 * dim))
+    for row, stream in zip(parts, streams):
+        pcg["state"], pcg["inc"] = stream.state, stream.inc
+        state["has_uint32"] = int(stream.half is not None)
+        state["uinteger"] = stream.half or 0
+        bit_generator.state = state
+        gen.standard_normal(out=row)
+    vec = np.empty((len(streams), dim), dtype=complex)
+    vec.real, vec.imag = parts[:, :dim], parts[:, dim:]
+    # each row's np.linalg.norm without its wrapper: the same sums of
+    # squares over the same strided views
+    norms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(vec.real, vec.imag)]
+    vec /= np.array(norms)[:, None]
     return vec
 
 
 def random_pure_state(n_qubits: int, seed) -> PureState:
-    """Haar-random pure state from the generator of `seed`, a batch of one
-    over `generators` and `haar_state`.
+    """Haar-random pure state from the stream of `seed`, a batch of one
+    over `streams` and `haar_states`.
 
-    `seed` is a key as `generators` takes it: a nonnegative int, or a list,
+    `seed` is a key as `streams` takes it: a nonnegative int, or a list,
     tuple, range or 1-d array of them (a derived stream key such as
-    [seed, i]); a bool, a negative entry, a float and None raise.
+    [seed, i]); a bool, a negative entry, a float and None raise
+    ValueError.
     """
-    return PureState(n_qubits, haar_state(n_qubits, generators([seed])[0]))
+    return PureState(n_qubits, haar_states(n_qubits, streams([seed]))[0])

@@ -6,7 +6,8 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-seeds its chunk's generators in one qcore.generators call, but item i
+seeds its chunk's streams in one qcore.streams call, and builds its
+registers in one qcore.haar_states call per register size, but item i
 still comes from its own streams alone: [seed, i], and [seed, i, 1] for a
 protocol campaign's register or [seed, i, 7] for monotonicity's random
 sigma.  run_campaign evaluates chunks of _CHUNK items in index order and
@@ -15,11 +16,11 @@ for its payload.  Reports thus do not depend on the order of evaluation,
 the chunk size or the stack cap.
 
 A protocol draw holds plain values, its register's amplitudes and its
-invocation's fields, and takes an item's uniform angles from one random()
-call; a PureState and a ProtocolSpec are built only for a failing
-report's worst case.  The protocol campaigns hand a chunk's invocations
-to protocols._analyses as columns, with one simulation per register size
-cut into stacks of at most _STACK_AMPLITUDES amplitudes.
+invocation's fields, and takes an item's uniform angles from one
+Stream.random call; a PureState and a ProtocolSpec are built only for a
+failing report's worst case.  The protocol campaigns hand a chunk's
+invocations to protocols._analyses as columns, with one simulation per
+register size cut into stacks of at most _STACK_AMPLITUDES amplitudes.
 circuit_equivalence repeats each drawn row under every rotation kind,
 which share its tilted bases, and measures only those.  The density
 campaigns take one partial trace and one validation per chunk
@@ -297,22 +298,25 @@ class _ProtocolDraw(NamedTuple):
 _TURN = 2.0 * np.pi
 
 
-def _angles(rng: np.random.Generator, *highs: float) -> list[float]:
-    # an item's consecutive angles, each uniform on [0, high), from one
-    # rng.random(k) call: Generator.uniform scales its draw d to
-    # low + (high - low) * d, which is high * d for low 0, so these are the
-    # values (and the stream after them) of k such calls, bit for bit
-    return [high * d for high, d in zip(highs, rng.random(len(highs)).tolist())]
-
-
-def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[list]:
-    # each item's generators, seeded in one call: its stream [seed, i],
-    # then [seed, i, tag] for each tag
-    rngs = qcore.generators(
-        [[cfg.seed, i] for i in indices]
-        + [[cfg.seed, i, tag] for tag in tags for i in indices]
+def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[qcore.Stream]:
+    # the items' streams, seeded in one call: [seed, i] for every item,
+    # then [seed, i, tag] for every item, tag after tag
+    return qcore.streams(
+        [[cfg.seed, i] for i in indices] + [[cfg.seed, i, tag] for tag in tags for i in indices]
     )
-    return [rngs[k::len(indices)] for k in range(len(indices))]
+
+
+def _registers(sizes: Sequence[int], streams: Sequence[qcore.Stream]) -> list[np.ndarray]:
+    # each stream's Haar register of its listed size, in order; one
+    # haar_states call per size
+    groups: dict[int, list[int]] = {}
+    for pos, n in enumerate(sizes):
+        groups.setdefault(n, []).append(pos)
+    out: list = [None] * len(sizes)
+    for n, positions in groups.items():
+        for pos, row in zip(positions, qcore.haar_states(n, [streams[p] for p in positions])):
+            out[pos] = row
+    return out
 
 
 def _draw_protocol(
@@ -320,23 +324,24 @@ def _draw_protocol(
 ) -> list[_ProtocolDraw]:
     # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
     codes = [protocols._CODES[kind] for kind in kinds]
-    draws = []
-    for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
-        code = codes[int(rng.integers(len(codes)))]
-        n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
+    streams = _streams(cfg, indices, 1)
+    sizes, protocols_drawn = [], []
+    for rng in streams[:len(indices)]:
+        code = codes[rng.integers(len(codes))]
+        n = cfg.register_sizes[rng.integers(len(cfg.register_sizes))]
         if protocols._ROTATION[code]:
-            targets = (int(rng.integers(n)),)
-            (u,) = _angles(rng, _TURN)
+            targets = (rng.integers(n),)
+            (u,) = rng.random(_TURN)
         else:
             n = max(n, 2)
-            perm = rng.permutation(n)
-            targets = (int(perm[0]), int(perm[1]))
+            targets = tuple(rng.permutation(n)[:2])
             u = None
-        eps = float(cfg.epsilon_grid[int(rng.integers(len(cfg.epsilon_grid)))])
-        delta = float(cfg.delta_grid[int(rng.integers(len(cfg.delta_grid)))])
-        protocol = (code, targets, u, eps, delta)
-        draws.append(_ProtocolDraw(i, qcore.haar_state(n, state_rng), protocol))
-    return draws
+        eps = cfg.epsilon_grid[rng.integers(len(cfg.epsilon_grid))]
+        delta = cfg.delta_grid[rng.integers(len(cfg.delta_grid))]
+        sizes.append(n)
+        protocols_drawn.append((code, targets, u, eps, delta))
+    states = _registers(sizes, streams[len(indices):])
+    return list(map(_ProtocolDraw, indices, states, protocols_drawn))
 
 
 def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
@@ -390,14 +395,16 @@ def _evaluate_protocol(
 def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
     # one register (from [seed, i, 1]) and one set of angles (from
     # [seed, i]) for every rotation protocol, drawn as the first one's
-    draws = []
-    for i, (rng, state_rng) in zip(indices, _streams(cfg, indices, 1)):
-        n = int(cfg.register_sizes[int(rng.integers(len(cfg.register_sizes)))])
-        psi = qcore.haar_state(n, state_rng)
-        t = int(rng.integers(n))
-        u, eps, delta = _angles(rng, _TURN, np.pi, _TURN)
-        draws.append(_ProtocolDraw(i, psi, (_ROTATION_CODES[0], (t,), u, eps, delta)))
-    return draws
+    streams = _streams(cfg, indices, 1)
+    sizes, protocols_drawn = [], []
+    for rng in streams[:len(indices)]:
+        n = cfg.register_sizes[rng.integers(len(cfg.register_sizes))]
+        t = rng.integers(n)
+        u, eps, delta = rng.random(_TURN, np.pi, _TURN)
+        sizes.append(n)
+        protocols_drawn.append((_ROTATION_CODES[0], (t,), u, eps, delta))
+    states = _registers(sizes, streams[len(indices):])
+    return list(map(_ProtocolDraw, indices, states, protocols_drawn))
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
@@ -438,11 +445,9 @@ class _DensityDraw(NamedTuple):
 def _draw_density(
     cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
 ) -> list[_DensityDraw]:
-    streams = _streams(cfg, indices, *((7,) if with_sigma else ()))
-    return [
-        _DensityDraw(i, *(qcore.haar_state(4, rng) for rng in rngs))
-        for i, rngs in zip(indices, streams)
-    ]
+    # every register of the chunk, rho's then sigma's, in one haar_states call
+    registers = qcore.haar_states(4, _streams(cfg, indices, *((7,) if with_sigma else ())))
+    return [_DensityDraw(i, *registers[k::len(indices)]) for k, i in enumerate(indices)]
 
 
 def _evaluate_density(
@@ -490,15 +495,15 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
     # angles from [seed, i]
     n_eps = len(cfg.epsilon_grid)
     draws = []
-    for i, (rng,) in zip(indices, _streams(cfg, indices)):
+    for i, rng in zip(indices, _streams(cfg, indices)):
         j = i % _saturation_sweep(cfg)
         if j < len(_SATURATION_S) * n_eps:
-            u, delta = _angles(rng, _TURN, _TURN)
+            u, delta = rng.random(_TURN, _TURN)
             code = _ROTATION_CODES[i % len(_ROTATION_CODES)]
             protocol = (code, (0,), u, cfg.epsilon_grid[j % n_eps], delta)
             psi = _SATURATION_REGISTERS[j // n_eps]
         else:
-            (delta,) = _angles(rng, _TURN)
+            (delta,) = rng.random(_TURN)
             eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
             protocol = (_CZSWAP_GATE, (0, 1), None, eps, delta)
             psi = _SATURATION_REGISTERS[-1]

@@ -10,10 +10,10 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def random_densities(n_qubits, keys):
     """verify.random_density_matrix(n_qubits, key) for each key, the keys
-    seeded in one qcore.generators call."""
+    drawn in one qcore.haar_states call."""
     return [
-        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng), list(range(n_qubits)))
-        for rng in qcore.generators(keys)
+        linalg.partial_trace(psi, list(range(n_qubits)))
+        for psi in qcore.haar_states(2 * n_qubits, qcore.streams(keys))
     ]
 
 

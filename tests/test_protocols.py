@@ -147,6 +147,15 @@ def test_a_stack_takes_only_protocol_specs(fn, entry):
         getattr(protocols, fn)(states[:1], [entry])
 
 
+@pytest.mark.parametrize("fn", ["pre_measurement_state", "run_protocol", "analyze"])
+@pytest.mark.parametrize("specs", [None, 0.5, object()])
+def test_a_stack_takes_a_sequence_of_specs(fn, specs):
+    # specs None on a stack used to raise TypeError from list(None)
+    states = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="specs .* is not a sequence"):
+        getattr(protocols, fn)(states, specs)
+
+
 @pytest.mark.parametrize("j", [True, False, np.True_, 1.0, 0.0, "1", None])
 def test_error_operator_outcome_must_be_an_integer(j):
     # True and 1.0 used to give the outcome-1 matrix
@@ -223,10 +232,10 @@ def test_czswap_gate_on_10():
 
 def test_ideal_branches_match_byproduct_gates():
     rng = np.random.default_rng(70)
-    streams = qcore.generators([[70, trial] for trial in range(60)])
+    streams = qcore.streams([[70, trial] for trial in range(60)])
     for trial in range(60):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         for j in range(2):
@@ -238,10 +247,10 @@ def test_ideal_branches_match_byproduct_gates():
 
 def test_branch_probability_sums():
     rng = np.random.default_rng(71)
-    streams = qcore.generators([[71, trial] for trial in range(40)])
+    streams = qcore.streams([[71, trial] for trial in range(40)])
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         res = protocols.run_protocol(psi, random_spec(rng, n))
         assert sum(res.ideal_probabilities) == pytest.approx(1.0, abs=1e-12)
         total = sum(float(np.vdot(x, x).real) for x in res.inaccurate_branches)
@@ -251,10 +260,10 @@ def test_branch_probability_sums():
 
 def test_ideal_branch_equals_inaccurate_at_zero_tilt():
     rng = np.random.default_rng(72)
-    streams = qcore.generators([[72, trial] for trial in range(20)])
+    streams = qcore.streams([[72, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 5))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0, delta=0.0)
         res = protocols.run_protocol(psi, spec)
@@ -271,10 +280,10 @@ def test_ideal_branch_equals_inaccurate_at_zero_tilt():
 
 def test_fidelity_is_one_without_tilt():
     rng = np.random.default_rng(73)
-    streams = qcore.generators([[73, trial] for trial in range(20)])
+    streams = qcore.streams([[73, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0,
                             delta=spec.delta)
@@ -311,10 +320,10 @@ def test_closed_form_examples():
 
 def test_oracle_equality_randomized():
     rng = np.random.default_rng(74)
-    streams = qcore.generators([[74, trial] for trial in range(150)])
+    streams = qcore.streams([[74, trial] for trial in range(150)])
     for trial in range(150):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         assert abs(rep.simulated_F - rep.closed_form_F) <= 1e-10
@@ -322,10 +331,10 @@ def test_oracle_equality_randomized():
 
 def test_delta_independence():
     rng = np.random.default_rng(75)
-    streams = qcore.generators([[75, trial] for trial in range(10)])
+    streams = qcore.streams([[75, trial] for trial in range(10)])
     for trial in range(10):
         n = int(rng.integers(2, 5))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         vals = []
         for delta in (0.0, 0.7, 1.4, 2.3, np.pi, 4.4, 5.9):
@@ -337,10 +346,10 @@ def test_delta_independence():
 
 def test_rotation_circuits_equivalent():
     rng = np.random.default_rng(76)
-    streams = qcore.generators([[76, trial] for trial in range(100)])
+    streams = qcore.streams([[76, trial] for trial in range(100)])
     for trial in range(100):
         n = int(rng.integers(1, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         t = int(rng.integers(n))
         u, eps, delta = (float(x) for x in rng.uniform(0, np.pi, size=3))
         runs = [
@@ -386,10 +395,10 @@ def test_error_operator_rejects_an_unknown_kind():
 def test_error_factorization_exact():
     # xi_j = sqrt(p_j) * A_j * ideal_j, as an exact vector identity
     rng = np.random.default_rng(77)
-    streams = qcore.generators([[77, trial] for trial in range(80)])
+    streams = qcore.streams([[77, trial] for trial in range(80)])
     for trial in range(80):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -433,10 +442,10 @@ def test_bound_sv2_examples():
 
 def test_bounds_hold_randomized():
     rng = np.random.default_rng(78)
-    streams = qcore.generators([[78, trial] for trial in range(120)])
+    streams = qcore.streams([[78, trial] for trial in range(120)])
     for trial in range(120):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_state(n, streams[trial]))
+        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         for value in rep.bounds.values():
@@ -508,7 +517,7 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
     # one simulation of both error kinds equals the two single-kind stacks
     rng = np.random.default_rng(83)
     n, rows = 4, 40
-    states = [qcore.haar_state(n, g) for g in qcore.generators([[83, b] for b in range(rows)])]
+    states = list(qcore.haar_states(n, qcore.streams([[83, b] for b in range(rows)])))
     specs = [random_spec(rng, n) for _ in range(rows)]
     mixed = protocols.analyze(np.array(states), specs)
     x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
@@ -538,8 +547,7 @@ def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
         rows = int(rng.integers(1, 41))
         kinds = ALL_KINDS if n >= 2 else ROTATIONS
         specs = [random_spec(rng, n, kinds) for _ in range(rows)]
-        streams = qcore.generators([[86, trial, b] for b in range(rows)])
-        states = np.array([qcore.haar_state(n, g) for g in streams])
+        states = qcore.haar_states(n, qcore.streams([[86, trial, b] for b in range(rows)]))
         _, columns, _ = protocols._runs(states, specs)
         tilted = protocols._branches(states, columns, protocols._bases(columns)[:, :2])
         result = protocols.run_protocol(states, specs)
@@ -569,8 +577,7 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
     # must equal the scalar formulas evaluated in the same order
     rng = np.random.default_rng(85)
     rows = 200
-    streams = qcore.generators([[85, b] for b in range(rows)])
-    states = np.array([qcore.haar_state(3, g) for g in streams])
+    states = qcore.haar_states(3, qcore.streams([[85, b] for b in range(rows)]))
     specs = [random_spec(rng, 3) for _ in range(rows)]
     stack = protocols.analyze(states, specs)
     bounds = {name: stack.bound(name) for name in ("purity_bound", "sv_bound", "sv2_bound")}
@@ -602,8 +609,7 @@ def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
 
     monkeypatch.setattr(linalg, "partial_trace", counted)
     rng = np.random.default_rng(84)
-    streams = qcore.generators([[84, b] for b in range(6)])
-    states = np.array([qcore.haar_state(3, g) for g in streams])
+    states = qcore.haar_states(3, qcore.streams([[84, b] for b in range(6)]))
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
         reduced.clear()
         protocols.analyze(states, [random_spec(rng, 3, kinds) for _ in range(6)])
@@ -615,7 +621,7 @@ def test_one_register_is_row_0_of_a_one_row_stack_bit_for_bit(kind):
     # a PureState and its raw vector give what a stack of that one row
     # gives in row 0, for each of the four functions
     rng = np.random.default_rng([86, ALL_KINDS.index(kind)])
-    psi = PureState(3, qcore.haar_state(3, qcore.generators([[86, ALL_KINDS.index(kind)]])[0]))
+    psi = PureState(3, qcore.haar_states(3, qcore.streams([[86, ALL_KINDS.index(kind)]]))[0])
     spec = random_spec(rng, 3, (kind,))
     stack = psi.amplitudes[None]
     rows = protocols.analyze(stack, [spec])
@@ -869,8 +875,7 @@ def test_public_calls_equal_the_column_path_bit_for_bit():
     stacks, rows = [], []
     for n in (1, 2, 3, 5, 7):
         count = int(rng.integers(1, 16))
-        streams = qcore.generators([[89, n, b] for b in range(count)])
-        stacks.append(np.array([qcore.haar_state(n, g) for g in streams]))
+        stacks.append(qcore.haar_states(n, qcore.streams([[89, n, b] for b in range(count)])))
         rows.append(_column_rows(rng, n, count))
     stacks.append(np.zeros((0, 8), dtype=complex))
     rows.append([])

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -194,7 +197,7 @@ def test_basis_state_rejects_qubit_count_out_of_range(n):
     lambda: PureState(True, [1, 0]),
     lambda: PureState(2.0, [1, 0, 0, 0]),
     lambda: basis_state(True, 0),
-    lambda: qcore.haar_state(2.0, np.random.default_rng(0)),
+    lambda: qcore.haar_states(2.0, qcore.streams([0])),
     lambda: verify.random_density_matrix(True, 0),
     lambda: verify.saturating_single_qubit_register(0.5, 2.0),
 ])
@@ -373,10 +376,10 @@ def test_measure_removes_qubit_and_shifts():
 
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(33)
-    streams = qcore.generators([[33, trial] for trial in range(25)])
+    streams = qcore.streams([[33, trial] for trial in range(25)])
     for trial in range(25):
         n = int(rng.integers(1, 6))
-        st = PureState(n, qcore.haar_state(n, streams[trial]))
+        st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
@@ -386,10 +389,10 @@ def test_measure_probabilities_sum_to_one():
 def test_measure_reconstruction():
     # sum_j |basis_j> (x) branch_j rebuilds the pre-measurement state
     rng = np.random.default_rng(34)
-    streams = qcore.generators([[34, trial] for trial in range(20)])
+    streams = qcore.streams([[34, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        st = PureState(n, qcore.haar_state(n, streams[trial]))
+        st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         qubit = int(rng.integers(n))
         basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
@@ -460,6 +463,29 @@ def test_measure_branch_rejects_keep_that_does_not_order_the_other_qubits(keep):
         qcore.measure_branch(stack, [2, 2], np.stack([basis] * 2), [(3, 0, 1), keep])
 
 
+def test_measure_branch_on_a_stack_takes_a_sequence_of_qubits():
+    # qubit None used to raise TypeError from len(None)
+    stack = qcore.StateStack(np.eye(4, dtype=complex)[:2])
+    for qubit in (None, 0.5, object()):
+        with pytest.raises(ValueError, match="qubit .* is not a sequence"):
+            qcore.measure_branch(stack, qubit, qcore.Z_PAIR)
+
+
+@pytest.mark.parametrize("keep", [0.5, object()])
+def test_measure_branch_keep_must_be_a_qubit_list(keep):
+    # keep=0.5 or object() used to raise TypeError from len(), on one
+    # state, on a stack, and as a stack's row entry
+    state = qcore.random_pure_state(3, 38)
+    basis = qcore.deviated_z_basis(0.3, 0.2)
+    with pytest.raises(ValueError, match="keep"):
+        qcore.measure_branch(state, 0, basis, keep=keep)
+    stack = qcore.StateStack(np.stack([state.amplitudes] * 2))
+    with pytest.raises(ValueError, match="keep"):
+        qcore.measure_branch(stack, [0, 0], basis, keep=keep)
+    with pytest.raises(ValueError, match="keep"):
+        qcore.measure_branch(stack, [0, 0], basis, keep=[(1, 2), keep])
+
+
 # ------------------------------------------------------ random_pure_state
 
 def test_random_state_deterministic():
@@ -480,14 +506,17 @@ def test_random_state_z_expectation_unbiased():
     # the 10 000 streams [777, i] seeded in one call
     total = 0.0
     z = qcore.gate("Z")
-    for rng in qcore.generators([[777, i] for i in range(10_000)]):
-        st = qcore.haar_state(1, rng)
+    for st in qcore.haar_states(1, qcore.streams([[777, i] for i in range(10_000)])):
         total += float(np.vdot(st, z @ st).real)
     assert abs(total / 10_000) < 0.05
 
 
+def _stream_state(stream):
+    return stream.state, stream.inc, stream.half
+
+
 @pytest.mark.parametrize("key", [0, 42, [42, 5], [42, 5, 1], [2**33, 7, 7]])
-def test_haar_state_is_the_two_draws_bit_for_bit(key):
+def test_haar_states_are_the_two_draws_bit_for_bit(key):
     # one draw of 2^(n+1) values fills the real then the imaginary parts:
     # the stream and the floats of two draws of 2^n and a complex sum
     for n in range(1, linalg.MAX_QUBITS + 1):
@@ -495,19 +524,70 @@ def test_haar_state_is_the_two_draws_bit_for_bit(key):
         d = 2**n
         vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         want = vec / np.linalg.norm(vec)
-        (gen,) = qcore.generators([key])
-        assert qcore.haar_state(n, gen).tobytes() == want.tobytes()
-        # and the generator is left where the two draws leave it
-        assert gen.bit_generator.state == rng.bit_generator.state
+        (stream,) = qcore.streams([key])
+        before = _stream_state(stream)
+        assert qcore.haar_states(n, [stream])[0].tobytes() == want.tobytes()
+        # and the stream is left where it was: it gives one register
+        assert _stream_state(stream) == before
+
+
+def _haar_state_of_one_generator(n, key):
+    # a register as it was drawn from its own numpy generator, one per key
+    rng = np.random.default_rng(key)
+    dim = 2**n
+    parts = rng.standard_normal(2 * dim)
+    vec = np.empty(dim, dtype=complex)
+    vec.real, vec.imag = parts[:dim], parts[dim:]
+    re, im = vec.real, vec.imag
+    vec /= np.sqrt(re.dot(re) + im.dot(im))
+    return vec
+
+
+@pytest.mark.parametrize("rows", [1, 128])
+def test_haar_states_rows_are_each_streams_register_bit_for_bit(rows):
+    # a batch of registers of one size, drawn through one Generator, is
+    # row for row the register each key's own generator draws
+    for n in range(1, linalg.MAX_QUBITS + 1):
+        keys = [[21, n, b] for b in range(rows)]
+        got = qcore.haar_states(n, qcore.streams(keys))
+        assert got.shape == (rows, 2**n)
+        want = np.array([_haar_state_of_one_generator(n, key) for key in keys])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_threads_drawing_at_once_each_get_their_streams_registers():
+    # the Generator haar_states sets to each stream's state is one per
+    # thread, so threads switched every microsecond still draw the
+    # registers of their own streams
+    keys = [[[31, t, b] for b in range(32)] for t in range(4)]
+    want = [qcore.haar_states(3, qcore.streams(k)) for k in keys]
+    wrong = [0] * len(keys)
+
+    def draw(t):
+        for _ in range(25):
+            wrong[t] += not np.array_equal(qcore.haar_states(3, qcore.streams(keys[t])), want[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(len(keys))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [0] * len(keys)
 
 
 def test_random_state_is_a_batch_of_one():
     for key in (99, [3, 1], [3, 1, 7]):
-        want = qcore.haar_state(3, np.random.default_rng(key))
+        want = qcore.haar_states(3, qcore.streams([key]))[0]
         assert qcore.random_pure_state(3, key).amplitudes.tobytes() == want.tobytes()
 
 
-# ------------------------------------------------------------- generators
+# ---------------------------------------------------------------- streams
 
 _SEED_KEYS = [
     0, [0], [], 1, 42, 2**32 - 1, 2**32, 2**33, 2**40, 2**63, 2**64, 2**70, 2**200,
@@ -519,54 +599,112 @@ _SEED_KEYS = [
 ]
 
 
-def _first_draws(rng):
-    return (
-        rng.integers(1 << 62, size=3).tolist(),
-        rng.uniform(size=2).tolist(),
-        rng.standard_normal(2).tolist(),
-        rng.permutation(6).tolist(),
-    )
+def _first_draws(stream, rng):
+    # the same calls on a Stream and on numpy's Generator: integers whose
+    # Lemire draw retries about half the time (2^31 + 1), a bound next to
+    # 2^32, a k = 1 draw of nothing, a double that falls between the two
+    # halves of a buffered 32-bit word, then every small permutation
+    got = [stream.integers(2**31 + 1), stream.integers(2**32 - 5), stream.integers(1),
+           stream.integers(7)]
+    want = [rng.integers(2**31 + 1), rng.integers(2**32 - 5), rng.integers(1), rng.integers(7)]
+    if stream.half is None:  # one more, to leave half a word buffered
+        got.append(stream.integers(7))
+        want.append(rng.integers(7))
+    assert stream.half is not None
+    got += [*stream.random(1.0), stream.integers(3), stream.integers(2**32)]
+    want += [rng.random(), rng.integers(3), rng.integers(2**32)]
+    for n in range(1, 9):
+        got.append(stream.permutation(n))
+        want.append(rng.permutation(n).tolist())
+    got += [*stream.random(2.0 * np.pi, np.pi), stream.integers(5)]
+    want += [rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi), rng.integers(5)]
+    # numpy integers as ints; a float's repr pins its bits
+    want = [w.item() if isinstance(w, np.generic) else w for w in want]
+    return [repr(x) for x in got], [repr(w) for w in want]
 
 
-def test_generators_match_numpy_seeding():
+def test_streams_match_numpy_seeding():
     # every width of key in one call: ints, 0 and [0], stream keys,
     # seeds of 2^32 and more (keys over 4 words), numpy integers
-    rngs = qcore.generators(_SEED_KEYS)
-    assert len(rngs) == len(_SEED_KEYS)
-    for key, rng in zip(_SEED_KEYS, rngs):
+    streams = qcore.streams(_SEED_KEYS)
+    assert len(streams) == len(_SEED_KEYS)
+    for key, stream in zip(_SEED_KEYS, streams):
         want = np.random.default_rng(key)
-        assert rng.bit_generator.state == want.bit_generator.state, key
-        assert _first_draws(rng) == _first_draws(want), key
+        state = want.bit_generator.state
+        assert _stream_state(stream) == (state["state"]["state"], state["state"]["inc"], None)
+        got, drawn = _first_draws(stream, want)
+        assert got == drawn, key
+        # and the stream is left where the generator is
+        state = want.bit_generator.state
+        half = state["uinteger"] if state["has_uint32"] else None
+        assert _stream_state(stream) == (state["state"]["state"], state["state"]["inc"], half)
 
 
-def test_generators_do_not_depend_on_the_other_keys():
+def test_stream_draws_match_numpy_over_many_keys():
+    # 512 stream keys of four seeds, 2^40 + 5 among them, each through
+    # the draws of _first_draws
+    for seed in (0, 7, 42, 2**40 + 5):
+        keys = [[seed, i] for i in range(128)]
+        for key, stream in zip(keys, qcore.streams(keys)):
+            got, want = _first_draws(stream, np.random.default_rng(key))
+            assert got == want, key
+
+
+def test_streams_do_not_depend_on_the_other_keys():
     for k, key in enumerate(_SEED_KEYS):
-        (alone,) = qcore.generators([key])
-        together = qcore.generators(_SEED_KEYS[k:] + _SEED_KEYS[:k])[0]
-        assert alone.bit_generator.state == together.bit_generator.state
+        (alone,) = qcore.streams([key])
+        together = qcore.streams(_SEED_KEYS[k:] + _SEED_KEYS[:k])[0]
+        assert _stream_state(alone) == _stream_state(together)
 
 
-def test_generators_of_no_keys():
-    assert qcore.generators([]) == []
+def test_streams_of_no_keys():
+    assert qcore.streams([]) == []
+    assert qcore.haar_states(3, []).shape == (0, 8)
 
 
 @pytest.mark.parametrize("key", [-1, [42, -1], 1.0, [42, 1.5], None, [42, None], True,
-                                 [42, False], "42", [[42, 1]], np.float64(3.0)])
-def test_generators_reject_a_bad_key(key):
-    with pytest.raises((TypeError, ValueError)):
-        qcore.generators([[42, 1], key])
-    with pytest.raises((TypeError, ValueError)):
+                                 [42, False], "42", "ab", [[42, 1]], np.float64(3.0),
+                                 [1, object()]])
+def test_streams_reject_a_bad_key(key):
+    with pytest.raises(ValueError, match="key"):
+        qcore.streams([[42, 1], key])
+    with pytest.raises(ValueError, match="key"):
         qcore.random_pure_state(2, key)
 
 
+def test_random_density_matrix_rejects_a_bad_key():
+    with pytest.raises(ValueError, match="key None"):
+        verify.random_density_matrix(2, None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qcore.streams(None),
+    lambda: qcore.streams(3.5),
+    lambda: qcore.haar_states(2, None),
+    lambda: qcore.haar_states(2, [object()]),
+    lambda: qcore.haar_states(2, [np.random.default_rng(1)]),
+    lambda: qcore.streams([3])[0].integers("5"),
+    lambda: qcore.streams([3])[0].integers(True),
+    lambda: qcore.streams([3])[0].integers(0),
+    lambda: qcore.streams([3])[0].integers(-1),
+    lambda: qcore.streams([3])[0].integers(2**32 + 1),
+    lambda: qcore.streams([3])[0].permutation(2.0),
+    lambda: qcore.streams([3])[0].permutation(-1),
+], ids=["keys_none", "keys_float", "streams_none", "streams_object", "streams_generator",
+        "integers_str", "integers_bool", "integers_0", "integers_negative", "integers_2_32_plus_1",
+        "permutation_float", "permutation_negative"])
+def test_stream_calls_reject_what_they_cannot_use(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_a_seed_state_is_only_four_64_bit_words():
-    # a numpy that asked for another seed size or type would fail here
-    # instead of drawing other streams
-    rng = qcore.generators([[42, 1]])[0]
-    seed = rng.bit_generator.seed_seq
-    assert seed.generate_state(4, np.uint64).tolist() == (
-        np.random.SeedSequence([42, 1]).generate_state(4, np.uint64).tolist()
-    )
+    # the Generator haar_states draws through is seeded by four zero
+    # words, not by numpy's seed hash; a numpy that asked for another
+    # seed size or type would fail here
+    seed = qcore._generator().bit_generator.seed_seq
+    assert isinstance(seed, qcore._SeedState)
+    assert seed.generate_state(4, np.uint64).tolist() == [0, 0, 0, 0]
     for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
         with pytest.raises(ValueError):
             seed.generate_state(n_words, dtype)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ BELL[0] = BELL[3] = 1 / np.sqrt(2)
 
 def random_densities(n_qubits, keys):
     """verify.random_density_matrix(n_qubits, key) for each key, the keys
-    seeded in one qcore.generators call."""
+    drawn in one qcore.haar_states call."""
     return [
-        linalg.partial_trace(qcore.haar_state(2 * n_qubits, rng), list(range(n_qubits)))
-        for rng in qcore.generators(keys)
+        linalg.partial_trace(psi, list(range(n_qubits)))
+        for psi in qcore.haar_states(2 * n_qubits, qcore.streams(keys))
     ]
 BELL_RHO = np.outer(BELL, BELL.conj())
 
@@ -580,7 +581,7 @@ def _draw_fields(draw) -> list:
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_a_chunk_draw_is_each_item_drawn_alone(name):
-    # a chunk's generators are seeded in one call, and item i is still
+    # a chunk's streams are seeded in one call, and item i is still
     # built from its own streams: the same states, bit for bit, and the
     # same specs and payloads as drawing [i] alone
     config = verify.default_config(name, samples=12, seed=9)
@@ -626,6 +627,32 @@ def test_each_item_is_drawn_once_and_a_failing_worst_case_once_more(monkeypatch,
             worst = report.worst_case["sample_index"]
             assert drawn == chunks + [[worst]]
             assert report.worst_case == campaign.draw(config, [worst])[0].payload()
+
+
+def test_a_chunk_draw_builds_at_most_one_numpy_generator(monkeypatch):
+    # a chunk's streams are Python PCG64s, and its registers come through
+    # the per-thread Generator of qcore.haar_states: a passing bound_main
+    # run of 300 samples (three chunk draws, four register sizes each)
+    # builds one numpy Generator, once that Generator is cleared
+    built, draws = [], []
+
+    class Counted(np.random.Generator):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def streams(keys):
+        draws.append(len(keys))
+        return qcore_streams(keys)
+
+    qcore_streams = qcore.streams
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    monkeypatch.setattr(qcore, "streams", streams)
+    monkeypatch.setattr(qcore, "_LOCAL", threading.local())
+    report = verify.run_campaign(verify.default_config("bound_main", samples=300))
+    assert report.passed and report.checks_run == 300
+    assert len(draws) == 3
+    assert len(built) == 1
 
 
 # (samples, runs of (chunk size, stack amplitudes)) whose reports must
@@ -1030,20 +1057,23 @@ def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
 
 
 def test_one_random_call_gives_the_uniform_angles_bit_for_bit():
-    # an item's angles come from one rng.random(k) call; they are the
-    # values of k Generator.uniform(0, high) calls, bit for bit, and leave
-    # the stream where those would, between a draw's integers and
+    # an item's angles come from one Stream.random(*highs) call; they are
+    # the values of k Generator.uniform(0, high) calls, bit for bit, and
+    # leave the stream where those would, between a draw's integers and
     # permutation calls
     keys = [[5, i] for i in range(1200)]
     highs = (verify._TURN, np.pi, verify._TURN)
-    for i, (ours, theirs) in enumerate(zip(qcore.generators(keys), qcore.generators(keys))):
+    for i, (ours, key) in enumerate(zip(qcore.streams(keys), keys)):
+        theirs = np.random.default_rng(key)
         k = i % 3 + 1
-        got = [ours.integers(5), *verify._angles(ours, *highs[:k]), *ours.permutation(4)]
-        got += [*verify._angles(ours, verify._TURN), ours.integers(7)]
+        got = [ours.integers(5), *ours.random(*highs[:k]), *ours.permutation(4)]
+        got += [*ours.random(verify._TURN), ours.integers(7)]
         want = [theirs.integers(5), *(theirs.uniform(0.0, h) for h in highs[:k])]
         want += [*theirs.permutation(4), theirs.uniform(0.0, verify._TURN), theirs.integers(7)]
         assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        state = theirs.bit_generator.state
+        assert (ours.state, ours.inc) == (state["state"]["state"], state["state"]["inc"])
+        assert ours.half == (state["uinteger"] if state["has_uint32"] else None)
 
 
 @pytest.mark.parametrize("name", [
