@@ -36,13 +36,9 @@ from .protocols import (
 )
 from .qcore import (
     PureState,
-    apply_gate,
     apply_matrix,
     basis_state,
-    deviated_u_basis,
-    deviated_z_basis,
     gate,
-    j_gate,
     measure_branch,
     phase_aligned_max_diff,
     random_pure_state,
@@ -54,7 +50,6 @@ from .verify import (
     check_jonas,
     check_monotonicity,
     default_config,
-    dephasing_map,
     random_density_matrix,
     relative_entropy,
     rho_lambda,

@@ -6,10 +6,11 @@ A density matrix has one form: `validate_density` takes one (d, d)
 matrix or a (B, d, d) stack and returns a `Density` of the input's rank,
 solved once.  Each measure takes the same input, as an array or a
 Density, and returns a float for one matrix or a (B,) array for a
-stack.  `entanglement_reports` builds a stack's reports from the same
-parts, each taken once: one clamped spectrum for S and the purity, and
-one pass over the entries for <X>, <Y> and <Z> (or <Z (x) Z>), each
-equal bit for bit to the trace `correlator` takes."""
+stack; an array is read through linalg._array.  `entanglement_reports`
+builds a stack's reports from the same parts, each taken once: one
+clamped spectrum for S and the purity, and one pass over the entries for
+<X>, <Y> and <Z> (or <Z (x) Z>), each equal bit for bit to the trace
+`correlator` takes."""
 from __future__ import annotations
 
 import math
@@ -37,17 +38,12 @@ class Density:
     """A validated density matrix, or a (B, d, d) stack of them, with the
     results of its one solve: eigenvalues ascending and, where the caller
     asked for them, the eigenvectors as the columns of `eigenvectors`
-    (else None).  Indexing selects along a stack's leading axis
-    (`stack[b]` is one matrix, `one[None]` a stack of one).
+    (else None).
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-
-    def __getitem__(self, rows) -> "Density":
-        vectors = None if self.eigenvectors is None else self.eigenvectors[rows]
-        return Density(self.matrix[rows], self.eigenvalues[rows], vectors)
 
 
 def validate_density(
@@ -65,7 +61,7 @@ def validate_density(
     solved again, once, only where `vectors` asks for eigenvectors it
     lacks.
     """
-    m = rho.matrix if isinstance(rho, Density) else np.asarray(rho, dtype=complex)
+    m = rho.matrix if isinstance(rho, Density) else linalg._array(rho, "rho")
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
     if dims is not None and m.shape[-1] not in dims:
@@ -127,7 +123,7 @@ def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.
     """Tr(rho O) for a Hermitian observable, or one value per matrix of a
     (B, d, d) stack; every value must come out real.  rho may be a
     Density, of one matrix or of a stack."""
-    observable = np.asarray(observable, dtype=complex)
+    observable = linalg._array(observable, "observable")
     if observable.ndim != 2 or observable.shape[0] != observable.shape[1]:
         raise ValueError("observable must be a square matrix")
     if linalg.hermiticity_defect(observable) > linalg.HERMITIAN_TOL:
@@ -138,12 +134,7 @@ def correlator(rho: np.ndarray | Density, observable: np.ndarray) -> float | np.
 def _matrices(rho: np.ndarray | Density, d: int) -> np.ndarray:
     # the (d, d) matrix or (B, d, d) stack an expectation reads: a Density
     # is known to be finite, an array is checked here
-    if isinstance(rho, Density):
-        rho = rho.matrix
-    else:
-        rho = np.asarray(rho, dtype=complex)
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix has non-finite entries")
+    rho = rho.matrix if isinstance(rho, Density) else linalg._array(rho, "rho", finite=True)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ValueError("state and observable dimensions do not match")
     return rho

@@ -1,5 +1,5 @@
 """Dense complex linear algebra kernel for small qubit registers, and the
-checks every module applies to its integer and real inputs.
+checks every module applies to its integer, real and array inputs.
 
 Convention used throughout the package: qubit 0 is the most significant
 bit of an amplitude (or matrix) index, so an n-qubit vector reshaped to
@@ -55,6 +55,26 @@ def _finite(value, name: str) -> float:
     return value
 
 
+def _array(value, name: str, real: bool = False, finite: bool = False) -> np.ndarray:
+    # An array argument as a complex128 array, or with `real` a float64
+    # one: of numbers only (real ones with `real`; never bools, strings or
+    # objects), and with `finite` of finite entries only.  The package's
+    # one conversion of an argument: every failure, a ragged list numpy
+    # cannot convert included, raises ValueError naming the argument.
+    array = value
+    if type(value) is not np.ndarray or value.dtype.char != ("d" if real else "D"):
+        try:
+            array = np.asarray(value)
+        except ValueError:
+            raise ValueError(f"{name} is not an array") from None
+        if array.dtype.kind not in ("iuf" if real else "iufc"):
+            raise ValueError(f"{name} is not an array of {'real ' if real else ''}numbers")
+        array = array.astype(float if real else complex, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return array
+
+
 def _sequence(values, name: str) -> tuple:
     # a sequence argument as a tuple; one that is no sequence raises
     try:
@@ -83,7 +103,7 @@ def n_qubits_of(dim: int) -> int:
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M[i,j] - conj(M[j,i])| over all entries, of one matrix or of
     every matrix of a (B, d, d) stack; 0 for a stack of no matrices."""
-    m = np.asarray(m, dtype=complex)
+    m = _array(m, "matrix")
     return float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
@@ -117,29 +137,26 @@ def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
     return tables
 
 
-def permute_qubits(
-    states: np.ndarray, orders: Sequence[Sequence[int]], inverse: bool = False
-) -> np.ndarray:
+def permute_qubits(states: np.ndarray, orders: Sequence[Sequence[int]]) -> np.ndarray:
     """Rows of a (B, 2^n) stack with row b's qubits `orders[b]` moved to
     the front, in the order listed, the rest after them ascending; one
     gather over index tables cached per (n, qubit list).
 
     Row b of the result is states[b].reshape([2]*n).transpose(order)
     flattened, for order = qubit_order(n, orders[b]); a full order is one
-    such list.  With `inverse`, the rows are transposed back instead (one
-    scatter over the same tables).  A stack of no rows comes back as it is.
+    such list.  A stack of no rows comes back as it is.
     """
-    states = np.asarray(states)
+    states = _array(states, "states")
     rows, dim = states.shape
     n = n_qubits_of(dim)
     if len(orders) != rows:
         raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
-    return _permute(states, _tables(n, orders), inverse)
+    return _permute(states, _tables(n, orders))
 
 
 def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
-    # the gather (or, with `inverse`, the scatter) of permute_qubits over
-    # tables from _tables
+    # the gather of permute_qubits over tables from _tables, or with
+    # `inverse` the scatter back that qcore.apply_matrix makes
     flat = tables.ndim == 2
     if not inverse:
         return states.reshape(-1)[tables] if flat else states[:, tables]
@@ -193,7 +210,7 @@ def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     result is a (B, 2^k, 2^k) stack.  A 2-d array is a stack of states,
     never a density matrix; a stack of no rows, which has no keep list to
     size the result by, is rejected."""
-    states = np.asarray(states, dtype=complex)
+    states = _array(states, "states")
     keeps = keep if states.ndim == 2 else [keep]
     sizes = _lengths(keeps, "keep")
     rows = _rows(states, keeps, "keep lists")
@@ -240,7 +257,7 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
     `vectors` false the rotations are not accumulated and the second item
     is None; the eigenvalues are the same bit for bit.
     """
-    a = np.asarray(m, dtype=complex)
+    a = _array(m, "matrix", finite=True)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     n = a.shape[-1]
@@ -248,8 +265,6 @@ def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
         raise ValueError("matrix is 0 x 0")
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds eigensolver limit {MAX_EIG_DIM}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
     # entries near the float limit overflow to inf (and inf * 0 to nan)
     # below, which then fail a check instead of warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -201,8 +201,8 @@ def _runs(
     # (2^n,) vector) with one spec, or a (B, 2^n) stack with one spec per
     # row.  Every row must be finite and normalized.  Returns the (B, 2^n)
     # stack, its specs as columns, and whether the input was one register.
-    amplitudes = np.asarray(
-        states.amplitudes if isinstance(states, PureState) else states, dtype=complex
+    amplitudes = linalg._array(
+        states.amplitudes if isinstance(states, PureState) else states, "states", finite=True
     )
     one = amplitudes.ndim == 1
     if one != isinstance(specs, ProtocolSpec):
@@ -212,8 +212,6 @@ def _runs(
     n = linalg.n_qubits_of(rows.shape[1])
     if n > _MAX_REGISTER:
         raise ValueError(f"register of {n} qubits plus ancilla exceeds {linalg.MAX_QUBITS}")
-    if not np.isfinite(rows).all():
-        raise ValueError("register amplitudes are not finite")
     norm2 = np.einsum("bi,bi->b", rows.conj(), rows).real
     off = abs(norm2 - 1.0)
     if (off > qcore.NORM_TOL).any():

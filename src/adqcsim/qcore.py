@@ -3,11 +3,13 @@ single-qubit measurement branch extraction, and Haar-random states from
 seeded streams.
 
 A basis is a plain (2, 2) array, rows (outcome 0, outcome 1), or a stack
-of them, all built by `tilted_vectors`.  Measurements are represented by
-their two branches: applying the bra of a basis vector to the measured
-qubit removes that qubit from the register (indices above it shift down
-by one) and leaves an unnormalized vector whose squared norm is the
-outcome probability.
+of them, all built by `tilted_vectors`, the one checked basis builder:
+tilted_vectors(equatorial_pair(u), e, d) is the equatorial basis at u
+tilted by (e, d), tilted_vectors(Z_PAIR, e, d) the computational one.
+Measurements are represented by their two branches: applying the bra of
+a basis vector to the measured qubit removes that qubit from the
+register (indices above it shift down by one) and leaves an unnormalized
+vector whose squared norm is the outcome probability.
 
 `apply_matrix` takes one vector or a (B, 2^n) stack, `measure_branch` a
 PureState or a StateStack, with per-row operators, targets and bases;
@@ -70,12 +72,6 @@ def gate(name: str) -> np.ndarray:
     return _GATES[name].copy()
 
 
-def j_gate(u: float) -> np.ndarray:
-    """The rotation H . diag(e^{iu/2}, e^{-iu/2})."""
-    u = linalg._finite(u, "u")
-    return _GATES["H"] @ np.diag([np.exp(0.5j * u), np.exp(-0.5j * u)])
-
-
 @dataclass
 class PureState:
     """Normalized amplitude vector over n qubits (qubit 0 = MSB)."""
@@ -84,17 +80,17 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        self.amplitudes = linalg._array(self.amplitudes, "amplitudes", finite=True).reshape(-1)
         self.n_qubits = check_qubit_count(self.n_qubits)
         if self.amplitudes.shape[0] != 2**self.n_qubits:
             raise ValueError("amplitude vector length does not match qubit count")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN or inf amplitudes fail too
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # an overflow to inf fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
 
     @classmethod
     def from_vector(cls, amplitudes: np.ndarray) -> "PureState":
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        vec = linalg._array(amplitudes, "amplitudes").reshape(-1)
         return cls(linalg.n_qubits_of(vec.shape[0]), vec)
 
 
@@ -132,8 +128,8 @@ Z_PAIR = np.eye(2, dtype=complex)  # rows |0>, |1>
 
 
 def equatorial_pair(u) -> np.ndarray:
-    """Rows |u+>, |u-> = (|0> +- e^{iu}|1>)/sqrt(2), one (2, 2) pair per u."""
-    e = np.exp(1j * np.asarray(u, dtype=float))[..., None]
+    """Rows |u+>, |u-> = (|0> +- e^{iu}|1>)/sqrt(2), one pair per finite real u."""
+    e = np.exp(1j * linalg._array(u, "u", real=True, finite=True))[..., None]
     return np.stack([np.concatenate([np.ones_like(e), e], -1),
                      np.concatenate([np.ones_like(e), -e], -1)], -2) * _SQ2
 
@@ -145,40 +141,17 @@ def tilted_vectors(reference: np.ndarray, epsilon, delta) -> np.ndarray:
         plus  = cos(e/2)|r0> + e^{-i delta} sin(e/2)|r1>
         minus = sin(e/2)|r0> - e^{-i delta} cos(e/2)|r1>
 
-    `reference` is one (2, 2) pair or a stack of them; epsilon and delta
-    broadcast against its leading axes.
+    `reference` (Z_PAIR, equatorial_pair(u)) is one finite (2, 2) pair or
+    a stack of them; finite real epsilon and delta broadcast against it.
     """
-    reference = np.asarray(reference, dtype=complex)
-    ce = np.cos(np.asarray(epsilon, dtype=float) / 2.0)[..., None]
-    se = np.sin(np.asarray(epsilon, dtype=float) / 2.0)[..., None]
-    ph = np.exp(-1j * np.asarray(delta, dtype=float))[..., None]
+    reference = linalg._array(reference, "reference", finite=True)
+    if reference.shape[-2:] != (2, 2):
+        raise ValueError(f"reference shape {reference.shape} is not (2, 2) or (..., 2, 2)")
+    epsilon = linalg._array(epsilon, "epsilon", real=True, finite=True) / 2.0
+    ce, se = np.cos(epsilon)[..., None], np.sin(epsilon)[..., None]
+    ph = np.exp(-1j * linalg._array(delta, "delta", real=True, finite=True))[..., None]
     r0, r1 = reference[..., 0, :], reference[..., 1, :]
     return np.stack([ce * r0 + ph * se * r1, se * r0 - ph * ce * r1], axis=-2)
-
-
-def deviated_u_basis(u: float, epsilon: float, delta: float) -> np.ndarray:
-    """Equatorial basis (|0> +- e^{iu}|1>)/sqrt(2), tilted by (epsilon, delta),
-    as the rows (outcome 0, outcome 1) of a (2, 2) array:
-
-        plus  = cos(e/2)|u+> + e^{-i delta} sin(e/2)|u->
-        minus = sin(e/2)|u+> - e^{-i delta} cos(e/2)|u->
-    """
-    return tilted_vectors(
-        equatorial_pair(linalg._finite(u, "u")),
-        linalg._finite(epsilon, "epsilon"), linalg._finite(delta, "delta"),
-    )
-
-
-def deviated_z_basis(epsilon: float, delta: float) -> np.ndarray:
-    """Computational basis tilted by (epsilon, delta), as the rows
-    (outcome 0, outcome 1) of a (2, 2) array:
-
-        |0~> = cos(e/2)|0> + sin(e/2) e^{-i delta}|1>
-        |1~> = sin(e/2)|0> - cos(e/2) e^{-i delta}|1>
-    """
-    return tilted_vectors(
-        Z_PAIR, linalg._finite(epsilon, "epsilon"), linalg._finite(delta, "delta")
-    )
 
 
 def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
@@ -191,12 +164,12 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     all rows or one per row, (B, 2^k, 2^k).  A stack of no rows gives a
     stack of no rows.
     """
-    vec = np.asarray(vec, dtype=complex)
+    vec = linalg._array(vec, "vec")
     target_rows = targets if vec.ndim == 2 else [targets]
     sizes = linalg._lengths(target_rows, "targets")
     rows = linalg._rows(vec, target_rows, "target lists")
     n = linalg.n_qubits_of(rows.shape[1])
-    op = np.asarray(op, dtype=complex)
+    op = linalg._array(op, "op")
     if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
     k = linalg.n_qubits_of(op.shape[-1])
@@ -209,14 +182,6 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
     out = linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
     return out if vec.ndim == 2 else out[0]
-
-
-def apply_gate(state: PureState, op: np.ndarray, targets: Sequence[int]) -> PureState:
-    """Apply a unitary on the listed qubits of a normalized state."""
-    if not isinstance(state, PureState):
-        raise ValueError(f"state must be a PureState, not {type(state).__name__}")
-    out = apply_matrix(state.amplitudes, op, targets)
-    return PureState(state.n_qubits, out)
 
 
 def measure_branch(
@@ -232,15 +197,15 @@ def measure_branch(
     remaining qubits shift down to fill its place, or take the order
     `keep`.  Its squared norm is the probability of outcome j.
 
-    `basis` is an array of J single-qubit vectors, (J, 2), such as a
-    deviated basis, or one such array per row of a stack, (B, J, 2).  For
-    a stack, `qubit` and `keep` (unless None) give one entry per row.
+    `basis` is a finite array of J single-qubit vectors, (J, 2), such as a
+    tilted basis, or one such array per row of a stack, (B, J, 2).  For a
+    stack, `qubit` and `keep` (unless None) give one entry per row.
     Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
     stack.
     """
     if not isinstance(state, (PureState, StateStack)):
         raise ValueError(f"state must be a PureState or a StateStack, not {type(state).__name__}")
-    amplitudes = np.asarray(state.amplitudes, dtype=complex)
+    amplitudes = linalg._array(state.amplitudes, "state")
     stack = amplitudes.ndim == 2
     qubits = linalg._sequence(qubit, "qubit") if stack else [qubit]
     rows = linalg._rows(amplitudes, qubits, "measured qubits")
@@ -254,8 +219,12 @@ def measure_branch(
         if k is not None and size != n - 1:
             raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
         firsts.append((q,) if k is None else (q, *k))
+    basis = linalg._array(basis, "basis", finite=True)
+    lead = amplitudes.shape[:-1]  # () for a state, (B,) for a stack
+    if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
+        raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
     psi = linalg.permute_qubits(rows, firsts).reshape(len(rows), 2, rows.shape[1] // 2)
-    branches = np.asarray(basis, dtype=complex).conj() @ psi
+    branches = basis.conj() @ psi
     return branches if stack else branches[0]
 
 
@@ -266,12 +235,9 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     Zero when the vectors agree up to a global phase; stable down to
     roundoff (no cancellation through norms).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = linalg._array(a, "a", finite=True), linalg._array(b, "b", finite=True)
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("vectors have non-finite entries")
     ov = np.einsum("...i,...i->...", b.conj(), a)[..., None]
     size = np.abs(ov)
     phase = np.where(size < 1e-300, 1.0, ov / np.where(size < 1e-300, 1.0, size))

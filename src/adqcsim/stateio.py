@@ -3,6 +3,7 @@
 Format: a `qubits: n` line, an optional one-line `label: ...`, then one
 `index real imag` line per nonzero amplitude (whitespace-separated,
 index in [0, 2^n)).  Missing indices are zero; `#` starts a comment.
+`dumps_state` writes no label; `loads_state` reads one and skips it.
 """
 from __future__ import annotations
 
@@ -13,12 +14,8 @@ from .qcore import PureState, check_qubit_count
 NORM_FILE_TOL = 1e-9
 
 
-def dumps_state(state: PureState, label: str | None = None) -> str:
+def dumps_state(state: PureState) -> str:
     lines = [f"qubits: {state.n_qubits}"]
-    if label is not None:
-        lines.append(f"label: {label}")
-        if lines[-1].splitlines() != lines[-1:]:  # loads_state would read two lines
-            raise ValueError(f"label {label!r} is not one line")
     for idx, amp in enumerate(state.amplitudes):
         if amp != 0:
             lines.append(f"{idx} {amp.real:.17g} {amp.imag:.17g}")
@@ -79,8 +76,3 @@ def loads_state(text: str) -> tuple[PureState, float]:
 def load_state(path: str) -> tuple[PureState, float]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_state(fh.read())
-
-
-def save_state(path: str, state: PureState, label: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_state(state, label=label))

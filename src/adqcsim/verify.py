@@ -95,12 +95,6 @@ def _dephased(rho: Density) -> Density:
     return Density(matrix, evals, np.eye(w.shape[-1], dtype=complex)[order].swapaxes(-1, -2))
 
 
-def dephasing_map(rho: np.ndarray | Density) -> np.ndarray:
-    """Erase all off-diagonal elements of a two-qubit state in the
-    computational basis; the diagonal (hence the trace) is copied verbatim."""
-    return _dephased(entropy.validate_density(rho, dims=(4,))).matrix
-
-
 def check_monotonicity(
     rho: np.ndarray | Density, sigma: np.ndarray | Density
 ) -> float | np.ndarray:
@@ -672,6 +666,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     in index order, keeping only the worst index; a failing report draws
     that item again for its payload.  The report is deterministic per
     config.  A campaign that runs no check fails."""
+    if not isinstance(config, CampaignConfig):
+        raise ValueError(f"config {config!r} is not a CampaignConfig")
     campaign = _campaign(config.name)
     checks_run = 0
     max_violation = -math.inf

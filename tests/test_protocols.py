@@ -15,6 +15,24 @@ E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
 
 
+def j_gate(u: float) -> np.ndarray:
+    """The rotation J(u) = H . diag(e^{iu/2}, e^{-iu/2}) that the rotation
+    protocols advertise, as X^j J(u) in branch j."""
+    return qcore.gate("H") @ np.diag([np.exp(0.5j * u), np.exp(-0.5j * u)])
+
+
+def test_j_gate_at_zero_is_hadamard():
+    assert np.allclose(j_gate(0.0), qcore.gate("H"), atol=1e-15)
+
+
+@pytest.mark.parametrize("u", [0.3, 1.0, -2.5, np.pi])
+def test_j_gate_compositions(u):
+    exp_z = np.diag([np.exp(0.5j * u), np.exp(-0.5j * u)])
+    exp_x = np.cos(u / 2) * np.eye(2) + 1j * np.sin(u / 2) * qcore.gate("X")
+    assert np.max(np.abs(j_gate(0.0) @ j_gate(u) - exp_z)) < 1e-12
+    assert np.max(np.abs(j_gate(u) @ j_gate(0.0) - exp_x)) < 1e-12
+
+
 def random_spec(rng, n, kinds=ALL_KINDS):
     kind = kinds[int(rng.integers(len(kinds)))]
     if kind in protocols.ROTATION_KINDS:
@@ -37,7 +55,7 @@ def byproduct_branch(psi: PureState, spec: ProtocolSpec, j: int) -> np.ndarray:
     """Advertised output X^j J(u), X1^j H1 H2 CZ, or (Z1 Z2)^j SWAP CZ."""
     vec = psi.amplitudes
     if spec.kind in protocols.ROTATION_KINDS:
-        op = np.linalg.matrix_power(qcore.gate("X"), j) @ qcore.j_gate(spec.u)
+        op = np.linalg.matrix_power(qcore.gate("X"), j) @ j_gate(spec.u)
         return qcore.apply_matrix(vec, op, spec.targets)
     vec = qcore.apply_matrix(vec, qcore.gate("CZ"), spec.targets)
     if spec.kind is ProtocolKind.ADQC_CZ_GATE:
@@ -673,9 +691,9 @@ def test_a_register_takes_one_spec_and_a_stack_one_spec_per_row(fn):
     (np.zeros(2), "not normalized"),
     (np.array([1.0, 1.0]), "not normalized"),
     (np.array([1e300, 1e300j]), "not normalized"),  # |psi|^2 overflows to inf
-    (np.array([np.nan, 0.0]), "not finite"),
-    (np.array([np.nan, 1.0]), "not finite"),
-    (np.array([np.inf, 0.0]), "not finite"),
+    (np.array([np.nan, 0.0]), "states has non-finite entries"),
+    (np.array([np.nan, 1.0]), "states has non-finite entries"),
+    (np.array([np.inf, 0.0]), "states has non-finite entries"),
 ])
 def test_a_register_must_be_finite_and_normalized(fn, register, message):
     # a zero or NaN register used to emit a RuntimeWarning, and

@@ -17,6 +17,16 @@ def random_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def u_basis(u, epsilon, delta):
+    """The equatorial basis (|0> +- e^{iu}|1>)/sqrt(2) tilted by (epsilon, delta)."""
+    return qcore.tilted_vectors(qcore.equatorial_pair(u), epsilon, delta)
+
+
+def z_basis(epsilon, delta):
+    """The computational basis tilted by (epsilon, delta)."""
+    return qcore.tilted_vectors(qcore.Z_PAIR, epsilon, delta)
+
+
 # ------------------------------------------------------------------ gates
 
 @pytest.mark.parametrize("name", ["X", "Y", "Z", "H", "1", "CZ", "SWAP", "CZSWAP", "E_CZ"])
@@ -51,18 +61,6 @@ def test_gate_returns_copy():
     assert qcore.gate("X")[0, 0] == 0
 
 
-def test_j_gate_at_zero_is_hadamard():
-    assert np.allclose(qcore.j_gate(0.0), qcore.gate("H"), atol=1e-15)
-
-
-@pytest.mark.parametrize("u", [0.3, 1.0, -2.5, np.pi])
-def test_j_gate_compositions(u):
-    exp_z = np.diag([np.exp(0.5j * u), np.exp(-0.5j * u)])
-    exp_x = np.cos(u / 2) * np.eye(2) + 1j * np.sin(u / 2) * qcore.gate("X")
-    assert np.max(np.abs(qcore.j_gate(0.0) @ qcore.j_gate(u) - exp_z)) < 1e-12
-    assert np.max(np.abs(qcore.j_gate(u) @ qcore.j_gate(0.0) - exp_x)) < 1e-12
-
-
 def test_hh_vs_swap_on_special_vectors():
     # H (x) H acts like SWAP on |0>|+> and |1>|->, though not as a full
     # matrix; composed with the prior CZ the two interactions therefore
@@ -88,7 +86,7 @@ def test_u_basis_ideal_reduction():
     # at zero tilt the pair is (|u+>, -|u->): the minus sign is part of
     # the tilt convention and carries no physics
     u = 0.9
-    b = qcore.deviated_u_basis(u, 0.0, 0.0)
+    b = u_basis(u, 0.0, 0.0)
     u_plus = np.array([1, np.exp(1j * u)]) / np.sqrt(2)
     u_minus = np.array([1, -np.exp(1j * u)]) / np.sqrt(2)
     assert np.allclose(b[0], u_plus, atol=1e-15)
@@ -97,22 +95,22 @@ def test_u_basis_ideal_reduction():
 
 def test_u_basis_epsilon_pi():
     u, delta = 0.4, 1.2
-    b = qcore.deviated_u_basis(u, np.pi, delta)
+    b = u_basis(u, np.pi, delta)
     u_minus = np.array([1, -np.exp(1j * u)]) / np.sqrt(2)
     assert np.max(np.abs(b[0] - np.exp(-1j * delta) * u_minus)) < 1e-12
 
 
 def test_z_basis_ideal_and_flipped():
-    b = qcore.deviated_z_basis(0.0, 0.0)
+    b = z_basis(0.0, 0.0)
     assert np.allclose(b[0], [1, 0])
     assert np.allclose(b[1], [0, -1])
-    b = qcore.deviated_z_basis(np.pi, 0.0)
+    b = z_basis(np.pi, 0.0)
     assert np.max(np.abs(b[0] - np.array([0, 1]))) < 1e-12
 
 
 @given(u=ANGLES, epsilon=ANGLES, delta=ANGLES)
 def test_u_basis_orthonormal(u, epsilon, delta):
-    b = qcore.deviated_u_basis(u, epsilon, delta)
+    b = u_basis(u, epsilon, delta)
     assert abs(np.vdot(b[0], b[0]) - 1) < 1e-12
     assert abs(np.vdot(b[1], b[1]) - 1) < 1e-12
     assert abs(np.vdot(b[0], b[1])) < 1e-12
@@ -120,7 +118,7 @@ def test_u_basis_orthonormal(u, epsilon, delta):
 
 @given(epsilon=ANGLES, delta=ANGLES)
 def test_z_basis_orthonormal(epsilon, delta):
-    b = qcore.deviated_z_basis(epsilon, delta)
+    b = z_basis(epsilon, delta)
     assert abs(np.vdot(b[0], b[1])) < 1e-12
 
 
@@ -128,8 +126,8 @@ def test_bases_orthonormal_on_dense_grid():
     angles = np.linspace(-2 * np.pi, 2 * np.pi, 17)
     for eps in angles:
         for delta in angles:
-            bases = [qcore.deviated_z_basis(eps, delta)]
-            bases += [qcore.deviated_u_basis(u, eps, delta) for u in (0.0, 1.1, 4.4)]
+            bases = [z_basis(eps, delta)]
+            bases += [u_basis(u, eps, delta) for u in (0.0, 1.1, 4.4)]
             for b in bases:
                 assert b.shape == (2, 2)
                 assert np.max(np.abs(b @ b.conj().T - np.eye(2))) < 1e-12
@@ -164,25 +162,54 @@ def test_basis_state_index_must_be_an_integer(index):
 
 
 _PUBLIC_ANGLES = {
-    "j_gate u": lambda a: qcore.j_gate(a),
-    "deviated_u_basis u": lambda a: qcore.deviated_u_basis(a, 0.1, 0.1),
-    "deviated_u_basis epsilon": lambda a: qcore.deviated_u_basis(0.3, a, 0.1),
-    "deviated_u_basis delta": lambda a: qcore.deviated_u_basis(0.3, 0.1, a),
-    "deviated_z_basis epsilon": lambda a: qcore.deviated_z_basis(a, 0.0),
-    "deviated_z_basis delta": lambda a: qcore.deviated_z_basis(0.2, a),
+    "equatorial_pair u": lambda a: qcore.equatorial_pair(a),
+    "tilted_vectors epsilon": lambda a: qcore.tilted_vectors(qcore.equatorial_pair(0.3), a, 0.1),
+    "tilted_vectors delta": lambda a: qcore.tilted_vectors(qcore.equatorial_pair(0.3), 0.1, a),
+    "tilted_vectors epsilon Z_PAIR": lambda a: qcore.tilted_vectors(qcore.Z_PAIR, a, 0.0),
+    "tilted_vectors delta Z_PAIR": lambda a: qcore.tilted_vectors(qcore.Z_PAIR, 0.2, a),
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.3", 1j])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.3", 1j, object(),
+                                 [0.1, np.nan], [0.1, "0.3"]])
 @pytest.mark.parametrize("call", sorted(_PUBLIC_ANGLES))
-def test_public_gates_and_bases_reject_angles_that_are_not_finite_reals(call, bad):
-    # the check of every other public angle: a string used to build a
-    # basis, True ran as 1 rad, and NaN or inf gave a NaN matrix
+def test_basis_builders_reject_angles_that_are_not_finite_reals(call, bad):
+    # the one checked basis builder reads its angles as real arrays: a
+    # string, True, a complex or a non-finite angle raises, alone or in
+    # an array of angles
     name = call.split()[1]
-    message = f"{name}=.* is not finite" if isinstance(bad, float) else f"{name} .* is not a real"
+    non_finite = np.asarray(bad).dtype.kind == "f"
+    message = f"{name} has non-finite" if non_finite else f"{name} is not an array of real numbers"
     with pytest.raises(ValueError, match=message):
         _PUBLIC_ANGLES[call](bad)
     assert np.isfinite(_PUBLIC_ANGLES[call](np.float64(0.3))).all()
+    assert np.isfinite(_PUBLIC_ANGLES[call]([0.3, -1.2])).all()
+
+
+@pytest.mark.parametrize("reference", [
+    np.array([[1.0, 0.0], [0.0, np.nan]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.ones(2), np.ones((3, 2)), np.ones((2, 3)), 1.0, "Z", object(), None, [[1, 0], [0]],
+])
+def test_tilted_vectors_reject_a_reference_that_is_not_a_finite_pair(reference):
+    with pytest.raises(ValueError, match="reference"):
+        qcore.tilted_vectors(reference, 0.1, 0.2)
+
+
+def test_the_one_basis_builder_gives_the_tilted_bases():
+    # plus = cos(e/2)|r0> + e^{-i delta} sin(e/2)|r1>, minus = sin(e/2)|r0> -
+    # e^{-i delta} cos(e/2)|r1>, for one reference or a stack of them
+    rng = np.random.default_rng(39)
+    for u, eps, delta in rng.uniform(-7, 7, size=(20, 3)):
+        ce, se, ph = np.cos(eps / 2), np.sin(eps / 2), np.exp(-1j * delta)
+        u_pair = np.array([[1, np.exp(1j * u)], [1, -np.exp(1j * u)]]) / np.sqrt(2)
+        for ref in (qcore.Z_PAIR, u_pair):
+            want = np.array([ce * ref[0] + ph * se * ref[1], se * ref[0] - ph * ce * ref[1]])
+            assert np.max(np.abs(qcore.tilted_vectors(ref, eps, delta) - want)) < 1e-15
+    us = rng.uniform(-7, 7, size=5)
+    stack = qcore.tilted_vectors(qcore.equatorial_pair(us), 0.3, 0.4)
+    assert stack.shape == (5, 2, 2)
+    for b, u in enumerate(us):
+        assert stack[b].tobytes() == u_basis(u, 0.3, 0.4).tobytes()
 
 
 @pytest.mark.parametrize("n", [-2, 0, 9])
@@ -211,42 +238,41 @@ def test_qubit_counts_must_be_integers(build):
     assert qcore.check_qubit_count(np.uint8(3)) == 3
 
 
-# ------------------------------------------------------------ apply_gate
+# ---------------------------------------------------------- apply_matrix
 
 def test_apply_cz_phase():
-    st = qcore.apply_gate(basis_state(2, 0b11), qcore.gate("CZ"), (0, 1))
-    assert np.allclose(st.amplitudes, [0, 0, 0, -1])
+    vec = qcore.apply_matrix(basis_state(2, 0b11).amplitudes, qcore.gate("CZ"), (0, 1))
+    assert np.allclose(vec, [0, 0, 0, -1])
 
 
 def test_apply_h_on_second_qubit():
-    st = qcore.apply_gate(basis_state(2, 0), qcore.gate("H"), (1,))
-    assert np.allclose(st.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
+    vec = qcore.apply_matrix(basis_state(2, 0).amplitudes, qcore.gate("H"), (1,))
+    assert np.allclose(vec, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
 
 
 def test_apply_swap():
-    st = qcore.apply_gate(basis_state(2, 0b01), qcore.gate("SWAP"), (0, 1))
-    assert np.allclose(st.amplitudes, [0, 0, 1, 0])
+    vec = qcore.apply_matrix(basis_state(2, 0b01).amplitudes, qcore.gate("SWAP"), (0, 1))
+    assert np.allclose(vec, [0, 0, 1, 0])
 
 
 def test_apply_respects_target_order():
     # CZSWAP is symmetric; use an asymmetric two-qubit operator instead
     op = np.kron(qcore.gate("X"), np.eye(2))  # X on the first listed target
-    st = qcore.apply_gate(basis_state(2, 0), op, (1, 0))
-    assert np.allclose(st.amplitudes, [0, 1, 0, 0])  # |01>
+    vec = qcore.apply_matrix(basis_state(2, 0).amplitudes, op, (1, 0))
+    assert np.allclose(vec, [0, 1, 0, 0])  # |01>
 
 
-def test_apply_gate_errors():
-    st = basis_state(2, 0)
+def test_apply_matrix_errors():
+    vec = basis_state(2, 0).amplitudes
     with pytest.raises(ValueError):
-        qcore.apply_gate(st, qcore.gate("CZ"), (0,))
+        qcore.apply_matrix(vec, qcore.gate("CZ"), (0,))
     with pytest.raises(ValueError):
-        qcore.apply_gate(st, qcore.gate("H"), (2,))
+        qcore.apply_matrix(vec, qcore.gate("H"), (2,))
     with pytest.raises(ValueError):
-        qcore.apply_gate(st, qcore.gate("CZ"), (0, 0))
+        qcore.apply_matrix(vec, qcore.gate("CZ"), (0, 0))
 
 
 _WRONG_TYPES = {
-    "apply_gate": lambda x: qcore.apply_gate(x, qcore.gate("X"), (0,)),
     "measure_branch": lambda x: qcore.measure_branch(x, 0, qcore.Z_PAIR),
     "mean_gate_fidelity": protocols.mean_gate_fidelity,
 }
@@ -261,15 +287,15 @@ def test_a_call_given_the_wrong_type_names_its_argument(name, value):
         _WRONG_TYPES[name](value)
 
 
-def test_apply_gate_preserves_norm():
+def test_apply_matrix_preserves_norm():
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(1, 6))
         st = qcore.random_pure_state(n, [31, int(rng.integers(1 << 32))])
         k = int(rng.integers(1, min(n, 2) + 1))
         targets = tuple(int(t) for t in rng.choice(n, size=k, replace=False))
-        out = qcore.apply_gate(st, random_unitary(2**k, rng), targets)
-        assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-12
+        out = qcore.apply_matrix(st.amplitudes, random_unitary(2**k, rng), targets)
+        assert abs(np.vdot(out, out).real - 1) < 1e-12
 
 
 def test_apply_matrix_on_a_stack_matches_each_row():
@@ -291,7 +317,7 @@ def test_measure_branch_on_a_stack_matches_each_row():
     n, rows = 4, 10
     vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    bases = [qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
+    bases = [u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
     vectors = np.array(bases)
     qubits = [int(q) for q in rng.integers(n, size=rows)]
     keeps = [tuple(int(x) for x in rng.permutation([x for x in range(n) if x != q])) for q in qubits]
@@ -322,7 +348,8 @@ def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
         ]
         orders = [linalg.qubit_order(n, t) for t in targets]
         psi = ops @ linalg.permute_qubits(vecs, orders).reshape(rows, 4, -1)
-        want = linalg.permute_qubits(psi.reshape(rows, -1), orders, inverse=True)
+        inverses = [tuple(int(q) for q in np.argsort(order)) for order in orders]
+        want = linalg.permute_qubits(psi.reshape(rows, -1), inverses)
         assert qcore.apply_matrix(vecs, ops, targets).tobytes() == want.tobytes()
 
 
@@ -344,7 +371,7 @@ def probability(branch):
 
 def test_measure_plus_in_z():
     plus = PureState.from_vector(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    b0, b1 = qcore.measure_branch(plus, 0, qcore.deviated_z_basis(0.0, 0.0))
+    b0, b1 = qcore.measure_branch(plus, 0, z_basis(0.0, 0.0))
     assert probability(b0) == pytest.approx(0.5, abs=1e-12)
     assert probability(b1) == pytest.approx(0.5, abs=1e-12)
 
@@ -352,7 +379,7 @@ def test_measure_plus_in_z():
 def test_measure_eigenstate_in_u_basis():
     u = 1.3
     u_plus = PureState.from_vector(np.array([1, np.exp(1j * u)]) / np.sqrt(2))
-    b0, b1 = qcore.measure_branch(u_plus, 0, qcore.deviated_u_basis(u, 0.0, 0.0))
+    b0, b1 = qcore.measure_branch(u_plus, 0, u_basis(u, 0.0, 0.0))
     assert probability(b0) == pytest.approx(1.0, abs=1e-12)
     assert probability(b1) == pytest.approx(0.0, abs=1e-12)
 
@@ -380,7 +407,7 @@ def test_measure_probabilities_sum_to_one():
     for trial in range(25):
         n = int(rng.integers(1, 6))
         st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
-        basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
+        basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
         assert probability(b0) > -1e-12 and probability(b1) > -1e-12
@@ -394,7 +421,7 @@ def test_measure_reconstruction():
         n = int(rng.integers(1, 6))
         st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
         qubit = int(rng.integers(n))
-        basis = qcore.deviated_u_basis(*rng.uniform(0, 2 * np.pi, size=3))
+        basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
         for j, b in enumerate(qcore.measure_branch(st, qubit, basis)):
             shape = [2] * (n - 1)
@@ -408,7 +435,7 @@ def test_measure_branch_qubit_must_be_an_integer(qubit):
     # True used to measure qubit 1; a float raises ValueError, as for
     # every qubit index
     state = PureState(2, [1, 0, 0, 0])
-    basis = qcore.deviated_z_basis(0.1, 0.2)
+    basis = z_basis(0.1, 0.2)
     with pytest.raises(ValueError):
         qcore.measure_branch(state, qubit, basis)
     with pytest.raises(ValueError):
@@ -418,7 +445,7 @@ def test_measure_branch_qubit_must_be_an_integer(qubit):
 
 
 _STATE = basis_state(3, 0)
-_BASIS = qcore.deviated_z_basis(0.1, 0.2)
+_BASIS = z_basis(0.1, 0.2)
 
 
 @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), True, np.True_],
@@ -442,7 +469,31 @@ def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
 
 def test_measure_branch_index_error():
     with pytest.raises(ValueError):
-        qcore.measure_branch(basis_state(2, 0), 2, qcore.deviated_z_basis(0, 0))
+        qcore.measure_branch(basis_state(2, 0), 2, z_basis(0, 0))
+
+
+_NAN_BASIS = np.array([[1.0, 0.0], [0.0, np.nan]])
+
+
+@pytest.mark.parametrize("basis, stack", [
+    (np.array([1.0, 0.0]), False),  # one vector, (2,): used to give a (2^(n-1),) vector
+    (_NAN_BASIS, False),  # used to give NaN branches
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), False),
+    (np.ones((2, 3)), False),  # not single-qubit vectors
+    (np.stack([qcore.Z_PAIR] * 2), False),  # a stack's basis for one state
+    (qcore.Z_PAIR, True),  # one state's basis for a stack
+    (np.stack([qcore.Z_PAIR] * 3), True),  # one basis too many
+    (np.stack([qcore.Z_PAIR, _NAN_BASIS]), True),
+    (np.ones((2, 2, 3)), True),
+    ("Z", False), (object(), False), (None, True), ([[1, 0], [0]], False),
+])
+def test_measure_branch_rejects_a_malformed_basis(basis, stack):
+    # (J, 2) finite vectors for one state, (B, J, 2) for a stack of B
+    state = qcore.random_pure_state(3, 40)
+    if stack:
+        state = qcore.StateStack(np.stack([state.amplitudes] * 2))
+    with pytest.raises(ValueError, match="basis"):
+        qcore.measure_branch(state, [0, 1] if stack else 0, basis)
 
 
 @pytest.mark.parametrize("keep", [
@@ -454,7 +505,7 @@ def test_measure_branch_index_error():
 ])
 def test_measure_branch_rejects_keep_that_does_not_order_the_other_qubits(keep):
     state = qcore.random_pure_state(4, 38)
-    basis = qcore.deviated_z_basis(0.3, 0.2)
+    basis = z_basis(0.3, 0.2)
     assert qcore.measure_branch(state, 2, basis, keep=(3, 0, 1)).shape == (2, 8)
     with pytest.raises(ValueError):
         qcore.measure_branch(state, 2, basis, keep=keep)
@@ -476,7 +527,7 @@ def test_measure_branch_keep_must_be_a_qubit_list(keep):
     # keep=0.5 or object() used to raise TypeError from len(), on one
     # state, on a stack, and as a stack's row entry
     state = qcore.random_pure_state(3, 38)
-    basis = qcore.deviated_z_basis(0.3, 0.2)
+    basis = z_basis(0.3, 0.2)
     with pytest.raises(ValueError, match="keep"):
         qcore.measure_branch(state, 0, basis, keep=keep)
     stack = qcore.StateStack(np.stack([state.amplitudes] * 2))
@@ -745,13 +796,11 @@ def test_gate_name_must_be_a_known_string(name):
 
 
 @pytest.mark.parametrize("targets", [None, 0.5, object()])
-def test_apply_matrix_and_apply_gate_take_qubit_lists_only(targets):
+def test_apply_matrix_takes_qubit_lists_only(targets):
     # each of these used to raise TypeError: ... has no len()
     psi = qcore.basis_state(2, 0)
     with pytest.raises(ValueError, match="targets"):
         qcore.apply_matrix(psi.amplitudes, qcore.gate("X"), targets)
-    with pytest.raises(ValueError, match="targets"):
-        qcore.apply_gate(psi, qcore.gate("X"), targets)
     with pytest.raises(ValueError, match="targets"):
         qcore.apply_matrix(psi.amplitudes[None], qcore.gate("X"), targets)
     with pytest.raises(ValueError, match="targets"):

@@ -25,6 +25,20 @@ def random_densities(n_qubits, keys):
 BELL_RHO = np.outer(BELL, BELL.conj())
 
 
+def dephased(rho):
+    """E(rho) as check_monotonicity takes it: verify._dephased of the
+    validated two-qubit state, the off-diagonal entries erased."""
+    return verify._dephased(entropy.validate_density(rho, dims=(4,))).matrix
+
+
+def density_row(given, b):
+    """Row b of a stack given as an array or as a Density."""
+    if not isinstance(given, entropy.Density):
+        return given[b]
+    vectors = None if given.eigenvectors is None else given.eigenvectors[b]
+    return entropy.Density(given.matrix[b], given.eigenvalues[b], vectors)
+
+
 # -------------------------------------------------------- relative entropy
 
 def test_relative_entropy_self_is_zero():
@@ -62,25 +76,25 @@ def test_relative_entropy_dimension_mismatch():
 
 def test_dephasing_fixes_diagonal_states():
     rho = verify.rho_lambda(0.4)
-    assert np.array_equal(verify.dephasing_map(rho), rho)
+    assert np.array_equal(dephased(rho), rho)
 
 
 def test_dephasing_plus_plus():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     psi = np.kron(plus, plus)
     rho = np.outer(psi, psi.conj())
-    assert np.allclose(verify.dephasing_map(rho), MAX_MIXED, atol=1e-14)
+    assert np.allclose(dephased(rho), MAX_MIXED, atol=1e-14)
 
 
 def test_dephasing_bell():
-    out = verify.dephasing_map(BELL_RHO)
+    out = dephased(BELL_RHO)
     assert np.allclose(out, np.diag([0.5, 0, 0, 0.5]), atol=1e-14)
     assert np.trace(out) == np.trace(BELL_RHO)  # diagonal copied verbatim
 
 
 def test_dephasing_requires_two_qubits():
     with pytest.raises(ValueError):
-        verify.dephasing_map(np.eye(2) / 2)
+        dephased(np.eye(2) / 2)
 
 
 # ----------------------------------------------------------- check slacks
@@ -468,7 +482,7 @@ DENSITY_FUNCTIONS = {
     "relative_entropy rho": (lambda d: verify.relative_entropy(d, MAX_MIXED), 4),
     "relative_entropy sigma": (lambda d: verify.relative_entropy(MAX_MIXED, d), 4),
     "relative_entropy both": (lambda d: verify.relative_entropy(d, d), 2),
-    "dephasing_map": (verify.dephasing_map, 4),
+    "dephased": (dephased, 4),
     "check_monotonicity rho": (lambda d: verify.check_monotonicity(d, MAX_MIXED), 4),
     "check_monotonicity sigma": (lambda d: verify.check_monotonicity(MAX_MIXED, d), 4),
     "check_interm": (verify.check_interm, 4),
@@ -485,7 +499,7 @@ def test_a_stack_gives_each_matrix_its_own_value(name, rows):
     fn, dim = DENSITY_FUNCTIONS[name]
     mats = random_densities(dim.bit_length() - 1, [[94, dim, i] for i in range(rows)])
     one = [fn(m) for m in mats]
-    assert all(isinstance(v, float) for v in one) or name in ("validate_density", "dephasing_map")
+    assert all(isinstance(v, float) for v in one) or name in ("validate_density", "dephased")
     stack = np.array(mats).reshape(rows, dim, dim)
     for given in (stack, *(entropy.validate_density(stack, vectors=v) for v in (False, True))):
         values = fn(given)
@@ -493,7 +507,7 @@ def test_a_stack_gives_each_matrix_its_own_value(name, rows):
         for b, m in enumerate(mats):
             assert np.array_equal(values[b], one[b]), (name, b)
             assert np.array_equal(fn(entropy.validate_density(m)), one[b])
-            assert np.array_equal(fn(given[b]), one[b])
+            assert np.array_equal(fn(density_row(given, b)), one[b])
 
 
 @pytest.mark.parametrize("name", sorted(DENSITY_FUNCTIONS))
@@ -513,6 +527,13 @@ def test_density_functions_reject_bad_shapes_and_non_finite_entries(name):
     ):
         with pytest.raises(ValueError):
             fn(bad)
+
+
+@pytest.mark.parametrize("config", [None, "x", {}, object(), "jonas", verify.CampaignConfig])
+def test_run_campaign_takes_a_campaign_config_only(config):
+    # each of these used to raise AttributeError reading config.name
+    with pytest.raises(ValueError, match="config .* is not a CampaignConfig"):
+        verify.run_campaign(config)
 
 
 def test_campaign_unknown_name():
@@ -825,7 +846,10 @@ def test_density_checks_match_the_chunked_evaluation():
         one = entropy.validate_density(m)
         assert np.array_equal(one.eigenvalues, w) and one.eigenvectors is None
     # as in a monotonicity chunk: rho values only, sigma with eigenvectors
-    rho, sigma = values[:40], stack[40:]
+    rho = entropy.validate_density(rhos[:40], dims=(4,))
+    sigma = entropy.validate_density(rhos[40:], dims=(4,), vectors=True)
+    assert np.array_equal(rho.eigenvalues, values.eigenvalues[:40])
+    assert np.array_equal(sigma.eigenvectors, stack.eigenvectors[40:])
     chunked = {
         "interm": verify.check_interm(rho),
         "jonas": verify.check_jonas(rho),
