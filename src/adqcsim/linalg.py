@@ -147,8 +147,11 @@ def permute_qubits(states: np.ndarray, orders: Sequence[Sequence[int]]) -> np.nd
     such list.  A stack of no rows comes back as it is.
     """
     states = _array(states, "states")
+    if states.ndim != 2:
+        raise ValueError(f"states shape {states.shape} is not a (B, 2^n) stack")
     rows, dim = states.shape
     n = n_qubits_of(dim)
+    orders = _sequence(orders, "orders")
     if len(orders) != rows:
         raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
     return _permute(states, _tables(n, orders))

@@ -3,8 +3,10 @@ the closed-form fidelity, outcome-dependent error operators, and the
 entanglement-based fidelity bounds.
 
 Every protocol couples a fresh |+> ancilla to one or two register qubits
-and measures a single qubit afterwards; `_PROTOCOLS` holds one row per
-protocol: its gate sequence, its measurement basis and its error operator.
+and then measures the ancilla; `_PROTOCOLS` holds one row per protocol:
+its gate sequence, its measurement basis and its error operator.  The
+one-way rotation, which measures its target and leaves the ancilla in the
+target's slot, is the same circuit written with CZSWAP (see its row).
 With an accurate measurement the branches realize X^j J(u) on the target
 (rotations), X1^j H1 H2 CZ12 (CZ gate) or (Z1 Z2)^j SWAP12 CZ12 (CZSWAP
 gate), up to a global phase per branch.
@@ -67,14 +69,13 @@ class _Protocol:
     gates: tuple[tuple[str, tuple[int, int]], ...]  # (qcore gate, wires)
     rotation: bool  # one target, equatorial basis at u; else two targets, Z basis
     error: ErrorKind  # X on the first target, or Z (x) Z on the target pair
-    measures_target: bool = False  # the ancilla then takes the target's slot
 
 
 _PROTOCOLS: dict[ProtocolKind, _Protocol] = {
-    # CZ(target, ancilla), measure the *target*.
+    # CZ(target, ancilla), measure the target, the ancilla takes its slot:
+    # as CZSWAP = SWAP . CZ, that is CZSWAP(target, ancilla), measure the ancilla.
     ProtocolKind.ONEWAY_ROTATION: _Protocol(
-        (("CZ", (0, _ANCILLA)),), rotation=True, error=ErrorKind.X_TYPE,
-        measures_target=True,
+        (("CZSWAP", (0, _ANCILLA)),), rotation=True, error=ErrorKind.X_TYPE
     ),
     # (H (x) H) . CZ on (target, ancilla), measure the ancilla.
     ProtocolKind.ADQC_ROTATION_CZ: _Protocol(
@@ -106,7 +107,6 @@ X_ERROR_KINDS = tuple(k for k, row in _PROTOCOLS.items() if row.error is ErrorKi
 _KINDS = tuple(_PROTOCOLS)
 _CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _ROTATION = np.array([row.rotation for row in _PROTOCOLS.values()])
-_MEASURES_TARGET = np.array([row.measures_target for row in _PROTOCOLS.values()])
 
 
 @dataclass(frozen=True)
@@ -290,15 +290,10 @@ def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarra
     # the J basis vectors of its row of `bases`, (B, J, 2): the rows of
     # _bases for the (B, 4, 2^n) tilted then ideal branches, or their
     # first two for the (B, 2, 2^n) tilted branches alone, which a caller
-    # that reads only those asks for, paying for no ideal ones.  With
-    # measures_target the ancilla takes the measured target's slot.
+    # that reads only those asks for, paying for no ideal ones.  Every row
+    # measures the ancilla, the last qubit.
     pre = _gate_steps(states, specs)
-    n = linalg.n_qubits_of(states.shape[1])
-    first = specs.targets[:, 0].tolist()
-    target = _MEASURES_TARGET[specs.kind].tolist()
-    measured = [t if m else n for t, m in zip(first, target)]
-    keep = [(*range(t), n, *range(t + 1, n)) if m else None for t, m in zip(first, target)]
-    return qcore.measure_branch(qcore.StateStack(pre), measured, bases, keep)
+    return qcore.measure_branch(qcore.StateStack(pre), linalg.n_qubits_of(states.shape[1]), bases)
 
 
 def _run(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> ProtocolResult:

@@ -11,12 +11,13 @@ a basis vector to the measured qubit removes that qubit from the
 register (indices above it shift down by one) and leaves an unnormalized
 vector whose squared norm is the outcome probability.
 
-`apply_matrix` takes one vector or a (B, 2^n) stack, `measure_branch` a
-PureState or a StateStack, with per-row operators, targets and bases;
-both read n from the amplitudes.  Each row's qubits are brought into
-place by one gather over index tables cached per (n, qubit list), so
-every row costs the same arithmetic as a lone vector; `apply_matrix`
-scatters its rows back over the same tables.
+`apply_matrix` takes one vector or a (B, 2^n) stack with per-row
+operators and targets, `measure_branch` a PureState or a StateStack with
+one measured qubit for all rows and per-row bases; both read n from the
+amplitudes.  Qubits are brought into place by one gather over index
+tables cached per (n, qubit list), so every row costs the same arithmetic
+as a lone vector; `apply_matrix` scatters its rows back over the same
+tables.
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key;
@@ -184,46 +185,33 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     return out if vec.ndim == 2 else out[0]
 
 
-def measure_branch(
-    state: PureState | StateStack,
-    qubit: int | Sequence[int],
-    basis: np.ndarray,
-    keep: Sequence | None = None,
-) -> np.ndarray:
+def measure_branch(state: PureState | StateStack, qubit: int, basis: np.ndarray) -> np.ndarray:
     """Measurement branches of one qubit, for a state or every row of a stack.
 
     Branch j carries (<basis_j| on the measured qubit (x) identity
     elsewhere) applied to the state; the measured qubit is removed and the
-    remaining qubits shift down to fill its place, or take the order
-    `keep`.  Its squared norm is the probability of outcome j.
+    remaining qubits shift down to fill its place.  Its squared norm is the
+    probability of outcome j.
 
+    `qubit` is one integer, the same qubit for every row of a stack.
     `basis` is a finite array of J single-qubit vectors, (J, 2), such as a
-    tilted basis, or one such array per row of a stack, (B, J, 2).  For a
-    stack, `qubit` and `keep` (unless None) give one entry per row.
+    tilted basis, or one such array per row of a stack, (B, J, 2).
     Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
     stack.
     """
     if not isinstance(state, (PureState, StateStack)):
         raise ValueError(f"state must be a PureState or a StateStack, not {type(state).__name__}")
     amplitudes = linalg._array(state.amplitudes, "state")
+    if amplitudes.ndim not in (1, 2):
+        raise ValueError(f"state shape {amplitudes.shape} is not (2^n,) or (B, 2^n)")
     stack = amplitudes.ndim == 2
-    qubits = linalg._sequence(qubit, "qubit") if stack else [qubit]
-    rows = linalg._rows(amplitudes, qubits, "measured qubits")
-    keeps = linalg._sequence(keep, "keep") if stack and keep is not None else [keep] * len(rows)
-    linalg._rows(amplitudes, keeps, "qubit orders")
-    n = linalg.n_qubits_of(rows.shape[1])
-    sizes = linalg._lengths([() if k is None else k for k in keeps], "keep")
-    firsts = []
-    for q, k, size in zip(qubits, keeps, sizes):
-        # the measured qubit first, then `keep`, which must order all the others
-        if k is not None and size != n - 1:
-            raise ValueError(f"keep={list(k)} must order the qubits other than {q}")
-        firsts.append((q,) if k is None else (q, *k))
+    rows = amplitudes if stack else amplitudes[None]
+    tables = linalg._tables(linalg.n_qubits_of(rows.shape[1]), [(qubit,)])
     basis = linalg._array(basis, "basis", finite=True)
     lead = amplitudes.shape[:-1]  # () for a state, (B,) for a stack
     if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
         raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
-    psi = linalg.permute_qubits(rows, firsts).reshape(len(rows), 2, rows.shape[1] // 2)
+    psi = linalg._permute(rows, tables).reshape(len(rows), 2, rows.shape[1] // 2)
     branches = basis.conj() @ psi
     return branches if stack else branches[0]
 

@@ -15,6 +15,8 @@ NORM_FILE_TOL = 1e-9
 
 
 def dumps_state(state: PureState) -> str:
+    if not isinstance(state, PureState):
+        raise ValueError(f"state must be a PureState, not {type(state).__name__}")
     lines = [f"qubits: {state.n_qubits}"]
     for idx, amp in enumerate(state.amplitudes):
         if amp != 0:
@@ -28,6 +30,8 @@ def loads_state(text: str) -> tuple[PureState, float]:
     The amplitudes must already be normalized within 1e-9; the residual
     deviation is divided out and reported as `norm - 1`.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, not {type(text).__name__}")
     n_qubits: int | None = None
     label_seen = False
     entries: dict[int, complex] = {}

@@ -63,6 +63,18 @@ def test_state_loader_rejects(text):
         stateio.loads_state(text)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: stateio.dumps_state(None), "state"),
+    (lambda: stateio.dumps_state(np.zeros(2)), "state"),
+    (lambda: stateio.loads_state(None), "text"),
+    (lambda: stateio.loads_state(b"qubits: 1\n0 1 0\n"), "text"),
+], ids=["dumps_none", "dumps_array", "loads_none", "loads_bytes"])
+def test_state_io_given_the_wrong_type_names_its_argument(call, argument):
+    # these used to raise AttributeError or, for bytes, TypeError
+    with pytest.raises(ValueError, match=f"{argument} must be a"):
+        call()
+
+
 def test_state_loader_register_limit_is_linalg_max_qubits(monkeypatch):
     monkeypatch.setattr(linalg, "MAX_QUBITS", 2)
     with pytest.raises(ValueError, match="out of range"):

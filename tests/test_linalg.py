@@ -205,6 +205,22 @@ def test_permute_qubits_round_trip():
     assert np.array_equal(linalg.permute_qubits(moved, inverses), states)
 
 
+@pytest.mark.parametrize("states", [np.zeros(4), np.zeros((1, 2, 4)), np.complex128(1.0)],
+                         ids=["vector", "3-d", "scalar"])
+def test_permute_qubits_takes_a_stack_only(states):
+    # a vector used to raise numpy's "not enough values to unpack", a 3-d
+    # array "too many values"
+    with pytest.raises(ValueError, match=r"states .* is not a \(B, 2\^n\) stack"):
+        linalg.permute_qubits(states, [(0,)])
+
+
+@pytest.mark.parametrize("orders", [None, 0.5, object()])
+def test_permute_qubits_orders_must_be_a_sequence(orders):
+    # len() of these used to raise TypeError
+    with pytest.raises(ValueError, match="orders"):
+        linalg.permute_qubits(np.zeros((1, 4)), orders)
+
+
 def test_stacks_of_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
     assert linalg.permute_qubits(empty, []).shape == (0, 8)

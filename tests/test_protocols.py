@@ -89,7 +89,6 @@ def test_protocol_table_has_one_row_per_kind_in_enum_order():
         wires = {w for _, pair in row.gates for w in pair}
         n_targets = 1 if row.rotation else 2
         assert wires == set(range(n_targets)) | {protocols._ANCILLA}
-        assert not row.measures_target or row.rotation
 
 
 # ----------------------------------------------------------- ProtocolSpec
@@ -381,6 +380,50 @@ def test_rotation_circuits_equivalent():
                 assert qcore.phase_aligned_max_diff(
                     runs[0].inaccurate_branches[j], other.inaccurate_branches[j]
                 ) < 1e-12
+
+
+def oneway_as_stated(states, targets, u, epsilon, delta):
+    """The one-way rotation as the paper states it, row by row: CZ on
+    (target, ancilla), measure the target, and move the ancilla, the last
+    of the remaining qubits, into the target's slot.  Returns (B, 2, 2^n)
+    ideal branches, (B, 2) probabilities and (B, 2, 2^n) tilted branches."""
+    rows, dim = states.shape
+    n = linalg.n_qubits_of(dim)
+    ideal = np.empty((rows, 2, dim), dtype=complex)
+    tilted = np.empty((rows, 2, dim), dtype=complex)
+    for b in range(rows):
+        t = targets[b]
+        pre = qcore.apply_matrix(np.kron(states[b], PLUS), qcore.gate("CZ"), (t, n))
+        order = [(*range(t), n - 1, *range(t, n - 1))] * 2
+        for out, eps in ((tilted, epsilon[b]), (ideal, 0.0)):
+            basis = qcore.tilted_vectors(qcore.equatorial_pair(u[b]), eps, delta[b])
+            branches = qcore.measure_branch(PureState(n + 1, pre), t, basis)
+            out[b] = linalg.permute_qubits(branches, order)
+    probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
+    ideal /= np.sqrt(probs)[..., None]
+    return ideal, probs, tilted
+
+
+@pytest.mark.parametrize("n", range(1, protocols._MAX_REGISTER + 1))
+@pytest.mark.parametrize("rows", [1, 17])
+def test_oneway_rotation_is_the_circuit_the_paper_states_bit_for_bit(n, rows):
+    # run_protocol writes the one-way rotation as CZSWAP(target, ancilla)
+    # followed by a measurement of the ancilla; its branches are those of
+    # the stated circuit to the last bit, on one register and on a stack
+    assert np.array_equal(qcore.gate("CZSWAP"), qcore.gate("SWAP") @ qcore.gate("CZ"))
+    rng = np.random.default_rng([81, n, rows])
+    states = qcore.haar_states(n, qcore.streams([[81, n, rows, b] for b in range(rows)]))
+    targets = [int(t) for t in rng.integers(n, size=rows)]
+    u, epsilon, delta = (rng.uniform(0, 2 * np.pi, size=rows).tolist() for _ in range(3))
+    specs = [
+        ProtocolSpec(ProtocolKind.ONEWAY_ROTATION, (t,), u=a, epsilon=e, delta=d)
+        for t, a, e, d in zip(targets, u, epsilon, delta)
+    ]
+    want = oneway_as_stated(states, targets, u, epsilon, delta)
+    got = (protocols.run_protocol(states[0], specs[0]) if rows == 1
+           else protocols.run_protocol(states, specs))
+    for field, expected in zip(got, want):
+        assert field.tobytes() == (expected[0] if rows == 1 else expected).tobytes()
 
 
 # --------------------------------------------------------- error operator

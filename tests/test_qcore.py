@@ -313,25 +313,21 @@ def test_apply_matrix_on_a_stack_matches_each_row():
 
 
 def test_measure_branch_on_a_stack_matches_each_row():
+    # one qubit for the whole stack, a basis per row; each row equals its
+    # lone-state result bit for bit
     rng = np.random.default_rng(37)
     n, rows = 4, 10
     vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     bases = [u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
     vectors = np.array(bases)
-    qubits = [int(q) for q in rng.integers(n, size=rows)]
-    keeps = [tuple(int(x) for x in rng.permutation([x for x in range(n) if x != q])) for q in qubits]
-    got = qcore.measure_branch(qcore.StateStack(vecs), qubits, vectors, keeps)
-    for b in range(rows):
-        want = qcore.measure_branch(PureState(n, vecs[b]), qubits[b], bases[b])
-        # the kept qubits in the order `keep` (one transpose of each branch)
-        rest = [x for x in range(n) if x != qubits[b]]
-        perm = [rest.index(x) for x in keeps[b]]
-        for j in range(2):
-            moved = want[j].reshape([2] * (n - 1)).transpose(perm).reshape(-1)
-            assert np.max(np.abs(got[b, j] - moved)) < 1e-15
-    with pytest.raises(ValueError):
-        qcore.measure_branch(qcore.StateStack(vecs), qubits[:-1], vectors)
+    for qubit in range(n):
+        got = qcore.measure_branch(qcore.StateStack(vecs), qubit, vectors)
+        for b in range(rows):
+            want = qcore.measure_branch(PureState(n, vecs[b]), qubit, bases[b])
+            assert got[b].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="basis"):
+        qcore.measure_branch(qcore.StateStack(vecs), 0, vectors[:-1])
 
 
 def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
@@ -357,8 +353,9 @@ def test_stacks_of_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
     assert qcore.apply_matrix(empty, qcore.gate("CZ"), []).shape == (0, 8)
     assert qcore.apply_matrix(empty, np.zeros((0, 2, 2)), []).shape == (0, 8)
-    branches = qcore.measure_branch(qcore.StateStack(empty), [], np.zeros((0, 2, 2)))
-    assert branches.shape == (0, 2, 4)
+    for qubit in range(3):
+        branches = qcore.measure_branch(qcore.StateStack(empty), qubit, np.zeros((0, 2, 2)))
+        assert branches.shape == (0, 2, 4)
     with pytest.raises(ValueError, match="power of two"):
         qcore.apply_matrix(empty, np.eye(3), [])
 
@@ -440,7 +437,7 @@ def test_measure_branch_qubit_must_be_an_integer(qubit):
         qcore.measure_branch(state, qubit, basis)
     with pytest.raises(ValueError):
         qcore.measure_branch(qcore.StateStack(np.eye(4, dtype=complex)[:2]),
-                             [0, qubit], np.stack([basis] * 2))
+                             qubit, np.stack([basis] * 2))
     assert qcore.measure_branch(state, np.int64(1), basis).shape == (2, 2)
 
 
@@ -455,10 +452,8 @@ _BASIS = z_basis(0.1, 0.2)
     lambda q: linalg.permute_qubits(_STATE.amplitudes[None], [(q, 0, 2)]),
     lambda q: qcore.apply_matrix(_STATE.amplitudes, qcore.gate("H"), (q,)),
     lambda q: qcore.measure_branch(_STATE, q, _BASIS),
-    lambda q: qcore.measure_branch(_STATE, 0, _BASIS, keep=(q, 2)),
     lambda q: linalg.partial_trace(_STATE.amplitudes, [q]),
-], ids=["qubit_order", "permute_qubits", "apply_matrix", "measure_branch",
-        "measure_branch_keep", "partial_trace"])
+], ids=["qubit_order", "permute_qubits", "apply_matrix", "measure_branch", "partial_trace"])
 def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
     # the int's table is cached first; 1.0 and True compare equal to 1, so
     # a cache keyed on the list as given would hand them the int's table
@@ -470,6 +465,8 @@ def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
 def test_measure_branch_index_error():
     with pytest.raises(ValueError):
         qcore.measure_branch(basis_state(2, 0), 2, z_basis(0, 0))
+    with pytest.raises(ValueError, match="state shape"):  # neither a state nor a stack
+        qcore.measure_branch(qcore.StateStack(np.zeros((1, 2, 4))), 0, np.zeros((1, 2, 2, 2)))
 
 
 _NAN_BASIS = np.array([[1.0, 0.0], [0.0, np.nan]])
@@ -493,48 +490,18 @@ def test_measure_branch_rejects_a_malformed_basis(basis, stack):
     if stack:
         state = qcore.StateStack(np.stack([state.amplitudes] * 2))
     with pytest.raises(ValueError, match="basis"):
-        qcore.measure_branch(state, [0, 1] if stack else 0, basis)
+        qcore.measure_branch(state, 0, basis)
 
 
-@pytest.mark.parametrize("keep", [
-    (1, 1, 3),  # repeats a qubit
-    (1, 3),  # omits one
-    (0, 2, 3),  # names the measured qubit
-    (1, 3, 2, 0),  # names every qubit
-    (1, 3, 4),  # out of range
-])
-def test_measure_branch_rejects_keep_that_does_not_order_the_other_qubits(keep):
-    state = qcore.random_pure_state(4, 38)
-    basis = z_basis(0.3, 0.2)
-    assert qcore.measure_branch(state, 2, basis, keep=(3, 0, 1)).shape == (2, 8)
-    with pytest.raises(ValueError):
-        qcore.measure_branch(state, 2, basis, keep=keep)
-    stack = qcore.StateStack(np.stack([state.amplitudes] * 2))
-    with pytest.raises(ValueError):
-        qcore.measure_branch(stack, [2, 2], np.stack([basis] * 2), [(3, 0, 1), keep])
-
-
-def test_measure_branch_on_a_stack_takes_a_sequence_of_qubits():
-    # qubit None used to raise TypeError from len(None)
+@pytest.mark.parametrize("qubit", [[0, 1], (0,), None, 0.5])
+def test_measure_branch_on_a_stack_takes_one_integer_qubit(qubit):
+    # one qubit for every row: a list, a tuple, None or a float is no
+    # qubit, for a stack as for one state
     stack = qcore.StateStack(np.eye(4, dtype=complex)[:2])
-    for qubit in (None, 0.5, object()):
-        with pytest.raises(ValueError, match="qubit .* is not a sequence"):
-            qcore.measure_branch(stack, qubit, qcore.Z_PAIR)
-
-
-@pytest.mark.parametrize("keep", [0.5, object()])
-def test_measure_branch_keep_must_be_a_qubit_list(keep):
-    # keep=0.5 or object() used to raise TypeError from len(), on one
-    # state, on a stack, and as a stack's row entry
-    state = qcore.random_pure_state(3, 38)
-    basis = z_basis(0.3, 0.2)
-    with pytest.raises(ValueError, match="keep"):
-        qcore.measure_branch(state, 0, basis, keep=keep)
-    stack = qcore.StateStack(np.stack([state.amplitudes] * 2))
-    with pytest.raises(ValueError, match="keep"):
-        qcore.measure_branch(stack, [0, 0], basis, keep=keep)
-    with pytest.raises(ValueError, match="keep"):
-        qcore.measure_branch(stack, [0, 0], basis, keep=[(1, 2), keep])
+    with pytest.raises(ValueError, match="qubit"):
+        qcore.measure_branch(stack, qubit, np.stack([qcore.Z_PAIR] * 2))
+    with pytest.raises(ValueError, match="qubit"):
+        qcore.measure_branch(PureState(2, [1, 0, 0, 0]), qubit, qcore.Z_PAIR)
 
 
 # ------------------------------------------------------ random_pure_state
