@@ -321,11 +321,25 @@ def mean_gate_fidelity(result: ProtocolResult) -> float | np.ndarray:
     a float for one run or one value per row of a stack's result.
 
     Computed as sum_j |<ideal_j | xi_j>|^2 with xi_j unnormalized, which
-    carries the outcome probability weighting implicitly.
+    carries the outcome probability weighting implicitly.  The two branch
+    arrays must be finite and of one shape, (2, 2^n) or (B, 2, 2^n).
     """
     if not isinstance(result, ProtocolResult):
         raise ValueError(f"result must be a ProtocolResult, not {type(result).__name__}")
-    ideal, inaccurate = result.ideal_branches, result.inaccurate_branches
+    ideal = linalg._array(result.ideal_branches, "ideal_branches", finite=True)
+    dim = ideal.shape[-1] if ideal.ndim in (2, 3) and ideal.shape[-2] == 2 else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"ideal_branches shape {ideal.shape} is not (2, 2^n) or (B, 2, 2^n)")
+    inaccurate = linalg._array(result.inaccurate_branches, "inaccurate_branches", finite=True)
+    if inaccurate.shape != ideal.shape:
+        raise ValueError(
+            f"inaccurate_branches shape {inaccurate.shape} is not ideal_branches' {ideal.shape}"
+        )
+    return _fidelity(ideal, inaccurate)
+
+
+def _fidelity(ideal, inaccurate):
+    # mean_gate_fidelity of two branch arrays of one shape, unchecked
     overlap = np.einsum("...jm,...jm->...j", np.conj(ideal), inaccurate)
     fidelity = (overlap.real**2 + overlap.imag**2).sum(axis=-1)
     return float(fidelity) if fidelity.ndim == 0 else fidelity
@@ -535,7 +549,7 @@ def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityRepor
     closed, sin_half = _closed_form(corr, specs.epsilon), np.sin(specs.epsilon / 2.0)
     return [
         FidelityReport(
-            simulated_F=mean_gate_fidelity(result),
+            simulated_F=_fidelity(result.ideal_branches, result.inaccurate_branches),
             closed_form_F=closed[part],
             correlator_used=corr[part],
             entanglement=reports[part],

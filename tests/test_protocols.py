@@ -326,6 +326,29 @@ def test_fidelity_product_input_is_one():
         assert protocols.mean_gate_fidelity(res) == pytest.approx(1.0, abs=1e-12)
 
 
+_BRANCHES = np.full((2, 4), 0.5, dtype=complex)
+
+
+@pytest.mark.parametrize("ideal, inaccurate, message", [
+    ("a", "c", "ideal_branches is not an array of numbers"),
+    (_BRANCHES, "c", "inaccurate_branches is not an array of numbers"),
+    (np.full((2, 4), np.nan), _BRANCHES, "ideal_branches has non-finite entries"),
+    (_BRANCHES, np.full((2, 4), np.inf), "inaccurate_branches has non-finite entries"),
+    (_BRANCHES, np.zeros((2, 8)), r"inaccurate_branches shape \(2, 8\)"),
+    (_BRANCHES, _BRANCHES[None], r"inaccurate_branches shape \(1, 2, 4\)"),
+    (np.zeros(4), np.zeros(4), r"ideal_branches shape \(4,\)"),
+    (np.zeros((3, 4)), np.zeros((3, 4)), r"ideal_branches shape \(3, 4\)"),
+    (np.zeros((2, 3)), np.zeros((2, 3)), r"ideal_branches shape \(2, 3\)"),
+    (np.zeros((1, 1, 2, 4)), np.zeros((1, 1, 2, 4)), r"ideal_branches shape \(1, 1, 2, 4\)"),
+])
+def test_mean_gate_fidelity_names_a_bad_branch_field(ideal, inaccurate, message):
+    # junk, non-finite entries and mismatched or wrong shapes raise
+    # ValueError naming the field; they used to raise TypeError or numpy's
+    # broadcast error, or return nan
+    with pytest.raises(ValueError, match=message):
+        protocols.mean_gate_fidelity(protocols.ProtocolResult(ideal, np.ones(2), inaccurate))
+
+
 def test_closed_form_examples():
     assert protocols.closed_form_fidelity(0.4, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert protocols.closed_form_fidelity(0.6, np.pi / 3) == pytest.approx(0.84, abs=1e-12)

@@ -566,6 +566,27 @@ def test_campaign_deterministic():
     assert dump(verify.run_campaign(config)) == dump(verify.run_campaign(config))
 
 
+def test_a_report_is_the_same_cold_and_after_every_other_campaign():
+    # each campaign at --samples 5 --seed 11, at its tolerance and at 1e-300
+    # (which draws the failing ones' worst cases again), run first with the
+    # caches of a fresh process (no gather table, no compiled kernel, no
+    # Haar Generator), then after all the others, forward and reversed
+    configs = [
+        verify.default_config(name, samples=5, seed=11, tolerance=tolerance)
+        for name in verify.CAMPAIGN_NAMES for tolerance in (None, 1e-300)
+    ]
+    cold = []
+    for config in configs:
+        linalg._index_table.cache_clear()
+        linalg._jacobi_kernel.cache_clear()
+        vars(qcore._LOCAL).pop("generator", None)
+        cold.append(verify.run_campaign(config).to_json_dict())
+    assert any(report["worst_case"] for report in cold)
+    for order in (range(len(configs)), reversed(range(len(configs)))):
+        for i in order:
+            assert verify.run_campaign(configs[i]).to_json_dict() == cold[i], configs[i]
+
+
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_samples_are_independent_of_evaluation_order(name):
     # item i depends on (seed, i) alone, so drawing and evaluating the
