@@ -7,7 +7,9 @@ shape [2]*n exposes qubit k as axis k.  Pure states are plain amplitude
 vectors here, or the rows of one (B, 2^n) stack, which `partial_trace`,
 the one partial trace, reduces in one gather.  Every qubit list reaches
 its gather table through `_tables`, the one check of qubit indices, and
-the tables are cached per (n, qubit list).
+the tables are cached per (n, qubit list).  `partial_trace` checks its
+arguments, then calls `_reduce`, the kernel that the campaign path
+calls on stacks the package built from checked inputs.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
         return np.empty((0, 2**n), dtype=np.intp)
     if keys.count(keys[0]) == len(keys):
         return _index_table(n, keys[0])
-    tables = np.stack([_index_table(n, key) for key in keys])
+    tables = np.array([_index_table(n, key) for key in keys])
     tables += np.arange(0, len(keys) << n, 1 << n)[:, None]
     return tables
 
@@ -219,14 +221,20 @@ def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     rows = _rows(states, keeps, "keep lists")
     if len(rows) == 0:
         raise ValueError("the stack is empty: no rows to reduce")
-    n = n_qubits_of(rows.shape[1])
-    k = sizes[0]
-    if sizes.count(k) != len(sizes):
+    n_qubits_of(rows.shape[1])
+    if sizes.count(sizes[0]) != len(sizes):
         raise ValueError("every row must keep the same number of qubits")
-    m = permute_qubits(rows, keeps).reshape(len(rows), 2**k, -1)
-    rho = m @ m.conj().swapaxes(1, 2)
-    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    rho = _reduce(rows, keeps)
     return rho if states.ndim == 2 else rho[0]
+
+
+def _reduce(rows: np.ndarray, keeps: Sequence) -> np.ndarray:
+    # partial_trace of a (B, 2^n) stack, B >= 1, with keep lists of one
+    # length, unchecked but for the qubits (_tables)
+    tables = _tables(rows.shape[1].bit_length() - 1, keeps)
+    m = _permute(rows, tables).reshape(len(rows), 2**len(keeps[0]), -1)
+    rho = m @ m.conj().swapaxes(1, 2)
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
 def jacobi_eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

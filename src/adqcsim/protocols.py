@@ -19,7 +19,11 @@ branches are one `ProtocolResult` of arrays, (2, 2^n) for one run or
 axis.  It reads its input once, through `_runs`: every row must be finite
 and normalized, and the specs become `_Specs` columns, the one form of a
 stack's invocations inside the package.  A kind is a code there, which
-indexes arrays of its row's facts, so kinds share a stack.
+indexes arrays of its row's facts, so kinds share a stack.  Past `_runs`
+the layer calls the qcore and linalg kernels (`qcore._apply`, `_measure`,
+`_tilted`, `_equatorial`, `linalg._reduce`), not the public functions
+that check their arguments and then call them: it hands them only arrays
+built from what `_runs` read, or from a campaign's drawn values.
 
 Every simulation is one `_branches` call, in the bases asked for: the
 tilted and the ideal ones for `run_protocol`, the tilted ones alone for a
@@ -265,9 +269,9 @@ def _gate_steps(amplitudes: np.ndarray, specs: _Specs) -> np.ndarray:
         ops = _GATE_TABLE[step[rows, 0]]
         targets = qubits[rows[:, None], step[rows, 1:]].tolist()
         if len(rows) == len(vec):
-            vec = qcore.apply_matrix(vec, ops, targets)
+            vec = qcore._apply(vec, ops, targets)
         else:
-            vec[rows] = qcore.apply_matrix(vec[rows], ops, targets)
+            vec[rows] = qcore._apply(vec[rows], ops, targets)
     return vec
 
 
@@ -278,11 +282,11 @@ def _bases(specs: _Specs) -> np.ndarray:
     # inaccurate branches holds exactly, not just up to phase.  Each row's
     # vectors depend on its angles and its kind's reference pair alone.
     rotation = _ROTATION[specs.kind][:, None, None]
-    reference = np.where(rotation, qcore.equatorial_pair(specs.u), qcore.Z_PAIR)
+    reference = np.where(rotation, qcore._equatorial(specs.u), qcore.Z_PAIR)
     epsilon = np.zeros((len(rotation), 2))
     epsilon[:, 0] = specs.epsilon
     delta = specs.delta.repeat(2).reshape(-1, 2)
-    return qcore.tilted_vectors(reference[:, None], epsilon, delta).reshape(len(rotation), 4, 2)
+    return qcore._tilted(reference[:, None], epsilon, delta).reshape(len(rotation), 4, 2)
 
 
 def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarray:
@@ -293,7 +297,7 @@ def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarra
     # that reads only those asks for, paying for no ideal ones.  Every row
     # measures the ancilla, the last qubit.
     pre = _gate_steps(states, specs)
-    return qcore.measure_branch(qcore.StateStack(pre), linalg.n_qubits_of(states.shape[1]), bases)
+    return qcore._measure(pre, linalg.n_qubits_of(states.shape[1]), bases)
 
 
 def _run(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> ProtocolResult:
@@ -539,7 +543,7 @@ def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityRepor
         cuts = np.searchsorted(rows, [0, *ends]).tolist()
         keeps = specs.targets[rows, :linalg.n_qubits_of(len(reduction.pauli))].tolist()
         rhos = [
-            linalg.partial_trace(states[rows[a:b] - start], keeps[a:b])
+            linalg._reduce(states[rows[a:b] - start], keeps[a:b])
             for states, start, a, b in zip(stacks, starts, cuts, cuts[1:]) if a < b
         ]
         for b, report in zip(rows.tolist(), entropy.entanglement_reports(np.concatenate(rhos))):

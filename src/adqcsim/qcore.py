@@ -19,6 +19,13 @@ tables cached per (n, qubit list), so every row costs the same arithmetic
 as a lone vector; `apply_matrix` scatters its rows back over the same
 tables.
 
+Public functions check their arguments, then call the kernel that the
+campaign path calls on arrays the package built from checked inputs:
+`apply_matrix` calls `_apply`, `measure_branch` `_measure`,
+`tilted_vectors` `_tilted`, `equatorial_pair` `_equatorial` and
+`phase_aligned_max_diff` `_aligned_diff`.  The kernels check qubit
+indices only, through `linalg._tables`.
+
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key;
 a `Stream` draws integers, uniform angles and permutations in Python
@@ -130,9 +137,16 @@ Z_PAIR = np.eye(2, dtype=complex)  # rows |0>, |1>
 
 def equatorial_pair(u) -> np.ndarray:
     """Rows |u+>, |u-> = (|0> +- e^{iu}|1>)/sqrt(2), one pair per finite real u."""
-    e = np.exp(1j * linalg._array(u, "u", real=True, finite=True))[..., None]
-    return np.stack([np.concatenate([np.ones_like(e), e], -1),
-                     np.concatenate([np.ones_like(e), -e], -1)], -2) * _SQ2
+    return _equatorial(linalg._array(u, "u", real=True, finite=True))
+
+
+def _equatorial(u: np.ndarray) -> np.ndarray:
+    # equatorial_pair of a float array of angles, unchecked
+    e = np.exp(1j * u)
+    out = np.ones(e.shape + (2, 2), dtype=complex)
+    out[..., 0, 1], out[..., 1, 1] = e, -e
+    out *= _SQ2
+    return out
 
 
 def tilted_vectors(reference: np.ndarray, epsilon, delta) -> np.ndarray:
@@ -148,11 +162,26 @@ def tilted_vectors(reference: np.ndarray, epsilon, delta) -> np.ndarray:
     reference = linalg._array(reference, "reference", finite=True)
     if reference.shape[-2:] != (2, 2):
         raise ValueError(f"reference shape {reference.shape} is not (2, 2) or (..., 2, 2)")
-    epsilon = linalg._array(epsilon, "epsilon", real=True, finite=True) / 2.0
+    epsilon = linalg._array(epsilon, "epsilon", real=True, finite=True)
+    delta = linalg._array(delta, "delta", real=True, finite=True)
+    try:
+        np.broadcast_shapes(reference.shape[:-2], epsilon.shape, delta.shape)
+    except ValueError:
+        raise ValueError(f"epsilon shape {epsilon.shape}, delta shape {delta.shape} and "
+                         f"reference shape {reference.shape} do not broadcast") from None
+    return _tilted(reference, epsilon, delta)
+
+
+def _tilted(reference: np.ndarray, epsilon: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    # tilted_vectors of arrays that broadcast together, unchecked
+    epsilon = epsilon / 2.0
     ce, se = np.cos(epsilon)[..., None], np.sin(epsilon)[..., None]
-    ph = np.exp(-1j * linalg._array(delta, "delta", real=True, finite=True))[..., None]
+    ph = np.exp(-1j * delta)[..., None]
     r0, r1 = reference[..., 0, :], reference[..., 1, :]
-    return np.stack([ce * r0 + ph * se * r1, se * r0 - ph * ce * r1], axis=-2)
+    plus = ce * r0 + ph * se * r1
+    out = np.empty(plus.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, :], out[..., 1, :] = plus, se * r0 - ph * ce * r1
+    return out
 
 
 def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
@@ -169,20 +198,25 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     target_rows = targets if vec.ndim == 2 else [targets]
     sizes = linalg._lengths(target_rows, "targets")
     rows = linalg._rows(vec, target_rows, "target lists")
-    n = linalg.n_qubits_of(rows.shape[1])
+    linalg.n_qubits_of(rows.shape[1])
     op = linalg._array(op, "op")
     if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
     k = linalg.n_qubits_of(op.shape[-1])
     if any(size != k for size in sizes):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    # the gather tables of the rows' targets, built once for the gather
-    # and the scatter back
-    tables = linalg._tables(n, target_rows)
-    dim = rows.shape[1]
-    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
-    out = linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
+    out = _apply(rows, op, target_rows)
     return out if vec.ndim == 2 else out[0]
+
+
+def _apply(rows: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
+    # apply_matrix of a (B, 2^n) stack, unchecked but for the qubits
+    # (_tables); one gather table serves the gather and the scatter back
+    dim = rows.shape[1]
+    tables = linalg._tables(dim.bit_length() - 1, targets)
+    k = op.shape[-1].bit_length() - 1
+    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
+    return linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
 
 
 def measure_branch(state: PureState | StateStack, qubit: int, basis: np.ndarray) -> np.ndarray:
@@ -206,14 +240,20 @@ def measure_branch(state: PureState | StateStack, qubit: int, basis: np.ndarray)
         raise ValueError(f"state shape {amplitudes.shape} is not (2^n,) or (B, 2^n)")
     stack = amplitudes.ndim == 2
     rows = amplitudes if stack else amplitudes[None]
-    tables = linalg._tables(linalg.n_qubits_of(rows.shape[1]), [(qubit,)])
+    linalg.n_qubits_of(rows.shape[1])
     basis = linalg._array(basis, "basis", finite=True)
     lead = amplitudes.shape[:-1]  # () for a state, (B,) for a stack
     if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
         raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
-    psi = linalg._permute(rows, tables).reshape(len(rows), 2, rows.shape[1] // 2)
-    branches = basis.conj() @ psi
+    branches = _measure(rows, qubit, basis)
     return branches if stack else branches[0]
+
+
+def _measure(rows: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:
+    # measure_branch of a (B, 2^n) stack, unchecked but for the qubit (_tables)
+    dim = rows.shape[1]
+    tables = linalg._tables(dim.bit_length() - 1, [(qubit,)])
+    return basis.conj() @ linalg._permute(rows, tables).reshape(len(rows), 2, dim // 2)
 
 
 def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -224,13 +264,21 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     roundoff (no cancellation through norms).
     """
     a, b = linalg._array(a, "a", finite=True), linalg._array(b, "b", finite=True)
+    for name, x in (("a", a), ("b", b)):
+        if x.ndim == 0 or x.shape[-1] == 0:
+            raise ValueError(f"{name} shape {x.shape} is not a non-empty vector or a stack of them")
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
+    diff = _aligned_diff(a, b)
+    return float(diff) if a.ndim == 1 else diff
+
+
+def _aligned_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # phase_aligned_max_diff of two complex arrays of one shape, unchecked
     ov = np.einsum("...i,...i->...", b.conj(), a)[..., None]
     size = np.abs(ov)
     phase = np.where(size < 1e-300, 1.0, ov / np.where(size < 1e-300, 1.0, size))
-    diff = np.max(np.abs(a - phase * b), axis=-1)
-    return float(diff) if a.ndim == 1 else diff
+    return np.max(np.abs(a - phase * b), axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -431,13 +479,23 @@ def streams(keys: Sequence) -> list[Stream]:
     steps, then runs per key.  No keys give [].
     """
     words = [_key_words(key) for key in linalg._sequence(keys, "keys")]
-    groups: dict[int, list[int]] = {}
+    # the keys' positions by word count, and the word counts by padded length
+    by_count: dict[int, list[int]] = {}
     for pos, w in enumerate(words):
-        groups.setdefault(max(len(w), _POOL), []).append(pos)
+        by_count.setdefault(len(w), []).append(pos)
+    by_length: dict[int, list[int]] = {}
+    for count in by_count:
+        by_length.setdefault(max(count, _POOL), []).append(count)
     seeds = np.empty((len(words), 4), dtype=np.uint64)
-    for length, positions in groups.items():
-        entropy = [words[pos] + [0] * (length - len(words[pos])) for pos in positions]
-        seeds[positions] = _seed_states(np.array(entropy, dtype=np.uint32).T)
+    for length, counts in by_length.items():
+        positions = [pos for count in counts for pos in by_count[count]]
+        entropy = np.zeros((len(positions), length), dtype=np.uint32)
+        start = 0
+        for count in counts:
+            group = by_count[count]
+            entropy[start:start + len(group), :count] = [words[pos] for pos in group]
+            start += len(group)
+        seeds[positions] = _seed_states(entropy.T)
     out = []
     for state_high, state_low, seq_high, seq_low in seeds.tolist():
         # from state 0: one step, the seed state added, one more step

@@ -173,7 +173,7 @@ def random_density_matrix(n_qubits: int, seed) -> np.ndarray:
     if not 1 <= _integer(n_qubits, "n_qubits") <= 3:
         raise ValueError("n_qubits must be in [1, 3]")
     psi = qcore.random_pure_state(2 * n_qubits, seed)
-    return linalg.partial_trace(psi.amplitudes, list(range(n_qubits)))
+    return linalg._reduce(psi.amplitudes[None], [range(n_qubits)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
         amplitudes = np.array([draws[p].state for p in positions])[rows]
         inaccurate = protocols._branches(amplitudes, specs, protocols._bases(drawn)[rows, :2])
         runs = inaccurate.reshape(len(codes), len(positions), *inaccurate.shape[1:])
-        diffs = qcore.phase_aligned_max_diff(runs[first], runs[second]).max(axis=(0, 2))
+        diffs = qcore._aligned_diff(runs[first], runs[second]).max(axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):
             worst[p] = diff
     return worst, {}
@@ -454,7 +454,7 @@ def _evaluate_density(
     # values only, and one for the sigma rows, whose eigenvectors are read
     sigmas = [d.sigma for d in draws if d.sigma is not None]
     states = [d.purification for d in draws] + sigmas
-    reduced = linalg.partial_trace(np.array(states), [(0, 1)] * len(states))
+    reduced = linalg._reduce(np.array(states), [(0, 1)] * len(states))
     densities = [entropy.validate_density(reduced[: len(draws)], dims=(4,))]
     if sigmas:
         densities.append(entropy.validate_density(reduced[len(draws):], dims=(4,), vectors=True))

@@ -684,14 +684,14 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
 def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
     # an all-X-type stack never hands a stack of no rows to the two-qubit
     # reduction, nor an all-ZZ-type one to the one-qubit reduction
-    traces = linalg.partial_trace
+    traces = linalg._reduce
     reduced = []
 
     def counted(states, keeps):
         reduced.append((len(states), len(keeps[0])))
         return traces(states, keeps)
 
-    monkeypatch.setattr(linalg, "partial_trace", counted)
+    monkeypatch.setattr(linalg, "_reduce", counted)
     rng = np.random.default_rng(84)
     states = qcore.haar_states(3, qcore.streams([[84, b] for b in range(6)]))
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):

@@ -195,6 +195,19 @@ def test_tilted_vectors_reject_a_reference_that_is_not_a_finite_pair(reference):
         qcore.tilted_vectors(reference, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("reference, epsilon, delta", [
+    (qcore.Z_PAIR, [0.1, 0.2, 0.3], [0.1, 0.2]),
+    (np.stack([qcore.Z_PAIR] * 2), [0.1, 0.2, 0.3], 0.1),
+    (np.stack([qcore.Z_PAIR] * 2), 0.1, [0.1, 0.2, 0.3]),
+    (np.stack([qcore.Z_PAIR] * 3), np.zeros((2, 1)), np.zeros(2)),
+])
+def test_tilted_vectors_rejects_angles_that_do_not_broadcast(reference, epsilon, delta):
+    # the first case used to raise numpy's "operands could not be broadcast
+    # together with shapes (2,1) (3,1)", naming no argument
+    with pytest.raises(ValueError, match="epsilon shape .* delta shape .* broadcast"):
+        qcore.tilted_vectors(reference, epsilon, delta)
+
+
 def test_the_one_basis_builder_gives_the_tilted_bases():
     # plus = cos(e/2)|r0> + e^{-i delta} sin(e/2)|r1>, minus = sin(e/2)|r0> -
     # e^{-i delta} cos(e/2)|r1>, for one reference or a stack of them
@@ -743,6 +756,17 @@ def test_phase_aligned_max_diff():
     w[0] += 0.1
     assert qcore.phase_aligned_max_diff(v, w) > 0.01
     assert qcore.phase_aligned_max_diff(np.zeros(4), np.zeros(4)) == 0.0
+
+
+@pytest.mark.parametrize("a, b, name", [
+    (1.0, 1.0, "a"), (np.zeros(0), np.zeros(0), "a"), (np.zeros((3, 0)), np.zeros((3, 0)), "a"),
+    (np.ones(2), 1.0, "b"), (np.ones(2), np.zeros(0), "b"),
+])
+def test_phase_aligned_max_diff_rejects_a_scalar_or_an_empty_vector(a, b, name):
+    # (1.0, 1.0) used to raise numpy's einsum subscripts error and two
+    # empty vectors its "zero-size array to reduction" error, naming neither
+    with pytest.raises(ValueError, match=f"^{name} shape"):
+        qcore.phase_aligned_max_diff(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
