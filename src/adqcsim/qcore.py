@@ -27,7 +27,10 @@ campaign path calls on arrays the package built from checked inputs:
 indices only, through `linalg._tables`.
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
-exactly the state numpy's default generator would start in for its key;
+exactly the state numpy's default generator would start in for its key:
+it checks and splits each key into words, then calls the kernel
+`_seeded` on one zero-padded word array per padded length, the kernel a
+campaign draw calls on the words of its stream keys, laid out as arrays;
 a `Stream` draws integers, uniform angles and permutations in Python
 integers, bit for bit as numpy's Generator would.  `haar_states` draws
 the registers of many streams of one size as the rows of one array,
@@ -260,8 +263,11 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """max |a - e^{it} b| with the phase chosen to maximize the overlap,
     for two vectors or row by row for two stacks of them.
 
-    Zero when the vectors agree up to a global phase; stable down to
-    roundoff (no cancellation through norms).
+    Stable down to roundoff (no cancellation through norms), but not
+    exact: vectors that agree up to a global phase, a vector and itself
+    included, give the rounding of the overlap and of the phase taken
+    from it, a few float spacings of their entries rather than 0 (up to
+    about 2.5e-16 on unnormalized rows of entries below 1.4).
     """
     a, b = linalg._array(a, "a", finite=True), linalg._array(b, "b", finite=True)
     for name, x in (("a", a), ("b", b)):
@@ -486,7 +492,7 @@ def streams(keys: Sequence) -> list[Stream]:
     by_length: dict[int, list[int]] = {}
     for count in by_count:
         by_length.setdefault(max(count, _POOL), []).append(count)
-    seeds = np.empty((len(words), 4), dtype=np.uint64)
+    entropies, order = [], []
     for length, counts in by_length.items():
         positions = [pos for count in counts for pos in by_count[count]]
         entropy = np.zeros((len(positions), length), dtype=np.uint32)
@@ -495,7 +501,23 @@ def streams(keys: Sequence) -> list[Stream]:
             group = by_count[count]
             entropy[start:start + len(group), :count] = [words[pos] for pos in group]
             start += len(group)
-        seeds[positions] = _seed_states(entropy.T)
+        entropies.append(entropy.T)
+        order += positions
+    return _seeded(entropies, order)
+
+
+def _seeded(entropies: Sequence[np.ndarray], positions: Sequence[int]) -> list[Stream]:
+    # The Streams of keys given by their words, one (L, B) uint32 array
+    # per padded length L: each column one key's words zero-padded to
+    # max(count, 4), as numpy pads them.  `positions` holds each column's
+    # place among the keys, array after array; the Streams come back in
+    # key order.  One _seed_states call per array, then PCG64's seeding.
+    seeds = np.empty((len(positions), 4), dtype=np.uint64)
+    start = 0
+    for entropy in entropies:
+        end = start + entropy.shape[1]
+        seeds[positions[start:end]] = _seed_states(entropy)
+        start = end
     out = []
     for state_high, state_low, seq_high, seq_low in seeds.tolist():
         # from state 0: one step, the seed state added, one more step

@@ -6,7 +6,8 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-seeds its chunk's streams in one qcore.streams call, and builds its
+lays out the words of its chunk's stream keys as arrays and seeds them in
+one qcore._seeded call, the kernel of qcore.streams, and builds its
 registers in one qcore.haar_states call per register size, but item i
 still comes from its own streams alone: [seed, i], and [seed, i, 1] for a
 protocol campaign's register or [seed, i, 7] for monotonicity's random
@@ -292,11 +293,41 @@ class _ProtocolDraw(NamedTuple):
 _TURN = 2.0 * np.pi
 
 
+def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    # nonnegative ints split into 32-bit words as qcore.streams splits a
+    # key's entries, least significant first and 0 as one word: a (W, B)
+    # uint32 array, zero past each value's own words, and each value's count
+    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
+    if width == 1:
+        return np.array(values, dtype=np.uint32).reshape(1, -1), np.ones(len(values), dtype=int)
+    high = np.array(values, dtype=object) >> np.arange(0, 32 * width, 32)[:, None]
+    return (high & 0xFFFFFFFF).astype(np.uint32), 1 + (high[1:] != 0).sum(axis=0)
+
+
 def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[qcore.Stream]:
-    # the items' streams, seeded in one call: [seed, i] for every item,
-    # then [seed, i, tag] for every item, tag after tag
-    return qcore.streams(
-        [[cfg.seed, i] for i in indices] + [[cfg.seed, i, tag] for tag in tags for i in indices]
+    # The items' streams, seeded in one call: [seed, i] for every item,
+    # then [seed, i, tag] for every item, tag after tag.  The keys' words
+    # are laid out as qcore.streams lays them out, with no pass per key:
+    # one zero-padded (L, keys) array per padded length L, built from the
+    # seed's words, the indices' words and each tag's, one block per part
+    # (no tag or one tag) and index word count.
+    if not len(indices):
+        return []
+    seed = _words([cfg.seed])[0][:, 0]
+    words, counts = _words(indices)
+    tails = [seed[:0], *(_words([tag])[0][:, 0] for tag in tags)]
+    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for part, tail in enumerate(tails):
+        for count in np.bincount(counts).nonzero()[0].tolist():  # np.unique imports numpy.ma
+            rows = (counts == count).nonzero()[0]
+            key = np.concatenate((seed, np.zeros(count, dtype=np.uint32), tail))
+            block = np.zeros((max(len(key), qcore._POOL), len(rows)), dtype=np.uint32)
+            block[:len(key)] = key[:, None]
+            block[len(seed):len(seed) + count] = words[:count, rows]
+            blocks.setdefault(len(block), []).append((part * len(indices) + rows, block))
+    return qcore._seeded(
+        [np.concatenate([b for _, b in group], axis=1) for group in blocks.values()],
+        np.concatenate([rows for group in blocks.values() for rows, _ in group]),
     )
 
 
@@ -406,16 +437,18 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
     # any two rotation protocols, per outcome; one stack per register size
     # and slice, holding every rotation kind's rows, kind after kind, each
     # the drawn rows under that kind.  The kinds share their tilted
-    # equatorial bases, built once per drawn row.
+    # equatorial bases: the chunk's columns and bases are built once, and
+    # each stack takes its rows of them.
     codes = np.array(_ROTATION_CODES)
     first, second = np.triu_indices(len(codes), 1)  # every pair of kinds
+    drawn = protocols._columns([d.protocol for d in draws])
+    tilted = protocols._bases(drawn)[:, :2]
     worst = [0.0] * len(draws)
     for positions in _stacks(draws, rows_per_draw=len(codes)):
-        drawn = protocols._columns([draws[p].protocol for p in positions])
-        rows = np.tile(np.arange(len(positions)), len(codes))
+        rows = np.tile(positions, len(codes))
         specs = drawn.take(rows)._replace(kind=np.repeat(codes, len(positions)))
-        amplitudes = np.array([draws[p].state for p in positions])[rows]
-        inaccurate = protocols._branches(amplitudes, specs, protocols._bases(drawn)[rows, :2])
+        amplitudes = np.tile([draws[p].state for p in positions], (len(codes), 1))
+        inaccurate = protocols._branches(amplitudes, specs, tilted[rows])
         runs = inaccurate.reshape(len(codes), len(positions), *inaccurate.shape[1:])
         diffs = qcore._aligned_diff(runs[first], runs[second]).max(axis=(0, 2))
         for p, diff in zip(positions, diffs.tolist()):

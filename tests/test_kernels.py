@@ -6,7 +6,7 @@ one piece must be those the stacked forms gave."""
 import numpy as np
 import pytest
 
-from adqcsim import linalg, qcore
+from adqcsim import linalg, qcore, verify
 from adqcsim.qcore import PureState
 
 
@@ -151,3 +151,24 @@ def test_streams_of_mixed_lengths_are_the_one_key_streams():
     for key, stream in zip(keys, got):
         state = np.random.default_rng(key).bit_generator.state["state"]
         assert (stream.state, stream.inc) == (state["state"], state["inc"]), key
+
+
+# index runs of a chunk: from 0, a lone 0, out of order, one that crosses
+# 2^32 (one-word and two-word indices in one call), and one that mixes
+# one, two and three words
+_INDEX_RUNS = [range(0, 130), [0], [9, 0, 3], range(2**32 - 3, 2**32 + 3),
+               [5, 2**64 + 1, 0, 2**32]]
+
+
+@pytest.mark.parametrize("tags", [(), (1,), (7,), (1, 7)])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+def test_a_chunks_laid_out_keys_give_the_streams_of_its_keys(seed, tags):
+    # verify._streams lays out the words of [seed, i] and [seed, i, tag]
+    # itself, one array per padded length; each Stream must be the one
+    # qcore.streams gives for the same key, bit for bit
+    cfg = verify.default_config("jonas", seed=seed)
+    for indices in _INDEX_RUNS:
+        keys = [[seed, i] for i in indices] + [[seed, i, tag] for tag in tags for i in indices]
+        got = verify._streams(cfg, indices, *tags)
+        assert [_state(s) for s in got] == [_state(s) for s in qcore.streams(keys)], indices
+    assert verify._streams(cfg, range(0), *tags) == []

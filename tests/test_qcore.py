@@ -758,6 +758,17 @@ def test_phase_aligned_max_diff():
     assert qcore.phase_aligned_max_diff(np.zeros(4), np.zeros(4)) == 0.0
 
 
+def test_phase_aligned_max_diff_of_a_stack_and_itself_is_roundoff_not_zero():
+    # unnormalized rows, as circuit_equivalence compares its branches: the
+    # overlap and its phase round, so a == b gives a few float spacings of
+    # the entries on some rows (about one row in eight here), not 0
+    rng = np.random.default_rng(30)
+    a = 0.3 * (rng.standard_normal((3, 67, 2, 16)) + 1j * rng.standard_normal((3, 67, 2, 16)))
+    diff = qcore.phase_aligned_max_diff(a, a)
+    assert diff.shape == (3, 67, 2)
+    assert (diff >= 0.0).all() and diff.max() <= 1e-15
+
+
 @pytest.mark.parametrize("a, b, name", [
     (1.0, 1.0, "a"), (np.zeros(0), np.zeros(0), "a"), (np.zeros((3, 0)), np.zeros((3, 0)), "a"),
     (np.ones(2), 1.0, "b"), (np.ones(2), np.zeros(0), "b"),

@@ -683,13 +683,13 @@ def test_a_chunk_draw_builds_at_most_one_numpy_generator(monkeypatch):
             built.append(1)
             super().__init__(*args)
 
-    def streams(keys):
-        draws.append(len(keys))
-        return qcore_streams(keys)
+    def seeded(entropies, positions):
+        draws.append(len(positions))
+        return qcore_seeded(entropies, positions)
 
-    qcore_streams = qcore.streams
+    qcore_seeded = qcore._seeded
     monkeypatch.setattr(np.random, "Generator", Counted)
-    monkeypatch.setattr(qcore, "streams", streams)
+    monkeypatch.setattr(qcore, "_seeded", seeded)
     monkeypatch.setattr(qcore, "_LOCAL", threading.local())
     report = verify.run_campaign(verify.default_config("bound_main", samples=300))
     assert report.passed and report.checks_run == 300

@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tools/outputs.py OUTDIR
 
-Each output goes through `adqcsim.cli.main` with the arguments a command
-line would give it, and any warning (a numpy overflow or invalid value
-included) is an error.  OUTDIR gets:
+Each report, demo output and curve goes through `adqcsim.cli.main` with
+the arguments a command line would give it; the digests run the
+campaigns' chunks through `adqcsim.verify` directly.  Any warning (a
+numpy overflow or invalid value included) is an error.  OUTDIR gets:
 
 - the 50 campaign reports, every campaign at five settings: the defaults
   (`verify-<name>.json`), `--samples 5 --seed 11` (`quick-<name>.json`),
@@ -17,6 +18,11 @@ included) is an error.  OUTDIR gets:
   protocol on every preset at epsilon 0.9 and delta 0.4, a ':' in the
   preset written as '_';
 - the 3 curves at their defaults, `curves-<figure>.csv`;
+- `digests.json`: per campaign at its default sample count and per seed
+  of DIGEST_SEEDS, the sha256 of every chunk's per-item violations
+  (their `repr`, None for a filtered item) and stats (as sorted JSON), in
+  index order.  A report keeps only the worst item, so a change that
+  moves any other item's value shows here and nowhere else;
 - `manifest.json`: the Python and numpy versions, the platform and the
   value of NPY_DISABLE_CPU_FEATURES, since a few reports depend on the
   SIMD level numpy dispatches to.
@@ -31,6 +37,7 @@ cache carries state from one campaign to the next.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +60,7 @@ SETTINGS = {
 }
 PRESETS = ("bell", "ghz:3", "product:3", "saturate:0.3", "rho_lambda:0.4")
 FIGURES = ("fig5", "fig6", "fig7")
+DIGEST_SEEDS = (42, 11, 3)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -61,6 +69,23 @@ def _run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def digest(name: str, seed: int) -> str:
+    """The sha256 of campaign `name`'s chunks at its default sample count
+    and `seed`: each chunk's violations, one `repr` per line, then its
+    stats as sorted JSON, chunk after chunk as `run_campaign` takes them."""
+    config = verify.default_config(name, seed=seed)
+    campaign = verify._CAMPAIGNS[name]
+    count = campaign.items(config)
+    sha = hashlib.sha256()
+    for a in range(0, count, verify._CHUNK):
+        violations, stats = campaign.evaluate(
+            config, campaign.draw(config, range(a, min(a + verify._CHUNK, count)))
+        )
+        lines = [*map(repr, violations), json.dumps(stats, sort_keys=True)]
+        sha.update(("\n".join(lines) + "\n").encode())
+    return sha.hexdigest()
 
 
 def write_outputs(outdir: Path) -> int:
@@ -75,7 +100,12 @@ def write_outputs(outdir: Path) -> int:
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    files = 1
+    digests = {
+        name: {str(seed): digest(name, seed) for seed in DIGEST_SEEDS}
+        for name in verify.CAMPAIGN_NAMES
+    }
+    (outdir / "digests.json").write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    files = 2
     for stem, options in SETTINGS.items():
         for name in verify.CAMPAIGN_NAMES:
             report = outdir / f"{stem}-{name}.json"
