@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 
 DENSITY_TOL = 1e-10
+_IMAG_TOL = 1e-12  # the imaginary residue an expectation value may carry
 _INVERSE_RESIDUAL = 1e-12
 _INVERSE_WIDTH = 1e-13
 _INVERSE_MAX_ITER = 200
@@ -143,7 +144,7 @@ def _matrices(rho: np.ndarray | Density, d: int) -> np.ndarray:
 def _real_values(values: np.ndarray) -> float | np.ndarray:
     # expectation values, which must come out real
     residue = abs(values.imag).max(initial=0.0)
-    if residue > 1e-12:
+    if residue > _IMAG_TOL:
         raise ValueError(f"correlator has imaginary residue {residue}")
     return _value(values.real)
 

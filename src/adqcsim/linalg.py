@@ -7,9 +7,11 @@ shape [2]*n exposes qubit k as axis k.  Pure states are plain amplitude
 vectors here, or the rows of one (B, 2^n) stack, which `partial_trace`,
 the one partial trace, reduces in one gather.  Every qubit list reaches
 its gather table through `_tables`, the one check of qubit indices, and
-the tables are cached per (n, qubit list).  `partial_trace` checks its
-arguments, then calls `_reduce`, the kernel that the campaign path
-calls on stacks the package built from checked inputs.
+the tables are cached per (n, qubit list); `_permute` gathers a stack's
+qubits into place over them, for `_reduce` and qcore's kernels.
+`partial_trace` checks its arguments, then calls `_reduce`, the kernel
+that the campaign path calls on stacks the package built from checked
+inputs.
 """
 from __future__ import annotations
 
@@ -139,29 +141,10 @@ def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
     return tables
 
 
-def permute_qubits(states: np.ndarray, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """Rows of a (B, 2^n) stack with row b's qubits `orders[b]` moved to
-    the front, in the order listed, the rest after them ascending; one
-    gather over index tables cached per (n, qubit list).
-
-    Row b of the result is states[b].reshape([2]*n).transpose(order)
-    flattened, for order = qubit_order(n, orders[b]); a full order is one
-    such list.  A stack of no rows comes back as it is.
-    """
-    states = _array(states, "states")
-    if states.ndim != 2:
-        raise ValueError(f"states shape {states.shape} is not a (B, 2^n) stack")
-    rows, dim = states.shape
-    n = n_qubits_of(dim)
-    orders = _sequence(orders, "orders")
-    if len(orders) != rows:
-        raise ValueError(f"{len(orders)} qubit orders for {rows} rows")
-    return _permute(states, _tables(n, orders))
-
-
 def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
-    # the gather of permute_qubits over tables from _tables, or with
-    # `inverse` the scatter back that qcore.apply_matrix makes
+    # row b of a (B, 2^n) stack reshaped to [2]*n, transposed into the
+    # qubit order its table from _tables was built for, and flattened; with
+    # `inverse` the scatter back that qcore._apply makes
     flat = tables.ndim == 2
     if not inverse:
         return states.reshape(-1)[tables] if flat else states[:, tables]

@@ -26,12 +26,12 @@ that check their arguments and then call them: it hands them only arrays
 built from what `_runs` read, or from a campaign's drawn values.
 
 Every simulation is one `_branches` call, in the bases asked for: the
-tilted and the ideal ones for `run_protocol`, the tilted ones alone for a
-caller that reads only those.  `analyze` is the analysis pass `_analyses`
-over one stack.  The pass takes several, such as a campaign chunk's
-registers of several sizes, simulates each alone, and runs what does not
-depend on the size (the bases, one entanglement report call per error
-kind, the closed forms) once over all their rows.
+tilted and the ideal ones of `_bases` for `run_protocol`, the tilted ones
+alone, built by a caller that reads only those.  `analyze` is the
+analysis pass `_analyses` over one stack.  The pass takes several, such
+as a campaign chunk's registers of several sizes, simulates each alone,
+and runs what does not depend on the size (the bases, one entanglement
+report call per error kind, the closed forms) once over all their rows.
 """
 from __future__ import annotations
 
@@ -292,9 +292,9 @@ def _bases(specs: _Specs) -> np.ndarray:
 def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarray:
     # Each row of a (B, 2^n) stack through its gate steps, then measured in
     # the J basis vectors of its row of `bases`, (B, J, 2): the rows of
-    # _bases for the (B, 4, 2^n) tilted then ideal branches, or their
-    # first two for the (B, 2, 2^n) tilted branches alone, which a caller
-    # that reads only those asks for, paying for no ideal ones.  Every row
+    # _bases for the (B, 4, 2^n) tilted then ideal branches, or tilted
+    # bases alone for the (B, 2, 2^n) tilted branches, which a caller that
+    # reads only those builds, paying for no ideal ones.  Every row
     # measures the ancilla, the last qubit.
     pre = _gate_steps(states, specs)
     return qcore._measure(pre, linalg.n_qubits_of(states.shape[1]), bases)

@@ -11,10 +11,10 @@ a basis vector to the measured qubit removes that qubit from the
 register (indices above it shift down by one) and leaves an unnormalized
 vector whose squared norm is the outcome probability.
 
-`apply_matrix` takes one vector or a (B, 2^n) stack with per-row
-operators and targets, `measure_branch` a PureState or a StateStack with
-one measured qubit for all rows and per-row bases; both read n from the
-amplitudes.  Qubits are brought into place by one gather over index
+`apply_matrix` and `measure_branch` take one raw vector or a (B, 2^n)
+stack, `apply_matrix` with per-row operators and targets, `measure_branch`
+with one measured qubit for all rows and per-row bases; both read n from
+the amplitudes.  Qubits are brought into place by one gather over index
 tables cached per (n, qubit list), so every row costs the same arithmetic
 as a lone vector; `apply_matrix` scatters its rows back over the same
 tables.
@@ -44,7 +44,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -124,15 +124,6 @@ def basis_state(n_qubits: int, index: int) -> PureState:
     vec = np.zeros(2**n_qubits, dtype=complex)
     vec[index] = 1.0
     return PureState(n_qubits, vec)
-
-
-class StateStack(NamedTuple):
-    """n-qubit amplitude vectors as the rows of one (B, 2^n) array; built
-    by the package from states it has already validated, so not checked.
-    Kept, where a plain array would do, because bench/tracer.py reads
-    `.amplitudes` of measure_branch's first argument."""
-
-    amplitudes: np.ndarray
 
 
 Z_PAIR = np.eye(2, dtype=complex)  # rows |0>, |1>
@@ -222,8 +213,9 @@ def _apply(rows: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
     return linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
 
 
-def measure_branch(state: PureState | StateStack, qubit: int, basis: np.ndarray) -> np.ndarray:
-    """Measurement branches of one qubit, for a state or every row of a stack.
+def measure_branch(vec: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:
+    """Measurement branches of one qubit, for a raw vector or every row of
+    a (B, 2^n) stack.
 
     Branch j carries (<basis_j| on the measured qubit (x) identity
     elsewhere) applied to the state; the measured qubit is removed and the
@@ -236,20 +228,17 @@ def measure_branch(state: PureState | StateStack, qubit: int, basis: np.ndarray)
     Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
     stack.
     """
-    if not isinstance(state, (PureState, StateStack)):
-        raise ValueError(f"state must be a PureState or a StateStack, not {type(state).__name__}")
-    amplitudes = linalg._array(state.amplitudes, "state")
-    if amplitudes.ndim not in (1, 2):
-        raise ValueError(f"state shape {amplitudes.shape} is not (2^n,) or (B, 2^n)")
-    stack = amplitudes.ndim == 2
-    rows = amplitudes if stack else amplitudes[None]
+    vec = linalg._array(vec, "vec")
+    if vec.ndim not in (1, 2):
+        raise ValueError(f"vec shape {vec.shape} is not (2^n,) or (B, 2^n)")
+    rows = vec if vec.ndim == 2 else vec[None]
     linalg.n_qubits_of(rows.shape[1])
     basis = linalg._array(basis, "basis", finite=True)
-    lead = amplitudes.shape[:-1]  # () for a state, (B,) for a stack
+    lead = vec.shape[:-1]  # () for a vector, (B,) for a stack
     if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
         raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
     branches = _measure(rows, qubit, basis)
-    return branches if stack else branches[0]
+    return branches if vec.ndim == 2 else branches[0]
 
 
 def _measure(rows: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:

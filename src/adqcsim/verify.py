@@ -437,12 +437,12 @@ def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _E
     # any two rotation protocols, per outcome; one stack per register size
     # and slice, holding every rotation kind's rows, kind after kind, each
     # the drawn rows under that kind.  The kinds share their tilted
-    # equatorial bases: the chunk's columns and bases are built once, and
-    # each stack takes its rows of them.
+    # equatorial bases at u: the chunk's columns and bases are built once,
+    # and each stack takes its rows of them.
     codes = np.array(_ROTATION_CODES)
     first, second = np.triu_indices(len(codes), 1)  # every pair of kinds
     drawn = protocols._columns([d.protocol for d in draws])
-    tilted = protocols._bases(drawn)[:, :2]
+    tilted = qcore._tilted(qcore._equatorial(drawn.u), drawn.epsilon, drawn.delta)
     worst = [0.0] * len(draws)
     for positions in _stacks(draws, rows_per_draw=len(codes)):
         rows = np.tile(positions, len(codes))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from adqcsim import linalg, qcore, verify
-from adqcsim.qcore import PureState
 
 
 def _same(a, b):
@@ -57,9 +56,9 @@ def test_measure_kernel_is_measure_branch_bit_for_bit(n, rows):
                                  angles[2].repeat(2).reshape(-1, 2)).reshape(rows, 4, 2)
     for qubit in range(n):
         for basis in (bases, bases[:, :2]):
-            want = qcore.measure_branch(qcore.StateStack(vecs), qubit, basis)
+            want = qcore.measure_branch(vecs, qubit, basis)
             assert _same(qcore._measure(vecs, qubit, basis), want)
-        want = qcore.measure_branch(PureState(n, vecs[0]), qubit, bases[0])
+        want = qcore.measure_branch(vecs[0], qubit, bases[0])
         assert _same(qcore._measure(vecs[:1], qubit, bases[0])[0], want)
 
 

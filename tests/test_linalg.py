@@ -191,39 +191,33 @@ def test_partial_trace_of_a_stack_matches_each_row():
         linalg.partial_trace(states[None], [keeps])  # not a vector or a stack
 
 
-def test_permute_qubits_round_trip():
+@pytest.mark.parametrize("same", [True, False], ids=["one-table", "per-row-tables"])
+def test_permute_is_numpys_transpose_and_its_scatter_moves_back(same):
+    # row b of the gather over _tables is states[b] reshaped to [2]*n with
+    # its qubit axes transposed: orders[b] listed first, then the rest
+    # ascending; the scatter back over the same tables restores every row
     rng = np.random.default_rng(18)
     n, rows = 4, 6
     states = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
-    orders = [tuple(int(q) for q in rng.permutation(n)) for _ in range(rows)]
-    moved = linalg.permute_qubits(states, orders)
+    firsts = [tuple(int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)])
+              for _ in range(rows)]
+    if same:
+        firsts = [firsts[0]] * rows
+    tables = linalg._tables(n, firsts)
+    moved = linalg._permute(states, tables)
+    orders = [first + tuple(q for q in range(n) if q not in first) for first in firsts]
     for b in range(rows):
         want = states[b].reshape([2] * n).transpose(orders[b]).reshape(-1)
         assert np.array_equal(moved[b], want)
-    # the inverse transposition, argsort(order), moves each row back
+    assert np.array_equal(linalg._permute(moved, tables, inverse=True), states)
+    # the inverse transposition, argsort(order), moves each row back too
     inverses = [tuple(int(q) for q in np.argsort(order)) for order in orders]
-    assert np.array_equal(linalg.permute_qubits(moved, inverses), states)
-
-
-@pytest.mark.parametrize("states", [np.zeros(4), np.zeros((1, 2, 4)), np.complex128(1.0)],
-                         ids=["vector", "3-d", "scalar"])
-def test_permute_qubits_takes_a_stack_only(states):
-    # a vector used to raise numpy's "not enough values to unpack", a 3-d
-    # array "too many values"
-    with pytest.raises(ValueError, match=r"states .* is not a \(B, 2\^n\) stack"):
-        linalg.permute_qubits(states, [(0,)])
-
-
-@pytest.mark.parametrize("orders", [None, 0.5, object()])
-def test_permute_qubits_orders_must_be_a_sequence(orders):
-    # len() of these used to raise TypeError
-    with pytest.raises(ValueError, match="orders"):
-        linalg.permute_qubits(np.zeros((1, 4)), orders)
+    assert np.array_equal(linalg._permute(moved, linalg._tables(n, inverses)), states)
 
 
 def test_stacks_of_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
-    assert linalg.permute_qubits(empty, []).shape == (0, 8)
+    assert linalg._permute(empty, linalg._tables(3, [])).shape == (0, 8)
     with pytest.raises(ValueError, match="empty"):
         linalg.partial_trace(empty, [])
     w, v = linalg.jacobi_eigh(np.zeros((0, 4, 4), dtype=complex))

@@ -417,11 +417,12 @@ def oneway_as_stated(states, targets, u, epsilon, delta):
     for b in range(rows):
         t = targets[b]
         pre = qcore.apply_matrix(np.kron(states[b], PLUS), qcore.gate("CZ"), (t, n))
-        order = [(*range(t), n - 1, *range(t, n - 1))] * 2
+        # axis 0 of the branches is the outcome, then the n remaining qubits
+        axes = (0, *(1 + q for q in (*range(t), n - 1, *range(t, n - 1))))
         for out, eps in ((tilted, epsilon[b]), (ideal, 0.0)):
             basis = qcore.tilted_vectors(qcore.equatorial_pair(u[b]), eps, delta[b])
-            branches = qcore.measure_branch(PureState(n + 1, pre), t, basis)
-            out[b] = linalg.permute_qubits(branches, order)
+            branches = qcore.measure_branch(pre, t, basis)
+            out[b] = branches.reshape([2] * (n + 1)).transpose(axes).reshape(2, dim)
     probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
     ideal /= np.sqrt(probs)[..., None]
     return ideal, probs, tilted
@@ -637,6 +638,18 @@ def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
         result = protocols.run_protocol(states, specs)
         assert tilted.shape == result.inaccurate_branches.shape == (rows, 2, 2**n)
         assert tilted.tobytes() == result.inaccurate_branches.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 1000])
+def test_the_tilted_equatorial_bases_are_the_first_half_of_bases_bit_for_bit(rows):
+    # circuit_equivalence builds only the tilted bases of its rotation
+    # rows, as the equatorial pair at u tilted by (epsilon, delta): they
+    # are the tilted half of _bases, whose ideal half it never reads
+    rng = np.random.default_rng([87, rows])
+    specs = [random_spec(rng, 3, ROTATIONS) for _ in range(rows)]
+    _, columns, _ = protocols._runs(np.tile(basis_state(3, 0).amplitudes, (rows, 1)), specs)
+    tilted = qcore._tilted(qcore._equatorial(columns.u), columns.epsilon, columns.delta)
+    assert tilted.tobytes() == protocols._bases(columns)[:, :2].tobytes()
 
 
 def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():

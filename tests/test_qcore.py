@@ -27,6 +27,13 @@ def z_basis(epsilon, delta):
     return qcore.tilted_vectors(qcore.Z_PAIR, epsilon, delta)
 
 
+def transposed(states, orders):
+    """Row b of a (B, 2^n) stack with its qubit axes in orders[b], by numpy's transpose."""
+    n = linalg.n_qubits_of(states.shape[1])
+    return np.array([row.reshape([2] * n).transpose(order).reshape(-1)
+                     for row, order in zip(states, orders)])
+
+
 # ------------------------------------------------------------------ gates
 
 @pytest.mark.parametrize("name", ["X", "Y", "Z", "H", "1", "CZ", "SWAP", "CZSWAP", "E_CZ"])
@@ -285,19 +292,20 @@ def test_apply_matrix_errors():
         qcore.apply_matrix(vec, qcore.gate("CZ"), (0, 0))
 
 
-_WRONG_TYPES = {
-    "measure_branch": lambda x: qcore.measure_branch(x, 0, qcore.Z_PAIR),
-    "mean_gate_fidelity": protocols.mean_gate_fidelity,
-}
-
-
 @pytest.mark.parametrize("value", [np.array([1.0, 0.0], dtype=complex), None])
-@pytest.mark.parametrize("name", list(_WRONG_TYPES))
-def test_a_call_given_the_wrong_type_names_its_argument(name, value):
+def test_a_call_given_the_wrong_type_names_its_argument(value):
     # an array or None used to raise AttributeError from an attribute read
-    argument = "result" if name == "mean_gate_fidelity" else "state"
-    with pytest.raises(ValueError, match=f"{argument} must be a"):
-        _WRONG_TYPES[name](value)
+    with pytest.raises(ValueError, match="result must be a"):
+        protocols.mean_gate_fidelity(value)
+
+
+@pytest.mark.parametrize("value", [basis_state(1, 0), None])
+def test_measure_branch_takes_an_array_not_a_pure_state(value):
+    # one input form, as apply_matrix: a raw vector or a stack; a
+    # PureState is no array of numbers
+    with pytest.raises(ValueError, match="vec is not an array"):
+        qcore.measure_branch(value, 0, qcore.Z_PAIR)
+    assert qcore.measure_branch(basis_state(1, 0).amplitudes, 0, qcore.Z_PAIR).shape == (2, 1)
 
 
 def test_apply_matrix_preserves_norm():
@@ -335,17 +343,17 @@ def test_measure_branch_on_a_stack_matches_each_row():
     bases = [u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(rows)]
     vectors = np.array(bases)
     for qubit in range(n):
-        got = qcore.measure_branch(qcore.StateStack(vecs), qubit, vectors)
+        got = qcore.measure_branch(vecs, qubit, vectors)
         for b in range(rows):
-            want = qcore.measure_branch(PureState(n, vecs[b]), qubit, bases[b])
+            want = qcore.measure_branch(vecs[b], qubit, bases[b])
             assert got[b].tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="basis"):
-        qcore.measure_branch(qcore.StateStack(vecs), 0, vectors[:-1])
+        qcore.measure_branch(vecs, 0, vectors[:-1])
 
 
 def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
     # the gather tables are built once and serve the scatter back too: the
-    # result is permute_qubits, the matmul, and the inverse permutation
+    # result is the qubit transposition, the matmul, and its inverse
     rng = np.random.default_rng(38)
     for n, rows, same in ((3, 1, True), (5, 12, True), (5, 12, False), (7, 30, False)):
         vecs = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
@@ -356,9 +364,9 @@ def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
             for _ in range(rows)
         ]
         orders = [linalg.qubit_order(n, t) for t in targets]
-        psi = ops @ linalg.permute_qubits(vecs, orders).reshape(rows, 4, -1)
+        psi = ops @ transposed(vecs, orders).reshape(rows, 4, -1)
         inverses = [tuple(int(q) for q in np.argsort(order)) for order in orders]
-        want = linalg.permute_qubits(psi.reshape(rows, -1), inverses)
+        want = transposed(psi.reshape(rows, -1), inverses)
         assert qcore.apply_matrix(vecs, ops, targets).tobytes() == want.tobytes()
 
 
@@ -367,7 +375,7 @@ def test_stacks_of_no_rows():
     assert qcore.apply_matrix(empty, qcore.gate("CZ"), []).shape == (0, 8)
     assert qcore.apply_matrix(empty, np.zeros((0, 2, 2)), []).shape == (0, 8)
     for qubit in range(3):
-        branches = qcore.measure_branch(qcore.StateStack(empty), qubit, np.zeros((0, 2, 2)))
+        branches = qcore.measure_branch(empty, qubit, np.zeros((0, 2, 2)))
         assert branches.shape == (0, 2, 4)
     with pytest.raises(ValueError, match="power of two"):
         qcore.apply_matrix(empty, np.eye(3), [])
@@ -380,7 +388,7 @@ def probability(branch):
 
 
 def test_measure_plus_in_z():
-    plus = PureState.from_vector(np.array([1, 1], dtype=complex) / np.sqrt(2))
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     b0, b1 = qcore.measure_branch(plus, 0, z_basis(0.0, 0.0))
     assert probability(b0) == pytest.approx(0.5, abs=1e-12)
     assert probability(b1) == pytest.approx(0.5, abs=1e-12)
@@ -388,14 +396,14 @@ def test_measure_plus_in_z():
 
 def test_measure_eigenstate_in_u_basis():
     u = 1.3
-    u_plus = PureState.from_vector(np.array([1, np.exp(1j * u)]) / np.sqrt(2))
+    u_plus = np.array([1, np.exp(1j * u)]) / np.sqrt(2)
     b0, b1 = qcore.measure_branch(u_plus, 0, u_basis(u, 0.0, 0.0))
     assert probability(b0) == pytest.approx(1.0, abs=1e-12)
     assert probability(b1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_measure_bell_branches():
-    bell = PureState.from_vector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     b0, b1 = qcore.measure_branch(bell, 0, qcore.Z_PAIR)
     assert np.allclose(b0, [1 / np.sqrt(2), 0])
     assert np.allclose(b1, [0, 1 / np.sqrt(2)])
@@ -405,8 +413,7 @@ def test_measure_removes_qubit_and_shifts():
     # |0>|1>|+> measured on qubit 1 leaves |0>|+> (qubit 2 shifts to slot 1)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vec = np.kron(np.kron([1, 0], [0, 1]), plus).astype(complex)
-    st = PureState.from_vector(vec)
-    b0, b1 = qcore.measure_branch(st, 1, qcore.Z_PAIR)
+    b0, b1 = qcore.measure_branch(vec, 1, qcore.Z_PAIR)
     assert probability(b0) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(b1, np.kron([1, 0], plus))
 
@@ -416,7 +423,7 @@ def test_measure_probabilities_sum_to_one():
     streams = qcore.streams([[33, trial] for trial in range(25)])
     for trial in range(25):
         n = int(rng.integers(1, 6))
-        st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        st = qcore.haar_states(n, [streams[trial]])[0]
         basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = qcore.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
@@ -429,7 +436,7 @@ def test_measure_reconstruction():
     streams = qcore.streams([[34, trial] for trial in range(20)])
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        st = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        st = qcore.haar_states(n, [streams[trial]])[0]
         qubit = int(rng.integers(n))
         basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
@@ -437,20 +444,19 @@ def test_measure_reconstruction():
             shape = [2] * (n - 1)
             outer = np.tensordot(basis[j], b.reshape(shape), axes=0)
             rebuilt += np.moveaxis(outer, 0, qubit)
-        assert np.max(np.abs(rebuilt.reshape(-1) - st.amplitudes)) < 1e-12
+        assert np.max(np.abs(rebuilt.reshape(-1) - st)) < 1e-12
 
 
 @pytest.mark.parametrize("qubit", [True, False, np.True_, 1.0, np.float64(0.0)])
 def test_measure_branch_qubit_must_be_an_integer(qubit):
     # True used to measure qubit 1; a float raises ValueError, as for
     # every qubit index
-    state = PureState(2, [1, 0, 0, 0])
+    state = basis_state(2, 0).amplitudes
     basis = z_basis(0.1, 0.2)
     with pytest.raises(ValueError):
         qcore.measure_branch(state, qubit, basis)
     with pytest.raises(ValueError):
-        qcore.measure_branch(qcore.StateStack(np.eye(4, dtype=complex)[:2]),
-                             qubit, np.stack([basis] * 2))
+        qcore.measure_branch(np.eye(4, dtype=complex)[:2], qubit, np.stack([basis] * 2))
     assert qcore.measure_branch(state, np.int64(1), basis).shape == (2, 2)
 
 
@@ -462,11 +468,11 @@ _BASIS = z_basis(0.1, 0.2)
                          ids=["float", "float64", "bool", "bool_"])
 @pytest.mark.parametrize("entry", [
     lambda q: linalg.qubit_order(3, (q,)),
-    lambda q: linalg.permute_qubits(_STATE.amplitudes[None], [(q, 0, 2)]),
+    lambda q: linalg._permute(_STATE.amplitudes[None], linalg._tables(3, [(q, 0, 2)])),
     lambda q: qcore.apply_matrix(_STATE.amplitudes, qcore.gate("H"), (q,)),
-    lambda q: qcore.measure_branch(_STATE, q, _BASIS),
+    lambda q: qcore.measure_branch(_STATE.amplitudes, q, _BASIS),
     lambda q: linalg.partial_trace(_STATE.amplitudes, [q]),
-], ids=["qubit_order", "permute_qubits", "apply_matrix", "measure_branch", "partial_trace"])
+], ids=["qubit_order", "permute", "apply_matrix", "measure_branch", "partial_trace"])
 def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
     # the int's table is cached first; 1.0 and True compare equal to 1, so
     # a cache keyed on the list as given would hand them the int's table
@@ -477,9 +483,9 @@ def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
 
 def test_measure_branch_index_error():
     with pytest.raises(ValueError):
-        qcore.measure_branch(basis_state(2, 0), 2, z_basis(0, 0))
-    with pytest.raises(ValueError, match="state shape"):  # neither a state nor a stack
-        qcore.measure_branch(qcore.StateStack(np.zeros((1, 2, 4))), 0, np.zeros((1, 2, 2, 2)))
+        qcore.measure_branch(basis_state(2, 0).amplitudes, 2, z_basis(0, 0))
+    with pytest.raises(ValueError, match="vec shape"):  # neither a vector nor a stack
+        qcore.measure_branch(np.zeros((1, 2, 4)), 0, np.zeros((1, 2, 2, 2)))
 
 
 _NAN_BASIS = np.array([[1.0, 0.0], [0.0, np.nan]])
@@ -499,9 +505,9 @@ _NAN_BASIS = np.array([[1.0, 0.0], [0.0, np.nan]])
 ])
 def test_measure_branch_rejects_a_malformed_basis(basis, stack):
     # (J, 2) finite vectors for one state, (B, J, 2) for a stack of B
-    state = qcore.random_pure_state(3, 40)
+    state = qcore.random_pure_state(3, 40).amplitudes
     if stack:
-        state = qcore.StateStack(np.stack([state.amplitudes] * 2))
+        state = np.stack([state] * 2)
     with pytest.raises(ValueError, match="basis"):
         qcore.measure_branch(state, 0, basis)
 
@@ -510,11 +516,11 @@ def test_measure_branch_rejects_a_malformed_basis(basis, stack):
 def test_measure_branch_on_a_stack_takes_one_integer_qubit(qubit):
     # one qubit for every row: a list, a tuple, None or a float is no
     # qubit, for a stack as for one state
-    stack = qcore.StateStack(np.eye(4, dtype=complex)[:2])
+    stack = np.eye(4, dtype=complex)[:2]
     with pytest.raises(ValueError, match="qubit"):
         qcore.measure_branch(stack, qubit, np.stack([qcore.Z_PAIR] * 2))
     with pytest.raises(ValueError, match="qubit"):
-        qcore.measure_branch(PureState(2, [1, 0, 0, 0]), qubit, qcore.Z_PAIR)
+        qcore.measure_branch(stack[0], qubit, qcore.Z_PAIR)
 
 
 # ------------------------------------------------------ random_pure_state
