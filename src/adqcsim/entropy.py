@@ -169,6 +169,13 @@ def _zz(rho: np.ndarray | Density) -> float | np.ndarray:
     return _real_values((d[..., 0] - d[..., 1]) + (d[..., 3] - d[..., 2]))
 
 
+def _expectations(rhos: np.ndarray | Density) -> np.ndarray:
+    # a (B, d, d) stack's expectations as a report reads them, the last row
+    # its correlator: (3, B) <X>, <Y>, <Z> for d = 2, (1, B) <Z (x) Z> for d = 4
+    m = rhos.matrix if isinstance(rhos, Density) else rhos
+    return _bloch(rhos) if m.shape[-1] == 2 else _zz(rhos)[None]
+
+
 def _length(bloch: np.ndarray) -> float | np.ndarray:
     # the Bloch length of _bloch's values
     cx, cy, cz = bloch
@@ -271,10 +278,8 @@ def entanglement_reports(rhos: np.ndarray | Density) -> list[EntanglementReport]
     if rhos.matrix.ndim != 3:
         raise ValueError("expected a (B, d, d) stack of density matrices")
     p = _spectrum(rhos)
-    sv = _entropy_of(p).tolist()
+    sv, values = _entropy_of(p).tolist(), _expectations(rhos)
     if rhos.matrix.shape[-1] == 4:
-        zz = _zz(rhos).tolist()
-        return [EntanglementReport(None, v, c, None) for v, c in zip(sv, zz)]
-    bloch = _bloch(rhos)
-    purity, z, r = _purity_of(p).tolist(), bloch[2].tolist(), _length(bloch).tolist()
+        return [EntanglementReport(None, v, c, None) for v, c in zip(sv, values[0].tolist())]
+    purity, z, r = _purity_of(p).tolist(), values[2].tolist(), _length(values).tolist()
     return [EntanglementReport(*row) for row in zip(purity, sv, z, r)]

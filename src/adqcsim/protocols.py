@@ -30,8 +30,10 @@ tilted and the ideal ones of `_bases` for `run_protocol`, the tilted ones
 alone, built by a caller that reads only those.  `analyze` is the
 analysis pass `_analyses` over one stack.  The pass takes several, such
 as a campaign chunk's registers of several sizes, simulates each alone,
-and runs what does not depend on the size (the bases, one entanglement
-report call per error kind, the closed forms) once over all their rows.
+and runs what does not depend on the size (the bases, the correlators,
+the closed forms, and one entanglement report call per error kind for a
+caller that reads an entropy, which solves the reductions) once over all
+their rows.
 """
 from __future__ import annotations
 
@@ -517,15 +519,15 @@ def analyze(
     return _first(report) if one else report
 
 
-def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityReport]:
+def _analyses(stacks: Sequence[np.ndarray], specs: _Specs, entropies=True) -> list[FidelityReport]:
     # analyze of each (B, 2^n) stack, its registers of any one size, that
     # _runs has read or that the package built from drawn registers and
     # checked values; `specs` holds the rows of every stack, stack after
     # stack.  Each stack is simulated alone: its run, its F, and one
     # partial trace per error kind.  What does not depend on the register
-    # size runs once over the rows of all stacks: the bases, one
-    # entanglement_reports call per error kind, the closed forms and
-    # sin(e/2).
+    # size runs once over the rows of all stacks: the bases, correlators,
+    # closed forms and sin(e/2), and one entanglement_reports call per
+    # error kind, or none unless `entropies` are read (rows then hold None).
     ends = list(accumulate(len(states) for states in stacks))
     starts = [end - len(states) for end, states in zip(ends, stacks)]
     parts = [slice(start, end) for start, end in zip(starts, ends)]
@@ -533,6 +535,7 @@ def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityRepor
     results = [_run(states, specs.take(part), bases[part]) for states, part in zip(stacks, parts)]
     reports: list = [None] * len(specs.kind)
     bound_entropies: list = [None] * len(specs.kind)
+    corr = np.zeros(len(specs.kind))
     errors = _ERROR[specs.kind]
     for code, reduction in enumerate(_REDUCTIONS.values()):
         # the rows of this error kind, stack after stack: stack k holds
@@ -542,14 +545,16 @@ def _analyses(stacks: Sequence[np.ndarray], specs: _Specs) -> list[FidelityRepor
             continue
         cuts = np.searchsorted(rows, [0, *ends]).tolist()
         keeps = specs.targets[rows, :linalg.n_qubits_of(len(reduction.pauli))].tolist()
-        rhos = [
+        rhos = np.concatenate([
             linalg._reduce(states[rows[a:b] - start], keeps[a:b])
             for states, start, a, b in zip(stacks, starts, cuts, cuts[1:]) if a < b
-        ]
-        for b, report in zip(rows.tolist(), entropy.entanglement_reports(np.concatenate(rhos))):
-            reports[b] = report
-            bound_entropies[b] = reduction.entropies(report)
-    corr = np.array([min(max(report.correlator, -1.0), 1.0) for report in reports])
+        ])
+        corr[rows] = entropy._expectations(rhos)[-1]
+        if entropies:
+            for b, report in zip(rows.tolist(), entropy.entanglement_reports(rhos)):
+                reports[b] = report
+                bound_entropies[b] = reduction.entropies(report)
+    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
     closed, sin_half = _closed_form(corr, specs.epsilon), np.sin(specs.epsilon / 2.0)
     return [
         FidelityReport(

@@ -22,9 +22,10 @@ Stream.random call; a PureState and a ProtocolSpec are built only for a
 failing report's worst case.  The protocol campaigns hand a chunk's
 invocations to protocols._analyses as columns, with one simulation per
 register size cut into stacks of at most _STACK_AMPLITUDES amplitudes.
-circuit_equivalence repeats each drawn row under every rotation kind,
-which share its tilted bases, and measures only those.  The density
-campaigns take one partial trace and one validation per chunk
+circuit_equivalence runs each drawn row once per distinct gate list of
+the rotation kinds, in the tilted bases they share, and measures only
+those.  equality_oracle reads no entropy, so it solves nothing.  The
+density campaigns take one partial trace and one validation per chunk
 (monotonicity's sigma rows, whose eigenvectors are read, in another),
 then call the public check once on the stack.
 """
@@ -199,6 +200,18 @@ _SATURATION_REGISTERS = tuple(
 
 _ROTATION_CODES = tuple(protocols._CODES[kind] for kind in protocols.ROTATION_KINDS)
 _CZSWAP_GATE = protocols._CODES[ProtocolKind.ADQC_CZSWAP_GATE]
+
+
+def _shared_runs(codes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    # one simulation per distinct gate list of the kinds `codes`, run as
+    # the first kind with that list: the runs' codes, and each kind's run
+    gates = [protocols._PROTOCOLS[protocols._KINDS[code]].gates for code in codes]
+    lists = list(dict.fromkeys(gates))
+    return np.array([codes[gates.index(g)] for g in lists]), np.array(list(map(lists.index, gates)))
+
+
+# the one-way rotation's run is ADQC_ROTATION_CZSWAP's: 2 runs for 3 kinds
+_EQUIVALENCE_RUNS = _shared_runs(_ROTATION_CODES)
 
 # Items drawn and evaluated together: enough to amortize the per-call
 # numpy overhead of a stack.
@@ -383,25 +396,26 @@ def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int
     return out
 
 
-def _analyze_draws(draws: list) -> list[tuple[list[int], protocols.FidelityReport]]:
+def _analyze_draws(draws: list, entropies=True) -> list[tuple[list[int], protocols.FidelityReport]]:
     # One stack per register size and slice, whatever the kinds, analyzed
-    # in one pass over the chunk; returns each slice's draw positions and
-    # the report of its stack.
+    # in one pass over the chunk, its reductions solved only if `entropies`
+    # are read; returns each slice's draw positions and its stack's report.
     stacks = _stacks(draws)
     return list(zip(stacks, protocols._analyses(
         [np.array([draws[p].state for p in positions]) for positions in stacks],
         protocols._columns([draws[p].protocol for positions in stacks for p in positions]),
+        entropies,
     )))
 
 
 def _evaluate_protocol(
     cfg: CampaignConfig, draws: list[_ProtocolDraw], bound: str | None = None
 ) -> _Evaluation:
-    # compare the simulated fidelity with the closed form (bound None) or
-    # with a bound; a row below the bound's domain (sv2 < 1) is filtered
+    # compare the simulated fidelity with the closed form (bound None, no
+    # entropy read) or with a bound; a row below its domain (sv2 < 1) is filtered
     violations: list = [None] * len(draws)
     sv2 = []
-    for positions, report in _analyze_draws(draws):
+    for positions, report in _analyze_draws(draws, entropies=bound is not None):
         simulated = report.simulated_F.tolist()
         compared = report.closed_form_F.tolist() if bound is None else report.bound(bound)
         for p, f, ref, ent in zip(positions, simulated, compared, report.entanglement):
@@ -435,16 +449,17 @@ def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Prot
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
     # the largest phase-aligned distance between the inaccurate branches of
     # any two rotation protocols, per outcome; one stack per register size
-    # and slice, holding every rotation kind's rows, kind after kind, each
-    # the drawn rows under that kind.  The kinds share their tilted
-    # equatorial bases at u: the chunk's columns and bases are built once,
-    # and each stack takes its rows of them.
-    codes = np.array(_ROTATION_CODES)
-    first, second = np.triu_indices(len(codes), 1)  # every pair of kinds
+    # and slice, holding each run of _EQUIVALENCE_RUNS, run after run, as
+    # the drawn rows under its kind; a pair of kinds compares their runs.
+    # The pair arrays, a row per kind and draw, size the slice.  The kinds
+    # share their tilted bases at u: the chunk's columns and bases are
+    # built once, and each stack takes its rows of them.
+    codes, run = _EQUIVALENCE_RUNS
+    first, second = run[np.array(np.triu_indices(len(run), 1))]  # every pair of kinds
     drawn = protocols._columns([d.protocol for d in draws])
     tilted = qcore._tilted(qcore._equatorial(drawn.u), drawn.epsilon, drawn.delta)
     worst = [0.0] * len(draws)
-    for positions in _stacks(draws, rows_per_draw=len(codes)):
+    for positions in _stacks(draws, rows_per_draw=len(_ROTATION_CODES)):
         rows = np.tile(positions, len(codes))
         specs = drawn.take(rows)._replace(kind=np.repeat(codes, len(positions)))
         amplitudes = np.tile([draws[p].state for p in positions], (len(codes), 1))

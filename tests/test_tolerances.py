@@ -1,7 +1,9 @@
 """Each input tolerance at its edge: an input whose defect is 10 times
 inside today's value is taken, one 10 times outside is not.  The values
 are written here, not read from the modules, so loosening or tightening
-a tolerance by more than a factor of 10 fails a row."""
+a tolerance by more than a factor of 10 fails a row.  The bisection width
+of the f inversion, which no input reaches, is tested on the path that
+reads it."""
 import math
 
 import numpy as np
@@ -68,3 +70,20 @@ EDGES = {
 def test_a_tolerance_takes_a_defect_inside_it_and_no_more(name):
     tol, outcome, inside, outside = EDGES[name]
     assert (outcome(tol / 10.0), outcome(tol * 10.0)) == (inside, outside)
+
+
+def test_the_inversion_leaves_within_its_bracket_width(monkeypatch):
+    # entropy._INVERSE_WIDTH: no input reaches the bracket-width exit of the
+    # f inversion while the residual exit is met first, so the residual is
+    # set to 0.  The solve then stops when its bracket is at most 1e-13
+    # wide (49 f evaluations at s = 1e-6, not the 200 of the iteration
+    # cap), and the bracket's midpoint lies within 2.8e-14 of the default
+    # result; a width of 1e-12 moves it by 4.5e-13, one of 1e-8 by 3.7e-9.
+    expected = entropy.f_inverse(1e-6)
+    evaluations = []
+    f = entropy._f
+    monkeypatch.setattr(entropy, "_f", lambda c: evaluations.append(c) or f(c))
+    monkeypatch.setattr(entropy, "_INVERSE_RESIDUAL", 0.0)
+    c = entropy.f_inverse(1e-6)
+    assert len(evaluations) < 200
+    assert abs(c - expected) < 1e-13

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -403,9 +404,10 @@ def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, b
 # Jacobi solves per campaign item: one per validated density matrix,
 # diagonal ones (the rho_lambda family, the saturating registers) too;
 # only the dephased states are read off their diagonals, and I/4 is solved
-# once, at import.  Every solve runs the rotation kernel through jacobi_eigh.
+# once, at import.  equality_oracle reads no entropy, so it solves none.
+# Every solve runs the rotation kernel through jacobi_eigh.
 SOLVES_PER_ITEM = {
-    "bound_main": 1, "bound_sv": 1, "bound_main2": 1, "equality_oracle": 1,
+    "bound_main": 1, "bound_sv": 1, "bound_main2": 1, "equality_oracle": 0,
     "interm": 1, "jonas": 1, "monotonicity": 2,
     "circuit_equivalence": 0, "counterexample": 1, "saturation": 1,
 }
@@ -728,8 +730,9 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
 
 # simulations of a campaign run, per register size: one per chunk and
 # slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x 2^(n+1);
-# circuit_equivalence's stacks hold three rows per draw, one per rotation
-# kind.  Chunks hold 128 items.  Every simulation, run_protocol's and
+# circuit_equivalence's slices are sized for three rows per draw, one per
+# rotation kind, and its stacks hold two, one per distinct gate list.
+# Chunks hold 128 items.  Every simulation, run_protocol's and
 # circuit_equivalence's tilted-only one, is one call of protocols._branches.
 @pytest.mark.parametrize("name, sizes, samples, calls", [
     # each chunk of 128 + 128 + 44 items holds every default size
@@ -768,6 +771,57 @@ def test_one_simulation_per_register_size_and_slice(monkeypatch, name, sizes, sa
     assert per_size == calls
 
 
+def _swap_czswap_wires(monkeypatch):
+    # ADQC_ROTATION_CZSWAP's gate written as CZSWAP(ancilla, target), the
+    # same circuit (CZ and SWAP are symmetric) but another gate list
+    kind = protocols.ProtocolKind.ADQC_ROTATION_CZSWAP
+    gates = (("CZSWAP", (protocols._ANCILLA, 0)),)
+    row = dataclasses.replace(protocols._PROTOCOLS[kind], gates=gates)
+    monkeypatch.setitem(protocols._PROTOCOLS, kind, row)
+    steps = protocols._STEP_TABLE.copy()
+    steps[0, protocols._CODES[kind], 1:] = gates[0][1]
+    monkeypatch.setattr(protocols, "_STEP_TABLE", steps)
+    monkeypatch.setattr(verify, "_EQUIVALENCE_RUNS", verify._shared_runs(verify._ROTATION_CODES))
+
+
+@pytest.mark.parametrize("swapped, runs", [
+    # ONEWAY_ROTATION is written as CZSWAP: its run is ADQC_ROTATION_CZSWAP's
+    (False, ["ONEWAY_ROTATION", "ADQC_ROTATION_CZ"]),
+    # a kind whose gate list differs gets its own run
+    (True, ["ONEWAY_ROTATION", "ADQC_ROTATION_CZ", "ADQC_ROTATION_CZSWAP"]),
+])
+def test_kinds_that_share_a_gate_list_share_one_run(monkeypatch, swapped, runs):
+    if swapped:
+        _swap_czswap_wires(monkeypatch)
+    original = protocols._branches
+    stacks = []
+
+    def counted(amplitudes, specs, bases):
+        stacks.append(np.bincount(specs.kind, minlength=len(protocols._KINDS)))
+        return original(amplitudes, specs, bases)
+
+    monkeypatch.setattr(protocols, "_branches", counted)
+    config = verify.default_config("circuit_equivalence", samples=60, seed=5)
+    draws = verify._draw_equivalence(config, range(60))
+    worst, _ = verify._evaluate_equivalence(config, draws)
+    # every stack holds each run's rows, as many per run as it has draws
+    codes = [protocols._CODES[protocols.ProtocolKind(name)] for name in runs]
+    assert sum(int(rows[codes[0]]) for rows in stacks) == len(draws)
+    for rows in stacks:
+        assert rows.nonzero()[0].tolist() == codes and len(set(rows[codes].tolist())) == 1
+    # each draw's worst distance is that of every kind run alone
+    for d, value in zip(draws, worst):
+        _, targets, u, eps, delta = d.protocol
+        branches = [
+            protocols.run_protocol(d.state, protocols.ProtocolSpec(kind, targets, u, eps, delta))
+            .inaccurate_branches for kind in protocols.ROTATION_KINDS
+        ]
+        assert value == max(
+            float(qcore.phase_aligned_max_diff(a, b).max())
+            for a, b in itertools.combinations(branches, 2)
+        )
+
+
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
 def test_analyze_matches_the_chunked_evaluation(kind):
     # analyze of one register is its row of the chunk pass, bit for bit
@@ -789,16 +843,19 @@ def test_analyze_matches_the_chunked_evaluation(kind):
 
 
 @pytest.mark.parametrize("name, samples, calls", [
-    # three chunks of every default size (2-5), each holding both error kinds
-    ("equality_oracle", 300, 6),
+    # three chunks of every default size (2-5), each holding both error
+    # kinds; the closed form reads no entropy, so no report is made
+    ("equality_oracle", 300, 0),
     # bit-flip kinds only: one call per chunk
     ("bound_sv", 300, 3),
-    # the purity registers (2 qubits) and the Bell pairs (4): one chunk
+    # both error kinds, the purity registers (2 qubits) and the Bell pairs
+    # (4), in one chunk
     ("saturation", 1, 2),
 ])
 def test_a_chunk_makes_one_report_call_per_error_kind(monkeypatch, name, samples, calls):
     # the reductions of every register size of a chunk are reported in one
-    # entanglement_reports call per error kind, whatever its stacks
+    # entanglement_reports call per error kind, whatever its stacks, where
+    # the campaign reads an entropy
     original = entropy.entanglement_reports
     shapes = []
 
@@ -809,7 +866,29 @@ def test_a_chunk_makes_one_report_call_per_error_kind(monkeypatch, name, samples
     monkeypatch.setattr(entropy, "entanglement_reports", counted)
     report = verify.run_campaign(verify.default_config(name, samples=samples, seed=21))
     assert len(shapes) == calls
-    assert sum(rows for rows, _, _ in shapes) == report.checks_run
+    assert sum(rows for rows, _, _ in shapes) == (report.checks_run if calls else 0)
+
+
+@pytest.mark.parametrize("defect", ["trace", "nan"])
+def test_the_oracle_fails_closed_on_a_reduction_it_does_not_validate(monkeypatch, defect):
+    # equality_oracle solves no reduction, so no validate_density reads
+    # one: a reduction whose trace is 1 + 1e-6, or one with a NaN entry,
+    # must still raise or fail the report
+    original = linalg._reduce
+
+    def bad(rows, keeps):
+        rho = original(rows, keeps)
+        if defect == "trace":
+            return rho * (1.0 + 1e-6)
+        rho[0, 0, 0] = math.nan
+        return rho
+
+    monkeypatch.setattr(linalg, "_reduce", bad)
+    try:
+        report = verify.run_campaign(verify.default_config("equality_oracle", samples=40, seed=5))
+    except ValueError:
+        return
+    assert not report.passed and report.max_violation > report.config.tolerance
 
 
 def test_monotonicity_checks_both_sigmas_in_one_call(monkeypatch):
