@@ -35,11 +35,11 @@ def _curve_rows(figure: str, grid: int, s_values: tuple[float, ...]) -> tuple[li
     elif figure == "fig6":
         header = ["s_v", "value"]
         svals = np.linspace(0.0, 1.0, grid)
-        rows = [[s, protocols._MEASURES["sv_bound"](s)] for s in map(float, svals)]
+        rows = [[s, m] for s, m in zip(svals.tolist(), protocols._sv_measures(svals).tolist())]
     elif figure == "fig7":
         header = ["s_v2", "value"]
         svals = np.linspace(1.0, 2.0, grid)
-        rows = [[s, protocols._MEASURES["sv2_bound"](s)] for s in map(float, svals)]
+        rows = [[s, m] for s, m in zip(svals.tolist(), protocols._sv2_measures(svals).tolist())]
     else:
         raise ValueError(f"unknown figure {figure!r}")
     return header, rows

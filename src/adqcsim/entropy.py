@@ -8,9 +8,13 @@ solved once.  Each measure takes the same input, as an array or a
 Density, and returns a float for one matrix or a (B,) array for a
 stack; an array is read through linalg._array.  `entanglement_reports`
 builds a stack's reports from the same parts, each taken once: one
-clamped spectrum for S and the purity, and one pass over the entries for
-<X>, <Y> and <Z> (or <Z (x) Z>), each equal bit for bit to the trace
-`correlator` takes."""
+validation and clamped spectrum for S and the purity (`_mixedness`), and
+one pass over the entries for <X>, <Y> and <Z> (or <Z (x) Z>), each
+equal bit for bit to the trace `correlator` takes (`_expectations`).
+The protocols' analysis pass calls the two parts alone, each only where
+a check reads it.  `_f_inverses` and `_g_inverses` invert a column of
+entropies with one range check over the column; `f_inverse` and
+`g_inverse` are a column of one."""
 from __future__ import annotations
 
 import math
@@ -195,6 +199,14 @@ def _check_unit_interval(x: float, lo: float, hi: float, what: str) -> float:
     return min(max(x, lo), hi)
 
 
+def _in_unit_interval(x: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    # _check_unit_interval of every entry of a float array, in one pass
+    outside = ~((lo - _DOMAIN_SLACK <= x) & (x <= hi + _DOMAIN_SLACK))
+    if outside.any():
+        raise ValueError(f"{what}={x[outside][0]} outside [{lo}, {hi}]")
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def f(c: float) -> float:
     """Binary entropy of (1+c)/2; strictly decreasing from f(0)=1 to f(1)=0."""
     return _f(_check_unit_interval(c, 0.0, 1.0, "correlator"))
@@ -239,7 +251,7 @@ def _solve_f(s: float) -> float:
 
 def f_inverse(s: float) -> float:
     """The unique c in [0, 1] with f(c) = s."""
-    return _solve_f(_check_unit_interval(s, 0.0, 1.0, "entropy"))
+    return float(_f_inverses(np.array([linalg._real(s, "entropy")]))[0])
 
 
 def g_inverse(s: float) -> float:
@@ -247,12 +259,25 @@ def g_inverse(s: float) -> float:
 
     Since g = 1 + f this is f_inverse(s - 1); s - 1 is exact on [1, 2].
     """
-    if linalg._real(s, "entropy") < SV2_DOMAIN_EDGE:
+    return float(_g_inverses(np.array([linalg._real(s, "entropy")]))[0])
+
+
+# f_inverse and g_inverse of every entropy of a float array, the one path
+# of both: one range check over the array, then one solve per entry
+
+def _f_inverses(s: np.ndarray) -> np.ndarray:
+    return np.array([_solve_f(x) for x in _in_unit_interval(s, 0.0, 1.0, "entropy").tolist()])
+
+
+def _g_inverses(s: np.ndarray) -> np.ndarray:
+    below = s < SV2_DOMAIN_EDGE
+    if below.any():
         raise BoundDomainError(
-            f"g_inverse undefined for entropy {s} < 1: the correlator is "
+            f"g_inverse undefined for entropy {s[below][0]} < 1: the correlator is "
             "unconstrained there"
         )
-    return _solve_f(_check_unit_interval(s, 1.0, 2.0, "entropy") - 1.0)
+    shifted = _in_unit_interval(s, 1.0, 2.0, "entropy") - 1.0
+    return np.array([_solve_f(x) for x in shifted.tolist()])
 
 
 @dataclass
@@ -269,17 +294,26 @@ class EntanglementReport:
     bloch_length_r: float | None
 
 
+def _mixedness(rhos: np.ndarray | Density) -> tuple[np.ndarray | None, np.ndarray]:
+    # a (B, d, d) stack validated once, and from its one clamped spectrum
+    # each matrix's purity (d = 2; None for d = 4) and S
+    rhos = validate_density(rhos, dims=(2, 4))
+    if rhos.matrix.ndim != 3:
+        raise ValueError("expected a (B, d, d) stack of density matrices")
+    p = _spectrum(rhos)
+    return _purity_of(p) if p.shape[-1] == 2 else None, _entropy_of(p)
+
+
 def entanglement_reports(rhos: np.ndarray | Density) -> list[EntanglementReport]:
     """The measures of each matrix of a (B, d, d) stack of reduced states,
     validated once and its spectrum clamped once: for d = 2 the purity,
     S, <Z> and the Bloch length, <Z> read from the one pass that gives
     <X>, <Y> and <Z>; for d = 4, S_v2 and <Z(x)Z>."""
     rhos = validate_density(rhos, dims=(2, 4))
-    if rhos.matrix.ndim != 3:
-        raise ValueError("expected a (B, d, d) stack of density matrices")
-    p = _spectrum(rhos)
-    sv, values = _entropy_of(p).tolist(), _expectations(rhos)
-    if rhos.matrix.shape[-1] == 4:
-        return [EntanglementReport(None, v, c, None) for v, c in zip(sv, values[0].tolist())]
-    purity, z, r = _purity_of(p).tolist(), values[2].tolist(), _length(values).tolist()
-    return [EntanglementReport(*row) for row in zip(purity, sv, z, r)]
+    purity, sv = _mixedness(rhos)
+    values = _expectations(rhos)
+    if purity is None:
+        rows = zip(sv.tolist(), values[0].tolist())
+        return [EntanglementReport(None, v, c, None) for v, c in rows]
+    rows = zip(purity.tolist(), sv.tolist(), values[2].tolist(), _length(values).tolist())
+    return [EntanglementReport(*row) for row in rows]

@@ -5,20 +5,23 @@ Convention used throughout the package: qubit 0 is the most significant
 bit of an amplitude (or matrix) index, so an n-qubit vector reshaped to
 shape [2]*n exposes qubit k as axis k.  Pure states are plain amplitude
 vectors here, or the rows of one (B, 2^n) stack, which `partial_trace`,
-the one partial trace, reduces in one gather.  Every qubit list reaches
-its gather table through `_tables`, the one check of qubit indices, and
-the tables are cached per (n, qubit list); `_permute` gathers a stack's
-qubits into place over them, for `_reduce` and qcore's kernels.
-`partial_trace` checks its arguments, then calls `_reduce`, the kernel
-that the campaign path calls on stacks the package built from checked
-inputs.
+the one partial trace, reduces in one gather.  Every gather table is
+built here from `qubit_order`, the one definition of a qubit order, by
+`_index_table`, cached per (n, qubit list).  A qubit list reaches its
+table through `_tables`, the one check of qubit indices, and `_permute`
+gathers a stack's qubits into place over them, for `_reduce` and qcore's
+kernels.  `_chain_tables` compiles the protocols' gate chains from the
+same tables, once per register size: int32 tables that gather straight
+from one gate step's qubit order into the next's.  `partial_trace`
+checks its arguments, then calls `_reduce`, the kernel that the campaign
+path calls on stacks the package built from checked inputs.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,8 +118,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def _index_table(n: int, first: tuple[int, ...]) -> np.ndarray:
     # amplitude index of each entry of an n-qubit vector whose qubit axes
     # are transposed into qubit_order(n, first); built once per (n, first),
-    # read-only.  Only _tables calls it, with exact ints: 1.0 and True
-    # would find the table of the equal int 1.
+    # read-only.  Only _tables and _chain_tables call it, with exact ints:
+    # 1.0 and True would find the table of the equal int 1.
     order = qubit_order(n, first)
     table = np.arange(2**n).reshape([2] * n).transpose(order).reshape(-1)
     table.flags.writeable = False
@@ -154,6 +157,59 @@ def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> n
     else:
         out[:, tables] = states
     return out
+
+
+@lru_cache(maxsize=None)
+def _chain_tables(n: int, chains: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # The gather tables of chains of two-qubit steps on an n-qubit register
+    # plus one more qubit, qubit n, built on the first call for each (n,
+    # chains) and kept, read-only, for the process.  A step names two wires
+    # of a row: 0 and 1 are its first and second register qubit, 2 is qubit
+    # n.  Step k acts in its frame, the amplitudes gathered into the order
+    # qubit_order(n + 1, its qubits) by the table T_k of _index_table; the
+    # chain ends in the frame of qubit n first, T_end.  Round 0 gathers the
+    # register into step 0's frame: T_0 >> 1, read from the register, whose
+    # entry j >> 1 is amplitude j of the register times a state of qubit n
+    # with equal entries.  Round k > 0 gathers step k - 1's frame into step
+    # k's, inv(T_(k-1))[T_k]; the last round, one past the longest chain's
+    # last step, gathers each chain's last frame into the end frame.
+    #
+    # Returns (tables, where): one int32 array stacking the tables of every
+    # round and chain, one per value of the register qubits the round
+    # reads (zero where a round would read one qubit twice, which no row
+    # may reach); and a (rounds, chains, 3) array (first table, factor of
+    # qubit 0, factor of qubit 1), so that a row's table of round r is
+    # tables[first + q0 * f0 + q1 * f1], -1 where a chain has no round r.
+    def frame(wires, qubits):
+        return _index_table(n + 1, tuple(qubits[w] for w in wires))
+
+    depth = max(map(len, chains))
+    stacked, where = [], np.full((depth + 1, len(chains), 3), -1, dtype=np.intp)
+    for r in range(depth + 1):
+        for c, steps in enumerate(chains):
+            if r < len(steps):
+                before, after = steps[r - 1] if r else (), steps[r]
+            elif r == depth:
+                before, after = steps[-1], (2,)
+            else:
+                continue
+            reads = sorted({w for w in (*before, *after) if w < 2})
+            where[r, c] = (sum(map(len, stacked)), n if reads == [0, 1] else 0 in reads, 1 in reads)
+            tables = np.zeros((n ** len(reads), 2 ** (n + 1)), dtype=np.int32)
+            for row, values in enumerate(product(range(n), repeat=len(reads))):
+                if len(set(values)) < len(values):
+                    continue
+                qubits = {2: n, **dict(zip(reads, values))}
+                if r:
+                    inverse = np.empty(2 ** (n + 1), dtype=np.intp)
+                    inverse[frame(before, qubits)] = np.arange(2 ** (n + 1))
+                    tables[row] = inverse[frame(after, qubits)]
+                else:
+                    tables[row] = frame(after, qubits) >> 1
+            stacked.append(tables)
+    tables = np.concatenate(stacked)
+    tables.flags.writeable = where.flags.writeable = False
+    return tables, where
 
 
 def qubit_order(n: int, first: Sequence[int]) -> tuple[int, ...]:

@@ -20,32 +20,43 @@ axis.  It reads its input once, through `_runs`: every row must be finite
 and normalized, and the specs become `_Specs` columns, the one form of a
 stack's invocations inside the package.  A kind is a code there, which
 indexes arrays of its row's facts, so kinds share a stack.  Past `_runs`
-the layer calls the qcore and linalg kernels (`qcore._apply`, `_measure`,
-`_tilted`, `_equatorial`, `linalg._reduce`), not the public functions
-that check their arguments and then call them: it hands them only arrays
-built from what `_runs` read, or from a campaign's drawn values.
+the layer calls kernels (`linalg._chain_tables`, `linalg._reduce`,
+`qcore._tilted`, `_equatorial`), not the public functions that check
+their arguments and then call them: it hands them only arrays built from
+what `_runs` read, or from a campaign's drawn values.
 
-Every simulation is one `_branches` call, in the bases asked for: the
-tilted and the ideal ones of `_bases` for `run_protocol`, the tilted ones
-alone, built by a caller that reads only those.  `analyze` is the
-analysis pass `_analyses` over one stack.  The pass takes several, such
-as a campaign chunk's registers of several sizes, simulates each alone,
-and runs what does not depend on the size (the bases, the correlators,
-the closed forms, and one entanglement report call per error kind for a
-caller that reads an entropy, which solves the reductions) once over all
-their rows.
+Every simulation is one `_chain`: each row's register times the |+>
+ancilla through its kind's gate steps, one gather per step over the
+tables `linalg._chain_tables` compiles, once per register size, for each
+distinct wiring of `_PROTOCOLS`.  A gather goes straight from one step's
+qubit order into the next's, and after the last step into the
+measurement's, the ancilla first; nothing is scattered back.
+`_branches` measures the chain in the bases asked for: the tilted and
+the ideal ones of `_bases` for `run_protocol`, the tilted ones alone for
+a caller that reads only those; `pre_measurement_state` scatters it
+back into the register's order once.
+
+`analyze` is the analysis pass `_analyses` over one stack, wrapped into
+its public report at its edge.  The pass takes several stacks, such as a
+campaign chunk's registers of several sizes, simulates each alone, and
+returns `_Checks`, one column per quantity over all their rows: F always;
+the correlators and closed forms, and the purity and S of each reduction
+(one validation and eigensolve per error kind), each only for a caller
+that reads it.  `_bounds` evaluates a bound on a column of entropies, for
+a campaign's chunk, the public bound functions and `FidelityReport.bound`
+alike, so no campaign builds a report per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import entropy, linalg, qcore
-from .entropy import BoundDomainError, EntanglementReport
+from .entropy import EntanglementReport
 from .linalg import _entries, _finite, _integer
 from .qcore import PureState
 
@@ -166,16 +177,33 @@ class ProtocolResult(NamedTuple):
 
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-# Every gate the protocols apply, stacked once, and gate step k of each
-# kind, (steps, kinds, 3): its row of _GATE_TABLE (-1 where the kind has
-# no k-th gate), then its two wires; a step of a stack indexes both.
+# Every gate the protocols apply, stacked once
 _GATE_NAMES = tuple(dict.fromkeys(name for row in _PROTOCOLS.values() for name, _ in row.gates))
 _GATE_TABLE = np.stack([qcore.gate(name) for name in _GATE_NAMES])
-_DEPTH = max(len(row.gates) for row in _PROTOCOLS.values())
-_STEP_TABLE = np.array([
-    [(_GATE_NAMES.index(name), *wires) for name, wires in row.gates]
-    + [(-1, 0, 0)] * (_DEPTH - len(row.gates)) for row in _PROTOCOLS.values()
-]).swapaxes(0, 1)
+
+
+class _Chains(NamedTuple):
+    # The protocols' gate lists as the gate chain runs them: each distinct
+    # wiring (the wires of every step), each kind's wiring by its index,
+    # and gate step k of each kind, (steps, kinds): its row of _GATE_TABLE,
+    # -1 where the kind has no k-th gate.
+    wirings: tuple
+    wiring: np.ndarray
+    gates: np.ndarray
+
+
+def _chains(rows: Sequence[_Protocol]) -> _Chains:
+    wirings = [tuple(wires for _, wires in row.gates) for row in rows]
+    distinct = tuple(dict.fromkeys(wirings))
+    depth = max(map(len, wirings))
+    gates = [
+        [_GATE_NAMES.index(name) for name, _ in row.gates] + [-1] * (depth - len(row.gates))
+        for row in rows
+    ]
+    return _Chains(distinct, np.array(list(map(distinct.index, wirings))), np.array(gates).T)
+
+
+_CHAINS = _chains(list(_PROTOCOLS.values()))
 
 
 class _Specs(NamedTuple):
@@ -252,29 +280,47 @@ def pre_measurement_state(
     protocol has one.
     """
     amplitudes, specs, one = _runs(states, specs)
-    vec = _gate_steps(amplitudes, specs)
+    n = amplitudes.shape[1].bit_length() - 1
+    # the chain ends with the ancilla first, the same order on every row
+    vec = linalg._permute(_chain(amplitudes, specs), linalg._tables(n + 1, [(n,)]), inverse=True)
     return _first(vec) if one else vec
 
 
-def _gate_steps(amplitudes: np.ndarray, specs: _Specs) -> np.ndarray:
-    # pre_measurement_state of a stack that _runs has read, or that the
-    # package built from drawn registers and checked values
-    n = linalg.n_qubits_of(amplitudes.shape[1])
-    # psi (x) |+>: both entries of _PLUS are equal
-    vec = np.repeat(amplitudes * _PLUS[0], 2, axis=1)
-    # each row's qubit on each wire: its two targets, then the ancilla
-    qubits = np.concatenate((specs.targets, np.full((len(vec), 1), n)), axis=1)
-    for step in _STEP_TABLE[:, specs.kind]:
-        rows = (step[:, 0] >= 0).nonzero()[0]
+def _chain(amplitudes: np.ndarray, specs: _Specs) -> np.ndarray:
+    # Each row of a (B, 2^n) stack times |+> on the ancilla, through its
+    # gate steps, left in the order of the measurement, the ancilla first:
+    # (B, 2^(n+1)).  A step is one gather over linalg._chain_tables, from
+    # the register or the last step's order straight into this step's,
+    # then each row's 4x4 gate; nothing is scattered back.  Round 0 reads
+    # the register times 1/sqrt(2), the entries of |+>.  The rows come from
+    # _runs or from a campaign's draws; a target out of range, or one that
+    # a two-target kind repeats, has no table of its own, and raises.
+    n = amplitudes.shape[1].bit_length() - 1
+    targets = specs.targets
+    outside = (targets < 0) | (targets >= n)
+    if outside.any():
+        raise ValueError(f"target {targets[outside][0]} out of range for {n} qubits")
+    if (~_ROTATION[specs.kind] & (targets[:, 0] == targets[:, 1])).any():
+        raise ValueError("a two-target protocol repeats its target")
+    tables, where = linalg._chain_tables(n, _CHAINS.wirings)
+    # each row's table of every round, (rounds, B)
+    first, f0, f1 = where[:, _CHAINS.wiring[specs.kind]].transpose(2, 0, 1)
+    codes = first + targets[:, 0] * f0 + targets[:, 1] * f1
+    vec = amplitudes * _PLUS[0]
+
+    def gather(r, rows):
+        return vec.reshape(-1)[tables[codes[r, rows]] + (rows * vec.shape[1])[:, None]]
+
+    for r, step in enumerate(_CHAINS.gates[:, specs.kind]):
+        rows = (step >= 0).nonzero()[0]
         if not len(rows):  # no row has this step, nor any later one
             break
-        ops = _GATE_TABLE[step[rows, 0]]
-        targets = qubits[rows[:, None], step[rows, 1:]].tolist()
+        psi = _GATE_TABLE[step[rows]] @ gather(r, rows).reshape(len(rows), 4, -1)
         if len(rows) == len(vec):
-            vec = qcore._apply(vec, ops, targets)
+            vec = psi.reshape(len(rows), -1)
         else:
-            vec[rows] = qcore._apply(vec[rows], ops, targets)
-    return vec
+            vec[rows] = psi.reshape(len(rows), -1)
+    return gather(-1, np.arange(len(vec)))
 
 
 def _bases(specs: _Specs) -> np.ndarray:
@@ -298,8 +344,8 @@ def _branches(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> np.ndarra
     # bases alone for the (B, 2, 2^n) tilted branches, which a caller that
     # reads only those builds, paying for no ideal ones.  Every row
     # measures the ancilla, the last qubit.
-    pre = _gate_steps(states, specs)
-    return qcore._measure(pre, linalg.n_qubits_of(states.shape[1]), bases)
+    vec = _chain(states, specs)
+    return bases.conj() @ vec.reshape(len(vec), 2, vec.shape[1] // 2)
 
 
 def _run(states: np.ndarray, specs: _Specs, bases: np.ndarray) -> ProtocolResult:
@@ -382,36 +428,50 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
     return ce * np.eye(len(pauli), dtype=complex) + sign * np.exp(sign * 1j * delta) * se * pauli
 
 
-# Each bound is 1 - measure sin^2(e/2), the measure taken from an entropy:
-# S itself, or 1 - c^2 for the correlator c that f or g maps onto it.
+# Each bound is 1 - m sin^2(e/2), its measure m taken from an entropy: S
+# itself, or 1 - c^2 for the correlator c that f or g maps onto it.  A
+# measure takes a float array of entropies, checks it in one pass, and
+# gives the measure of each.
 
-def _purity_measure(S: float) -> float:
-    return entropy._check_unit_interval(S, 0.0, 1.0, "S")
+def _purity_measures(S: np.ndarray) -> np.ndarray:
+    return entropy._in_unit_interval(S, 0.0, 1.0, "S")
 
 
-def _sv_measure(Sv: float) -> float:
-    c = entropy.f_inverse(Sv)
+def _sv_measures(Sv: np.ndarray) -> np.ndarray:
+    c = entropy._f_inverses(Sv)
     return 1.0 - c * c
 
 
-def _sv2_measure(Sv2: float) -> float:
-    c = entropy.g_inverse(Sv2)
+def _sv2_measures(Sv2: np.ndarray) -> np.ndarray:
+    c = entropy._g_inverses(Sv2)
     return 1.0 - c * c
 
 
-def _bound(measure: float, se: float) -> float:
-    # from se = sin(e/2)
-    return float(1.0 - measure * se * se)
+_MEASURES = {"purity_bound": _purity_measures, "sv_bound": _sv_measures, "sv2_bound": _sv2_measures}
+
+
+def _bounds(name: str, entropies: np.ndarray, sin_half) -> np.ndarray:
+    # The named bound of each entropy of a column, at its row's sin(e/2):
+    # the one evaluation of a bound, for the public functions, for
+    # FidelityReport.bound and for a campaign's chunk.
+    measure = _MEASURES[name](entropies)
+    return 1.0 - measure * sin_half * sin_half
+
+
+def _bound_of_one(name: str, value: float, what: str, epsilon: float) -> float:
+    # a public bound function: one entropy, a real number named `what`
+    entropies = np.array([linalg._real(value, what)])
+    return float(_bounds(name, entropies, np.sin(_finite(epsilon, "epsilon") / 2.0))[0])
 
 
 def bound_purity(S: float, epsilon: float) -> float:
     """Fidelity bound 1 - S sin^2(e/2) from the purity measure S."""
-    return _bound(_purity_measure(S), np.sin(_finite(epsilon, "epsilon") / 2.0))
+    return _bound_of_one("purity_bound", S, "S", epsilon)
 
 
 def bound_sv(Sv: float, epsilon: float) -> float:
     """Fidelity bound 1 - (1 - f_inverse(Sv)^2) sin^2(e/2)."""
-    return _bound(_sv_measure(Sv), np.sin(_finite(epsilon, "epsilon") / 2.0))
+    return _bound_of_one("sv_bound", Sv, "entropy", epsilon)
 
 
 def bound_sv2(Sv2: float, epsilon: float) -> float:
@@ -420,15 +480,7 @@ def bound_sv2(Sv2: float, epsilon: float) -> float:
     Values below 1 raise BoundDomainError: no entropy of that size
     constrains the correlator, so no fidelity bound exists there.
     """
-    return _bound(_sv2_measure(Sv2), np.sin(_finite(epsilon, "epsilon") / 2.0))
-
-
-_MEASURES = {"purity_bound": _purity_measure, "sv_bound": _sv_measure, "sv2_bound": _sv2_measure}
-
-
-def _bound_of(entropies: dict[str, float], se: float, name: str) -> float | None:
-    value = entropies.get(name)
-    return None if value is None else _bound(_MEASURES[name](value), se)
+    return _bound_of_one("sv2_bound", Sv2, "entropy", epsilon)
 
 
 class FidelityReport(NamedTuple):
@@ -453,10 +505,16 @@ class FidelityReport(NamedTuple):
     def bound(self, name: str) -> float | None | list[float | None]:
         """The named bound, or None where it does not apply; one value per
         row of a stack."""
-        if isinstance(self.bound_entropies, dict):
-            return _bound_of(self.bound_entropies, self.sin_half, name)
-        sin_half = self.sin_half.tolist()
-        return [_bound_of(e, se, name) for e, se in zip(self.bound_entropies, sin_half)]
+        one = isinstance(self.bound_entropies, dict)
+        entropies = [self.bound_entropies] if one else self.bound_entropies
+        rows = [b for b, row in enumerate(entropies) if name in row]
+        out: list = [None] * len(entropies)
+        if rows:
+            values = np.array([entropies[b][name] for b in rows])
+            bounds = _bounds(name, values, np.atleast_1d(self.sin_half)[rows])
+            for b, value in zip(rows, bounds.tolist()):
+                out[b] = value
+        return out[0] if one else out
 
     @property
     def bounds(self) -> dict[str, float]:
@@ -472,34 +530,68 @@ class FidelityReport(NamedTuple):
         return {name: value for name, value in excess.items() if value > BOUND_SLACK_TOL}
 
 
-def _one_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
-    return {
-        "purity_bound": min(max(report.purity_S, 0.0), 1.0),
-        "sv_bound": min(max(report.von_neumann, 0.0), 1.0),
-    }
-
-
-def _two_qubit_entropies(report: EntanglementReport) -> dict[str, float]:
-    sv2 = min(max(report.von_neumann, 0.0), 2.0)
-    return {"sv2_bound": sv2} if sv2 >= entropy.SV2_DOMAIN_EDGE else {}
-
-
 class _Reduction(NamedTuple):
     # the error operator's Pauli, on as many leading targets as the
-    # register is reduced to
+    # register is reduced to, and the bounds the reduction feeds: per bound
+    # the _Checks column of its entropy, the top of the interval [0, top]
+    # the entropy is clamped to, and the least clamped entropy it applies to
     pauli: np.ndarray
-    entropies: Callable[[EntanglementReport], dict[str, float]]
+    bounds: dict[str, tuple[str, float, float]]
 
 
-# Each error kind: its Pauli and its reduction shape
+# Each error kind: its Pauli and its reduction's bounds
 _REDUCTIONS = {
-    ErrorKind.X_TYPE: _Reduction(qcore.gate("X"), _one_qubit_entropies),
+    ErrorKind.X_TYPE: _Reduction(
+        qcore.gate("X"),
+        {"purity_bound": ("purity", 1.0, 0.0), "sv_bound": ("von_neumann", 1.0, 0.0)},
+    ),
     ErrorKind.ZZ_TYPE: _Reduction(
-        np.kron(qcore.gate("Z"), qcore.gate("Z")), _two_qubit_entropies
+        np.kron(qcore.gate("Z"), qcore.gate("Z")),
+        {"sv2_bound": ("von_neumann", 2.0, entropy.SV2_DOMAIN_EDGE)},
     ),
 }
 # each kind's error as its code, its index in _REDUCTIONS
 _ERROR = np.array([list(_REDUCTIONS).index(row.error) for row in _PROTOCOLS.values()])
+# each bound: the code of the error kind that feeds it, then its entry there
+_BOUNDS = {
+    name: (code, *entry)
+    for code, reduction in enumerate(_REDUCTIONS.values())
+    for name, entry in reduction.bounds.items()
+}
+
+
+class _Checks(NamedTuple):
+    # The analysis pass of a chunk as columns, row for row with its specs:
+    # each stack's run, then per row its F and its error kind's code.
+    # Where correlators are read, the Pauli expectations, (3, B): <X> and
+    # <Y> (NaN on a two-qubit reduction) and the correlator, <Z> or
+    # <Z (x) Z>; then the correlator clamped to [-1, 1] and the closed-form
+    # F.  Where entropies are read, the purity (NaN on a two-qubit
+    # reduction), S and sin(e/2).  A column not read is None.
+    results: list[ProtocolResult]
+    fidelity: np.ndarray
+    error: np.ndarray
+    expectations: np.ndarray | None = None
+    correlator: np.ndarray | None = None
+    closed: np.ndarray | None = None
+    purity: np.ndarray | None = None
+    von_neumann: np.ndarray | None = None
+    sin_half: np.ndarray | None = None
+
+
+def _bound_entropies(name: str, checks: _Checks) -> tuple[np.ndarray, np.ndarray]:
+    # the rows where the named bound applies, and their entropies, clamped
+    code, column, top, lowest = _BOUNDS[name]
+    rows = (checks.error == code).nonzero()[0]
+    clamped = np.minimum(np.maximum(getattr(checks, column)[rows], 0.0), top)
+    applies = ~(clamped < lowest)
+    return rows[applies], clamped[applies]
+
+
+def _checked_bounds(name: str, checks: _Checks) -> tuple[np.ndarray, np.ndarray]:
+    # the rows where the named bound applies, and its value on each
+    rows, entropies = _bound_entropies(name, checks)
+    return rows, _bounds(name, entropies, checks.sin_half[rows])
 
 
 def analyze(
@@ -515,33 +607,60 @@ def analyze(
     none.  A stack of no rows gives a report of no rows.
     """
     amplitudes, specs, one = _runs(states, specs)
-    (report,) = _analyses([amplitudes], specs)
+    checks = _analyses([amplitudes], specs, correlators=True, entropies=True)
+    bound_entropies: list = [{} for _ in checks.error]
+    for name in _BOUNDS:
+        rows, values = _bound_entropies(name, checks)
+        for b, value in zip(rows.tolist(), values.tolist()):
+            bound_entropies[b][name] = value
+    one_qubit = [len(reduction.pauli) == 2 for reduction in _REDUCTIONS.values()]
+    rows = zip(
+        checks.error.tolist(), checks.purity.tolist(), checks.von_neumann.tolist(),
+        checks.expectations[-1].tolist(), entropy._length(checks.expectations).tolist(),
+    )
+    report = FidelityReport(
+        simulated_F=checks.fidelity,
+        closed_form_F=checks.closed,
+        correlator_used=checks.correlator,
+        entanglement=[
+            EntanglementReport(p, s, c, r) if one_qubit[e] else EntanglementReport(None, s, c, None)
+            for e, p, s, c, r in rows
+        ],
+        bound_entropies=bound_entropies,
+        sin_half=checks.sin_half,
+        result=checks.results[0],
+    )
     return _first(report) if one else report
 
 
-def _analyses(stacks: Sequence[np.ndarray], specs: _Specs, entropies=True) -> list[FidelityReport]:
-    # analyze of each (B, 2^n) stack, its registers of any one size, that
-    # _runs has read or that the package built from drawn registers and
-    # checked values; `specs` holds the rows of every stack, stack after
-    # stack.  Each stack is simulated alone: its run, its F, and one
-    # partial trace per error kind.  What does not depend on the register
-    # size runs once over the rows of all stacks: the bases, correlators,
-    # closed forms and sin(e/2), and one entanglement_reports call per
-    # error kind, or none unless `entropies` are read (rows then hold None).
+def _analyses(
+    stacks: Sequence[np.ndarray], specs: _Specs, correlators: bool = False, entropies: bool = False
+) -> _Checks:
+    # The analysis pass of one or more (B, 2^n) stacks, each of registers
+    # of one size, that _runs has read or that the package built from
+    # drawn registers and checked values; `specs` holds the rows of every
+    # stack, stack after stack.  Each stack is simulated alone: its run, its
+    # F and one partial trace per error kind.  What does not depend on the
+    # register size runs once over the rows of all stacks, and only where
+    # it is read: the bases; per error kind one entropy._expectations call
+    # where `correlators` are read, one entropy._mixedness call (validation
+    # and eigensolve) where `entropies` are; the closed forms and sin(e/2).
     ends = list(accumulate(len(states) for states in stacks))
     starts = [end - len(states) for end, states in zip(ends, stacks)]
-    parts = [slice(start, end) for start, end in zip(starts, ends)]
     bases = _bases(specs)
-    results = [_run(states, specs.take(part), bases[part]) for states, part in zip(stacks, parts)]
-    reports: list = [None] * len(specs.kind)
-    bound_entropies: list = [None] * len(specs.kind)
-    corr = np.zeros(len(specs.kind))
+    results = [
+        _run(states, specs.take(slice(a, b)), bases[a:b])
+        for states, a, b in zip(stacks, starts, ends)
+    ]
     errors = _ERROR[specs.kind]
+    fidelity = np.concatenate([_fidelity(r.ideal_branches, r.inaccurate_branches) for r in results])
+    expectations = np.full((3, len(errors)), np.nan) if correlators else None
+    purity, von_neumann = (np.full(len(errors), np.nan) if entropies else None for _ in range(2))
     for code, reduction in enumerate(_REDUCTIONS.values()):
         # the rows of this error kind, stack after stack: stack k holds
         # rows[cuts[k]:cuts[k + 1]]
         rows = (errors == code).nonzero()[0]
-        if not len(rows):
+        if not len(rows) or not (correlators or entropies):
             continue
         cuts = np.searchsorted(rows, [0, *ends]).tolist()
         keeps = specs.targets[rows, :linalg.n_qubits_of(len(reduction.pauli))].tolist()
@@ -549,22 +668,21 @@ def _analyses(stacks: Sequence[np.ndarray], specs: _Specs, entropies=True) -> li
             linalg._reduce(states[rows[a:b] - start], keeps[a:b])
             for states, start, a, b in zip(stacks, starts, cuts, cuts[1:]) if a < b
         ])
-        corr[rows] = entropy._expectations(rhos)[-1]
+        if correlators:
+            values = entropy._expectations(rhos)
+            expectations[3 - len(values):, rows] = values
         if entropies:
-            for b, report in zip(rows.tolist(), entropy.entanglement_reports(rhos)):
-                reports[b] = report
-                bound_entropies[b] = reduction.entropies(report)
-    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
-    closed, sin_half = _closed_form(corr, specs.epsilon), np.sin(specs.epsilon / 2.0)
-    return [
-        FidelityReport(
-            simulated_F=_fidelity(result.ideal_branches, result.inaccurate_branches),
-            closed_form_F=closed[part],
-            correlator_used=corr[part],
-            entanglement=reports[part],
-            bound_entropies=bound_entropies[part],
-            sin_half=sin_half[part],
-            result=result,
+            mixed, von_neumann[rows] = entropy._mixedness(rhos)
+            if mixed is not None:
+                purity[rows] = mixed
+    checks = _Checks(results, fidelity, errors)
+    if correlators:
+        corr = np.minimum(np.maximum(expectations[-1], -1.0), 1.0)
+        checks = checks._replace(
+            expectations=expectations, correlator=corr, closed=_closed_form(corr, specs.epsilon)
         )
-        for result, part in zip(results, parts)
-    ]
+    if entropies:
+        checks = checks._replace(
+            purity=purity, von_neumann=von_neumann, sin_half=np.sin(specs.epsilon / 2.0)
+        )
+    return checks

@@ -19,12 +19,15 @@ tables cached per (n, qubit list), so every row costs the same arithmetic
 as a lone vector; `apply_matrix` scatters its rows back over the same
 tables.
 
-Public functions check their arguments, then call the kernel that the
-campaign path calls on arrays the package built from checked inputs:
+Public functions check their arguments, then call a kernel:
 `apply_matrix` calls `_apply`, `measure_branch` `_measure`,
 `tilted_vectors` `_tilted`, `equatorial_pair` `_equatorial` and
-`phase_aligned_max_diff` `_aligned_diff`.  The kernels check qubit
-indices only, through `linalg._tables`.
+`phase_aligned_max_diff` `_aligned_diff`.  The campaign path calls
+`_tilted`, `_equatorial` and `_aligned_diff` on arrays the package built
+from checked inputs; the protocols run their gates and measurements
+through their own gate chain, so `_apply` and `_measure` serve their
+public functions only.  The kernels check qubit indices only, through
+`linalg._tables`.
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key:
@@ -35,12 +38,12 @@ a `Stream` draws integers, uniform angles and permutations in Python
 integers, bit for bit as numpy's Generator would.  `haar_states` draws
 the registers of many streams of one size as the rows of one array,
 through one numpy Generator per thread set to each stream's state in
-turn; `random_pure_state`, a batch of one, wraps its row in a validated
+turn, and normalizes every row in one stacked matmul;
+`random_pure_state`, a batch of one, wraps its row in a validated
 PureState.  This module is the package's one user of numpy.random.
 """
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -551,10 +554,11 @@ def haar_states(n_qubits: int, streams: Sequence[Stream]) -> np.ndarray:
         gen.standard_normal(out=row)
     vec = np.empty((len(streams), dim), dtype=complex)
     vec.real, vec.imag = parts[:, :dim], parts[:, dim:]
-    # each row's np.linalg.norm without its wrapper: the same sums of
-    # squares over the same strided views
-    norms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(vec.real, vec.imag)]
-    vec /= np.array(norms)[:, None]
+    # each row's np.linalg.norm without its wrapper, for every row in one
+    # stacked matmul: a (1, D) @ (D, 1) product is the dot product of the
+    # same strided views, the sum of squares that norm takes
+    re, im = vec.real[:, None, :], vec.imag[:, None, :]
+    vec /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
     return vec
 
 

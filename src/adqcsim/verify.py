@@ -21,13 +21,17 @@ invocation's fields, and takes an item's uniform angles from one
 Stream.random call; a PureState and a ProtocolSpec are built only for a
 failing report's worst case.  The protocol campaigns hand a chunk's
 invocations to protocols._analyses as columns, with one simulation per
-register size cut into stacks of at most _STACK_AMPLITUDES amplitudes.
-circuit_equivalence runs each drawn row once per distinct gate list of
-the rotation kinds, in the tilted bases they share, and measures only
-those.  equality_oracle reads no entropy, so it solves nothing.  The
-density campaigns take one partial trace and one validation per chunk
-(monotonicity's sigma rows, whose eigenvectors are read, in another),
-then call the public check once on the stack.
+register size cut into stacks of at most _STACK_AMPLITUDES amplitudes,
+and read back columns: each row's F, and only what the campaign checks.
+equality_oracle reads the closed forms, so it solves nothing; the bound
+campaigns and saturation read the entropies, so they take no
+correlator, and evaluate each bound on its column once per chunk.  No
+per-row report is built.  circuit_equivalence runs each drawn row once
+per distinct gate list of the rotation kinds, in the tilted bases they
+share, and measures only those.  The density campaigns take one partial
+trace and one validation per chunk (monotonicity's sigma rows, whose
+eigenvectors are read, in another), then call the public check once on
+the stack.
 """
 from __future__ import annotations
 
@@ -396,39 +400,42 @@ def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int
     return out
 
 
-def _analyze_draws(draws: list, entropies=True) -> list[tuple[list[int], protocols.FidelityReport]]:
+def _analyze_draws(
+    draws: list, correlators: bool = False, entropies: bool = False
+) -> tuple[np.ndarray, protocols._Checks]:
     # One stack per register size and slice, whatever the kinds, analyzed
-    # in one pass over the chunk, its reductions solved only if `entropies`
-    # are read; returns each slice's draw positions and its stack's report.
+    # in one pass over the chunk that computes only the columns asked for;
+    # returns the draw position of each of the pass's rows, and its checks.
     stacks = _stacks(draws)
-    return list(zip(stacks, protocols._analyses(
+    order = [p for positions in stacks for p in positions]
+    checks = protocols._analyses(
         [np.array([draws[p].state for p in positions]) for positions in stacks],
-        protocols._columns([draws[p].protocol for positions in stacks for p in positions]),
-        entropies,
-    )))
+        protocols._columns([draws[p].protocol for p in order]),
+        correlators, entropies,
+    )
+    return np.array(order, dtype=np.intp), checks
 
 
 def _evaluate_protocol(
     cfg: CampaignConfig, draws: list[_ProtocolDraw], bound: str | None = None
 ) -> _Evaluation:
-    # compare the simulated fidelity with the closed form (bound None, no
-    # entropy read) or with a bound; a row below its domain (sv2 < 1) is filtered
-    violations: list = [None] * len(draws)
-    sv2 = []
-    for positions, report in _analyze_draws(draws, entropies=bound is not None):
-        simulated = report.simulated_F.tolist()
-        compared = report.closed_form_F.tolist() if bound is None else report.bound(bound)
-        for p, f, ref, ent in zip(positions, simulated, compared, report.entanglement):
-            if ref is None:
-                continue
-            violations[p] = abs(f - ref) if bound is None else f - ref
-            if bound == "sv2_bound":
-                sv2.append(ent.von_neumann)
-    filtered = violations.count(None)
+    # compare the simulated fidelity with the closed form (bound None: no
+    # entropy read) or with a bound (no correlator read); a row outside the
+    # bound's domain (sv2 < 1) is filtered
+    order, checks = _analyze_draws(draws, correlators=bound is None, entropies=bound is not None)
+    if bound is None:
+        rows, violations = order, abs(checks.fidelity - checks.closed)
+    else:
+        checked, bounds = protocols._checked_bounds(bound, checks)
+        rows, violations = order[checked], checks.fidelity[checked] - bounds
+    out: list = [None] * len(draws)
+    for p, violation in zip(rows.tolist(), violations.tolist()):
+        out[p] = violation
+    filtered = len(draws) - len(violations)
     stats = {"filtered_below_domain": filtered} if filtered else {}
-    if sv2:
-        stats["min_sv2"] = min(sv2)
-    return violations, stats
+    if bound == "sv2_bound" and len(violations):
+        stats["min_sv2"] = min(checks.von_neumann[checked].tolist())
+    return out, stats
 
 
 def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
@@ -554,14 +561,15 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
 
 
 def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
-    # the purity registers meet the purity bound, the Bell pairs the sv2 bound
-    violations: list = [None] * len(draws)
-    for positions, report in _analyze_draws(draws):
-        purity, sv2 = report.bound("purity_bound"), report.bound("sv2_bound")
-        for row, p in enumerate(positions):
-            bound = purity[row] if protocols._ROTATION[draws[p].protocol[0]] else sv2[row]
-            violations[p] = abs(float(report.simulated_F[row]) - bound)
-    return violations, {}
+    # the purity registers, run by the rotation kinds, meet the purity
+    # bound; the Bell pairs, run by the CZSWAP gate, the sv2 bound.  A row
+    # that neither bound reaches stays NaN, which fails the report.
+    order, checks = _analyze_draws(draws, entropies=True)
+    violations = np.full(len(draws), np.nan)
+    for name in ("purity_bound", "sv2_bound"):
+        rows, bounds = protocols._checked_bounds(name, checks)
+        violations[order[rows]] = abs(checks.fidelity[rows] - bounds)
+    return violations.tolist(), {}
 
 
 def _lambda(samples: int, i: int) -> float:

@@ -967,7 +967,8 @@ def _column_rows(rng, n, count):
 def test_public_calls_equal_the_column_path_bit_for_bit():
     # analyze, run_protocol and pre_measurement_state on spec lists are
     # the column path on columns built from plain rows, for mixed kinds and
-    # register sizes in one analysis pass, and for a stack of no rows
+    # register sizes in one analysis pass, and for a stack of no rows:
+    # analyze's report of a stack is its rows of the pass's columns
     rng = np.random.default_rng(89)
     stacks, rows = [], []
     for n in (1, 2, 3, 5, 7):
@@ -976,13 +977,141 @@ def test_public_calls_equal_the_column_path_bit_for_bit():
         rows.append(_column_rows(rng, n, count))
     stacks.append(np.zeros((0, 8), dtype=complex))
     rows.append([])
-    reports = protocols._analyses(stacks, protocols._columns([r for part in rows for r in part]))
-    for states, part, report in zip(stacks, rows, reports):
+    columns = protocols._columns([r for part in rows for r in part])
+    checks = protocols._analyses(stacks, columns, correlators=True, entropies=True)
+    names = ("purity_bound", "sv_bound", "sv2_bound")
+    bounds = {name: dict(zip(*(a.tolist() for a in protocols._checked_bounds(name, checks))))
+              for name in names}
+    start = 0
+    for states, part, result in zip(stacks, rows, checks.results):
+        at = slice(start, start + len(part))
+        start = at.stop
         specs = [ProtocolSpec(protocols._KINDS[code], *fields) for code, *fields in part]
-        columns = protocols._columns(part)
-        _assert_reports_equal(report, protocols.analyze(states, specs))
-        want = protocols._run(states, columns, protocols._bases(columns))
+        report = protocols.analyze(states, specs)
+        for field, column in (
+            ("simulated_F", checks.fidelity), ("closed_form_F", checks.closed),
+            ("correlator_used", checks.correlator), ("sin_half", checks.sin_half),
+        ):
+            assert getattr(report, field).tobytes() == column[at].tobytes(), field
+        _assert_reports_equal(report.result, result)
+        assert [e.von_neumann for e in report.entanglement] == checks.von_neumann[at].tolist()
+        assert [e.correlator for e in report.entanglement] == checks.expectations[-1, at].tolist()
+        for name in names:
+            assert report.bound(name) == [bounds[name].get(b) for b in range(at.start, at.stop)]
+        part_columns = protocols._columns(part)
+        want = protocols._run(states, part_columns, protocols._bases(part_columns))
         _assert_reports_equal(protocols.run_protocol(states, specs), want)
+        # the chain ends in the measurement's order, the ancilla first
         pre = protocols.pre_measurement_state(states, specs)
-        assert pre.tobytes() == protocols._gate_steps(states, columns).tobytes()
+        chained = protocols._chain(states, part_columns)
+        ancilla_first = pre.reshape(len(part), pre.shape[1] // 2, 2).swapaxes(1, 2)
+        assert ancilla_first.reshape(pre.shape).tobytes() == chained.tobytes()
         assert len(report.simulated_F) == len(part)
+
+
+# ------------------------------------------------------------- gate chain
+
+def _stepwise(states, specs, bases):
+    # the reference of the gate chain, step by step through the public
+    # kernels: psi (x) |+>, then gate step k of each row's _PROTOCOLS gate
+    # list applied by qcore.apply_matrix to the rows that have one, then
+    # the ancilla measured by qcore.measure_branch.  Returns the state
+    # before the measurement and the branches.
+    rows, dim = states.shape
+    n = dim.bit_length() - 1
+    vec = (states[:, :, None] * protocols._PLUS).reshape(rows, 2 * dim)
+    gates = [protocols._PROTOCOLS[spec.kind].gates for spec in specs]
+    for k in range(max(map(len, gates), default=0)):
+        at = [b for b, steps in enumerate(gates) if len(steps) > k]
+        ops = np.array([qcore.gate(gates[b][k][0]) for b in at])
+        wires = [{0: specs[b].targets[0], 1: specs[b].targets[-1], 2: n} for b in at]
+        qubits = [[w[x] for x in gates[b][k][1]] for b, w in zip(at, wires)]
+        vec[at] = qcore.apply_matrix(vec[at], ops, qubits)
+    return vec, qcore.measure_branch(vec, n, bases)
+
+
+def _every_target(rng, n, kind):
+    # one spec for each valid target tuple of the kind on n qubits
+    targets = [(t,) for t in range(n)] if kind in protocols.ROTATION_KINDS else [
+        (a, b) for a in range(n) for b in range(n) if a != b
+    ]
+    u = kind in protocols.ROTATION_KINDS
+    return [
+        ProtocolSpec(kind, t, u=float(rng.uniform(0, 2 * np.pi)) if u else None,
+                     epsilon=float(rng.uniform(0, np.pi)), delta=float(rng.uniform(0, 2 * np.pi)))
+        for t in targets
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, protocols._MAX_REGISTER + 1))
+def test_the_gate_chain_is_the_stepwise_circuit_bit_for_bit(n):
+    # _branches, run_protocol and pre_measurement_state on every kind and
+    # every valid target tuple, each kind alone and all kinds mixed in a
+    # shuffled row order, equal the stepwise reference bit for bit
+    rng = np.random.default_rng([90, n])
+    kinds = ALL_KINDS if n >= 2 else ROTATIONS
+    alone = [_every_target(rng, n, kind) for kind in kinds]
+    mixed = [spec for specs in alone for spec in specs]
+    mixed = [mixed[b] for b in rng.permutation(len(mixed))]
+    for specs in (*alone, mixed):
+        keys = [[90, n, len(specs), b] for b in range(len(specs))]
+        states = qcore.haar_states(n, qcore.streams(keys))
+        columns = protocols._columns(
+            [(protocols._CODES[s.kind], s.targets, s.u, s.epsilon, s.delta) for s in specs]
+        )
+        bases = protocols._bases(columns)
+        pre, branches = _stepwise(states, specs, bases)
+        assert protocols._branches(states, columns, bases).tobytes() == branches.tobytes()
+        assert protocols.pre_measurement_state(states, specs).tobytes() == pre.tobytes()
+        ideal = branches[:, 2:]
+        probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
+        want = (ideal / np.sqrt(probs)[..., None], probs, branches[:, :2])
+        got = protocols.run_protocol(states, specs)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("targets, message", [
+    ((1, 1), "repeats its target"),
+    ((0, 3), "target 3 out of range"),
+    ((-1, 0), "target -1 out of range"),
+])
+@pytest.mark.parametrize("kind", [ProtocolKind.ADQC_CZ_GATE, ProtocolKind.ADQC_CZSWAP_GATE])
+def test_the_gate_chain_rejects_targets_it_has_no_table_for(kind, targets, message):
+    # columns built past ProtocolSpec and _runs: a two-target kind that
+    # repeats its target, or a target outside the register, raises where
+    # it reaches the chain instead of reading another row's tables
+    states = qcore.haar_states(3, qcore.streams([[91, 0], [91, 1]]))
+    good = (protocols._CODES[kind], (0, 2), None, 0.3, 0.2)
+    columns = protocols._columns([good, (protocols._CODES[kind], targets, None, 0.3, 0.2)])
+    with pytest.raises(ValueError, match=message):
+        protocols._chain(states, columns)
+    with pytest.raises(ValueError, match=message):
+        protocols._branches(states, columns, protocols._bases(columns))
+    rotation = (protocols._CODES[ProtocolKind.ADQC_ROTATION_CZ], (3,), 0.1, 0.3, 0.2)
+    with pytest.raises(ValueError, match="target 3 out of range"):
+        protocols._chain(states[:1], protocols._columns([rotation]))
+
+
+def test_the_chain_tables_are_int32_and_about_0_3_mb_for_every_register_size():
+    # per register size n, each of the three wirings holds a table per
+    # value of the targets each round reads: n for the first round and the
+    # last, n^2 for a round between two steps on different targets; 2^(n+1)
+    # int32 entries each, 307152 bytes over n = 1..7
+    total = 0
+    for n in range(1, protocols._MAX_REGISTER + 1):
+        tables, where = linalg._chain_tables(n, protocols._CHAINS.wirings)
+        assert tables.dtype == np.int32 and tables.shape[1] == 2 ** (n + 1)
+        assert where.shape == (4, len(protocols._CHAINS.wirings), 3)
+        assert len(tables) == 6 * n + 3 * n * n
+        total += tables.nbytes
+    assert total == 307152
+
+
+def test_the_chain_tables_of_a_register_size_are_built_on_its_first_run():
+    # one compilation per register size, on its first run, kept after
+    linalg._chain_tables.cache_clear()
+    spec = ProtocolSpec(ProtocolKind.ADQC_CZ_GATE, (0, 2), epsilon=0.3)
+    for n in (3, 4, 3):
+        protocols.run_protocol(basis_state(n, 0), spec)
+    info = linalg._chain_tables.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)

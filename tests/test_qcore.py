@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -590,6 +591,24 @@ def test_haar_states_rows_are_each_streams_register_bit_for_bit(rows):
         assert got.shape == (rows, 2**n)
         want = np.array([_haar_state_of_one_generator(n, key) for key in keys])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 64])
+def test_haar_states_norms_are_each_rows_dot_products_bit_for_bit(rows):
+    # haar_states normalizes all rows with one stacked (1, D) @ (D, 1)
+    # matmul; each row's norm must be math.sqrt(re.dot(re) + im.dot(im))
+    # over the row's own strided real and imaginary views, bit for bit
+    for n in range(1, linalg.MAX_QUBITS + 1):
+        keys = [[22, n, rows, b] for b in range(rows)]
+        dim = 2**n
+        want = np.empty((rows, dim), dtype=complex)
+        for row, key in zip(want, keys):
+            parts = np.random.default_rng(key).standard_normal(2 * dim)
+            row.real, row.imag = parts[:dim], parts[dim:]
+            re, im = row.real, row.imag
+            row /= math.sqrt(re.dot(re) + im.dot(im))
+        got = qcore.haar_states(n, qcore.streams(keys))
+        assert got.shape == (rows, dim) and got.tobytes() == want.tobytes()
 
 
 def test_threads_drawing_at_once_each_get_their_streams_registers():

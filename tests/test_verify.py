@@ -580,6 +580,7 @@ def test_a_report_is_the_same_cold_and_after_every_other_campaign():
     cold = []
     for config in configs:
         linalg._index_table.cache_clear()
+        linalg._chain_tables.cache_clear()
         linalg._jacobi_kernel.cache_clear()
         vars(qcore._LOCAL).pop("generator", None)
         cold.append(verify.run_campaign(config).to_json_dict())
@@ -778,9 +779,8 @@ def _swap_czswap_wires(monkeypatch):
     gates = (("CZSWAP", (protocols._ANCILLA, 0)),)
     row = dataclasses.replace(protocols._PROTOCOLS[kind], gates=gates)
     monkeypatch.setitem(protocols._PROTOCOLS, kind, row)
-    steps = protocols._STEP_TABLE.copy()
-    steps[0, protocols._CODES[kind], 1:] = gates[0][1]
-    monkeypatch.setattr(protocols, "_STEP_TABLE", steps)
+    chains = protocols._chains(list(protocols._PROTOCOLS.values()))
+    monkeypatch.setattr(protocols, "_CHAINS", chains)
     monkeypatch.setattr(verify, "_EQUIVALENCE_RUNS", verify._shared_runs(verify._ROTATION_CODES))
 
 
@@ -824,27 +824,35 @@ def test_kinds_that_share_a_gate_list_share_one_run(monkeypatch, swapped, runs):
 
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
 def test_analyze_matches_the_chunked_evaluation(kind):
-    # analyze of one register is its row of the chunk pass, bit for bit
+    # analyze of one register is its row of the chunk pass's columns, bit
+    # for bit, its bounds those the chunk evaluates on their columns
     config = verify.default_config("equality_oracle", samples=40, seed=3)
     draws = verify._draw_protocol(config, range(40), kinds=(kind,))
-    names = ("purity_bound", "sv_bound", "sv2_bound")
-    for positions, stack in verify._analyze_draws(draws):
-        bounds = {name: stack.bound(name) for name in names}
-        for row, p in enumerate(positions):
-            d = draws[p]
-            rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec())
-            assert rep.simulated_F == stack.simulated_F[row]
-            assert rep.closed_form_F == stack.closed_form_F[row]
-            assert rep.correlator_used == stack.correlator_used[row]
-            assert rep.bounds.keys() == {n for n in names if bounds[n][row] is not None}
-            for name, value in rep.bounds.items():
-                assert value == bounds[name][row]
-            assert rep.entanglement == stack.entanglement[row]
+    order, checks = verify._analyze_draws(draws, correlators=True, entropies=True)
+    bounds = {}
+    for name in ("purity_bound", "sv_bound", "sv2_bound"):
+        rows, values = protocols._checked_bounds(name, checks)
+        bounds[name] = dict(zip(rows.tolist(), values.tolist()))
+    lengths = entropy._length(checks.expectations)
+    for row, p in enumerate(order.tolist()):
+        d = draws[p]
+        rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec())
+        assert rep.simulated_F == checks.fidelity[row]
+        assert rep.closed_form_F == checks.closed[row]
+        assert rep.correlator_used == checks.correlator[row]
+        assert rep.sin_half == checks.sin_half[row]
+        assert rep.bounds == {name: on[row] for name, on in bounds.items() if row in on}
+        one_qubit = not math.isnan(checks.purity[row])
+        assert one_qubit == (kind in protocols.X_ERROR_KINDS)
+        assert rep.entanglement == entropy.EntanglementReport(
+            checks.purity[row] if one_qubit else None, checks.von_neumann[row],
+            checks.expectations[-1, row], lengths[row] if one_qubit else None,
+        )
 
 
 @pytest.mark.parametrize("name, samples, calls", [
     # three chunks of every default size (2-5), each holding both error
-    # kinds; the closed form reads no entropy, so no report is made
+    # kinds; the closed form reads no entropy, so nothing is validated
     ("equality_oracle", 300, 0),
     # bit-flip kinds only: one call per chunk
     ("bound_sv", 300, 3),
@@ -853,18 +861,46 @@ def test_analyze_matches_the_chunked_evaluation(kind):
     ("saturation", 1, 2),
 ])
 def test_a_chunk_makes_one_report_call_per_error_kind(monkeypatch, name, samples, calls):
-    # the reductions of every register size of a chunk are reported in one
-    # entanglement_reports call per error kind, whatever its stacks, where
-    # the campaign reads an entropy
-    original = entropy.entanglement_reports
+    # the reductions of every register size of a chunk are validated and
+    # solved in one entropy._mixedness call per error kind, whatever its
+    # stacks, where the campaign reads an entropy
+    original = entropy._mixedness
     shapes = []
 
     def counted(rhos):
         shapes.append(rhos.shape)
         return original(rhos)
 
-    monkeypatch.setattr(entropy, "entanglement_reports", counted)
+    monkeypatch.setattr(entropy, "_mixedness", counted)
     report = verify.run_campaign(verify.default_config(name, samples=samples, seed=21))
+    assert len(shapes) == calls
+    assert sum(rows for rows, _, _ in shapes) == (report.checks_run if calls else 0)
+
+
+@pytest.mark.parametrize("name, samples, calls", [
+    # three chunks, each holding both error kinds
+    ("equality_oracle", 300, 6),
+    # the bound campaigns and saturation read entropies, never a correlator
+    ("bound_main", 300, 0),
+    ("bound_sv", 300, 0),
+    ("bound_main2", 300, 0),
+    ("saturation", 1, 0),
+])
+def test_correlators_are_taken_once_per_chunk_and_error_kind_where_read(
+    monkeypatch, name, samples, calls
+):
+    # entropy._expectations runs once per chunk and error kind where the
+    # closed form reads a correlator, over every row of that kind
+    original = entropy._expectations
+    shapes = []
+
+    def counted(rhos):
+        shapes.append(rhos.shape)
+        return original(rhos)
+
+    monkeypatch.setattr(entropy, "_expectations", counted)
+    report = verify.run_campaign(verify.default_config(name, samples=samples, seed=21))
+    assert report.passed
     assert len(shapes) == calls
     assert sum(rows for rows, _, _ in shapes) == (report.checks_run if calls else 0)
 
@@ -1125,19 +1161,17 @@ def test_bound_minus_closed_form_is_sin_squared_times_kappa():
     config = verify.default_config("bound_main", samples=300, seed=42)
     draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
     assert {len(d.state) for d in draws} == {4, 8, 16, 32}  # n = 2..5
-    rows = 0
-    for positions, stack in verify._analyze_draws(draws):
-        bounds = {name: stack.bound(name) for name in ("purity_bound", "sv_bound")}
-        for row in range(len(positions)):
-            se, c = stack.sin_half[row], stack.correlator_used[row]
-            for name, values in bounds.items():
-                kappa = 1.0 - c * c - protocols._MEASURES[name](stack.bound_entropies[row][name])
-                identity = values[row] - stack.closed_form_F[row] - se * se * kappa
-                assert abs(identity) <= 1e-15
-            kappa = 1.0 - c * c - stack.bound_entropies[row]["purity_bound"]
-            assert abs(kappa - (stack.entanglement[row].bloch_length_r ** 2 - c * c)) <= 1e-14
-            rows += 1
-    assert rows == 300
+    _, checks = verify._analyze_draws(draws, correlators=True, entropies=True)
+    se, c = checks.sin_half, checks.correlator
+    for name in ("purity_bound", "sv_bound"):
+        rows, entropies = protocols._bound_entropies(name, checks)
+        assert rows.tolist() == list(range(300))
+        _, bounds = protocols._checked_bounds(name, checks)
+        kappa = 1.0 - c * c - protocols._MEASURES[name](entropies)
+        assert abs(bounds - checks.closed - se * se * kappa).max() <= 1e-15
+    _, purity = protocols._bound_entropies("purity_bound", checks)
+    r = entropy._length(checks.expectations)
+    assert abs(1.0 - c * c - purity - (r ** 2 - c * c)).max() <= 1e-14
 
 
 def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
@@ -1151,16 +1185,17 @@ def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
     purity, sv = protocols._MEASURES["purity_bound"], protocols._MEASURES["sv_bound"]
     config = verify.default_config("bound_main", samples=300, seed=42)
     draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
-    entropies = [e for _, stack in verify._analyze_draws(draws) for e in stack.bound_entropies]
-    assert len(entropies) == 300
-    for e in entropies:
-        assert abs(sv(e["sv_bound"]) - purity(e["purity_bound"])) <= bound
+    _, checks = verify._analyze_draws(draws, entropies=True)
+    rows, s = protocols._bound_entropies("purity_bound", checks)
+    sv_rows, v = protocols._bound_entropies("sv_bound", checks)
+    assert rows.tolist() == sv_rows.tolist() == list(range(300))
+    assert abs(sv(v) - purity(s)).max() <= bound
     r = np.linspace(0.0, 1.0, 2001)
     rhos = np.zeros((len(r), 2, 2), dtype=complex)
     rhos[:, 0, 0], rhos[:, 1, 1] = (1.0 + r) / 2.0, (1.0 - r) / 2.0
     rhos = entropy.validate_density(rhos)
-    pairs = zip(entropy.purity_entanglement(rhos).tolist(), entropy.von_neumann(rhos).tolist())
-    assert max(abs(sv(v) - purity(s)) for s, v in pairs) <= bound
+    s, v = entropy.purity_entanglement(rhos), entropy.von_neumann(rhos)
+    assert abs(sv(v) - purity(s)).max() <= bound
 
 
 def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
