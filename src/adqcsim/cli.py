@@ -32,14 +32,13 @@ def _curve_rows(figure: str, grid: int, s_values: tuple[float, ...]) -> tuple[li
         rows = [
             [e] + [protocols.bound_purity(s, e) for s in s_values] for e in map(float, eps)
         ]
-    elif figure == "fig6":
-        header = ["s_v", "value"]
-        svals = np.linspace(0.0, 1.0, grid)
-        rows = [[s, m] for s, m in zip(svals.tolist(), protocols._sv_measures(svals).tolist())]
-    elif figure == "fig7":
-        header = ["s_v2", "value"]
-        svals = np.linspace(1.0, 2.0, grid)
-        rows = [[s, m] for s, m in zip(svals.tolist(), protocols._sv2_measures(svals).tolist())]
+    elif figure in ("fig6", "fig7"):
+        # the sv or sv2 bound's measure over its entropy's domain, [lo, lo + 1]
+        name, lo = ("sv", 0.0) if figure == "fig6" else ("sv2", 1.0)
+        header = [f"s_{name[1:]}", "value"]
+        svals = np.linspace(lo, lo + 1.0, grid)
+        measures = protocols._measures(f"{name}_bound", svals)
+        rows = [[s, m] for s, m in zip(svals.tolist(), measures.tolist())]
     else:
         raise ValueError(f"unknown figure {figure!r}")
     return header, rows

@@ -6,15 +6,15 @@ A density matrix has one form: `validate_density` takes one (d, d)
 matrix or a (B, d, d) stack and returns a `Density` of the input's rank,
 solved once.  Each measure takes the same input, as an array or a
 Density, and returns a float for one matrix or a (B,) array for a
-stack; an array is read through linalg._array.  `entanglement_reports`
-builds a stack's reports from the same parts, each taken once: one
-validation and clamped spectrum for S and the purity (`_mixedness`), and
-one pass over the entries for <X>, <Y> and <Z> (or <Z (x) Z>), each
-equal bit for bit to the trace `correlator` takes (`_expectations`).
-The protocols' analysis pass calls the two parts alone, each only where
-a check reads it.  `_f_inverses` and `_g_inverses` invert a column of
-entropies with one range check over the column; `f_inverse` and
-`g_inverse` are a column of one."""
+stack; an array is read through linalg._array.  The protocols' analysis
+pass and the counterexample campaign read a stack's measures in two
+parts, each taken once and only where a check reads it: one validation
+and clamped spectrum for S and the purity (`_mixedness`), and one pass
+over the entries for <X>, <Y> and <Z> (or <Z (x) Z>), each equal bit for
+bit to the trace `correlator` takes (`_expectations`, `_zz`).
+`_f_inverses` and `_g_inverses` invert a column of entropies with one
+range check over the column; `f_inverse` and `g_inverse` are a column of
+one.  Outside this module only `protocols._BOUNDS` names them."""
 from __future__ import annotations
 
 import math
@@ -282,7 +282,8 @@ def _g_inverses(s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EntanglementReport:
-    """Measures of one reduced input state.
+    """Measures of one reduced input state, as `protocols.analyze`
+    reports them.
 
     purity_S and bloch_length_r are defined for single-qubit reductions
     only and are None for a two-qubit reduction.
@@ -295,25 +296,8 @@ class EntanglementReport:
 
 
 def _mixedness(rhos: np.ndarray | Density) -> tuple[np.ndarray | None, np.ndarray]:
-    # a (B, d, d) stack validated once, and from its one clamped spectrum
-    # each matrix's purity (d = 2; None for d = 4) and S
-    rhos = validate_density(rhos, dims=(2, 4))
-    if rhos.matrix.ndim != 3:
-        raise ValueError("expected a (B, d, d) stack of density matrices")
-    p = _spectrum(rhos)
+    # a (B, d, d) stack the package built, validated once, and from its one
+    # clamped spectrum each matrix's purity (d = 2; None for d = 4) and S
+    p = _spectrum(validate_density(rhos, dims=(2, 4)))
     return _purity_of(p) if p.shape[-1] == 2 else None, _entropy_of(p)
 
-
-def entanglement_reports(rhos: np.ndarray | Density) -> list[EntanglementReport]:
-    """The measures of each matrix of a (B, d, d) stack of reduced states,
-    validated once and its spectrum clamped once: for d = 2 the purity,
-    S, <Z> and the Bloch length, <Z> read from the one pass that gives
-    <X>, <Y> and <Z>; for d = 4, S_v2 and <Z(x)Z>."""
-    rhos = validate_density(rhos, dims=(2, 4))
-    purity, sv = _mixedness(rhos)
-    values = _expectations(rhos)
-    if purity is None:
-        rows = zip(sv.tolist(), values[0].tolist())
-        return [EntanglementReport(None, v, c, None) for v, c in rows]
-    rows = zip(purity.tolist(), sv.tolist(), values[2].tolist(), _length(values).tolist())
-    return [EntanglementReport(*row) for row in rows]

@@ -9,12 +9,13 @@ the one partial trace, reduces in one gather.  Every gather table is
 built here from `qubit_order`, the one definition of a qubit order, by
 `_index_table`, cached per (n, qubit list).  A qubit list reaches its
 table through `_tables`, the one check of qubit indices, and `_permute`
-gathers a stack's qubits into place over them, for `_reduce` and qcore's
-kernels.  `_chain_tables` compiles the protocols' gate chains from the
-same tables, once per register size: int32 tables that gather straight
-from one gate step's qubit order into the next's.  `partial_trace`
-checks its arguments, then calls `_reduce`, the kernel that the campaign
-path calls on stacks the package built from checked inputs.
+gathers a stack's qubits into place over them, for `_reduce`,
+qcore.apply_matrix and qcore.measure_branch.  `_chain_tables` compiles
+the protocols' gate chains from the same tables, once per register
+size: int32 tables that gather straight from one gate step's qubit order
+into the next's.  `partial_trace` checks its arguments, then calls
+`_reduce`, the kernel that the campaign path calls on stacks the package
+built from checked inputs.
 """
 from __future__ import annotations
 
@@ -147,7 +148,7 @@ def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
 def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
     # row b of a (B, 2^n) stack reshaped to [2]*n, transposed into the
     # qubit order its table from _tables was built for, and flattened; with
-    # `inverse` the scatter back that qcore._apply makes
+    # `inverse` the scatter back that qcore.apply_matrix makes
     flat = tables.ndim == 2
     if not inverse:
         return states.reshape(-1)[tables] if flat else states[:, tables]

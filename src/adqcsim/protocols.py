@@ -18,7 +18,8 @@ branches are one `ProtocolResult` of arrays, (2, 2^n) for one run or
 (B, 2, 2^n) for a stack, and its `FidelityReport` has the same leading
 axis.  It reads its input once, through `_runs`: every row must be finite
 and normalized, and the specs become `_Specs` columns, the one form of a
-stack's invocations inside the package.  A kind is a code there, which
+stack's invocations inside the package; their targets are checked by
+`_chain`, which every path runs.  A kind is a code there, which
 indexes arrays of its row's facts, so kinds share a stack.  Past `_runs`
 the layer calls kernels (`linalg._chain_tables`, `linalg._reduce`,
 `qcore._tilted`, `_equatorial`), not the public functions that check
@@ -42,9 +43,12 @@ campaign chunk's registers of several sizes, simulates each alone, and
 returns `_Checks`, one column per quantity over all their rows: F always;
 the correlators and closed forms, and the purity and S of each reduction
 (one validation and eigensolve per error kind), each only for a caller
-that reads it.  `_bounds` evaluates a bound on a column of entropies, for
-a campaign's chunk, the public bound functions and `FidelityReport.bound`
-alike, so no campaign builds a report per row.
+that reads it.  `_BOUNDS` holds every fact of a bound in one row: its
+error kind, the `_Checks` column of its entropy, the interval that
+entropy is clamped to, its domain floor and the inversion of f or g that
+gives its measure (`_measures`).  `_bounds` evaluates a bound on a column
+of entropies, for a campaign's chunk, the public bound functions and
+`FidelityReport.bound` alike, so no campaign builds a report per row.
 """
 from __future__ import annotations
 
@@ -253,10 +257,8 @@ def _runs(
     for spec in specs:
         if not isinstance(spec, ProtocolSpec):
             raise ValueError(f"spec {spec!r} is not a ProtocolSpec")
+    # a target out of range raises in _chain, which every public path runs
     columns = _columns([(_CODES[s.kind], s.targets, s.u, s.epsilon, s.delta) for s in specs])
-    outside = (columns.targets < 0) | (columns.targets >= n)
-    if outside.any():
-        raise ValueError(f"target {columns.targets[outside][0]} out of range for {n} qubits")
     return rows, columns, one
 
 
@@ -421,40 +423,52 @@ def error_operator(kind: ErrorKind, j: int, epsilon: float, delta: float) -> np.
         raise ValueError(f"outcome must be 0 or 1, got {j}")
     if not isinstance(kind, ErrorKind):
         raise ValueError(f"unknown error kind {kind!r}")
-    pauli = _REDUCTIONS[kind].pauli
+    pauli = _PAULIS[kind]
     epsilon, delta = _finite(epsilon, "epsilon"), _finite(delta, "delta")
     sign = (-1.0) ** j
     ce, se = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
     return ce * np.eye(len(pauli), dtype=complex) + sign * np.exp(sign * 1j * delta) * se * pauli
 
 
-# Each bound is 1 - m sin^2(e/2), its measure m taken from an entropy: S
-# itself, or 1 - c^2 for the correlator c that f or g maps onto it.  A
-# measure takes a float array of entropies, checks it in one pass, and
-# gives the measure of each.
+# Each error kind's Pauli, on as many leading targets as the register is
+# reduced to
+_PAULIS = {
+    ErrorKind.X_TYPE: qcore.gate("X"),
+    ErrorKind.ZZ_TYPE: np.kron(qcore.gate("Z"), qcore.gate("Z")),
+}
+# each kind's error as its code, its index in _PAULIS
+_ERROR = np.array([list(_PAULIS).index(row.error) for row in _PROTOCOLS.values()])
 
-def _purity_measures(S: np.ndarray) -> np.ndarray:
-    return entropy._in_unit_interval(S, 0.0, 1.0, "S")
+# Each bound is 1 - m sin^2(e/2), its measure m taken from the entropy of
+# its error kind's reduction: S itself, or 1 - c^2 for the correlator c
+# that f or g maps onto it.  Per bound: the error kind, the _Checks column
+# of its entropy, the top of the interval [0, top] the entropy is clamped
+# to, the least clamped entropy it applies to, and the inversion that
+# gives c (None for S).
+_BOUNDS = {
+    "purity_bound": (ErrorKind.X_TYPE, "purity", 1.0, 0.0, None),
+    "sv_bound": (ErrorKind.X_TYPE, "von_neumann", 1.0, 0.0, entropy._f_inverses),
+    "sv2_bound": (
+        ErrorKind.ZZ_TYPE, "von_neumann", 2.0, entropy.SV2_DOMAIN_EDGE, entropy._g_inverses
+    ),
+}
 
 
-def _sv_measures(Sv: np.ndarray) -> np.ndarray:
-    c = entropy._f_inverses(Sv)
+def _measures(name: str, entropies: np.ndarray) -> np.ndarray:
+    # the named bound's measure of each entropy of a float array, checked
+    # in one pass
+    invert = _BOUNDS[name][4]
+    if invert is None:
+        return entropy._in_unit_interval(entropies, 0.0, 1.0, "S")
+    c = invert(entropies)
     return 1.0 - c * c
-
-
-def _sv2_measures(Sv2: np.ndarray) -> np.ndarray:
-    c = entropy._g_inverses(Sv2)
-    return 1.0 - c * c
-
-
-_MEASURES = {"purity_bound": _purity_measures, "sv_bound": _sv_measures, "sv2_bound": _sv2_measures}
 
 
 def _bounds(name: str, entropies: np.ndarray, sin_half) -> np.ndarray:
     # The named bound of each entropy of a column, at its row's sin(e/2):
     # the one evaluation of a bound, for the public functions, for
     # FidelityReport.bound and for a campaign's chunk.
-    measure = _MEASURES[name](entropies)
+    measure = _measures(name, entropies)
     return 1.0 - measure * sin_half * sin_half
 
 
@@ -530,36 +544,6 @@ class FidelityReport(NamedTuple):
         return {name: value for name, value in excess.items() if value > BOUND_SLACK_TOL}
 
 
-class _Reduction(NamedTuple):
-    # the error operator's Pauli, on as many leading targets as the
-    # register is reduced to, and the bounds the reduction feeds: per bound
-    # the _Checks column of its entropy, the top of the interval [0, top]
-    # the entropy is clamped to, and the least clamped entropy it applies to
-    pauli: np.ndarray
-    bounds: dict[str, tuple[str, float, float]]
-
-
-# Each error kind: its Pauli and its reduction's bounds
-_REDUCTIONS = {
-    ErrorKind.X_TYPE: _Reduction(
-        qcore.gate("X"),
-        {"purity_bound": ("purity", 1.0, 0.0), "sv_bound": ("von_neumann", 1.0, 0.0)},
-    ),
-    ErrorKind.ZZ_TYPE: _Reduction(
-        np.kron(qcore.gate("Z"), qcore.gate("Z")),
-        {"sv2_bound": ("von_neumann", 2.0, entropy.SV2_DOMAIN_EDGE)},
-    ),
-}
-# each kind's error as its code, its index in _REDUCTIONS
-_ERROR = np.array([list(_REDUCTIONS).index(row.error) for row in _PROTOCOLS.values()])
-# each bound: the code of the error kind that feeds it, then its entry there
-_BOUNDS = {
-    name: (code, *entry)
-    for code, reduction in enumerate(_REDUCTIONS.values())
-    for name, entry in reduction.bounds.items()
-}
-
-
 class _Checks(NamedTuple):
     # The analysis pass of a chunk as columns, row for row with its specs:
     # each stack's run, then per row its F and its error kind's code.
@@ -581,8 +565,8 @@ class _Checks(NamedTuple):
 
 def _bound_entropies(name: str, checks: _Checks) -> tuple[np.ndarray, np.ndarray]:
     # the rows where the named bound applies, and their entropies, clamped
-    code, column, top, lowest = _BOUNDS[name]
-    rows = (checks.error == code).nonzero()[0]
+    kind, column, top, lowest, _ = _BOUNDS[name]
+    rows = (checks.error == list(_PAULIS).index(kind)).nonzero()[0]
     clamped = np.minimum(np.maximum(getattr(checks, column)[rows], 0.0), top)
     applies = ~(clamped < lowest)
     return rows[applies], clamped[applies]
@@ -613,7 +597,7 @@ def analyze(
         rows, values = _bound_entropies(name, checks)
         for b, value in zip(rows.tolist(), values.tolist()):
             bound_entropies[b][name] = value
-    one_qubit = [len(reduction.pauli) == 2 for reduction in _REDUCTIONS.values()]
+    one_qubit = [len(pauli) == 2 for pauli in _PAULIS.values()]
     rows = zip(
         checks.error.tolist(), checks.purity.tolist(), checks.von_neumann.tolist(),
         checks.expectations[-1].tolist(), entropy._length(checks.expectations).tolist(),
@@ -656,14 +640,14 @@ def _analyses(
     fidelity = np.concatenate([_fidelity(r.ideal_branches, r.inaccurate_branches) for r in results])
     expectations = np.full((3, len(errors)), np.nan) if correlators else None
     purity, von_neumann = (np.full(len(errors), np.nan) if entropies else None for _ in range(2))
-    for code, reduction in enumerate(_REDUCTIONS.values()):
+    for code, pauli in enumerate(_PAULIS.values()):
         # the rows of this error kind, stack after stack: stack k holds
         # rows[cuts[k]:cuts[k + 1]]
         rows = (errors == code).nonzero()[0]
         if not len(rows) or not (correlators or entropies):
             continue
         cuts = np.searchsorted(rows, [0, *ends]).tolist()
-        keeps = specs.targets[rows, :linalg.n_qubits_of(len(reduction.pauli))].tolist()
+        keeps = specs.targets[rows, :linalg.n_qubits_of(len(pauli))].tolist()
         rhos = np.concatenate([
             linalg._reduce(states[rows[a:b] - start], keeps[a:b])
             for states, start, a, b in zip(stacks, starts, cuts, cuts[1:]) if a < b

@@ -19,15 +19,13 @@ tables cached per (n, qubit list), so every row costs the same arithmetic
 as a lone vector; `apply_matrix` scatters its rows back over the same
 tables.
 
-Public functions check their arguments, then call a kernel:
-`apply_matrix` calls `_apply`, `measure_branch` `_measure`,
-`tilted_vectors` `_tilted`, `equatorial_pair` `_equatorial` and
-`phase_aligned_max_diff` `_aligned_diff`.  The campaign path calls
-`_tilted`, `_equatorial` and `_aligned_diff` on arrays the package built
-from checked inputs; the protocols run their gates and measurements
-through their own gate chain, so `_apply` and `_measure` serve their
-public functions only.  The kernels check qubit indices only, through
-`linalg._tables`.
+`tilted_vectors`, `equatorial_pair` and `phase_aligned_max_diff` check
+their arguments, then call the kernels `_tilted`, `_equatorial` and
+`_aligned_diff`, which the campaign path calls on arrays the package
+built from checked inputs.  `apply_matrix` and `measure_branch` have no
+kernel apart from them: the protocols run their gates and measurements
+through their own gate chain.  Both check qubit indices through
+`linalg._tables`, when they build their gather table.
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key:
@@ -195,25 +193,19 @@ def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarr
     target_rows = targets if vec.ndim == 2 else [targets]
     sizes = linalg._lengths(target_rows, "targets")
     rows = linalg._rows(vec, target_rows, "target lists")
-    linalg.n_qubits_of(rows.shape[1])
+    n = linalg.n_qubits_of(rows.shape[1])
     op = linalg._array(op, "op")
     if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
     k = linalg.n_qubits_of(op.shape[-1])
     if any(size != k for size in sizes):
         raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    out = _apply(rows, op, target_rows)
+    # one gather table, the one check of the qubits, serves the gather and
+    # the scatter back
+    tables = linalg._tables(n, target_rows)
+    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, 2 ** (n - k))
+    out = linalg._permute(psi.reshape(rows.shape), tables, inverse=True)
     return out if vec.ndim == 2 else out[0]
-
-
-def _apply(rows: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
-    # apply_matrix of a (B, 2^n) stack, unchecked but for the qubits
-    # (_tables); one gather table serves the gather and the scatter back
-    dim = rows.shape[1]
-    tables = linalg._tables(dim.bit_length() - 1, targets)
-    k = op.shape[-1].bit_length() - 1
-    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, dim >> k)
-    return linalg._permute(psi.reshape(len(rows), dim), tables, inverse=True)
 
 
 def measure_branch(vec: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:
@@ -235,20 +227,14 @@ def measure_branch(vec: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray
     if vec.ndim not in (1, 2):
         raise ValueError(f"vec shape {vec.shape} is not (2^n,) or (B, 2^n)")
     rows = vec if vec.ndim == 2 else vec[None]
-    linalg.n_qubits_of(rows.shape[1])
+    n = linalg.n_qubits_of(rows.shape[1])
     basis = linalg._array(basis, "basis", finite=True)
     lead = vec.shape[:-1]  # () for a vector, (B,) for a stack
     if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
         raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
-    branches = _measure(rows, qubit, basis)
+    tables = linalg._tables(n, [(qubit,)])  # the one check of the qubit
+    branches = basis.conj() @ linalg._permute(rows, tables).reshape(len(rows), 2, 2 ** (n - 1))
     return branches if vec.ndim == 2 else branches[0]
-
-
-def _measure(rows: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:
-    # measure_branch of a (B, 2^n) stack, unchecked but for the qubit (_tables)
-    dim = rows.shape[1]
-    tables = linalg._tables(dim.bit_length() - 1, [(qubit,)])
-    return basis.conj() @ linalg._permute(rows, tables).reshape(len(rows), 2, dim // 2)
 
 
 def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

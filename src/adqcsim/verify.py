@@ -127,7 +127,8 @@ def check_jonas(rho: np.ndarray | Density) -> float | np.ndarray:
     """Slack of the two-qubit entropy bound g(|<ZZ>|) - S_v2(rho) >= 0."""
     rho = entropy.validate_density(rho, dims=(4,))
     czz = np.minimum(abs(entropy._zz(rho)), 1.0)
-    g = np.reshape([entropy.g(c) for c in np.ravel(czz).tolist()], czz.shape)
+    # g = 1 + f, on a column already in [0, 1], where f's check is the identity
+    g = np.reshape([1.0 + entropy._f(c) for c in np.ravel(czz).tolist()], czz.shape)
     return entropy._value(g - entropy.von_neumann(rho))
 
 
@@ -593,20 +594,20 @@ def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> list[_LambdaDra
 
 def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
     # one validation of the chunk's rho_lambda stack, whose rows' S_v2 are
-    # von_neumann's, bit for bit
-    reports = entropy.entanglement_reports(np.array([rho_lambda(d.lam) for d in draws]))
+    # von_neumann's and <Z (x) Z> correlator's, bit for bit
+    rhos = entropy.validate_density(np.array([rho_lambda(d.lam) for d in draws]))
+    sv2s = entropy._mixedness(rhos)[1].tolist()
     violations = []
-    for rep in reports:
-        violation = abs(rep.correlator - 1.0)  # exactly 0
-        if rep.von_neumann < entropy.SV2_DOMAIN_EDGE:
+    for sv2, czz in zip(sv2s, entropy._zz(rhos).tolist()):
+        violation = abs(czz - 1.0)  # exactly 0
+        if sv2 < entropy.SV2_DOMAIN_EDGE:
             try:
-                protocols.bound_sv2(rep.von_neumann, np.pi / 2)
+                protocols.bound_sv2(sv2, np.pi / 2)
             except BoundDomainError:
                 pass
             else:
                 violation = max(violation, 1.0)  # the domain restriction must hold
         violations.append(violation)
-    sv2s = [rep.von_neumann for rep in reports]
     return violations, {"min_sv2": min(sv2s), "max_sv2": max(sv2s)}
 
 

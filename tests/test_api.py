@@ -74,7 +74,7 @@ ROWS = {
 # exception, and result records with no constructor check
 NOT_CALLED = {
     "BoundDomainError": "an exception type (a ValueError)",
-    "EntanglementReport": "the record entanglement_reports builds",
+    "EntanglementReport": "the record analyze builds, one per reduced register",
     "FidelityReport": "the record analyze builds",
     "ProtocolResult": "the record run_protocol builds",
     "CampaignReport": "the record run_campaign builds",

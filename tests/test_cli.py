@@ -132,9 +132,8 @@ def test_fig67_monotone_and_endpoints(figure, lo, hi):
 def test_fig67_rows_are_the_bounds_measure_bit_for_bit(figure, bound):
     # 1 - c^2 as the bound computes it; c ** 2 differs from c * c at
     # s = 0.18 on the default grid
-    measure = protocols._MEASURES[bound]
     for s, value in cli._curve_rows(figure, 201, cli.DEFAULT_FIG5_S)[1]:
-        assert value.hex() == float(measure(np.array([s]))[0]).hex()
+        assert value.hex() == float(protocols._measures(bound, np.array([s]))[0]).hex()
 
 
 def test_curves_custom_s_values(tmp_path):

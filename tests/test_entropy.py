@@ -368,29 +368,27 @@ def test_two_qubit_entropy_bound():
         assert entropy.von_neumann(rho) <= entropy.g(czz) + 1e-10
 
 
-def test_reports():
-    # one report per matrix of a stack, validated once; the measures of a
-    # one-qubit stack and of a two-qubit stack
+def test_report_parts_are_the_public_measures_bit_for_bit():
+    # the two parts the protocols' analysis reads, _mixedness (one
+    # validation and clamped spectrum) and _expectations (one pass over
+    # the entries), give each matrix's public measures bit for bit, on a
+    # one-qubit stack and on a two-qubit stack
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rhos = np.stack([linalg.partial_trace(bell, [0]), np.diag([0.9, 0.1])])
-    rep, other = entropy.entanglement_reports(rhos)
-    assert rep.purity_S == pytest.approx(1.0, abs=1e-12)
-    assert rep.von_neumann == pytest.approx(1.0, abs=1e-12)
-    assert rep.correlator == pytest.approx(0.0, abs=1e-12)
-    assert rep.bloch_length_r == pytest.approx(0.0, abs=1e-12)
-    assert other == entropy.EntanglementReport(
-        entropy.purity_entanglement(rhos[1]), entropy.von_neumann(rhos[1]),
-        entropy.correlator(rhos[1], qcore.gate("Z")), entropy.bloch_length(rhos[1]),
-    )
-    (rep2,) = entropy.entanglement_reports(entropy.validate_density(np.eye(4)[None] / 4))
-    assert rep2.purity_S is None
-    assert rep2.bloch_length_r is None
-    assert rep2.von_neumann == pytest.approx(2.0, abs=1e-12)
-    assert rep2.correlator == pytest.approx(0.0, abs=1e-14)
-    assert entropy.entanglement_reports(np.zeros((0, 4, 4))) == []
-    for bad in (np.eye(2) / 2, np.eye(8)[None] / 8):  # one matrix; too large
-        with pytest.raises(ValueError):
-            entropy.entanglement_reports(bad)
+    ones = [linalg.partial_trace(bell, [0]), np.diag([0.9, 0.1]).astype(complex)]
+    ones += random_densities(1, [[64, i] for i in range(20)])
+    twos = [np.eye(4, dtype=complex) / 4] + random_densities(2, [[65, i] for i in range(20)])
+    for rhos in (np.stack(ones), np.stack(twos)):
+        density = entropy.validate_density(rhos)
+        purity, sv = entropy._mixedness(rhos)
+        values = entropy._expectations(rhos)
+        assert sv.tobytes() == entropy.von_neumann(density).tobytes()
+        if rhos.shape[-1] == 2:
+            assert purity.tobytes() == entropy.purity_entanglement(density).tobytes()
+            assert values[2].tobytes() == entropy.correlator(density, qcore.gate("Z")).tobytes()
+            assert entropy._length(values).tobytes() == entropy.bloch_length(density).tobytes()
+        else:
+            assert purity is None and len(values) == 1
+            assert values[0].tobytes() == entropy.correlator(density, ZZ).tobytes()
 
 
 # every check of a value in a unit interval (or [1, 2]) takes a real number

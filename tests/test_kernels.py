@@ -18,10 +18,6 @@ def _vectors(rng, rows, dim):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
-def _ops(rng, rows, k):
-    return rng.standard_normal((rows, 2**k, 2**k)) + 1j * rng.standard_normal((rows, 2**k, 2**k))
-
-
 def _targets(rng, rows, n, k, same):
     first = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     return [first if same else tuple(int(q) for q in rng.choice(n, size=k, replace=False))
@@ -31,35 +27,6 @@ def _targets(rng, rows, n, k, same):
 # register size, rows, qubits per target list, one list for every row
 _STACKS = [(1, 1, 1, True), (3, 1, 2, True), (3, 6, 1, False), (4, 9, 2, False),
            (5, 4, 2, True), (7, 12, 1, False), (7, 12, 2, False)]
-
-
-@pytest.mark.parametrize("n, rows, k, same", _STACKS)
-def test_apply_kernel_is_apply_matrix_bit_for_bit(n, rows, k, same):
-    rng = np.random.default_rng([91, n, rows, k])
-    vecs, ops = _vectors(rng, rows, 2**n), _ops(rng, rows, k)
-    targets = _targets(rng, rows, n, k, same)
-    for op in (ops, ops[0]):  # one matrix per row, or one for all rows
-        assert _same(qcore._apply(vecs, op, targets), qcore.apply_matrix(vecs, op, targets))
-    # a lone vector is a stack of one row
-    assert _same(qcore._apply(vecs[:1], ops[0], targets[:1])[0],
-                 qcore.apply_matrix(vecs[0], ops[0], targets[0]))
-
-
-@pytest.mark.parametrize("n, rows", [(n, rows) for n, rows, _, _ in _STACKS if n > 1])
-def test_measure_kernel_is_measure_branch_bit_for_bit(n, rows):
-    rng = np.random.default_rng([92, n, rows])
-    vecs = _vectors(rng, rows, 2**n)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, rows))
-    # the tilted then the ideal vectors, as the protocols measure them
-    bases = qcore.tilted_vectors(qcore.equatorial_pair(angles[0])[:, None],
-                                 np.stack([angles[1], 0.0 * angles[1]], 1),
-                                 angles[2].repeat(2).reshape(-1, 2)).reshape(rows, 4, 2)
-    for qubit in range(n):
-        for basis in (bases, bases[:, :2]):
-            want = qcore.measure_branch(vecs, qubit, basis)
-            assert _same(qcore._measure(vecs, qubit, basis), want)
-        want = qcore.measure_branch(vecs[0], qubit, bases[0])
-        assert _same(qcore._measure(vecs[:1], qubit, bases[0])[0], want)
 
 
 @pytest.mark.parametrize("n, rows, k, same", _STACKS)

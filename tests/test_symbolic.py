@@ -102,16 +102,16 @@ def ideal(m):
 def error_operator(kind: ProtocolKind, j: int) -> sp.Matrix:
     # cos(e/2) + (-1)^j P e^{(-1)^j i delta} sin(e/2) on the reduction,
     # with e^{i delta} = 1/w
-    p = exact(protocols._REDUCTIONS[protocols._PROTOCOLS[kind].error].pauli)
+    p = exact(protocols._PAULIS[protocols._PROTOCOLS[kind].error])
     return c * sp.eye(p.shape[0]) + (1 / w if j == 0 else -w) * s * p
 
 
-# the correlator entanglement_reports gives for a reduction of each size
+# the correlator the reports read for a reduction of each size
 OBSERVABLES = {2: exact(qcore.gate("Z")), 4: exact(np.kron(qcore.gate("Z"), qcore.gate("Z")))}
 
 
 def observable(kind: ProtocolKind) -> sp.Matrix:
-    pauli = protocols._REDUCTIONS[protocols._PROTOCOLS[kind].error].pauli
+    pauli = protocols._PAULIS[protocols._PROTOCOLS[kind].error]
     return on_targets(kind, OBSERVABLES[len(pauli)])
 
 
@@ -155,9 +155,10 @@ def test_the_operators_are_the_packages(kind):
 @pytest.mark.parametrize("d", sorted(OBSERVABLES))
 def test_the_observables_are_the_reported_correlators(d):
     rho = verify.random_density_matrix(d.bit_length() - 1, [28, d])
-    (report,) = entropy.entanglement_reports(rho[None])
+    # the last row of _expectations is the correlator
+    got = entropy._expectations(rho[None])[-1, 0]
     want = np.trace(rho @ np.array(OBSERVABLES[d], dtype=complex)).real
-    assert report.correlator == pytest.approx(want, abs=1e-15)
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ProtocolKind)

@@ -1167,7 +1167,7 @@ def test_bound_minus_closed_form_is_sin_squared_times_kappa():
         rows, entropies = protocols._bound_entropies(name, checks)
         assert rows.tolist() == list(range(300))
         _, bounds = protocols._checked_bounds(name, checks)
-        kappa = 1.0 - c * c - protocols._MEASURES[name](entropies)
+        kappa = 1.0 - c * c - protocols._measures(name, entropies)
         assert abs(bounds - checks.closed - se * se * kappa).max() <= 1e-15
     _, purity = protocols._bound_entropies("purity_bound", checks)
     r = entropy._length(checks.expectations)
@@ -1182,20 +1182,21 @@ def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
     # most 2 ln 2 times the residual; 1e-14 covers the float error of S
     # and S_v
     bound = 2.0 * math.log(2.0) * entropy._INVERSE_RESIDUAL + 1e-14
-    purity, sv = protocols._MEASURES["purity_bound"], protocols._MEASURES["sv_bound"]
     config = verify.default_config("bound_main", samples=300, seed=42)
     draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
     _, checks = verify._analyze_draws(draws, entropies=True)
     rows, s = protocols._bound_entropies("purity_bound", checks)
     sv_rows, v = protocols._bound_entropies("sv_bound", checks)
     assert rows.tolist() == sv_rows.tolist() == list(range(300))
-    assert abs(sv(v) - purity(s)).max() <= bound
+    gaps = protocols._measures("sv_bound", v) - protocols._measures("purity_bound", s)
+    assert abs(gaps).max() <= bound
     r = np.linspace(0.0, 1.0, 2001)
     rhos = np.zeros((len(r), 2, 2), dtype=complex)
     rhos[:, 0, 0], rhos[:, 1, 1] = (1.0 + r) / 2.0, (1.0 - r) / 2.0
     rhos = entropy.validate_density(rhos)
     s, v = entropy.purity_entanglement(rhos), entropy.von_neumann(rhos)
-    assert abs(sv(v) - purity(s)).max() <= bound
+    gaps = protocols._measures("sv_bound", v) - protocols._measures("purity_bound", s)
+    assert abs(gaps).max() <= bound
 
 
 def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
