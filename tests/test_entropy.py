@@ -389,6 +389,8 @@ def test_report_parts_are_the_public_measures_bit_for_bit():
         else:
             assert purity is None and len(values) == 1
             assert values[0].tobytes() == entropy.correlator(density, ZZ).tobytes()
+    with pytest.raises(ValueError):  # too large for either measure
+        entropy._mixedness(np.eye(8)[None] / 8)
 
 
 # every check of a value in a unit interval (or [1, 2]) takes a real number
