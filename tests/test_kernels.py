@@ -2,7 +2,9 @@
 kernel: the protocol campaigns call the kernels on arrays the package
 built from checked inputs, so each kernel must give its public wrapper's
 result bit for bit, and the arrays the kernels and linalg._tables build in
-one piece must be those the stacked forms gave."""
+one piece must be those the stacked forms gave.  apply_matrix and
+measure_branch hold their kernels in their stack path, which must give
+each row's lone-vector result bit for bit."""
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ def _vectors(rng, rows, dim):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def _ops(rng, rows, k):
+    return rng.standard_normal((rows, 2**k, 2**k)) + 1j * rng.standard_normal((rows, 2**k, 2**k))
+
+
 def _targets(rng, rows, n, k, same):
     first = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     return [first if same else tuple(int(q) for q in rng.choice(n, size=k, replace=False))
@@ -27,6 +33,39 @@ def _targets(rng, rows, n, k, same):
 # register size, rows, qubits per target list, one list for every row
 _STACKS = [(1, 1, 1, True), (3, 1, 2, True), (3, 6, 1, False), (4, 9, 2, False),
            (5, 4, 2, True), (7, 12, 1, False), (7, 12, 2, False)]
+
+
+@pytest.mark.parametrize("n, rows, k, same", _STACKS)
+def test_apply_kernel_is_apply_matrix_bit_for_bit(n, rows, k, same):
+    rng = np.random.default_rng([91, n, rows, k])
+    vecs, ops = _vectors(rng, rows, 2**n), _ops(rng, rows, k)
+    targets = _targets(rng, rows, n, k, same)
+    for op in (ops, ops[0]):  # one matrix per row, or one for all rows
+        got = qcore.apply_matrix(vecs, op, targets)
+        for b in range(rows):
+            row_op = op if op.ndim == 2 else op[b]
+            assert _same(got[b], qcore.apply_matrix(vecs[b], row_op, targets[b]))
+    # a lone vector is a stack of one row
+    assert _same(qcore.apply_matrix(vecs[:1], ops[0], targets[:1])[0],
+                 qcore.apply_matrix(vecs[0], ops[0], targets[0]))
+
+
+@pytest.mark.parametrize("n, rows", [(n, rows) for n, rows, _, _ in _STACKS if n > 1])
+def test_measure_kernel_is_measure_branch_bit_for_bit(n, rows):
+    rng = np.random.default_rng([92, n, rows])
+    vecs = _vectors(rng, rows, 2**n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, rows))
+    # the tilted then the ideal vectors, as the protocols measure them
+    bases = qcore.tilted_vectors(qcore.equatorial_pair(angles[0])[:, None],
+                                 np.stack([angles[1], 0.0 * angles[1]], 1),
+                                 angles[2].repeat(2).reshape(-1, 2)).reshape(rows, 4, 2)
+    for qubit in range(n):
+        for basis in (bases, bases[:, :2]):
+            got = qcore.measure_branch(vecs, qubit, basis)
+            for b in range(rows):
+                assert _same(got[b], qcore.measure_branch(vecs[b], qubit, basis[b]))
+        want = qcore.measure_branch(vecs[0], qubit, bases[0])
+        assert _same(qcore.measure_branch(vecs[:1], qubit, bases[:1])[0], want)
 
 
 @pytest.mark.parametrize("n, rows, k, same", _STACKS)
