@@ -29,11 +29,12 @@ through their own gate chain.  Both check qubit indices through
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key:
-it checks and splits each key into words, then calls the kernel
-`_seeded` on one zero-padded word array per padded length, the kernel a
-campaign draw calls on the words of its stream keys, laid out as arrays;
-a `Stream` draws integers, uniform angles and permutations in Python
-integers, bit for bit as numpy's Generator would.  `haar_states` draws
+it checks and splits each key into words and calls the kernel `_seeded`
+on their zero-padded word table, which groups the keys by numpy's padded
+length.  `_item_streams` fills the same table for a campaign chunk's
+keys [seed, i] and [seed, i, tag], with no pass per key.  A `Stream`
+draws integers, uniform angles and permutations in Python integers, bit
+for bit as numpy's Generator would.  `haar_states` draws
 the registers of many streams of one size as the rows of one array,
 through one numpy Generator per thread set to each stream's state in
 turn, and normalizes every row in one stacked matmul;
@@ -311,8 +312,8 @@ def _key_words(key) -> list[int]:
     # numpy's split of a key into 32-bit words, least significant first
     # per integer; a key is one nonnegative integer or a sequence of them
     parts = [key] if isinstance(key, (int, np.integer)) else key
-    if not isinstance(parts, (list, tuple, range, np.ndarray)):
-        raise ValueError(f"key {key!r} is not an integer or a sequence of integers")
+    if not isinstance(parts, (list, tuple, range, np.ndarray)) or getattr(parts, "ndim", 1) != 1:
+        raise ValueError(f"key {key!r} is not an integer or a 1-d sequence of integers")
     words = []
     for part in parts:
         if type(part) is int and 0 <= part <= _MASK32:  # one word, the common case
@@ -463,39 +464,52 @@ def streams(keys: Sequence) -> list[Stream]:
     steps, then runs per key.  No keys give [].
     """
     words = [_key_words(key) for key in linalg._sequence(keys, "keys")]
-    # the keys' positions by word count, and the word counts by padded length
-    by_count: dict[int, list[int]] = {}
-    for pos, w in enumerate(words):
-        by_count.setdefault(len(w), []).append(pos)
-    by_length: dict[int, list[int]] = {}
-    for count in by_count:
-        by_length.setdefault(max(count, _POOL), []).append(count)
-    entropies, order = [], []
-    for length, counts in by_length.items():
-        positions = [pos for count in counts for pos in by_count[count]]
-        entropy = np.zeros((len(positions), length), dtype=np.uint32)
-        start = 0
-        for count in counts:
-            group = by_count[count]
-            entropy[start:start + len(group), :count] = [words[pos] for pos in group]
-            start += len(group)
-        entropies.append(entropy.T)
-        order += positions
-    return _seeded(entropies, order)
+    counts = np.array([len(w) for w in words], dtype=int)
+    width = max(_POOL, counts.max(initial=0))
+    # one row per key, reshaped so that no keys give a (width, 0) table
+    table = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32)
+    return _seeded(table.reshape(len(words), width).T, counts)
 
 
-def _seeded(entropies: Sequence[np.ndarray], positions: Sequence[int]) -> list[Stream]:
-    # The Streams of keys given by their words, one (L, B) uint32 array
-    # per padded length L: each column one key's words zero-padded to
-    # max(count, 4), as numpy pads them.  `positions` holds each column's
-    # place among the keys, array after array; the Streams come back in
-    # key order.  One _seed_states call per array, then PCG64's seeding.
-    seeds = np.empty((len(positions), 4), dtype=np.uint64)
-    start = 0
-    for entropy in entropies:
-        end = start + entropy.shape[1]
-        seeds[positions[start:end]] = _seed_states(entropy)
-        start = end
+def _index_words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    # nonnegative ints split into 32-bit words as _key_words splits a key's
+    # entries, least significant first and 0 as one word: a (W, B) uint32
+    # array, zero past each value's own words, and each value's count
+    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
+    if width == 1:
+        return np.array(values, dtype=np.uint32).reshape(1, -1), np.ones(len(values), dtype=int)
+    high = np.array(values, dtype=object) >> np.arange(0, 32 * width, 32)[:, None]
+    return (high & _MASK32).astype(np.uint32), 1 + (high[1:] != 0).sum(axis=0)
+
+
+def _item_streams(seed: int, indices: Sequence[int], tags: Sequence[int]) -> list[Stream]:
+    # The Streams of a campaign chunk's keys, with no pass per key: [seed, i]
+    # for every index, then [seed, i, tag] for every index, tag after tag.
+    # Each key's column holds the seed's words, its index's words, then its
+    # tag, one word, at row len(seed) + its index's word count.
+    if not len(indices):
+        return []
+    seed_words = _key_words(seed)
+    words, counts = _index_words(indices)
+    n, start, parts = len(counts), len(seed_words), 1 + len(tags)
+    table = np.zeros((max(_POOL, start + len(words) + 1), n * parts), dtype=np.uint32)
+    table[:start] = np.array(seed_words, dtype=np.uint32)[:, None]
+    table[start:start + len(words)] = np.tile(words, parts)
+    for part, tag in enumerate(tags, 1):
+        table[start + counts, part * n + np.arange(n)] = tag
+    return _seeded(table, np.concatenate([start + counts] + [start + 1 + counts] * len(tags)))
+
+
+def _seeded(table: np.ndarray, counts: np.ndarray) -> list[Stream]:
+    # The Streams of K keys given by their words: column k of the (W, K)
+    # uint32 table holds key k's counts[k] words, zero-padded, W >= 4.
+    # numpy pads a key to max(count, 4) words, so the keys are grouped by
+    # that length, one _seed_states call per group; then PCG64's seeding.
+    lengths = np.maximum(counts, _POOL)
+    seeds = np.empty((len(lengths), 4), dtype=np.uint64)
+    for length in np.bincount(lengths).nonzero()[0].tolist():  # np.unique imports numpy.ma
+        keys = (lengths == length).nonzero()[0]
+        seeds[keys] = _seed_states(table[:length, keys])
     out = []
     for state_high, state_low, seq_high, seq_low in seeds.tolist():
         # from state 0: one step, the seed state added, one more step

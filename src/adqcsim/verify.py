@@ -6,15 +6,14 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-lays out the words of its chunk's stream keys as arrays and seeds them in
-one qcore._seeded call, the kernel of qcore.streams, and builds its
-registers in one qcore.haar_states call per register size, but item i
-still comes from its own streams alone: [seed, i], and [seed, i, 1] for a
-protocol campaign's register or [seed, i, 7] for monotonicity's random
-sigma.  run_campaign evaluates chunks of _CHUNK items in index order and
-keeps only the worst index, which a failing report draws again, alone,
-for its payload.  Reports thus do not depend on the order of evaluation,
-the chunk size or the stack cap.
+seeds all its chunk's streams in one qcore._item_streams call and
+builds its registers in one qcore.haar_states call per register size,
+but item i still comes from its own streams alone: [seed, i], and
+[seed, i, 1] for a protocol campaign's register or [seed, i, 7] for
+monotonicity's random sigma.  run_campaign evaluates chunks of _CHUNK
+items in index order and keeps only the worst index, which a failing
+report draws again, alone, for its payload.  Reports thus do not depend
+on the order of evaluation, the chunk size or the stack cap.
 
 A protocol draw holds plain values, its register's amplitudes and its
 invocation's fields, and takes an item's uniform angles from one
@@ -311,44 +310,6 @@ class _ProtocolDraw(NamedTuple):
 _TURN = 2.0 * np.pi
 
 
-def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    # nonnegative ints split into 32-bit words as qcore.streams splits a
-    # key's entries, least significant first and 0 as one word: a (W, B)
-    # uint32 array, zero past each value's own words, and each value's count
-    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
-    if width == 1:
-        return np.array(values, dtype=np.uint32).reshape(1, -1), np.ones(len(values), dtype=int)
-    high = np.array(values, dtype=object) >> np.arange(0, 32 * width, 32)[:, None]
-    return (high & 0xFFFFFFFF).astype(np.uint32), 1 + (high[1:] != 0).sum(axis=0)
-
-
-def _streams(cfg: CampaignConfig, indices: Sequence[int], *tags: int) -> list[qcore.Stream]:
-    # The items' streams, seeded in one call: [seed, i] for every item,
-    # then [seed, i, tag] for every item, tag after tag.  The keys' words
-    # are laid out as qcore.streams lays them out, with no pass per key:
-    # one zero-padded (L, keys) array per padded length L, built from the
-    # seed's words, the indices' words and each tag's, one block per part
-    # (no tag or one tag) and index word count.
-    if not len(indices):
-        return []
-    seed = _words([cfg.seed])[0][:, 0]
-    words, counts = _words(indices)
-    tails = [seed[:0], *(_words([tag])[0][:, 0] for tag in tags)]
-    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for part, tail in enumerate(tails):
-        for count in np.bincount(counts).nonzero()[0].tolist():  # np.unique imports numpy.ma
-            rows = (counts == count).nonzero()[0]
-            key = np.concatenate((seed, np.zeros(count, dtype=np.uint32), tail))
-            block = np.zeros((max(len(key), qcore._POOL), len(rows)), dtype=np.uint32)
-            block[:len(key)] = key[:, None]
-            block[len(seed):len(seed) + count] = words[:count, rows]
-            blocks.setdefault(len(block), []).append((part * len(indices) + rows, block))
-    return qcore._seeded(
-        [np.concatenate([b for _, b in group], axis=1) for group in blocks.values()],
-        np.concatenate([rows for group in blocks.values() for rows, _ in group]),
-    )
-
-
 def _registers(sizes: Sequence[int], streams: Sequence[qcore.Stream]) -> list[np.ndarray]:
     # each stream's Haar register of its listed size, in order; one
     # haar_states call per size
@@ -367,7 +328,7 @@ def _draw_protocol(
 ) -> list[_ProtocolDraw]:
     # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
     codes = [protocols._CODES[kind] for kind in kinds]
-    streams = _streams(cfg, indices, 1)
+    streams = qcore._item_streams(cfg.seed, indices, (1,))
     sizes, protocols_drawn = [], []
     for rng in streams[:len(indices)]:
         code = codes[rng.integers(len(codes))]
@@ -442,7 +403,7 @@ def _evaluate_protocol(
 def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
     # one register (from [seed, i, 1]) and one set of angles (from
     # [seed, i]) for every rotation protocol, drawn as the first one's
-    streams = _streams(cfg, indices, 1)
+    streams = qcore._item_streams(cfg.seed, indices, (1,))
     sizes, protocols_drawn = [], []
     for rng in streams[:len(indices)]:
         n = cfg.register_sizes[rng.integers(len(cfg.register_sizes))]
@@ -496,7 +457,8 @@ def _draw_density(
     cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
 ) -> list[_DensityDraw]:
     # every register of the chunk, rho's then sigma's, in one haar_states call
-    registers = qcore.haar_states(4, _streams(cfg, indices, *((7,) if with_sigma else ())))
+    streams = qcore._item_streams(cfg.seed, indices, (7,) if with_sigma else ())
+    registers = qcore.haar_states(4, streams)
     return [_DensityDraw(i, *registers[k::len(indices)]) for k, i in enumerate(indices)]
 
 
@@ -545,7 +507,7 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
     # angles from [seed, i]
     n_eps = len(cfg.epsilon_grid)
     draws = []
-    for i, rng in zip(indices, _streams(cfg, indices)):
+    for i, rng in zip(indices, qcore._item_streams(cfg.seed, indices, ())):
         j = i % _saturation_sweep(cfg)
         if j < len(_SATURATION_S) * n_eps:
             u, delta = rng.random(_TURN, _TURN)

@@ -14,7 +14,7 @@ from adqcsim.protocols import ErrorKind, ProtocolKind, ProtocolSpec
 
 JUNK = {
     "True": True, "None": None, "'0.3'": "0.3", "nan": math.nan, "inf": math.inf,
-    "1j": 1j, "[]": [], "object()": object(),
+    "1j": 1j, "[]": [], "object()": object(), "np.array(3)": np.array(3),
 }
 
 _BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

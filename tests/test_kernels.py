@@ -8,7 +8,7 @@ each row's lone-vector result bit for bit."""
 import numpy as np
 import pytest
 
-from adqcsim import linalg, qcore, verify
+from adqcsim import linalg, qcore
 
 
 def _same(a, b):
@@ -168,12 +168,11 @@ _INDEX_RUNS = [range(0, 130), [0], [9, 0, 3], range(2**32 - 3, 2**32 + 3),
 @pytest.mark.parametrize("tags", [(), (1,), (7,), (1, 7)])
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
 def test_a_chunks_laid_out_keys_give_the_streams_of_its_keys(seed, tags):
-    # verify._streams lays out the words of [seed, i] and [seed, i, tag]
-    # itself, one array per padded length; each Stream must be the one
-    # qcore.streams gives for the same key, bit for bit
-    cfg = verify.default_config("jonas", seed=seed)
+    # qcore._item_streams lays out the words of [seed, i] and [seed, i, tag]
+    # with no pass per key; each Stream must be the one qcore.streams gives
+    # for the same key, bit for bit
     for indices in _INDEX_RUNS:
         keys = [[seed, i] for i in indices] + [[seed, i, tag] for tag in tags for i in indices]
-        got = verify._streams(cfg, indices, *tags)
+        got = qcore._item_streams(seed, indices, tags)
         assert [_state(s) for s in got] == [_state(s) for s in qcore.streams(keys)], indices
-    assert verify._streams(cfg, range(0), *tags) == []
+    assert qcore._item_streams(seed, range(0), tags) == []

@@ -720,7 +720,7 @@ def test_streams_of_no_keys():
 
 @pytest.mark.parametrize("key", [-1, [42, -1], 1.0, [42, 1.5], None, [42, None], True,
                                  [42, False], "42", "ab", [[42, 1]], np.float64(3.0),
-                                 [1, object()]])
+                                 [1, object()], np.array(3)])
 def test_streams_reject_a_bad_key(key):
     with pytest.raises(ValueError, match="key"):
         qcore.streams([[42, 1], key])

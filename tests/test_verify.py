@@ -686,9 +686,9 @@ def test_a_chunk_draw_builds_at_most_one_numpy_generator(monkeypatch):
             built.append(1)
             super().__init__(*args)
 
-    def seeded(entropies, positions):
-        draws.append(len(positions))
-        return qcore_seeded(entropies, positions)
+    def seeded(table, counts):
+        draws.append(len(counts))
+        return qcore_seeded(table, counts)
 
     qcore_seeded = qcore._seeded
     monkeypatch.setattr(np.random, "Generator", Counted)
