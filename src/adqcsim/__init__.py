@@ -36,10 +36,8 @@ from .protocols import (
 )
 from .qcore import (
     PureState,
-    apply_matrix,
     basis_state,
     gate,
-    measure_branch,
     phase_aligned_max_diff,
     random_pure_state,
 )

@@ -1,7 +1,8 @@
 """Command-line front end: bound-curve CSV data, named verification
 campaigns with JSON reports, and single protocol demos.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 success/pass, 1 verification failure (a failed campaign
+report, or a demo that exceeds a bound), 2 usage or I/O error.
 """
 from __future__ import annotations
 
@@ -227,7 +228,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
     else:
         _print_demo_table(info)
-    return 0
+    return 1 if info["violations"] else 0  # as verify exits on a failed report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,11 +9,10 @@ the one partial trace, reduces in one gather.  Every gather table is
 built here from `qubit_order`, the one definition of a qubit order, by
 `_index_table`, cached per (n, qubit list).  A qubit list reaches its
 table through `_tables`, the one check of qubit indices, and `_permute`
-gathers a stack's qubits into place over them, for `_reduce`,
-qcore.apply_matrix and qcore.measure_branch.  `_chain_tables` compiles
-the protocols' gate chains from the same tables, once per register
-size: int32 tables that gather straight from one gate step's qubit order
-into the next's.  `partial_trace` checks its arguments, then calls
+gathers a stack's qubits into place over them, for `_reduce`.
+`_chain_tables` compiles the protocols' gate chains from the same
+tables, once per register size: int32 tables that gather straight from
+one gate step's qubit order into the next's.  `partial_trace` checks its arguments, then calls
 `_reduce`, the kernel that the campaign path calls on stacks the package
 built from checked inputs.
 """
@@ -145,19 +144,10 @@ def _tables(n: int, firsts: Sequence[Sequence[int]]) -> np.ndarray:
     return tables
 
 
-def _permute(states: np.ndarray, tables: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _permute(states: np.ndarray, tables: np.ndarray) -> np.ndarray:
     # row b of a (B, 2^n) stack reshaped to [2]*n, transposed into the
-    # qubit order its table from _tables was built for, and flattened; with
-    # `inverse` the scatter back that qcore.apply_matrix makes
-    flat = tables.ndim == 2
-    if not inverse:
-        return states.reshape(-1)[tables] if flat else states[:, tables]
-    out = np.empty_like(states)
-    if flat:
-        out.reshape(-1)[tables] = states
-    else:
-        out[:, tables] = states
-    return out
+    # qubit order its table from _tables was built for, and flattened
+    return states.reshape(-1)[tables] if tables.ndim == 2 else states[:, tables]
 
 
 @lru_cache(maxsize=None)
@@ -239,25 +229,18 @@ def _rows(vec: np.ndarray, per_row: Sequence, what: str) -> np.ndarray:
     return rows
 
 
-def _lengths(lists: Sequence, name: str) -> list[int]:
-    # the length of each row's qubit list: a list that is no sequence, or
-    # a flat list where one list per row is asked for, raises ValueError
-    try:
-        return [len(qubits) for qubits in lists]
-    except TypeError:
-        raise ValueError(f"{name} must be a list of qubits, or one list per row") from None
-
-
 def partial_trace(states: np.ndarray, keep: Sequence) -> np.ndarray:
     """Reduced density matrix of a pure state on the qubits `keep`, in the
     order given.  For a (B, 2^n) stack of states `keep` holds one list per
-    row, all of one length (as qcore.apply_matrix takes targets), and the
-    result is a (B, 2^k, 2^k) stack.  A 2-d array is a stack of states,
-    never a density matrix; a stack of no rows, which has no keep list to
-    size the result by, is rejected."""
+    row, all of one length, and the result is a (B, 2^k, 2^k) stack.  A
+    2-d array is a stack of states, never a density matrix; a stack of no
+    rows, which has no keep list to size the result by, is rejected."""
     states = _array(states, "states")
     keeps = keep if states.ndim == 2 else [keep]
-    sizes = _lengths(keeps, "keep")
+    try:  # a keep that is no sequence, or a flat list for a stack
+        sizes = [len(qubits) for qubits in keeps]
+    except TypeError:
+        raise ValueError("keep must be a list of qubits, or one list per row") from None
     rows = _rows(states, keeps, "keep lists")
     if len(rows) == 0:
         raise ValueError("the stack is empty: no rows to reduce")

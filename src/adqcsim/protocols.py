@@ -34,8 +34,8 @@ qubit order into the next's, and after the last step into the
 measurement's, the ancilla first; nothing is scattered back.
 `_branches` measures the chain in the bases asked for: the tilted and
 the ideal ones of `_bases` for `run_protocol`, the tilted ones alone for
-a caller that reads only those; `pre_measurement_state` scatters it
-back into the register's order once.
+a caller that reads only those; `pre_measurement_state` moves its
+ancilla back to the last place by one reshape and axis swap.
 
 `analyze` is the analysis pass `_analyses` over one stack, wrapped into
 its public report at its edge.  The pass takes several stacks, such as a
@@ -282,9 +282,10 @@ def pre_measurement_state(
     protocol has one.
     """
     amplitudes, specs, one = _runs(states, specs)
-    n = amplitudes.shape[1].bit_length() - 1
-    # the chain ends with the ancilla first, the same order on every row
-    vec = linalg._permute(_chain(amplitudes, specs), linalg._tables(n + 1, [(n,)]), inverse=True)
+    vec = _chain(amplitudes, specs)
+    rows, dim = vec.shape  # explicit sizes: a stack of no rows reshapes too
+    # the chain ends with the ancilla first; move it to the last place
+    vec = vec.reshape(rows, 2, dim // 2).swapaxes(1, 2).reshape(rows, dim)
     return _first(vec) if one else vec
 
 

@@ -1,31 +1,18 @@
-"""Qubit states, the fixed gate set, tilted measurement bases,
-single-qubit measurement branch extraction, and Haar-random states from
-seeded streams.
+"""Qubit states, the fixed gate set, tilted measurement bases, and
+Haar-random states from seeded streams.
 
 A basis is a plain (2, 2) array, rows (outcome 0, outcome 1), or a stack
 of them, all built by `tilted_vectors`, the one checked basis builder:
 tilted_vectors(equatorial_pair(u), e, d) is the equatorial basis at u
 tilted by (e, d), tilted_vectors(Z_PAIR, e, d) the computational one.
-Measurements are represented by their two branches: applying the bra of
-a basis vector to the measured qubit removes that qubit from the
-register (indices above it shift down by one) and leaves an unnormalized
-vector whose squared norm is the outcome probability.
-
-`apply_matrix` and `measure_branch` take one raw vector or a (B, 2^n)
-stack, `apply_matrix` with per-row operators and targets, `measure_branch`
-with one measured qubit for all rows and per-row bases; both read n from
-the amplitudes.  Qubits are brought into place by one gather over index
-tables cached per (n, qubit list), so every row costs the same arithmetic
-as a lone vector; `apply_matrix` scatters its rows back over the same
-tables.
+The protocols apply their gates and measure their ancilla through their
+own gate chain (protocols._chain); this module holds no generic gate or
+measurement step.
 
 `tilted_vectors`, `equatorial_pair` and `phase_aligned_max_diff` check
 their arguments, then call the kernels `_tilted`, `_equatorial` and
 `_aligned_diff`, which the campaign path calls on arrays the package
-built from checked inputs.  `apply_matrix` and `measure_branch` have no
-kernel apart from them: the protocols run their gates and measurements
-through their own gate chain.  Both check qubit indices through
-`linalg._tables`, when they build their gather table.
+built from checked inputs.
 
 `streams` seeds the PCG64 streams of many keys in one call, each in
 exactly the state numpy's default generator would start in for its key:
@@ -178,64 +165,6 @@ def _tilted(reference: np.ndarray, epsilon: np.ndarray, delta: np.ndarray) -> np
     out = np.empty(plus.shape[:-1] + (2, 2), dtype=complex)
     out[..., 0, :], out[..., 1, :] = plus, se * r0 - ph * ce * r1
     return out
-
-
-def apply_matrix(vec: np.ndarray, op: np.ndarray, targets: Sequence) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the listed qubits of a raw vector, or of
-    every row of a (B, 2^n) stack.
-
-    The first listed qubit is the most significant index of `op`.  The
-    matrix need not be unitary (error operators use this path too).  For a
-    stack, `targets` holds one qubit list per row and `op` one matrix for
-    all rows or one per row, (B, 2^k, 2^k).  A stack of no rows gives a
-    stack of no rows.
-    """
-    vec = linalg._array(vec, "vec")
-    target_rows = targets if vec.ndim == 2 else [targets]
-    sizes = linalg._lengths(target_rows, "targets")
-    rows = linalg._rows(vec, target_rows, "target lists")
-    n = linalg.n_qubits_of(rows.shape[1])
-    op = linalg._array(op, "op")
-    if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
-        raise ValueError(f"operator shape {op.shape} is not a square matrix or a stack of them")
-    k = linalg.n_qubits_of(op.shape[-1])
-    if any(size != k for size in sizes):
-        raise ValueError(f"operator shape {op.shape} acts on {k} qubits; every row must list {k}")
-    # one gather table, the one check of the qubits, serves the gather and
-    # the scatter back
-    tables = linalg._tables(n, target_rows)
-    psi = op @ linalg._permute(rows, tables).reshape(len(rows), 2**k, 2 ** (n - k))
-    out = linalg._permute(psi.reshape(rows.shape), tables, inverse=True)
-    return out if vec.ndim == 2 else out[0]
-
-
-def measure_branch(vec: np.ndarray, qubit: int, basis: np.ndarray) -> np.ndarray:
-    """Measurement branches of one qubit, for a raw vector or every row of
-    a (B, 2^n) stack.
-
-    Branch j carries (<basis_j| on the measured qubit (x) identity
-    elsewhere) applied to the state; the measured qubit is removed and the
-    remaining qubits shift down to fill its place.  Its squared norm is the
-    probability of outcome j.
-
-    `qubit` is one integer, the same qubit for every row of a stack.
-    `basis` is a finite array of J single-qubit vectors, (J, 2), such as a
-    tilted basis, or one such array per row of a stack, (B, J, 2).
-    Returns the branches as a (J, 2^(n-1)) array, or (B, J, 2^(n-1)) for a
-    stack.
-    """
-    vec = linalg._array(vec, "vec")
-    if vec.ndim not in (1, 2):
-        raise ValueError(f"vec shape {vec.shape} is not (2^n,) or (B, 2^n)")
-    rows = vec if vec.ndim == 2 else vec[None]
-    n = linalg.n_qubits_of(rows.shape[1])
-    basis = linalg._array(basis, "basis", finite=True)
-    lead = vec.shape[:-1]  # () for a vector, (B,) for a stack
-    if basis.shape[:-2] != lead or basis.ndim != len(lead) + 2 or basis.shape[-1] != 2:
-        raise ValueError(f"basis shape {basis.shape} is not (J, 2), or (B, J, 2) for a stack")
-    tables = linalg._tables(n, [(qubit,)])  # the one check of the qubit
-    branches = basis.conj() @ linalg._permute(rows, tables).reshape(len(rows), 2, 2 ** (n - 1))
-    return branches if vec.ndim == 2 else branches[0]
 
 
 def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

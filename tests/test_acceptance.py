@@ -10,6 +10,8 @@ from adqcsim.entropy import BoundDomainError
 from adqcsim.protocols import ErrorKind, ProtocolKind, ProtocolSpec
 from adqcsim.qcore import PureState
 
+import reference
+
 ALL_KINDS = tuple(ProtocolKind)
 ROTATIONS = tuple(k for k in ProtocolKind if k in protocols.ROTATION_KINDS)
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
@@ -89,7 +91,7 @@ def test_criterion_03_error_operator_factorization():
             ekind, takes = ErrorKind.ZZ_TYPE, spec.targets
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
-            pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
+            pred = np.sqrt(res.ideal_probabilities[j]) * reference.apply_matrix(
                 res.ideal_branches[j], a, takes
             )
             worst = max(worst, float(np.max(np.abs(pred - res.inaccurate_branches[j]))))

@@ -48,10 +48,8 @@ ROWS = {
     "pre_measurement_state": (adqcsim.pre_measurement_state, (_BELL, _SPEC)),
     "run_protocol": (adqcsim.run_protocol, (_BELL, _SPEC)),
     "PureState": (adqcsim.PureState, (2, _BELL)),
-    "apply_matrix": (adqcsim.apply_matrix, (_BELL, qcore.gate("X"), (0,))),
     "basis_state": (adqcsim.basis_state, (2, 1)),
     "gate": (adqcsim.gate, ("X",)),
-    "measure_branch": (adqcsim.measure_branch, (_BELL, 0, qcore.Z_PAIR)),
     "phase_aligned_max_diff": (adqcsim.phase_aligned_max_diff, (_BELL, _BELL)),
     "random_pure_state": (adqcsim.random_pure_state, (2, 5)),
     "CampaignConfig": (verify.CampaignConfig, (

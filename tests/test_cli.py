@@ -47,19 +47,23 @@ def test_state_loader_comments():
     assert st.n_qubits == 1
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "0 1 0\n",                            # missing header
-    "qubits: 2\n5 1 0\n",                 # index out of range
-    "qubits: 2\n0 1 0\n0 0 0\n",          # duplicate index
-    "qubits: 2\n0 0.5 0\n",               # badly unnormalized
-    "qubits: 2\n0 one 0\n",               # malformed number
-    "qubits: 0\n",                        # bad qubit count
-    "qubits: 1\n0 nan 0\n",               # NaN compares false to the norm check
-    "qubits: 1\n0 1 0\n1 inf 0\n",        # infinite amplitude
+@pytest.mark.parametrize("text, message", [
+    ("", "empty state document"),
+    ("0 1 0\n", "expected 'qubits: n' first"),
+    ("qubits: 2\n5 1 0\n", "index 5 out of range"),
+    ("qubits: 2\n0 1 0\n0 0 0\n", "duplicate index 0"),
+    ("qubits: 2\n0 0.5 0\n", "do not normalize"),
+    ("qubits: 2\n0 one 0\n", "malformed amplitude entry"),
+    ("qubits: 0\n", "n_qubits=0 out of range"),
+    ("qubits: 1\n0 nan 0\n", "do not normalize"),  # NaN compares false to the norm check
+    ("qubits: 1\n0 1 0\n1 inf 0\n", "do not normalize"),
+    ("qubits: two\n", "line 1: bad qubit count"),
+    ("qubits: 1\nlabel: a\nlabel: b\n0 1 0\n", "line 3: misplaced label"),
+    ("qubits: 1\n0 1 0\nlabel: a\n", "line 3: misplaced label"),
+    ("qubits: 1\n0 1\n", "line 2: expected 'index real imag'"),
 ])
-def test_state_loader_rejects(text):
-    with pytest.raises(ValueError):
+def test_state_loader_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
         stateio.loads_state(text)
 
 
@@ -145,6 +149,12 @@ def test_curves_custom_s_values(tmp_path):
 
 def test_curves_bad_grid_is_usage_error():
     assert cli.main(["curves", "fig5", "--grid", "1"]) == 2
+
+
+def test_curve_csv_rejects_an_unknown_figure():
+    # the CLI offers fig5-fig7 only; the library call checks for itself
+    with pytest.raises(ValueError, match="unknown figure 'fig9'"):
+        cli.curve_csv("fig9")
 
 
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7"])
@@ -331,6 +341,34 @@ def test_demo_reports_each_exceeded_bound_with_its_excess():
     assert all(v["excess"] > protocols.BOUND_SLACK_TOL for v in info["violations"])
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_demo_that_exceeds_a_bound_exits_1(monkeypatch, capsys, fmt):
+    # as verify exits 1 on a failed report; no correct run exceeds a bound,
+    # so the report that analyze gives the demo has its fidelity raised
+    analyze = protocols.analyze
+
+    def raised(states, specs):
+        report = analyze(states, specs)
+        return report._replace(simulated_F=report.simulated_F + 0.1)
+
+    spec = protocols.ProtocolSpec(
+        protocols.ProtocolKind.ADQC_ROTATION_CZ, (0,), u=0.4, epsilon=1.0, delta=0.2
+    )
+    excess = raised(cli.preset_state("bell"), spec).violations
+    assert list(excess) == ["purity_bound", "sv_bound"]
+    monkeypatch.setattr(protocols, "analyze", raised)
+    rc = cli.main(["demo", "ADQC_ROTATION_CZ", "--preset", "bell", "--u", "0.4",
+                   "--epsilon", "1.0", "--delta", "0.2", "--format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 1
+    if fmt == "table":
+        lines = [line for line in out.splitlines() if line.startswith("VIOLATION")]
+        assert lines == [f"VIOLATION {name}: excess {x:.3e}" for name, x in excess.items()]
+    else:
+        violations = json.loads(out)["violations"]
+        assert violations == [{"name": name, "excess": x} for name, x in excess.items()]
+
+
 def test_demo_runs_the_protocol_once(monkeypatch, capsys):
     # every simulation is one call of protocols._branches, here on a
     # stack of one row
@@ -391,10 +429,12 @@ def test_demo_bad_targets():
 
 
 def test_preset_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown preset"):
         cli.preset_state("nosuch")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a value"):
         cli.preset_state("saturate")
+    with pytest.raises(ValueError, match="needs a value"):
+        cli.preset_state("rho_lambda")
 
 
 # every protocol adds an ancilla, so a preset register holds at most 7 qubits

@@ -2,13 +2,16 @@
 kernel: the protocol campaigns call the kernels on arrays the package
 built from checked inputs, so each kernel must give its public wrapper's
 result bit for bit, and the arrays the kernels and linalg._tables build in
-one piece must be those the stacked forms gave.  apply_matrix and
-measure_branch hold their kernels in their stack path, which must give
-each row's lone-vector result bit for bit."""
+one piece must be those the stacked forms gave.  The tests' reference,
+tests/reference.py, steps a whole stack at once when it checks the gate
+chain, so its stack path must give each row's lone-vector result bit for
+bit."""
 import numpy as np
 import pytest
 
 from adqcsim import linalg, qcore
+
+import reference
 
 
 def _same(a, b):
@@ -37,21 +40,23 @@ _STACKS = [(1, 1, 1, True), (3, 1, 2, True), (3, 6, 1, False), (4, 9, 2, False),
 
 @pytest.mark.parametrize("n, rows, k, same", _STACKS)
 def test_apply_kernel_is_apply_matrix_bit_for_bit(n, rows, k, same):
+    # the reference's stack path: each row is its lone-vector result
     rng = np.random.default_rng([91, n, rows, k])
     vecs, ops = _vectors(rng, rows, 2**n), _ops(rng, rows, k)
     targets = _targets(rng, rows, n, k, same)
     for op in (ops, ops[0]):  # one matrix per row, or one for all rows
-        got = qcore.apply_matrix(vecs, op, targets)
+        got = reference.apply_matrix(vecs, op, targets)
         for b in range(rows):
             row_op = op if op.ndim == 2 else op[b]
-            assert _same(got[b], qcore.apply_matrix(vecs[b], row_op, targets[b]))
+            assert _same(got[b], reference.apply_matrix(vecs[b], row_op, targets[b]))
     # a lone vector is a stack of one row
-    assert _same(qcore.apply_matrix(vecs[:1], ops[0], targets[:1])[0],
-                 qcore.apply_matrix(vecs[0], ops[0], targets[0]))
+    assert _same(reference.apply_matrix(vecs[:1], ops[0], targets[:1])[0],
+                 reference.apply_matrix(vecs[0], ops[0], targets[0]))
 
 
 @pytest.mark.parametrize("n, rows", [(n, rows) for n, rows, _, _ in _STACKS if n > 1])
 def test_measure_kernel_is_measure_branch_bit_for_bit(n, rows):
+    # the reference's stack path: each row is its lone-vector result
     rng = np.random.default_rng([92, n, rows])
     vecs = _vectors(rng, rows, 2**n)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, rows))
@@ -61,11 +66,11 @@ def test_measure_kernel_is_measure_branch_bit_for_bit(n, rows):
                                  angles[2].repeat(2).reshape(-1, 2)).reshape(rows, 4, 2)
     for qubit in range(n):
         for basis in (bases, bases[:, :2]):
-            got = qcore.measure_branch(vecs, qubit, basis)
+            got = reference.measure_branch(vecs, qubit, basis)
             for b in range(rows):
-                assert _same(got[b], qcore.measure_branch(vecs[b], qubit, basis[b]))
-        want = qcore.measure_branch(vecs[0], qubit, bases[0])
-        assert _same(qcore.measure_branch(vecs[:1], qubit, bases[:1])[0], want)
+                assert _same(got[b], reference.measure_branch(vecs[b], qubit, basis[b]))
+        want = reference.measure_branch(vecs[0], qubit, bases[0])
+        assert _same(reference.measure_branch(vecs[:1], qubit, bases[:1])[0], want)
 
 
 @pytest.mark.parametrize("n, rows, k, same", _STACKS)

@@ -5,6 +5,8 @@ from adqcsim import entropy, linalg, protocols, qcore, verify
 from adqcsim.protocols import ErrorKind, ProtocolKind, ProtocolSpec
 from adqcsim.qcore import PureState, basis_state
 
+import reference
+
 ALL_KINDS = tuple(ProtocolKind)
 ROTATIONS = tuple(k for k in ProtocolKind if k in protocols.ROTATION_KINDS)
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
@@ -56,17 +58,17 @@ def byproduct_branch(psi: PureState, spec: ProtocolSpec, j: int) -> np.ndarray:
     vec = psi.amplitudes
     if spec.kind in protocols.ROTATION_KINDS:
         op = np.linalg.matrix_power(qcore.gate("X"), j) @ j_gate(spec.u)
-        return qcore.apply_matrix(vec, op, spec.targets)
-    vec = qcore.apply_matrix(vec, qcore.gate("CZ"), spec.targets)
+        return reference.apply_matrix(vec, op, spec.targets)
+    vec = reference.apply_matrix(vec, qcore.gate("CZ"), spec.targets)
     if spec.kind is ProtocolKind.ADQC_CZ_GATE:
-        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[0],))
-        vec = qcore.apply_matrix(vec, qcore.gate("H"), (spec.targets[1],))
+        vec = reference.apply_matrix(vec, qcore.gate("H"), (spec.targets[0],))
+        vec = reference.apply_matrix(vec, qcore.gate("H"), (spec.targets[1],))
         if j:
-            vec = qcore.apply_matrix(vec, qcore.gate("X"), (spec.targets[0],))
+            vec = reference.apply_matrix(vec, qcore.gate("X"), (spec.targets[0],))
     else:
-        vec = qcore.apply_matrix(vec, qcore.gate("SWAP"), spec.targets)
+        vec = reference.apply_matrix(vec, qcore.gate("SWAP"), spec.targets)
         if j:
-            vec = qcore.apply_matrix(vec, ZZ, spec.targets)
+            vec = reference.apply_matrix(vec, ZZ, spec.targets)
     return vec
 
 
@@ -416,12 +418,12 @@ def oneway_as_stated(states, targets, u, epsilon, delta):
     tilted = np.empty((rows, 2, dim), dtype=complex)
     for b in range(rows):
         t = targets[b]
-        pre = qcore.apply_matrix(np.kron(states[b], PLUS), qcore.gate("CZ"), (t, n))
+        pre = reference.apply_matrix(np.kron(states[b], PLUS), qcore.gate("CZ"), (t, n))
         # axis 0 of the branches is the outcome, then the n remaining qubits
         axes = (0, *(1 + q for q in (*range(t), n - 1, *range(t, n - 1))))
         for out, eps in ((tilted, epsilon[b]), (ideal, 0.0)):
             basis = qcore.tilted_vectors(qcore.equatorial_pair(u[b]), eps, delta[b])
-            branches = qcore.measure_branch(pre, t, basis)
+            branches = reference.measure_branch(pre, t, basis)
             out[b] = branches.reshape([2] * (n + 1)).transpose(axes).reshape(2, dim)
     probs = np.einsum("bjm,bjm->bj", ideal.conj(), ideal).real
     ideal /= np.sqrt(probs)[..., None]
@@ -492,7 +494,7 @@ def test_error_factorization_exact():
             ekind, takes = ErrorKind.ZZ_TYPE, spec.targets
         for j in range(2):
             a = protocols.error_operator(ekind, j, spec.epsilon, spec.delta)
-            pred = np.sqrt(res.ideal_probabilities[j]) * qcore.apply_matrix(
+            pred = np.sqrt(res.ideal_probabilities[j]) * reference.apply_matrix(
                 res.ideal_branches[j], a, takes
             )
             assert np.max(np.abs(pred - res.inaccurate_branches[j])) < 1e-12
@@ -655,7 +657,8 @@ def test_the_tilted_equatorial_bases_are_the_first_half_of_bases_bit_for_bit(row
 def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():
     # psi (x) |+> is built by repeating each amplitude times 1/sqrt(2),
     # which equals the product with |+> bit for bit as both entries of
-    # _PLUS are equal; the gate step then follows as apply_matrix does it
+    # _PLUS are equal; the gate step then follows as the reference's
+    # apply_matrix does it, one matmul over the stack
     assert protocols._PLUS[0] == protocols._PLUS[1]
     rng = np.random.default_rng(87)
     n, rows = 4, 12
@@ -664,7 +667,7 @@ def test_pre_measurement_state_is_the_product_with_plus_bit_for_bit():
     specs = [random_spec(rng, n, (ProtocolKind.ADQC_ROTATION_CZ,)) for _ in range(rows)]
     plus = (amplitudes[:, :, None] * protocols._PLUS).reshape(rows, 2 ** (n + 1))
     ops = np.stack([qcore.gate("E_CZ")] * rows)
-    want = qcore.apply_matrix(plus, ops, [(s.targets[0], n) for s in specs])
+    want = reference.apply_matrix(plus, ops, [(s.targets[0], n) for s in specs])
     got = protocols.pre_measurement_state(amplitudes, specs)
     assert got.tobytes() == want.tobytes()
 
@@ -1012,11 +1015,13 @@ def test_public_calls_equal_the_column_path_bit_for_bit():
 # ------------------------------------------------------------- gate chain
 
 def _stepwise(states, specs, bases):
-    # the reference of the gate chain, step by step through the public
-    # kernels: psi (x) |+>, then gate step k of each row's _PROTOCOLS gate
-    # list applied by qcore.apply_matrix to the rows that have one, then
-    # the ancilla measured by qcore.measure_branch.  Returns the state
-    # before the measurement and the branches.
+    # the reference of the gate chain, step by step through
+    # tests/reference.py, which moves qubits by numpy's transpose and
+    # shares no index table with linalg: psi (x) |+>, then gate step k of
+    # each row's _PROTOCOLS gate list applied by reference.apply_matrix to
+    # the rows that have one, then the ancilla measured by
+    # reference.measure_branch.  Returns the state before the measurement
+    # and the branches.
     rows, dim = states.shape
     n = dim.bit_length() - 1
     vec = (states[:, :, None] * protocols._PLUS).reshape(rows, 2 * dim)
@@ -1026,8 +1031,8 @@ def _stepwise(states, specs, bases):
         ops = np.array([qcore.gate(gates[b][k][0]) for b in at])
         wires = [{0: specs[b].targets[0], 1: specs[b].targets[-1], 2: n} for b in at]
         qubits = [[w[x] for x in gates[b][k][1]] for b, w in zip(at, wires)]
-        vec[at] = qcore.apply_matrix(vec[at], ops, qubits)
-    return vec, qcore.measure_branch(vec, n, bases)
+        vec[at] = reference.apply_matrix(vec[at], ops, qubits)
+    return vec, reference.measure_branch(vec, n, bases)
 
 
 def _every_target(rng, n, kind):

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from adqcsim import entropy, linalg, protocols, qcore, stateio, verify
+from adqcsim import cli, entropy, linalg, protocols, qcore, stateio, verify
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 MAX_MIXED = np.eye(4, dtype=complex) / 4.0
@@ -1104,6 +1104,20 @@ def test_counterexample_campaign_stats():
     assert report.stats["min_sv2"] == pytest.approx(0.0, abs=1e-12)
     assert report.stats["max_sv2"] == pytest.approx(1.0, abs=1e-12)
     assert "note" in report.stats
+
+
+def test_counterexample_fails_if_the_sv2_bound_takes_an_entropy_below_its_domain(
+    monkeypatch, capsys
+):
+    # every rho_lambda draw has S_v2 <= 1, where bound_sv2 must raise
+    # BoundDomainError; one that returns a bound instead makes the item a
+    # violation of 1.0, and the campaign fails
+    monkeypatch.setattr(protocols, "bound_sv2", lambda s_v2, epsilon: 1.0)
+    report = verify.run_campaign(verify.default_config("counterexample", seed=8))
+    assert not report.passed
+    assert report.max_violation == 1.0
+    assert cli.main(["verify", "counterexample"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL counterexample:")
 
 
 def test_counterexample_validates_each_chunk_in_one_call(monkeypatch):
