@@ -47,7 +47,7 @@ def test_state_loader_comments():
     assert st.n_qubits == 1
 
 
-@pytest.mark.parametrize("text, message", [
+_BAD_STATES = [
     ("", "empty state document"),
     ("0 1 0\n", "expected 'qubits: n' first"),
     ("qubits: 2\n5 1 0\n", "index 5 out of range"),
@@ -61,7 +61,10 @@ def test_state_loader_comments():
     ("qubits: 1\nlabel: a\nlabel: b\n0 1 0\n", "line 3: misplaced label"),
     ("qubits: 1\n0 1 0\nlabel: a\n", "line 3: misplaced label"),
     ("qubits: 1\n0 1\n", "line 2: expected 'index real imag'"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _BAD_STATES, ids=[text for text, _ in _BAD_STATES])
 def test_state_loader_rejects(text, message):
     with pytest.raises(ValueError, match=message):
         stateio.loads_state(text)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -347,6 +348,30 @@ def test_apply_matrix_is_the_permuted_matmul_bit_for_bit():
         assert reference.apply_matrix(vecs, ops, targets).tobytes() == want.tobytes()
 
 
+def _dense(n, op, targets):
+    # op on the listed qubits as a 2^n x 2^n matrix, written entry by entry
+    # from the bits of the row and column indices: no reshape or transpose
+    def bits(i, qubits):
+        return sum(((i >> (n - 1 - q)) & 1) << (len(qubits) - 1 - j) for j, q in enumerate(qubits))
+    rest = [q for q in range(n) if q not in targets]
+    return np.array([[op[bits(r, targets), bits(c, targets)] if bits(r, rest) == bits(c, rest)
+                      else 0.0 for c in range(2**n)] for r in range(2**n)])
+
+
+@pytest.mark.parametrize("n, targets", [
+    (n, t) for n in (1, 2, 3) for k in range(1, n + 1) for t in itertools.permutations(range(n), k)
+], ids=str)
+def test_apply_matrix_is_the_dense_operator(n, targets):
+    # every ordered target list of a 1- to 3-qubit register, per row and
+    # on a stack, against a construction that shares no code with it
+    rng = np.random.default_rng(17 * n + len(targets))
+    op = random_unitary(2 ** len(targets), rng)
+    vecs = rng.standard_normal((3, 2**n)) + 1j * rng.standard_normal((3, 2**n))
+    want = vecs @ _dense(n, op, targets).T
+    assert np.max(np.abs(reference.apply_matrix(vecs, op, [targets] * 3) - want)) < 1e-13
+    assert np.max(np.abs(reference.apply_matrix(vecs[1], op, targets) - want[1])) < 1e-13
+
+
 def test_stacks_of_no_rows():
     empty = np.zeros((0, 8), dtype=complex)
     assert reference.apply_matrix(empty, qcore.gate("CZ"), []).shape == (0, 8)
@@ -393,6 +418,21 @@ def test_measure_removes_qubit_and_shifts():
     assert np.allclose(b1, np.kron([1, 0], plus))
 
 
+@pytest.mark.parametrize("n, qubit", [(n, q) for n in (1, 2, 3, 4) for q in range(n)])
+def test_measure_branch_is_the_bra_on_the_measured_qubit(n, qubit):
+    # branch j is (1 (x) <basis_j| (x) 1) applied to the row, the bra built
+    # by np.kron: a construction that shares no code with the reference
+    rng = np.random.default_rng(23 * n + qubit)
+    vecs = rng.standard_normal((3, 2**n)) + 1j * rng.standard_normal((3, 2**n))
+    bases = np.array([u_basis(*rng.uniform(0, 2 * np.pi, size=3)) for _ in range(3)])
+    got = reference.measure_branch(vecs, qubit, bases)
+    for b in range(3):
+        bras = [np.kron(np.kron(np.eye(2**qubit), v.conj()[None]), np.eye(2 ** (n - 1 - qubit)))
+                for v in bases[b]]
+        assert np.max(np.abs(got[b] - [bra @ vecs[b] for bra in bras])) < 1e-13
+        assert np.array_equal(reference.measure_branch(vecs[b], qubit, bases[b]), got[b])
+
+
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(33)
     streams = qcore.streams([[33, trial] for trial in range(25)])
@@ -423,7 +463,6 @@ def test_measure_reconstruction():
 
 
 _STATE = basis_state(3, 0)
-_BASIS = z_basis(0.1, 0.2)
 
 
 @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), True, np.True_],
@@ -432,7 +471,8 @@ _BASIS = z_basis(0.1, 0.2)
     lambda q: linalg.qubit_order(3, (q,)),
     lambda q: linalg._permute(_STATE.amplitudes[None], linalg._tables(3, [(q, 0, 2)])),
     lambda q: linalg.partial_trace(_STATE.amplitudes, [q]),
-], ids=["qubit_order", "permute", "partial_trace"])
+    lambda q: linalg.partial_trace(np.stack([_STATE.amplitudes] * 2), [[0], [q]]),
+], ids=["qubit_order", "permute", "partial_trace", "partial_trace-stack"])
 def test_a_bool_or_float_qubit_raises_after_the_equal_int(entry, bad):
     # the int's table is cached first; 1.0 and True compare equal to 1, so
     # a cache keyed on the list as given would hand them the int's table
