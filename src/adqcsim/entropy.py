@@ -97,9 +97,15 @@ def _spectrum(density: Density) -> np.ndarray:
     return evals / evals.sum(axis=-1, keepdims=True)
 
 
+def _log2(x: np.ndarray) -> np.ndarray:
+    # log2 of each entry of a positive float array, by math.log2: numpy's
+    # log2 gives other bits at some of the SIMD levels it dispatches to
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _plogp(p: np.ndarray) -> float | np.ndarray:
     """sum p log2 p over the last axis, with the 0 log 0 = 0 convention."""
-    return _value((p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1))
+    return _value((p * _log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1))
 
 
 def _purity_of(p: np.ndarray) -> float | np.ndarray:

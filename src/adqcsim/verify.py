@@ -6,18 +6,19 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-seeds all its chunk's streams in one qcore._item_streams call and
-builds its registers in one qcore.haar_states call per register size,
-but item i still comes from its own streams alone: [seed, i], and
-[seed, i, 1] for a protocol campaign's register or [seed, i, 7] for
-monotonicity's random sigma.  run_campaign evaluates chunks of _CHUNK
-items in index order and keeps only the worst index, which a failing
-report draws again, alone, for its payload.  Reports thus do not depend
-on the order of evaluation, the chunk size or the stack cap.
+hashes its chunk's keys as arrays (qcore._item_keys), reads each field
+of every item from one column of stream words (qcore._item_words,
+_choice, _uniform), with no pass per item, and builds its registers in
+one qcore._haar call per register size; item i still comes from its own
+streams alone: [seed, i], and [seed, i, 1] for a protocol campaign's
+register or [seed, i, 7] for monotonicity's random sigma.  run_campaign
+evaluates chunks of _CHUNK items in index order and keeps only the worst
+index, which a failing report draws again, alone, for its payload.
+Reports thus do not depend on the order of evaluation, the chunk size or
+the stack cap.
 
 A protocol draw holds plain values, its register's amplitudes and its
-invocation's fields, and takes an item's uniform angles from one
-Stream.random call; a PureState and a ProtocolSpec are built only for a
+invocation's fields; a PureState and a ProtocolSpec are built only for a
 failing report's worst case.  The protocol campaigns hand a chunk's
 invocations to protocols._analyses as columns, with one simulation per
 register size cut into stacks of at most _STACK_AMPLITUDES amplitudes,
@@ -34,7 +35,9 @@ the stack.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -71,11 +74,14 @@ def relative_entropy(
         raise ValueError("stacks of density matrices have different lengths")
     # Tr(rho log2 sigma) = sum_k <v_k|rho|v_k> log2 s_k over sigma's
     # eigenpairs (s_k, v_k); eigenvalues below the support tolerance are
-    # left out, and where rho has weight on them the result is +inf
+    # left out, and where rho has weight on them the result is +inf.  The
+    # weights are the real part of conj(v) * (rho v) in real arithmetic:
+    # numpy's complex multiply gives other bits at some SIMD levels
     v = sigma.eigenvectors
-    weight = (v.conj() * (rho.matrix @ v)).sum(axis=-2).real
+    w = rho.matrix @ v
+    weight = (v.real * w.real + v.imag * w.imag).sum(axis=-2)
     support = sigma.eigenvalues >= _SUPPORT_TOL
-    log_s = np.log2(np.where(support, sigma.eigenvalues, 1.0))
+    log_s = entropy._log2(np.where(support, sigma.eigenvalues, 1.0))
     cross = (np.where(support, weight, 0.0) * log_s).sum(axis=-1)
     missed = (~support & (weight > _SUPPORT_TOL)).any(axis=-1)
     return entropy._value(
@@ -310,42 +316,43 @@ class _ProtocolDraw(NamedTuple):
 _TURN = 2.0 * np.pi
 
 
-def _registers(sizes: Sequence[int], streams: Sequence[qcore.Stream]) -> list[np.ndarray]:
-    # each stream's Haar register of its listed size, in order; one
-    # haar_states call per size
-    groups: dict[int, list[int]] = {}
-    for pos, n in enumerate(sizes):
-        groups.setdefault(n, []).append(pos)
-    out: list = [None] * len(sizes)
-    for n, positions in groups.items():
-        for pos, row in zip(positions, qcore.haar_states(n, [streams[p] for p in positions])):
-            out[pos] = row
-    return out
+# a protocol's targets as a slice of its two drawn targets, by whether
+# its kind is a rotation: both for a gate, the first for a rotation
+_TARGETS = np.array([slice(2), slice(1)])
+
+
+def _registers(sizes: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    # each hashed key's Haar register of its size, in key order: one
+    # qcore._haar call per size, over the keys ranked stably by size
+    order = np.argsort(sizes, kind="stable")
+    ranked = sizes[order]
+    rows = list(itertools.chain.from_iterable(
+        qcore._haar(n, keys[order[ranked == n]]) for n in dict.fromkeys(ranked.tolist())
+    ))
+    return list(map(rows.__getitem__, np.argsort(order).tolist()))
 
 
 def _draw_protocol(
     cfg: CampaignConfig, indices: Sequence[int], kinds=protocols._KINDS
 ) -> list[_ProtocolDraw]:
-    # a protocol from the stream [seed, i], a Haar register from [seed, i, 1]
-    codes = [protocols._CODES[kind] for kind in kinds]
-    streams = qcore._item_streams(cfg.seed, indices, (1,))
-    sizes, protocols_drawn = [], []
-    for rng in streams[:len(indices)]:
-        code = codes[rng.integers(len(codes))]
-        n = cfg.register_sizes[rng.integers(len(cfg.register_sizes))]
-        if protocols._ROTATION[code]:
-            targets = (rng.integers(n),)
-            (u,) = rng.random(_TURN)
-        else:
-            n = max(n, 2)
-            targets = tuple(rng.permutation(n)[:2])
-            u = None
-        eps = cfg.epsilon_grid[rng.integers(len(cfg.epsilon_grid))]
-        delta = cfg.delta_grid[rng.integers(len(cfg.delta_grid))]
-        sizes.append(n)
-        protocols_drawn.append((code, targets, u, eps, delta))
-    states = _registers(sizes, streams[len(indices):])
-    return list(map(_ProtocolDraw, indices, states, protocols_drawn))
+    # a protocol from words 0-6 of the stream [seed, i] (its kind, register
+    # size, two distinct targets, u, epsilon and delta), a Haar register
+    # from [seed, i, 1]
+    codes = np.array([protocols._CODES[kind] for kind in kinds])
+    words = qcore._item_words(cfg.seed, indices, 7)
+    code = codes[qcore._choice(words[:, 0], len(codes))]
+    rotation = protocols._ROTATION[code]
+    n = np.array(cfg.register_sizes)[qcore._choice(words[:, 1], len(cfg.register_sizes))]
+    n = np.where(rotation, n, np.maximum(n, 2))
+    first, second = qcore._choice(words[:, 2], n), qcore._choice(words[:, 3], n - 1)
+    second += second >= first
+    targets = map(operator.getitem, zip(first.tolist(), second.tolist()), _TARGETS[rotation * 1])
+    u = np.where(rotation, _TURN * qcore._uniform(words[:, 4]), None)
+    eps = np.array(cfg.epsilon_grid)[qcore._choice(words[:, 5], len(cfg.epsilon_grid))]
+    delta = np.array(cfg.delta_grid)[qcore._choice(words[:, 6], len(cfg.delta_grid))]
+    drawn = zip(code.tolist(), targets, u.tolist(), eps.tolist(), delta.tolist())
+    states = _registers(n, qcore._item_keys(cfg.seed, indices, 1))
+    return list(map(_ProtocolDraw, indices, states, drawn))
 
 
 def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
@@ -401,18 +408,16 @@ def _evaluate_protocol(
 
 
 def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
-    # one register (from [seed, i, 1]) and one set of angles (from
-    # [seed, i]) for every rotation protocol, drawn as the first one's
-    streams = qcore._item_streams(cfg.seed, indices, (1,))
-    sizes, protocols_drawn = [], []
-    for rng in streams[:len(indices)]:
-        n = cfg.register_sizes[rng.integers(len(cfg.register_sizes))]
-        t = rng.integers(n)
-        u, eps, delta = rng.random(_TURN, np.pi, _TURN)
-        sizes.append(n)
-        protocols_drawn.append((_ROTATION_CODES[0], (t,), u, eps, delta))
-    states = _registers(sizes, streams[len(indices):])
-    return list(map(_ProtocolDraw, indices, states, protocols_drawn))
+    # one register (from [seed, i, 1]) and one set of angles (from words
+    # 0-4 of [seed, i]: size, target, u, epsilon, delta) for every rotation
+    # protocol, drawn as the first one's
+    words = qcore._item_words(cfg.seed, indices, 5)
+    n = np.array(cfg.register_sizes)[qcore._choice(words[:, 0], len(cfg.register_sizes))]
+    targets = zip(qcore._choice(words[:, 1], n).tolist())
+    u, eps, delta = (qcore._uniform(words[:, 2:]) * (_TURN, np.pi, _TURN)).T.tolist()
+    drawn = zip(itertools.repeat(_ROTATION_CODES[0]), targets, u, eps, delta)
+    states = _registers(n, qcore._item_keys(cfg.seed, indices, 1))
+    return list(map(_ProtocolDraw, indices, states, drawn))
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
@@ -456,10 +461,12 @@ class _DensityDraw(NamedTuple):
 def _draw_density(
     cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
 ) -> list[_DensityDraw]:
-    # every register of the chunk, rho's then sigma's, in one haar_states call
-    streams = qcore._item_streams(cfg.seed, indices, (7,) if with_sigma else ())
-    registers = qcore.haar_states(4, streams)
-    return [_DensityDraw(i, *registers[k::len(indices)]) for k, i in enumerate(indices)]
+    # every register of the chunk, rho's then sigma's, in one qcore._haar call
+    keys = qcore._item_keys(cfg.seed, indices)
+    if with_sigma:
+        keys = np.concatenate([keys, qcore._item_keys(cfg.seed, indices, 7)])
+    registers = qcore._haar(4, keys).reshape(1 + with_sigma, len(indices), 16)
+    return list(map(_DensityDraw, indices, *registers))
 
 
 def _evaluate_density(
@@ -503,24 +510,22 @@ def _saturation_sweep(cfg: CampaignConfig) -> int:
 
 
 def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
-    # the register and epsilon from the item's place in the sweep, the
-    # angles from [seed, i]
+    # the register, kind and epsilon from the item's place in the sweep, u
+    # and delta from words 0 and 1 of [seed, i]; a Bell-pair row runs the
+    # CZSWAP gate on qubits (0, 1), with no u
     n_eps = len(cfg.epsilon_grid)
-    draws = []
-    for i, rng in zip(indices, qcore._item_streams(cfg.seed, indices, ())):
-        j = i % _saturation_sweep(cfg)
-        if j < len(_SATURATION_S) * n_eps:
-            u, delta = rng.random(_TURN, _TURN)
-            code = _ROTATION_CODES[i % len(_ROTATION_CODES)]
-            protocol = (code, (0,), u, cfg.epsilon_grid[j % n_eps], delta)
-            psi = _SATURATION_REGISTERS[j // n_eps]
-        else:
-            (delta,) = rng.random(_TURN)
-            eps = cfg.epsilon_grid[j - len(_SATURATION_S) * n_eps]
-            protocol = (_CZSWAP_GATE, (0, 1), None, eps, delta)
-            psi = _SATURATION_REGISTERS[-1]
-        draws.append(_ProtocolDraw(i, psi, protocol))
-    return draws
+    n_pure = len(_SATURATION_S) * n_eps
+    i = np.array(indices, dtype=np.intp)
+    j = i % _saturation_sweep(cfg)
+    pure = j < n_pure
+    u, delta = (_TURN * qcore._uniform(qcore._item_words(cfg.seed, indices, 2))).T.tolist()
+    code = np.where(pure, np.array(_ROTATION_CODES)[i % len(_ROTATION_CODES)], _CZSWAP_GATE)
+    eps = np.array(cfg.epsilon_grid)[np.where(pure, j % n_eps, j - n_pure)]
+    targets = _TARGETS[pure * 1]
+    drawn = zip(code.tolist(), map(operator.getitem, itertools.repeat((0, 1)), targets),
+                np.where(pure, u, None).tolist(), eps.tolist(), delta)
+    registers = map(_SATURATION_REGISTERS.__getitem__, np.where(pure, j // n_eps, -1).tolist())
+    return list(map(_ProtocolDraw, indices, registers, drawn))
 
 
 def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:

@@ -57,10 +57,10 @@ def test_criterion_02_delta_independence():
     worst = 0.0
     count = 0
     rng = np.random.default_rng(102)
-    streams = qcore.streams([[102, trial] for trial in range(40)])
+    keys = [[102, trial] for trial in range(40)]
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         base = _random_spec(rng, n, kinds=(ALL_KINDS[trial % 5],))
         vals = []
         for delta in deltas:
@@ -79,10 +79,10 @@ def test_criterion_03_error_operator_factorization():
     rng = np.random.default_rng(103)
     worst = 0.0
     samples = 250
-    streams = qcore.streams([[103, trial] for trial in range(samples)])
+    keys = [[103, trial] for trial in range(samples)]
     for trial in range(samples):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = _random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -213,10 +213,10 @@ def test_criterion_08_appendix_suite():
         reports[name] = verify.run_campaign(
             verify.default_config(name, samples=1000, seed=108)
         )
-    # random_density_matrix(2, [108, i]) for i < 1000, its streams seeded
+    # random_density_matrix(2, [108, i]) for i < 1000, its registers drawn
     # in one call, validated, and solved, once as one stack for the three
     # checks, each called once on the whole stack
-    psis = list(qcore.haar_states(4, qcore.streams([[108, i] for i in range(1000)])))
+    psis = list(qcore.haar_states(4, [[108, i] for i in range(1000)]))
     rho = entropy.validate_density(linalg.partial_trace(np.array(psis), [(0, 1)] * 1000))
     sigma = entropy.validate_density(np.eye(4, dtype=complex) / 4, vectors=True)
     s_mono = verify.check_monotonicity(rho, sigma)

@@ -79,7 +79,7 @@ NOT_CALLED = {
 }
 
 # (name, argument position, junk) accepted on purpose: the empty key [] is
-# a key of no words, whose stream numpy's default generator seeds as well
+# a key of no entries, which hashes to a word like any other key
 ACCEPTED = {
     ("random_pure_state", 1, "[]"),
     ("random_density_matrix", 1, "[]"),
@@ -125,5 +125,5 @@ def test_the_accepted_cases_are_the_empty_keys():
         assert name in ROWS and position < len(ROWS[name][1]) and junk in JUNK
     assert np.array_equal(
         adqcsim.random_pure_state(2, []).amplitudes,
-        qcore.haar_states(2, qcore.streams([[]]))[0],
+        qcore.haar_states(2, [[]])[0],
     )

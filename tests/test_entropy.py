@@ -13,7 +13,7 @@ def random_densities(n_qubits, keys):
     drawn in one qcore.haar_states call."""
     return [
         linalg.partial_trace(psi, list(range(n_qubits)))
-        for psi in qcore.haar_states(2 * n_qubits, qcore.streams(keys))
+        for psi in qcore.haar_states(2 * n_qubits, keys)
     ]
 
 

@@ -2,10 +2,11 @@
 kernel: the protocol campaigns call the kernels on arrays the package
 built from checked inputs, so each kernel must give its public wrapper's
 result bit for bit, and the arrays the kernels and linalg._tables build in
-one piece must be those the stacked forms gave.  The tests' reference,
-tests/reference.py, steps a whole stack at once when it checks the gate
-chain, so its stack path must give each row's lone-vector result bit for
-bit."""
+one piece must be those the stacked forms gave; a campaign chunk's keys,
+hashed as arrays, must be its keys hashed one by one.  The tests'
+reference, tests/reference.py, steps a whole stack at once when it checks
+the gate chain, so its stack path must give each row's lone-vector result
+bit for bit."""
 import numpy as np
 import pytest
 
@@ -89,12 +90,16 @@ def _equatorial_stacked(u):
 
 
 def _tilted_stacked(reference, epsilon, delta):
-    # tilted_vectors as np.stack built it
+    # tilted_vectors as np.stack builds it, with e^{-i delta} r1 taken in
+    # real arithmetic, as the kernel takes it
     epsilon = epsilon / 2.0
     ce, se = np.cos(epsilon)[..., None], np.sin(epsilon)[..., None]
     ph = np.exp(-1j * delta)[..., None]
     r0, r1 = reference[..., 0, :], reference[..., 1, :]
-    return np.stack([ce * r0 + ph * se * r1, se * r0 - ph * ce * r1], axis=-2)
+    turned = np.empty(np.broadcast_shapes(ph.shape, r1.shape), dtype=complex)
+    turned.real = ph.real * r1.real - ph.imag * r1.imag
+    turned.imag = ph.real * r1.imag + ph.imag * r1.real
+    return np.stack([ce * r0 + se * turned, se * r0 - ce * turned], axis=-2)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 40])
@@ -146,38 +151,24 @@ def test_tables_of_per_row_keys_are_the_offset_index_tables(n, rows, k):
     assert linalg._tables(n, keys[:1] * rows) is linalg._index_table(n, keys[0])
 
 
-def _state(stream):
-    return stream.state, stream.inc, stream.half
-
-
-def test_streams_of_mixed_lengths_are_the_one_key_streams():
-    # keys of 1 to 5 words, and of more, with entries of 2^32 and above
-    # that take two or more words each, mixed in one call
-    keys = [7, [42, 5], [42, 5, 1], [1, 2, 3, 4], [1, 2, 3, 4, 5], 2**32, [2**32, 3],
-            [2**40, 5, 1], [2**64 + 1, 2, 3], [2**32 - 1, 2**32, 9], [], [42, 6],
-            [1, 2, 3, 4, 5, 6, 7], [42, 7, 1], 2**200, [2**32 - 1] * 5, [0]]
-    got = qcore.streams(keys)
-    assert [_state(s) for s in got] == [_state(qcore.streams([key])[0]) for key in keys]
-    for key, stream in zip(keys, got):
-        state = np.random.default_rng(key).bit_generator.state["state"]
-        assert (stream.state, stream.inc) == (state["state"], state["inc"]), key
-
-
 # index runs of a chunk: from 0, a lone 0, out of order, one that crosses
-# 2^32 (one-word and two-word indices in one call), and one that mixes
-# one, two and three words
+# 2^32, and one with the largest index a chunk takes, 2^64 - 1
 _INDEX_RUNS = [range(0, 130), [0], [9, 0, 3], range(2**32 - 3, 2**32 + 3),
-               [5, 2**64 + 1, 0, 2**32]]
+               [5, 2**64 - 1, 0, 2**32]]
 
 
-@pytest.mark.parametrize("tags", [(), (1,), (7,), (1, 7)])
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
-def test_a_chunks_laid_out_keys_give_the_streams_of_its_keys(seed, tags):
-    # qcore._item_streams lays out the words of [seed, i] and [seed, i, tag]
-    # with no pass per key; each Stream must be the one qcore.streams gives
-    # for the same key, bit for bit
+@pytest.mark.parametrize("tag", [None, 1, 7])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**64 - 1, 2**64 + 5])
+def test_a_chunks_keys_are_its_keys_hashed_one_by_one(seed, tag):
+    # qcore._item_keys folds the seed once and the indices as one array;
+    # each word must be the hash of [seed, i] (or [seed, i, tag]) alone, as
+    # qcore._keys and the Python reference give it, bit for bit
     for indices in _INDEX_RUNS:
-        keys = [[seed, i] for i in indices] + [[seed, i, tag] for tag in tags for i in indices]
-        got = qcore._item_streams(seed, indices, tags)
-        assert [_state(s) for s in got] == [_state(s) for s in qcore.streams(keys)], indices
-    assert qcore._item_streams(seed, range(0), tags) == []
+        keys = [[seed, i] if tag is None else [seed, i, tag] for i in indices]
+        got = qcore._item_keys(seed, indices, tag)
+        assert got.dtype == np.uint64
+        assert got.tolist() == qcore._keys(keys).tolist() == list(map(reference.key_hash, keys))
+        assert qcore._item_words(seed, indices, 9).tolist() == [
+            reference.words([seed, i], 9) for i in indices
+        ]
+    assert qcore._item_keys(seed, range(0), tag).shape == (0,)

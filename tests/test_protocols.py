@@ -251,10 +251,10 @@ def test_czswap_gate_on_10():
 
 def test_ideal_branches_match_byproduct_gates():
     rng = np.random.default_rng(70)
-    streams = qcore.streams([[70, trial] for trial in range(60)])
+    keys = [[70, trial] for trial in range(60)]
     for trial in range(60):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         for j in range(2):
@@ -266,10 +266,10 @@ def test_ideal_branches_match_byproduct_gates():
 
 def test_branch_probability_sums():
     rng = np.random.default_rng(71)
-    streams = qcore.streams([[71, trial] for trial in range(40)])
+    keys = [[71, trial] for trial in range(40)]
     for trial in range(40):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         res = protocols.run_protocol(psi, random_spec(rng, n))
         assert sum(res.ideal_probabilities) == pytest.approx(1.0, abs=1e-12)
         total = sum(float(np.vdot(x, x).real) for x in res.inaccurate_branches)
@@ -279,10 +279,10 @@ def test_branch_probability_sums():
 
 def test_ideal_branch_equals_inaccurate_at_zero_tilt():
     rng = np.random.default_rng(72)
-    streams = qcore.streams([[72, trial] for trial in range(20)])
+    keys = [[72, trial] for trial in range(20)]
     for trial in range(20):
         n = int(rng.integers(2, 5))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0, delta=0.0)
         res = protocols.run_protocol(psi, spec)
@@ -299,10 +299,10 @@ def test_ideal_branch_equals_inaccurate_at_zero_tilt():
 
 def test_fidelity_is_one_without_tilt():
     rng = np.random.default_rng(73)
-    streams = qcore.streams([[73, trial] for trial in range(20)])
+    keys = [[73, trial] for trial in range(20)]
     for trial in range(20):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         spec = ProtocolSpec(spec.kind, spec.targets, u=spec.u, epsilon=0.0,
                             delta=spec.delta)
@@ -362,10 +362,10 @@ def test_closed_form_examples():
 
 def test_oracle_equality_randomized():
     rng = np.random.default_rng(74)
-    streams = qcore.streams([[74, trial] for trial in range(150)])
+    keys = [[74, trial] for trial in range(150)]
     for trial in range(150):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         assert abs(rep.simulated_F - rep.closed_form_F) <= 1e-10
@@ -373,10 +373,10 @@ def test_oracle_equality_randomized():
 
 def test_delta_independence():
     rng = np.random.default_rng(75)
-    streams = qcore.streams([[75, trial] for trial in range(10)])
+    keys = [[75, trial] for trial in range(10)]
     for trial in range(10):
         n = int(rng.integers(2, 5))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         vals = []
         for delta in (0.0, 0.7, 1.4, 2.3, np.pi, 4.4, 5.9):
@@ -388,10 +388,10 @@ def test_delta_independence():
 
 def test_rotation_circuits_equivalent():
     rng = np.random.default_rng(76)
-    streams = qcore.streams([[76, trial] for trial in range(100)])
+    keys = [[76, trial] for trial in range(100)]
     for trial in range(100):
         n = int(rng.integers(1, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         t = int(rng.integers(n))
         u, eps, delta = (float(x) for x in rng.uniform(0, np.pi, size=3))
         runs = [
@@ -438,7 +438,7 @@ def test_oneway_rotation_is_the_circuit_the_paper_states_bit_for_bit(n, rows):
     # the stated circuit to the last bit, on one register and on a stack
     assert np.array_equal(qcore.gate("CZSWAP"), qcore.gate("SWAP") @ qcore.gate("CZ"))
     rng = np.random.default_rng([81, n, rows])
-    states = qcore.haar_states(n, qcore.streams([[81, n, rows, b] for b in range(rows)]))
+    states = qcore.haar_states(n, [[81, n, rows, b] for b in range(rows)])
     targets = [int(t) for t in rng.integers(n, size=rows)]
     u, epsilon, delta = (rng.uniform(0, 2 * np.pi, size=rows).tolist() for _ in range(3))
     specs = [
@@ -482,10 +482,10 @@ def test_error_operator_rejects_an_unknown_kind():
 def test_error_factorization_exact():
     # xi_j = sqrt(p_j) * A_j * ideal_j, as an exact vector identity
     rng = np.random.default_rng(77)
-    streams = qcore.streams([[77, trial] for trial in range(80)])
+    keys = [[77, trial] for trial in range(80)]
     for trial in range(80):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         res = protocols.run_protocol(psi, spec)
         if spec.kind in protocols.X_ERROR_KINDS:
@@ -529,10 +529,10 @@ def test_bound_sv2_examples():
 
 def test_bounds_hold_randomized():
     rng = np.random.default_rng(78)
-    streams = qcore.streams([[78, trial] for trial in range(120)])
+    keys = [[78, trial] for trial in range(120)]
     for trial in range(120):
         n = int(rng.integers(2, 6))
-        psi = PureState(n, qcore.haar_states(n, [streams[trial]])[0])
+        psi = PureState(n, qcore.haar_states(n, [keys[trial]])[0])
         spec = random_spec(rng, n)
         rep = protocols.analyze(psi, spec)
         for value in rep.bounds.values():
@@ -604,7 +604,7 @@ def test_analyze_stack_mixes_error_kinds_bit_for_bit():
     # one simulation of both error kinds equals the two single-kind stacks
     rng = np.random.default_rng(83)
     n, rows = 4, 40
-    states = list(qcore.haar_states(n, qcore.streams([[83, b] for b in range(rows)])))
+    states = list(qcore.haar_states(n, [[83, b] for b in range(rows)]))
     specs = [random_spec(rng, n) for _ in range(rows)]
     mixed = protocols.analyze(np.array(states), specs)
     x_type = [b for b, spec in enumerate(specs) if spec.kind in protocols.X_ERROR_KINDS]
@@ -634,7 +634,7 @@ def test_tilted_branches_alone_are_run_protocols_bit_for_bit():
         rows = int(rng.integers(1, 41))
         kinds = ALL_KINDS if n >= 2 else ROTATIONS
         specs = [random_spec(rng, n, kinds) for _ in range(rows)]
-        states = qcore.haar_states(n, qcore.streams([[86, trial, b] for b in range(rows)]))
+        states = qcore.haar_states(n, [[86, trial, b] for b in range(rows)])
         _, columns, _ = protocols._runs(states, specs)
         tilted = protocols._branches(states, columns, protocols._bases(columns)[:, :2])
         result = protocols.run_protocol(states, specs)
@@ -677,7 +677,7 @@ def test_stack_fidelities_and_bounds_match_the_scalar_formulas_bit_for_bit():
     # must equal the scalar formulas evaluated in the same order
     rng = np.random.default_rng(85)
     rows = 200
-    states = qcore.haar_states(3, qcore.streams([[85, b] for b in range(rows)]))
+    states = qcore.haar_states(3, [[85, b] for b in range(rows)])
     specs = [random_spec(rng, 3) for _ in range(rows)]
     stack = protocols.analyze(states, specs)
     bounds = {name: stack.bound(name) for name in ("purity_bound", "sv_bound", "sv2_bound")}
@@ -709,7 +709,7 @@ def test_one_kind_stack_reduces_only_its_own_shape(monkeypatch):
 
     monkeypatch.setattr(linalg, "_reduce", counted)
     rng = np.random.default_rng(84)
-    states = qcore.haar_states(3, qcore.streams([[84, b] for b in range(6)]))
+    states = qcore.haar_states(3, [[84, b] for b in range(6)])
     for kinds, shape in ((protocols.X_ERROR_KINDS, 1), ((ProtocolKind.ADQC_CZSWAP_GATE,), 2)):
         reduced.clear()
         protocols.analyze(states, [random_spec(rng, 3, kinds) for _ in range(6)])
@@ -721,7 +721,7 @@ def test_one_register_is_row_0_of_a_one_row_stack_bit_for_bit(kind):
     # a PureState and its raw vector give what a stack of that one row
     # gives in row 0, for each of the four functions
     rng = np.random.default_rng([86, ALL_KINDS.index(kind)])
-    psi = PureState(3, qcore.haar_states(3, qcore.streams([[86, ALL_KINDS.index(kind)]]))[0])
+    psi = PureState(3, qcore.haar_states(3, [[86, ALL_KINDS.index(kind)]])[0])
     spec = random_spec(rng, 3, (kind,))
     stack = psi.amplitudes[None]
     rows = protocols.analyze(stack, [spec])
@@ -976,7 +976,7 @@ def test_public_calls_equal_the_column_path_bit_for_bit():
     stacks, rows = [], []
     for n in (1, 2, 3, 5, 7):
         count = int(rng.integers(1, 16))
-        stacks.append(qcore.haar_states(n, qcore.streams([[89, n, b] for b in range(count)])))
+        stacks.append(qcore.haar_states(n, [[89, n, b] for b in range(count)]))
         rows.append(_column_rows(rng, n, count))
     stacks.append(np.zeros((0, 8), dtype=complex))
     rows.append([])
@@ -1060,7 +1060,7 @@ def test_the_gate_chain_is_the_stepwise_circuit_bit_for_bit(n):
     mixed = [mixed[b] for b in rng.permutation(len(mixed))]
     for specs in (*alone, mixed):
         keys = [[90, n, len(specs), b] for b in range(len(specs))]
-        states = qcore.haar_states(n, qcore.streams(keys))
+        states = qcore.haar_states(n, keys)
         columns = protocols._columns(
             [(protocols._CODES[s.kind], s.targets, s.u, s.epsilon, s.delta) for s in specs]
         )
@@ -1085,7 +1085,7 @@ def test_the_gate_chain_rejects_targets_it_has_no_table_for(kind, targets, messa
     # columns built past ProtocolSpec and _runs: a two-target kind that
     # repeats its target, or a target outside the register, raises where
     # it reaches the chain instead of reading another row's tables
-    states = qcore.haar_states(3, qcore.streams([[91, 0], [91, 1]]))
+    states = qcore.haar_states(3, [[91, 0], [91, 1]])
     good = (protocols._CODES[kind], (0, 2), None, 0.3, 0.2)
     columns = protocols._columns([good, (protocols._CODES[kind], targets, None, 0.3, 0.2)])
     with pytest.raises(ValueError, match=message):

@@ -241,7 +241,7 @@ def test_basis_state_rejects_qubit_count_out_of_range(n):
     lambda: PureState(True, [1, 0]),
     lambda: PureState(2.0, [1, 0, 0, 0]),
     lambda: basis_state(True, 0),
-    lambda: qcore.haar_states(2.0, qcore.streams([0])),
+    lambda: qcore.haar_states(2.0, [0]),
     lambda: verify.random_density_matrix(True, 0),
     lambda: verify.saturating_single_qubit_register(0.5, 2.0),
 ])
@@ -435,10 +435,10 @@ def test_measure_branch_is_the_bra_on_the_measured_qubit(n, qubit):
 
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(33)
-    streams = qcore.streams([[33, trial] for trial in range(25)])
+    keys = [[33, trial] for trial in range(25)]
     for trial in range(25):
         n = int(rng.integers(1, 6))
-        st = qcore.haar_states(n, [streams[trial]])[0]
+        st = qcore.haar_states(n, [keys[trial]])[0]
         basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         b0, b1 = reference.measure_branch(st, int(rng.integers(n)), basis)
         assert probability(b0) + probability(b1) == pytest.approx(1.0, abs=1e-12)
@@ -448,10 +448,10 @@ def test_measure_probabilities_sum_to_one():
 def test_measure_reconstruction():
     # sum_j |basis_j> (x) branch_j rebuilds the pre-measurement state
     rng = np.random.default_rng(34)
-    streams = qcore.streams([[34, trial] for trial in range(20)])
+    keys = [[34, trial] for trial in range(20)]
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        st = qcore.haar_states(n, [streams[trial]])[0]
+        st = qcore.haar_states(n, [keys[trial]])[0]
         qubit = int(rng.integers(n))
         basis = u_basis(*rng.uniform(0, 2 * np.pi, size=3))
         rebuilt = np.zeros([2] * n, dtype=complex)
@@ -498,56 +498,34 @@ def test_random_state_normalized():
 
 
 def test_random_state_z_expectation_unbiased():
-    # the 10 000 streams [777, i] seeded in one call
+    # the 10 000 keys [777, i] drawn in one call
     total = 0.0
     z = qcore.gate("Z")
-    for st in qcore.haar_states(1, qcore.streams([[777, i] for i in range(10_000)])):
+    for st in qcore.haar_states(1, [[777, i] for i in range(10_000)]):
         total += float(np.vdot(st, z @ st).real)
     assert abs(total / 10_000) < 0.05
 
 
-def _stream_state(stream):
-    return stream.state, stream.inc, stream.half
-
-
-@pytest.mark.parametrize("key", [0, 42, [42, 5], [42, 5, 1], [2**33, 7, 7]])
-def test_haar_states_are_the_two_draws_bit_for_bit(key):
-    # one draw of 2^(n+1) values fills the real then the imaginary parts:
-    # the stream and the floats of two draws of 2^n and a complex sum
+@pytest.mark.parametrize("key", [0, 42, [42, 5], [42, 5, 1], [2**33, 7, 7], [2**64 + 3, 1]])
+def test_haar_states_are_the_reference_construction(key):
+    # squared moduli the spacings of sorted uniforms, uniform phases:
+    # tests/reference.py builds the register with math per entry, so its
+    # cos, sin and norm may round apart from numpy's by an ulp or two
     for n in range(1, linalg.MAX_QUBITS + 1):
-        rng = np.random.default_rng(key)
-        d = 2**n
-        vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        want = vec / np.linalg.norm(vec)
-        (stream,) = qcore.streams([key])
-        before = _stream_state(stream)
-        assert qcore.haar_states(n, [stream])[0].tobytes() == want.tobytes()
-        # and the stream is left where it was: it gives one register
-        assert _stream_state(stream) == before
+        got = qcore.haar_states(n, [key])[0]
+        assert np.abs(got - reference.haar_state(n, key)).max() <= 1e-15
 
 
-def _haar_state_of_one_generator(n, key):
-    # a register as it was drawn from its own numpy generator, one per key
-    rng = np.random.default_rng(key)
+def _unnormalized(n, key):
+    # a key's register before normalization, from the reference's
+    # uniforms and the ufuncs qcore uses, one row at a time
     dim = 2**n
-    parts = rng.standard_normal(2 * dim)
+    u = np.array([reference.uniform(w) for w in reference.words(key, 2 * dim - 1)])
+    moduli = np.sqrt(np.diff(np.concatenate([[0.0], np.sort(u[:dim - 1]), [1.0]])))
+    phases = (2.0 * np.pi) * u[dim - 1:]
     vec = np.empty(dim, dtype=complex)
-    vec.real, vec.imag = parts[:dim], parts[dim:]
-    re, im = vec.real, vec.imag
-    vec /= np.sqrt(re.dot(re) + im.dot(im))
+    vec.real, vec.imag = moduli * np.cos(phases), moduli * np.sin(phases)
     return vec
-
-
-@pytest.mark.parametrize("rows", [1, 128])
-def test_haar_states_rows_are_each_streams_register_bit_for_bit(rows):
-    # a batch of registers of one size, drawn through one Generator, is
-    # row for row the register each key's own generator draws
-    for n in range(1, linalg.MAX_QUBITS + 1):
-        keys = [[21, n, b] for b in range(rows)]
-        got = qcore.haar_states(n, qcore.streams(keys))
-        assert got.shape == (rows, 2**n)
-        want = np.array([_haar_state_of_one_generator(n, key) for key in keys])
-        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, 5, 64])
@@ -560,25 +538,38 @@ def test_haar_states_norms_are_each_rows_dot_products_bit_for_bit(rows):
         dim = 2**n
         want = np.empty((rows, dim), dtype=complex)
         for row, key in zip(want, keys):
-            parts = np.random.default_rng(key).standard_normal(2 * dim)
-            row.real, row.imag = parts[:dim], parts[dim:]
+            row[:] = _unnormalized(n, key)
             re, im = row.real, row.imag
             row /= math.sqrt(re.dot(re) + im.dot(im))
-        got = qcore.haar_states(n, qcore.streams(keys))
+        got = qcore.haar_states(n, keys)
         assert got.shape == (rows, dim) and got.tobytes() == want.tobytes()
 
 
-def test_threads_drawing_at_once_each_get_their_streams_registers():
-    # the Generator haar_states sets to each stream's state is one per
-    # thread, so threads switched every microsecond still draw the
-    # registers of their own streams
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
+def test_a_register_alone_is_its_row_in_any_chunk_and_any_order(seed):
+    # the chunk path hashes [seed, i, 1] as arrays; each row is the
+    # register random_pure_state draws for that key alone, byte for byte,
+    # whatever the chunk holds and in whatever order
+    rng = np.random.default_rng(41)
+    for n in (1, 3, 7):
+        alone = {i: qcore.random_pure_state(n, [seed, i, 1]).amplitudes for i in range(40)}
+        for indices in (range(40), rng.permutation(40).tolist(), [17], [39, 0, 17, 3]):
+            stack = qcore._haar(n, qcore._item_keys(seed, indices, 1))
+            assert [row.tobytes() for row in stack] == [alone[i].tobytes() for i in indices]
+            keys = [[seed, i, 1] for i in indices]
+            assert qcore.haar_states(n, keys).tobytes() == stack.tobytes()
+
+
+def test_threads_drawing_at_once_each_get_their_keys_registers():
+    # haar_states keeps no state between calls, so threads switched every
+    # microsecond still draw the registers of their own keys
     keys = [[[31, t, b] for b in range(32)] for t in range(4)]
-    want = [qcore.haar_states(3, qcore.streams(k)) for k in keys]
+    want = [qcore.haar_states(3, k) for k in keys]
     wrong = [0] * len(keys)
 
     def draw(t):
         for _ in range(25):
-            wrong[t] += not np.array_equal(qcore.haar_states(3, qcore.streams(keys[t])), want[t])
+            wrong[t] += not np.array_equal(qcore.haar_states(3, keys[t]), want[t])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -596,15 +587,15 @@ def test_threads_drawing_at_once_each_get_their_streams_registers():
 
 def test_random_state_is_a_batch_of_one():
     for key in (99, [3, 1], [3, 1, 7]):
-        want = qcore.haar_states(3, qcore.streams([key]))[0]
+        want = qcore.haar_states(3, [key])[0]
         assert qcore.random_pure_state(3, key).amplitudes.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- streams
 
 _SEED_KEYS = [
-    0, [0], [], 1, 42, 2**32 - 1, 2**32, 2**33, 2**40, 2**63, 2**64, 2**70, 2**200,
-    [42, 0], [42, 5], [42, 5, 1], [42, 5, 7], [2**32 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1],
+    0, [0], [], 1, 42, 2**32 - 1, 2**32, 2**33, 2**40, 2**63, 2**64 - 1, 2**64, 2**70, 2**200,
+    [42, 0], [42, 5], [42, 5, 1], [42, 5, 7], [2**64 - 1] * 4, [1, 0], [0, 1], [0, 0],
     [2**33, 5], [2**33, 5, 1], [2**40, 7, 7], [2**64, 3], [2**70, 2, 1], [2**200, 9, 7],
     [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2**64 + 1, 5, 2**33],
     np.uint32(7), np.int64(2**40), np.uint64(2**64 - 1), [np.int64(42), np.uint8(3)],
@@ -612,75 +603,69 @@ _SEED_KEYS = [
 ]
 
 
-def _first_draws(stream, rng):
-    # the same calls on a Stream and on numpy's Generator: integers whose
-    # Lemire draw retries about half the time (2^31 + 1), a bound next to
-    # 2^32, a k = 1 draw of nothing, a double that falls between the two
-    # halves of a buffered 32-bit word, then every small permutation
-    got = [stream.integers(2**31 + 1), stream.integers(2**32 - 5), stream.integers(1),
-           stream.integers(7)]
-    want = [rng.integers(2**31 + 1), rng.integers(2**32 - 5), rng.integers(1), rng.integers(7)]
-    if stream.half is None:  # one more, to leave half a word buffered
-        got.append(stream.integers(7))
-        want.append(rng.integers(7))
-    assert stream.half is not None
-    got += [*stream.random(1.0), stream.integers(3), stream.integers(2**32)]
-    want += [rng.random(), rng.integers(3), rng.integers(2**32)]
-    for n in range(1, 9):
-        got.append(stream.permutation(n))
-        want.append(rng.permutation(n).tolist())
-    got += [*stream.random(2.0 * np.pi, np.pi), stream.integers(5)]
-    want += [rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi), rng.integers(5)]
-    # numpy integers as ints; a float's repr pins its bits
-    want = [w.item() if isinstance(w, np.generic) else w for w in want]
-    return [repr(x) for x in got], [repr(w) for w in want]
-
-
-def test_streams_match_numpy_seeding():
+def test_key_hashes_are_the_python_reference_bit_for_bit():
     # every width of key in one call: ints, 0 and [0], stream keys,
-    # seeds of 2^32 and more (keys over 4 words), numpy integers
-    streams = qcore.streams(_SEED_KEYS)
-    assert len(streams) == len(_SEED_KEYS)
-    for key, stream in zip(_SEED_KEYS, streams):
-        want = np.random.default_rng(key)
-        state = want.bit_generator.state
-        assert _stream_state(stream) == (state["state"]["state"], state["state"]["inc"], None)
-        got, drawn = _first_draws(stream, want)
-        assert got == drawn, key
-        # and the stream is left where the generator is
-        state = want.bit_generator.state
-        half = state["uinteger"] if state["has_uint32"] else None
-        assert _stream_state(stream) == (state["state"]["state"], state["state"]["inc"], half)
+    # entries of 2^64 and more (two or more limbs), numpy integers
+    got = qcore._keys(_SEED_KEYS)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [reference.key_hash(key) for key in _SEED_KEYS]
 
 
-def test_stream_draws_match_numpy_over_many_keys():
-    # 512 stream keys of four seeds, 2^40 + 5 among them, each through
-    # the draws of _first_draws
-    for seed in (0, 7, 42, 2**40 + 5):
-        keys = [[seed, i] for i in range(128)]
-        for key, stream in zip(keys, qcore.streams(keys)):
-            got, want = _first_draws(stream, np.random.default_rng(key))
-            assert got == want, key
+def test_words_uniforms_and_choices_are_the_python_reference_bit_for_bit():
+    # 40 words of each key's stream, each read as a uniform and as a choice
+    # among k for k from 1 to 2^32
+    words = qcore._words(qcore._keys(_SEED_KEYS), 40)
+    want = [reference.words(key, 40) for key in _SEED_KEYS]
+    assert words.dtype == np.uint64 and words.tolist() == want
+    uniforms = np.array([[reference.uniform(w) for w in row] for row in want])
+    assert qcore._uniform(words).tobytes() == uniforms.tobytes()
+    for k in (1, 2, 3, 7, 10, 2**31 + 1, 2**32 - 5, 2**32):
+        assert qcore._choice(words, k).tolist() == [[reference.choice(w, k) for w in row]
+                                                    for row in want]
+    # one k per word, as a chunk draws a target in each register's size
+    ks = np.arange(1, 41)
+    assert qcore._choice(words, ks).tolist() == [[reference.choice(w, k) for w, k in
+                                                  zip(row, ks.tolist())] for row in want]
 
 
-def test_streams_do_not_depend_on_the_other_keys():
+def test_a_choice_is_below_k_at_the_all_ones_word():
+    ones = np.full(3, 2**64 - 1, dtype=np.uint64)
+    for k in (1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32):
+        assert qcore._choice(ones, k).tolist() == [k - 1] * 3
+        assert qcore._choice(np.zeros(2, dtype=np.uint64), k).tolist() == [0, 0]
+    assert qcore._uniform(ones).tolist() == [1.0 - 2.0**-53] * 3
+
+
+def test_keys_of_other_entries_give_other_streams():
+    # the limb counts keep a key's entries apart: a trailing 0 and a
+    # carried limb make new keys; an int is the key of one entry
+    for a, b in (([1], [1, 0]), ([2**64], [0, 1]), ([], [0]), ([0], [0, 0]), ([5, 7], [7, 5])):
+        assert qcore._keys([a])[0] != qcore._keys([b])[0], (a, b)
+        assert not np.array_equal(qcore.haar_states(2, [a]), qcore.haar_states(2, [b]))
+    assert qcore._keys([7])[0] == qcore._keys([[7]])[0]
+    distinct = [[], *_SEED_KEYS[3:14], *_SEED_KEYS[14:22]]  # no two equal keys
+    assert len(set(qcore._keys(distinct).tolist())) == len(distinct)
+
+
+def test_keys_do_not_depend_on_the_other_keys():
     for k, key in enumerate(_SEED_KEYS):
-        (alone,) = qcore.streams([key])
-        together = qcore.streams(_SEED_KEYS[k:] + _SEED_KEYS[:k])[0]
-        assert _stream_state(alone) == _stream_state(together)
+        alone = qcore._keys([key])
+        together = qcore._keys(_SEED_KEYS[k:] + _SEED_KEYS[:k])[:1]
+        assert alone.tolist() == together.tolist()
 
 
-def test_streams_of_no_keys():
-    assert qcore.streams([]) == []
+def test_no_keys_give_no_registers():
+    assert qcore._keys([]).shape == (0,)
     assert qcore.haar_states(3, []).shape == (0, 8)
+    assert qcore._haar(3, qcore._item_keys(5, range(0), 1)).shape == (0, 8)
 
 
 @pytest.mark.parametrize("key", [-1, [42, -1], 1.0, [42, 1.5], None, [42, None], True,
                                  [42, False], "42", "ab", [[42, 1]], np.float64(3.0),
                                  [1, object()], np.array(3)])
-def test_streams_reject_a_bad_key(key):
+def test_haar_states_reject_a_bad_key(key):
     with pytest.raises(ValueError, match="key"):
-        qcore.streams([[42, 1], key])
+        qcore.haar_states(2, [[42, 1], key])
     with pytest.raises(ValueError, match="key"):
         qcore.random_pure_state(2, key)
 
@@ -691,36 +676,14 @@ def test_random_density_matrix_rejects_a_bad_key():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: qcore.streams(None),
-    lambda: qcore.streams(3.5),
     lambda: qcore.haar_states(2, None),
+    lambda: qcore.haar_states(2, 3.5),
     lambda: qcore.haar_states(2, [object()]),
     lambda: qcore.haar_states(2, [np.random.default_rng(1)]),
-    lambda: qcore.streams([3])[0].integers("5"),
-    lambda: qcore.streams([3])[0].integers(True),
-    lambda: qcore.streams([3])[0].integers(0),
-    lambda: qcore.streams([3])[0].integers(-1),
-    lambda: qcore.streams([3])[0].integers(2**32 + 1),
-    lambda: qcore.streams([3])[0].permutation(2.0),
-    lambda: qcore.streams([3])[0].permutation(-1),
-], ids=["keys_none", "keys_float", "streams_none", "streams_object", "streams_generator",
-        "integers_str", "integers_bool", "integers_0", "integers_negative", "integers_2_32_plus_1",
-        "permutation_float", "permutation_negative"])
-def test_stream_calls_reject_what_they_cannot_use(call):
+], ids=["keys_none", "keys_float", "keys_object", "keys_generator"])
+def test_haar_states_reject_what_they_cannot_use(call):
     with pytest.raises(ValueError):
         call()
-
-
-def test_a_seed_state_is_only_four_64_bit_words():
-    # the Generator haar_states draws through is seeded by four zero
-    # words, not by numpy's seed hash; a numpy that asked for another
-    # seed size or type would fail here
-    seed = qcore._generator().bit_generator.seed_seq
-    assert isinstance(seed, qcore._SeedState)
-    assert seed.generate_state(4, np.uint64).tolist() == [0, 0, 0, 0]
-    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
-        with pytest.raises(ValueError):
-            seed.generate_state(n_words, dtype)
 
 
 def test_random_state_range_errors():

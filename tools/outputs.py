@@ -24,8 +24,9 @@ numpy overflow or invalid value included) is an error.  OUTDIR gets:
   index order.  A report keeps only the worst item, so a change that
   moves any other item's value shows here and nowhere else;
 - `manifest.json`: the Python and numpy versions, the platform and the
-  value of NPY_DISABLE_CPU_FEATURES, since a few reports depend on the
-  SIMD level numpy dispatches to.
+  value of NPY_DISABLE_CPU_FEATURES, the host and SIMD level the other
+  files were written on.  No other file may depend on them: the corpus
+  in tools/corpus is compared at numpy's baseline dispatch and natively.
 
 OUTDIR must be empty or not yet exist: a file left from an earlier run
 could stand in for one this run no longer writes, so the tool exits 2
