@@ -251,13 +251,16 @@ def _limbs(key) -> list[int]:
 
 
 def _keys(keys: Sequence) -> np.ndarray:
-    # the hashed word of each key, checked, in key order
-    out = np.empty(len(keys), dtype=np.uint64)
-    for k, key in enumerate(keys):
-        hashed = np.zeros(1, dtype=np.uint64)
-        for value in _limbs(key):
-            hashed = _fold(hashed, value)
-        out[k] = hashed[0]
+    # the hashed word of each key, checked, in key order: the keys with as
+    # many fold inputs are folded together, one input column at a time
+    inputs = [_limbs(key) for key in keys]
+    lengths = np.array([len(values) for values in inputs], dtype=np.intp)
+    out = np.zeros(len(inputs), dtype=np.uint64)
+    for length in dict.fromkeys(lengths.tolist()):
+        rows = (lengths == length).nonzero()[0]
+        table = np.array([inputs[k] for k in rows], dtype=np.uint64).reshape(len(rows), length)
+        for column in table.T:
+            out[rows] = _fold(out[rows], column)
     return out
 
 
@@ -304,10 +307,7 @@ def _haar(n_qubits: int, keys: np.ndarray) -> np.ndarray:
     # at every SIMD level numpy dispatches to; log and exp do not
     dim = 2**n_qubits
     u = _uniform(_words(keys, 2 * dim - 1))
-    cuts = np.zeros((len(keys), dim + 1))
-    cuts[:, 1:dim] = np.sort(u[:, :dim - 1], axis=1)
-    cuts[:, dim] = 1.0
-    moduli = np.sqrt(np.diff(cuts, axis=1))
+    moduli = np.sqrt(np.diff(np.sort(u[:, :dim - 1], axis=1), axis=1, prepend=0.0, append=1.0))
     phases = (2.0 * np.pi) * u[:, dim - 1:]
     vec = np.empty((len(keys), dim), dtype=complex)
     vec.real, vec.imag = moduli * np.cos(phases), moduli * np.sin(phases)

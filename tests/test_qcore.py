@@ -516,6 +516,18 @@ def test_haar_states_are_the_reference_construction(key):
         assert np.abs(got - reference.haar_state(n, key)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n", range(1, linalg.MAX_QUBITS + 1))
+def test_a_registers_squared_moduli_are_the_spacings_of_its_sorted_uniforms(n):
+    # the Dirichlet(1, ..., 1) law of a Haar register's squared moduli: the
+    # running sums of |psi_k|^2 are the sorted uniforms of words 0 to
+    # 2^n - 2 and end at 1, up to rounding
+    dim = 2**n
+    for key in ([13, n], [13, n, 1], 2**70 + n):
+        u = sorted(reference.uniform(w) for w in reference.words(key, dim - 1))
+        sums = np.cumsum(np.abs(qcore.haar_states(n, [key])[0]) ** 2)
+        assert np.abs(sums - [*u, 1.0]).max() <= 1e-14
+
+
 def _unnormalized(n, key):
     # a key's register before normalization, from the reference's
     # uniforms and the ufuncs qcore uses, one row at a time

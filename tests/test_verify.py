@@ -1257,14 +1257,51 @@ def test_a_protocol_draw_reads_its_words_as_the_reference_does():
         assert d.state.tobytes() == want.tobytes()
     # every ordered pair of distinct qubits of the smallest register shows
     assert {p for p in pairs if max(p) < 2} == {(0, 1), (1, 0)}
-    for d in verify._draw_equivalence(verify.default_config("circuit_equivalence", seed=6),
-                                      range(50)):
+
+
+def test_an_equivalence_draw_reads_its_words_as_the_reference_does():
+    # words 0-4 of [seed, i]: the register size, the target, u, epsilon
+    # on [0, pi) and delta; the register is [seed, i, 1]'s
+    highs = (verify._TURN, np.pi, verify._TURN)
+    config = verify.default_config("circuit_equivalence", seed=6)
+    for d in verify._draw_equivalence(config, range(50)):
         w = reference.words([6, d.index], 5)
-        n = (1, 2, 3, 4, 5)[reference.choice(w[0], 5)]
-        highs = (verify._TURN, np.pi, verify._TURN)
+        n = config.register_sizes[reference.choice(w[0], len(config.register_sizes))]
         angles = tuple(h * reference.uniform(x) for h, x in zip(highs, w[2:]))
-        assert repr(d.protocol[1:]) == repr(((reference.choice(w[1], n),), *angles))
-        assert len(d.state) == 2**n
+        want = (verify._ROTATION_CODES[0], (reference.choice(w[1], n),), *angles)
+        assert repr(d.protocol) == repr(want)
+        assert d.state.tobytes() == qcore.random_pure_state(n, [6, d.index, 1]).amplitudes.tobytes()
+
+
+def test_a_saturation_draw_reads_its_words_as_the_reference_does():
+    # the sweep fixes the register, kind and epsilon; words 0 and 1 of
+    # [seed, i] give u (a rotation row's only) and delta
+    config = verify.default_config("saturation", samples=2, seed=8)
+    n_eps, n_pure = len(config.epsilon_grid), len(verify._SATURATION_S) * len(config.epsilon_grid)
+    for d in verify._draw_saturation(config, range(2 * verify._saturation_sweep(config))):
+        w = reference.words([8, d.index], 2)
+        delta = verify._TURN * reference.uniform(w[1])
+        j = d.index % verify._saturation_sweep(config)
+        if j < n_pure:
+            code = verify._ROTATION_CODES[d.index % len(verify._ROTATION_CODES)]
+            want = (code, (0,), verify._TURN * reference.uniform(w[0]),
+                    config.epsilon_grid[j % n_eps], delta)
+            assert d.state is verify._SATURATION_REGISTERS[j // n_eps]
+        else:
+            want = (verify._CZSWAP_GATE, (0, 1), None, config.epsilon_grid[j - n_pure], delta)
+            assert d.state is verify._SATURATION_REGISTERS[-1]
+        assert repr(d.protocol) == repr(want)
+
+
+def test_a_density_draw_is_the_registers_of_its_keys():
+    # rho's purification from [seed, i], monotonicity's sigma from
+    # [seed, i, 7], each the register random_pure_state draws for the key
+    for name, tags in (("interm", ()), ("monotonicity", (7,))):
+        config = verify.default_config(name, seed=4)
+        for d in verify._CAMPAIGNS[name].draw(config, range(30, 70)):
+            keys = [[4, d.index], *([4, d.index, tag] for tag in tags)]
+            want = [qcore.random_pure_state(4, key).amplitudes.tobytes() for key in keys]
+            assert [v.tobytes() for v in d[1:] if v is not None] == want
 
 
 _PINNED_DRAWS = "cbfb7c8e2c6744409e38f5d84f2ddfdf7a691f606b7b39c978ef53f06afbbfca"
