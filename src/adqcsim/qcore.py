@@ -18,8 +18,9 @@ Random registers come from one counter-based generator (Salmon et al.,
 SC 2011), in numpy uint64 arithmetic, not numpy's random module: a key such as
 [seed, i] is hashed to one word by folding its entries through the
 SplitMix64 finalizer, and word j of its stream is that finalizer applied
-to the key plus j + 1 times a fixed odd constant.  `_item_keys` hashes a
-campaign chunk's keys [seed, i] or [seed, i, tag] as arrays, `_uniform`
+to the key plus j + 1 times a fixed odd constant.  `_chunk_streams`
+hashes a campaign chunk's keys [seed, i] and [seed, i, tag] as arrays
+and gives the words of [seed, i], `_uniform`
 and `_choice` turn a column of words into angles and choices, and
 `_haar` draws one register per key, a stack per call: squared moduli as
 the spacings of sorted uniforms, uniform phases, and one stacked
@@ -264,24 +265,24 @@ def _keys(keys: Sequence) -> np.ndarray:
     return out
 
 
-def _item_keys(seed: int, indices: Sequence[int], tag: int | None = None) -> np.ndarray:
-    """The hashed words of a campaign chunk's keys [seed, i], or
-    [seed, i, tag], for indices below 2^64: the seed is folded once, then
-    each index, and the tag, as one-limb entries over the whole array."""
-    hashed = _fold(_fold(_keys([[seed]]), 1), np.array(indices, dtype=np.uint64))
-    return hashed if tag is None else _fold(_fold(hashed, 1), tag)
-
-
 def _words(keys: np.ndarray, count: int) -> np.ndarray:
     # words 0, ..., count - 1 of each key's stream, one row per key
     steps = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
     return _mix(keys[:, None] + steps)
 
 
-def _item_words(seed: int, indices: Sequence[int], count: int) -> np.ndarray:
-    """The first `count` words of each stream [seed, i], one row per
-    index, for `_choice` and `_uniform` to read column by column."""
-    return _words(_item_keys(seed, indices), count)
+def _chunk_streams(
+    seed: int, indices: Sequence[int], count: int, tags: Sequence[int | None] = ()
+) -> tuple[np.ndarray, ...]:
+    """A campaign chunk's streams, for indices below 2^64: the first
+    `count` words of each stream [seed, i], one row per index, for
+    `_choice` and `_uniform` to read column by column; then per tag the
+    hashed keys [seed, i, tag] ([seed, i] for None), for `_haar`.  The
+    seed is folded once, the indices and tags as one-limb entries over
+    the whole array."""
+    keys = _fold(_fold(_keys([[seed]]), 1), np.array(indices, dtype=np.uint64))
+    tagged = (keys if tag is None else _fold(_fold(keys, 1), tag) for tag in tags)
+    return (_words(keys, count), *tagged)
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
@@ -307,7 +308,10 @@ def _haar(n_qubits: int, keys: np.ndarray) -> np.ndarray:
     # at every SIMD level numpy dispatches to; log and exp do not
     dim = 2**n_qubits
     u = _uniform(_words(keys, 2 * dim - 1))
-    moduli = np.sqrt(np.diff(np.sort(u[:, :dim - 1], axis=1), axis=1, prepend=0.0, append=1.0))
+    cuts = np.zeros((len(keys), dim + 1))
+    cuts[:, 1:dim] = np.sort(u[:, :dim - 1], axis=1)
+    cuts[:, dim] = 1.0
+    moduli = np.sqrt(np.diff(cuts, axis=1))
     phases = (2.0 * np.pi) * u[:, dim - 1:]
     vec = np.empty((len(keys), dim), dtype=complex)
     vec.real, vec.imag = moduli * np.cos(phases), moduli * np.sin(phases)

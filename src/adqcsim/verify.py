@@ -6,9 +6,9 @@ family that defeats any entropy bound below 1.
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
 items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
 item's violation (None for a filtered item) and one stats dict.  A draw
-hashes its chunk's keys as arrays (qcore._item_keys), reads each field
-of every item from one column of stream words (qcore._item_words,
-_choice, _uniform), with no pass per item, and builds its registers in
+hashes its chunk's keys as arrays (qcore._chunk_streams), reads each
+field of every item from one column of stream words (qcore._choice,
+_uniform), with no pass per item, and builds its registers in
 one qcore._haar call per register size; item i still comes from its own
 streams alone: [seed, i], and [seed, i, 1] for a protocol campaign's
 register or [seed, i, 7] for monotonicity's random sigma.  run_campaign
@@ -339,7 +339,7 @@ def _draw_protocol(
     # size, two distinct targets, u, epsilon and delta), a Haar register
     # from [seed, i, 1]
     codes = np.array([protocols._CODES[kind] for kind in kinds])
-    words = qcore._item_words(cfg.seed, indices, 7)
+    words, keys = qcore._chunk_streams(cfg.seed, indices, 7, (1,))
     code = codes[qcore._choice(words[:, 0], len(codes))]
     rotation = protocols._ROTATION[code]
     n = np.array(cfg.register_sizes)[qcore._choice(words[:, 1], len(cfg.register_sizes))]
@@ -351,8 +351,7 @@ def _draw_protocol(
     eps = np.array(cfg.epsilon_grid)[qcore._choice(words[:, 5], len(cfg.epsilon_grid))]
     delta = np.array(cfg.delta_grid)[qcore._choice(words[:, 6], len(cfg.delta_grid))]
     drawn = zip(code.tolist(), targets, u.tolist(), eps.tolist(), delta.tolist())
-    states = _registers(n, qcore._item_keys(cfg.seed, indices, 1))
-    return list(map(_ProtocolDraw, indices, states, drawn))
+    return list(map(_ProtocolDraw, indices, _registers(n, keys), drawn))
 
 
 def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
@@ -411,13 +410,12 @@ def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Prot
     # one register (from [seed, i, 1]) and one set of angles (from words
     # 0-4 of [seed, i]: size, target, u, epsilon, delta) for every rotation
     # protocol, drawn as the first one's
-    words = qcore._item_words(cfg.seed, indices, 5)
+    words, keys = qcore._chunk_streams(cfg.seed, indices, 5, (1,))
     n = np.array(cfg.register_sizes)[qcore._choice(words[:, 0], len(cfg.register_sizes))]
     targets = zip(qcore._choice(words[:, 1], n).tolist())
     u, eps, delta = (qcore._uniform(words[:, 2:]) * (_TURN, np.pi, _TURN)).T.tolist()
     drawn = zip(itertools.repeat(_ROTATION_CODES[0]), targets, u, eps, delta)
-    states = _registers(n, qcore._item_keys(cfg.seed, indices, 1))
-    return list(map(_ProtocolDraw, indices, states, drawn))
+    return list(map(_ProtocolDraw, indices, _registers(n, keys), drawn))
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
@@ -462,10 +460,8 @@ def _draw_density(
     cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
 ) -> list[_DensityDraw]:
     # every register of the chunk, rho's then sigma's, in one qcore._haar call
-    keys = qcore._item_keys(cfg.seed, indices)
-    if with_sigma:
-        keys = np.concatenate([keys, qcore._item_keys(cfg.seed, indices, 7)])
-    registers = qcore._haar(4, keys).reshape(1 + with_sigma, len(indices), 16)
+    _, *keys = qcore._chunk_streams(cfg.seed, indices, 0, (None, 7) if with_sigma else (None,))
+    registers = qcore._haar(4, np.concatenate(keys)).reshape(len(keys), len(indices), 16)
     return list(map(_DensityDraw, indices, *registers))
 
 
@@ -518,7 +514,8 @@ def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_Proto
     i = np.array(indices, dtype=np.intp)
     j = i % _saturation_sweep(cfg)
     pure = j < n_pure
-    u, delta = (_TURN * qcore._uniform(qcore._item_words(cfg.seed, indices, 2))).T.tolist()
+    (words,) = qcore._chunk_streams(cfg.seed, indices, 2)
+    u, delta = (_TURN * qcore._uniform(words)).T.tolist()
     code = np.where(pure, np.array(_ROTATION_CODES)[i % len(_ROTATION_CODES)], _CZSWAP_GATE)
     eps = np.array(cfg.epsilon_grid)[np.where(pure, j % n_eps, j - n_pure)]
     targets = _TARGETS[pure * 1]

@@ -160,15 +160,15 @@ _INDEX_RUNS = [range(0, 130), [0], [9, 0, 3], range(2**32 - 3, 2**32 + 3),
 @pytest.mark.parametrize("tag", [None, 1, 7])
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**64 - 1, 2**64 + 5])
 def test_a_chunks_keys_are_its_keys_hashed_one_by_one(seed, tag):
-    # qcore._item_keys folds the seed once and the indices as one array;
-    # each word must be the hash of [seed, i] (or [seed, i, tag]) alone, as
-    # qcore._keys and the Python reference give it, bit for bit
+    # qcore._chunk_streams folds the seed once and the indices and the tag
+    # as arrays; each key must be the hash of [seed, i] (or [seed, i, tag])
+    # alone, as qcore._keys and the Python reference give it, and each row
+    # of words the first words of [seed, i]'s stream, bit for bit
     for indices in _INDEX_RUNS:
         keys = [[seed, i] if tag is None else [seed, i, tag] for i in indices]
-        got = qcore._item_keys(seed, indices, tag)
-        assert got.dtype == np.uint64
+        words, got = qcore._chunk_streams(seed, indices, 9, (tag,))
+        assert got.dtype == words.dtype == np.uint64
         assert got.tolist() == qcore._keys(keys).tolist() == list(map(reference.key_hash, keys))
-        assert qcore._item_words(seed, indices, 9).tolist() == [
-            reference.words([seed, i], 9) for i in indices
-        ]
-    assert qcore._item_keys(seed, range(0), tag).shape == (0,)
+        assert words.tolist() == [reference.words([seed, i], 9) for i in indices]
+    words, got = qcore._chunk_streams(seed, range(0), 9, (tag,))
+    assert words.shape == (0, 9) and got.shape == (0,)

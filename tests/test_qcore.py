@@ -566,7 +566,7 @@ def test_a_register_alone_is_its_row_in_any_chunk_and_any_order(seed):
     for n in (1, 3, 7):
         alone = {i: qcore.random_pure_state(n, [seed, i, 1]).amplitudes for i in range(40)}
         for indices in (range(40), rng.permutation(40).tolist(), [17], [39, 0, 17, 3]):
-            stack = qcore._haar(n, qcore._item_keys(seed, indices, 1))
+            stack = qcore._haar(n, qcore._chunk_streams(seed, indices, 0, (1,))[1])
             assert [row.tobytes() for row in stack] == [alone[i].tobytes() for i in indices]
             keys = [[seed, i, 1] for i in indices]
             assert qcore.haar_states(n, keys).tobytes() == stack.tobytes()
@@ -669,7 +669,7 @@ def test_keys_do_not_depend_on_the_other_keys():
 def test_no_keys_give_no_registers():
     assert qcore._keys([]).shape == (0,)
     assert qcore.haar_states(3, []).shape == (0, 8)
-    assert qcore._haar(3, qcore._item_keys(5, range(0), 1)).shape == (0, 8)
+    assert qcore._haar(3, qcore._chunk_streams(5, range(0), 0, (1,))[1]).shape == (0, 8)
 
 
 @pytest.mark.parametrize("key", [-1, [42, -1], 1.0, [42, 1.5], None, [42, None], True,

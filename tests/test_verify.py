@@ -679,7 +679,7 @@ def test_a_chunk_draw_hashes_only_its_seed_and_draws_a_register_size_once(monkey
     # a chunk's keys are hashed as arrays from its seed's hash, and its
     # registers of one size come from one qcore._haar call: a passing
     # bound_main run of 300 samples (three chunk draws, four register sizes
-    # each) hashes one key, [seed], per array of keys and no key per item
+    # each) hashes one key, [seed], per chunk and no key per item
     hashed, registers = [], []
     keys, haar = qcore._keys, qcore._haar
 
@@ -696,7 +696,7 @@ def test_a_chunk_draw_hashes_only_its_seed_and_draws_a_register_size_once(monkey
     config = verify.default_config("bound_main", samples=300)
     report = verify.run_campaign(config)
     assert report.passed and report.checks_run == 300
-    assert hashed == [[[config.seed]]] * 6  # the protocol words and the registers, per chunk
+    assert hashed == [[[config.seed]]] * 3  # once per chunk
     assert sorted(registers) == sorted([2, 3, 4, 5] * 3)
 
 
@@ -1320,7 +1320,7 @@ def test_a_fixed_chunks_draws_have_the_pinned_digest():
     for d in draws:
         sha.update(d.state.tobytes())
     for n in range(1, linalg.MAX_QUBITS + 1):
-        sha.update(qcore._haar(n, qcore._item_keys(2024, range(16), 1)).tobytes())
+        sha.update(qcore._haar(n, qcore._chunk_streams(2024, range(16), 0, (1,))[1]).tobytes())
     assert sha.hexdigest() == _PINNED_DRAWS
 
 
