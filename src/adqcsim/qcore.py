@@ -179,7 +179,10 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     exact: vectors that agree up to a global phase, a vector and itself
     included, give the rounding of the overlap and of the phase taken
     from it, a few float spacings of their entries rather than 0 (up to
-    about 2.5e-16 on unnormalized rows of entries below 1.4).
+    about 2.5e-16 on unnormalized rows of entries below 1.4).  The
+    distance is the square root of a sum of squares, so entries beyond
+    about 1e154 in size give inf, and distances below about 1e-154 round
+    toward 0.
     """
     a, b = linalg._array(a, "a", finite=True), linalg._array(b, "b", finite=True)
     for name, x in (("a", a), ("b", b)):
@@ -193,15 +196,16 @@ def phase_aligned_max_diff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 def _aligned_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # phase_aligned_max_diff of two complex arrays of one shape, unchecked.
-    # Each modulus is np.hypot of the parts and the phase product is taken
-    # in real arithmetic: numpy's complex abs and multiply give other bits
-    # at some of the SIMD levels it dispatches to
-    ov = np.einsum("...i,...i->...", b.conj(), a)[..., None]
+    # The phase product is an einsum, and each row's largest modulus the
+    # square root of its largest sum of squares, taken in real multiplies:
+    # numpy's complex multiply and abs give other bits at some of the SIMD
+    # levels it dispatches to
+    ov = np.einsum("...i,...i->...", b.conj(), a)
     size = np.hypot(ov.real, ov.imag)
     phase = np.where(size < 1e-300, 1.0, ov / np.where(size < 1e-300, 1.0, size))
-    re = a.real - (phase.real * b.real - phase.imag * b.imag)
-    im = a.imag - (phase.real * b.imag + phase.imag * b.real)
-    return np.max(np.hypot(re, im), axis=-1)
+    parts = (a - np.einsum("...i,...->...i", b, phase)).view(float)
+    parts *= parts
+    return np.sqrt(np.max(parts[..., 0::2] + parts[..., 1::2], axis=-1))
 
 
 # --------------------------------------------------------------------------
