@@ -209,15 +209,11 @@ def _aligned_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# streams: one counter-based generator, in numpy uint64 arithmetic
-#
-# A key is hashed to one word by folding its entries in order through the
-# SplitMix64 finalizer `_mix`: each entry folds its count of 64-bit limbs,
-# then the limbs, least significant first (0 is one limb), so [1] and
-# [1, 0] differ, and so do [2^64] and [0, 1].  Word j of a key's stream
-# is _mix(key + (j + 1) * _GAMMA), SplitMix64's output from the key.
-# Integer arrays wrap silently; numpy scalars would warn on overflow, so
-# every value here is an array.
+# streams: one counter-based generator, in numpy uint64 arithmetic.  Each
+# entry of a key folds its count of 64-bit limbs, then the limbs, least
+# significant first (0 is one limb), so [1] and [1, 0] differ, and so do
+# [2^64] and [0, 1].  Integer arrays wrap silently; numpy scalars would
+# warn on overflow, so every value here is an array.
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1, _MIX_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -270,7 +266,7 @@ def _keys(keys: Sequence) -> np.ndarray:
 
 
 def _words(keys: np.ndarray, count: int) -> np.ndarray:
-    # words 0, ..., count - 1 of each key's stream, one row per key
+    # words j = 0, ..., count - 1 of each key's stream, _mix(key + (j + 1) gamma)
     steps = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
     return _mix(keys[:, None] + steps)
 
@@ -290,8 +286,7 @@ def _chunk_streams(
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
-    """Each word's top 53 bits as a float in [0, 1); times `high` it is an
-    angle in [0, high)."""
+    """Each word's top 53 bits as a float in [0, 1), an angle's fraction."""
     return (words >> _SHIFTS[3]) * _UNIT
 
 
@@ -309,7 +304,7 @@ def _haar(n_qubits: int, keys: np.ndarray) -> np.ndarray:
     # sorted uniforms (words 0 to 2^n - 2), which is the Dirichlet(1, ...,
     # 1) law of a Haar register's; its phases are 2 pi times the uniforms
     # of the next 2^n words.  sort, sqrt, cos and sin give the same bits
-    # at every SIMD level numpy dispatches to; log and exp do not
+    # at every SIMD level numpy dispatches to; its real log and exp do not
     dim = 2**n_qubits
     u = _uniform(_words(keys, 2 * dim - 1))
     cuts = np.zeros((len(keys), dim + 1))
