@@ -214,7 +214,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         state, correction = stateio.load_state(args.state)
     kind = ProtocolKind(args.protocol)
     rotation = kind in protocols.ROTATION_KINDS
-    if args.targets:
+    if args.targets is not None:  # "" lists no target, and is an error
         targets = tuple(int(tok) for tok in args.targets.split(","))
     else:
         targets = (0,) if rotation else (0, 1)

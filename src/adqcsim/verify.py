@@ -4,25 +4,27 @@ engineered bound-saturating registers, and the diagonal counterexample
 family that defeats any entropy bound below 1.
 
 Every campaign has one shape: draw(cfg, indices) builds a chunk of
-items, and evaluate(cfg, draws) turns the chunk, on stacks, into each
-item's violation (None for a filtered item) and one stats dict.  A draw
-hashes its chunk's keys as arrays (qcore._chunk_streams), reads each
-field of every item from one column of stream words (qcore._choice,
-_uniform), with no pass per item, and builds its registers in
-one qcore._haar call per register size; item i still comes from its own
-streams alone: [seed, i], and [seed, i, 1] for a protocol campaign's
-register or [seed, i, 7] for monotonicity's random sigma.  run_campaign
+items as columns, and evaluate(cfg, chunk) turns it, on stacks, into
+each item's violation (None for a filtered item) and one stats dict.  A
+draw hashes its chunk's keys as arrays (qcore._chunk_streams) and reads
+each field of every item from one column of stream words
+(qcore._choice, _uniform); item i still comes from its own streams
+alone: [seed, i], and [seed, i, 1] for a protocol campaign's register or
+[seed, i, 7] for monotonicity's random sigma.  No record is built per
+item: a protocol chunk holds its invocations as protocols._Specs columns
+and its registers as one (positions, stack) pair per register size, the
+stack from one qcore._haar call; a density chunk its (B, 16)
+purifications; the counterexample chunk its lambda column.  run_campaign
 evaluates chunks of _CHUNK items in index order and keeps only the worst
-index, which a failing report draws again, alone, for its payload.
+index, which a failing report draws again, as a chunk of one item, for
+its payload, the one PureState and ProtocolSpec a campaign builds.
 Reports thus do not depend on the order of evaluation, the chunk size or
 the stack cap.
 
-A protocol draw holds plain values, its register's amplitudes and its
-invocation's fields; a PureState and a ProtocolSpec are built only for a
-failing report's worst case.  The protocol campaigns hand a chunk's
-invocations to protocols._analyses as columns, with one simulation per
-register size cut into stacks of at most _STACK_AMPLITUDES amplitudes,
-and read back columns: each row's F, and only what the campaign checks.
+The protocol campaigns cut each stack into slices of at most
+_STACK_AMPLITUDES amplitudes, hand them with their rows' columns to
+protocols._analyses, and read back columns: each row's F, and only what
+the campaign checks.
 equality_oracle reads the closed forms, so it solves nothing; the bound
 campaigns and saturation read the entropies, so they take no
 correlator, and evaluate each bound on its column once per chunk.  No
@@ -35,9 +37,7 @@ the stack.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -203,10 +203,11 @@ def _read_only(vec: np.ndarray) -> np.ndarray:
 
 
 # saturation's registers, built once per process: the purity register of
-# each S, then the Bell pair
-_SATURATION_REGISTERS = tuple(
-    _read_only(saturating_single_qubit_register(s, 2).amplitudes) for s in _SATURATION_S
-) + (_read_only(bell_pair_register().amplitudes),)
+# each S, (5, 4), and the Bell pair
+_SATURATION_REGISTERS = _read_only(
+    np.array([saturating_single_qubit_register(s, 2).amplitudes for s in _SATURATION_S])
+)
+_BELL_PAIR = _read_only(bell_pair_register().amplitudes)
 
 _ROTATION_CODES = tuple(protocols._CODES[kind] for kind in protocols.ROTATION_KINDS)
 _CZSWAP_GATE = protocols._CODES[ProtocolKind.ADQC_CZSWAP_GATE]
@@ -295,49 +296,43 @@ class CampaignReport:
 _Evaluation = tuple[list[float | None], dict]
 
 
-class _ProtocolDraw(NamedTuple):
-    index: int
-    state: np.ndarray  # the register's amplitude vector
-    # (kind code, targets, u or None, epsilon, delta), as protocols._columns reads it
-    protocol: tuple
-
-    def spec(self) -> ProtocolSpec:
-        kind, *fields = self.protocol
-        return ProtocolSpec(protocols._KINDS[kind], *fields)
+class _ProtocolChunk(NamedTuple):
+    # a protocol, equivalence or saturation chunk: its items' invocations,
+    # and per register size their positions in the chunk and their stack
+    indices: Sequence[int]
+    specs: protocols._Specs
+    registers: list[tuple[np.ndarray, np.ndarray]]
 
     def payload(self) -> dict:
+        # the worst case of a failing report, from a chunk of that one item
+        (index,), ((_, (state,)),) = self.indices, self.registers
+        kind, targets, u, epsilon, delta = (column[0].tolist() for column in self.specs)
+        rotation = protocols._ROTATION[kind]
+        spec = ProtocolSpec(protocols._KINDS[kind], targets[:1] if rotation else targets,
+                            u if rotation else None, epsilon, delta)
         return {
-            "sample_index": self.index,
-            "input_state": stateio.dumps_state(PureState.from_vector(self.state)),
-            **protocols._fields(self.spec()),
+            "sample_index": index,
+            "input_state": stateio.dumps_state(PureState.from_vector(state)),
+            **protocols._fields(spec),
         }
 
 
 _TURN = 2.0 * np.pi
 
 
-# a protocol's targets as a slice of its two drawn targets, by whether
-# its kind is a rotation: both for a gate, the first for a rotation
-_TARGETS = np.array([slice(2), slice(1)])
-
-
-def _registers(sizes: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
-    # each hashed key's Haar register of its size, in key order: one
-    # qcore._haar call per size, over the keys ranked stably by size
-    order = np.argsort(sizes, kind="stable")
-    ranked = sizes[order]
-    rows = list(itertools.chain.from_iterable(
-        qcore._haar(n, keys[order[ranked == n]]) for n in dict.fromkeys(ranked.tolist())
-    ))
-    return list(map(rows.__getitem__, np.argsort(order).tolist()))
+def _registers(sizes: np.ndarray, keys: np.ndarray) -> list:
+    # each register size's positions, in the order the sizes first appear,
+    # with the Haar registers of their hashed keys from one qcore._haar call
+    groups = {n: (sizes == n).nonzero()[0] for n in dict.fromkeys(sizes.tolist())}
+    return [(positions, qcore._haar(n, keys[positions])) for n, positions in groups.items()]
 
 
 def _draw_protocol(
     cfg: CampaignConfig, indices: Sequence[int], kinds=protocols._KINDS
-) -> list[_ProtocolDraw]:
+) -> _ProtocolChunk:
     # a protocol from words 0-6 of the stream [seed, i] (its kind, register
-    # size, two distinct targets, u, epsilon and delta), a Haar register
-    # from [seed, i, 1]
+    # size, two distinct targets, u, epsilon and delta: a rotation's first
+    # target twice, a gate kind's u 0.0), a Haar register from [seed, i, 1]
     codes = np.array([protocols._CODES[kind] for kind in kinds])
     words, keys = qcore._chunk_streams(cfg.seed, indices, 7, (1,))
     code = codes[qcore._choice(words[:, 0], len(codes))]
@@ -346,141 +341,134 @@ def _draw_protocol(
     n = np.where(rotation, n, np.maximum(n, 2))
     first, second = qcore._choice(words[:, 2], n), qcore._choice(words[:, 3], n - 1)
     second += second >= first
-    targets = map(operator.getitem, zip(first.tolist(), second.tolist()), _TARGETS[rotation * 1])
-    u = np.where(rotation, _TURN * qcore._uniform(words[:, 4]), None)
-    eps = np.array(cfg.epsilon_grid)[qcore._choice(words[:, 5], len(cfg.epsilon_grid))]
-    delta = np.array(cfg.delta_grid)[qcore._choice(words[:, 6], len(cfg.delta_grid))]
-    drawn = zip(code.tolist(), targets, u.tolist(), eps.tolist(), delta.tolist())
-    return list(map(_ProtocolDraw, indices, _registers(n, keys), drawn))
+    specs = protocols._Specs(
+        code,
+        np.stack([first, np.where(rotation, first, second)], axis=1),
+        np.where(rotation, _TURN * qcore._uniform(words[:, 4]), 0.0),
+        np.array(cfg.epsilon_grid)[qcore._choice(words[:, 5], len(cfg.epsilon_grid))],
+        np.array(cfg.delta_grid)[qcore._choice(words[:, 6], len(cfg.delta_grid))],
+    )
+    return _ProtocolChunk(indices, specs, _registers(n, keys))
 
 
-def _stacks(draws: list[_ProtocolDraw], rows_per_draw: int = 1) -> list[list[int]]:
-    # The draws' positions, grouped by register size (vector length) and
-    # cut into slices whose stacks, `rows_per_draw` rows per draw, hold at
-    # most _STACK_AMPLITUDES amplitudes (one draw at the least).
-    groups: dict[int, list[int]] = {}
-    for pos, d in enumerate(draws):
-        groups.setdefault(len(d.state), []).append(pos)
+def _stacks(registers: list, rows_per_draw: int = 1) -> list:
+    # A chunk's registers cut into slices whose stacks, `rows_per_draw`
+    # rows per item, hold at most _STACK_AMPLITUDES amplitudes (one item at
+    # the least).
     out = []
-    for dim, positions in groups.items():
-        size = max(1, _STACK_AMPLITUDES // (rows_per_draw * 2 * dim))
-        out += [positions[a:a + size] for a in range(0, len(positions), size)]
+    for positions, stack in registers:
+        size = max(1, _STACK_AMPLITUDES // (rows_per_draw * 2 * stack.shape[1]))
+        out += [(positions[a:a + size], stack[a:a + size]) for a in range(0, len(stack), size)]
     return out
 
 
 def _analyze_draws(
-    draws: list, correlators: bool = False, entropies: bool = False
+    chunk: _ProtocolChunk, correlators: bool = False, entropies: bool = False
 ) -> tuple[np.ndarray, protocols._Checks]:
     # One stack per register size and slice, whatever the kinds, analyzed
     # in one pass over the chunk that computes only the columns asked for;
-    # returns the draw position of each of the pass's rows, and its checks.
-    stacks = _stacks(draws)
-    order = [p for positions in stacks for p in positions]
-    checks = protocols._analyses(
-        [np.array([draws[p].state for p in positions]) for positions in stacks],
-        protocols._columns([draws[p].protocol for p in order]),
-        correlators, entropies,
-    )
-    return np.array(order, dtype=np.intp), checks
+    # returns the chunk position of each of the pass's rows, and its checks.
+    stacks = _stacks(chunk.registers)
+    order = np.concatenate([positions for positions, _ in stacks])
+    specs = chunk.specs.take(order)
+    return order, protocols._analyses([s for _, s in stacks], specs, correlators, entropies)
 
 
 def _evaluate_protocol(
-    cfg: CampaignConfig, draws: list[_ProtocolDraw], bound: str | None = None
+    cfg: CampaignConfig, chunk: _ProtocolChunk, bound: str | None = None
 ) -> _Evaluation:
     # compare the simulated fidelity with the closed form (bound None: no
     # entropy read) or with a bound (no correlator read); a row outside the
     # bound's domain (sv2 < 1) is filtered
-    order, checks = _analyze_draws(draws, correlators=bound is None, entropies=bound is not None)
+    order, checks = _analyze_draws(chunk, correlators=bound is None, entropies=bound is not None)
     if bound is None:
         rows, violations = order, abs(checks.fidelity - checks.closed)
     else:
         checked, bounds = protocols._checked_bounds(bound, checks)
         rows, violations = order[checked], checks.fidelity[checked] - bounds
-    out: list = [None] * len(draws)
+    out: list = [None] * len(chunk.indices)
     for p, violation in zip(rows.tolist(), violations.tolist()):
         out[p] = violation
-    filtered = len(draws) - len(violations)
+    filtered = len(chunk.indices) - len(violations)
     stats = {"filtered_below_domain": filtered} if filtered else {}
     if bound == "sv2_bound" and len(violations):
         stats["min_sv2"] = min(checks.von_neumann[checked].tolist())
     return out, stats
 
 
-def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
+def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> _ProtocolChunk:
     # one register (from [seed, i, 1]) and one set of angles (from words
     # 0-4 of [seed, i]: size, target, u, epsilon, delta) for every rotation
     # protocol, drawn as the first one's
     words, keys = qcore._chunk_streams(cfg.seed, indices, 5, (1,))
     n = np.array(cfg.register_sizes)[qcore._choice(words[:, 0], len(cfg.register_sizes))]
-    targets = zip(qcore._choice(words[:, 1], n).tolist())
-    u, eps, delta = (qcore._uniform(words[:, 2:]) * (_TURN, np.pi, _TURN)).T.tolist()
-    drawn = zip(itertools.repeat(_ROTATION_CODES[0]), targets, u, eps, delta)
-    return list(map(_ProtocolDraw, indices, _registers(n, keys), drawn))
+    target = qcore._choice(words[:, 1], n)
+    # contiguous columns, as the tilted bases are computed on them directly
+    u, eps, delta = (qcore._uniform(words[:, 2:]) * (_TURN, np.pi, _TURN)).T.copy()
+    specs = protocols._Specs(
+        np.full(len(n), _ROTATION_CODES[0]), np.stack([target, target], axis=1), u, eps, delta
+    )
+    return _ProtocolChunk(indices, specs, _registers(n, keys))
 
 
-def _evaluate_equivalence(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
+def _evaluate_equivalence(cfg: CampaignConfig, chunk: _ProtocolChunk) -> _Evaluation:
     # the largest phase-aligned distance between the inaccurate branches of
-    # any two rotation protocols, per outcome; one stack per register size
-    # and slice, holding each run of _EQUIVALENCE_RUNS, run after run, as
-    # the drawn rows under its kind; a pair of kinds compares their runs.
-    # The pair arrays, a row per kind and draw, size the slice.  The kinds
-    # share their tilted bases at u: the chunk's columns and bases are
-    # built once, and each stack takes its rows of them.
+    # any two rotation protocols, per outcome; each slice's stack holds each
+    # run of _EQUIVALENCE_RUNS, run after run, as the slice's rows under its
+    # kind (the pair arrays, a row per kind and item, size the slice); a
+    # pair of kinds compares their runs.  The tilted bases are the chunk's.
     codes, run = _EQUIVALENCE_RUNS
     first, second = run[np.array(np.triu_indices(len(run), 1))]  # every pair of kinds
-    drawn = protocols._columns([d.protocol for d in draws])
-    tilted = qcore._tilted(qcore._equatorial(drawn.u), drawn.epsilon, drawn.delta)
-    worst = [0.0] * len(draws)
-    for positions in _stacks(draws, rows_per_draw=len(_ROTATION_CODES)):
+    specs = chunk.specs
+    tilted = qcore._tilted(qcore._equatorial(specs.u), specs.epsilon, specs.delta)
+    worst = np.zeros(len(chunk.indices))
+    for positions, states in _stacks(chunk.registers, rows_per_draw=len(_ROTATION_CODES)):
         rows = np.tile(positions, len(codes))
-        specs = drawn.take(rows)._replace(kind=np.repeat(codes, len(positions)))
-        amplitudes = np.tile([draws[p].state for p in positions], (len(codes), 1))
-        inaccurate = protocols._branches(amplitudes, specs, tilted[rows])
+        runs_specs = specs.take(rows)._replace(kind=np.repeat(codes, len(positions)))
+        inaccurate = protocols._branches(np.tile(states, (len(codes), 1)), runs_specs, tilted[rows])
         runs = inaccurate.reshape(len(codes), len(positions), *inaccurate.shape[1:])
-        diffs = qcore._aligned_diff(runs[first], runs[second]).max(axis=(0, 2))
-        for p, diff in zip(positions, diffs.tolist()):
-            worst[p] = diff
-    return worst, {}
+        worst[positions] = qcore._aligned_diff(runs[first], runs[second]).max(axis=(0, 2))
+    return worst.tolist(), {}
 
 
-class _DensityDraw(NamedTuple):
-    index: int
-    purification: np.ndarray  # 4 qubits, of rho on qubits (0, 1), from [seed, i]
-    sigma: np.ndarray | None = None  # purifies the random sigma, from [seed, i, 7]
+class _DensityChunk(NamedTuple):
+    indices: Sequence[int]
+    purifications: np.ndarray  # (B, 16): 4 qubits, of rho on qubits (0, 1), from [seed, i]
+    sigmas: np.ndarray | None = None  # (B, 16): the random sigma's, from [seed, i, 7]
 
     def payload(self) -> dict:
+        # the worst case of a failing report, from a chunk of that one item
+        (index,), (purification,) = self.indices, self.purifications
         return {
-            "sample_index": self.index,
-            "purification": stateio.dumps_state(PureState.from_vector(self.purification)),
+            "sample_index": index,
+            "purification": stateio.dumps_state(PureState.from_vector(purification)),
             "keep_qubits": [0, 1],
         }
 
 
 def _draw_density(
     cfg: CampaignConfig, indices: Sequence[int], with_sigma: bool = False
-) -> list[_DensityDraw]:
+) -> _DensityChunk:
     # every register of the chunk, rho's then sigma's, in one qcore._haar call
     _, *keys = qcore._chunk_streams(cfg.seed, indices, 0, (None, 7) if with_sigma else (None,))
     registers = qcore._haar(4, np.concatenate(keys)).reshape(len(keys), len(indices), 16)
-    return list(map(_DensityDraw, indices, *registers))
+    return _DensityChunk(indices, *registers)
 
 
 def _evaluate_density(
-    cfg: CampaignConfig,
-    draws: list[_DensityDraw],
-    slacks: Callable[..., np.ndarray],
+    cfg: CampaignConfig, chunk: _DensityChunk, slacks: Callable[..., np.ndarray]
 ) -> _Evaluation:
-    # one partial trace for the chunk's rho matrices, followed by its sigma
-    # matrices when the draws carry them; one validation for the rho rows,
-    # values only, and one for the sigma rows, whose eigenvectors are read
-    sigmas = [d.sigma for d in draws if d.sigma is not None]
-    states = [d.purification for d in draws] + sigmas
-    reduced = linalg._reduce(np.array(states), [(0, 1)] * len(states))
-    densities = [entropy.validate_density(reduced[: len(draws)], dims=(4,))]
-    if sigmas:
-        densities.append(entropy.validate_density(reduced[len(draws):], dims=(4,), vectors=True))
+    # one partial trace for the rho matrices, then any sigma matrices; one
+    # validation for the rho rows, values only, and one for the sigma rows,
+    # whose eigenvectors are read
+    count, sigma = len(chunk.indices), chunk.sigmas is not None
+    states = np.concatenate([chunk.purifications, chunk.sigmas]) if sigma else chunk.purifications
+    reduced = linalg._reduce(states, [(0, 1)] * len(states))
+    densities = [entropy.validate_density(reduced[:count], dims=(4,))]
+    if sigma:
+        densities.append(entropy.validate_density(reduced[count:], dims=(4,), vectors=True))
     violations = [-slack for slack in slacks(*densities).tolist()]
-    return violations, {"random_sigma_checks": len(sigmas)} if sigmas else {}
+    return violations, {"random_sigma_checks": count} if sigma else {}
 
 
 def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
@@ -505,61 +493,66 @@ def _saturation_sweep(cfg: CampaignConfig) -> int:
     return (len(_SATURATION_S) + 1) * len(cfg.epsilon_grid)
 
 
-def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> list[_ProtocolDraw]:
+def _draw_saturation(cfg: CampaignConfig, indices: Sequence[int]) -> _ProtocolChunk:
     # the register, kind and epsilon from the item's place in the sweep, u
     # and delta from words 0 and 1 of [seed, i]; a Bell-pair row runs the
-    # CZSWAP gate on qubits (0, 1), with no u
+    # CZSWAP gate on qubits (0, 1), with u 0.0.  No register is built
     n_eps = len(cfg.epsilon_grid)
     n_pure = len(_SATURATION_S) * n_eps
     i = np.array(indices, dtype=np.intp)
     j = i % _saturation_sweep(cfg)
     pure = j < n_pure
     (words,) = qcore._chunk_streams(cfg.seed, indices, 2)
-    u, delta = (_TURN * qcore._uniform(words)).T.tolist()
-    code = np.where(pure, np.array(_ROTATION_CODES)[i % len(_ROTATION_CODES)], _CZSWAP_GATE)
-    eps = np.array(cfg.epsilon_grid)[np.where(pure, j % n_eps, j - n_pure)]
-    targets = _TARGETS[pure * 1]
-    drawn = zip(code.tolist(), map(operator.getitem, itertools.repeat((0, 1)), targets),
-                np.where(pure, u, None).tolist(), eps.tolist(), delta)
-    registers = map(_SATURATION_REGISTERS.__getitem__, np.where(pure, j // n_eps, -1).tolist())
-    return list(map(_ProtocolDraw, indices, registers, drawn))
+    u, delta = (_TURN * qcore._uniform(words)).T
+    specs = protocols._Specs(
+        np.where(pure, np.array(_ROTATION_CODES)[i % len(_ROTATION_CODES)], _CZSWAP_GATE),
+        np.outer(~pure, (0, 1)),
+        np.where(pure, u, 0.0),
+        np.array(cfg.epsilon_grid)[np.where(pure, j % n_eps, j - n_pure)],
+        delta,
+    )
+    rows, bell = pure.nonzero()[0], (~pure).nonzero()[0]
+    registers = [(rows, _SATURATION_REGISTERS[j[rows] // n_eps]),
+                 (bell, np.broadcast_to(_BELL_PAIR, (len(bell), len(_BELL_PAIR))))]
+    return _ProtocolChunk(indices, specs, [(p, stack) for p, stack in registers if len(p)])
 
 
-def _evaluate_saturation(cfg: CampaignConfig, draws: list[_ProtocolDraw]) -> _Evaluation:
+def _evaluate_saturation(cfg: CampaignConfig, chunk: _ProtocolChunk) -> _Evaluation:
     # the purity registers, run by the rotation kinds, meet the purity
     # bound; the Bell pairs, run by the CZSWAP gate, the sv2 bound.  A row
     # that neither bound reaches stays NaN, which fails the report.
-    order, checks = _analyze_draws(draws, entropies=True)
-    violations = np.full(len(draws), np.nan)
+    order, checks = _analyze_draws(chunk, entropies=True)
+    violations = np.full(len(chunk.indices), np.nan)
     for name in ("purity_bound", "sv2_bound"):
         rows, bounds = protocols._checked_bounds(name, checks)
         violations[order[rows]] = abs(checks.fidelity[rows] - bounds)
     return violations.tolist(), {}
 
 
-def _lambda(samples: int, i: int) -> float:
-    # point i of np.linspace(0, 1, max(samples, 2)), bit for bit, without
-    # building the grid: i * step + 0.0, with the last point exactly 1
-    last = max(samples, 2) - 1
-    return 1.0 if i == last else i * (1.0 / last) + 0.0
-
-
-class _LambdaDraw(NamedTuple):
-    index: int
-    lam: float  # point i of the lambda grid, blind to the seed
+class _LambdaChunk(NamedTuple):
+    indices: Sequence[int]
+    lam: np.ndarray  # point i of the lambda grid per item, blind to the seed
 
     def payload(self) -> dict:
-        return _DensityDraw(self.index, purified_rho_lambda(self.lam).amplitudes).payload()
+        # the worst case of a failing report, from a chunk of that one item
+        (lam,) = self.lam.tolist()
+        return _DensityChunk(self.indices, purified_rho_lambda(lam).amplitudes[None]).payload()
 
 
-def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> list[_LambdaDraw]:
-    return [_LambdaDraw(i, _lambda(cfg.samples, i)) for i in indices]
+def _draw_lambda(cfg: CampaignConfig, indices: Sequence[int]) -> _LambdaChunk:
+    # point i of np.linspace(0, 1, max(samples, 2)), bit for bit, without
+    # building the grid: i * step + 0.0, with the last point exactly 1
+    last = max(cfg.samples, 2) - 1
+    lam = [1.0 if i == last else i * (1.0 / last) + 0.0 for i in indices]
+    return _LambdaChunk(indices, np.array(lam))
 
 
-def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _Evaluation:
+def _evaluate_counterexample(cfg: CampaignConfig, chunk: _LambdaChunk) -> _Evaluation:
     # one validation of the chunk's rho_lambda stack, whose rows' S_v2 are
     # von_neumann's and <Z (x) Z> correlator's, bit for bit
-    rhos = entropy.validate_density(np.array([rho_lambda(d.lam) for d in draws]))
+    rhos = np.zeros((len(chunk.lam), 4, 4), dtype=complex)
+    rhos[:, 0, 0], rhos[:, 3, 3] = chunk.lam, 1.0 - chunk.lam
+    rhos = entropy.validate_density(rhos)
     sv2s = entropy._mixedness(rhos)[1].tolist()
     violations = []
     for sv2, czz in zip(sv2s, entropy._zz(rhos).tolist()):
@@ -575,6 +568,9 @@ def _evaluate_counterexample(cfg: CampaignConfig, draws: list[_LambdaDraw]) -> _
     return violations, {"min_sv2": min(sv2s), "max_sv2": max(sv2s)}
 
 
+_Chunk = _ProtocolChunk | _DensityChunk | _LambdaChunk  # what a draw builds
+
+
 @dataclass(frozen=True)
 class _Campaign:
     """One campaign: how it draws and evaluates its items, its default
@@ -582,14 +578,15 @@ class _Campaign:
     draws from, the items each sample sweeps (one unless `sweep` says
     otherwise) and a note for its report.
 
-    `draw(cfg, indices)` builds the listed items, in the order given,
-    each from (cfg.seed, i) alone, so drawing an item again, alone or in
-    any other chunk, gives the same item; its `payload()` is the worst
-    case of a failing report.  `evaluate(cfg, draws)` turns one chunk of
-    draws into an _Evaluation.
+    `draw(cfg, indices)` builds one chunk of the listed items, in the
+    order given, as columns; each item comes from (cfg.seed, i) alone, so
+    drawing it again, alone or in any other chunk, gives the same values.
+    `payload()` of a chunk of one item is that item as the worst case of
+    a failing report.  `evaluate(cfg, chunk)` turns a chunk into an
+    _Evaluation.
     """
-    draw: Callable[[CampaignConfig, Sequence[int]], list]
-    evaluate: Callable[[CampaignConfig, list], _Evaluation]
+    draw: Callable[[CampaignConfig, Sequence[int]], _Chunk]
+    evaluate: Callable[[CampaignConfig, _Chunk], _Evaluation]
     samples: int
     tolerance: float
     register_sizes: tuple[int, ...] = (2, 3, 4, 5)
@@ -721,7 +718,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         config=config,
         checks_run=checks_run,
         max_violation=max_violation,
-        worst_case=None if passed or worst is None else campaign.draw(config, [worst])[0].payload(),
+        worst_case=None if passed or worst is None else campaign.draw(config, [worst]).payload(),
         passed=passed,
         stats=stats,
     )

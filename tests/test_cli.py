@@ -143,6 +143,13 @@ def test_fig67_rows_are_the_bounds_measure_bit_for_bit(figure, bound):
         assert value.hex() == float(protocols._measures(bound, np.array([s]))[0]).hex()
 
 
+@pytest.mark.parametrize("output", [[], ["--output", "-"]])
+def test_curves_without_an_output_file_write_to_stdout(output, capsys):
+    assert cli.main(["curves", "fig6", "--grid", "3", *output]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.curve_csv("fig6", 3) and captured.err == ""
+
+
 def test_curves_custom_s_values(tmp_path):
     out = tmp_path / "c.csv"
     assert cli.main(["curves", "fig5", "--grid", "3", "--s-values", "0.1,0.9",
@@ -226,8 +233,8 @@ def test_verify_failure_exit_code(tmp_path):
 
 
 def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, capsys):
-    def evaluate(cfg, draws):
-        return [math.nan if d.index == 2 else 0.0 for d in draws], {}
+    def evaluate(cfg, chunk):
+        return [math.nan if i == 2 else 0.0 for i in chunk.indices], {}
     campaign = dataclasses.replace(verify._CAMPAIGNS["counterexample"], evaluate=evaluate)
     monkeypatch.setitem(verify._CAMPAIGNS, "counterexample", campaign)
     out = tmp_path / "report.json"
@@ -239,7 +246,7 @@ def test_verify_nan_violation_fails_with_strict_json(monkeypatch, tmp_path, caps
     assert data["passed"] is False
     assert data["max_violation"] == "nan"
     config = verify.default_config("counterexample", samples=5, tolerance=1)
-    assert data["worst_case"] == campaign.draw(config, [2])[0].payload()
+    assert data["worst_case"] == campaign.draw(config, [2]).payload()
     assert data["worst_case"]["sample_index"] == 2
 
 
@@ -315,6 +322,19 @@ def test_demo_rho_lambda_counterexample(capsys):
     assert info["entanglement"]["von_neumann"] == pytest.approx(0.8813, abs=1e-3)
     assert "sv2_bound" not in info["bounds"]
     assert any("below the bound domain" in note for note in info["notes"])
+
+
+def test_demo_table_below_the_sv2_domain(capsys):
+    # a two-qubit reduction with S_v2 < 1: the table prints its S_v2 row
+    # and the note, and no bound
+    assert cli.main(["demo", "ADQC_CZSWAP_GATE", "--preset", "rho_lambda:0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (row,) = [line for line in lines if line.startswith("von Neumann S_v2:")]
+    assert float(row.split(":")[1]) == pytest.approx(0.8813, abs=1e-3)
+    (note,) = [line for line in lines if line.startswith("note: ")]
+    assert note.startswith("note: S_v2 = ") and "below the bound domain" in note
+    assert not [line for line in lines if line.startswith("bound ")]
+    assert not [line for line in lines if line.startswith(("purity S:", "VIOLATION"))]
 
 
 def test_demo_saturate_preset(capsys):
@@ -426,9 +446,14 @@ def test_demo_rejects_u_for_two_qubit_gate():
     assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", "bell", "--u", "0.5"]) == 2
 
 
-def test_demo_bad_targets():
+def test_demo_bad_targets(capsys):
     assert cli.main(["demo", "ADQC_ROTATION_CZ", "--preset", "bell",
                      "--targets", "7"]) == 2
+    # "" lists no target; it used to fall back on the default targets and
+    # exit 0
+    assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", "bell", "--targets", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_preset_errors():

@@ -379,10 +379,53 @@ def test_only_a_failing_worst_case_is_serialized(monkeypatch):
     assert report.worst_case["input_state"] == dumps(*dumped[0])
 
 
+def _register(registers, p):
+    """Item p's register from a chunk's (positions, stack) pairs."""
+    (row,) = [stack[list(positions).index(p)] for positions, stack in registers if p in positions]
+    return row
+
+
+def _item(chunk, p) -> list:
+    """Item p of a chunk, field by field, each array as its raw bytes: the
+    index, its entry of every _Specs column, its register, or its row of
+    each array field."""
+    out = [chunk.indices[p]]
+    for value in chunk[1:]:
+        if isinstance(value, protocols._Specs):
+            out.append([column[p].tobytes() for column in value])
+        elif isinstance(value, list):
+            out.append(_register(value, p).tobytes())
+        elif value is not None:
+            out.append(value[p].tobytes())
+    return out
+
+
+def _cut(chunk, p):
+    """The chunk of item p alone, cut from a chunk's columns."""
+    fields = [chunk.indices[p:p + 1]]
+    for value in chunk[1:]:
+        if isinstance(value, protocols._Specs):
+            fields.append(value.take(slice(p, p + 1)))
+        elif isinstance(value, list):
+            fields.append([(np.array([0]), _register(value, p)[None])])
+        else:
+            fields.append(None if value is None else value[p:p + 1])
+    return type(chunk)(*fields)
+
+
+def _spec(specs, p) -> protocols.ProtocolSpec:
+    """Row p of _Specs columns as a ProtocolSpec: a rotation's first target
+    and u, a gate kind's two targets and no u."""
+    kind, (first, second), u, eps, delta = (column[p].tolist() for column in specs)
+    if protocols._ROTATION[kind]:
+        return protocols.ProtocolSpec(protocols._KINDS[kind], (first,), u, eps, delta)
+    return protocols.ProtocolSpec(protocols._KINDS[kind], (first, second), None, eps, delta)
+
+
 def _campaign_with(monkeypatch, bad_index, bad_value):
     """Swap in a jonas campaign whose item `bad_index` evaluates to `bad_value`."""
-    def evaluate(cfg, draws):
-        return [bad_value if d.index == bad_index else -1.0 + 0.1 * d.index for d in draws], {}
+    def evaluate(cfg, chunk):
+        return [bad_value if i == bad_index else -1.0 + 0.1 * i for i in chunk.indices], {}
     campaign = dataclasses.replace(verify._CAMPAIGNS["jonas"], evaluate=evaluate)
     monkeypatch.setitem(verify._CAMPAIGNS, "jonas", campaign)
     return verify.default_config("jonas", samples=8, seed=1, tolerance=1e-9)
@@ -395,7 +438,7 @@ def test_campaign_fails_closed_on_non_finite_violation(monkeypatch, bad_index, b
     report = verify.run_campaign(config)
     assert not report.passed
     assert report.checks_run == 8
-    assert report.worst_case == verify._CAMPAIGNS["jonas"].draw(config, [bad_index])[0].payload()
+    assert report.worst_case == verify._CAMPAIGNS["jonas"].draw(config, [bad_index]).payload()
     assert report.worst_case["sample_index"] == bad_index
     assert repr(report.max_violation) == repr(bad_value)
     data = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
@@ -595,8 +638,8 @@ def test_a_report_is_the_same_cold_and_after_every_other_campaign():
 def test_samples_are_independent_of_evaluation_order(name):
     # item i depends on (seed, i) alone, so drawing and evaluating the
     # chunks in reverse index order (each chunk drawn in reverse), or each
-    # item alone in reverse, gives the same violations, payloads and merged
-    # stats as evaluating the chunks forward
+    # item alone in reverse, gives the same violations, items, payloads and
+    # merged stats as evaluating the chunks forward
     config = verify.default_config(name, samples=6, seed=5)
     campaign = verify._CAMPAIGNS[name]
     count = campaign.items(config)
@@ -604,42 +647,45 @@ def test_samples_are_independent_of_evaluation_order(name):
 
     def evaluate(chunk_order):
         out, stats = {}, {}
-        for chunk in chunk_order:
-            draws = campaign.draw(config, chunk)
-            violations, chunk_stats = campaign.evaluate(config, draws)
-            assert len(violations) == len(draws)
+        for indices in chunk_order:
+            chunk = campaign.draw(config, indices)
+            violations, chunk_stats = campaign.evaluate(config, chunk)
+            assert list(chunk.indices) == list(indices) and len(violations) == len(indices)
             verify._merge_stats(stats, chunk_stats)
-            for i, d, violation in zip(chunk, draws, violations):
-                assert d.index == i
-                out[i] = (violation, d.payload())
+            for p, (i, violation) in enumerate(zip(indices, violations)):
+                out[i] = (violation, _item(chunk, p), _cut(chunk, p).payload())
         return [out[i] for i in range(count)], stats
 
     forward = evaluate(chunks)
     assert forward == evaluate([chunk[::-1] for chunk in reversed(chunks)])
     assert forward == evaluate([[i] for i in reversed(range(count))])
     assert len(forward[0]) == count >= 6
-
-
-def _draw_fields(draw) -> list:
-    # a draw's fields, each state as its raw amplitude bytes
-    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in draw]
+    assert [payload["sample_index"] for *_, payload in forward[0]] == list(range(count))
 
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
 def test_a_chunk_draw_is_each_item_drawn_alone(name):
     # a chunk's keys are hashed as arrays, and item i is still built from
-    # its own streams: the same states, bit for bit, and the
-    # same specs and payloads as drawing [i] alone
+    # its own streams: the same columns and register, bit for bit, as
+    # drawing [i] alone, and a chunk of [i] cut from the chunk's columns
+    # has the payload of [i] drawn alone
     config = verify.default_config(name, samples=12, seed=9)
     campaign = verify._CAMPAIGNS[name]
     a, b = 3, min(campaign.items(config), 40)  # saturation's first 40 of 360
     chunk = campaign.draw(config, range(a, b))
-    assert [d.index for d in chunk] == list(range(a, b))
-    for i, d in zip(range(a, b), chunk):
-        (alone,) = campaign.draw(config, [i])
-        assert _draw_fields(d) == _draw_fields(alone)
-        assert d.payload() == alone.payload()
-    assert campaign.draw(config, []) == []
+    assert list(chunk.indices) == list(range(a, b))
+    for p, i in enumerate(range(a, b)):
+        alone = campaign.draw(config, [i])
+        assert _item(chunk, p) == _item(alone, 0)
+        assert _cut(chunk, p).payload() == alone.payload()
+    empty = campaign.draw(config, [])
+    assert len(empty.indices) == 0
+    for value in empty[1:]:
+        if isinstance(value, protocols._Specs):
+            assert all(len(column) == 0 for column in value)
+        elif value is not None:
+            assert len(value) == 0
+
 
 
 @pytest.mark.parametrize("name", verify.CAMPAIGN_NAMES)
@@ -672,7 +718,7 @@ def test_each_item_is_drawn_once_and_a_failing_worst_case_once_more(monkeypatch,
         else:
             worst = report.worst_case["sample_index"]
             assert drawn == chunks + [[worst]]
-            assert report.worst_case == campaign.draw(config, [worst])[0].payload()
+            assert report.worst_case == campaign.draw(config, [worst]).payload()
 
 
 def test_a_chunk_draw_hashes_only_its_seed_and_draws_a_register_size_once(monkeypatch):
@@ -802,19 +848,19 @@ def test_kinds_that_share_a_gate_list_share_one_run(monkeypatch, swapped, runs):
 
     monkeypatch.setattr(protocols, "_branches", counted)
     config = verify.default_config("circuit_equivalence", samples=60, seed=5)
-    draws = verify._draw_equivalence(config, range(60))
-    worst, _ = verify._evaluate_equivalence(config, draws)
-    # every stack holds each run's rows, as many per run as it has draws
+    chunk = verify._draw_equivalence(config, range(60))
+    worst, _ = verify._evaluate_equivalence(config, chunk)
+    # every stack holds each run's rows, as many per run as it has items
     codes = [protocols._CODES[protocols.ProtocolKind(name)] for name in runs]
-    assert sum(int(rows[codes[0]]) for rows in stacks) == len(draws)
+    assert sum(int(rows[codes[0]]) for rows in stacks) == len(worst) == 60
     for rows in stacks:
         assert rows.nonzero()[0].tolist() == codes and len(set(rows[codes].tolist())) == 1
-    # each draw's worst distance is that of every kind run alone
-    for d, value in zip(draws, worst):
-        _, targets, u, eps, delta = d.protocol
+    # each item's worst distance is that of every kind run alone
+    for p, value in enumerate(worst):
+        spec, state = _spec(chunk.specs, p), _register(chunk.registers, p)
         branches = [
-            protocols.run_protocol(d.state, protocols.ProtocolSpec(kind, targets, u, eps, delta))
-            .inaccurate_branches for kind in protocols.ROTATION_KINDS
+            protocols.run_protocol(state, dataclasses.replace(spec, kind=kind)).inaccurate_branches
+            for kind in protocols.ROTATION_KINDS
         ]
         assert value == max(
             float(qcore.phase_aligned_max_diff(a, b).max())
@@ -827,16 +873,16 @@ def test_analyze_matches_the_chunked_evaluation(kind):
     # analyze of one register is its row of the chunk pass's columns, bit
     # for bit, its bounds those the chunk evaluates on their columns
     config = verify.default_config("equality_oracle", samples=40, seed=3)
-    draws = verify._draw_protocol(config, range(40), kinds=(kind,))
-    order, checks = verify._analyze_draws(draws, correlators=True, entropies=True)
+    chunk = verify._draw_protocol(config, range(40), kinds=(kind,))
+    order, checks = verify._analyze_draws(chunk, correlators=True, entropies=True)
     bounds = {}
     for name in ("purity_bound", "sv_bound", "sv2_bound"):
         rows, values = protocols._checked_bounds(name, checks)
         bounds[name] = dict(zip(rows.tolist(), values.tolist()))
     lengths = entropy._length(checks.expectations)
     for row, p in enumerate(order.tolist()):
-        d = draws[p]
-        rep = protocols.analyze(qcore.PureState.from_vector(d.state), d.spec())
+        state = qcore.PureState.from_vector(_register(chunk.registers, p))
+        rep = protocols.analyze(state, _spec(chunk.specs, p))
         assert rep.simulated_F == checks.fidelity[row]
         assert rep.closed_form_F == checks.closed[row]
         assert rep.correlator_used == checks.correlator[row]
@@ -944,23 +990,27 @@ def test_monotonicity_checks_both_sigmas_in_one_call(monkeypatch):
 
 
 def test_saturation_builds_its_registers_once_per_process(monkeypatch):
-    # the six fixed registers are read-only arrays built at import; no
-    # item builds one
+    # the six fixed registers are read-only arrays built at import, the
+    # purity registers as one (5, 4) table; no item builds one, and a
+    # chunk's rows are the table's rows and the Bell pair
     want = [verify.saturating_single_qubit_register(s, 2).amplitudes for s in verify._SATURATION_S]
-    want.append(verify.bell_pair_register().amplitudes)
+    bell = verify.bell_pair_register().amplitudes
 
     def built(*args):
         raise AssertionError("a register was built for an item")
 
     monkeypatch.setattr(verify, "saturating_single_qubit_register", built)
     monkeypatch.setattr(verify, "bell_pair_register", built)
-    registers = verify._SATURATION_REGISTERS
-    assert [r.tobytes() for r in registers] == [w.tobytes() for w in want]
-    assert not any(r.flags.writeable for r in registers)
+    table = verify._SATURATION_REGISTERS
+    assert table.shape == (5, 4) and table.tobytes() == np.array(want).tobytes()
+    assert verify._BELL_PAIR.tobytes() == bell.tobytes()
+    assert not table.flags.writeable and not verify._BELL_PAIR.flags.writeable
     config = verify.default_config("saturation", samples=2, seed=3)
     assert verify.run_campaign(config).passed
-    draws = verify._draw_saturation(config, range(verify._saturation_sweep(config)))
-    assert {id(d.state) for d in draws} == {id(r) for r in registers}
+    sweep = verify._saturation_sweep(config)
+    chunk = verify._draw_saturation(config, range(sweep))
+    rows = {_register(chunk.registers, p).tobytes() for p in range(sweep)}
+    assert rows == {r.tobytes() for r in table} | {bell.tobytes()}
     # a failing report serializes its worst item from the shared register
     failing = verify.run_campaign(dataclasses.replace(config, tolerance=1e-300))
     assert not failing.passed and failing.worst_case["input_state"]
@@ -969,9 +1019,9 @@ def test_saturation_builds_its_registers_once_per_process(monkeypatch):
 def test_density_checks_match_the_chunked_evaluation():
     # a density campaign's chunk calls the public checks on its stacks
     config = verify.default_config("monotonicity", samples=40, seed=3)
-    draws = verify._draw_density(config, range(40), with_sigma=True)
-    states = [d.purification for d in draws] + [d.sigma for d in draws]
-    rhos = linalg.partial_trace(np.array(states), [(0, 1)] * 80)
+    chunk = verify._draw_density(config, range(40), with_sigma=True)
+    states = np.concatenate([chunk.purifications, chunk.sigmas])
+    rhos = linalg.partial_trace(states, [(0, 1)] * 80)
     stack = entropy.validate_density(rhos, dims=(4,), vectors=True)
     values = entropy.validate_density(rhos, dims=(4,))
     assert values.eigenvectors is None
@@ -1027,21 +1077,23 @@ def test_counterexample_draws_lambda_without_a_grid(monkeypatch):
     config = verify.default_config("counterexample", samples=samples, seed=1)
     campaign = verify._CAMPAIGNS["counterexample"]
     ends = campaign.draw(config, [0, samples - 1])
-    assert [campaign.evaluate(config, [d])[1] for d in ends] == [
+    assert ends.lam.tolist() == [0.0, 1.0]
+    alone = [campaign.draw(config, [i]) for i in ends.indices]
+    assert [campaign.evaluate(config, end)[1] for end in alone] == [
         {"min_sv2": 0.0, "max_sv2": 0.0}
     ] * 2
-    assert [d.payload()["sample_index"] for d in ends] == [0, samples - 1]
+    assert [end.payload()["sample_index"] for end in alone] == [0, samples - 1]
     violations, stats = campaign.evaluate(config, campaign.draw(config, [1]))
     assert violations == [0.0]
     assert 0.0 < stats["min_sv2"] == stats["max_sv2"] < 1e-10
-    assert verify._lambda(samples, 1) == 1.0 / (samples - 1)
-    assert verify._lambda(samples, samples - 1) == 1.0
+    assert campaign.draw(config, [1, samples - 1]).lam.tolist() == [1.0 / (samples - 1), 1.0]
 
 
 def test_counterexample_lambda_is_linspace_bit_for_bit():
     for samples in (1, *range(2, 400), 1000, 4097, 65536):
         grid = np.linspace(0.0, 1.0, max(samples, 2))
-        got = np.array([verify._lambda(samples, i) for i in range(len(grid))])
+        config = verify.default_config("counterexample", samples=samples)
+        got = verify._draw_lambda(config, range(len(grid))).lam
         assert got.tobytes() == grid.tobytes(), samples
 
 
@@ -1126,8 +1178,10 @@ def test_counterexample_validates_each_chunk_in_one_call(monkeypatch):
     samples = 2 * verify._CHUNK + 3
     config = verify.default_config("counterexample", samples=samples, seed=1)
     campaign = verify._CAMPAIGNS["counterexample"]
-    draws = campaign.draw(config, range(samples))
-    sv2s = [entropy.von_neumann(verify.rho_lambda(d.lam)) for d in draws]
+    sv2s = [
+        entropy.von_neumann(verify.rho_lambda(lam))
+        for lam in campaign.draw(config, range(samples)).lam.tolist()
+    ]
     original = linalg.jacobi_eigh
     calls = []
 
@@ -1141,7 +1195,7 @@ def test_counterexample_validates_each_chunk_in_one_call(monkeypatch):
     assert calls == [verify._CHUNK, verify._CHUNK, 3]
     for a in range(0, samples, verify._CHUNK):
         chunk = sv2s[a:a + verify._CHUNK]
-        stats = campaign.evaluate(config, draws[a:a + verify._CHUNK])[1]
+        stats = campaign.evaluate(config, campaign.draw(config, range(a, a + len(chunk))))[1]
         assert repr(stats) == repr({"min_sv2": min(chunk), "max_sv2": max(chunk)})
 
 
@@ -1173,9 +1227,9 @@ def test_bound_minus_closed_form_is_sin_squared_times_kappa():
     # kappa = 1 - c^2 - m(S), a function of the target's reduced state
     # alone; for the purity measure S = 1 - r^2, so kappa = r^2 - c^2
     config = verify.default_config("bound_main", samples=300, seed=42)
-    draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
-    assert {len(d.state) for d in draws} == {4, 8, 16, 32}  # n = 2..5
-    _, checks = verify._analyze_draws(draws, correlators=True, entropies=True)
+    chunk = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
+    assert {stack.shape[1] for _, stack in chunk.registers} == {4, 8, 16, 32}  # n = 2..5
+    _, checks = verify._analyze_draws(chunk, correlators=True, entropies=True)
     se, c = checks.sin_half, checks.correlator
     for name in ("purity_bound", "sv_bound"):
         rows, entropies = protocols._bound_entropies(name, checks)
@@ -1197,8 +1251,8 @@ def test_sv_and_purity_kappas_differ_by_no_more_than_the_f_inversion_error():
     # and S_v
     bound = 2.0 * math.log(2.0) * entropy._INVERSE_RESIDUAL + 1e-14
     config = verify.default_config("bound_main", samples=300, seed=42)
-    draws = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
-    _, checks = verify._analyze_draws(draws, entropies=True)
+    chunk = verify._draw_protocol(config, range(300), kinds=protocols.X_ERROR_KINDS)
+    _, checks = verify._analyze_draws(chunk, entropies=True)
     rows, s = protocols._bound_entropies("purity_bound", checks)
     sv_rows, v = protocols._bound_entropies("sv_bound", checks)
     assert rows.tolist() == sv_rows.tolist() == list(range(300))
@@ -1232,29 +1286,33 @@ def test_jonas_slack_splits_into_the_interm_slack_and_two_grouping_terms():
 
 def test_a_protocol_draw_reads_its_words_as_the_reference_does():
     # words 0-6 of [seed, i]: the kind, the register size, two distinct
-    # targets (the first alone for a rotation), u (a rotation's only),
-    # epsilon and delta; the register is [seed, i, 1]'s.  Each field is the
-    # Python reference's reading of the word, bit for bit
+    # targets (the first twice for a rotation), u (0.0 for a gate kind),
+    # epsilon and delta; the register is [seed, i, 1]'s.  Each column entry
+    # is the Python reference's reading of the word, bit for bit
     config = verify.default_config("equality_oracle", samples=300, seed=5)
     codes = [protocols._CODES[kind] for kind in protocols._KINDS]
     pairs = set()
-    for d in verify._draw_protocol(config, range(300)):
-        w = reference.words([5, d.index], 7)
+    chunk = verify._draw_protocol(config, range(300))
+    assert [column.dtype for column in chunk.specs] == [np.intp, np.intp] + [np.float64] * 3
+    for p, i in enumerate(chunk.indices):
+        w = reference.words([5, i], 7)
         code = codes[reference.choice(w[0], len(codes))]
         rotation = bool(protocols._ROTATION[code])
         n = config.register_sizes[reference.choice(w[1], len(config.register_sizes))]
         first = reference.choice(w[2], n)
         if rotation:
-            targets, u = (first,), verify._TURN * reference.uniform(w[4])
+            targets, u = [first, first], verify._TURN * reference.uniform(w[4])
         else:
             second = reference.choice(w[3], n - 1)
-            targets, u = (first, second + (second >= first)), None
-            pairs.add(targets)
+            targets, u = [first, second + (second >= first)], 0.0
+            pairs.add(tuple(targets))
         eps = config.epsilon_grid[reference.choice(w[5], len(config.epsilon_grid))]
         delta = config.delta_grid[reference.choice(w[6], len(config.delta_grid))]
-        assert repr(d.protocol) == repr((code, targets, u, eps, delta))
-        want = qcore.random_pure_state(n, [5, d.index, 1]).amplitudes
-        assert d.state.tobytes() == want.tobytes()
+        assert repr([column[p].tolist() for column in chunk.specs]) == repr(
+            [code, targets, u, eps, delta]
+        )
+        want = qcore.random_pure_state(n, [5, i, 1]).amplitudes
+        assert _register(chunk.registers, p).tobytes() == want.tobytes()
     # every ordered pair of distinct qubits of the smallest register shows
     assert {p for p in pairs if max(p) < 2} == {(0, 1), (1, 0)}
 
@@ -1264,13 +1322,16 @@ def test_an_equivalence_draw_reads_its_words_as_the_reference_does():
     # on [0, pi) and delta; the register is [seed, i, 1]'s
     highs = (verify._TURN, np.pi, verify._TURN)
     config = verify.default_config("circuit_equivalence", seed=6)
-    for d in verify._draw_equivalence(config, range(50)):
-        w = reference.words([6, d.index], 5)
+    chunk = verify._draw_equivalence(config, range(50))
+    assert [column.dtype for column in chunk.specs] == [np.intp, np.intp] + [np.float64] * 3
+    for p, i in enumerate(chunk.indices):
+        w = reference.words([6, i], 5)
         n = config.register_sizes[reference.choice(w[0], len(config.register_sizes))]
-        angles = tuple(h * reference.uniform(x) for h, x in zip(highs, w[2:]))
-        want = (verify._ROTATION_CODES[0], (reference.choice(w[1], n),), *angles)
-        assert repr(d.protocol) == repr(want)
-        assert d.state.tobytes() == qcore.random_pure_state(n, [6, d.index, 1]).amplitudes.tobytes()
+        angles = [h * reference.uniform(x) for h, x in zip(highs, w[2:])]
+        want = [verify._ROTATION_CODES[0], [reference.choice(w[1], n)] * 2, *angles]
+        assert repr([column[p].tolist() for column in chunk.specs]) == repr(want)
+        state = qcore.random_pure_state(n, [6, i, 1]).amplitudes
+        assert _register(chunk.registers, p).tobytes() == state.tobytes()
 
 
 def test_a_saturation_draw_reads_its_words_as_the_reference_does():
@@ -1278,19 +1339,22 @@ def test_a_saturation_draw_reads_its_words_as_the_reference_does():
     # [seed, i] give u (a rotation row's only) and delta
     config = verify.default_config("saturation", samples=2, seed=8)
     n_eps, n_pure = len(config.epsilon_grid), len(verify._SATURATION_S) * len(config.epsilon_grid)
-    for d in verify._draw_saturation(config, range(2 * verify._saturation_sweep(config))):
-        w = reference.words([8, d.index], 2)
+    chunk = verify._draw_saturation(config, range(2 * verify._saturation_sweep(config)))
+    assert [column.dtype for column in chunk.specs] == [np.intp, np.intp] + [np.float64] * 3
+    for p, i in enumerate(chunk.indices):
+        w = reference.words([8, i], 2)
         delta = verify._TURN * reference.uniform(w[1])
-        j = d.index % verify._saturation_sweep(config)
+        j = i % verify._saturation_sweep(config)
         if j < n_pure:
-            code = verify._ROTATION_CODES[d.index % len(verify._ROTATION_CODES)]
-            want = (code, (0,), verify._TURN * reference.uniform(w[0]),
-                    config.epsilon_grid[j % n_eps], delta)
-            assert d.state is verify._SATURATION_REGISTERS[j // n_eps]
+            code = verify._ROTATION_CODES[i % len(verify._ROTATION_CODES)]
+            want = [code, [0, 0], verify._TURN * reference.uniform(w[0]),
+                    config.epsilon_grid[j % n_eps], delta]
+            state = verify._SATURATION_REGISTERS[j // n_eps]
         else:
-            want = (verify._CZSWAP_GATE, (0, 1), None, config.epsilon_grid[j - n_pure], delta)
-            assert d.state is verify._SATURATION_REGISTERS[-1]
-        assert repr(d.protocol) == repr(want)
+            want = [verify._CZSWAP_GATE, [0, 1], 0.0, config.epsilon_grid[j - n_pure], delta]
+            state = verify._BELL_PAIR
+        assert repr([column[p].tolist() for column in chunk.specs]) == repr(want)
+        assert _register(chunk.registers, p).tobytes() == state.tobytes()
 
 
 def test_a_density_draw_is_the_registers_of_its_keys():
@@ -1298,10 +1362,12 @@ def test_a_density_draw_is_the_registers_of_its_keys():
     # [seed, i, 7], each the register random_pure_state draws for the key
     for name, tags in (("interm", ()), ("monotonicity", (7,))):
         config = verify.default_config(name, seed=4)
-        for d in verify._CAMPAIGNS[name].draw(config, range(30, 70)):
-            keys = [[4, d.index], *([4, d.index, tag] for tag in tags)]
+        chunk = verify._CAMPAIGNS[name].draw(config, range(30, 70))
+        assert (chunk.sigmas is None) == (not tags)
+        for p, i in enumerate(chunk.indices):
+            keys = [[4, i], *([4, i, tag] for tag in tags)]
             want = [qcore.random_pure_state(4, key).amplitudes.tobytes() for key in keys]
-            assert [v.tobytes() for v in d[1:] if v is not None] == want
+            assert [v[p].tobytes() for v in chunk[1:] if v is not None] == want
 
 
 _PINNED_DRAWS = "cbfb7c8e2c6744409e38f5d84f2ddfdf7a691f606b7b39c978ef53f06afbbfca"
@@ -1314,11 +1380,10 @@ def test_a_fixed_chunks_draws_have_the_pinned_digest():
     # cos, sin and normalization of the registers must give these bytes at
     # both levels
     config = verify.default_config("equality_oracle", seed=2024)
-    draws = verify._draw_protocol(config, range(128))
-    columns = protocols._columns([d.protocol for d in draws])
-    sha = hashlib.sha256(json.dumps([column.tolist() for column in columns]).encode())
-    for d in draws:
-        sha.update(d.state.tobytes())
+    chunk = verify._draw_protocol(config, range(128))
+    sha = hashlib.sha256(json.dumps([column.tolist() for column in chunk.specs]).encode())
+    for p in range(128):
+        sha.update(_register(chunk.registers, p).tobytes())
     for n in range(1, linalg.MAX_QUBITS + 1):
         sha.update(qcore._haar(n, qcore._chunk_streams(2024, range(16), 0, (1,))[1]).tobytes())
     assert sha.hexdigest() == _PINNED_DRAWS
