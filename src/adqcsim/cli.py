@@ -53,6 +53,15 @@ def curve_csv(figure: str, grid: int = 201, s_values: tuple[float, ...] = DEFAUL
     return "\n".join(lines) + "\n"
 
 
+def _number(text: str, kind: type, name: str) -> int | float:
+    # one int or float; a malformed or empty value raises a ValueError that
+    # names `name`, the option or preset token that gave it
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text!r} is no {kind.__name__}") from None
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -66,7 +75,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if args.s_values is not None and args.figure != "fig5":
         raise ValueError(f"--s-values applies to fig5 only, not {args.figure}")
     if args.s_values is not None:  # "" lists no value, and is an error
-        s_values = tuple(float(tok) for tok in args.s_values.split(","))
+        s_values = tuple(_number(tok, float, "--s-values") for tok in args.s_values.split(","))
         for s in s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"S value {s} outside [0, 1]")
@@ -96,38 +105,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _PRESET_HELP = "bell, ghz:n, product:n, saturate:S, rho_lambda:L"
 
 
-def _preset_qubits(arg: str, default: int) -> int:
-    n = int(arg) if arg else default
-    largest = protocols._MAX_REGISTER
-    if not 1 <= n <= largest:
-        raise ValueError(f"preset register of {n} qubits outside [1, {largest}]")
-    return n
+def _preset_value(token: str, kind: type) -> int | float:
+    # the one value after the ':' of a preset token, which must have one
+    name, _, arg = token.partition(":")
+    if not arg:
+        raise ValueError(f"{name} preset needs a value: {name}:<{kind.__name__}>")
+    return _number(arg, kind, f"preset {token!r}")
 
 
 def preset_state(token: str) -> PureState:
     """Build a named preset register (see _PRESET_HELP for the names)."""
-    name, sep, arg = token.partition(":")
+    name, sep, _ = token.partition(":")
     if name == "bell":
         if sep:
             raise ValueError(f"bell preset takes no value, got {token!r}")
         vec = np.zeros(4, dtype=complex)
         vec[0b00] = vec[0b11] = 1.0 / np.sqrt(2.0)
         return PureState(2, vec)
-    if name == "ghz":
-        n = _preset_qubits(arg, 3)
+    if name in ("ghz", "product"):
+        n = _preset_value(token, int) if sep else 3 if name == "ghz" else 2
+        largest = protocols._MAX_REGISTER
+        if not 1 <= n <= largest:
+            raise ValueError(f"preset register of {n} qubits outside [1, {largest}]")
+        if name == "product":
+            return basis_state(n, 0)
         vec = np.zeros(2**n, dtype=complex)
         vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
         return PureState(n, vec)
-    if name == "product":
-        return basis_state(_preset_qubits(arg, 2), 0)
     if name == "saturate":
-        if not arg:
-            raise ValueError("saturate preset needs a value: saturate:S")
-        return verify.saturating_single_qubit_register(float(arg), 2)
+        return verify.saturating_single_qubit_register(_preset_value(token, float), 2)
     if name == "rho_lambda":
-        if not arg:
-            raise ValueError("rho_lambda preset needs a value: rho_lambda:L")
-        return verify.purified_rho_lambda(float(arg))
+        return verify.purified_rho_lambda(_preset_value(token, float))
     raise ValueError(f"unknown preset {token!r}; presets: {_PRESET_HELP}")
 
 
@@ -215,7 +223,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     kind = ProtocolKind(args.protocol)
     rotation = kind in protocols.ROTATION_KINDS
     if args.targets is not None:  # "" lists no target, and is an error
-        targets = tuple(int(tok) for tok in args.targets.split(","))
+        targets = tuple(_number(tok, int, "--targets") for tok in args.targets.split(","))
     else:
         targets = (0,) if rotation else (0, 1)
     u = 0.0 if rotation and args.u is None else args.u

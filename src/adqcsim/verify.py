@@ -24,16 +24,16 @@ the stack cap.
 The protocol campaigns cut each stack into slices of at most
 _STACK_AMPLITUDES amplitudes, hand them with their rows' columns to
 protocols._analyses, and read back columns: each row's F, and only what
-the campaign checks.
-equality_oracle reads the closed forms, so it solves nothing; the bound
-campaigns and saturation read the entropies, so they take no
-correlator, and evaluate each bound on its column once per chunk.  No
-per-row report is built.  circuit_equivalence runs each drawn row once
-per distinct gate list of the rotation kinds, in the tilted bases they
-share, and measures only those.  The density campaigns take one partial
-trace and one validation per chunk (monotonicity's sigma rows, whose
-eigenvectors are read, in another), then call the public check once on
-the stack.
+the campaign checks.  equality_oracle reads the closed forms, so it
+solves nothing; the bound campaigns and saturation read the entropies,
+so they take no correlator, and evaluate each bound on its column once
+per chunk.  circuit_equivalence runs each drawn row once per distinct
+gate list of the rotation kinds, in the tilted bases they share, and
+compares each pair of those runs once.  The density campaigns take one
+partial trace and one validation per chunk (monotonicity's sigma rows,
+whose eigenvectors are read, in another) and call the public check once
+on the stack; monotonicity checks its random sigma only, as its slack at
+sigma = I/4 is interm's (tests/test_symbolic.py proves it).
 """
 from __future__ import annotations
 
@@ -51,8 +51,6 @@ from .protocols import ProtocolKind, ProtocolSpec
 from .qcore import PureState
 
 _SUPPORT_TOL = 1e-12
-
-_MAX_MIXED_2Q = entropy.validate_density(np.eye(4, dtype=complex) / 4.0, vectors=True)
 
 
 # Each check takes one (4, 4) density matrix or a (B, 4, 4) stack (any
@@ -213,15 +211,14 @@ _ROTATION_CODES = tuple(protocols._CODES[kind] for kind in protocols.ROTATION_KI
 _CZSWAP_GATE = protocols._CODES[ProtocolKind.ADQC_CZSWAP_GATE]
 
 
-def _shared_runs(codes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    # one simulation per distinct gate list of the kinds `codes`, run as
-    # the first kind with that list: the runs' codes, and each kind's run
+def _shared_runs(codes: Sequence[int]) -> np.ndarray:
+    # the codes of one simulation per distinct gate list of the kinds
+    # `codes`, each run as the first kind with that list
     gates = [protocols._PROTOCOLS[protocols._KINDS[code]].gates for code in codes]
-    lists = list(dict.fromkeys(gates))
-    return np.array([codes[gates.index(g)] for g in lists]), np.array(list(map(lists.index, gates)))
+    return np.array([codes[gates.index(g)] for g in dict.fromkeys(gates)])
 
 
-# the one-way rotation's run is ADQC_ROTATION_CZSWAP's: 2 runs for 3 kinds
+# the one-way rotation's gate list is ADQC_ROTATION_CZSWAP's: 2 runs for 3 kinds
 _EQUIVALENCE_RUNS = _shared_runs(_ROTATION_CODES)
 
 # Items drawn and evaluated together: enough to amortize the per-call
@@ -412,17 +409,16 @@ def _draw_equivalence(cfg: CampaignConfig, indices: Sequence[int]) -> _ProtocolC
 
 
 def _evaluate_equivalence(cfg: CampaignConfig, chunk: _ProtocolChunk) -> _Evaluation:
-    # the largest phase-aligned distance between the inaccurate branches of
-    # any two rotation protocols, per outcome; each slice's stack holds each
-    # run of _EQUIVALENCE_RUNS, run after run, as the slice's rows under its
-    # kind (the pair arrays, a row per kind and item, size the slice); a
-    # pair of kinds compares their runs.  The tilted bases are the chunk's.
-    codes, run = _EQUIVALENCE_RUNS
-    first, second = run[np.array(np.triu_indices(len(run), 1))]  # every pair of kinds
+    # the largest phase-aligned distance, per outcome, between the inaccurate
+    # branches of any two runs of _EQUIVALENCE_RUNS (two distinct gate lists),
+    # each pair compared once; each slice's stack holds the runs one after
+    # another, a row per run and item.  The tilted bases are the chunk's.
+    codes = _EQUIVALENCE_RUNS
+    first, second = np.triu_indices(len(codes), 1)
     specs = chunk.specs
     tilted = qcore._tilted(qcore._equatorial(specs.u), specs.epsilon, specs.delta)
     worst = np.zeros(len(chunk.indices))
-    for positions, states in _stacks(chunk.registers, rows_per_draw=len(_ROTATION_CODES)):
+    for positions, states in _stacks(chunk.registers, rows_per_draw=len(codes)):
         rows = np.tile(positions, len(codes))
         runs_specs = specs.take(rows)._replace(kind=np.repeat(codes, len(positions)))
         inaccurate = protocols._branches(np.tile(states, (len(codes), 1)), runs_specs, tilted[rows])
@@ -460,31 +456,14 @@ def _evaluate_density(
 ) -> _Evaluation:
     # one partial trace for the rho matrices, then any sigma matrices; one
     # validation for the rho rows, values only, and one for the sigma rows,
-    # whose eigenvectors are read
+    # whose eigenvectors check_monotonicity's cross term reads
     count, sigma = len(chunk.indices), chunk.sigmas is not None
     states = np.concatenate([chunk.purifications, chunk.sigmas]) if sigma else chunk.purifications
     reduced = linalg._reduce(states, [(0, 1)] * len(states))
     densities = [entropy.validate_density(reduced[:count], dims=(4,))]
     if sigma:
         densities.append(entropy.validate_density(reduced[count:], dims=(4,), vectors=True))
-    violations = [-slack for slack in slacks(*densities).tolist()]
-    return violations, {"random_sigma_checks": count} if sigma else {}
-
-
-def _monotonicity_pair_slacks(rho: Density, sigma: Density) -> np.ndarray:
-    # row b: the smaller slack of sigma = I/4 (as in the proof of the
-    # two-qubit bound) and of the random full-rank sigma[b], both in one
-    # check over a 2B stack: rho twice, against I/4 per row, then sigma
-    n = len(rho.matrix)
-    mixed = _MAX_MIXED_2Q
-    sigmas = Density(
-        np.concatenate([np.broadcast_to(mixed.matrix, (n, 4, 4)), sigma.matrix]),
-        np.concatenate([np.broadcast_to(mixed.eigenvalues, (n, 4)), sigma.eigenvalues]),
-        np.concatenate([np.broadcast_to(mixed.eigenvectors, (n, 4, 4)), sigma.eigenvectors]),
-    )
-    rhos = Density(np.tile(rho.matrix, (2, 1, 1)), np.tile(rho.eigenvalues, (2, 1)), None)
-    slack = check_monotonicity(rhos, sigmas)
-    return np.minimum(slack[:n], slack[n:])
+    return [-slack for slack in slacks(*densities).tolist()], {}
 
 
 def _saturation_sweep(cfg: CampaignConfig) -> int:
@@ -623,7 +602,7 @@ _CAMPAIGNS: dict[str, _Campaign] = {
     ),
     "monotonicity": _Campaign(
         partial(_draw_density, with_sigma=True),
-        partial(_evaluate_density, slacks=_monotonicity_pair_slacks), 1000, 1e-9,
+        partial(_evaluate_density, slacks=check_monotonicity), 1000, 1e-9,
     ),
     "interm": _Campaign(
         _draw_density, partial(_evaluate_density, slacks=check_interm), 1000, 1e-9

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -181,11 +182,12 @@ def test_curves_bad_s_value():
     assert cli.main(["curves", "fig5", "--s-values", "2.0"]) == 2
 
 
-@pytest.mark.parametrize("s_values", ["", ",", "0.3,", " "])
+@pytest.mark.parametrize("s_values", ["", ",", "0.3,", " ", "0.3,,0.4", "0.3,x"])
 def test_curves_empty_s_value_is_usage_error(s_values, capsys):
-    # "" used to fall back on the default S values and exit 0
+    # "" used to fall back on the default S values and exit 0; a malformed
+    # entry is reported under the option's name
     assert cli.main(["curves", "fig5", "--s-values", s_values]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: --s-values: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("figure", ["fig6", "fig7"])
@@ -449,20 +451,34 @@ def test_demo_rejects_u_for_two_qubit_gate():
 def test_demo_bad_targets(capsys):
     assert cli.main(["demo", "ADQC_ROTATION_CZ", "--preset", "bell",
                      "--targets", "7"]) == 2
+    capsys.readouterr()
     # "" lists no target; it used to fall back on the default targets and
-    # exit 0
-    assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", "bell", "--targets", ""]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "error:" in captured.err
+    # exit 0.  A malformed entry is reported under the option's name
+    for targets in ("", "0,x", "0,,1", "1.0"):
+        assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", "bell", "--targets", targets]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --targets: " in captured.err
 
 
-def test_preset_errors():
+def test_preset_errors(capsys):
     with pytest.raises(ValueError, match="unknown preset"):
         cli.preset_state("nosuch")
-    with pytest.raises(ValueError, match="needs a value"):
-        cli.preset_state("saturate")
-    with pytest.raises(ValueError, match="needs a value"):
-        cli.preset_state("rho_lambda")
+    # an empty value is an error; "ghz:" and "product:" used to run the
+    # default register and exit 0
+    for token in ("saturate", "rho_lambda", "saturate:", "rho_lambda:", "ghz:", "product:"):
+        with pytest.raises(ValueError, match="needs a value"):
+            cli.preset_state(token)
+        assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", token]) == 2
+        assert "needs a value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["ghz:x", "product:2.0", "ghz:3,4", "saturate:abc", "rho_lambda:0.4x"])
+def test_a_malformed_preset_value_names_its_token(token, capsys):
+    # Python's parse message alone named no token
+    with pytest.raises(ValueError, match=f"^preset '{re.escape(token)}': "):
+        cli.preset_state(token)
+    assert cli.main(["demo", "ADQC_CZ_GATE", "--preset", token]) == 2
+    assert f"error: preset '{token}': " in capsys.readouterr().err
 
 
 # every protocol adds an ancilla, so a preset register holds at most 7 qubits

@@ -1,5 +1,6 @@
 """The fidelity identities of the five protocols, proved symbolically from
-the package's own protocol table and gates.
+the package's own protocol table and gates, and the relative-entropy
+identity that makes monotonicity at sigma = I/4 the interm inequality.
 
 Each kind's branch operator K_j(epsilon, delta) on its targets is built
 from its `protocols._PROTOCOLS` row, the exact form (`sp.nsimplify`) of
@@ -206,3 +207,41 @@ def test_the_purity_bound_is_the_formula():
     assert purity == pytest.approx(2 * (1 - np.trace(rho @ rho).real), abs=1e-15)
     assert protocols.bound_purity(purity, EPSILON) == pytest.approx(
         1 - purity * np.sin(EPSILON / 2) ** 2, abs=1e-15)
+
+
+def plogp(values):
+    # sum x log2 x: minus the entropy of a spectrum or a diagonal
+    return sum(x * sp.log(x, 2) for x in values)
+
+
+def test_monotonicity_at_the_maximally_mixed_state_is_the_interm_slack():
+    # D(rho||I/4) - D(E(rho)||I/4) = H(diag rho) - S(rho): the step from
+    # monotonicity of relative entropy (Nielsen & Chuang, Thm 11.9) to the
+    # interm inequality, so the monotonicity campaign checks only its random
+    # sigma.  D(X||sigma) = tr X log2 X - tr X log2 sigma, the cross term as
+    # verify.relative_entropy takes it over sigma's eigenpairs (s_k, v_k):
+    # sum_k <v_k|X|v_k> log2 s_k, here over the package's pairs of I/4
+    mixed = entropy.validate_density(np.eye(4, dtype=complex) / 4, vectors=True)
+    pairs = list(zip(map(sp.nsimplify, mixed.eigenvalues), exact(mixed.eigenvectors).T.tolist()))
+
+    def cross(x):
+        return sum((sp.Matrix([v]).conjugate() * x * sp.Matrix(v))[0] * sp.log(s_k, 2)
+                   for s_k, v in pairs)
+
+    # tr X log2(I/4) = -2 tr X for every Hermitian X
+    x = generic_matrix(4, "x")
+    assert is_zero(cross(x) + 2 * x.trace())
+    # rho with positive spectrum l and diagonal p of equal traces, so that
+    # D(rho||I/4) = sum l log2 l + 2 sum l; E(rho) = diag(p), whose
+    # spectrum is p
+    l, p = sp.symbols("l0:4", positive=True), sp.symbols("p0:4", positive=True)
+    d_rho = plogp(l) + 2 * sum(l)
+    d_dephased = plogp(p) - cross(sp.diag(*p))
+    gap = d_rho - d_dephased - (-plogp(p) + plogp(l))
+    assert is_zero(gap.subs(l[3], sum(p) - sum(l[:3])))
+    # and at a numeric rho, the formula is the package's two checks
+    rho = verify.random_density_matrix(2, [28, 4])
+    point = dict(zip(l + p, [*np.linalg.eigvalsh(rho), *rho.diagonal().real]))
+    monotonicity = float((d_rho - d_dephased).subs(point))
+    assert monotonicity == pytest.approx(verify.check_monotonicity(rho, mixed), abs=1e-14)
+    assert monotonicity == pytest.approx(verify.check_interm(rho), abs=1e-14)

@@ -342,7 +342,7 @@ _REPORTS_25_11 = {
     "equality_oracle": (25, 7.771561172376096e-16, {}),
     "interm": (25, -0.25143198496654184, {}),
     "jonas": (25, -0.34281447225759387, {}),
-    "monotonicity": (25, -0.25143198496654184, {"random_sigma_checks": 25}),
+    "monotonicity": (25, -0.6518852221179268, {}),
     "saturation": (750, 1.1102230246251565e-15, {}),
 }
 
@@ -777,8 +777,8 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
 
 # simulations of a campaign run, per register size: one per chunk and
 # slice of at most _STACK_AMPLITUDES = 2^13 amplitudes, rows x 2^(n+1);
-# circuit_equivalence's slices are sized for three rows per draw, one per
-# rotation kind, and its stacks hold two, one per distinct gate list.
+# circuit_equivalence's slices are sized for the two rows per draw its
+# stacks hold, one per distinct gate list of the rotation kinds.
 # Chunks hold 128 items.  Every simulation, run_protocol's and
 # circuit_equivalence's tilted-only one, is one call of protocols._branches.
 @pytest.mark.parametrize("name, sizes, samples, calls", [
@@ -790,10 +790,10 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, name):
     ("equality_oracle", (7,), 100, {7: 4}),
     # 64 registers of 6 qubits per stack: 64 + 36 draws
     ("bound_main2", (6,), 100, {6: 2}),
-    # 2^13 / (3 x 2^6) = 42 draws per stack: 42 + 18
-    ("circuit_equivalence", (5,), 60, {5: 2}),
-    # 10 draws per stack at 7 qubits
-    ("circuit_equivalence", (7,), 25, {7: 3}),
+    # 2^13 / (2 x 2^6) = 64 draws per stack: all 60 in one
+    ("circuit_equivalence", (5,), 60, {5: 1}),
+    # 16 draws per stack at 7 qubits: 16 + 9
+    ("circuit_equivalence", (7,), 25, {7: 2}),
     # the purity registers hold 2 qubits, the Bell pairs 4: one chunk of 30 items
     ("saturation", None, 1, {2: 1, 4: 1}),
 ])
@@ -855,17 +855,38 @@ def test_kinds_that_share_a_gate_list_share_one_run(monkeypatch, swapped, runs):
     assert sum(int(rows[codes[0]]) for rows in stacks) == len(worst) == 60
     for rows in stacks:
         assert rows.nonzero()[0].tolist() == codes and len(set(rows[codes].tolist())) == 1
-    # each item's worst distance is that of every kind run alone
+    slices = len(stacks)
+    # each item's worst distance is the largest over the pairs of distinct
+    # gate lists, each run alone
     for p, value in enumerate(worst):
         spec, state = _spec(chunk.specs, p), _register(chunk.registers, p)
         branches = [
-            protocols.run_protocol(state, dataclasses.replace(spec, kind=kind)).inaccurate_branches
-            for kind in protocols.ROTATION_KINDS
+            protocols.run_protocol(state, dataclasses.replace(spec, kind=protocols._KINDS[code]))
+            .inaccurate_branches for code in codes
         ]
         assert value == max(
             float(qcore.phase_aligned_max_diff(a, b).max())
             for a, b in itertools.combinations(branches, 2)
         )
+
+    # with each row's branches replaced by its kind's code, the arrays that
+    # qcore._aligned_diff compares show which runs they pair: every pair of
+    # distinct runs once, in each stack, and no run with itself
+    def tagged(amplitudes, specs, bases):
+        out = original(amplitudes, specs, bases)
+        return np.broadcast_to(specs.kind.reshape(-1, *[1] * (out.ndim - 1)), out.shape) + 0j
+
+    aligned_diff, calls = qcore._aligned_diff, []
+
+    def compared(a, b):
+        calls.append([(set(x.real.flat), set(y.real.flat)) for x, y in zip(a, b)])
+        return aligned_diff(a, b)
+
+    monkeypatch.setattr(protocols, "_branches", tagged)
+    monkeypatch.setattr(qcore, "_aligned_diff", compared)
+    verify._evaluate_equivalence(config, chunk)
+    pairs = [({a}, {b}) for a, b in itertools.combinations(codes, 2)]
+    assert calls == [pairs] * slices
 
 
 @pytest.mark.parametrize("kind", list(protocols.ProtocolKind))
@@ -973,20 +994,47 @@ def test_the_oracle_fails_closed_on_a_reduction_it_does_not_validate(monkeypatch
     assert not report.passed and report.max_violation > report.config.tolerance
 
 
-def test_monotonicity_checks_both_sigmas_in_one_call(monkeypatch):
-    # sigma = I/4 and the random sigma of a chunk's rows share one
-    # check_monotonicity call over a stack of twice the rows
-    original = verify.check_monotonicity
-    rows = []
+def test_monotonicity_checks_its_random_sigma_in_one_call(monkeypatch):
+    # each chunk's B rows meet their own random sigma in one
+    # check_monotonicity call; sigma = I/4 is not checked again, as its
+    # slack is interm's (tests/test_symbolic.py proves the identity)
+    campaign = verify._CAMPAIGNS["monotonicity"]
+    assert campaign.evaluate.func is verify._evaluate_density
+    assert campaign.evaluate.keywords == {"slacks": verify.check_monotonicity}
+    config = verify.default_config("monotonicity", samples=200, seed=3)
+    report = verify.run_campaign(config)
+    calls = []
 
     def counted(rho, sigma):
-        rows.append((len(rho.matrix), len(sigma.matrix)))
-        return original(rho, sigma)
+        calls.append((rho.matrix, sigma.matrix))
+        return verify.check_monotonicity(rho, sigma)
 
-    monkeypatch.setattr(verify, "check_monotonicity", counted)
-    config = verify.default_config("monotonicity", samples=40, seed=3)
-    verify.run_campaign(config)
-    assert rows == [(80, 80)]
+    def evaluate(cfg, chunk):
+        return verify._evaluate_density(cfg, chunk, slacks=counted)
+
+    monkeypatch.setitem(verify._CAMPAIGNS, "monotonicity", dataclasses.replace(campaign, evaluate=evaluate))
+    assert verify.run_campaign(config) == report and report.stats == {}
+    assert [len(rho) for rho, _ in calls] == [128, 72]
+    for a, (rho, sigma) in zip((0, 128), calls):
+        chunk = campaign.draw(config, range(a, a + len(rho)))
+        states = np.concatenate([chunk.purifications, chunk.sigmas])
+        reduced = linalg.partial_trace(states, [(0, 1)] * len(states))
+        assert np.array_equal(rho, reduced[:len(rho)]) and np.array_equal(sigma, reduced[len(rho):])
+
+
+@pytest.mark.parametrize("seed", [42, 108])
+def test_monotonicity_at_the_maximally_mixed_state_is_interm_on_every_item(seed):
+    # the identity tests/test_symbolic.py proves, D(rho||I/4) -
+    # D(E(rho)||I/4) = H(diag rho) - S(rho), within float error on every
+    # item of the monotonicity campaign's chunks at its default count
+    config = verify.default_config("monotonicity", seed=seed)
+    campaign = verify._CAMPAIGNS["monotonicity"]
+    for a in range(0, config.samples, verify._CHUNK):
+        chunk = campaign.draw(config, range(a, min(a + verify._CHUNK, config.samples)))
+        rhos = linalg.partial_trace(chunk.purifications, [(0, 1)] * len(chunk.indices))
+        rho = entropy.validate_density(rhos, dims=(4,))
+        gap = verify.check_monotonicity(rho, MAX_MIXED) - verify.check_interm(rho)
+        assert abs(gap).max() <= 1e-14
 
 
 def test_saturation_builds_its_registers_once_per_process(monkeypatch):
@@ -1039,7 +1087,6 @@ def test_density_checks_match_the_chunked_evaluation():
     chunked = {
         "interm": verify.check_interm(rho),
         "jonas": verify.check_jonas(rho),
-        "mixed": verify.check_monotonicity(rho, verify._MAX_MIXED_2Q),
         "sigma": verify.check_monotonicity(rho, sigma),
         "relative": verify.relative_entropy(rho, sigma),
     }
@@ -1048,7 +1095,6 @@ def test_density_checks_match_the_chunked_evaluation():
         single = {
             "interm": verify.check_interm(r),
             "jonas": verify.check_jonas(r),
-            "mixed": verify.check_monotonicity(r, MAX_MIXED),
             "sigma": verify.check_monotonicity(r, s),
             "relative": verify.relative_entropy(r, s),
         }
@@ -1058,7 +1104,7 @@ def test_density_checks_match_the_chunked_evaluation():
     for name, slacks in (
         ("interm", chunked["interm"]),
         ("jonas", chunked["jonas"]),
-        ("monotonicity", np.minimum(chunked["mixed"], chunked["sigma"])),
+        ("monotonicity", chunked["sigma"]),
     ):
         cfg = verify.default_config(name, samples=40, seed=3)
         campaign = verify._CAMPAIGNS[name]
