@@ -11,10 +11,11 @@ built here from `qubit_order`, the one definition of a qubit order, by
 table through `_tables`, the one check of qubit indices, and `_permute`
 gathers a stack's qubits into place over them, for `_reduce`.
 `_chain_tables` compiles the protocols' gate chains from the same
-tables, once per register size: int32 tables that gather straight from
-one gate step's qubit order into the next's.  `partial_trace` checks its arguments, then calls
-`_reduce`, the kernel that the campaign path calls on stacks the package
-built from checked inputs.
+tables, once per register size: one int32 table per pair of qubit
+orders, gathering straight from one gate step's order into the next's,
+that a row finds by its chain, round and two targets.  `partial_trace`
+checks its arguments, then calls `_reduce`, the kernel that the campaign
+path calls on stacks the package built from checked inputs.
 """
 from __future__ import annotations
 
@@ -155,8 +156,8 @@ def _chain_tables(n: int, chains: tuple) -> tuple[np.ndarray, np.ndarray]:
     # The gather tables of chains of two-qubit steps on an n-qubit register
     # plus one more qubit, qubit n, built on the first call for each (n,
     # chains) and kept, read-only, for the process.  A step names two wires
-    # of a row: 0 and 1 are its first and second register qubit, 2 is qubit
-    # n.  Step k acts in its frame, the amplitudes gathered into the order
+    # of a row: 0 and 1 are its targets q0 and q1, 2 is qubit n.  Step k
+    # acts in its frame, the amplitudes gathered into the order
     # qubit_order(n + 1, its qubits) by the table T_k of _index_table; the
     # chain ends in the frame of qubit n first, T_end.  Round 0 gathers the
     # register into step 0's frame: T_0 >> 1, read from the register, whose
@@ -165,40 +166,26 @@ def _chain_tables(n: int, chains: tuple) -> tuple[np.ndarray, np.ndarray]:
     # k's, inv(T_(k-1))[T_k]; the last round, one past the longest chain's
     # last step, gathers each chain's last frame into the end frame.
     #
-    # Returns (tables, where): one int32 array stacking the tables of every
-    # round and chain, one per value of the register qubits the round
-    # reads (zero where a round would read one qubit twice, which no row
-    # may reach); and a (rounds, chains, 3) array (first table, factor of
-    # qubit 0, factor of qubit 1), so that a row's table of round r is
-    # tables[first + q0 * f0 + q1 * f1], -1 where a chain has no round r.
-    def frame(wires, qubits):
-        return _index_table(n + 1, tuple(qubits[w] for w in wires))
-
+    # Returns (tables, where): one int32 array holding the table of each
+    # distinct pair of frames, (the qubits step k - 1 lists first, those of
+    # step k), once; and a (rounds, chains, n, n) array, so that a row's
+    # table of round r is tables[where[r, chain, q0, q1]].  It is -1 where a
+    # chain has no round r, and at q0 == q1 of a chain that names wire 1,
+    # which no row may reach.
     depth = max(map(len, chains))
-    stacked, where = [], np.full((depth + 1, len(chains), 3), -1, dtype=np.intp)
-    for r in range(depth + 1):
-        for c, steps in enumerate(chains):
-            if r < len(steps):
-                before, after = steps[r - 1] if r else (), steps[r]
-            elif r == depth:
-                before, after = steps[-1], (2,)
-            else:
+    pairs, where = {}, np.full((depth + 1, len(chains), n, n), -1, dtype=np.intp)
+    for c, steps in enumerate(chains):
+        frames = ((), *steps, (2,))
+        for k, (q0, q1) in product(range(len(steps) + 1), product(range(n), repeat=2)):
+            if q0 == q1 and any(1 in step for step in steps):
                 continue
-            reads = sorted({w for w in (*before, *after) if w < 2})
-            where[r, c] = (sum(map(len, stacked)), n if reads == [0, 1] else 0 in reads, 1 in reads)
-            tables = np.zeros((n ** len(reads), 2 ** (n + 1)), dtype=np.int32)
-            for row, values in enumerate(product(range(n), repeat=len(reads))):
-                if len(set(values)) < len(values):
-                    continue
-                qubits = {2: n, **dict(zip(reads, values))}
-                if r:
-                    inverse = np.empty(2 ** (n + 1), dtype=np.intp)
-                    inverse[frame(before, qubits)] = np.arange(2 ** (n + 1))
-                    tables[row] = inverse[frame(after, qubits)]
-                else:
-                    tables[row] = frame(after, qubits) >> 1
-            stacked.append(tables)
-    tables = np.concatenate(stacked)
+            qubits = (q0, q1, n)
+            pair = tuple(qubits[w] for w in frames[k]), tuple(qubits[w] for w in frames[k + 1])
+            where[k if k < len(steps) else depth, c, q0, q1] = pairs.setdefault(pair, len(pairs))
+    tables = np.empty((len(pairs), 2 ** (n + 1)), dtype=np.int32)
+    for row, (before, after) in enumerate(pairs):
+        after = _index_table(n + 1, after)
+        tables[row] = np.argsort(_index_table(n + 1, before))[after] if before else after >> 1
     tables.flags.writeable = where.flags.writeable = False
     return tables, where
 

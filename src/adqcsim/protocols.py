@@ -28,10 +28,11 @@ what `_runs` read, or from a campaign's drawn values.
 
 Every simulation is one `_chain`: each row's register times the |+>
 ancilla through its kind's gate steps, one gather per step over the
-tables `linalg._chain_tables` compiles, once per register size, for each
-distinct wiring of `_PROTOCOLS`.  A gather goes straight from one step's
-qubit order into the next's, and after the last step into the
-measurement's, the ancilla first; nothing is scattered back.
+tables `linalg._chain_tables` compiles from `_PROTOCOLS`, once per
+register size, each looked up by the row's kind and two targets.  A
+gather goes straight from one step's qubit order into the next's, and
+after the last step into the measurement's, the ancilla first; nothing
+is scattered back.
 `_branches` measures the chain in the bases asked for: the tilted and
 the ideal ones of `_bases` for `run_protocol`, the tilted ones alone for
 a caller that reads only those; `pre_measurement_state` moves its
@@ -187,24 +188,23 @@ _GATE_TABLE = np.stack([qcore.gate(name) for name in _GATE_NAMES])
 
 
 class _Chains(NamedTuple):
-    # The protocols' gate lists as the gate chain runs them: each distinct
-    # wiring (the wires of every step), each kind's wiring by its index,
-    # and gate step k of each kind, (steps, kinds): its row of _GATE_TABLE,
-    # -1 where the kind has no k-th gate.
+    # The protocols' gate lists as the gate chain runs them: each kind's
+    # wiring (the wires of every step), whose frames key the tables of
+    # linalg._chain_tables, so kinds that share a pair of frames share its
+    # table; and gate step k of each kind, (steps, kinds): its row of
+    # _GATE_TABLE, -1 where the kind has no k-th gate.
     wirings: tuple
-    wiring: np.ndarray
     gates: np.ndarray
 
 
 def _chains(rows: Sequence[_Protocol]) -> _Chains:
-    wirings = [tuple(wires for _, wires in row.gates) for row in rows]
-    distinct = tuple(dict.fromkeys(wirings))
+    wirings = tuple(tuple(wires for _, wires in row.gates) for row in rows)
     depth = max(map(len, wirings))
     gates = [
         [_GATE_NAMES.index(name) for name, _ in row.gates] + [-1] * (depth - len(row.gates))
         for row in rows
     ]
-    return _Chains(distinct, np.array(list(map(distinct.index, wirings))), np.array(gates).T)
+    return _Chains(wirings, np.array(gates).T)
 
 
 _CHAINS = _chains(list(_PROTOCOLS.values()))
@@ -307,8 +307,7 @@ def _chain(amplitudes: np.ndarray, specs: _Specs) -> np.ndarray:
         raise ValueError("a two-target protocol repeats its target")
     tables, where = linalg._chain_tables(n, _CHAINS.wirings)
     # each row's table of every round, (rounds, B)
-    first, f0, f1 = where[:, _CHAINS.wiring[specs.kind]].transpose(2, 0, 1)
-    codes = first + targets[:, 0] * f0 + targets[:, 1] * f1
+    codes = where[:, specs.kind, targets[:, 0], targets[:, 1]]
     vec = amplitudes * _PLUS[0]
 
     def gather(r, rows):

@@ -430,6 +430,21 @@ def test_demo_state_file(tmp_path, capsys):
     assert abs(info["simulated_F"] - info["closed_form_F"]) < 1e-10
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_demo_notes_a_state_file_it_renormalized(tmp_path, capsys, fmt):
+    # a file normalized within the loader's tolerance but not exactly is
+    # renormalized, and the demo says by how much
+    path = tmp_path / "in.txt"
+    path.write_text("qubits: 1\n0 0.6 0\n1 0.8000000001 0\n", encoding="utf-8")
+    args = ["demo", "ADQC_ROTATION_CZ", "--state", str(path)]
+    if fmt == "json":
+        info = demo_json(args, capsys)
+        assert "input renormalized by 8.000e-11" in info["notes"]
+    else:
+        assert cli.main(args) == 0
+        assert "note: input renormalized by 8.000e-11" in capsys.readouterr().out.splitlines()
+
+
 def test_demo_malformed_state_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("qubits: 2\n9 1 0\n")

@@ -1097,19 +1097,59 @@ def test_the_gate_chain_rejects_targets_it_has_no_table_for(kind, targets, messa
         protocols._chain(states[:1], protocols._columns([rotation]))
 
 
-def test_the_chain_tables_are_int32_and_about_0_3_mb_for_every_register_size():
-    # per register size n, each of the three wirings holds a table per
-    # value of the targets each round reads: n for the first round and the
-    # last, n^2 for a round between two steps on different targets; 2^(n+1)
-    # int32 entries each, 307152 bytes over n = 1..7
+def test_the_chain_tables_hold_one_int32_table_per_pair_of_frames():
+    # per register size n, one table per distinct (from-frame, to-frame)
+    # pair a valid row reaches: n from the register into (t, ancilla) and
+    # n into (ancilla, t), n(n - 1) between the CZ gate's frames and as
+    # many between the CZSWAP gate's, and n into the end frame from each
+    # of the two frames a chain ends in, so 2n(n + 1) for n >= 2 (2 for
+    # n = 1, which runs rotations alone); 2^(n+1) int32 entries each,
+    # 180128 bytes over n = 1..7, and every table is some entry's
     total = 0
     for n in range(1, protocols._MAX_REGISTER + 1):
         tables, where = linalg._chain_tables(n, protocols._CHAINS.wirings)
         assert tables.dtype == np.int32 and tables.shape[1] == 2 ** (n + 1)
-        assert where.shape == (4, len(protocols._CHAINS.wirings), 3)
-        assert len(tables) == 6 * n + 3 * n * n
+        assert where.shape == (4, len(ALL_KINDS), n, n)
+        assert len(tables) == (2 * n * (n + 1) if n >= 2 else 2)
+        assert np.array_equal(np.unique(where[where >= 0]), np.arange(len(tables)))
         total += tables.nbytes
-    assert total == 307152
+    assert total == 180128
+
+
+@pytest.mark.parametrize("n", range(1, protocols._MAX_REGISTER + 1))
+def test_the_chain_lookup_is_minus_one_exactly_where_no_row_reaches(n):
+    # -1 at every round a kind lacks (the longest chain has three steps,
+    # so round 3 is every kind's last) and at q0 == q1 of a two-target
+    # kind; a table everywhere else
+    _, where = linalg._chain_tables(n, protocols._CHAINS.wirings)
+    distinct = ~np.eye(n, dtype=bool)
+    for kind in ALL_KINDS:
+        steps = len(protocols._PROTOCOLS[kind].gates)
+        for r in range(4):
+            entries = where[r, protocols._CODES[kind]]
+            if steps <= r < 3:
+                assert (entries == -1).all()
+            elif kind in ROTATIONS:
+                assert (entries >= 0).all()
+            else:
+                assert (entries[~distinct] == -1).all() and (entries[distinct] >= 0).all()
+
+
+@pytest.mark.parametrize("n", range(2, protocols._MAX_REGISTER + 1))
+def test_kinds_whose_steps_share_a_frame_pair_share_its_table(n):
+    # the four kinds whose first step is on (target, ancilla) gather the
+    # register into one frame, so they share their round-0 tables; a
+    # rotation names no second target, so its entries are constant in q1
+    _, where = linalg._chain_tables(n, protocols._CHAINS.wirings)
+    first = [protocols._CODES[kind] for kind, row in protocols._PROTOCOLS.items()
+             if row.gates[0][1] == (0, protocols._ANCILLA)]
+    assert len(first) == 4
+    distinct = ~np.eye(n, dtype=bool)
+    round_0 = where[0, first][:, distinct]
+    assert (round_0 == round_0[0]).all()
+    for kind in ROTATIONS:
+        entries = where[:, protocols._CODES[kind]]
+        assert (entries == entries[..., :1]).all()
 
 
 def test_the_chain_tables_of_a_register_size_are_built_on_its_first_run():
